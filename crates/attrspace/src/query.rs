@@ -137,8 +137,8 @@ impl Query {
     }
 
     /// [`matches`](Self::matches) on raw values in dimension order, for
-    /// callers that store points column-wise (e.g. a simulator's dense
-    /// ground-truth scan).
+    /// callers that store points column-wise (e.g. the simulator's
+    /// ground-truth index).
     ///
     /// # Panics
     ///

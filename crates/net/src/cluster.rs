@@ -27,16 +27,21 @@ pub struct QueryOutcome {
     pub matches: Vec<Match>,
     /// Nodes matching the query at issue time (alive then).
     pub truth: usize,
+    /// The `σ` bound the query was issued with, if any.
+    pub sigma: Option<u32>,
 }
 
 impl QueryOutcome {
-    /// Fraction of then-matching nodes reported (≤ the paper's delivery:
-    /// a reached node whose reply was lost is not counted).
+    /// Fraction of what was asked for that was reported: matches over
+    /// `min(σ, truth)` (over `truth` when unbounded), capped at 1; 1 when
+    /// nothing matched. At most the paper's delivery: a reached node whose
+    /// reply was lost is not counted.
     pub fn delivery(&self) -> f64 {
-        if self.truth == 0 {
+        let wanted = self.sigma.map_or(self.truth, |s| self.truth.min(s as usize));
+        if wanted == 0 {
             1.0
         } else {
-            self.matches.len() as f64 / self.truth as f64
+            self.matches.len().min(wanted) as f64 / wanted as f64
         }
     }
 }
@@ -48,6 +53,7 @@ impl QueryOutcome {
 pub struct QueryTicket {
     rx: mpsc::Receiver<(QueryId, Vec<Match>)>,
     truth: usize,
+    sigma: Option<u32>,
 }
 
 impl QueryTicket {
@@ -60,13 +66,13 @@ impl QueryTicket {
     /// flight. Ready at most once; later polls return `None` again.
     pub fn try_outcome(&self) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.try_recv().ok()?;
-        Some(QueryOutcome { matches, truth: self.truth })
+        Some(QueryOutcome { matches, truth: self.truth, sigma: self.sigma })
     }
 
     /// Blocks until completion or `timeout`.
     pub fn wait(self, timeout: Duration) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.recv_timeout(timeout).ok()?;
-        Some(QueryOutcome { matches, truth: self.truth })
+        Some(QueryOutcome { matches, truth: self.truth, sigma: self.sigma })
     }
 }
 
@@ -293,7 +299,7 @@ impl NetCluster {
             .events
             .send_blocking(PeerEvent::Command(Command::BeginQuery { query, sigma, reply: tx }))
             .ok()?;
-        Some(QueryTicket { rx, truth })
+        Some(QueryTicket { rx, truth, sigma })
     }
 
     /// Issues `query` at `origin` and waits for completion (bounded by
@@ -458,5 +464,35 @@ impl NetCluster {
         for t in threads {
             let _ = t.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A completed ticket: `reported` matches came back, `truth` nodes
+    /// matched at issue time.
+    fn outcome(reported: u64, truth: usize, sigma: Option<u32>) -> QueryOutcome {
+        let space = Space::uniform(1, 80, 3).expect("valid space");
+        let values = space.point(&[5]).expect("arity 1");
+        let matches = (0..reported).map(|node| Match { node, values: values.clone() }).collect();
+        let (tx, rx) = mpsc::sync_channel(1);
+        tx.send((QueryId { origin: 0, seq: 1 }, matches)).expect("receiver alive");
+        QueryTicket { rx, truth, sigma }.try_outcome().expect("completed")
+    }
+
+    #[test]
+    fn delivery_is_measured_against_what_was_asked_for() {
+        // σ = 8 over 30 matching nodes: a full answer is full delivery, not
+        // 8/30; the protocol may overshoot σ, which does not count extra.
+        assert_eq!(outcome(8, 30, Some(8)).delivery(), 1.0);
+        assert_eq!(outcome(11, 30, Some(8)).delivery(), 1.0);
+        assert_eq!(outcome(4, 30, Some(8)).delivery(), 0.5);
+        // Fewer matching nodes than σ: all of them is all there is.
+        assert_eq!(outcome(3, 3, Some(8)).delivery(), 1.0);
+        assert_eq!(outcome(0, 0, Some(8)).delivery(), 1.0);
+        // Unbounded queries are still measured against the whole truth.
+        assert_eq!(outcome(15, 30, None).delivery(), 0.5);
     }
 }

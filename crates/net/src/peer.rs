@@ -238,8 +238,7 @@ impl PeerTask {
     fn do_gossip(&mut self) {
         let now = self.now();
         let msgs = self.gossip.tick(now, &mut self.rng);
-        let view = self.gossip.semantic_view().clone();
-        self.selection.sync_from_view(&view, now, &mut self.rng);
+        self.selection.sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
         self.counters
             .links
             .store(self.selection.routing().link_count() as u64, Ordering::Relaxed);
@@ -260,8 +259,7 @@ impl PeerTask {
             NetMessage::Gossip(g) => {
                 let now = self.now();
                 let replies = self.gossip.handle(from, g, &mut self.rng);
-                let view = self.gossip.semantic_view().clone();
-                self.selection.sync_from_view(&view, now, &mut self.rng);
+                self.selection.sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
                 self.counters
                     .links
                     .store(self.selection.routing().link_count() as u64, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 use autosel_core::fasthash::FastMap;
 use std::sync::Arc;
 
-use attrspace::{Point, Query, RawValue, Space};
+use attrspace::{Point, Query, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
@@ -20,6 +20,7 @@ use crate::nodestore::NodeStore;
 use crate::faults::{FaultPlan, NodeEventKind};
 use crate::invariants::{InvariantChecker, InvariantViolation};
 use crate::metrics::LoadHistogram;
+use crate::truth::TruthIndex;
 use crate::{Placement, QueryStats, SimConfig};
 
 /// A pluggable dispatch policy for [`SimCluster::run_to_quiescence_with`]:
@@ -105,13 +106,10 @@ pub struct SimCluster {
     /// every join/leave so the hot paths (`random_node`, oracle wiring,
     /// churn) never re-collect and re-sort the key set.
     sorted_ids: Vec<NodeId>,
-    /// The nodes' attribute values, flattened `dims` per node and aligned
-    /// block-for-block with `sorted_ids`. Ground-truth scans (one per
-    /// issued query, over the whole population) walk this contiguous
-    /// column instead of the node map, whose buckets hold entire
-    /// `SimNode`s. Ids arrive mostly ascending (fresh joins), so the
-    /// sorted insert is an append in the common case.
-    point_values: Vec<RawValue>,
+    /// The alive nodes' attribute values, indexed by nested cell: answers
+    /// "how many nodes match" for every issued query without walking the
+    /// population.
+    truth_index: TruthIndex,
     queue: CalendarQueue,
     now: u64,
     seq: u64,
@@ -149,11 +147,11 @@ impl SimCluster {
     pub fn new(space: Space, config: SimConfig, seed: u64) -> Self {
         config.gossip.validate();
         SimCluster {
+            truth_index: TruthIndex::new(space.clone()),
             space,
             config,
             nodes: NodeStore::default(),
             sorted_ids: Vec::new(),
-            point_values: Vec::new(),
             queue: CalendarQueue::new(),
             now: 0,
             seq: 0,
@@ -265,7 +263,7 @@ impl SimCluster {
     /// restarts reuse the crashed identity).
     fn insert_node(&mut self, id: NodeId, point: Point) {
         let mut selection =
-            SelectionNode::new(id, &self.space, point.clone(), self.config.protocol.clone());
+            SelectionNode::new(id, &self.space, point, self.config.protocol.clone());
         selection.set_observer(self.obs.clone());
         let gossip = if self.config.gossip_enabled {
             let mut stack = GossipStack::new(
@@ -289,23 +287,22 @@ impl SimCluster {
         } else {
             None
         };
-        self.nodes
-            .insert(id, SimNode { selection, gossip, sent: 0, received: 0, next_poll: u64::MAX });
         if let Err(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.insert(at, id);
-            let d = self.space.dims();
-            self.point_values.splice(at * d..at * d, point.values().iter().copied());
+            self.truth_index.insert(selection.coord(), selection.point().values());
         }
+        self.nodes
+            .insert(id, SimNode { selection, gossip, sent: 0, received: 0, next_poll: u64::MAX });
     }
 
-    /// Drops `id` from the sorted alive-id index (companion of every
-    /// `nodes.remove`).
-    fn unindex(&mut self, id: NodeId) {
-        if let Ok(at) = self.sorted_ids.binary_search(&id) {
-            self.sorted_ids.remove(at);
-            let d = self.space.dims();
-            self.point_values.drain(at * d..(at + 1) * d);
-        }
+    /// Takes `id` out of the population and its indexes; `None` if it is
+    /// not alive.
+    fn remove_node(&mut self, id: NodeId) -> Option<SimNode> {
+        let node = self.nodes.remove(&id)?;
+        let at = self.sorted_ids.binary_search(&id).expect("alive node is indexed");
+        self.sorted_ids.remove(at);
+        self.truth_index.remove(node.selection.coord(), node.selection.point().values());
+        Some(node)
     }
 
     /// Adds `n` nodes drawn from `placement`.
@@ -374,23 +371,7 @@ impl SimCluster {
     ///
     /// Panics if `origin` is not alive.
     pub fn issue_count_query(&mut self, origin: NodeId, query: Query) -> QueryId {
-        let truth = self
-            .point_values
-            .chunks_exact(self.space.dims())
-            .filter(|v| query.matches_values(v))
-            .count() as u32;
-        let node = self.nodes.get_mut(&origin).expect("origin alive");
-        let (qid, outputs) = node.selection.begin_count_query(query.clone(), Vec::new(), self.now);
-        let mut stats = QueryStats::new(self.now, truth);
-        stats.receivers.insert(origin);
-        if query.matches(node.selection.point()) {
-            stats.matched_reached.insert(origin);
-        }
-        self.queries.insert(qid, stats);
-        self.truth.insert(qid, query);
-        self.apply_outputs(origin, outputs);
-        self.schedule_timeout_poll(origin);
-        qid
+        self.issue(origin, query, Vec::new(), None, true)
     }
 
     /// Like [`issue_query`](Self::issue_query) with dynamic-attribute
@@ -407,21 +388,31 @@ impl SimCluster {
         dynamic: Vec<DynamicConstraint>,
         sigma: Option<u32>,
     ) -> QueryId {
-        let truth = self
-            .point_values
-            .chunks_exact(self.space.dims())
-            .filter(|v| query.matches_values(v))
-            .count() as u32;
-        let node = self.nodes.get_mut(&origin).expect("origin alive");
-        let (qid, outputs) =
-            node.selection
-                .begin_query_full(query.clone(), dynamic, sigma, self.now);
-        let mut stats = QueryStats::new(self.now, truth);
+        self.issue(origin, query, dynamic, sigma, false)
+    }
+
+    /// The one issue path: snapshots the ground truth, starts the query at
+    /// `origin` (count-only or enumerating) and opens its [`QueryStats`].
+    fn issue(
+        &mut self,
+        origin: NodeId,
+        query: Query,
+        dynamic: Vec<DynamicConstraint>,
+        sigma: Option<u32>,
+        count_only: bool,
+    ) -> QueryId {
+        let mut stats = QueryStats::new(self.now, self.truth_index.count(&query));
         stats.sigma = sigma;
+        let node = &mut self.nodes.get_mut(&origin).expect("origin alive").selection;
+        let (qid, outputs) = if count_only {
+            node.begin_count_query(query.clone(), dynamic, self.now)
+        } else {
+            node.begin_query_full(query.clone(), dynamic, sigma, self.now)
+        };
         // The origin counts as reached if it matches (it "received" the
         // query by creating it).
         stats.receivers.insert(origin);
-        if query.matches(node.selection.point()) {
+        if query.matches(node.point()) {
             stats.matched_reached.insert(origin);
         }
         self.queries.insert(qid, stats);
@@ -452,19 +443,17 @@ impl SimCluster {
     /// Kills `id` abruptly (no goodbye messages — the paper's ungraceful
     /// departure). In-flight messages to it are dropped on delivery.
     pub fn kill(&mut self, id: NodeId) {
-        if self.nodes.remove(&id).is_some() {
+        if self.remove_node(id).is_some() {
             self.obs.emit(|| Event::NodeCrashed { at: self.now, node: id });
         }
-        self.unindex(id);
     }
 
     /// Crashes `id`: like [`kill`](Self::kill), but the identity and
     /// attribute values are remembered so [`restart`](Self::restart) can
     /// bring the machine back. No-op if `id` is not alive.
     pub fn crash(&mut self, id: NodeId) {
-        if let Some(n) = self.nodes.remove(&id) {
+        if let Some(n) = self.remove_node(id) {
             self.crashed.insert(id, n.selection.point().clone());
-            self.unindex(id);
             self.obs.emit(|| Event::NodeCrashed { at: self.now, node: id });
         }
     }
@@ -975,8 +964,7 @@ impl SimCluster {
                         let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
                         let replies = stack.handle(from, msg, &mut self.rng);
                         // Routing tables follow the semantic view.
-                        let view = stack.semantic_view().clone();
-                        node.selection.sync_from_view(&view, self.now, &mut self.rng);
+                        node.selection.sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
                         for (dst, m) in replies {
                             self.send(to, dst, Payload::Gossip(Arc::new(m)));
                         }
@@ -987,8 +975,7 @@ impl SimCluster {
                 let Some(n) = self.nodes.get_mut(&node) else { return };
                 let Some(stack) = n.gossip.as_mut() else { return };
                 let msgs = stack.tick(self.now, &mut self.rng);
-                let view = stack.semantic_view().clone();
-                n.selection.sync_from_view(&view, self.now, &mut self.rng);
+                n.selection.sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
                 let period = self.config.gossip.period_ms;
                 for (dst, m) in msgs {
                     self.send(node, dst, Payload::Gossip(Arc::new(m)));
@@ -1117,6 +1104,61 @@ mod tests {
         let died = sim.kill_fraction(0.5);
         assert_eq!(died, 100);
         assert_eq!(sim.len(), 100);
+    }
+
+    /// Every join and leave path keeps the ground-truth index equal to the
+    /// alive population: after each one, issued queries record the count a
+    /// scan over `node_ids()` × `point_of` gives, and the index holds no
+    /// cell without a node in it.
+    #[test]
+    fn truth_follows_every_membership_change() {
+        let s = space();
+        let placement = Placement::Uniform { lo: 0, hi: 100 };
+        let mut sim = SimCluster::new(s.clone(), SimConfig::fast_static(), 9);
+        let queries = [
+            Query::builder(&s).build().unwrap(),
+            Query::builder(&s).min("a0", 40).build().unwrap(),
+            Query::builder(&s).range("a0", 13, 57).max("a2", 71).build().unwrap(),
+            Query::builder(&s).min("a1", 85).range("a2", 20, 29).build().unwrap(),
+        ];
+        let check = |sim: &mut SimCluster, after: &str| {
+            for q in &queries {
+                let scan = sim
+                    .node_ids()
+                    .iter()
+                    .filter(|&&id| q.matches(sim.point_of(id).expect("alive")))
+                    .count();
+                let origin = sim.random_node();
+                let qid = sim.issue_query(origin, q.clone(), Some(5));
+                let cid = sim.issue_count_query(origin, q.clone());
+                for id in [qid, cid] {
+                    assert_eq!(sim.query_stats(id).unwrap().truth as usize, scan, "{after}: {q}");
+                    sim.forget_query(id);
+                }
+                sim.run_to_quiescence();
+            }
+            let bound = sim.len() * s.max_level() as usize + 1;
+            assert!(sim.truth_index.cells() <= bound, "{after}: empty cells were kept");
+        };
+
+        sim.populate(&placement, 400);
+        check(&mut sim, "populate");
+        sim.kill(7);
+        sim.kill(7); // already gone: a no-op
+        check(&mut sim, "kill");
+        sim.crash(11);
+        sim.crash(12); // stays down
+        check(&mut sim, "crash");
+        assert!(sim.restart(11));
+        check(&mut sim, "restart");
+        sim.kill_fraction(0.5);
+        check(&mut sim, "kill_fraction");
+        for _ in 0..20 {
+            sim.churn_step(0.2, &placement);
+        }
+        check(&mut sim, "churn_step");
+        sim.kill_fraction(1.0);
+        assert_eq!(sim.truth_index.cells(), 1, "an empty cluster indexes nothing");
     }
 
     #[test]

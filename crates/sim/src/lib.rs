@@ -63,6 +63,7 @@ mod event;
 mod metrics;
 mod network;
 mod nodestore;
+mod truth;
 pub mod ablation;
 pub mod faults;
 pub mod invariants;
