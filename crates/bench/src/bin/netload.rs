@@ -67,12 +67,13 @@
 // lint:allow-file(thread-sleep-in-tests) — not a test: the generator
 // paces real arrivals.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use attrspace::{Point, Query, Space};
+use attrspace::{Query, Space};
 use autosel_net::{NetCluster, NetConfig, QueryTicket, TcpStatsSnapshot, Transport};
+use bench::artifact::{self, NetPhase, NetRun};
+use bench::experiments::uniform_points;
 use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry, WindowSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,17 +103,6 @@ fn env_f64(key: &str, default: f64) -> f64 {
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn points(space: &Space, n: usize, seed: u64) -> Vec<Point> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let vals: Vec<u64> =
-                (0..space.dims()).map(|_| rng.gen_range(0..80)).collect();
-            space.point(&vals).unwrap()
-        })
-        .collect()
 }
 
 /// One in-flight query: its ticket and issue instant.
@@ -337,7 +327,7 @@ fn main() {
     let t0 = Instant::now();
     let mut cluster = NetCluster::spawn_observed(
         space.clone(),
-        points(&space, nodes, seed),
+        uniform_points(&space, nodes, seed),
         cfg.clone(),
         transport.clone(),
         seed,
@@ -504,84 +494,45 @@ fn main() {
 
     // ---- merge with existing entries and write. Rows are keyed by
     // (tag, kind, transport): a tcp sweep never clobbers a mem load row.
-    let esc_tag = tag.replace('\\', "\\\\").replace('"', "\\\"");
-    let kind = if sweep_mode { "sweep" } else { "load" };
-    let tcp_fields = match &tcp_stats {
-        None => String::new(),
-        Some(s) => format!(
-            ",\"tcp_conn_established\":{},\"tcp_conn_failed\":{},\"tcp_tx_batches\":{},\"tcp_tx_frames\":{},\"tcp_tx_queue_full_drops\":{},\"tcp_tx_oversize_drops\":{}",
-            s.conn_established, s.conn_failed, s.tx_batches, s.tx_frames,
-            s.tx_queue_full_drops, s.tx_oversize_drops
-        ),
-    };
-    let entry = if sweep_mode {
-        let stage_json: Vec<String> = stages
-            .iter()
-            .map(|s| {
-                format!(
-                    "[{:.2},{:.2},{:.2}]",
-                    s.offered_qps, s.issued_qps, s.achieved_qps
-                )
-            })
-            .collect();
-        format!(
-            "{{\"tag\":\"{esc_tag}\",\"kind\":\"sweep\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"base_qps\":{rate:.2},\"factor\":{SWEEP_FACTOR:.2},\"knee_qps\":{knee_qps:.2},\"stages\":[{}],\"stage_measure_ms\":{measure_ms},\"warmup_ms\":{warmup_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"window_span_ms\":{}{tcp_fields}}}",
-            stage_json.join(","),
-            tally.issued,
-            tally.completed,
-            tally.timeouts,
-            tally.errors,
-            latency.max(),
-            snapshot.span_ms,
-        )
-    } else {
-        format!(
-            "{{\"tag\":\"{esc_tag}\",\"kind\":\"load\",\"transport\":\"{transport_name}\",\"nodes\":{nodes},\"offered_qps\":{rate:.2},\"achieved_qps\":{achieved_qps:.2},\"warmup_ms\":{warmup_ms},\"measure_ms\":{measure_ms},\"sigma\":{sigma},\"seed\":{seed},\"issued\":{},\"completed\":{},\"timeouts\":{},\"errors\":{},\"killed\":{},\"p50_ms\":{p50:.2},\"p99_ms\":{p99:.2},\"p999_ms\":{p999:.2},\"max_ms\":{},\"mean_delivery\":{mean_delivery:.4},\"inbox_dropped\":{inbox_dropped},\"gossip_links_random\":{},\"gossip_links_semantic\":{},\"window_span_ms\":{}{tcp_fields}}}",
-            tally.issued,
-            tally.completed,
-            tally.timeouts,
-            tally.errors,
-            killed.len(),
-            latency.max(),
-            gossip_random.links,
-            gossip_semantic.links,
-            snapshot.span_ms,
-        )
-    };
-    let marker =
-        format!("{{\"tag\":\"{esc_tag}\",\"kind\":\"{kind}\",\"transport\":\"{transport_name}\"");
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(prev) = std::fs::read_to_string(&out_path) {
-        for line in prev.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with("{\"tag\":") && !line.starts_with(&marker) {
-                kept.push(line.to_string());
-            }
+    let phase = if sweep_mode {
+        NetPhase::Sweep {
+            base_qps: rate,
+            factor: SWEEP_FACTOR,
+            knee_qps,
+            stages: stages.iter().map(|s| [s.offered_qps, s.issued_qps, s.achieved_qps]).collect(),
+            stage_measure_ms: measure_ms,
         }
-    }
-    kept.push(entry);
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_net.json");
-    writeln!(f, "{{").unwrap();
-    writeln!(f, "\"schema\": \"{SCHEMA}\",").unwrap();
-    writeln!(f, "\"entries\": [").unwrap();
-    for (i, e) in kept.iter().enumerate() {
-        let comma = if i + 1 < kept.len() { "," } else { "" };
-        writeln!(f, "{e}{comma}").unwrap();
-    }
-    writeln!(f, "]").unwrap();
-    writeln!(f, "}}").unwrap();
-    drop(f);
-    println!("wrote {} ({} entries)", out_path, kept.len());
+    } else {
+        NetPhase::Load {
+            offered_qps: rate,
+            achieved_qps,
+            measure_ms,
+            killed: killed.len() as u64,
+            gossip_links: [gossip_random.links, gossip_semantic.links],
+        }
+    };
+    let run = NetRun {
+        transport: transport_name,
+        nodes: nodes as u64,
+        phase,
+        warmup_ms,
+        sigma: u64::from(sigma),
+        seed,
+        tally: [tally.issued, tally.completed, tally.timeouts, tally.errors],
+        quantiles_ms: [p50, p99, p999],
+        max_ms: latency.max(),
+        mean_delivery,
+        inbox_dropped,
+        window_span_ms: snapshot.span_ms,
+        tcp: tcp_stats,
+    };
+    let total = artifact::merge(&out_path, SCHEMA, vec![run.row(&tag)]).expect("write BENCH_net.json");
+    println!("wrote {out_path} ({total} entries)");
 
     // ---- --check: validate the artifact and this run's gates.
     if check_mode {
-        let body = std::fs::read_to_string(&out_path).expect("re-read BENCH_net.json");
-        let well_formed = body.contains(SCHEMA)
-            && body.contains("\"entries\": [")
-            && body.lines().filter(|l| l.starts_with("{\"tag\":")).count() == kept.len()
-            && body.trim_end().ends_with('}');
-        if !well_formed {
-            eprintln!("--check FAILED: {out_path} is malformed");
+        if let Err(why) = artifact::verify(&out_path, SCHEMA, total) {
+            eprintln!("--check FAILED: {why}");
             std::process::exit(1);
         }
         if tally.completed == 0 {

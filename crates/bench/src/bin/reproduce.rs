@@ -1,186 +1,84 @@
-//! Runs every simulator-side experiment and writes the series to
-//! `results/*.csv`, printing a paper-vs-measured summary at the end — the
-//! data source for EXPERIMENTS.md.
+//! `reproduce [--full] [--stats-json <path>] [id…]` — regenerates the
+//! paper's evaluation from [`bench::experiments::FIGURES`]: each selected
+//! figure's series is printed as a table and written to `results/<name>.csv`,
+//! and a paper-vs-measured summary closes the run — the data source for
+//! EXPERIMENTS.md.
 //!
-//! `cargo run --release -p bench --bin reproduce` (pass `--full` — or set
-//! `AUTOSEL_SCALE=1.0` — for the paper's full 100 000-node populations;
-//! the fig06 grid then runs the exact sizes behind the paper's "<3
-//! messages per query at N=100 000" overhead point).
+//! Without ids the simulator-side evaluation (Figs. 6–13) runs; `fig13_live`,
+//! `fig13_live_tcp` and `ablation` run when named. `--full` (or
+//! `AUTOSEL_SCALE=1.0`) selects the paper's full 100 000-node populations;
+//! `--stats-json` streams one JSON line per tracked simulator query.
 
-use bench::experiments::*;
-use bench::sweep::{run_parallel, threads};
-use bench::table::write_csv;
-use bench::{print_table1, scaled};
-use overlay_sim::Placement;
+use std::path::Path;
+
+use bench::experiments::{Figure, Selection, FIGURES};
+use bench::{parse_scale, RunContext};
+
+fn usage_error(why: &str) -> ! {
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    eprintln!("reproduce: {why}");
+    eprintln!(
+        "usage: reproduce [--full] [--stats-json <path>] [id…]   ids: {}",
+        ids.join(" ")
+    );
+    std::process::exit(2);
+}
 
 fn main() -> std::io::Result<()> {
-    bench::stats_json::init_from_args();
-    if std::env::args().any(|a| a == "--full") {
-        // Force the paper's populations before the first `scaled()` call;
-        // an explicit AUTOSEL_SCALE from the caller is overridden —
-        // `--full` means the paper's sizes, not "whatever was exported".
-        std::env::set_var("AUTOSEL_SCALE", "1.0");
+    let mut full = false;
+    let mut selected: Vec<&Figure> = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--full" => full = true,
+            "--stats-json" => {
+                let path = args
+                    .next()
+                    .unwrap_or_else(|| usage_error("--stats-json requires a path"));
+                bench::stats_json::init(&path)?;
+            }
+            id => match FIGURES.iter().find(|f| f.id == id) {
+                Some(figure) => selected.push(figure),
+                None => usage_error(&format!("unknown figure id {id:?}")),
+            },
+        }
     }
-    let big = scaled(100_000);
-    print_table1(big);
-
-    // ---- Figure 6 ----------------------------------------------------
-    eprintln!("[fig06] overhead vs. network size…");
-    let sizes: Vec<usize> = vec![100, 1_000, scaled(10_000), big];
-    let f6 = fig06(&sizes, 40, 6);
-    write_csv("fig06", "n,overhead", f6.iter().map(|(n, o)| format!("{n},{o:.3}")))?;
-    let peak = f6.iter().map(|&(_, o)| o).fold(0.0f64, f64::max);
-
-    // ---- Figure 7 ----------------------------------------------------
-    eprintln!("[fig07] overhead vs. selectivity…");
-    let fs = [0.015625, 0.03125, 0.0625, 0.125, 0.25, 0.5, 0.75, 1.0];
-    let f7_configs = [(scaled(100_000), 10usize), (1_000, 15)];
-    let mut f7 = run_parallel(
-        f7_configs.iter().map(|&(n, q)| move || fig07(n, &fs, q, 7)).collect(),
-        threads(),
-    );
-    let f7_das = f7.pop().expect("DAS series");
-    let f7_sim = f7.pop().expect("PeerSim series");
-    write_csv(
-        "fig07_peersim",
-        "f,best_inf,worst_inf,worst_s50",
-        f7_sim.iter().map(|r| {
-            format!("{},{:.2},{:.2},{:.2}", r.f, r.best_unbounded, r.worst_unbounded, r.worst_sigma50)
-        }),
-    )?;
-    write_csv(
-        "fig07_das",
-        "f,best_inf,worst_inf,worst_s50",
-        f7_das.iter().map(|r| {
-            format!("{},{:.2},{:.2},{:.2}", r.f, r.best_unbounded, r.worst_unbounded, r.worst_sigma50)
-        }),
-    )?;
-
-    // ---- Figure 8 ----------------------------------------------------
-    eprintln!("[fig08] overhead vs. dimensions…");
-    let dims = [2usize, 4, 6, 8, 10, 12, 14, 16, 18, 20];
-    let f8 = fig08(scaled(100_000), &dims, 25, 8);
-    write_csv("fig08", "d,overhead", f8.iter().map(|(d, o)| format!("{d},{o:.3}")))?;
-
-    // ---- Figure 9 ----------------------------------------------------
-    eprintln!("[fig09] load distributions…");
-    let n9 = scaled(10_000);
-    let f9_configs = [
-        (Placement::Uniform { lo: 0, hi: 80 }, 9u64),
-        (Placement::Normal { center: 60.0, stddev: 10.0, max: 80 }, 10u64),
-    ];
-    let mut f9 = run_parallel(
-        f9_configs
-            .into_iter()
-            .map(|(placement, seed)| move || fig09a_series(n9, &placement, 1_500, seed))
-            .collect(),
-        threads(),
-    );
-    let (nor, _) = f9.pop().expect("normal series");
-    let (uni, _) = f9.pop().expect("uniform series");
-    write_csv(
-        "fig09a",
-        "decile,uniform_pct,normal_pct",
-        (0..10).map(|i| format!("{}-{}%,{:.2},{:.2}", i * 10 + 1, (i + 1) * 10, uni[i], nor[i])),
-    )?;
-    let f9b = fig09b(scaled(10_000), 50, 11);
-    write_csv(
-        "fig09b",
-        "decile,ours_pct,dht_pct",
-        std::iter::once(format!("idle,{:.2},{:.2}", f9b.ours_idle, f9b.dht_idle)).chain(
-            (0..10).map(|i| {
-                format!("{}-{}%,{:.2},{:.2}", i * 10 + 1, (i + 1) * 10, f9b.ours[i], f9b.dht[i])
-            }),
-        ),
-    )?;
-
-    // ---- Figure 10 ---------------------------------------------------
-    eprintln!("[fig10] neighbor counts…");
-    let f10a = fig10a(scaled(100_000), &dims, 12);
-    write_csv("fig10a", "d,links_per_node", f10a.iter().map(|(d, l)| format!("{d},{l:.3}")))?;
-    let (labels, u10, n10) = fig10b(scaled(100_000), 13);
-    write_csv(
-        "fig10b",
-        "links,uniform_pct,normal_pct",
-        labels
+    if selected.is_empty() {
+        selected = FIGURES
             .iter()
-            .zip(u10.iter().zip(&n10))
-            .map(|(l, (u, n))| format!("{l},{u:.2},{n:.2}")),
-    )?;
-
-    // ---- Figure 11 ---------------------------------------------------
-    eprintln!("[fig11] churn…");
-    let n11 = scaled(20_000);
-    let mut f11 = run_parallel(
-        [(0.001f64, 21u64), (0.002, 22)]
-            .iter()
-            .map(|&(rate, seed)| move || fig11(n11, rate, 1_200, seed))
-            .collect(),
-        threads(),
-    );
-    let f11b = f11.pop().expect("0.2% series");
-    let f11a = f11.pop().expect("0.1% series");
-    write_csv("fig11a", "t_s,delivery", f11a.iter().map(|(t, d)| format!("{t},{d:.4}")))?;
-    write_csv("fig11b", "t_s,delivery", f11b.iter().map(|(t, d)| format!("{t},{d:.4}")))?;
-    let mean11b: f64 = f11b.iter().map(|&(_, d)| d).sum::<f64>() / f11b.len().max(1) as f64;
-
-    // ---- Figure 12 ---------------------------------------------------
-    eprintln!("[fig12] massive failure…");
-    let n12 = scaled(20_000);
-    let mut f12 = run_parallel(
-        [(0.5f64, 33u64), (0.9, 34)]
-            .iter()
-            .map(|&(fraction, seed)| move || fig12(n12, fraction, 2_400, seed))
-            .collect(),
-        threads(),
-    );
-    let f12b = f12.pop().expect("90% series");
-    let f12a = f12.pop().expect("50% series");
-    write_csv("fig12a", "t_s,delivery", f12a.iter().map(|(t, d)| format!("{t},{d:.4}")))?;
-    write_csv("fig12b", "t_s,delivery", f12b.iter().map(|(t, d)| format!("{t},{d:.4}")))?;
-    let tail = |rows: &[(u64, f64)]| -> f64 {
-        let k = rows.len().saturating_sub(5);
-        let t: f64 = rows[k..].iter().map(|&(_, d)| d).sum();
-        t / rows.len().clamp(1, 5) as f64
+            .filter(|f| f.selection == Selection::Default)
+            .collect();
+    }
+    // `--full` means the paper's sizes, whatever AUTOSEL_SCALE was exported.
+    let scale = if full {
+        1.0
+    } else {
+        parse_scale(std::env::var("AUTOSEL_SCALE").ok().as_deref())
+            .unwrap_or_else(|why| usage_error(&why))
     };
+    let ctx = RunContext { scale };
+    ctx.print_table1();
 
-    // ---- Figure 13 (simulator rendition) ------------------------------
-    eprintln!("[fig13] repeated decimation…");
-    let f13 = fig13_sim(302, 4, 600, 44);
-    write_csv("fig13_sim", "t_s,delivery", f13.iter().map(|(t, d)| format!("{t},{d:.4}")))?;
-
-    // ---- Summary -------------------------------------------------------
-    println!("\n== paper vs. measured (series in results/*.csv) ==");
-    println!("fig06 peak overhead        paper: <3        measured: {peak:.2}");
+    let mut summary = Vec::new();
+    for figure in selected {
+        eprintln!("[{}] {}…", figure.id, figure.title);
+        let outcome = (figure.run)(&ctx);
+        println!(
+            "\n## {} — {}\n## paper: {}",
+            figure.id, figure.title, figure.claim
+        );
+        for table in &outcome.tables {
+            table.write_csv(Path::new("results"))?;
+            print!("{}", table.to_text());
+        }
+        summary.push(format!(
+            "{:<15} {}   measured: {}",
+            figure.id, figure.headline, outcome.measured
+        ));
+    }
     println!(
-        "fig07 worst f=.125 σ=inf   paper: ~257      measured: {:.0} (PeerSim) / {:.0} (DAS)",
-        f7_sim.iter().find(|r| (r.f - 0.125).abs() < 1e-9).map(|r| r.worst_unbounded).unwrap_or(0.0),
-        f7_das.iter().find(|r| (r.f - 0.125).abs() < 1e-9).map(|r| r.worst_unbounded).unwrap_or(0.0),
-    );
-    println!(
-        "fig08 overhead at d=20     paper: <5        measured: {:.2}",
-        f8.last().map(|&(_, o)| o).unwrap_or(0.0)
-    );
-    println!(
-        "fig09b imbalance ours/DHT  paper: heavy DHT tail   measured: {:.1}x vs {:.1}x",
-        f9b.ours_imbalance, f9b.dht_imbalance
-    );
-    println!(
-        "fig10a links at d=20       paper: ~constant  measured: {:.1}",
-        f10a.last().map(|&(_, l)| l).unwrap_or(0.0)
-    );
-    println!("fig11b mean delivery       paper: ~0.8-0.95 measured: {mean11b:.3}");
-    println!(
-        "fig12a delivery tail        paper: ~1.0      measured: {:.3}",
-        tail(&f12a)
-    );
-    println!(
-        "fig12b delivery tail        paper: <1 (partition) measured: {:.3}",
-        tail(&f12b)
-    );
-    println!(
-        "fig13 final-wave delivery  paper: near-1    measured: {:.3}",
-        f13.last().map(|&(_, d)| d).unwrap_or(0.0)
+        "\n== paper vs. measured (series in results/*.csv) ==\n{}",
+        summary.join("\n")
     );
     Ok(())
 }

@@ -43,6 +43,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use attrspace::Space;
+use bench::artifact::{self, SimSingle, SimSweep};
 use bench::experiments::{DEFAULT_F, DEFAULT_SIGMA};
 use bench::sweep::{run_parallel, threads};
 use overlay_sim::workload::best_case_query;
@@ -115,23 +116,17 @@ fn single_run(n: usize, seed: u64) -> (f64, f64, u64) {
     (setup_ms, query_ms, hasher.finish())
 }
 
-/// A tier's measurements, whether gathered in a child or in-process.
-struct TierResult {
-    setup_ms: f64,
-    query_ms: f64,
-    digest: u64,
-    deterministic: bool,
-    rss_mib: f64,
-}
-
 /// Runs a tier in the current process: double single-run (determinism
 /// check) plus this process's `VmHWM`. In the child this is the whole
 /// program; as the parent's fallback the RSS is an over-estimate (the
 /// process high-water mark is monotone across tiers).
-fn measure_tier(n: usize, seed: u64) -> TierResult {
+fn measure_tier(n: usize, seed: u64) -> SimSingle {
     let (setup_a, query_a, digest_a) = single_run(n, seed);
     let (_, _, digest_b) = single_run(n, seed);
-    TierResult {
+    SimSingle {
+        n,
+        queries: QUERIES_PER_RUN,
+        seed,
         setup_ms: setup_a,
         query_ms: query_a,
         digest: digest_a,
@@ -151,14 +146,17 @@ fn one_shot_main(n: usize, seed: u64) -> ! {
     std::process::exit(0);
 }
 
-/// Parses the child's `ONESHOT k=v ...` line.
-fn parse_one_shot(stdout: &str) -> Option<TierResult> {
+/// Parses the child's `ONESHOT k=v ...` line for tier `(n, seed)`.
+fn parse_one_shot(stdout: &str, n: usize, seed: u64) -> Option<SimSingle> {
     let line = stdout.lines().find(|l| l.starts_with("ONESHOT "))?;
     let field = |key: &str| -> Option<&str> {
         line.split_whitespace()
             .find_map(|tok| tok.strip_prefix(key)?.strip_prefix('='))
     };
-    Some(TierResult {
+    Some(SimSingle {
+        n,
+        queries: QUERIES_PER_RUN,
+        seed,
         setup_ms: field("setup_ms")?.parse().ok()?,
         query_ms: field("query_ms")?.parse().ok()?,
         digest: u64::from_str_radix(field("digest")?, 16).ok()?,
@@ -169,7 +167,7 @@ fn parse_one_shot(stdout: &str) -> Option<TierResult> {
 
 /// Measures a tier in a child process (per-tier `VmHWM`); falls back to
 /// in-process measurement if the re-exec fails for any reason.
-fn run_tier(n: usize, seed: u64) -> TierResult {
+fn run_tier(n: usize, seed: u64) -> SimSingle {
     let child = std::env::current_exe().ok().and_then(|exe| {
         std::process::Command::new(exe)
             .args(["--one-shot", &n.to_string(), &seed.to_string()])
@@ -178,7 +176,7 @@ fn run_tier(n: usize, seed: u64) -> TierResult {
     });
     if let Some(out) = child {
         std::io::stderr().write_all(&out.stderr).ok();
-        if let Some(r) = parse_one_shot(&String::from_utf8_lossy(&out.stdout)) {
+        if let Some(r) = parse_one_shot(&String::from_utf8_lossy(&out.stdout), n, seed) {
             return r;
         }
         eprintln!("[sweepbench] child run for N={n} unparseable; re-measuring in-process");
@@ -200,36 +198,16 @@ fn sweep_jobs(sizes: &[usize], seeds: usize) -> Vec<impl FnOnce() -> u64 + Send 
     jobs
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Extracts a numeric field (`"key":123.4`) from one of our own
-/// single-line JSON entry objects.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = line.find(&pat)? + pat.len();
-    let rest = &line[i..];
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Pinned `(n, rss_mib)` pairs from the baseline file's `current`-tag
 /// single entries — the reference points for the `--check` RSS gate.
 fn baseline_rss(path: &str) -> Vec<(usize, f64)> {
-    let Ok(body) = std::fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    body.lines()
-        .map(|l| l.trim().trim_end_matches(','))
-        .filter(|l| {
-            l.starts_with("{\"tag\":\"current\"") && l.contains("\"kind\":\"single\"")
-        })
+    let body = std::fs::read_to_string(path).unwrap_or_default();
+    let pinned = artifact::Row::new("current", "single", None).finish();
+    artifact::entries(&body)
+        .filter(|l| artifact::same_key(l, &pinned))
         .filter_map(|l| {
-            let n = json_num(l, "n")? as usize;
-            let rss = json_num(l, "rss_mib")?;
+            let n = artifact::num(l, "n")? as usize;
+            let rss = artifact::num(l, "rss_mib")?;
             (rss > 0.0).then_some((n, rss))
         })
         .collect()
@@ -264,16 +242,12 @@ fn main() {
         eprintln!("[sweepbench] single run, N={n}…");
         let r = run_tier(n, 42);
         determinism_ok &= r.deterministic;
-        let wall = r.setup_ms + r.query_ms;
         println!(
-            "single N={n}: setup {:.1} ms, {QUERIES_PER_RUN} queries {:.1} ms, total {wall:.1} ms, rss {:.1} MiB, deterministic={}",
-            r.setup_ms, r.query_ms, r.rss_mib, r.deterministic
+            "single N={n}: setup {:.1} ms, {QUERIES_PER_RUN} queries {:.1} ms, total {:.1} ms, rss {:.1} MiB, deterministic={}",
+            r.setup_ms, r.query_ms, r.setup_ms + r.query_ms, r.rss_mib, r.deterministic
         );
         measured_rss.push((n, r.rss_mib));
-        entries.push(format!(
-            "{{\"tag\":\"{}\",\"kind\":\"single\",\"n\":{n},\"queries\":{QUERIES_PER_RUN},\"seed\":42,\"setup_ms\":{:.2},\"query_ms\":{:.2},\"wall_ms\":{wall:.2},\"digest\":\"{:016x}\",\"deterministic\":{},\"rss_mib\":{:.1}}}",
-            json_escape(&tag), r.setup_ms, r.query_ms, r.digest, r.deterministic, r.rss_mib
-        ));
+        entries.push(r.row(&tag));
     }
 
     // ---- sweep scaling: serial vs parallel over the (size × seed) grid
@@ -288,51 +262,24 @@ fn main() {
     let t1 = Instant::now();
     let parallel = run_parallel(sweep_jobs(&grid_sizes, seeds), t);
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let digests_match = serial == parallel;
-    determinism_ok &= digests_match;
-    let speedup = serial_ms / parallel_ms.max(1e-9);
+    let sweep =
+        SimSweep { jobs: jobs_n, threads: t, serial_ms, parallel_ms, digests_match: serial == parallel };
+    determinism_ok &= sweep.digests_match;
     println!(
-        "sweep {jobs_n} jobs: serial {serial_ms:.1} ms, {t} threads {parallel_ms:.1} ms, speedup {speedup:.2}x, digests_match={digests_match}"
+        "sweep {jobs_n} jobs: serial {serial_ms:.1} ms, {t} threads {parallel_ms:.1} ms, speedup {:.2}x, digests_match={}",
+        sweep.speedup(),
+        sweep.digests_match
     );
-    entries.push(format!(
-        "{{\"tag\":\"{}\",\"kind\":\"sweep\",\"jobs\":{jobs_n},\"threads\":{t},\"serial_wall_ms\":{serial_ms:.2},\"parallel_wall_ms\":{parallel_ms:.2},\"speedup\":{speedup:.3},\"digests_match\":{digests_match}}}",
-        json_escape(&tag)
-    ));
+    entries.push(sweep.row(&tag));
 
-    // ---- merge with existing entries (other tags survive) and write
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(prev) = std::fs::read_to_string(&out_path) {
-        let tag_marker = format!("{{\"tag\":\"{}\"", json_escape(&tag));
-        for line in prev.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if line.starts_with("{\"tag\":") && !line.starts_with(&tag_marker) {
-                kept.push(line.to_string());
-            }
-        }
-    }
-    kept.extend(entries);
-    let mut f = std::fs::File::create(&out_path).expect("create BENCH_sim.json");
-    writeln!(f, "{{").unwrap();
-    writeln!(f, "\"schema\": \"{SCHEMA}\",").unwrap();
-    writeln!(f, "\"entries\": [").unwrap();
-    for (i, e) in kept.iter().enumerate() {
-        let comma = if i + 1 < kept.len() { "," } else { "" };
-        writeln!(f, "{e}{comma}").unwrap();
-    }
-    writeln!(f, "]").unwrap();
-    writeln!(f, "}}").unwrap();
-    drop(f);
-    println!("wrote {} ({} entries)", out_path, kept.len());
+    // ---- merge with the file's other (tag, kind) rows and write
+    let total = artifact::merge(&out_path, SCHEMA, entries).expect("write BENCH_sim.json");
+    println!("wrote {out_path} ({total} entries)");
 
     // ---- --check: validate the artifact, determinism digests, RSS gate
     if check_mode {
-        let body = std::fs::read_to_string(&out_path).expect("re-read BENCH_sim.json");
-        let well_formed = body.contains(SCHEMA)
-            && body.contains("\"entries\": [")
-            && body.lines().filter(|l| l.starts_with("{\"tag\":")).count() == kept.len()
-            && body.trim_end().ends_with('}');
-        if !well_formed {
-            eprintln!("--check FAILED: {out_path} is malformed");
+        if let Err(why) = artifact::verify(&out_path, SCHEMA, total) {
+            eprintln!("--check FAILED: {why}");
             std::process::exit(1);
         }
         if !determinism_ok {

@@ -1,6 +1,6 @@
-//! Optional per-query stats dump for the figure and `reproduce` binaries.
+//! Optional per-query stats dump for the `reproduce` binary.
 //!
-//! Passing `--stats-json <path>` on any of those binaries streams one flat
+//! Passing `reproduce --stats-json <path>` streams one flat
 //! JSON object per tracked query (see [`QueryStats::to_json`]) to `<path>`,
 //! one per line. The dump is append-only and process-global so the
 //! experiment runners — which fan out across the [`crate::sweep`] worker
@@ -30,25 +30,6 @@ pub fn init(path: &str) -> std::io::Result<()> {
     let file = File::create(path)?;
     *SINK.lock().expect("stats sink poisoned") = Some(file);
     Ok(())
-}
-
-/// Scans the process arguments for `--stats-json <path>` and, when present,
-/// calls [`init`]. Every figure binary calls this first thing in `main`;
-/// unknown arguments are left alone for the binary's own parsing.
-///
-/// # Panics
-///
-/// Panics if the flag is given without a path or the file cannot be created
-/// (an operator error worth failing loudly on, before minutes of sweeps).
-pub fn init_from_args() {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--stats-json" {
-            let path = args.next().expect("--stats-json requires a path");
-            init(&path).expect("cannot create --stats-json file");
-            return;
-        }
-    }
 }
 
 /// Records one query's stats if a sink is active; no-op (and no formatting

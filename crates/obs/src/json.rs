@@ -4,7 +4,9 @@
 //! the observability layer hand-rolls the one JSON shape it needs: a flat
 //! object of string / integer / bool / null fields — no nesting, no
 //! arrays, no floats. Both directions are covered so `tracedump` can read
-//! back what [`crate::JsonlSink`] wrote.
+//! back what [`crate::JsonlSink`] wrote. (A writer that needs more splices
+//! pre-rendered JSON in through [`ObjectWriter::raw_field`]; the parser
+//! does not read such objects back.)
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -72,6 +74,14 @@ impl ObjectWriter {
     pub fn null_field(&mut self, name: &str) {
         self.key(name);
         self.buf.push_str("null");
+    }
+
+    /// Appends a field whose value is already JSON text — the escape hatch
+    /// for what the flat schema has no type for (a fixed-precision float, a
+    /// nested array). The caller vouches for `json`.
+    pub fn raw_field(&mut self, name: &str, json: &str) {
+        self.key(name);
+        self.buf.push_str(json);
     }
 
     /// Closes the object and returns the JSON text.

@@ -67,7 +67,6 @@ mod truth;
 pub mod ablation;
 pub mod faults;
 pub mod invariants;
-pub mod viz;
 pub mod workload;
 
 pub use cluster::{EarliestFirst, GossipHealth, Scheduler, SimCluster};

@@ -134,7 +134,7 @@ pub fn best_case_query<R: Rng + ?Sized>(space: &Space, f: f64, rng: &mut R) -> Q
             // (dimension #0 first), so constraints on early dimensions are
             // pinned within the first hops and the rest of the traversal
             // stays inside Q — this ordering is what keeps the paper's
-            // Fig. 6/8 overheads in single digits. (The `ablation` binary
+            // Fig. 6/8 overheads in single digits. (`reproduce ablation`
             // quantifies the difference.)
             let e: BucketIndex = 1 << (base + u32::from(i >= d - extra));
             let slots = b / e;

@@ -86,7 +86,7 @@ pub mod traces {
     pub use synthtrace::*;
 }
 
-/// Tokio deployment runtime (re-export of `autosel-net`).
+/// Threaded deployment runtime (re-export of `autosel-net`).
 pub mod net {
     pub use autosel_net::*;
 }
