@@ -5,7 +5,7 @@
 //!
 //! | rule | scope | rationale |
 //! |------|-------|-----------|
-//! | `std-collections` | `crates/core/src`, `crates/sim/src`, non-test | `std` maps are SipHash-seeded per instance, so iteration order varies run to run; hot paths must use the seedless `fasthash` aliases (or `BTreeMap`) to keep the simulator bit-deterministic |
+//! | `std-collections` | `crates/core/src`, `crates/sim/src`, `crates/gossip/src`, non-test | `std` maps are SipHash-seeded per instance, so iteration order varies run to run; hot paths must use the seedless `fasthash` aliases (or `BTreeMap`; in `gossip`, which sits below `core`, a linear scan of the ≤ 40-entry pool) to keep the simulator bit-deterministic — a per-message `HashMap` in `gossip/src/vicinity.rs` was the simulator's hottest allocation until the rule reached it |
 //! | `binary-heap` | `crates/core/src`, `crates/sim/src`, non-test | the event hot path moved from `BinaryHeap` to the calendar queue (`sim/src/calendar.rs`) for O(1) scheduling at million-node scale; a heap reappearing there is a perf regression, and its unspecified equal-key order invites determinism bugs — reference-model uses in test code are exempt |
 //! | `wall-clock` | everywhere except `crates/net` | the protocol and simulator run on *virtual* milliseconds; a stray `SystemTime` / `Instant::now` smuggles real time into reproducible runs |
 //! | `thread-sleep-in-tests` | test code | sleeping makes tests flaky-slow; poll with the `wait_until` helper instead |
@@ -413,6 +413,7 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
 
     let in_core_or_sim =
         relpath.starts_with("crates/core/src") || relpath.starts_with("crates/sim/src");
+    let in_gossip_src = relpath.starts_with("crates/gossip/src");
     let in_net = relpath.starts_with("crates/net");
     let in_net_src = relpath.starts_with("crates/net/src");
     let protocol_file =
@@ -423,7 +424,7 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
         let line = n + 1;
         let in_test = tests_file || scanned.in_test_region(line);
 
-        if in_core_or_sim
+        if (in_core_or_sim || in_gossip_src)
             && !in_test
             && (has_token(code_line, "HashMap") || has_token(code_line, "HashSet"))
         {
@@ -539,7 +540,11 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u64, u64> = HashMap::new(); }\n";
         let hits = rules_hit("crates/core/src/whatever.rs", src);
         assert!(hits.contains(&Rule::StdCollections), "positive match required");
-        // Same source is fine outside core/sim…
+        // The per-message gossip path is held to the same rule…
+        assert!(rules_hit("crates/gossip/src/vicinity.rs", src).contains(&Rule::StdCollections));
+        // …its reference models under tests/ are not (negative control)…
+        assert!(rules_hit("crates/gossip/tests/absorb_differential.rs", src).is_empty());
+        // …the same source is fine outside core/sim/gossip…
         assert!(rules_hit("crates/bench/src/whatever.rs", src).is_empty());
         // …and fine inside a test module.
         let test_src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";

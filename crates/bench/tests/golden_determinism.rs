@@ -21,6 +21,7 @@
 //! everywhere.
 
 use attrspace::{Query, Space};
+use autosel_core::fasthash::Fnv64;
 use bench::sweep::run_parallel;
 use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
 
@@ -76,6 +77,61 @@ fn churn_scenario(seed: u64) -> String {
     sim.query_stats(qid).unwrap().fingerprint()
 }
 
+/// Every node's gossip-built state after 60 rounds and two churn steps:
+/// the semantic view's `(id, age)` list *in view order*, the filled routing
+/// slots and the `C0` ids, folded into one FNV-1a word (plus totals a human
+/// can read). The query fingerprints above see gossip only through one
+/// query's reach; this one moves if any view entry, its position, any slot
+/// choice (i.e. any `rebuild` RNG draw) or any zero set differs.
+fn gossip_state_scenario(seed: u64) -> String {
+    let space = Space::uniform(5, 80, 3).unwrap();
+    let mut cfg = SimConfig {
+        latency: LatencyModel::Uniform { lo_ms: 5, hi_ms: 50 },
+        ..SimConfig::default()
+    };
+    cfg.gossip.period_ms = 1_000;
+    // The paper's hotspot (§6.4): dense cells, so `C0` sets are non-empty
+    // and slots have several candidates to draw from.
+    let placement = Placement::Normal { center: 60.0, stddev: 10.0, max: 80 };
+    let mut sim = SimCluster::new(space, cfg, seed);
+    sim.populate(&placement, 300);
+    sim.run_until(25_000);
+    sim.churn_step(0.05, &placement);
+    sim.run_until(45_000);
+    sim.churn_step(0.05, &placement);
+    sim.run_until(60_000);
+
+    let mut h = Fnv64::new();
+    let (mut entries, mut slots, mut zeros) = (0u64, 0u64, 0u64);
+    for &id in sim.node_ids() {
+        h.word(id);
+        let view = sim.semantic_view_of(id).expect("gossip enabled");
+        h.word(view.len() as u64);
+        for d in view.iter() {
+            h.word(d.id);
+            h.word(u64::from(d.age));
+        }
+        entries += view.len() as u64;
+        let table = sim.routing_of(id).expect("alive");
+        for (level, dim, peer) in table.filled_slots() {
+            h.word(u64::from(level));
+            h.word(dim as u64);
+            h.word(peer);
+            slots += 1;
+        }
+        h.word(table.zero_count() as u64);
+        for (peer, _) in table.zero_neighbors() {
+            h.word(peer);
+            zeros += 1;
+        }
+    }
+    format!(
+        "nodes={};view_entries={entries};slots={slots};zeros={zeros};fnv={:016x}",
+        sim.len(),
+        h.finish()
+    )
+}
+
 const GOLDEN_STATIC_42: &str = "issued=0;truth=23;sigma=None;matched=[3, 4, 6, 7, 10, 19, 22, 24, 25, 26, 34, 35, 39, 43, 45, 50, 51, 52, 53, 55, 56, 58, 59];overhead=0;dups=0;msgs=46;done=true;done_at=Some(46);reported=23;recv=[3, 4, 6, 7, 10, 19, 22, 24, 25, 26, 34, 35, 39, 41, 43, 45, 50, 51, 52, 53, 55, 56, 58, 59]\n\
 issued=60040;truth=18;sigma=Some(10);matched=[1, 2, 11, 17, 25, 26, 28, 30, 43, 44, 46, 49, 51, 56, 57, 58, 59];overhead=3;dups=0;msgs=40;done=true;done_at=Some(60080);reported=17;recv=[1, 2, 4, 11, 17, 24, 25, 26, 28, 30, 35, 43, 44, 46, 48, 49, 51, 56, 57, 58, 59]\n\
 issued=120076;truth=43;sigma=None;matched=[0, 2, 3, 5, 7, 11, 12, 13, 14, 15, 16, 17, 19, 20, 21, 23, 24, 25, 26, 27, 28, 29, 31, 32, 33, 34, 37, 38, 39, 40, 42, 43, 44, 45, 48, 49, 50, 51, 52, 56, 57, 58, 59];overhead=9;dups=0;msgs=102;done=true;done_at=Some(120178);reported=43;recv=[0, 1, 2, 3, 5, 6, 7, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 37, 38, 39, 40, 41, 42, 43, 44, 45, 48, 49, 50, 51, 52, 53, 55, 56, 57, 58, 59]";
@@ -85,9 +141,16 @@ issued=120082;truth=36;sigma=None;matched=[0, 1, 5, 7, 8, 14, 15, 16, 18, 20, 21
 const GOLDEN_CHURN_42: &str = "issued=18000;truth=35;sigma=None;matched=[0, 1, 2, 3, 5, 8, 9, 10, 11, 15, 17, 18, 20, 21, 22, 23, 24, 27, 28, 30, 31, 32, 33, 34, 36, 37, 40, 42, 43, 44, 46, 49, 50, 52, 54];overhead=9;dups=0;msgs=89;done=true;done_at=Some(20304);reported=35;recv=[0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 14, 15, 17, 18, 19, 20, 21, 22, 23, 24, 27, 28, 30, 31, 32, 33, 34, 35, 36, 37, 38, 40, 42, 43, 44, 45, 46, 47, 48, 49, 50, 52, 54]";
 const GOLDEN_CHURN_1337: &str = "issued=18000;truth=32;sigma=None;matched=[2, 4, 6, 10, 11, 12, 13, 14, 15, 16, 17, 19, 24, 25, 26, 27, 30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 43, 45, 47, 52, 53];overhead=10;dups=0;msgs=82;done=true;done_at=Some(20126);reported=32;recv=[0, 2, 4, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15, 16, 17, 19, 21, 23, 24, 25, 26, 27, 28, 30, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 43, 44, 45, 46, 47, 48, 52, 53]";
 
+const GOLDEN_GOSSIP_STATE_42: &str =
+    "nodes=300;view_entries=6000;slots=3795;zeros=126;fnv=906a0562f901fc66";
+const GOLDEN_GOSSIP_STATE_1337: &str =
+    "nodes=300;view_entries=6000;slots=3732;zeros=132;fnv=a1021c2a0a07fd89";
+
 #[test]
 #[ignore = "capture helper: prints the golden strings for pinning"]
 fn print_goldens() {
+    println!("GOLDEN_GOSSIP_STATE_42:\n{}\n", gossip_state_scenario(42));
+    println!("GOLDEN_GOSSIP_STATE_1337:\n{}\n", gossip_state_scenario(1337));
     println!("GOLDEN_STATIC_42:\n{}\n", static_scenario(42));
     println!("GOLDEN_STATIC_1337:\n{}\n", static_scenario(1337));
     println!("GOLDEN_CHURN_42:\n{}\n", churn_scenario(42));
@@ -104,6 +167,18 @@ fn static_scenarios_match_pinned_goldens() {
 fn churn_scenarios_match_pinned_goldens() {
     assert_eq!(churn_scenario(42), GOLDEN_CHURN_42, "seed 42 diverged from golden");
     assert_eq!(churn_scenario(1337), GOLDEN_CHURN_1337, "seed 1337 diverged from golden");
+}
+
+/// Captured at the parent of the allocation-free gossip round (PR 16),
+/// before any hot-path edit, and asserted after it.
+#[test]
+fn gossip_state_matches_pinned_goldens() {
+    assert_eq!(gossip_state_scenario(42), GOLDEN_GOSSIP_STATE_42, "seed 42 diverged from golden");
+    assert_eq!(
+        gossip_state_scenario(1337),
+        GOLDEN_GOSSIP_STATE_1337,
+        "seed 1337 diverged from golden"
+    );
 }
 
 /// The parallel runner must reproduce the serial goldens bit-for-bit at any

@@ -543,11 +543,9 @@ impl SelectionNode {
         now: u64,
         rng: &mut R,
     ) {
-        let candidates: Vec<(NodeId, Point)> = view
-            .iter()
-            .map(|d| (d.id, d.profile.point().clone()))
-            .collect();
-        let changed = self.routing.rebuild(candidates, rng);
+        let changed = self
+            .routing
+            .rebuild(view.iter().map(|d| (d.id, d.profile.point(), d.profile.coord())), rng);
         self.obs.emit(|| Event::ViewChange {
             at: now,
             node: self.id,

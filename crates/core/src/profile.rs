@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use attrspace::{CellCoord, Point, Space};
 
 /// The gossip profile of a resource-selection node: its raw attribute values
@@ -7,8 +9,16 @@ use attrspace::{CellCoord, Point, Space};
 /// the paper's "links are associated with the attribute values of the node
 /// they represent" (§5). The coordinate is carried redundantly so receivers
 /// can classify peers without re-deriving buckets.
+///
+/// Both live behind one [`Arc`]: every view entry, gossip batch and pooled
+/// candidate holds a profile, so a clone or drop is a single reference-count
+/// update, and all descriptors of a node that stem from one advertisement
+/// share one allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NodeProfile {
+pub struct NodeProfile(Arc<Advertised>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct Advertised {
     point: Point,
     coord: CellCoord,
 }
@@ -17,17 +27,17 @@ impl NodeProfile {
     /// Builds the profile of a node at `point` in `space`.
     pub fn new(space: &Space, point: Point) -> Self {
         let coord = space.cell_coord(&point);
-        NodeProfile { point, coord }
+        NodeProfile(Arc::new(Advertised { point, coord }))
     }
 
     /// The raw attribute values.
     pub fn point(&self) -> &Point {
-        &self.point
+        &self.0.point
     }
 
     /// The bucket coordinate.
     pub fn coord(&self) -> &CellCoord {
-        &self.coord
+        &self.0.coord
     }
 }
 

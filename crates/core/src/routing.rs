@@ -1,7 +1,7 @@
 use std::fmt;
 
 use attrspace::{CellCoord, Level, Neighborhood, Point, Space};
-use epigossip::NodeId;
+use epigossip::{NodeId, Scratch};
 use rand::Rng;
 
 /// A routing-table entry: a peer plus the attribute values it advertised.
@@ -197,38 +197,52 @@ impl RoutingTable {
     /// otherwise picks a *uniformly random* candidate from that subcell —
     /// the randomness that spreads query load across dense cells (§6.4).
     ///
+    /// Candidates are borrowed `(id, point, coordinate)` triples — a view's
+    /// descriptors already carry the coordinate in this table's space — and
+    /// nothing is cloned but the points of `C0` mates, which the table
+    /// keeps. Slots are visited in index order and draw one
+    /// `gen_range(0..n)` only where the holder is gone, picking among the
+    /// slot's candidates in the order they were offered.
+    ///
     /// Returns the number of `(l,k)` slots whose occupant changed (filled,
     /// emptied, or replaced) — the table-churn signal the observability
     /// layer tracks alongside gossip view turnover.
-    pub fn rebuild<R: Rng + ?Sized>(
+    pub fn rebuild<'a, R: Rng + ?Sized>(
         &mut self,
-        candidates: impl IntoIterator<Item = (NodeId, Point)>,
+        candidates: impl IntoIterator<Item = (NodeId, &'a Point, &'a CellCoord)>,
         rng: &mut R,
     ) -> usize {
-        let mut per_slot: Vec<Vec<NodeId>> = vec![Vec::new(); self.slots.len()];
+        // `(slot, offer order, id)` of every candidate outside `C0`; sorted,
+        // each slot's candidates form one run in offer order. Call-local on
+        // purpose: a per-table buffer would be paid by every node of a
+        // static 100 k-node overlay that never gossips.
+        let mut offered: Scratch<(u32, u32, NodeId), 32> = Scratch::new();
         self.zero_ids.clear();
         self.zero_points.clear();
-        for (id, point) in candidates {
-            let coord = self.space.cell_coord(&point);
-            match self.own.classify(&coord) {
-                Neighborhood::Zero => self.upsert_zero(id, point),
+        for (id, point, coord) in candidates {
+            debug_assert_eq!(&self.space.cell_coord(point), coord, "coordinate from another space");
+            match self.own.classify(coord) {
+                Neighborhood::Zero => self.upsert_zero(id, point.clone()),
                 Neighborhood::Cell { level, dim } => {
-                    per_slot[self.slot_index(level, dim)].push(id);
+                    offered.push((self.slot_index(level, dim) as u32, offered.len() as u32, id));
                 }
             }
         }
+        let offered = offered.as_mut_slice();
+        offered.sort_unstable();
+        let mut runs = offered.chunk_by(|a, b| a.0 == b.0).peekable();
         let mut changed = 0;
-        for (slot, cands) in self.slots.iter_mut().zip(per_slot) {
-            if cands.is_empty() {
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            let Some(cands) = runs.next_if(|run| run[0].0 as usize == index) else {
                 if *slot != EMPTY {
                     *slot = EMPTY;
                     changed += 1;
                 }
                 continue;
-            }
-            let keep = *slot != EMPTY && cands.contains(slot);
+            };
+            let keep = *slot != EMPTY && cands.iter().any(|c| c.2 == *slot);
             if !keep {
-                *slot = cands[rng.gen_range(0..cands.len())];
+                *slot = cands[rng.gen_range(0..cands.len())].2;
                 changed += 1;
             }
         }
@@ -317,18 +331,23 @@ mod tests {
         t.observe(3, s.point(&[75, 15]).expect("coords lie inside the space"));
         let mut rng = StdRng::seed_from_u64(9);
         // Candidates: current holder 3 still present + extra in same subcell.
-        t.rebuild(
-            vec![
-                (3, s.point(&[75, 15]).expect("coords lie inside the space")),
-                (5, s.point(&[70, 10]).expect("coords lie inside the space")),
-                (6, s.point(&[12, 11]).expect("coords lie inside the space")), // C0 mate
-            ],
-            &mut rng,
-        );
+        let offer = |entries: &[(NodeId, [u64; 2])]| -> Vec<(NodeId, Point, CellCoord)> {
+            entries
+                .iter()
+                .map(|(id, vals)| {
+                    let p = s.point(vals).expect("coords lie inside the space");
+                    let c = s.cell_coord(&p);
+                    (*id, p, c)
+                })
+                .collect()
+        };
+        let first = offer(&[(3, [75, 15]), (5, [70, 10]), (6, [12, 11])]); // 6: C0 mate
+        t.rebuild(first.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
         assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 3, "stability: holder kept");
         assert_eq!(t.zero_count(), 1);
         // Holder vanishes from candidates → random replacement.
-        t.rebuild(vec![(5, s.point(&[70, 10]).expect("coords lie inside the space"))], &mut rng);
+        let second = offer(&[(5, [70, 10])]);
+        t.rebuild(second.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
         assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 5);
         assert_eq!(t.zero_count(), 0, "zero set rebuilt from scratch");
     }
@@ -342,5 +361,100 @@ mod tests {
         let mut got: Vec<(Level, usize, NodeId)> = t.filled_slots().collect();
         got.sort_unstable();
         assert_eq!(got, vec![(1, 1, 4), (3, 0, 3)]);
+    }
+
+    impl RoutingTable {
+        /// `rebuild` as it was before it borrowed the view (owned points,
+        /// coordinates re-derived, one `Vec` of candidates per slot): the
+        /// reference the rewrite is held to — same table, same `changed`,
+        /// same RNG draws.
+        fn rebuild_reference<R: Rng + ?Sized>(
+            &mut self,
+            candidates: impl IntoIterator<Item = (NodeId, Point)>,
+            rng: &mut R,
+        ) -> usize {
+            let mut per_slot: Vec<Vec<NodeId>> = vec![Vec::new(); self.slots.len()];
+            self.zero_ids.clear();
+            self.zero_points.clear();
+            for (id, point) in candidates {
+                let coord = self.space.cell_coord(&point);
+                match self.own.classify(&coord) {
+                    Neighborhood::Zero => self.upsert_zero(id, point),
+                    Neighborhood::Cell { level, dim } => {
+                        per_slot[self.slot_index(level, dim)].push(id);
+                    }
+                }
+            }
+            let mut changed = 0;
+            for (slot, cands) in self.slots.iter_mut().zip(per_slot) {
+                if cands.is_empty() {
+                    if *slot != EMPTY {
+                        *slot = EMPTY;
+                        changed += 1;
+                    }
+                    continue;
+                }
+                let keep = *slot != EMPTY && cands.contains(slot);
+                if !keep {
+                    *slot = cands[rng.gen_range(0..cands.len())];
+                    changed += 1;
+                }
+            }
+            changed
+        }
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::RngCore;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// A chain of rebuilds (so holders exist, survive and vanish)
+            /// leaves the same slots, zero set and `changed` as the
+            /// reference and the RNG at the same point of its stream —
+            /// duplicate ids, an id offered at two places, more candidates
+            /// than the inline scratch holds and empty offers included.
+            #[test]
+            fn borrowed_rebuild_equals_reference(
+                d in 1usize..4,
+                max_level in 1u8..4,
+                own_vals in prop::collection::vec(0u64..80, 3),
+                offers in prop::collection::vec(
+                    prop::collection::vec((0u64..30, prop::collection::vec(0u64..80, 3)), 0..50),
+                    1..5,
+                ),
+                seed in 0u64..1000,
+            ) {
+                let s = Space::uniform(d, 80, max_level).expect("valid space geometry");
+                let own = s.cell_coord(&s.point(&own_vals[..d]).expect("coords lie inside the space"));
+                let mut table = RoutingTable::new(s.clone(), own.clone());
+                let mut reference = RoutingTable::new(s.clone(), own);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                for offer in &offers {
+                    let offer: Vec<(NodeId, Point, CellCoord)> = offer
+                        .iter()
+                        .map(|(id, vals)| {
+                            let p = s.point(&vals[..d]).expect("coords lie inside the space");
+                            let c = s.cell_coord(&p);
+                            (*id, p, c)
+                        })
+                        .collect();
+                    let changed = table.rebuild(offer.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+                    let expected = reference.rebuild_reference(
+                        offer.iter().map(|(id, p, _)| (*id, p.clone())),
+                        &mut reference_rng,
+                    );
+                    prop_assert_eq!(changed, expected);
+                    prop_assert_eq!(&table.slots, &reference.slots);
+                    prop_assert_eq!(&table.zero_ids, &reference.zero_ids);
+                    prop_assert_eq!(&table.zero_points, &reference.zero_points);
+                    prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "draw pattern diverged");
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! point of the suite is that no *sequence* of observations, removals and
 //! rebuilds can break them.
 
-use attrspace::{Neighborhood, Space};
+use attrspace::{CellCoord, Neighborhood, Space};
 use autosel_core::RoutingTable;
 use epigossip::NodeId;
 use proptest::prelude::*;
@@ -117,7 +117,11 @@ proptest! {
                 .collect()
         };
 
-        t.rebuild(to_entries(&first), &mut rng);
+        let offer = |set: &[(NodeId, attrspace::Point)]| -> Vec<(NodeId, attrspace::Point, CellCoord)> {
+            set.iter().map(|(id, p)| (*id, p.clone(), space.cell_coord(p))).collect()
+        };
+        let offered = offer(&to_entries(&first));
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
         assert_slot_algebra(&t, &to_entries(&first));
         // Every same-C0 candidate must be in the zero set (no candidate is
         // silently dropped from its own cell) with last-write-wins points.
@@ -134,7 +138,8 @@ proptest! {
         // Stability: a holder still offered in the second candidate set
         // keeps its slot.
         let held: Vec<(u8, usize, NodeId)> = t.filled_slots().collect();
-        t.rebuild(to_entries(&second), &mut rng);
+        let offered = offer(&to_entries(&second));
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
         assert_slot_algebra(&t, &to_entries(&second));
         for (l, k, id) in held {
             if second.iter().any(|(sid, _)| *sid as NodeId == id) {

@@ -1,6 +1,6 @@
 use rand::Rng;
 
-use crate::{Descriptor, NodeId, View};
+use crate::{Descriptor, NodeId, Scratch, View};
 
 /// The CYCLON peer-sampling layer: a bounded random view refreshed by
 /// periodic *shuffles* with the oldest known neighbor.
@@ -94,37 +94,39 @@ impl<P: Clone> Cyclon<P> {
             .view
             .random_subset(self.shuffle_len - 1, Some(partner), rng);
         batch.push(Descriptor::new(self.id, self.profile.clone()));
-        self.in_flight = batch.iter().map(|d| d.id).collect();
+        self.in_flight.clear();
+        self.in_flight.extend(batch.iter().map(|d| d.id));
         self.pending_partner = Some(partner);
         Some((partner, batch))
     }
 
     /// Handles a shuffle request from `from`, returning the response batch.
+    /// Received descriptors are cloned only where they enter the view.
     pub fn handle_request<R: Rng + ?Sized>(
         &mut self,
         from: NodeId,
-        received: Vec<Descriptor<P>>,
+        received: &[Descriptor<P>],
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
         let reply = self.view.random_subset(self.shuffle_len, Some(from), rng);
-        let sent: Vec<NodeId> = reply.iter().map(|d| d.id).collect();
-        self.view.merge_shuffle(received, &sent, self.id);
+        // The reply is exactly what was sent; its ids are replaceable.
+        let sent: Scratch<NodeId, 16> = reply.iter().map(|d| d.id).collect();
+        self.view.merge_shuffle(received, sent.as_slice(), self.id);
         reply
     }
 
     /// Handles the response to a shuffle this node initiated.
-    pub fn handle_response(&mut self, from: NodeId, received: Vec<Descriptor<P>>) {
+    pub fn handle_response(&mut self, from: NodeId, received: &[Descriptor<P>]) {
         if self.pending_partner != Some(from) {
             // Stale or duplicate response: merge conservatively with no
             // replaceable slots.
             self.view.merge_shuffle(received, &[], self.id);
             return;
         }
-        let sent = std::mem::take(&mut self.in_flight);
         self.pending_partner = None;
-        self.view.merge_shuffle(received, &sent, self.id);
+        self.view.merge_shuffle(received, &self.in_flight, self.id);
+        self.in_flight.clear();
     }
-
 }
 
 #[cfg(test)]
@@ -166,8 +168,8 @@ mod tests {
         b.introduce(3, ());
         let (partner, batch) = a.initiate(&mut rng()).unwrap();
         assert_eq!(partner, 2);
-        let reply = b.handle_request(1, batch, &mut rng());
-        a.handle_response(2, reply);
+        let reply = b.handle_request(1, &batch, &mut rng());
+        a.handle_response(2, &reply);
         assert!(b.view().contains(1), "B learned A");
         assert!(a.view().contains(3), "A learned B's neighbor");
         assert_eq!(a.pending_partner(), None);
@@ -178,7 +180,7 @@ mod tests {
         let mut a = Cyclon::new(1, (), 8, 3);
         a.introduce(2, ());
         let (_, batch) = a.initiate(&mut rng()).unwrap();
-        a.handle_response(2, batch); // echo back, includes own descriptor
+        a.handle_response(2, &batch); // echo back, includes own descriptor
         assert!(!a.view().contains(1));
     }
 
@@ -187,7 +189,7 @@ mod tests {
         let mut a = Cyclon::new(1, (), 2, 2);
         a.introduce(2, ());
         a.introduce(3, ());
-        a.handle_response(9, vec![Descriptor::new(4, ())]); // never initiated with 9
+        a.handle_response(9, &[Descriptor::new(4, ())]); // never initiated with 9
         assert!(!a.view().contains(4) || a.view().len() <= 2);
         assert!(a.view().contains(2) && a.view().contains(3));
     }

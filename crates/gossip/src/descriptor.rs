@@ -36,6 +36,14 @@ impl<P> Descriptor<P> {
     }
 }
 
+/// Lets view operations accept owned and borrowed descriptors through one
+/// signature, cloning a borrowed one only where it is kept.
+impl<P: Clone> From<&Descriptor<P>> for Descriptor<P> {
+    fn from(d: &Descriptor<P>) -> Self {
+        d.clone()
+    }
+}
+
 impl<P: fmt::Debug> fmt::Display for Descriptor<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{}(age {}, {:?})", self.id, self.age, self.profile)

@@ -52,6 +52,7 @@
 mod config;
 mod cyclon;
 mod descriptor;
+mod scratch;
 mod selector;
 mod stack;
 mod vicinity;
@@ -60,6 +61,7 @@ mod view;
 pub use config::GossipConfig;
 pub use cyclon::Cyclon;
 pub use descriptor::{Descriptor, NodeId};
+pub use scratch::Scratch;
 pub use selector::{RankSelector, Selector};
 pub use stack::{GossipMessage, GossipStack, Layer};
 pub use vicinity::Vicinity;

@@ -5,20 +5,19 @@ use crate::Descriptor;
 /// Policy deciding which descriptors the semantic layer keeps.
 ///
 /// Given this node's own profile and a candidate pool (current view ∪
-/// received descriptors ∪ fresh random peers from CYCLON), return the
+/// received descriptors ∪ fresh random peers from CYCLON), keep the
 /// descriptors worth keeping, best first, at most `capacity` of them.
 ///
-/// Implementations must be deterministic in their inputs; duplicates by id
-/// have already been collapsed to the freshest descriptor when `select` is
-/// called.
+/// The pool is reordered and truncated *in place*: descriptors are moved,
+/// never cloned, and the gossip layers hand the same `Vec` back to the view
+/// — a selection allocates nothing.
+///
+/// Implementations must be deterministic in their inputs and independent of
+/// the pool's incoming order; duplicates by id have already been collapsed
+/// to the freshest descriptor when `select` is called.
 pub trait Selector<P>: Send + Sync {
-    /// Ranks and truncates the candidate pool.
-    fn select(
-        &self,
-        own: &P,
-        candidates: Vec<Descriptor<P>>,
-        capacity: usize,
-    ) -> Vec<Descriptor<P>>;
+    /// Ranks the candidate pool best-first and truncates it to `capacity`.
+    fn select(&self, own: &P, candidates: &mut Vec<Descriptor<P>>, capacity: usize);
 }
 
 /// A [`Selector`] that keeps the `capacity` candidates minimizing a distance
@@ -52,15 +51,9 @@ where
     P: Clone + Send + Sync,
     F: Fn(&P, &P) -> u64 + Send + Sync,
 {
-    fn select(
-        &self,
-        own: &P,
-        mut candidates: Vec<Descriptor<P>>,
-        capacity: usize,
-    ) -> Vec<Descriptor<P>> {
+    fn select(&self, own: &P, candidates: &mut Vec<Descriptor<P>>, capacity: usize) {
         candidates.sort_by_key(|d| ((self.distance)(own, &d.profile), d.age, d.id));
         candidates.truncate(capacity);
-        candidates
     }
 }
 
@@ -71,28 +64,25 @@ mod tests {
     #[test]
     fn rank_selector_keeps_closest() {
         let s = RankSelector::new(|a: &u64, b: &u64| a.abs_diff(*b));
-        let cands = vec![
+        let mut kept = vec![
             Descriptor::new(1, 100u64),
             Descriptor::new(2, 13),
             Descriptor::new(3, 11),
             Descriptor::new(4, 50),
         ];
-        let kept = s.select(&10, cands, 2);
+        s.select(&10, &mut kept, 2);
         assert_eq!(kept.iter().map(|d| d.id).collect::<Vec<_>>(), vec![3, 2]);
     }
 
     #[test]
     fn ties_break_by_age_then_id() {
         let s = RankSelector::new(|_: &u64, _: &u64| 0);
-        let kept = s.select(
-            &0,
-            vec![
-                Descriptor { id: 5, profile: 0, age: 3 },
-                Descriptor { id: 9, profile: 0, age: 0 },
-                Descriptor { id: 2, profile: 0, age: 0 },
-            ],
-            2,
-        );
+        let mut kept = vec![
+            Descriptor { id: 5, profile: 0, age: 3 },
+            Descriptor { id: 9, profile: 0, age: 0 },
+            Descriptor { id: 2, profile: 0, age: 0 },
+        ];
+        s.select(&0, &mut kept, 2);
         assert_eq!(kept.iter().map(|d| d.id).collect::<Vec<_>>(), vec![2, 9]);
     }
 }

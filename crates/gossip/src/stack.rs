@@ -138,7 +138,7 @@ impl<P: Clone> GossipStack<P> {
     /// Seeds both layers with a known peer (bootstrap / rejoin).
     pub fn introduce(&mut self, id: NodeId, profile: P) {
         self.cyclon.introduce(id, profile.clone());
-        self.vicinity.absorb(vec![Descriptor::new(id, profile)]);
+        self.vicinity.absorb([Descriptor::new(id, profile)]);
     }
 
     /// Changes this node's advertised profile (attribute values changed).
@@ -192,7 +192,7 @@ impl<P: Clone> GossipStack<P> {
 
         // Random layer feeds the semantic layer (§5: "the underlying CYCLON
         // layer continuously feeds the top layer with random nodes").
-        self.vicinity.absorb(self.cyclon.view().to_vec());
+        self.vicinity.absorb(self.cyclon.view().iter());
 
         // A starved random layer (every entry traded away or evicted, e.g.
         // after a massive failure) re-seeds itself from the semantic view —
@@ -260,11 +260,14 @@ impl<P: Clone> GossipStack<P> {
     ) -> Vec<(NodeId, GossipMessage<P>)> {
         match msg {
             GossipMessage::Request { layer: Layer::Random, from_profile, batch } => {
-                // Random-layer traffic is also a candidate source for the
-                // semantic layer.
-                self.vicinity.absorb(batch.clone());
-                self.vicinity.absorb(vec![Descriptor::new(from, from_profile)]);
-                let reply = self.cyclon.handle_request(from, batch, rng);
+                // The shuffle borrows the batch (cloning what it keeps);
+                // the batch itself then moves into the semantic layer,
+                // which random-layer traffic also feeds. The layers' views
+                // are independent and only the shuffle draws from `rng`,
+                // so the order between them is free.
+                let reply = self.cyclon.handle_request(from, &batch, rng);
+                self.vicinity.absorb(batch);
+                self.vicinity.absorb([Descriptor::new(from, from_profile)]);
                 vec![(from, GossipMessage::Response { layer: Layer::Random, batch: reply })]
             }
             GossipMessage::Request { layer: Layer::Semantic, from_profile, batch } => {
@@ -273,8 +276,8 @@ impl<P: Clone> GossipStack<P> {
                 vec![(from, GossipMessage::Response { layer: Layer::Semantic, batch: reply })]
             }
             GossipMessage::Response { layer: Layer::Random, batch } => {
-                self.vicinity.absorb(batch.clone());
-                self.cyclon.handle_response(from, batch);
+                self.cyclon.handle_response(from, &batch);
+                self.vicinity.absorb(batch);
                 Vec::new()
             }
             GossipMessage::Response { layer: Layer::Semantic, batch } => {

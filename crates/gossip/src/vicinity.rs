@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -69,40 +69,42 @@ impl<P: Clone> Vicinity<P> {
     /// profile can change which peers are useful).
     pub fn set_profile(&mut self, profile: P) {
         self.profile = profile;
-        let kept = self.selector.select(
-            &self.profile,
-            self.view.to_vec(),
-            self.view.capacity(),
-        );
-        self.view.replace_all(kept);
+        let (selector, own, capacity) = (&self.selector, &self.profile, self.view.capacity());
+        self.view.reselect(|pool| selector.select(own, pool, capacity));
     }
 
     /// Feeds candidate descriptors through the selector (called with fresh
     /// CYCLON samples every round, with bootstrap seeds, and with gossip
     /// exchanges).
-    pub fn absorb(&mut self, candidates: Vec<Descriptor<P>>) {
-        if candidates.is_empty() {
+    ///
+    /// The view's own entries are the pool — moved, never cloned; candidates
+    /// are pooled by linear id scan (freshest wins, first wins on a tie) and
+    /// may be owned or borrowed: a borrowed candidate that is already known
+    /// at least as fresh is never cloned.
+    pub fn absorb<D>(&mut self, candidates: impl IntoIterator<Item = D>)
+    where
+        D: Borrow<Descriptor<P>> + Into<Descriptor<P>>,
+    {
+        let mut candidates = candidates.into_iter().peekable();
+        if candidates.peek().is_none() {
             return;
         }
-        // Pool current view + candidates, collapsing duplicates to freshest.
-        let mut pool: HashMap<NodeId, Descriptor<P>> = HashMap::new();
-        for d in self.view.to_vec().into_iter().chain(candidates) {
-            if d.id == self.id {
-                continue;
-            }
-            match pool.get(&d.id) {
-                Some(existing) if existing.age <= d.age => {}
-                _ => {
-                    pool.insert(d.id, d);
+        let (selector, own, self_id) = (&self.selector, &self.profile, self.id);
+        let capacity = self.view.capacity();
+        self.view.reselect(|pool| {
+            for d in candidates {
+                let (id, age) = (d.borrow().id, d.borrow().age);
+                if id == self_id {
+                    continue;
+                }
+                match pool.iter_mut().find(|known| known.id == id) {
+                    Some(known) if known.age <= age => {}
+                    Some(known) => *known = d.into(),
+                    None => pool.push(d.into()),
                 }
             }
-        }
-        let kept = self.selector.select(
-            &self.profile,
-            pool.into_values().collect(),
-            self.view.capacity(),
-        );
-        self.view.replace_all(kept);
+            selector.select(own, pool, capacity);
+        });
     }
 
     /// Starts one semantic gossip: ages entries, picks the oldest semantic
@@ -129,9 +131,7 @@ impl<P: Clone> Vicinity<P> {
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
         let reply = self.batch_for(from, rng);
-        let mut absorbed = received;
-        absorbed.push(from.refreshed());
-        self.absorb(absorbed);
+        self.absorb(received.into_iter().chain([from.refreshed()]));
         reply
     }
 
@@ -150,11 +150,11 @@ impl<P: Clone> Vicinity<P> {
         partner: &Descriptor<P>,
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
-        let mut pool = self.view.random_subset(self.view.len(), Some(partner.id), rng);
-        pool.push(Descriptor::new(self.id, self.profile.clone()));
-        let mut batch = self
-            .selector
-            .select(&partner.profile, pool, self.shuffle_len);
+        // The subset's shuffle draws feed the shared RNG stream and must
+        // stay, although a selector's ranking ignores pool order.
+        let mut batch = self.view.random_subset(self.view.len(), Some(partner.id), rng);
+        batch.push(Descriptor::new(self.id, self.profile.clone()));
+        self.selector.select(&partner.profile, &mut batch, self.shuffle_len);
         // Always advertise ourselves even if the selector ranked us out:
         // self-propagation is what lets new nodes take their place.
         if !batch.iter().any(|d| d.id == self.id) {

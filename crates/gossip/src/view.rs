@@ -1,7 +1,13 @@
+use std::borrow::Borrow;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Descriptor, NodeId};
+use crate::{Descriptor, NodeId, Scratch};
+
+/// Inline size of the per-call id/index scratch: covers the paper's view
+/// size (20) with room to spare; larger views spill to the heap.
+const INLINE: usize = 32;
 
 /// A bounded partial view: at most `capacity` descriptors, at most one per
 /// peer id. This is the data structure underlying both gossip layers.
@@ -80,7 +86,7 @@ impl<P> View<P> {
         self.position(id).map(|i| &self.entries[i])
     }
 
-    /// Iterates over the descriptors in unspecified order.
+    /// Iterates over the descriptors in view order.
     pub fn iter(&self) -> impl Iterator<Item = &Descriptor<P>> {
         self.entries.iter()
     }
@@ -154,44 +160,53 @@ impl<P: Clone> View<P> {
         exclude: Option<NodeId>,
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
-        let mut pool: Vec<&Descriptor<P>> = self
-            .entries
-            .iter()
-            .filter(|d| Some(d.id) != exclude)
+        // Shuffle positions, not references: same draws, no heap pool.
+        let mut pool: Scratch<u32, INLINE> = (0..self.entries.len() as u32)
+            .filter(|&i| Some(self.entries[i as usize].id) != exclude)
             .collect();
-        pool.shuffle(rng);
-        pool.into_iter().take(n).cloned().collect()
+        pool.as_mut_slice().shuffle(rng);
+        let picked = &pool.as_slice()[..n.min(pool.len())];
+        // Both gossip layers append their own descriptor to the subset.
+        let mut out = Vec::with_capacity(picked.len() + 1);
+        out.extend(picked.iter().map(|&i| self.entries[i as usize].clone()));
+        out
     }
 
     /// CYCLON's merge rule: for each received descriptor (skipping our own id
     /// and known peers, where only a fresher age is kept), fill empty slots
     /// first, then overwrite slots whose descriptor was just *sent* to the
-    /// peer, and drop the rest.
-    pub fn merge_shuffle(
+    /// peer, and drop the rest. Accepts owned or borrowed descriptors; a
+    /// borrowed one is cloned only if it enters the view.
+    pub fn merge_shuffle<D>(
         &mut self,
-        received: Vec<Descriptor<P>>,
+        received: impl IntoIterator<Item = D>,
         sent: &[NodeId],
         self_id: NodeId,
-    ) {
-        let mut replaceable: Vec<NodeId> = sent.to_vec();
+    ) where
+        D: Borrow<Descriptor<P>> + Into<Descriptor<P>>,
+    {
+        // Sent ids are replaceable last-first; each is tried once.
+        let mut replaceable = sent.len();
         for d in received {
-            if d.id == self_id {
+            let (id, age) = (d.borrow().id, d.borrow().age);
+            if id == self_id {
                 continue;
             }
-            if let Some(i) = self.position(d.id) {
-                if d.age < self.entries[i].age {
-                    self.entries[i] = d;
+            if let Some(i) = self.position(id) {
+                if age < self.entries[i].age {
+                    self.entries[i] = d.into();
                 }
                 continue;
             }
             if self.entries.len() < self.capacity {
-                self.entries.push(d);
+                self.entries.push(d.into());
                 self.turnover += 1;
                 continue;
             }
-            while let Some(victim) = replaceable.pop() {
-                if let Some(i) = self.position(victim) {
-                    self.entries[i] = d.clone();
+            while replaceable > 0 {
+                replaceable -= 1;
+                if let Some(i) = self.position(sent[replaceable]) {
+                    self.entries[i] = d.into();
                     self.turnover += 1;
                     break;
                 }
@@ -199,29 +214,33 @@ impl<P: Clone> View<P> {
             // View full and nothing replaceable: the descriptor is dropped.
         }
     }
+}
 
-    /// All descriptors, cloned (used to pool candidates across layers).
-    pub fn to_vec(&self) -> Vec<Descriptor<P>> {
-        self.entries.clone()
-    }
-
-    /// Drops every descriptor and re-inserts from `entries` (bounded by
-    /// capacity; later duplicates are ignored). Used by selector-driven
-    /// layers after re-ranking.
-    pub fn replace_all(&mut self, entries: Vec<Descriptor<P>>) {
-        let previous: Vec<NodeId> = self.ids();
-        self.entries.clear();
-        for d in entries {
-            if self.entries.len() == self.capacity {
+impl<P> View<P> {
+    /// Re-selects the view in place. `select` receives the view's own
+    /// entries — moved, not cloned — as a pool it may extend, reorder and
+    /// truncate; what it leaves becomes the view, bounded by capacity with
+    /// later duplicates of an id dropped. Ids that were not in the view
+    /// before count as turnover.
+    pub fn reselect(&mut self, select: impl FnOnce(&mut Vec<Descriptor<P>>)) {
+        let previous: Scratch<NodeId, INLINE> = self.entries.iter().map(|d| d.id).collect();
+        select(&mut self.entries);
+        let mut kept = 0;
+        for i in 0..self.entries.len() {
+            if kept == self.capacity {
                 break;
             }
-            if !self.contains(d.id) {
-                if !previous.contains(&d.id) {
-                    self.turnover += 1;
-                }
-                self.entries.push(d);
+            let id = self.entries[i].id;
+            if self.entries[..kept].iter().any(|d| d.id == id) {
+                continue;
             }
+            if !previous.as_slice().contains(&id) {
+                self.turnover += 1;
+            }
+            self.entries.swap(kept, i);
+            kept += 1;
         }
+        self.entries.truncate(kept);
     }
 }
 
@@ -322,12 +341,34 @@ mod tests {
     }
 
     #[test]
-    fn replace_all_bounds_and_dedupes() {
+    fn reselect_bounds_and_dedupes() {
         let mut v = View::new(2);
-        v.replace_all(vec![d(1, 0), d(1, 5), d(2, 0), d(3, 0)]);
+        v.reselect(|pool| *pool = vec![d(1, 0), d(1, 5), d(2, 0), d(3, 0)]);
         assert_eq!(v.len(), 2);
         assert!(v.contains(1) && v.contains(2));
         assert_eq!(v.get(1).unwrap().age, 0);
+    }
+
+    #[test]
+    fn reselect_moves_own_entries_into_the_pool() {
+        let mut v = View::new(3);
+        v.insert(d(1, 4));
+        v.insert(d(2, 1));
+        v.reselect(|pool| {
+            assert_eq!(pool.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2]);
+            pool.push(d(7, 0));
+            pool.reverse();
+        });
+        assert_eq!(v.ids(), vec![7, 2, 1], "the pool's order becomes the view's");
+        assert_eq!(v.turnover(), 3);
+    }
+
+    #[test]
+    fn merge_shuffle_clones_borrowed_descriptors_on_entry() {
+        let mut v = View::new(2);
+        let received = [d(1, 0), d(2, 0), d(3, 0)];
+        v.merge_shuffle(&received, &[], 99);
+        assert_eq!(v.ids(), vec![1, 2], "third dropped: full, nothing replaceable");
     }
 
     #[test]
@@ -346,11 +387,11 @@ mod tests {
         assert_eq!(v.turnover(), 2);
         v.insert(d(3, 0)); // evicts oldest → one replacement
         assert_eq!(v.turnover(), 3);
-        // replace_all: id 3 survives, id 9 is new → +1.
-        v.replace_all(vec![d(3, 0), d(9, 0)]);
+        // reselect: id 3 survives, id 9 is new → +1.
+        v.reselect(|pool| *pool = vec![d(3, 0), d(9, 0)]);
         assert_eq!(v.turnover(), 4);
         // An id that left and comes back counts again.
-        v.replace_all(vec![d(1, 0)]);
+        v.reselect(|pool| *pool = vec![d(1, 0)]);
         assert_eq!(v.turnover(), 5);
     }
 

@@ -859,6 +859,18 @@ impl SimCluster {
         }
     }
 
+    /// One alive node's semantic gossip view, in view order (`None` for a
+    /// dead node or with gossip disabled). Read-only window for overlay
+    /// fingerprints and health checks.
+    pub fn semantic_view_of(&self, id: NodeId) -> Option<&epigossip::View<NodeProfile>> {
+        self.nodes.get(&id)?.gossip.as_ref().map(|g| g.semantic_view())
+    }
+
+    /// One alive node's routing table.
+    pub fn routing_of(&self, id: NodeId) -> Option<&autosel_core::RoutingTable> {
+        self.nodes.get(&id).map(|n| n.selection.routing())
+    }
+
     /// Direct mutable access to one node's protocol state machine.
     ///
     /// Test-harness plumbing (mutation hooks, hand-crafted state setups) —
@@ -974,6 +986,13 @@ impl SimCluster {
             EventKind::GossipTick { node } => {
                 let Some(n) = self.nodes.get_mut(&node) else { return };
                 let Some(stack) = n.gossip.as_mut() else { return };
+                if self.now < stack.next_gossip_at() {
+                    // A crashed incarnation's chain: `restart` started a
+                    // fresh one, and a live chain fires exactly at
+                    // `next_gossip_at`. Let this one die instead of
+                    // rescheduling it (and re-syncing routing) forever.
+                    return;
+                }
                 let msgs = stack.tick(self.now, &mut self.rng);
                 n.selection.sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
                 let period = self.config.gossip.period_ms;
