@@ -220,6 +220,56 @@ impl CellCoord {
         unreachable!("coordinate in Cl \\ C(l-1) must fall in exactly one N(l,k)")
     }
 
+    /// The first 64 bits of this coordinate's bit-interleaved bucket code:
+    /// bit `l - 1` of every index for each level `l` from `max_level` down
+    /// to 1, dimensions ascending inside a level, packed from the most
+    /// significant bit. A space of `d · max_level ≤ 64` bits fits whole
+    /// (the unused low bits are zero); a wider one keeps its top levels.
+    ///
+    /// The highest bit in which two codes differ is the highest level at
+    /// which the coordinates part and, within it, the first dimension that
+    /// parts — exactly the `N(l,k)` of [`classify`](Self::classify), which
+    /// [`classify_coded`](Self::classify_coded) reads off with one XOR.
+    pub fn code(&self) -> u64 {
+        let (mut code, mut bits) = (0u64, 0u32);
+        'levels: for shift in (0..self.max_level).rev() {
+            for &index in self.indices.iter() {
+                if bits == 64 {
+                    break 'levels;
+                }
+                code = code << 1 | u64::from(index >> shift & 1);
+                bits += 1;
+            }
+        }
+        code << (64 - bits)
+    }
+
+    /// [`classify`](Self::classify) from the two coordinates'
+    /// [`code`](Self::code)s: `code` must be `self.code()` and `other_code`
+    /// `other.code()`. `other` itself is read only when the space is wider
+    /// than 64 code bits and the codes agree — the pair may then still part
+    /// below the prefix, and the exact coordinate comparison decides.
+    ///
+    /// # Panics
+    ///
+    /// Panics (on that fallback) if dimensionalities disagree.
+    #[inline]
+    pub fn classify_coded(&self, code: u64, other: &CellCoord, other_code: u64) -> Neighborhood {
+        debug_assert_eq!(code, self.code(), "code of another coordinate");
+        debug_assert_eq!(other_code, other.code(), "code of another coordinate");
+        let dims = self.dims();
+        let diff = code ^ other_code;
+        if diff == 0 {
+            return if dims * self.max_level as usize <= 64 {
+                Neighborhood::Zero
+            } else {
+                self.classify(other)
+            };
+        }
+        let bit = diff.leading_zeros() as usize;
+        Neighborhood::Cell { level: self.max_level - (bit / dims) as Level, dim: bit % dims }
+    }
+
     /// Region-materializing rendition of [`classify`](Self::classify) — the
     /// definition straight from the paper, kept as the oracle the fast
     /// bit-arithmetic path is property-tested against.
@@ -406,6 +456,17 @@ mod tests {
         assert_eq!(x.classify(&c(&[5, 3])), Neighborhood::Cell { level: 1, dim: 1 });
         // Opposite half of the space along dimension 0.
         assert_eq!(x.classify(&c(&[1, 1])), Neighborhood::Cell { level: 3, dim: 0 });
+    }
+
+    #[test]
+    fn code_interleaves_levels_top_down() {
+        // 5 = 0b101, 2 = 0b010: level 3 gives (1,0), level 2 (0,1), level 1 (1,0).
+        assert_eq!(c(&[5, 2]).code(), 0b10_01_10 << 58);
+        let x = c(&[5, 2]);
+        for other in [[5, 2], [4, 2], [5, 3], [1, 1], [7, 7]] {
+            let y = c(&other);
+            assert_eq!(x.classify_coded(x.code(), &y, y.code()), x.classify(&y), "{y}");
+        }
     }
 
     #[test]

@@ -84,21 +84,41 @@ fn churn_scenario(seed: u64) -> String {
 /// query's reach; this one moves if any view entry, its position, any slot
 /// choice (i.e. any `rebuild` RNG draw) or any zero set differs.
 fn gossip_state_scenario(seed: u64) -> String {
-    let space = Space::uniform(5, 80, 3).unwrap();
+    // The paper's hotspot (§6.4): dense cells, so `C0` sets are non-empty
+    // and slots have several candidates to draw from.
+    gossip_state_in(
+        Space::uniform(5, 80, 3).unwrap(),
+        &Placement::Normal { center: 60.0, stddev: 10.0, max: 80 },
+        seed,
+    )
+}
+
+/// [`gossip_state_scenario`] in a space of 22 dimensions × 3 levels: 66
+/// interleaved code bits, two more than a 64-bit cell code holds, so pairs
+/// that agree everywhere but the last level's last two dimensions — and
+/// every `C0` pair — are classified by the coordinate fallback. The
+/// hotspot is tight (most attributes land in bucket 6) so such pairs are
+/// common rather than astronomically rare.
+fn wide_gossip_state_scenario(seed: u64) -> String {
+    gossip_state_in(
+        Space::uniform(22, 80, 3).unwrap(),
+        &Placement::Normal { center: 65.0, stddev: 3.0, max: 80 },
+        seed,
+    )
+}
+
+fn gossip_state_in(space: Space, placement: &Placement, seed: u64) -> String {
     let mut cfg = SimConfig {
         latency: LatencyModel::Uniform { lo_ms: 5, hi_ms: 50 },
         ..SimConfig::default()
     };
     cfg.gossip.period_ms = 1_000;
-    // The paper's hotspot (§6.4): dense cells, so `C0` sets are non-empty
-    // and slots have several candidates to draw from.
-    let placement = Placement::Normal { center: 60.0, stddev: 10.0, max: 80 };
     let mut sim = SimCluster::new(space, cfg, seed);
-    sim.populate(&placement, 300);
+    sim.populate(placement, 300);
     sim.run_until(25_000);
-    sim.churn_step(0.05, &placement);
+    sim.churn_step(0.05, placement);
     sim.run_until(45_000);
-    sim.churn_step(0.05, &placement);
+    sim.churn_step(0.05, placement);
     sim.run_until(60_000);
 
     let mut h = Fnv64::new();
@@ -145,10 +165,16 @@ const GOLDEN_GOSSIP_STATE_42: &str =
     "nodes=300;view_entries=6000;slots=3795;zeros=126;fnv=906a0562f901fc66";
 const GOLDEN_GOSSIP_STATE_1337: &str =
     "nodes=300;view_entries=6000;slots=3732;zeros=132;fnv=a1021c2a0a07fd89";
+const GOLDEN_WIDE_GOSSIP_STATE_42: &str =
+    "nodes=300;view_entries=6000;slots=4632;zeros=379;fnv=840720e828305052";
+const GOLDEN_WIDE_GOSSIP_STATE_1337: &str =
+    "nodes=300;view_entries=6000;slots=4629;zeros=350;fnv=642877c82b3269e5";
 
 #[test]
 #[ignore = "capture helper: prints the golden strings for pinning"]
 fn print_goldens() {
+    println!("GOLDEN_WIDE_GOSSIP_STATE_42:\n{}\n", wide_gossip_state_scenario(42));
+    println!("GOLDEN_WIDE_GOSSIP_STATE_1337:\n{}\n", wide_gossip_state_scenario(1337));
     println!("GOLDEN_GOSSIP_STATE_42:\n{}\n", gossip_state_scenario(42));
     println!("GOLDEN_GOSSIP_STATE_1337:\n{}\n", gossip_state_scenario(1337));
     println!("GOLDEN_STATIC_42:\n{}\n", static_scenario(42));
@@ -177,6 +203,23 @@ fn gossip_state_matches_pinned_goldens() {
     assert_eq!(
         gossip_state_scenario(1337),
         GOLDEN_GOSSIP_STATE_1337,
+        "seed 1337 diverged from golden"
+    );
+}
+
+/// Captured at the parent of the heap-free semantic ranking (inline cell
+/// codes), before any hot-path edit, and asserted after it: the space is
+/// wider than a 64-bit code, so this pins the coordinate fallback.
+#[test]
+fn wide_gossip_state_matches_pinned_goldens() {
+    assert_eq!(
+        wide_gossip_state_scenario(42),
+        GOLDEN_WIDE_GOSSIP_STATE_42,
+        "seed 42 diverged from golden"
+    );
+    assert_eq!(
+        wide_gossip_state_scenario(1337),
+        GOLDEN_WIDE_GOSSIP_STATE_1337,
         "seed 1337 diverged from golden"
     );
 }

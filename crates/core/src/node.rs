@@ -543,9 +543,15 @@ impl SelectionNode {
         now: u64,
         rng: &mut R,
     ) {
-        let changed = self
-            .routing
-            .rebuild(view.iter().map(|d| (d.id, d.profile.point(), d.profile.coord())), rng);
+        // Peers are classified from their profiles' inline cell codes.
+        let (own, code) = (&self.coord, self.coord.code());
+        let changed = self.routing.rebuild(
+            view.iter().map(|d| {
+                let class = own.classify_coded(code, d.profile.coord(), d.profile.code());
+                (d.id, d.profile.point(), class)
+            }),
+            rng,
+        );
         self.obs.emit(|| Event::ViewChange {
             at: now,
             node: self.id,

@@ -197,54 +197,61 @@ impl RoutingTable {
     /// otherwise picks a *uniformly random* candidate from that subcell —
     /// the randomness that spreads query load across dense cells (§6.4).
     ///
-    /// Candidates are borrowed `(id, point, coordinate)` triples — a view's
-    /// descriptors already carry the coordinate in this table's space — and
-    /// nothing is cloned but the points of `C0` mates, which the table
-    /// keeps. Slots are visited in index order and draw one
-    /// `gen_range(0..n)` only where the holder is gone, picking among the
-    /// slot's candidates in the order they were offered.
+    /// Candidates are borrowed `(id, point, class)` triples, the class being
+    /// where the candidate sits relative to this table's own coordinate (the
+    /// caller has it from the inline cell codes, see
+    /// [`NodeProfile::classify`](crate::NodeProfile::classify)); nothing is
+    /// cloned but the points of `C0` mates, which the table keeps. Slots are
+    /// visited in index order and draw one `gen_range(0..n)` only where the
+    /// holder is gone, picking among the slot's `n` candidates in the order
+    /// they were offered.
     ///
     /// Returns the number of `(l,k)` slots whose occupant changed (filled,
     /// emptied, or replaced) — the table-churn signal the observability
     /// layer tracks alongside gossip view turnover.
     pub fn rebuild<'a, R: Rng + ?Sized>(
         &mut self,
-        candidates: impl IntoIterator<Item = (NodeId, &'a Point, &'a CellCoord)>,
+        candidates: impl IntoIterator<Item = (NodeId, &'a Point, Neighborhood)>,
         rng: &mut R,
     ) -> usize {
-        // `(slot, offer order, id)` of every candidate outside `C0`; sorted,
-        // each slot's candidates form one run in offer order. Call-local on
-        // purpose: a per-table buffer would be paid by every node of a
-        // static 100 k-node overlay that never gossips.
-        let mut offered: Scratch<(u32, u32, NodeId), 32> = Scratch::new();
+        // `(slot, id)` of every candidate outside `C0` in offer order, and
+        // per slot how many were offered and whether its holder was.
+        // Call-local on purpose: a per-table buffer would be paid by every
+        // node of a static 100 k-node overlay that never gossips.
+        let mut offered: Scratch<(u32, NodeId), 32> = Scratch::new();
+        let mut count: Scratch<u32, 16> = Scratch::filled(self.slots.len(), 0);
+        let mut held: Scratch<bool, 16> = Scratch::filled(self.slots.len(), false);
         self.zero_ids.clear();
         self.zero_points.clear();
-        for (id, point, coord) in candidates {
-            debug_assert_eq!(&self.space.cell_coord(point), coord, "coordinate from another space");
-            match self.own.classify(coord) {
+        for (id, point, class) in candidates {
+            debug_assert_eq!(class, self.own.classify(&self.space.cell_coord(point)), "class of {id}");
+            match class {
                 Neighborhood::Zero => self.upsert_zero(id, point.clone()),
                 Neighborhood::Cell { level, dim } => {
-                    offered.push((self.slot_index(level, dim) as u32, offered.len() as u32, id));
+                    let slot = self.slot_index(level, dim);
+                    count.as_mut_slice()[slot] += 1;
+                    held.as_mut_slice()[slot] |= self.slots[slot] == id;
+                    offered.push((slot as u32, id));
                 }
             }
         }
-        let offered = offered.as_mut_slice();
-        offered.sort_unstable();
-        let mut runs = offered.chunk_by(|a, b| a.0 == b.0).peekable();
+        let (count, held) = (count.as_slice(), held.as_slice());
         let mut changed = 0;
-        for (index, slot) in self.slots.iter_mut().enumerate() {
-            let Some(cands) = runs.next_if(|run| run[0].0 as usize == index) else {
-                if *slot != EMPTY {
-                    *slot = EMPTY;
+        for (slot, holder) in self.slots.iter_mut().enumerate() {
+            if count[slot] == 0 {
+                if *holder != EMPTY {
+                    *holder = EMPTY;
                     changed += 1;
                 }
                 continue;
-            };
-            let keep = *slot != EMPTY && cands.iter().any(|c| c.2 == *slot);
-            if !keep {
-                *slot = cands[rng.gen_range(0..cands.len())].2;
-                changed += 1;
             }
+            if *holder != EMPTY && held[slot] {
+                continue;
+            }
+            let pick = rng.gen_range(0..count[slot] as usize);
+            let mut offers = offered.as_slice().iter().filter(|o| o.0 as usize == slot);
+            *holder = offers.nth(pick).expect("counted").1;
+            changed += 1;
         }
         changed
     }
@@ -324,6 +331,20 @@ mod tests {
         assert!(t.neighbor(3, 0).is_none());
     }
 
+    /// `(id, point, class)` offers for `table`, classes from the cell codes
+    /// as `SelectionNode::sync_from_view` computes them.
+    fn offer(table: &RoutingTable, entries: &[(NodeId, Vec<u64>)]) -> Vec<(NodeId, Point, Neighborhood)> {
+        let (s, own) = (table.space(), table.own_coord());
+        entries
+            .iter()
+            .map(|(id, vals)| {
+                let p = s.point(vals).expect("coords lie inside the space");
+                let c = s.cell_coord(&p);
+                (*id, p, own.classify_coded(own.code(), &c, c.code()))
+            })
+            .collect()
+    }
+
     #[test]
     fn rebuild_prefers_stability_and_fills_randomly() {
         let s = space();
@@ -331,23 +352,13 @@ mod tests {
         t.observe(3, s.point(&[75, 15]).expect("coords lie inside the space"));
         let mut rng = StdRng::seed_from_u64(9);
         // Candidates: current holder 3 still present + extra in same subcell.
-        let offer = |entries: &[(NodeId, [u64; 2])]| -> Vec<(NodeId, Point, CellCoord)> {
-            entries
-                .iter()
-                .map(|(id, vals)| {
-                    let p = s.point(vals).expect("coords lie inside the space");
-                    let c = s.cell_coord(&p);
-                    (*id, p, c)
-                })
-                .collect()
-        };
-        let first = offer(&[(3, [75, 15]), (5, [70, 10]), (6, [12, 11])]); // 6: C0 mate
-        t.rebuild(first.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+        let first = offer(&t, &[(3, vec![75, 15]), (5, vec![70, 10]), (6, vec![12, 11])]); // 6: C0 mate
+        t.rebuild(first.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
         assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 3, "stability: holder kept");
         assert_eq!(t.zero_count(), 1);
         // Holder vanishes from candidates → random replacement.
-        let second = offer(&[(5, [70, 10])]);
-        t.rebuild(second.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+        let second = offer(&t, &[(5, vec![70, 10])]);
+        t.rebuild(second.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
         assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 5);
         assert_eq!(t.zero_count(), 0, "zero set rebuilt from scratch");
     }
@@ -364,10 +375,10 @@ mod tests {
     }
 
     impl RoutingTable {
-        /// `rebuild` as it was before it borrowed the view (owned points,
-        /// coordinates re-derived, one `Vec` of candidates per slot): the
-        /// reference the rewrite is held to — same table, same `changed`,
-        /// same RNG draws.
+        /// `rebuild` as it was before it borrowed the view and took classes
+        /// (owned points, coordinates re-derived and classified, one `Vec`
+        /// of candidates per slot): the reference the rewrites are held to —
+        /// same table, same `changed`, same RNG draws.
         fn rebuild_reference<R: Rng + ?Sized>(
             &mut self,
             candidates: impl IntoIterator<Item = (NodeId, Point)>,
@@ -416,14 +427,15 @@ mod tests {
             /// leaves the same slots, zero set and `changed` as the
             /// reference and the RNG at the same point of its stream —
             /// duplicate ids, an id offered at two places, more candidates
-            /// than the inline scratch holds and empty offers included.
+            /// than the inline scratch holds, empty offers and spaces wider
+            /// than a 64-bit cell code included.
             #[test]
-            fn borrowed_rebuild_equals_reference(
-                d in 1usize..4,
+            fn class_fed_rebuild_equals_reference(
+                d in 1usize..=24,
                 max_level in 1u8..4,
-                own_vals in prop::collection::vec(0u64..80, 3),
+                own_vals in prop::collection::vec(0u64..80, 24),
                 offers in prop::collection::vec(
-                    prop::collection::vec((0u64..30, prop::collection::vec(0u64..80, 3)), 0..50),
+                    prop::collection::vec((0u64..30, prop::collection::vec(0u64..80, 24)), 0..50),
                     1..5,
                 ),
                 seed in 0u64..1000,
@@ -435,15 +447,21 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut reference_rng = StdRng::seed_from_u64(seed);
                 for offer in &offers {
-                    let offer: Vec<(NodeId, Point, CellCoord)> = offer
+                    // One attribute in two takes the node's own value, so
+                    // `C0` mates and low-level slots turn up.
+                    let offer: Vec<(NodeId, Vec<u64>)> = offer
                         .iter()
                         .map(|(id, vals)| {
-                            let p = s.point(&vals[..d]).expect("coords lie inside the space");
-                            let c = s.cell_coord(&p);
-                            (*id, p, c)
+                            let vals = vals[..d]
+                                .iter()
+                                .zip(&own_vals)
+                                .map(|(&v, &o)| if v % 2 == 0 { o } else { v })
+                                .collect();
+                            (*id, vals)
                         })
                         .collect();
-                    let changed = table.rebuild(offer.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+                    let offer = super::offer(&table, &offer);
+                    let changed = table.rebuild(offer.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
                     let expected = reference.rebuild_reference(
                         offer.iter().map(|(id, p, _)| (*id, p.clone())),
                         &mut reference_rng,

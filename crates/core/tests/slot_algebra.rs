@@ -107,8 +107,8 @@ proptest! {
     ) {
         let space = Space::uniform(d, 80, max_level).unwrap();
         let own_point = space.point(&own_vals[..d]).unwrap();
-        let own = space.cell_coord(&own_point);
-        let mut t = RoutingTable::new(space.clone(), own);
+        let own_coord = space.cell_coord(&own_point);
+        let mut t = RoutingTable::new(space.clone(), own_coord.clone());
         let mut rng = StdRng::seed_from_u64(seed);
 
         let to_entries = |set: &[(u64, Vec<u64>)]| -> Vec<(NodeId, attrspace::Point)> {
@@ -121,11 +121,10 @@ proptest! {
             set.iter().map(|(id, p)| (*id, p.clone(), space.cell_coord(p))).collect()
         };
         let offered = offer(&to_entries(&first));
-        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, own_coord.classify(c))), &mut rng);
         assert_slot_algebra(&t, &to_entries(&first));
         // Every same-C0 candidate must be in the zero set (no candidate is
         // silently dropped from its own cell) with last-write-wins points.
-        let own_coord = t.own_coord().clone();
         let expected_zero: std::collections::HashSet<NodeId> = to_entries(&first)
             .into_iter()
             .filter(|(_, p)| space.cell_coord(p).same_cell(&own_coord, 0))
@@ -139,7 +138,7 @@ proptest! {
         // keeps its slot.
         let held: Vec<(u8, usize, NodeId)> = t.filled_slots().collect();
         let offered = offer(&to_entries(&second));
-        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, c)), &mut rng);
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, own_coord.classify(c))), &mut rng);
         assert_slot_algebra(&t, &to_entries(&second));
         for (l, k, id) in held {
             if second.iter().any(|(sid, _)| *sid as NodeId == id) {

@@ -62,7 +62,7 @@ pub use config::GossipConfig;
 pub use cyclon::Cyclon;
 pub use descriptor::{Descriptor, NodeId};
 pub use scratch::Scratch;
-pub use selector::{RankSelector, Selector};
+pub use selector::{sort_smallest, RankSelector, Ranking, Selector};
 pub use stack::{GossipMessage, GossipStack, Layer};
 pub use vicinity::Vicinity;
 pub use view::View;

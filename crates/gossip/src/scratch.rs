@@ -2,6 +2,9 @@
 /// spills to the heap past that. The per-message gossip path sizes its
 /// working sets by view capacity (~20–40 entries), so in practice it never
 /// allocates — but capacities are configuration, hence the spill.
+///
+/// Creating one writes all `N` inline slots, so `N` should be what a call
+/// actually uses, not a generous bound.
 #[derive(Debug)]
 pub struct Scratch<T, const N: usize> {
     inline: [T; N],
@@ -12,7 +15,21 @@ pub struct Scratch<T, const N: usize> {
 impl<T: Copy + Default, const N: usize> Scratch<T, N> {
     /// An empty buffer.
     pub fn new() -> Self {
-        Scratch { inline: [T::default(); N], len: 0, spill: Vec::new() }
+        Self::with_fill(T::default())
+    }
+}
+
+impl<T: Copy, const N: usize> Scratch<T, N> {
+    /// An empty buffer for a `T` without a default (a reference, say):
+    /// `fill` initialises the inline slots and is never read back.
+    pub fn with_fill(fill: T) -> Self {
+        Scratch { inline: [fill; N], len: 0, spill: Vec::new() }
+    }
+
+    /// A buffer holding `len` copies of `value`.
+    pub fn filled(len: usize, value: T) -> Self {
+        let spill = if len > N { vec![value; len] } else { Vec::new() };
+        Scratch { inline: [value; N], len, spill }
     }
 
     /// Appends `item`.
@@ -92,5 +109,19 @@ mod tests {
         assert_eq!(s.as_slice(), (0..9).collect::<Vec<_>>().as_slice());
         s.as_mut_slice().reverse();
         assert_eq!(s.as_slice()[0], 8);
+    }
+
+    #[test]
+    fn filled_inline_and_spilled() {
+        let small: Scratch<u8, 4> = Scratch::filled(3, 7);
+        assert_eq!(small.as_slice(), &[7, 7, 7]);
+        let mut big: Scratch<u8, 4> = Scratch::filled(6, 1);
+        big.push(2);
+        assert_eq!(big.as_slice(), &[1, 1, 1, 1, 1, 1, 2]);
+        let word = 5u64;
+        let mut refs: Scratch<&u64, 2> = Scratch::with_fill(&word);
+        assert!(refs.is_empty());
+        refs.push(&word);
+        assert_eq!(refs.as_slice(), &[&5]);
     }
 }

@@ -192,7 +192,7 @@ impl<P: Clone> GossipStack<P> {
 
         // Random layer feeds the semantic layer (§5: "the underlying CYCLON
         // layer continuously feeds the top layer with random nodes").
-        self.vicinity.absorb(self.cyclon.view().iter());
+        self.vicinity.absorb(self.cyclon.view().as_slice());
 
         // A starved random layer (every entry traded away or evicted, e.g.
         // after a massive failure) re-seeds itself from the semantic view —

@@ -1,9 +1,9 @@
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 use rand::Rng;
 
-use crate::{Descriptor, NodeId, Selector, View};
+use crate::view::POOL;
+use crate::{Descriptor, NodeId, Scratch, Selector, View};
 
 /// The semantic (top) gossip layer: keeps the `Kv` peers a [`Selector`]
 /// deems most useful, exchanging candidates with semantic neighbors and
@@ -69,42 +69,33 @@ impl<P: Clone> Vicinity<P> {
     /// profile can change which peers are useful).
     pub fn set_profile(&mut self, profile: P) {
         self.profile = profile;
-        let (selector, own, capacity) = (&self.selector, &self.profile, self.view.capacity());
-        self.view.reselect(|pool| selector.select(own, pool, capacity));
+        self.absorb_from([] as [Descriptor<P>; 0]);
     }
 
     /// Feeds candidate descriptors through the selector (called with fresh
     /// CYCLON samples every round, with bootstrap seeds, and with gossip
     /// exchanges).
     ///
-    /// The view's own entries are the pool — moved, never cloned; candidates
-    /// are pooled by linear id scan (freshest wins, first wins on a tie) and
-    /// may be owned or borrowed: a borrowed candidate that is already known
-    /// at least as fresh is never cloned.
-    pub fn absorb<D>(&mut self, candidates: impl IntoIterator<Item = D>)
+    /// The view's entries and the candidates are ranked borrowed (see
+    /// [`View::reselect`]): kept entries stay in place, and a candidate is
+    /// moved in (owned batches) or cloned (borrowed ones) only if it is kept.
+    pub fn absorb<C>(&mut self, candidates: C)
     where
-        D: Borrow<Descriptor<P>> + Into<Descriptor<P>>,
+        C: AsRef<[Descriptor<P>]> + IntoIterator,
+        C::Item: Into<Descriptor<P>>,
     {
-        let mut candidates = candidates.into_iter().peekable();
-        if candidates.peek().is_none() {
-            return;
+        if !candidates.as_ref().is_empty() {
+            self.absorb_from(candidates);
         }
-        let (selector, own, self_id) = (&self.selector, &self.profile, self.id);
-        let capacity = self.view.capacity();
-        self.view.reselect(|pool| {
-            for d in candidates {
-                let (id, age) = (d.borrow().id, d.borrow().age);
-                if id == self_id {
-                    continue;
-                }
-                match pool.iter_mut().find(|known| known.id == id) {
-                    Some(known) if known.age <= age => {}
-                    Some(known) => *known = d.into(),
-                    None => pool.push(d.into()),
-                }
-            }
-            selector.select(own, pool, capacity);
-        });
+    }
+
+    fn absorb_from<C>(&mut self, candidates: C)
+    where
+        C: AsRef<[Descriptor<P>]> + IntoIterator,
+        C::Item: Into<Descriptor<P>>,
+    {
+        let (selector, own, capacity) = (&self.selector, &self.profile, self.view.capacity());
+        self.view.reselect(candidates, self.id, |pool| selector.rank(own, pool, capacity));
     }
 
     /// Starts one semantic gossip: ages entries, picks the oldest semantic
@@ -117,8 +108,8 @@ impl<P: Clone> Vicinity<P> {
     ) -> Option<(NodeId, Vec<Descriptor<P>>)> {
         self.view.increase_ages();
         let partner_id = self.view.oldest()?;
-        let partner = self.view.get(partner_id).cloned()?;
-        let batch = self.batch_for(&partner, rng);
+        let partner = self.view.get(partner_id)?;
+        let batch = self.batch_for(partner, rng);
         self.pending_partner = Some(partner_id);
         Some((partner_id, batch))
     }
@@ -127,11 +118,12 @@ impl<P: Clone> Vicinity<P> {
     pub fn handle_request<R: Rng + ?Sized>(
         &mut self,
         from: &Descriptor<P>,
-        received: Vec<Descriptor<P>>,
+        mut received: Vec<Descriptor<P>>,
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
         let reply = self.batch_for(from, rng);
-        self.absorb(received.into_iter().chain([from.refreshed()]));
+        received.push(from.refreshed());
+        self.absorb(received);
         reply
     }
 
@@ -145,21 +137,41 @@ impl<P: Clone> Vicinity<P> {
 
     /// Builds the batch to send to `partner`: the descriptors we know that
     /// are most useful from the partner's vantage point, our own included.
+    /// The view is ranked borrowed; only the sent descriptors are cloned.
     fn batch_for<R: Rng + ?Sized>(
         &self,
         partner: &Descriptor<P>,
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
-        // The subset's shuffle draws feed the shared RNG stream and must
-        // stay, although a selector's ranking ignores pool order.
-        let mut batch = self.view.random_subset(self.view.len(), Some(partner.id), rng);
-        batch.push(Descriptor::new(self.id, self.profile.clone()));
-        self.selector.select(&partner.profile, &mut batch, self.shuffle_len);
+        // The shuffle's draws feed the shared RNG stream and must stay,
+        // although a selector's ranking ignores pool order.
+        let order = self.view.shuffled_positions(Some(partner.id), rng);
+        let entries = self.view.as_slice();
+        let own = Descriptor::new(self.id, self.profile.clone());
+        let own_at = order.len() as u32;
+        let ranking = {
+            let mut pool: Scratch<&Descriptor<P>, POOL> = Scratch::with_fill(&own);
+            for &at in order.as_slice() {
+                pool.push(&entries[at as usize]);
+            }
+            pool.push(&own);
+            self.selector.rank(&partner.profile, pool.as_slice(), self.shuffle_len)
+        };
+        let mut own = Some(own);
+        // One spare slot: a request's receiver appends the sender's
+        // descriptor before absorbing the batch.
+        let mut batch = Vec::with_capacity(ranking.len() + 1);
+        for &at in ranking.as_slice() {
+            match own.take_if(|_| at == own_at) {
+                Some(own) => batch.push(own),
+                None => batch.push(entries[order.as_slice()[at as usize] as usize].clone()),
+            }
+        }
         // Always advertise ourselves even if the selector ranked us out:
         // self-propagation is what lets new nodes take their place.
-        if !batch.iter().any(|d| d.id == self.id) {
+        if let Some(own) = own {
             batch.pop();
-            batch.push(Descriptor::new(self.id, self.profile.clone()));
+            batch.push(own);
         }
         batch
     }

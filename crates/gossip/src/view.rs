@@ -3,11 +3,15 @@ use std::borrow::Borrow;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Descriptor, NodeId, Scratch};
+use crate::{Descriptor, NodeId, Ranking, Scratch};
 
 /// Inline size of the per-call id/index scratch: covers the paper's view
 /// size (20) with room to spare; larger views spill to the heap.
 const INLINE: usize = 32;
+
+/// Inline size of a selection pool: a view plus a CYCLON view's worth of
+/// candidates (20 + 20 at the paper's sizes).
+pub(crate) const POOL: usize = 48;
 
 /// A bounded partial view: at most `capacity` descriptors, at most one per
 /// peer id. This is the data structure underlying both gossip layers.
@@ -91,6 +95,11 @@ impl<P> View<P> {
         self.entries.iter()
     }
 
+    /// The descriptors in view order.
+    pub fn as_slice(&self) -> &[Descriptor<P>] {
+        &self.entries
+    }
+
     /// Increments every descriptor's age by one round.
     pub fn increase_ages(&mut self) {
         for d in &mut self.entries {
@@ -149,6 +158,22 @@ impl<P> View<P> {
     pub fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<&Descriptor<P>> {
         self.entries.choose(rng)
     }
+
+    /// The positions of all entries but `exclude`'s, shuffled — the draws
+    /// behind [`random_subset`](Self::random_subset), for callers that
+    /// rank the entries before they clone any.
+    pub(crate) fn shuffled_positions<R: Rng + ?Sized>(
+        &self,
+        exclude: Option<NodeId>,
+        rng: &mut R,
+    ) -> Scratch<u32, INLINE> {
+        // Shuffle positions, not references: same draws, no heap pool.
+        let mut pool: Scratch<u32, INLINE> = (0..self.entries.len() as u32)
+            .filter(|&i| Some(self.entries[i as usize].id) != exclude)
+            .collect();
+        pool.as_mut_slice().shuffle(rng);
+        pool
+    }
 }
 
 impl<P: Clone> View<P> {
@@ -160,13 +185,9 @@ impl<P: Clone> View<P> {
         exclude: Option<NodeId>,
         rng: &mut R,
     ) -> Vec<Descriptor<P>> {
-        // Shuffle positions, not references: same draws, no heap pool.
-        let mut pool: Scratch<u32, INLINE> = (0..self.entries.len() as u32)
-            .filter(|&i| Some(self.entries[i as usize].id) != exclude)
-            .collect();
-        pool.as_mut_slice().shuffle(rng);
+        let pool = self.shuffled_positions(exclude, rng);
         let picked = &pool.as_slice()[..n.min(pool.len())];
-        // Both gossip layers append their own descriptor to the subset.
+        // CYCLON appends its own descriptor to the subset.
         let mut out = Vec::with_capacity(picked.len() + 1);
         out.extend(picked.iter().map(|&i| self.entries[i as usize].clone()));
         out
@@ -217,30 +238,103 @@ impl<P: Clone> View<P> {
 }
 
 impl<P> View<P> {
-    /// Re-selects the view in place. `select` receives the view's own
-    /// entries — moved, not cloned — as a pool it may extend, reorder and
-    /// truncate; what it leaves becomes the view, bounded by capacity with
-    /// later duplicates of an id dropped. Ids that were not in the view
-    /// before count as turnover.
-    pub fn reselect(&mut self, select: impl FnOnce(&mut Vec<Descriptor<P>>)) {
-        let previous: Scratch<NodeId, INLINE> = self.entries.iter().map(|d| d.id).collect();
-        select(&mut self.entries);
-        let mut kept = 0;
-        for i in 0..self.entries.len() {
-            if kept == self.capacity {
-                break;
-            }
-            let id = self.entries[i].id;
-            if self.entries[..kept].iter().any(|d| d.id == id) {
+    /// Re-selects the view in place from its own entries plus `candidates`.
+    ///
+    /// The pool is the entries, then each candidate whose id is not
+    /// `self_id` nor already pooled at least as fresh (a fresher one takes
+    /// the pooled one's place; the first wins a tie). `rank` sees it
+    /// borrowed and names what to keep, best first; that becomes the view,
+    /// bounded by capacity. Kept entries stay where they live, kept
+    /// candidates are moved in when `candidates` is owned and cloned when it
+    /// is borrowed — a candidate that loses the ranking is never cloned.
+    /// Ids that were not in the view before count as turnover.
+    pub fn reselect<C>(
+        &mut self,
+        candidates: C,
+        self_id: NodeId,
+        rank: impl FnOnce(&[&Descriptor<P>]) -> Ranking,
+    ) where
+        C: AsRef<[Descriptor<P>]> + IntoIterator,
+        C::Item: Into<Descriptor<P>>,
+    {
+        let offered = candidates.as_ref();
+        let (known, offered_len) = (self.entries.len(), offered.len());
+        let Some(fill) = self.entries.first().or(offered.first()) else { return };
+        // `source[i]`: where pool member `i` lives — `j < known` is entry
+        // `j`, `known + j` is candidate `j`.
+        let mut pool: Scratch<&Descriptor<P>, POOL> = Scratch::with_fill(fill);
+        let mut source: Scratch<u32, POOL> = Scratch::new();
+        // Bit `id % 256` of every pooled id: a candidate whose bit is clear
+        // is new to the pool without a scan.
+        let mut pooled = [0u64; 4];
+        let bit = |id: NodeId| (id as usize >> 6 & 3, 1u64 << (id & 63));
+        for (j, d) in self.entries.iter().enumerate() {
+            pool.push(d);
+            source.push(j as u32);
+            let (word, mask) = bit(d.id);
+            pooled[word] |= mask;
+        }
+        for (j, d) in offered.iter().enumerate() {
+            if d.id == self_id {
                 continue;
             }
-            if !previous.as_slice().contains(&id) {
+            let (word, mask) = bit(d.id);
+            let known_at = match pooled[word] & mask {
+                0 => None,
+                _ => pool.as_slice().iter().position(|p| p.id == d.id),
+            };
+            pooled[word] |= mask;
+            match known_at {
+                Some(i) if pool.as_slice()[i].age <= d.age => {}
+                Some(i) => {
+                    pool.as_mut_slice()[i] = d;
+                    source.as_mut_slice()[i] = (known + j) as u32;
+                }
+                None => {
+                    pool.push(d);
+                    source.push((known + j) as u32);
+                }
+            }
+        }
+        let ranking = rank(pool.as_slice());
+
+        // `order[k]`: where the view's k-th entry comes from. A pool
+        // position past the old entries is an id new to the view.
+        let mut taken: Scratch<bool, POOL> = Scratch::filled(source.len(), false);
+        let mut order: Scratch<u32, INLINE> = Scratch::new();
+        for &at in ranking.as_slice() {
+            if order.len() == self.capacity || std::mem::replace(&mut taken.as_mut_slice()[at as usize], true) {
+                continue;
+            }
+            if at as usize >= known {
                 self.turnover += 1;
             }
-            self.entries.swap(kept, i);
-            kept += 1;
+            order.push(source.as_slice()[at as usize]);
         }
-        self.entries.truncate(kept);
+        // Append the kept candidates, then gather: position `k` takes the
+        // entry at `order[k]`, which an earlier swap may have displaced
+        // along the chain of already-final positions.
+        let mut slot_of: Scratch<u32, POOL> = Scratch::filled(offered_len, u32::MAX);
+        for (k, &from) in order.as_slice().iter().enumerate() {
+            if from as usize >= known {
+                slot_of.as_mut_slice()[from as usize - known] = k as u32;
+            }
+        }
+        for (d, &k) in candidates.into_iter().zip(slot_of.as_slice()) {
+            if k != u32::MAX {
+                order.as_mut_slice()[k as usize] = self.entries.len() as u32;
+                self.entries.push(d.into());
+            }
+        }
+        let order = order.as_slice();
+        for k in 0..order.len() {
+            let mut from = order[k] as usize;
+            while from < k {
+                from = order[from] as usize;
+            }
+            self.entries.swap(k, from);
+        }
+        self.entries.truncate(order.len());
     }
 }
 
@@ -340,27 +434,59 @@ mod tests {
         assert_eq!(v.get(1).unwrap().age, 0, "fresher duplicate adopted");
     }
 
-    #[test]
-    fn reselect_bounds_and_dedupes() {
-        let mut v = View::new(2);
-        v.reselect(|pool| *pool = vec![d(1, 0), d(1, 5), d(2, 0), d(3, 0)]);
-        assert_eq!(v.len(), 2);
-        assert!(v.contains(1) && v.contains(2));
-        assert_eq!(v.get(1).unwrap().age, 0);
+    /// A ranking that keeps the pooled descriptors of `ids`, in that order.
+    fn keep<P>(ids: &[NodeId]) -> impl FnOnce(&[&Descriptor<P>]) -> Ranking + '_ {
+        move |pool| {
+            ids.iter()
+                .filter_map(|id| pool.iter().position(|d| d.id == *id))
+                .map(|at| at as u32)
+                .collect()
+        }
+    }
+
+    /// Everything pooled, in pool order.
+    fn keep_all<P>(pool: &[&Descriptor<P>]) -> Ranking {
+        (0..pool.len() as u32).collect()
     }
 
     #[test]
-    fn reselect_moves_own_entries_into_the_pool() {
+    fn reselect_bounds_and_dedupes() {
+        let mut v = View::new(2);
+        v.reselect(vec![d(1, 0), d(1, 5), d(2, 0), d(3, 0)], 99, keep_all);
+        assert_eq!(v.ids(), vec![1, 2]);
+        assert_eq!(v.get(1).unwrap().age, 0, "staler duplicate not pooled");
+        v.reselect(vec![d(3, 0), d(2, 0), d(99, 0)], 99, |pool| {
+            assert_eq!(pool.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
+            [2, 2, 0, 1].into_iter().collect()
+        });
+        assert_eq!(v.ids(), vec![3, 1], "a repeated position is kept once");
+    }
+
+    #[test]
+    fn reselect_pools_own_entries_then_candidates() {
         let mut v = View::new(3);
         v.insert(d(1, 4));
         v.insert(d(2, 1));
-        v.reselect(|pool| {
-            assert_eq!(pool.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2]);
-            pool.push(d(7, 0));
-            pool.reverse();
+        v.reselect([d(7, 0), d(1, 2)], 99, |pool| {
+            let pooled: Vec<_> = pool.iter().map(|e| (e.id, e.age)).collect();
+            assert_eq!(pooled, vec![(1, 2), (2, 1), (7, 0)], "fresher candidate in place");
+            [2, 1, 0].into_iter().collect()
         });
-        assert_eq!(v.ids(), vec![7, 2, 1], "the pool's order becomes the view's");
+        assert_eq!(v.ids(), vec![7, 2, 1], "the ranking's order becomes the view's");
+        assert_eq!(v.get(1).unwrap().age, 2);
         assert_eq!(v.turnover(), 3);
+    }
+
+    #[test]
+    fn reselect_clones_borrowed_candidates_only_when_kept() {
+        use std::rc::Rc;
+        let mut v: View<Rc<u8>> = View::new(2);
+        let offered: Vec<Descriptor<Rc<u8>>> =
+            (1..=4).map(|id| Descriptor::new(id, Rc::new(id as u8))).collect();
+        v.reselect(&offered, 99, keep(&[3, 1]));
+        assert_eq!(v.ids(), vec![3, 1]);
+        let counts: Vec<usize> = offered.iter().map(|d| Rc::strong_count(&d.profile)).collect();
+        assert_eq!(counts, vec![2, 1, 2, 1]);
     }
 
     #[test]
@@ -388,10 +514,10 @@ mod tests {
         v.insert(d(3, 0)); // evicts oldest → one replacement
         assert_eq!(v.turnover(), 3);
         // reselect: id 3 survives, id 9 is new → +1.
-        v.reselect(|pool| *pool = vec![d(3, 0), d(9, 0)]);
+        v.reselect([d(9, 0)], 99, keep(&[3, 9]));
         assert_eq!(v.turnover(), 4);
         // An id that left and comes back counts again.
-        v.reselect(|pool| *pool = vec![d(1, 0)]);
+        v.reselect([d(1, 0)], 99, keep(&[1]));
         assert_eq!(v.turnover(), 5);
     }
 

@@ -263,26 +263,48 @@ pub enum Event {
     },
 }
 
-impl Event {
-    /// Stable snake_case name of the variant, used as the JSON `ev` field
-    /// and as the per-kind counter key in [`crate::Registry`].
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::QueryIssued { .. } => "query_issued",
-            Event::QueryForwarded { .. } => "query_forwarded",
-            Event::QueryReceived { .. } => "query_received",
-            Event::ReplySent { .. } => "reply_sent",
-            Event::ReplyMerged { .. } => "reply_merged",
-            Event::TimeoutFired { .. } => "timeout_fired",
-            Event::SigmaStop { .. } => "sigma_stop",
-            Event::QueryCompleted { .. } => "query_completed",
-            Event::GossipRound { .. } => "gossip_round",
-            Event::ViewChange { .. } => "view_change",
-            Event::NodeCrashed { .. } => "node_crashed",
-            Event::NodeRestarted { .. } => "node_restarted",
-        }
-    }
+/// [`Event::kind`] and [`Event::counter_name`] from one list, so a
+/// variant's counter key cannot drift from its name.
+macro_rules! event_kinds {
+    ($($variant:ident => $kind:literal),* $(,)?) => {
+        impl Event {
+            /// Stable snake_case name of the variant, used as the JSON `ev`
+            /// field and, prefixed, as the per-kind counter key in
+            /// [`crate::Registry`].
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => $kind,)*
+                }
+            }
 
+            /// `event.<kind>`: the per-kind counter key in
+            /// [`crate::Registry`], static so counting an event allocates
+            /// nothing.
+            pub fn counter_name(&self) -> &'static str {
+                match self {
+                    $(Event::$variant { .. } => concat!("event.", $kind),)*
+                }
+            }
+        }
+    };
+}
+
+event_kinds! {
+    QueryIssued => "query_issued",
+    QueryForwarded => "query_forwarded",
+    QueryReceived => "query_received",
+    ReplySent => "reply_sent",
+    ReplyMerged => "reply_merged",
+    TimeoutFired => "timeout_fired",
+    SigmaStop => "sigma_stop",
+    QueryCompleted => "query_completed",
+    GossipRound => "gossip_round",
+    ViewChange => "view_change",
+    NodeCrashed => "node_crashed",
+    NodeRestarted => "node_restarted",
+}
+
+impl Event {
     /// The event's timestamp in milliseconds.
     pub fn at(&self) -> u64 {
         match *self {

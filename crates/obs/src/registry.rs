@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use crate::event::Event;
+use crate::event::{Event, Layer};
 use crate::observer::Observer;
 use crate::window::{WindowRate, WindowSpec, WindowedCounter, WindowedHistogram};
 
@@ -273,26 +273,22 @@ impl Registry {
     /// Adds `delta` to the named counter (creating it at 0).
     pub fn add(&self, name: &str, delta: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        *slot(&mut inner.counters, name, || 0) += delta;
     }
 
     /// Records a sample into the named histogram (creating it empty).
     pub fn record(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner.histograms.entry(name.to_string()).or_default().record(value);
+        slot(&mut inner.histograms, name, Histogram::default).record(value);
     }
 
     /// [`add`](Self::add) stamped at `at_ms`: also feeds the name's sliding
     /// window when windows are enabled.
     pub fn add_at(&self, name: &str, delta: u64, at_ms: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        *slot(&mut inner.counters, name, || 0) += delta;
         if let Some(spec) = self.window {
-            inner
-                .wcounters
-                .entry(name.to_string())
-                .or_insert_with(|| WindowedCounter::new(spec))
-                .add(at_ms, delta);
+            slot(&mut inner.wcounters, name, || WindowedCounter::new(spec)).add(at_ms, delta);
         }
     }
 
@@ -300,13 +296,9 @@ impl Registry {
     /// sliding window when windows are enabled.
     pub fn record_at(&self, name: &str, value: u64, at_ms: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
-        inner.histograms.entry(name.to_string()).or_default().record(value);
+        slot(&mut inner.histograms, name, Histogram::default).record(value);
         if let Some(spec) = self.window {
-            inner
-                .whistograms
-                .entry(name.to_string())
-                .or_insert_with(|| WindowedHistogram::new(spec))
-                .record(at_ms, value);
+            slot(&mut inner.whistograms, name, || WindowedHistogram::new(spec)).record(at_ms, value);
         }
     }
 
@@ -359,13 +351,34 @@ impl Registry {
     }
 }
 
+/// `map[name]`, made by `make` on first use: an update allocates the key's
+/// `String` only then.
+fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, make: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), make());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
+/// The per-layer gossip gauges `gossip.{view_size, mean_age_x1000,
+/// replaced}.<layer>`, spelled out so a gossip round formats nothing.
+fn gossip_names(layer: Layer) -> [&'static str; 3] {
+    match layer {
+        Layer::Random => {
+            ["gossip.view_size.random", "gossip.mean_age_x1000.random", "gossip.replaced.random"]
+        }
+        Layer::Semantic => [
+            "gossip.view_size.semantic",
+            "gossip.mean_age_x1000.semantic",
+            "gossip.replaced.semantic",
+        ],
+    }
+}
+
 impl Observer for Registry {
     fn on_event(&self, event: &Event) {
         let at = event.at();
-        let mut key = String::with_capacity(32);
-        key.push_str("event.");
-        key.push_str(event.kind());
-        self.add_at(&key, 1, at);
+        self.add_at(event.counter_name(), 1, at);
         match *event {
             Event::QueryReceived { duplicate: true, .. } => {
                 self.add_at("query.duplicates", 1, at);
@@ -373,10 +386,10 @@ impl Observer for Registry {
             Event::ReplySent { count, .. } => self.record_at("reply.count", count, at),
             Event::QueryCompleted { count, .. } => self.record_at("query.final_count", count, at),
             Event::GossipRound { layer, view_size, mean_age_x1000, replaced, .. } => {
-                let l = layer.name();
-                self.record_at(&format!("gossip.view_size.{l}"), view_size as u64, at);
-                self.record_at(&format!("gossip.mean_age_x1000.{l}"), mean_age_x1000, at);
-                self.add_at(&format!("gossip.replaced.{l}"), replaced, at);
+                let [size, age, replacements] = gossip_names(layer);
+                self.record_at(size, view_size as u64, at);
+                self.record_at(age, mean_age_x1000, at);
+                self.add_at(replacements, replaced, at);
             }
             Event::ViewChange { links, zero, changed, .. } => {
                 self.record_at("routing.links", links as u64, at);
@@ -391,7 +404,7 @@ impl Observer for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Layer, QueryRef};
+    use crate::event::QueryRef;
 
     #[test]
     fn histogram_buckets_by_bit_length() {
@@ -554,6 +567,124 @@ mod tests {
         let text = r.snapshot().render();
         assert!(text.contains("query.duplicates = 1"));
         assert!(text.contains("gossip.view_size.random: count=1"));
+    }
+
+    /// Every event kind, both layers and all four update calls, three
+    /// times over: the rendered snapshot and window snapshot.
+    fn repeated_updates() -> (String, String) {
+        use crate::window::WindowSpec;
+        let r = Registry::with_windows(WindowSpec::new(1_000, 4));
+        let q = QueryRef::new(1, 0);
+        for round in 0..3u64 {
+            let at = round * 700;
+            let n = round as u32;
+            for e in [
+                Event::QueryIssued { at, query: q, node: 1, sigma: Some(4), count_only: false, matched: true },
+                Event::QueryForwarded { at, query: q, from: 1, to: 2, level: 1, attempt: n },
+                Event::QueryReceived { at, query: q, node: 2, parent: 1, level: 1, matched: true, duplicate: round == 1 },
+                Event::ReplySent { at, query: q, node: 2, to: 1, count: round + 2, attempt: n },
+                Event::ReplyMerged { at, query: q, node: 1, from: 2, count: round, fresh: true, attempt: n },
+                Event::TimeoutFired { at, query: q, node: 1, peer: 3 },
+                Event::SigmaStop { at, query: q, node: 1, count: 4 },
+                Event::QueryCompleted { at, query: q, node: 1, count: 5 * round },
+                Event::GossipRound { at, node: 2, layer: Layer::Random, view_size: 20 - n, mean_age_x1000: 1_500 + at, replaced: round },
+                Event::GossipRound { at, node: 2, layer: Layer::Semantic, view_size: 19, mean_age_x1000: 900, replaced: 2 * round },
+                Event::ViewChange { at, node: 2, links: 12 + n, zero: 3, changed: n },
+                Event::NodeCrashed { at, node: 4 },
+                Event::NodeRestarted { at, node: 4 },
+            ] {
+                r.on_event(&e);
+            }
+            r.add("plain", round);
+            r.record("plain.hist", round * 3);
+            r.add_at("stamped", 2, at);
+            r.record_at("stamped.hist", round + 1, at);
+        }
+        (r.snapshot().render(), r.window_snapshot(2_000).render())
+    }
+
+    /// Captured before lookups stopped allocating keys: repeated updates
+    /// through every path must keep rendering these bytes.
+    const PINNED_SNAPSHOT: &str = r"event.gossip_round = 6
+event.node_crashed = 3
+event.node_restarted = 3
+event.query_completed = 3
+event.query_forwarded = 3
+event.query_issued = 3
+event.query_received = 3
+event.reply_merged = 3
+event.reply_sent = 3
+event.sigma_stop = 3
+event.timeout_fired = 3
+event.view_change = 3
+gossip.replaced.random = 3
+gossip.replaced.semantic = 6
+plain = 3
+query.duplicates = 1
+routing.slots_changed = 3
+stamped = 6
+gossip.mean_age_x1000.random: count=3 sum=6600 max=2900 mean=2200.00
+  >=1024: 1
+  >=2048: 2
+gossip.mean_age_x1000.semantic: count=3 sum=2700 max=900 mean=900.00
+  >=512: 3
+gossip.view_size.random: count=3 sum=57 max=20 mean=19.00
+  >=16: 3
+gossip.view_size.semantic: count=3 sum=57 max=19 mean=19.00
+  >=16: 3
+plain.hist: count=3 sum=9 max=6 mean=3.00
+  >=0: 1
+  >=2: 1
+  >=4: 1
+query.final_count: count=3 sum=15 max=10 mean=5.00
+  >=0: 1
+  >=4: 1
+  >=8: 1
+reply.count: count=3 sum=9 max=4 mean=3.00
+  >=2: 2
+  >=4: 1
+routing.links: count=3 sum=39 max=14 mean=13.00
+  >=8: 3
+routing.zero_slots: count=3 sum=9 max=3 mean=3.00
+  >=2: 3
+stamped.hist: count=3 sum=6 max=3 mean=2.00
+  >=1: 1
+  >=2: 2
+";
+    const PINNED_WINDOW: &str = r"window at=2000 span_ms=4000
+event.gossip_round = 6 (1.50/s)
+event.node_crashed = 3 (0.75/s)
+event.node_restarted = 3 (0.75/s)
+event.query_completed = 3 (0.75/s)
+event.query_forwarded = 3 (0.75/s)
+event.query_issued = 3 (0.75/s)
+event.query_received = 3 (0.75/s)
+event.reply_merged = 3 (0.75/s)
+event.reply_sent = 3 (0.75/s)
+event.sigma_stop = 3 (0.75/s)
+event.timeout_fired = 3 (0.75/s)
+event.view_change = 3 (0.75/s)
+gossip.replaced.random = 3 (0.75/s)
+gossip.replaced.semantic = 6 (1.50/s)
+query.duplicates = 1 (0.25/s)
+routing.slots_changed = 3 (0.75/s)
+stamped = 6 (1.50/s)
+gossip.mean_age_x1000.random: count=3 p50=2900 p99=2900 p999=2900 max=2900
+gossip.mean_age_x1000.semantic: count=3 p50=853 p99=900 p999=900 max=900
+gossip.view_size.random: count=3 p50=20 p99=20 p999=20 max=20
+gossip.view_size.semantic: count=3 p50=19 p99=19 p999=19 max=19
+query.final_count: count=3 p50=7 p99=10 p999=10 max=10
+reply.count: count=3 p50=3 p99=4 p999=4 max=4
+routing.links: count=3 p50=13 p99=14 p999=14 max=14
+routing.zero_slots: count=3 p50=3 p99=3 p999=3 max=3
+stamped.hist: count=3 p50=2 p99=3 p999=3 max=3
+";
+
+    #[test]
+    fn render_bytes_hold_across_repeated_updates() {
+        let (snapshot, window) = repeated_updates();
+        assert_eq!(snapshot, PINNED_SNAPSHOT);
+        assert_eq!(window, PINNED_WINDOW);
     }
 
     mod quantile_properties {
