@@ -11,9 +11,9 @@
 //! | `thread-sleep-in-tests` | test code | sleeping makes tests flaky-slow; poll with the `wait_until` helper instead |
 //! | `unwrap-in-protocol` | `core/src/node.rs`, `core/src/routing.rs` | these files define the protocol invariants — every panic site must state the invariant it relies on (`expect`), tests included, since test panics are how invariant breakage first surfaces |
 //! | `obs-schema` | `crates/obs/src/event.rs`, non-test | the trace JSON schema is closed (docs/OBSERVABILITY.md); a new key or event kind must be added to the schema table deliberately, not leak in via a string literal |
-//! | `unbounded-channel` | `crates/net/src`, non-test | bounded inboxes are the load-survival invariant: every peer queue is `mpsc::sync_channel` with drop-on-full accounting, so an unbounded `mpsc::channel()` reintroduces the memory blow-up and hides backpressure the netload bench is meant to surface |
+//! | `unbounded-channel` | `crates/net/src`, non-test | bounded inboxes are the load-survival invariant: every peer queue has drop-on-full accounting, so an unbounded `mpsc::channel()` reintroduces the memory blow-up and hides backpressure the netload bench is meant to surface — the one sanctioned use, the shard inbox, is bounded by per-peer admission and says so in its pragma |
 //! | `spawn-per-send` | `crates/net/src`, non-test | the TCP transport once spawned a thread (and opened a connection) *per message* — the scalability bug the persistent link data plane replaced; every legitimate runtime thread is long-lived and named via `thread::Builder`, so a bare `thread::spawn` in the runtime is either that regression returning or an unnamed thread that ruins stack traces |
-//! | `lock-unwrap` | `crates/net/src`, tests included | the runtime's locks are the tracked `net::sync` wrappers (lock-class audit, invariant-stating poison panics); a raw `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` is either an untracked `std::sync` lock sneaking back in, or a poison panic that names no invariant — the same standard the protocol files hold for `.unwrap()` |
+//! | `lock-unwrap` | `crates/net/src`, tests included | the shard runtime holds no locks; one that comes back must be a tracked `autosel_obs::sync` wrapper (lock-class audit, invariant-stating poison panics), and a raw `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` is either an untracked `std::sync` lock sneaking back in, or a poison panic that names no invariant — the same standard the protocol files hold for `.unwrap()` |
 //!
 //! The deeper lock-order analysis (acquisition-graph cycles, blocking
 //! calls under a live guard, guards held across channel sends) lives in

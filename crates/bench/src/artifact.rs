@@ -381,6 +381,7 @@ mod tests {
             tx_frames: v[3],
             tx_queue_full_drops: v[4],
             tx_oversize_drops: v[5],
+            rx_dropped: 0,
         })
     }
 

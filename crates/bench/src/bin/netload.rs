@@ -308,7 +308,7 @@ fn main() {
     // `--features lockcheck`), publish per-class hold-time histograms
     // (`lock.hold_us.<class>`) into the same registry. A no-op passthrough
     // otherwise.
-    autosel_net::sync::set_hold_registry(Some(Arc::clone(&registry)));
+    autosel_obs::sync::set_hold_registry(Some(Arc::clone(&registry)));
     let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
     let mut fan = Fanout::new();
     fan.push(Arc::clone(&registry) as Arc<dyn autosel_obs::Observer>);
@@ -454,7 +454,7 @@ fn main() {
             s.tx_queue_full_drops, s.tx_oversize_drops
         );
     }
-    if autosel_net::sync::lockcheck_active() {
+    if autosel_obs::sync::lockcheck_active() {
         // Hold times accumulate in the cumulative histograms (they are not
         // windowed): one line per lock class, worst classes are the ones to
         // stare at when the knee moves.

@@ -443,7 +443,7 @@ pub fn uniform_points(space: &Space, n: usize, seed: u64) -> Vec<Point> {
         .collect()
 }
 
-/// **Figure 13, live** — `n` threaded peers gossiping every 50 ms; five
+/// **Figure 13, live** — `n` live peers gossiping every 50 ms; five
 /// probes (σ = ∞), 10% of the peers killed before each but the first, 2 s of
 /// gossip (~40 rounds) between a kill and its probe. The in-memory transport
 /// injects 1–5 ms latency; `tcp` uses loopback sockets, which bring their own.

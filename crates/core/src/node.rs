@@ -163,6 +163,47 @@ struct CachedReply {
     count: u64,
 }
 
+/// The set of query ids a node has ever accepted, kept as 64-id blocks:
+/// key `(origin, seq / 64)`, bit `seq % 64`. Origins number their queries
+/// densely from 0, so one 24-byte entry stands for up to 64 ids where a
+/// plain id set spends about 20 bytes on each (a block holding a single
+/// id costs a little more than before). The set is never pruned —
+/// duplicates must be recognised for a node's whole life — so this factor
+/// is what a node's memory grows by per query it relays.
+#[derive(Debug, Default)]
+struct SeenSet {
+    blocks: FastMap<(NodeId, u32), u64>,
+}
+
+impl SeenSet {
+    fn contains(&self, id: QueryId) -> bool {
+        self.blocks
+            .get(&(id.origin, id.seq / 64))
+            .is_some_and(|bits| bits & (1u64 << (id.seq % 64)) != 0)
+    }
+
+    fn insert(&mut self, id: QueryId) {
+        *self.blocks.entry((id.origin, id.seq / 64)).or_insert(0) |= 1u64 << (id.seq % 64);
+    }
+
+    /// Every member in ascending `(origin, seq)` order — the enumeration
+    /// [`SelectionNode::state_fingerprint`] hashes, the same one a sorted
+    /// plain id set gives.
+    fn sorted(&self) -> Vec<QueryId> {
+        let mut keys: Vec<(NodeId, u32)> = self.blocks.keys().copied().collect();
+        keys.sort_unstable();
+        let mut out = Vec::new();
+        for (origin, block) in keys {
+            let mut bits = self.blocks[&(origin, block)];
+            while bits != 0 {
+                out.push(QueryId { origin, seq: block * 64 + bits.trailing_zeros() });
+                bits &= bits - 1;
+            }
+        }
+        out
+    }
+}
+
 /// A resource-selection node: one compute resource representing itself in
 /// the overlay (§4.3, Fig. 5).
 ///
@@ -195,7 +236,7 @@ pub struct SelectionNode {
     /// query is still pending here the duplicate is *suppressed* (the real
     /// REPLY will answer the upstream); after conclusion it is answered
     /// from [`reply_cache`](Self::reply_cache), or empty on a cache miss.
-    seen: FastSet<QueryId>,
+    seen: SeenSet,
     /// Final replies of recently concluded queries, FIFO-bounded by
     /// [`ProtocolConfig::reply_cache`].
     reply_cache: FastMap<QueryId, CachedReply>,
@@ -243,7 +284,7 @@ impl SelectionNode {
             dynamic: FastMap::default(),
             pending: FastMap::default(),
             spare: Vec::new(),
-            seen: FastSet::default(),
+            seen: SeenSet::default(),
             reply_cache: FastMap::default(),
             reply_cache_order: VecDeque::new(),
             config,
@@ -463,8 +504,7 @@ impl SelectionNode {
             }
         }
 
-        let mut seen: Vec<QueryId> = self.seen.iter().copied().collect();
-        seen.sort_unstable();
+        let seen = self.seen.sorted();
         h.word(seen.len() as u64);
         for qid in seen {
             h.word(qid.origin);
@@ -723,7 +763,7 @@ impl SelectionNode {
 
     /// The `receive_query` procedure of Fig. 5.
     fn accept_query(&mut self, from: Option<NodeId>, msg: QueryMsg, now: u64) -> Vec<Output> {
-        if self.seen.contains(&msg.id) {
+        if self.seen.contains(msg.id) {
             // Duplicate delivery (a fault-duplicated copy or an upstream
             // retry): never re-process. How to answer depends on where the
             // original traversal stands — replying empty unconditionally is
@@ -1197,6 +1237,75 @@ mod tests {
             }
         }
         produced
+    }
+
+    mod seen_set {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Sequence numbers that stress the block arithmetic: both sides of
+        /// the first block edges, the top of the `u32` range, and anything.
+        fn seq() -> impl Strategy<Value = u32> {
+            prop_oneof![
+                0u32..200,
+                Just(63u32),
+                Just(64u32),
+                Just(65u32),
+                (u32::MAX - 130)..=u32::MAX,
+                any::<u32>(),
+            ]
+        }
+
+        /// A few origins (dense blocks) or any origin (many sparse ones).
+        fn origin() -> impl Strategy<Value = NodeId> {
+            prop_oneof![0u64..4, any::<u64>()]
+        }
+
+        proptest! {
+            /// The blocked set answers every lookup exactly like the plain
+            /// id set it replaced, on interleaved inserts and lookups, and
+            /// enumerates the same ids in the same order — the order
+            /// `state_fingerprint` hashes.
+            #[test]
+            fn agrees_with_a_plain_id_set(
+                ops in prop::collection::vec((origin(), seq(), any::<bool>()), 1..300),
+            ) {
+                let mut seen = SeenSet::default();
+                let mut reference: FastSet<QueryId> = FastSet::default();
+                for &(origin, seq, insert) in &ops {
+                    let id = QueryId { origin, seq };
+                    if insert {
+                        seen.insert(id);
+                        reference.insert(id);
+                    }
+                    for probe in [seq.wrapping_sub(1), seq, seq.wrapping_add(1)] {
+                        let q = QueryId { origin, seq: probe };
+                        let want = reference.contains(&q);
+                        prop_assert_eq!(seen.contains(q), want, "lookup of {}", q);
+                    }
+                }
+                let mut want: Vec<QueryId> = reference.into_iter().collect();
+                want.sort_unstable();
+                prop_assert_eq!(seen.sorted(), want);
+            }
+        }
+
+        /// `state_fingerprint` of the node below when `seen` was a plain
+        /// `FastSet<QueryId>`.
+        const FINGERPRINT_PLAIN_SET: u64 = 0xcf38_5677_518f_a566;
+
+        /// The digest of a node's state does not depend on how the seen set
+        /// is stored: ids on both sides of a block edge and at the top of
+        /// the `u32` range hash exactly as the plain id set hashed them.
+        #[test]
+        fn fingerprint_matches_the_plain_id_set() {
+            let mut n = node(1, [10, 20]);
+            let ids = [(7, 0), (7, 63), (7, 64), (7, 65), (3, u32::MAX), (3, 5), (9, 1_000)];
+            for (origin, seq) in ids {
+                n.seen.insert(QueryId { origin, seq });
+            }
+            assert_eq!(n.state_fingerprint(), FINGERPRINT_PLAIN_SET);
+        }
     }
 
     #[test]

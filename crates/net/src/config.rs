@@ -16,16 +16,17 @@ pub struct NetConfig {
     pub injected_latency_ms: Option<(u64, u64)>,
     /// How many random existing peers a new node is introduced to.
     pub bootstrap_degree: usize,
-    /// Bound on each peer's event inbox. Peer traffic beyond it is dropped
-    /// (and counted), like network loss — the load-survival invariant that
-    /// keeps a saturated node's memory flat instead of queueing unboundedly.
+    /// Bound on each peer's event inbox, counted per peer however many
+    /// peers share a shard's queues. Peer traffic beyond it is dropped (and
+    /// counted), like network loss — the load-survival invariant that keeps
+    /// a saturated node's memory flat instead of queueing unboundedly.
     pub inbox_capacity: usize,
 }
 
 /// Tuning for the persistent TCP data plane
-/// ([`Transport::tcp_tuned`](crate::Transport::tcp_tuned)):
-/// per-destination links each own one writer thread, a bounded outbound
-/// queue, and a reconnect backoff.
+/// ([`Transport::tcp_tuned`](crate::Transport::tcp_tuned)): every shard
+/// keeps one link to every shard's listener, and each link owns one writer
+/// thread, a bounded outbound queue, and a reconnect backoff.
 #[derive(Debug, Clone)]
 pub struct TcpTuning {
     /// Bound on each link's outbound frame queue. Frames beyond it are

@@ -1,17 +1,22 @@
 //! # autosel-net — real-network deployment of the resource-selection overlay
 //!
 //! The paper validates its protocol beyond simulation: 1 000 emulated nodes
-//! on the DAS-3 cluster and 302 nodes on PlanetLab. This crate is the
-//! equivalent runtime, built on OS threads and blocking I/O:
+//! on the DAS-3 cluster (20 per physical host) and 302 nodes on PlanetLab.
+//! This crate is the equivalent runtime, built on OS threads and blocking
+//! I/O:
 //!
-//! * every node is an independent thread running the *same* sans-IO state
-//!   machines as the simulator ([`autosel_core::SelectionNode`] +
-//!   [`epigossip::GossipStack`]), with real timers, real queues and real
-//!   message interleavings;
-//! * two transports: [`Transport::mem`] (in-process channels with optional
-//!   injected latency — the DAS emulation, where 20 processes per physical
-//!   host shared one cluster) and [`Transport::tcp`] (real sockets over
-//!   loopback with a length-prefixed binary codec — the PlanetLab role);
+//! * every node runs the *same* sans-IO state machines as the simulator
+//!   ([`autosel_core::SelectionNode`] + [`epigossip::GossipStack`]), with
+//!   real timers, real queues and real message interleavings;
+//! * nodes are pinned by id to a few worker shards — about one per core —
+//!   and each shard is one thread owning its nodes outright: one loop runs
+//!   their gossip and timeout timers and hands them their messages, so
+//!   protocol state is never shared and never locked;
+//! * two transports: [`Transport::mem`] (in-process queues with optional
+//!   injected latency — the DAS emulation) and [`Transport::tcp`] (real
+//!   sockets over loopback with a length-prefixed binary codec — the
+//!   PlanetLab role; every message crosses a socket, one listener and one
+//!   persistent link per shard pair);
 //! * [`NetCluster`] — spawn a population, issue queries, kill nodes
 //!   ungracefully, and watch gossip repair the overlay, exactly like
 //!   §6.6–6.7's deployments.
@@ -27,7 +32,6 @@
 mod cluster;
 mod config;
 mod peer;
-pub mod sync;
 mod transport;
 pub mod wire;
 

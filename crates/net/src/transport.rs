@@ -1,124 +1,123 @@
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::BTreeMap;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use attrspace::Space;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use epigossip::NodeId;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::TcpTuning;
-use crate::peer::{InboxSender, NetMessage, PeerEvent};
-use crate::sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
+use crate::peer::{NetMessage, PeerEvent, PeerSlot, Wire};
 
-/// Frames whose length prefix (`from` + payload) reaches this many bytes
-/// are rejected. Enforced at *send* time — an oversize message is dropped
-/// and counted (`tx_oversize_drops`) instead of silently vanishing at the
-/// receiver while the sender believes it succeeded — and kept as a
+/// Frames whose length prefix (`from` + `to` + payload) reaches this many
+/// bytes are rejected. Enforced at *send* time — an oversize message is
+/// dropped and counted (`tx_oversize_drops`) instead of silently vanishing
+/// at the receiver while the sender believes it succeeded — and kept as a
 /// receiver-side guard against garbage from untrusted sockets.
 pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// A delayed in-memory delivery awaiting its due time.
-struct DelayedSend {
-    due: Instant,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    msg: NetMessage,
-    tx: InboxSender,
-    failures: InboxSender,
+/// Frame header: `[u32 len][u64 from][u64 to]`, `len` covering everything
+/// after itself.
+const HEADER_LEN: usize = 20;
+
+/// One event addressed to a peer, on its way to the peer's shard.
+pub(crate) type Envelope = (NodeId, PeerEvent);
+
+/// The cluster's routing table, fixed at spawn and shared by the shards,
+/// the TCP threads and the cluster handle: one slot per peer id `0..n`
+/// (liveness and counters) and one inbox per shard. Every event queued for
+/// a peer first takes one of its `capacity` places, which is what bounds
+/// the shard inboxes.
+#[derive(Debug)]
+pub(crate) struct Fabric {
+    peers: Box<[PeerSlot]>,
+    inboxes: Vec<mpsc::Sender<Envelope>>,
+    capacity: u64,
 }
 
-impl PartialEq for DelayedSend {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for DelayedSend {}
-impl PartialOrd for DelayedSend {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayedSend {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap: earliest due first.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
-/// Single background thread draining latency-injected in-memory sends in
-/// due-time order, replacing a thread-per-message design.
-struct DelayLine {
-    // lock-class: net.delay.queue
-    queue: TrackedMutex<BinaryHeap<DelayedSend>>,
-    /// FIFO tie-break for equal due times. An atomic rather than a second
-    /// field under `queue`'s mutex: drawing a sequence number must not
-    /// serialize senders against the worker thread holding the queue lock
-    /// while it drains due messages.
-    seq: AtomicU64,
-    // lock-class: net.delay.queue
-    wake: TrackedCondvar,
-}
-
-impl DelayLine {
-    fn start() -> Arc<Self> {
-        let line = Arc::new(DelayLine {
-            queue: TrackedMutex::new("net.delay.queue", BinaryHeap::new()),
-            seq: AtomicU64::new(0),
-            wake: TrackedCondvar::new(),
-        });
-        let worker = Arc::clone(&line);
-        std::thread::Builder::new()
-            .name("autosel-net-delayline".into())
-            .spawn(move || worker.run())
-            .expect("spawn delay-line thread");
-        line
+impl Fabric {
+    /// A table for peers `0..n` spread over `shards` shards, each peer's
+    /// inbox bounded at `capacity` events; returns the shards' inbox
+    /// receivers alongside.
+    pub(crate) fn new(
+        n: usize,
+        shards: usize,
+        capacity: usize,
+    ) -> (Arc<Self>, Vec<mpsc::Receiver<Envelope>>) {
+        // Bounded by construction: every event takes a place in its peer's
+        // slot first (`try_reserve`), so a shard inbox holds at most
+        // capacity × its peers. lint:allow(unbounded-channel)
+        let (inboxes, receivers) = (0..shards).map(|_| mpsc::channel()).unzip();
+        let peers = (0..n).map(|_| PeerSlot::default()).collect();
+        (Arc::new(Fabric { peers, inboxes, capacity: capacity as u64 }), receivers)
     }
 
-    /// The next tie-break sequence number; lock-free on purpose (see `seq`).
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed) + 1
+    /// The shard owning `id`: peers are pinned by id.
+    pub(crate) fn shard_of(&self, id: NodeId) -> usize {
+        (id % self.inboxes.len() as u64) as usize
     }
 
-    fn push(&self, item: DelayedSend) {
-        let mut q = self.queue.lock();
-        q.push(item);
-        self.wake.notify_one();
+    /// The slot of `id`, which must be one of the cluster's ids.
+    pub(crate) fn peer(&self, id: NodeId) -> &PeerSlot {
+        &self.peers[id as usize]
     }
 
-    fn run(&self) {
-        let mut q = self.queue.lock();
-        loop {
-            let now = Instant::now();
-            while q.peek().is_some_and(|d| d.due <= now) {
-                let d = q.pop().expect("peek just returned Some");
-                drop(q);
-                if d.tx.try_deliver(PeerEvent::Deliver(d.from, d.msg)).is_err() {
-                    let _ = d.failures.try_deliver(PeerEvent::Failed(d.to));
-                }
-                q = self.queue.lock();
-            }
-            // Recompute `now` before arming the wait: the drain loop above
-            // delivered an arbitrary number of messages, and a wait armed
-            // with the pre-drain instant oversleeps the next due message by
-            // however long the drain took (regression-tested below).
-            let now = Instant::now();
-            q = match q.peek().map(|d| d.due) {
-                // Became due while draining: go straight back to the drain.
-                Some(due) if due <= now => continue,
-                Some(due) => self.wake.wait_timeout(q, due - now).0,
-                None => self.wake.wait(q),
-            };
+    /// The slot of `id` if it names a peer of this cluster.
+    fn slot(&self, id: NodeId) -> Option<&PeerSlot> {
+        usize::try_from(id).ok().and_then(|i| self.peers.get(i))
+    }
+
+    /// The slot of `id` if it names a live peer of this cluster.
+    pub(crate) fn live(&self, id: NodeId) -> Option<&PeerSlot> {
+        self.slot(id).filter(|s| !s.dead.load(Ordering::Relaxed))
+    }
+
+    /// Takes a place in `to`'s inbox for peer traffic: `None` if `to` is
+    /// dead or no peer of this cluster, `Some(false)` if its inbox is full
+    /// (counted in `inbox_dropped`: the event is dropped, like network loss,
+    /// which the protocol absorbs through timeouts).
+    pub(crate) fn admit(&self, to: NodeId) -> Option<bool> {
+        let slot = self.live(to)?;
+        let room = slot.try_reserve(self.capacity);
+        if !room {
+            slot.inbox_dropped.fetch_add(1, Ordering::Relaxed);
         }
+        Some(room)
+    }
+
+    /// Peer traffic for `to` through its shard's inbox. Never blocks:
+    /// backpressure between shards would propagate into distributed
+    /// deadlock. `Err` means `to` is unknown or dead.
+    pub(crate) fn try_deliver(&self, to: NodeId, event: PeerEvent) -> Result<(), ()> {
+        if self.admit(to).ok_or(())? {
+            self.inboxes[self.shard_of(to)].send((to, event)).map_err(drop)?;
+        }
+        Ok(())
+    }
+
+    /// A control command from the cluster handle: never lost, so it waits
+    /// for room in `to`'s inbox instead of dropping. These come from
+    /// outside the peer mesh at a low rate, so waiting is safe. `Err` means
+    /// `to` is dead or its shard has stopped.
+    pub(crate) fn send_blocking(&self, to: NodeId, event: PeerEvent) -> Result<(), ()> {
+        let slot = self.slot(to).ok_or(())?;
+        while !slot.try_reserve(self.capacity) {
+            if slot.dead.load(Ordering::Relaxed) {
+                return Err(());
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        self.inboxes[self.shard_of(to)].send((to, event)).map_err(drop)
     }
 }
 
-/// Aggregated (or per-link) counters of the persistent TCP data plane.
+/// Aggregated counters of the persistent TCP data plane.
 ///
 /// `conn_established` counts *connects*, not live sockets: a link that
 /// never loses its peer connects exactly once no matter how many frames it
@@ -138,151 +137,256 @@ pub struct TcpStatsSnapshot {
     pub tx_queue_full_drops: u64,
     /// Messages rejected at send time for exceeding the frame-size cap.
     pub tx_oversize_drops: u64,
+    /// Inbound frames a reader discarded: a length outside the cap, a
+    /// truncated frame, an undecodable payload, or a destination the
+    /// receiving shard does not own.
+    pub rx_dropped: u64,
 }
 
-/// Per-link counter cells (atomics; snapshot via [`LinkStats::snapshot`]).
+/// The counter cells behind [`TcpStatsSnapshot`], shared by every link and
+/// reader of a transport.
 #[derive(Debug, Default)]
-struct LinkStats {
+struct TcpCounters {
     conn_established: AtomicU64,
     conn_failed: AtomicU64,
     tx_batches: AtomicU64,
     tx_frames: AtomicU64,
     tx_queue_full_drops: AtomicU64,
+    tx_oversize_drops: AtomicU64,
+    rx_dropped: AtomicU64,
 }
 
-impl LinkStats {
+impl TcpCounters {
+    fn bump(cell: &AtomicU64, by: u64) {
+        cell.fetch_add(by, Ordering::Relaxed);
+    }
+
     fn snapshot(&self) -> TcpStatsSnapshot {
+        let read = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         TcpStatsSnapshot {
-            conn_established: self.conn_established.load(Ordering::Relaxed),
-            conn_failed: self.conn_failed.load(Ordering::Relaxed),
-            tx_batches: self.tx_batches.load(Ordering::Relaxed),
-            tx_frames: self.tx_frames.load(Ordering::Relaxed),
-            tx_queue_full_drops: self.tx_queue_full_drops.load(Ordering::Relaxed),
-            tx_oversize_drops: 0,
+            conn_established: read(&self.conn_established),
+            conn_failed: read(&self.conn_failed),
+            tx_batches: read(&self.tx_batches),
+            tx_frames: read(&self.tx_frames),
+            tx_queue_full_drops: read(&self.tx_queue_full_drops),
+            tx_oversize_drops: read(&self.tx_oversize_drops),
+            rx_dropped: read(&self.rx_dropped),
         }
     }
 }
 
-/// One queued outbound frame plus the sender's fail-fast feedback channel.
-struct QueuedFrame {
-    frame: Bytes,
-    failures: InboxSender,
-}
-
-/// Outbound queue state guarded by the link mutex.
-struct LinkQueue {
-    queue: VecDeque<QueuedFrame>,
-    shutdown: bool,
-}
-
-/// A persistent link to one destination: a bounded outbound queue drained
-/// by a single writer thread that coalesces every queued frame into one
-/// buffer and issues a single `write_all` + flush per wakeup.
+/// How peers exchange messages: chosen before
+/// [`NetCluster::spawn`](crate::NetCluster::spawn), which builds the
+/// runtime behind it.
 ///
-/// All local peers share the link (the frame header carries `from`), so a
-/// cluster of *n* nodes runs at most *n* writer threads — the
-/// kitsune_p2p-style per-connection actor replacing the old
-/// thread-per-message, connect-per-message send path.
-struct TcpLink {
+/// Cloneable; clones share the TCP counters, so the handle the caller
+/// keeps reads what the cluster's links did.
+#[derive(Debug, Clone)]
+pub struct Transport {
+    inner: Inner,
+}
+
+#[derive(Debug, Clone)]
+enum Inner {
+    /// In-process queues, optionally with injected uniform latency — the
+    /// DAS-emulation transport.
+    Mem { latency_ms: Option<(u64, u64)> },
+    /// Real TCP sockets with the [`wire`](crate::wire) codec — the
+    /// PlanetLab transport.
+    Tcp { space: Space, tuning: TcpTuning, stats: Arc<TcpCounters> },
+}
+
+impl Transport {
+    /// The in-memory transport; `latency_ms` is a uniform per-message delay
+    /// range in milliseconds (`None` = deliver at once).
+    pub fn mem(latency_ms: Option<(u64, u64)>) -> Self {
+        Transport { inner: Inner::Mem { latency_ms } }
+    }
+
+    /// The TCP transport decoding against `space`, with default
+    /// [`TcpTuning`].
+    pub fn tcp(space: Space) -> Self {
+        Self::tcp_tuned(space, TcpTuning::default())
+    }
+
+    /// The TCP transport with explicit link tuning.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tuning` is invalid.
+    pub fn tcp_tuned(space: Space, tuning: TcpTuning) -> Self {
+        tuning.validate();
+        Transport { inner: Inner::Tcp { space, tuning, stats: Arc::default() } }
+    }
+
+    /// Counters of the persistent TCP data plane, aggregated across links
+    /// and readers; `None` on the in-memory transport.
+    pub fn tcp_stats(&self) -> Option<TcpStatsSnapshot> {
+        match &self.inner {
+            Inner::Mem { .. } => None,
+            Inner::Tcp { stats, .. } => Some(stats.snapshot()),
+        }
+    }
+
+    /// Wires a cluster on `fabric`: one [`Wire`] per shard, plus on TCP one
+    /// listener per shard, every shard holding a link to each of them.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from binding a listener or starting a thread.
+    pub(crate) fn start(&self, fabric: &Arc<Fabric>) -> io::Result<(Vec<Wire>, Vec<Listener>)> {
+        let shards = fabric.inboxes.len();
+        let (space, tuning, stats) = match &self.inner {
+            Inner::Mem { latency_ms } => {
+                let wire = |k: usize| Wire::Mem {
+                    latency_ms: *latency_ms,
+                    rng: SmallRng::seed_from_u64(0x7A51_A7E4 ^ k as u64),
+                    delayed: BTreeMap::new(),
+                    seq: 0,
+                };
+                return Ok(((0..shards).map(wire).collect(), Vec::new()));
+            }
+            Inner::Tcp { space, tuning, stats } => (space, tuning, stats),
+        };
+        let listeners = (0..shards)
+            .map(|j| Listener::bind(j, space.clone(), Arc::clone(fabric), Arc::clone(stats)))
+            .collect::<io::Result<Vec<_>>>()?;
+        let wires = (0..shards)
+            .map(|k| TcpOut::connect(k, &listeners, tuning, stats, fabric).map(Wire::Tcp))
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((wires, listeners))
+    }
+}
+
+/// One outbound frame: its ends and the encoded message.
+struct Frame {
+    from: NodeId,
     to: NodeId,
+    payload: Bytes,
+}
+
+impl Frame {
+    /// The length prefix: `from` + `to` + payload.
+    fn len(&self) -> usize {
+        16 + self.payload.len()
+    }
+
+    /// Appends the frame's bytes, header first, to `buf`.
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&self.from.to_le_bytes());
+        buf.extend_from_slice(&self.to.to_le_bytes());
+        buf.extend_from_slice(&self.payload);
+    }
+}
+
+/// One shard's outbound TCP links, one per destination shard (its own
+/// included). Each is a bounded frame queue drained by one writer thread
+/// that coalesces every queued frame into one `write_all` on a persistent
+/// connection.
+#[derive(Debug)]
+pub(crate) struct TcpOut {
+    links: Vec<mpsc::SyncSender<Frame>>,
+    writers: Vec<JoinHandle<()>>,
+    stats: Arc<TcpCounters>,
+}
+
+impl TcpOut {
+    fn connect(
+        shard: usize,
+        listeners: &[Listener],
+        tuning: &TcpTuning,
+        stats: &Arc<TcpCounters>,
+        fabric: &Arc<Fabric>,
+    ) -> io::Result<Self> {
+        let mut out = TcpOut { links: Vec::new(), writers: Vec::new(), stats: Arc::clone(stats) };
+        for (j, listener) in listeners.iter().enumerate() {
+            let (tx, rx) = mpsc::sync_channel(tuning.link_queue_cap);
+            let writer = Writer {
+                addr: listener.addr,
+                tuning: tuning.clone(),
+                stats: Arc::clone(stats),
+                fabric: Arc::clone(fabric),
+            };
+            out.writers.push(
+                std::thread::Builder::new()
+                    .name(format!("autosel-net-writer-{shard}-{j}"))
+                    .spawn(move || writer.run(&rx))?,
+            );
+            out.links.push(tx);
+        }
+        Ok(out)
+    }
+
+    /// Frames `msg` onto the link to `shard`. A message over the frame cap
+    /// is dropped and counted, as is a frame meeting a full queue: senders
+    /// are never blocked by a slow link. `Err` means the link's writer is
+    /// gone.
+    pub(crate) fn send(
+        &self,
+        shard: usize,
+        from: NodeId,
+        to: NodeId,
+        msg: &NetMessage,
+    ) -> Result<(), ()> {
+        let frame = Frame { from, to, payload: crate::wire::encode(msg) };
+        if frame.len() >= MAX_FRAME_LEN {
+            TcpCounters::bump(&self.stats.tx_oversize_drops, 1);
+            return Ok(());
+        }
+        match self.links[shard].try_send(frame) {
+            Ok(()) => Ok(()),
+            Err(mpsc::TrySendError::Full(_)) => {
+                TcpCounters::bump(&self.stats.tx_queue_full_drops, 1);
+                Ok(())
+            }
+            Err(mpsc::TrySendError::Disconnected(_)) => Err(()),
+        }
+    }
+}
+
+impl Drop for TcpOut {
+    /// Closes the queues, so each writer flushes what is queued and exits
+    /// with its connection.
+    fn drop(&mut self) {
+        self.links.clear();
+        for w in self.writers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+/// The writer end of one link.
+struct Writer {
     addr: SocketAddr,
     tuning: TcpTuning,
-    // lock-class: net.link.state
-    state: TrackedMutex<LinkQueue>,
-    // lock-class: net.link.state
-    wake: TrackedCondvar,
-    stats: LinkStats,
+    stats: Arc<TcpCounters>,
+    fabric: Arc<Fabric>,
 }
 
-impl TcpLink {
-    fn new(to: NodeId, addr: SocketAddr, tuning: TcpTuning) -> Arc<Self> {
-        Arc::new(TcpLink {
-            to,
-            addr,
-            tuning,
-            state: TrackedMutex::new(
-                "net.link.state",
-                LinkQueue { queue: VecDeque::new(), shutdown: false },
-            ),
-            wake: TrackedCondvar::new(),
-            stats: LinkStats::default(),
-        })
-    }
-
-    /// Starts the link's writer thread (separate from construction so unit
-    /// tests can drive the queue without a live socket).
-    fn spawn_writer(self: &Arc<Self>) {
-        let link = Arc::clone(self);
-        std::thread::Builder::new()
-            .name(format!("autosel-net-writer-{}", self.to))
-            .spawn(move || link.run_writer())
-            .expect("spawn link writer thread");
-    }
-
-    /// Queues one frame. A full queue drops the frame (counted) — senders
-    /// are never blocked by a slow link, mirroring the bounded-inbox
-    /// discipline; the protocol absorbs the loss via timeouts. A link
-    /// already shut down (its peer deregistered or re-registered
-    /// elsewhere) reports fail-fast instead.
-    fn enqueue(&self, frame: Bytes, failures: &InboxSender) {
-        let mut st = self.state.lock();
-        if st.shutdown {
-            drop(st);
-            let _ = failures.try_deliver(PeerEvent::Failed(self.to));
-            return;
-        }
-        if st.queue.len() >= self.tuning.link_queue_cap {
-            drop(st);
-            self.stats.tx_queue_full_drops.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        st.queue.push_back(QueuedFrame { frame, failures: failures.clone() });
-        drop(st);
-        self.wake.notify_one();
-    }
-
-    fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.wake.notify_one();
-    }
-
-    /// Blocks until frames are queued (returning the *whole* queue as one
-    /// batch) or the link is shut down with nothing left to flush
-    /// (returning `None`).
-    fn collect_batch(&self) -> Option<Vec<QueuedFrame>> {
-        let mut st = self.state.lock();
-        loop {
-            if !st.queue.is_empty() {
-                return Some(st.queue.drain(..).collect());
-            }
-            if st.shutdown {
-                return None;
-            }
-            st = self.wake.wait(st);
-        }
-    }
-
-    /// The writer loop: per wakeup, drain the queue, coalesce every frame
-    /// into one buffer, and flush it with a single `write_all` on the
-    /// persistent connection — (re)connecting on demand with a capped
-    /// exponential backoff between failed attempts.
+impl Writer {
+    /// Per wakeup: take every queued frame, coalesce them into one buffer
+    /// and flush it with a single `write_all` — (re)connecting on demand
+    /// with a capped exponential backoff between failed attempts. Returns
+    /// when the owning shard closes the queue.
     ///
-    /// Failure semantics preserve the fail-fast contract: a batch that
-    /// cannot be flushed (connect refused, or a write error that survives
-    /// one immediate reconnect) delivers `PeerEvent::Failed(to)` to every
-    /// queued sender, exactly like the old connect-per-message path did
-    /// for a dead endpoint. A mid-batch connection loss retries the whole
-    /// batch on a fresh connection, so frames already received before the
-    /// break may arrive twice — the protocol's exactly-once accounting
+    /// A batch that cannot be flushed (connect refused, or a write error
+    /// that survives one immediate reconnect) delivers `Failed(to)` to the
+    /// sender of every frame in it. A mid-batch connection loss retries the
+    /// whole batch on a fresh connection, so frames already received before
+    /// the break may arrive twice — the protocol's exactly-once accounting
     /// (attempt-tagged replies) absorbs duplicates by design.
-    fn run_writer(&self) {
+    fn run(&self, queue: &mpsc::Receiver<Frame>) {
         let mut stream: Option<TcpStream> = None;
         let mut backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
+        let mut batch: Vec<Frame> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
-        while let Some(batch) = self.collect_batch() {
+        while let Ok(first) = queue.recv() {
+            batch.push(first);
+            batch.extend(queue.try_iter().take(self.tuning.link_queue_cap));
             buf.clear();
             for f in &batch {
-                buf.extend_from_slice(&f.frame);
+                f.put(&mut buf);
             }
             let mut wrote = false;
             for _attempt in 0..2 {
@@ -292,12 +396,12 @@ impl TcpLink {
                             // Batching already coalesces; Nagle on top of it
                             // only adds latency.
                             let _ = s.set_nodelay(true);
-                            self.stats.conn_established.fetch_add(1, Ordering::Relaxed);
+                            TcpCounters::bump(&self.stats.conn_established, 1);
                             backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
                             stream = Some(s);
                         }
                         Err(_) => {
-                            self.stats.conn_failed.fetch_add(1, Ordering::Relaxed);
+                            TcpCounters::bump(&self.stats.conn_failed, 1);
                             break;
                         }
                     }
@@ -312,391 +416,129 @@ impl TcpLink {
                 stream = None;
             }
             if wrote {
-                self.stats.tx_batches.fetch_add(1, Ordering::Relaxed);
-                self.stats.tx_frames.fetch_add(batch.len() as u64, Ordering::Relaxed);
+                TcpCounters::bump(&self.stats.tx_batches, 1);
+                TcpCounters::bump(&self.stats.tx_frames, batch.len() as u64);
             } else {
                 for f in &batch {
-                    let _ = f.failures.try_deliver(PeerEvent::Failed(self.to));
+                    let _ = self.fabric.try_deliver(f.from, PeerEvent::Failed(f.to));
                 }
                 // Capped backoff before the next connect attempt; frames
-                // queued meanwhile simply wait (or drop on a full queue).
+                // queued meanwhile wait (or drop on a full queue).
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2)
                     .min(Duration::from_millis(self.tuning.connect_backoff_cap_ms));
             }
+            batch.clear();
         }
     }
 }
 
-/// One registered TCP listener: its address plus the flag that tells its
-/// accept thread to exit (see [`close_endpoint`]).
-struct TcpEndpoint {
+/// One shard's listener: an accept thread that starts a reader per inbound
+/// connection (one per sending shard). Dropping it stops the accept thread,
+/// shuts its connections down, joins the readers and releases the port.
+#[derive(Debug)]
+pub(crate) struct Listener {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
 }
 
-/// Asks an endpoint's accept loop to exit: set the stop flag, then poke the
-/// listener with a throwaway connect so the blocking `accept` returns. The
-/// accept thread drops the listener on its way out, releasing the socket —
-/// without this, `deregister` would leak the thread and the port forever.
-fn close_endpoint(ep: &TcpEndpoint) {
-    ep.stop.store(true, Ordering::Relaxed);
-    let _ = TcpStream::connect(ep.addr);
-}
-
-/// How peers exchange messages.
-///
-/// Cloneable and shared by every peer thread; destinations that have left
-/// the registry (killed nodes) silently swallow messages, exactly like the
-/// simulator's drop-on-dead semantics.
-#[derive(Clone)]
-pub struct Transport {
-    inner: Inner,
-}
-
-/// Transport internals, kept private so crate-internal channel types do not
-/// leak through the public `Transport` surface.
-#[derive(Clone)]
-enum Inner {
-    /// In-process channels, optionally with injected uniform latency —
-    /// the DAS-emulation transport.
-    Mem {
-        /// Bounded inbox senders per peer.
-        // lock-class: net.mem.registry
-        registry: Arc<TrackedRwLock<HashMap<NodeId, InboxSender>>>,
-        /// Injected latency range (ms), if any.
-        latency_ms: Option<(u64, u64)>,
-        /// Shared delay thread serving latency injection.
-        delay: Arc<DelayLine>,
-        /// RNG for latency draws (seeded per transport).
-        // lock-class: net.mem.rng
-        rng: Arc<TrackedMutex<SmallRng>>,
-    },
-    /// Real TCP sockets with the [`wire`](crate::wire) codec — the
-    /// PlanetLab transport. Persistent per-destination links (one writer
-    /// thread, write batching) replace the old connection-per-message
-    /// path.
-    Tcp {
-        /// Listener endpoints per peer.
-        // lock-class: net.tcp.endpoints
-        endpoints: Arc<TrackedRwLock<HashMap<NodeId, TcpEndpoint>>>,
-        /// Persistent outbound links per destination.
-        // lock-class: net.tcp.links
-        links: Arc<TrackedRwLock<HashMap<NodeId, Arc<TcpLink>>>>,
-        /// Messages rejected at send time for exceeding the frame cap.
-        oversize: Arc<AtomicU64>,
-        /// Link tuning (queue bound, reconnect backoff).
-        tuning: TcpTuning,
-        /// Space used to decode inbound frames.
+impl Listener {
+    fn bind(
+        shard: usize,
         space: Space,
-    },
-}
-
-impl std::fmt::Debug for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.inner {
-            Inner::Mem { registry, latency_ms, .. } => f
-                .debug_struct("Transport::Mem")
-                .field("peers", &registry.read().len())
-                .field("latency_ms", latency_ms)
-                .finish(),
-            Inner::Tcp { endpoints, links, .. } => f
-                .debug_struct("Transport::Tcp")
-                .field("peers", &endpoints.read().len())
-                .field("links", &links.read().len())
-                .finish(),
-        }
-    }
-}
-
-impl Transport {
-    /// Creates an empty in-memory transport.
-    pub fn mem(latency_ms: Option<(u64, u64)>) -> Self {
-        Transport {
-            inner: Inner::Mem {
-                registry: Arc::new(TrackedRwLock::new("net.mem.registry", HashMap::new())),
-                latency_ms,
-                delay: DelayLine::start(),
-                rng: Arc::new(TrackedMutex::new(
-                    "net.mem.rng",
-                    SmallRng::seed_from_u64(0x7A51_A7E4),
-                )),
-            },
-        }
-    }
-
-    /// Creates an empty TCP transport decoding against `space`, with
-    /// default [`TcpTuning`].
-    pub fn tcp(space: Space) -> Self {
-        Self::tcp_tuned(space, TcpTuning::default())
-    }
-
-    /// Creates an empty TCP transport with explicit link tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tuning` is invalid.
-    pub fn tcp_tuned(space: Space, tuning: TcpTuning) -> Self {
-        tuning.validate();
-        Transport {
-            inner: Inner::Tcp {
-                endpoints: Arc::new(TrackedRwLock::new("net.tcp.endpoints", HashMap::new())),
-                links: Arc::new(TrackedRwLock::new("net.tcp.links", HashMap::new())),
-                oversize: Arc::new(AtomicU64::new(0)),
-                tuning,
-                space,
-            },
-        }
-    }
-
-    /// Registers a peer: for Mem, wires its event sender; for TCP, binds a
-    /// loopback listener and spawns the accept thread, which hands each
-    /// accepted connection to a named reader thread feeding the bounded
-    /// inbox. Re-registering an id closes the previous listener first.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding the TCP listener.
-    pub(crate) fn register(&self, id: NodeId, inbox: InboxSender) -> std::io::Result<()> {
-        match &self.inner {
-            Inner::Mem { registry, .. } => {
-                registry.write().insert(id, inbox);
-                Ok(())
-            }
-            Inner::Tcp { endpoints, space, .. } => {
-                let listener = TcpListener::bind(("127.0.0.1", 0))?;
-                let addr = listener.local_addr()?;
-                let stop = Arc::new(AtomicBool::new(false));
-                let endpoint = TcpEndpoint { addr, stop: Arc::clone(&stop) };
-                // Bind the insert's result *before* closing the old
-                // endpoint: `close_endpoint` blocks on a connect, and in
-                // `if let Some(old) = …insert(…)` the write-guard temporary
-                // would stay live across it for the whole block (pre-2024
-                // temporary-lifetime rules) — the exact
-                // blocking-under-guard pattern the lock-order pass flags.
-                let replaced = endpoints.write().insert(id, endpoint);
-                if let Some(old) = replaced {
-                    close_endpoint(&old);
-                }
-                let space = space.clone();
-                std::thread::Builder::new()
-                    .name(format!("autosel-net-accept-{id}"))
-                    .spawn(move || {
-                        loop {
-                            let Ok((stream, _)) = listener.accept() else { break };
-                            // A deregister wakes us with a throwaway
-                            // connect; drop it and exit, releasing the
-                            // listener socket.
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let inbox = inbox.clone();
-                            let space = space.clone();
-                            if std::thread::Builder::new()
-                                .name(format!("autosel-net-read-{id}"))
-                                .spawn(move || {
-                                    let _ = serve_conn(stream, space, inbox);
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    })?;
-                Ok(())
-            }
-        }
-    }
-
-    /// Removes a peer from the registry; in-flight and future messages to it
-    /// are dropped. On TCP this also closes the peer's listener (so its
-    /// accept thread exits instead of leaking) and shuts down the outbound
-    /// link to it (so its writer thread exits).
-    pub fn deregister(&self, id: NodeId) {
-        match &self.inner {
-            Inner::Mem { registry, .. } => {
-                registry.write().remove(&id);
-            }
-            Inner::Tcp { endpoints, links, .. } => {
-                // As in `register`: end each write-guard temporary at the
-                // statement before touching sockets or other locks.
-                let removed = endpoints.write().remove(&id);
-                if let Some(ep) = removed {
-                    close_endpoint(&ep);
-                }
-                let link = links.write().remove(&id);
-                if let Some(link) = link {
-                    link.shutdown();
-                }
-            }
-        }
-    }
-
-    /// Sends `msg` from `from` to `to`. Unknown or dead destinations fail
-    /// fast: `to` is reported on `failures` (the paper's deployments run on
-    /// TCP, where a dead endpoint refuses the connection immediately), so
-    /// the sender can skip the broken link instead of waiting for `T(q)`.
-    ///
-    /// TCP sends never connect or spawn per message: the frame is queued
-    /// on the destination's persistent [`TcpLink`] and flushed by its
-    /// writer thread in coalesced batches.
-    pub(crate) fn send(&self, from: NodeId, to: NodeId, msg: NetMessage, failures: &InboxSender) {
-        match &self.inner {
-            Inner::Mem { registry, latency_ms, delay, rng } => {
-                let Some(tx) = registry.read().get(&to).cloned() else {
-                    let _ = failures.try_deliver(PeerEvent::Failed(to));
-                    return;
-                };
-                match *latency_ms {
-                    None => {
-                        if tx.try_deliver(PeerEvent::Deliver(from, msg)).is_err() {
-                            let _ = failures.try_deliver(PeerEvent::Failed(to));
-                        }
+        fabric: Arc<Fabric>,
+        stats: Arc<TcpCounters>,
+    ) -> io::Result<Self> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let accept = std::thread::Builder::new()
+            .name(format!("autosel-net-accept-{shard}"))
+            .spawn(move || {
+                let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+                for stream in listener.incoming() {
+                    // `drop` wakes us with a throwaway connect.
+                    if stopped.load(Ordering::Relaxed) {
+                        break;
                     }
-                    Some((lo, hi)) => {
-                        let delay_ms = rng.lock().gen_range(lo..=hi);
-                        let seq = delay.next_seq();
-                        delay.push(DelayedSend {
-                            due: Instant::now() + Duration::from_millis(delay_ms),
-                            seq,
-                            from,
-                            to,
-                            msg,
-                            tx,
-                            failures: failures.clone(),
+                    let Ok(stream) = stream else { break };
+                    let Ok(handle) = stream.try_clone() else { continue };
+                    let (space, fabric, stats) =
+                        (space.clone(), Arc::clone(&fabric), Arc::clone(&stats));
+                    let reader = std::thread::Builder::new()
+                        .name(format!("autosel-net-read-{shard}"))
+                        .spawn(move || {
+                            let serves =
+                                |to| fabric.shard_of(to) == shard && fabric.slot(to).is_some();
+                            let deliver = |from, to, msg| {
+                                if fabric.try_deliver(to, PeerEvent::Deliver(from, msg)).is_err() {
+                                    let _ = fabric.try_deliver(from, PeerEvent::Failed(to));
+                                }
+                            };
+                            let conn = BufReader::with_capacity(64 * 1024, stream);
+                            read_frames(conn, &space, serves, deliver, &stats.rx_dropped);
                         });
-                    }
+                    let Ok(reader) = reader else { break };
+                    conns.retain(|(_, r)| !r.is_finished());
+                    conns.push((handle, reader));
                 }
-            }
-            Inner::Tcp { endpoints, links, oversize, tuning, .. } => {
-                let Some(addr) = endpoints.read().get(&to).map(|ep| ep.addr) else {
-                    let _ = failures.try_deliver(PeerEvent::Failed(to));
-                    return;
-                };
-                let frame = frame(from, &msg);
-                // The length prefix covers `from` + payload = frame - 4.
-                if frame.len() - 4 >= MAX_FRAME_LEN {
-                    oversize.fetch_add(1, Ordering::Relaxed);
-                    return;
+                for (stream, reader) in conns {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    let _ = reader.join();
                 }
-                let link = lookup_link(links, to, addr, tuning);
-                link.enqueue(frame, failures);
-            }
-        }
+            })?;
+        Ok(Listener { addr, stop, accept: Some(accept) })
     }
+}
 
-    /// Ids currently registered.
-    pub fn peers(&self) -> Vec<NodeId> {
-        match &self.inner {
-            Inner::Mem { registry, .. } => registry.read().keys().copied().collect(),
-            Inner::Tcp { endpoints, .. } => endpoints.read().keys().copied().collect(),
-        }
-    }
-
-    /// Counters of the persistent TCP data plane, aggregated across links;
-    /// `None` on the in-memory transport.
-    pub fn tcp_stats(&self) -> Option<TcpStatsSnapshot> {
-        match &self.inner {
-            Inner::Mem { .. } => None,
-            Inner::Tcp { links, oversize, .. } => {
-                let mut total = TcpStatsSnapshot {
-                    tx_oversize_drops: oversize.load(Ordering::Relaxed),
-                    ..TcpStatsSnapshot::default()
-                };
-                for link in links.read().values() {
-                    let s = link.stats.snapshot();
-                    total.conn_established += s.conn_established;
-                    total.conn_failed += s.conn_failed;
-                    total.tx_batches += s.tx_batches;
-                    total.tx_frames += s.tx_frames;
-                    total.tx_queue_full_drops += s.tx_queue_full_drops;
-                }
-                Some(total)
-            }
-        }
-    }
-
-    /// Per-destination link counters (ids with an established or attempted
-    /// link only), sorted by id; `None` on the in-memory transport.
-    /// `tx_oversize_drops` is accounted globally (see
-    /// [`tcp_stats`](Self::tcp_stats)) and reads zero here.
-    pub fn tcp_link_stats(&self) -> Option<Vec<(NodeId, TcpStatsSnapshot)>> {
-        match &self.inner {
-            Inner::Mem { .. } => None,
-            Inner::Tcp { links, .. } => {
-                let mut out: Vec<(NodeId, TcpStatsSnapshot)> = links
-                    .read()
-                    .iter()
-                    .map(|(&id, l)| (id, l.stats.snapshot()))
-                    .collect();
-                out.sort_unstable_by_key(|&(id, _)| id);
-                Some(out)
-            }
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect(self.addr);
+        if let Some(accept) = self.accept.take() {
+            let _ = accept.join();
         }
     }
 }
 
-/// Fetches (or creates) the persistent link to `to`. A cached link whose
-/// address no longer matches the registry (the peer deregistered and came
-/// back on a new port) is shut down and replaced.
-fn lookup_link(
-    links: &Arc<TrackedRwLock<HashMap<NodeId, Arc<TcpLink>>>>,
-    to: NodeId,
-    addr: SocketAddr,
-    tuning: &TcpTuning,
-) -> Arc<TcpLink> {
-    if let Some(link) = links.read().get(&to) {
-        if link.addr == addr {
-            return Arc::clone(link);
+/// Reads frames off one connection until it ends, handing every decodable
+/// frame addressed to a peer `serves` accepts to `deliver(from, to, msg)`.
+///
+/// Input is untrusted. Every frame not delivered counts in `dropped`: an
+/// undecodable payload or an unknown destination (the stream stays in
+/// step and reading goes on), and a length prefix outside
+/// `16..MAX_FRAME_LEN` or a frame cut short (the stream is out of step,
+/// so the connection ends). No allocation exceeds one frame's declared
+/// length, and that only once the length has passed the cap check.
+fn read_frames(
+    mut r: impl BufRead,
+    space: &Space,
+    serves: impl Fn(NodeId) -> bool,
+    mut deliver: impl FnMut(NodeId, NodeId, NetMessage),
+    dropped: &AtomicU64,
+) {
+    let mut head = [0u8; HEADER_LEN];
+    // The stream may end (or break) between frames; anywhere else it cut
+    // a frame short.
+    while r.fill_buf().is_ok_and(|b| !b.is_empty()) {
+        if r.read_exact(&mut head).is_err() {
+            return TcpCounters::bump(dropped, 1);
         }
-    }
-    // Replacing a stale link must be atomic under the write lock, so the
-    // nested `shutdown` below acquires net.link.state while net.tcp.links
-    // is held — the one sanctioned cross-class edge (links → state); the
-    // writer thread never takes links while holding state, so no cycle.
-    let mut w = links.write();
-    // Re-check under the write lock: another sender may have raced us here.
-    if let Some(link) = w.get(&to) {
-        if link.addr == addr {
-            return Arc::clone(link);
+        let word = |at: usize| u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes"));
+        let (from, to) = (word(4), word(12));
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        if !(16..MAX_FRAME_LEN).contains(&len) {
+            return TcpCounters::bump(dropped, 1);
         }
-        link.shutdown();
-    }
-    let link = TcpLink::new(to, addr, tuning.clone());
-    link.spawn_writer();
-    w.insert(to, Arc::clone(&link));
-    link
-}
-
-/// Frame layout: `[u32 len][u64 from][payload]`, len covers from+payload.
-fn frame(from: NodeId, msg: &NetMessage) -> Bytes {
-    let payload = crate::wire::encode(msg);
-    let mut buf = BytesMut::with_capacity(12 + payload.len());
-    buf.put_u32_le((8 + payload.len()) as u32);
-    buf.put_u64_le(from);
-    buf.extend_from_slice(&payload);
-    buf.freeze()
-}
-
-fn serve_conn(mut stream: TcpStream, space: Space, inbox: InboxSender) -> std::io::Result<()> {
-    loop {
-        let mut len_buf = [0u8; 4];
-        match stream.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(_) => return Ok(()), // EOF between frames
+        let mut body = vec![0u8; len - 16];
+        if r.read_exact(&mut body).is_err() {
+            return TcpCounters::bump(dropped, 1);
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if !(8..MAX_FRAME_LEN).contains(&len) {
-            return Ok(()); // nonsense length: drop connection
-        }
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body)?;
-        let mut body = Bytes::from(body);
-        let from = body.get_u64_le();
-        if let Ok(msg) = crate::wire::decode(&space, body) {
-            if inbox.try_deliver(PeerEvent::Deliver(from, msg)).is_err() {
-                return Ok(()); // peer gone
-            }
+        match crate::wire::decode(space, Bytes::from(body)) {
+            Ok(msg) if serves(to) => deliver(from, to, msg),
+            _ => TcpCounters::bump(dropped, 1),
         }
     }
 }
@@ -706,8 +548,13 @@ mod tests {
     use super::*;
     use attrspace::Query;
     use autosel_core::{Message, QueryId, QueryMsg};
-    use epigossip::{GossipMessage, Layer};
-    use std::sync::mpsc;
+    use proptest::prelude::*;
+    use std::io::{Cursor, Read};
+    use std::sync::atomic::Ordering::Relaxed;
+
+    fn space() -> Space {
+        Space::uniform(2, 80, 3).unwrap()
+    }
 
     fn sample_msg(space: &Space) -> NetMessage {
         NetMessage::Protocol(Message::Query(QueryMsg {
@@ -723,284 +570,162 @@ mod tests {
         }))
     }
 
-    /// A query message whose encoded *frame length prefix* (8 + payload)
-    /// is as close under `target_len` as the 8-byte granularity of
-    /// `visited_zero` entries allows.
+    /// A query message whose frame *length prefix* is as close under
+    /// `target_len` as the 8-byte granularity of `visited_zero` allows.
     fn msg_with_frame_len_near(space: &Space, target_len: usize) -> NetMessage {
         let base = sample_msg(space);
-        let base_len = frame(1, &base).len() - 4;
-        let extra = (target_len - base_len) / 8;
+        let extra = (target_len - frame(1, 2, &base).len()) / 8;
         let NetMessage::Protocol(Message::Query(mut q)) = base else { unreachable!() };
         q.visited_zero = (0..extra as u64).collect();
         NetMessage::Protocol(Message::Query(q))
     }
 
-    fn expect_delivery(
-        rx: &mpsc::Receiver<PeerEvent>,
-        timeout: Duration,
-    ) -> (NodeId, NetMessage) {
-        match rx.recv_timeout(timeout).expect("delivered") {
-            PeerEvent::Deliver(from, msg) => (from, msg),
-            other => panic!("unexpected event: {other:?}"),
+    fn frame(from: NodeId, to: NodeId, msg: &NetMessage) -> Frame {
+        Frame { from, to, payload: crate::wire::encode(msg) }
+    }
+
+    fn frame_bytes(from: NodeId, to: NodeId, msg: &NetMessage) -> Vec<u8> {
+        let mut buf = Vec::new();
+        frame(from, to, msg).put(&mut buf);
+        buf
+    }
+
+    /// The next event queued for a shard: `(to, event)`.
+    fn next(inbox: &mpsc::Receiver<Envelope>) -> Envelope {
+        inbox.recv_timeout(Duration::from_secs(60)).expect("an event arrives")
+    }
+
+    /// The TCP plane of `n` peers on `k` shards; the shards' inboxes are
+    /// left to the test.
+    #[allow(clippy::type_complexity)]
+    fn plane(
+        n: usize,
+        k: usize,
+    ) -> (Arc<Fabric>, Vec<mpsc::Receiver<Envelope>>, Vec<Listener>, Vec<TcpOut>, Transport) {
+        let (fabric, inboxes) = Fabric::new(n, k, 64);
+        let transport = Transport::tcp(space());
+        let (wires, listeners) = transport.start(&fabric).unwrap();
+        let outs = wires
+            .into_iter()
+            .map(|w| match w {
+                Wire::Tcp(out) => out,
+                Wire::Mem { .. } => unreachable!("a tcp transport"),
+            })
+            .collect();
+        (fabric, inboxes, listeners, outs, transport)
+    }
+
+    #[test]
+    fn each_peer_inbox_is_bounded_inside_a_shared_shard_inbox() {
+        for k in [1, 2, 3] {
+            let (fabric, inboxes) = Fabric::new(6, k, 4);
+            for _ in 0..6 {
+                fabric.try_deliver(1, PeerEvent::Failed(9)).expect("peer 1 is alive");
+            }
+            fabric.try_deliver(4, PeerEvent::Failed(9)).expect("peer 4 is alive");
+            assert_eq!(fabric.peer(1).inbox_depth.load(Relaxed), 4, "K={k}");
+            assert_eq!(fabric.peer(1).inbox_dropped.load(Relaxed), 2, "K={k}");
+            assert_eq!(fabric.peer(4).inbox_dropped.load(Relaxed), 0, "K={k}");
+            let queued =
+                |id: NodeId| inboxes[fabric.shard_of(id)].try_iter().filter(|e| e.0 == id).count();
+            assert_eq!(queued(1), 4, "K={k}");
+            // Dead and unknown peers refuse at once, so senders fail fast.
+            fabric.peer(3).dead.store(true, Relaxed);
+            assert!(fabric.try_deliver(3, PeerEvent::Failed(9)).is_err());
+            assert!(fabric.try_deliver(99, PeerEvent::Failed(9)).is_err());
         }
     }
 
+    /// Frames reach the owning shard's listener, same-shard ones included,
+    /// and every link keeps one connection however many frames it carries.
     #[test]
-    fn mem_transport_delivers() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::mem(None);
-        let (tx, rx) = InboxSender::test_pair(64);
-        t.register(7, tx).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(64);
-        t.send(3, 7, sample_msg(&space), &ftx);
-        let (from, msg) = expect_delivery(&rx, Duration::from_secs(5));
-        assert_eq!(from, 3);
-        assert_eq!(msg, sample_msg(&space));
-    }
-
-    #[test]
-    fn mem_transport_with_latency_delivers() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::mem(Some((1, 3)));
-        let (tx, rx) = InboxSender::test_pair(64);
-        t.register(7, tx).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(64);
-        t.send(3, 7, sample_msg(&space), &ftx);
-        let (from, msg) = expect_delivery(&rx, Duration::from_secs(5));
-        assert_eq!(from, 3);
-        assert_eq!(msg, sample_msg(&space));
-    }
-
-    #[test]
-    fn mem_transport_drops_to_dead() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::mem(None);
-        let (tx, rx) = InboxSender::test_pair(64);
-        t.register(7, tx).unwrap();
-        t.deregister(7);
-        let (ftx, frx) = InboxSender::test_pair(64);
-        t.send(3, 7, sample_msg(&space), &ftx);
-        assert!(rx.try_recv().is_err());
-        match frx.try_recv().expect("fail-fast feedback delivered") {
-            PeerEvent::Failed(7) => {}
-            other => panic!("unexpected event: {other:?}"),
-        }
-        assert!(t.peers().is_empty());
-    }
-
-    /// Regression (stale-`now` oversleep): `DelayLine::run` used the
-    /// instant captured *before* the due-drain loop to arm the next
-    /// `wait_timeout`, so after draining a long backlog it overslept the
-    /// next due message by the whole drain duration. The scenario: a large
-    /// batch of already-due deliveries followed by one message due shortly
-    /// after — the marker must arrive as soon as the backlog is drained
-    /// (or at its due time), not `drain + full-delay` later.
-    #[test]
-    fn delay_line_does_not_oversleep_after_long_drain() {
-        const MARKER_MS: u64 = 200;
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let msg = NetMessage::Gossip(GossipMessage::Response {
-            layer: Layer::Random,
-            batch: vec![],
-        });
-        let mut k: usize = 150_000;
-        loop {
-            let line = DelayLine::start();
-            let (tx_bulk, rx_bulk) = InboxSender::test_pair(k);
-            let (tx_marker, rx_marker) = InboxSender::test_pair(4);
-            let (ftx, _frx) = InboxSender::test_pair(4);
-            {
-                // Bulk-fill under our own lock (no per-push wakeups): a
-                // tightly packed backlog, every item already due.
-                let due = Instant::now();
-                let mut q = line.queue.lock();
-                for _ in 0..k {
-                    q.push(DelayedSend {
-                        due,
-                        seq: line.next_seq(),
-                        from: 3,
-                        to: 7,
-                        msg: msg.clone(),
-                        tx: tx_bulk.clone(),
-                        failures: ftx.clone(),
-                    });
-                }
-            }
-            let t0 = Instant::now();
-            line.push(DelayedSend {
-                due: t0 + Duration::from_millis(MARKER_MS),
-                seq: line.next_seq(),
-                from: 3,
-                to: 7,
-                msg: sample_msg(&space),
-                tx: tx_marker.clone(),
-                failures: ftx.clone(),
-            });
-            for _ in 0..k {
-                rx_bulk.recv_timeout(Duration::from_secs(60)).expect("bulk item delivered");
-            }
-            let drain = t0.elapsed();
-            let (_, m) = expect_delivery(&rx_marker, Duration::from_secs(60));
-            assert_eq!(m, sample_msg(&space));
-            let marker_at = t0.elapsed();
-            if drain < Duration::from_millis(150) && k < 600_000 {
-                // Machine drained the backlog too fast for the oversleep
-                // to be distinguishable from noise; double the backlog.
-                k *= 2;
-                continue;
-            }
-            // Fixed: marker arrives at ~max(drain, due). Buggy: the wait
-            // was armed with the pre-drain instant, so it arrives a whole
-            // MARKER_MS after the drain ended.
-            let basis = drain.max(Duration::from_millis(MARKER_MS));
-            assert!(
-                marker_at <= basis + Duration::from_millis(100),
-                "delay line overslept: drained {k} in {drain:?}, marker at {marker_at:?}"
-            );
-            break;
-        }
-    }
-
-    #[test]
-    fn tcp_transport_round_trips_frames() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::tcp(space.clone());
-        let (tx, rx) = InboxSender::test_pair(64);
-        t.register(9, tx).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(64);
-        t.send(4, 9, sample_msg(&space), &ftx);
-        let (from, msg) = expect_delivery(&rx, Duration::from_secs(5));
-        assert_eq!(from, 4);
-        assert_eq!(msg, sample_msg(&space));
-    }
-
-    /// The tentpole invariant: a stream of sends to one destination shares
-    /// one persistent connection — no connect (and no thread) per message.
-    #[test]
-    fn tcp_sends_share_one_persistent_connection() {
+    fn tcp_frames_cross_one_persistent_link_per_shard_pair() {
         const N: usize = 50;
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::tcp(space.clone());
-        let (tx, rx) = InboxSender::test_pair(256);
-        t.register(9, tx).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(64);
+        let space = space();
+        let (fabric, inboxes, _listeners, outs, transport) = plane(4, 2);
         for _ in 0..N {
-            t.send(4, 9, sample_msg(&space), &ftx);
+            outs[0].send(fabric.shard_of(1), 0, 1, &sample_msg(&space)).unwrap();
         }
-        for _ in 0..N {
-            let (from, msg) = expect_delivery(&rx, Duration::from_secs(10));
-            assert_eq!(from, 4);
+        outs[1].send(fabric.shard_of(3), 3, 3, &sample_msg(&space)).unwrap();
+        for _ in 0..=N {
+            let (to, event) = next(&inboxes[1]);
+            let PeerEvent::Deliver(from, msg) = event else { panic!("unexpected {event:?}") };
+            assert!((to, from) == (1, 0) || (to, from) == (3, 3));
             assert_eq!(msg, sample_msg(&space));
         }
-        let stats = t.tcp_stats().expect("tcp transport has stats");
-        assert_eq!(stats.conn_established, 1, "one persistent connection: {stats:?}");
-        assert_eq!(stats.tx_frames, N as u64);
-        assert!(stats.tx_batches >= 1 && stats.tx_batches <= N as u64);
-        assert_eq!(stats.tx_queue_full_drops, 0);
-        let per_link = t.tcp_link_stats().expect("tcp transport has link stats");
-        assert_eq!(per_link.len(), 1);
-        assert_eq!(per_link[0].0, 9);
-        assert_eq!(per_link[0].1.tx_frames, N as u64);
+        let stats = transport.tcp_stats().expect("tcp stats");
+        assert_eq!(stats.conn_established, 2, "one connection per used link: {stats:?}");
+        assert_eq!(stats.tx_frames, N as u64 + 1);
+        assert!(stats.tx_batches >= 2 && stats.tx_batches <= N as u64 + 1);
+        assert_eq!((stats.tx_queue_full_drops, stats.rx_dropped), (0, 0));
     }
 
-    /// A writer wakeup drains the *whole* queue as one batch (the single
-    /// `write_all` + flush per wakeup claim), and the bounded queue drops
-    /// and counts overflow instead of blocking senders.
+    /// One writer wakeup flushes the whole queue as one batch, and a full
+    /// queue drops and counts instead of blocking the shard.
     #[test]
     fn link_batches_whole_queue_and_bounds_it() {
-        let tuning = TcpTuning { link_queue_cap: 8, ..TcpTuning::default() };
-        // No writer spawned: the queue is driven by hand.
-        let link = TcpLink::new(5, "127.0.0.1:1".parse().unwrap(), tuning);
-        let (ftx, _frx) = InboxSender::test_pair(4);
-        let payload = Bytes::from_static(b"frame");
-        for _ in 0..5 {
-            link.enqueue(payload.clone(), &ftx);
-        }
-        let batch = link.collect_batch().expect("queued frames");
-        assert_eq!(batch.len(), 5, "one wakeup collects the whole queue");
-        // Overflow: capacity 8, push 11 → 3 counted drops.
+        let space = space();
+        let (fabric, _inboxes) = Fabric::new(2, 1, 8);
+        let stats = Arc::new(TcpCounters::default());
+        let (tx, rx) = mpsc::sync_channel(8);
+        let out = TcpOut { links: vec![tx], writers: Vec::new(), stats: Arc::clone(&stats) };
         for _ in 0..11 {
-            link.enqueue(payload.clone(), &ftx);
+            out.send(0, 0, 1, &sample_msg(&space)).unwrap();
         }
-        assert_eq!(link.stats.tx_queue_full_drops.load(Ordering::Relaxed), 3);
-        assert_eq!(link.collect_batch().expect("queued frames").len(), 8);
-        // Shutdown with an empty queue ends the writer loop.
-        link.shutdown();
-        assert!(link.collect_batch().is_none());
+        assert_eq!(stats.tx_queue_full_drops.load(Relaxed), 3);
+        drop(out);
+        let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let tuning = TcpTuning { link_queue_cap: 8, ..TcpTuning::default() };
+        let addr = sink.local_addr().unwrap();
+        let writer = Writer { addr, tuning, stats: Arc::clone(&stats), fabric };
+        writer.run(&rx);
+        assert_eq!(stats.tx_batches.load(Relaxed), 1, "one wakeup took the whole queue");
+        assert_eq!(stats.tx_frames.load(Relaxed), 8);
+        let (conn, _) = sink.accept().unwrap();
+        let mut got = 0;
+        read_frames(BufReader::new(conn), &space, |_| true, |_, _, _| got += 1, &stats.rx_dropped);
+        assert_eq!((got, stats.rx_dropped.load(Relaxed)), (8, 0));
     }
 
-    /// Dead endpoint: the writer fails the whole batch fast (every queued
-    /// sender gets `Failed`) and counts the refused connect.
+    /// A link whose listener is gone fails every frame of the batch back to
+    /// its sender and counts the refused connect.
     #[test]
     fn link_writer_fails_fast_on_dead_endpoint() {
+        let (fabric, inboxes) = Fabric::new(2, 1, 8);
         // Bind-then-drop: a loopback port with nothing listening.
-        let addr = {
-            let l = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-            l.local_addr().unwrap()
-        };
-        let link = TcpLink::new(6, addr, TcpTuning::default());
-        link.spawn_writer();
-        let (ftx, frx) = InboxSender::test_pair(8);
-        link.enqueue(Bytes::from_static(b"doomed"), &ftx);
-        match frx.recv_timeout(Duration::from_secs(10)).expect("fail-fast feedback") {
-            PeerEvent::Failed(6) => {}
-            other => panic!("unexpected event: {other:?}"),
-        }
-        assert!(link.stats.conn_failed.load(Ordering::Relaxed) >= 1);
-        assert_eq!(link.stats.tx_frames.load(Ordering::Relaxed), 0);
-        link.shutdown();
+        let addr = TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap();
+        let gone = Listener { addr, stop: Arc::default(), accept: None };
+        let stats = Arc::new(TcpCounters::default());
+        let out = TcpOut::connect(0, &[gone], &TcpTuning::default(), &stats, &fabric).unwrap();
+        out.send(0, 0, 1, &sample_msg(&space())).unwrap();
+        let (to, event) = next(&inboxes[0]);
+        assert!(matches!((to, event), (0, PeerEvent::Failed(1))));
+        assert!(stats.conn_failed.load(Relaxed) >= 1);
+        assert_eq!(stats.tx_frames.load(Relaxed), 0);
     }
 
+    /// A peer's death leaves its shard's listener serving the others: an
+    /// in-flight frame to the dead peer bounces `Failed` to its sender, a
+    /// frame to a live peer of the same shard still arrives, and dropping
+    /// the plane stops every thread and releases the port.
     #[test]
-    fn tcp_transport_fails_fast_to_unregistered() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::tcp(space.clone());
-        let (ftx, frx) = InboxSender::test_pair(8);
-        t.send(3, 42, sample_msg(&space), &ftx);
-        match frx.try_recv().expect("fail-fast feedback delivered") {
-            PeerEvent::Failed(42) => {}
-            other => panic!("unexpected event: {other:?}"),
-        }
-    }
+    fn tcp_kill_keeps_the_shard_listener_and_shutdown_closes_it() {
+        let space = space();
+        let (fabric, inboxes, listeners, outs, transport) = plane(3, 1);
+        fabric.peer(2).dead.store(true, Relaxed);
+        outs[0].send(0, 0, 2, &sample_msg(&space)).unwrap();
+        let (to, event) = next(&inboxes[0]);
+        assert!(matches!((to, event), (0, PeerEvent::Failed(2))));
+        outs[0].send(0, 0, 1, &sample_msg(&space)).unwrap();
+        let (to, event) = next(&inboxes[0]);
+        assert!(matches!((to, event), (1, PeerEvent::Deliver(0, _))));
+        assert_eq!(transport.tcp_stats().unwrap().rx_dropped, 0);
 
-    /// Regression (deregister leak): deregistering a TCP peer must close
-    /// its listener (so the accept thread exits and the port is released),
-    /// and the same id must be re-registrable — with sends routed to the
-    /// *new* endpoint even though a link to the old one was cached.
-    #[test]
-    fn tcp_register_deregister_register_same_id() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::tcp(space.clone());
-        let (tx1, rx1) = InboxSender::test_pair(64);
-        t.register(9, tx1).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(64);
-        t.send(4, 9, sample_msg(&space), &ftx);
-        let (from, _) = expect_delivery(&rx1, Duration::from_secs(5));
-        assert_eq!(from, 4);
-        let old_addr = match &t.inner {
-            Inner::Tcp { endpoints, .. } => endpoints.read()[&9].addr,
-            Inner::Mem { .. } => unreachable!(),
-        };
-
-        t.deregister(9);
-        assert!(t.peers().is_empty());
-        // The listener must actually close: connects to the old endpoint
-        // start failing once the accept thread drops it (bounded poll).
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if TcpStream::connect(old_addr).is_err() {
-                break;
-            }
-            assert!(Instant::now() < deadline, "old listener still accepting");
-        }
-
-        let (tx2, rx2) = InboxSender::test_pair(64);
-        t.register(9, tx2).unwrap();
-        t.send(4, 9, sample_msg(&space), &ftx);
-        let (from, msg) = expect_delivery(&rx2, Duration::from_secs(10));
-        assert_eq!(from, 4);
-        assert_eq!(msg, sample_msg(&space));
-        assert!(rx1.try_recv().is_err(), "old inbox must see nothing new");
+        let addr = listeners[0].addr();
+        drop(outs);
+        drop(listeners);
+        assert_eq!(Arc::strong_count(&fabric), 1, "a writer, reader or accept thread is left");
+        assert!(TcpStream::connect(addr).is_err(), "listener still accepting");
     }
 
     /// The frame-size cap is enforced at send time, at the exact boundary:
@@ -1009,30 +734,174 @@ mod tests {
     /// the receiver while the sender believes it succeeded.
     #[test]
     fn oversize_frames_rejected_at_send_boundary() {
-        let space = Space::uniform(2, 80, 3).unwrap();
-        let t = Transport::tcp(space.clone());
-        let (tx, rx) = InboxSender::test_pair(16);
-        t.register(9, tx).unwrap();
-        let (ftx, _frx) = InboxSender::test_pair(16);
+        let space = space();
+        let (_fabric, inboxes, _listeners, outs, transport) = plane(2, 1);
 
         // Largest legal: len within 8 bytes under the cap (entry granularity).
         let legal = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1);
-        let legal_len = frame(4, &legal).len() - 4;
-        assert!((MAX_FRAME_LEN - 8..MAX_FRAME_LEN).contains(&legal_len));
-        t.send(4, 9, legal.clone(), &ftx);
-        let (_, msg) = expect_delivery(&rx, Duration::from_secs(60));
-        assert_eq!(msg, legal, "boundary frame round-trips");
+        assert!((MAX_FRAME_LEN - 8..MAX_FRAME_LEN).contains(&frame(0, 1, &legal).len()));
+        outs[0].send(0, 0, 1, &legal).unwrap();
+        let (_, event) = next(&inboxes[0]);
+        let round_tripped = matches!(event, PeerEvent::Deliver(0, ref m) if *m == legal);
+        assert!(round_tripped, "boundary frame round-trips");
 
         // One entry more crosses the cap: dropped at send, counted.
         let oversize = msg_with_frame_len_near(&space, MAX_FRAME_LEN + 7);
-        assert!(frame(4, &oversize).len() - 4 >= MAX_FRAME_LEN);
-        t.send(4, 9, oversize, &ftx);
-        assert_eq!(t.tcp_stats().unwrap().tx_oversize_drops, 1);
+        assert!(frame(0, 1, &oversize).len() >= MAX_FRAME_LEN);
+        outs[0].send(0, 0, 1, &oversize).unwrap();
+        assert_eq!(transport.tcp_stats().unwrap().tx_oversize_drops, 1);
         // The link is still healthy: a small follow-up frame arrives, and
         // nothing else ever does (the oversize frame was not sent).
-        t.send(4, 9, sample_msg(&space), &ftx);
-        let (_, msg) = expect_delivery(&rx, Duration::from_secs(10));
-        assert_eq!(msg, sample_msg(&space));
-        assert!(rx.try_recv().is_err());
+        outs[0].send(0, 0, 1, &sample_msg(&space)).unwrap();
+        let (_, event) = next(&inboxes[0]);
+        assert!(matches!(event, PeerEvent::Deliver(0, ref m) if *m == sample_msg(&space)));
+        assert!(inboxes[0].try_recv().is_err());
+    }
+
+    impl Listener {
+        pub(crate) fn addr(&self) -> SocketAddr {
+            self.addr
+        }
+    }
+
+    /// A reader that remembers the largest buffer it was asked to fill.
+    /// Behind a header-sized `BufReader`, that is the frame reader's one
+    /// allocation per frame: a body read bypasses the buffer.
+    struct Probe<R> {
+        inner: R,
+        largest: usize,
+    }
+
+    impl<R: Read> Read for Probe<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.inner.read(buf)
+        }
+    }
+
+    /// What [`read_frames`] made of a byte stream: frames delivered as
+    /// `(from, to)`, frames dropped, the largest read it asked for and
+    /// the bytes it consumed.
+    fn read_all(bytes: &[u8]) -> (Vec<(NodeId, NodeId)>, u64, usize, u64) {
+        let mut probe = Probe { inner: Cursor::new(bytes), largest: 0 };
+        let (mut delivered, dropped) = (Vec::new(), AtomicU64::new(0));
+        let deliver = |from, to, _| delivered.push((from, to));
+        let conn = BufReader::with_capacity(HEADER_LEN, &mut probe);
+        read_frames(conn, &space(), |to| to < 4, deliver, &dropped);
+        (delivered, dropped.into_inner(), probe.largest, probe.inner.position())
+    }
+
+    #[test]
+    fn a_length_past_the_cap_ends_the_stream_before_any_body_read() {
+        let msg = sample_msg(&space());
+        let good = frame_bytes(7, 1, &msg);
+        for len in [MAX_FRAME_LEN as u32, u32::MAX, 15] {
+            let mut stream = good.clone();
+            stream.extend_from_slice(&len.to_le_bytes());
+            stream.extend_from_slice(&[0xAB; 16 + 4096]);
+            let (delivered, dropped, largest, consumed) = read_all(&stream);
+            assert_eq!(delivered, vec![(7, 1)]);
+            assert_eq!(dropped, 1, "len {len}");
+            assert_eq!(consumed as usize, good.len() + HEADER_LEN, "len {len}: read the body");
+            assert!(largest < good.len());
+        }
+        // The largest legal length, cut short: one cap-bounded read, dropped.
+        let mut cut = (MAX_FRAME_LEN as u32 - 1).to_le_bytes().to_vec();
+        cut.extend_from_slice(&[0; 16 + 100]);
+        let (delivered, dropped, largest, _) = read_all(&cut);
+        assert_eq!((delivered.len(), dropped), (0, 1));
+        assert!(largest < MAX_FRAME_LEN);
+    }
+
+    /// One piece of a generated byte stream.
+    #[derive(Debug, Clone)]
+    enum Piece {
+        /// A well-formed frame to a peer the reader serves (`to` < 4).
+        Valid(NodeId, NodeId),
+        /// A well-formed frame to a peer it does not serve.
+        UnknownTo(NodeId, NodeId),
+        /// A valid frame with one bit flipped (at `bit` modulo its length).
+        Flipped(usize),
+        /// Two valid frames' bytes interleaved in chunks of this many.
+        Interleaved(usize),
+        /// A length prefix at or past the cap, then junk.
+        Oversized(u32),
+        /// A valid frame cut short after this many bytes.
+        Truncated(usize),
+    }
+
+    impl Piece {
+        fn intact(&self) -> bool {
+            matches!(self, Piece::Valid(..) | Piece::UnknownTo(..))
+        }
+
+        fn bytes(&self, msg: &NetMessage) -> Vec<u8> {
+            let good = frame_bytes(5, 2, msg);
+            match *self {
+                Piece::Valid(from, to) | Piece::UnknownTo(from, to) => frame_bytes(from, to, msg),
+                Piece::Flipped(bit) => {
+                    let mut f = good;
+                    let at = bit % (f.len() * 8);
+                    f[at / 8] ^= 1 << (at % 8);
+                    f
+                }
+                Piece::Interleaved(chunk) => {
+                    let other = frame_bytes(6, 3, msg);
+                    let (a, b) = (good.chunks(chunk), other.chunks(chunk));
+                    a.zip(b).flat_map(|(x, y)| [x, y].concat()).collect()
+                }
+                Piece::Oversized(over) => {
+                    let mut f = (MAX_FRAME_LEN as u32).saturating_add(over).to_le_bytes().to_vec();
+                    f.extend_from_slice(&[0x5A; 40]);
+                    f
+                }
+                Piece::Truncated(keep) => good[..keep % good.len()].to_vec(),
+            }
+        }
+    }
+
+    fn piece() -> impl Strategy<Value = Piece> {
+        prop_oneof![
+            (any::<u64>(), 0u64..4).prop_map(|(f, t)| Piece::Valid(f, t)),
+            (any::<u64>(), 4u64..u64::MAX).prop_map(|(f, t)| Piece::UnknownTo(f, t)),
+            any::<usize>().prop_map(Piece::Flipped),
+            (1usize..40).prop_map(Piece::Interleaved),
+            any::<u32>().prop_map(Piece::Oversized),
+            any::<usize>().prop_map(Piece::Truncated),
+        ]
+    }
+
+    proptest! {
+        /// Hostile bytes never panic the reader, never make it ask for a
+        /// buffer at or past the cap, and every frame it does not deliver is
+        /// counted. Up to the first damaged piece the stream is in step, so
+        /// exactly the valid frames before it arrive, in order; past it,
+        /// every delivery is still to a served peer and each frame accounted
+        /// for consumed at least a header.
+        #[test]
+        fn hostile_frames_are_survived_and_counted(
+            pieces in prop::collection::vec(piece(), 1..12),
+        ) {
+            let msg = sample_msg(&space());
+            let stream: Vec<u8> = pieces.iter().flat_map(|p| p.bytes(&msg)).collect();
+            let (delivered, dropped, largest, _) = read_all(&stream);
+            prop_assert!(largest < MAX_FRAME_LEN);
+            prop_assert!(delivered.iter().all(|&(_, to)| to < 4));
+            let accounted = delivered.len() as u64 + dropped;
+            prop_assert!(accounted <= (stream.len() / HEADER_LEN) as u64 + 1);
+            let clean = pieces.iter().take_while(|p| p.intact()).collect::<Vec<_>>();
+            let valid: Vec<(NodeId, NodeId)> = clean
+                .iter()
+                .filter_map(|p| match **p { Piece::Valid(f, t) => Some((f, t)), _ => None })
+                .collect();
+            prop_assert_eq!(&delivered[..valid.len().min(delivered.len())], &valid[..]);
+            prop_assert!(delivered.len() >= valid.len());
+            if clean.len() == pieces.len() {
+                prop_assert_eq!(delivered.len(), valid.len());
+                prop_assert_eq!(dropped as usize, pieces.len() - valid.len());
+            } else {
+                prop_assert!(dropped as usize >= clean.len() - valid.len());
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! Live-runtime integration: real peer threads gossip an overlay into
-//! existence, answer multi-attribute queries, and survive ungraceful kills —
-//! the behaviours the paper demonstrated on DAS and PlanetLab.
+//! Live-runtime integration: real peers on worker shards gossip an overlay
+//! into existence, answer multi-attribute queries, and survive ungraceful
+//! kills — the behaviours the paper demonstrated on DAS and PlanetLab.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -46,7 +46,9 @@ fn wait_for_delivery(cluster: &mut NetCluster, query: &Query, bar: f64, tries: u
         if let Some(outcome) = cluster.query(origin, query.clone(), None, Duration::from_secs(30))
         {
             best = best.max(outcome.delivery());
-            if best >= bar {
+            // Strictly above, as every caller asserts: returning at an
+            // exact `bar` failed them whenever early delivery hit it.
+            if best > bar {
                 return best;
             }
         }
@@ -323,9 +325,11 @@ fn live_gossip_health_within_soak_bounds() {
 /// unreproduced failure in a single full-workspace run on the 1-CPU
 /// container). Each iteration runs the full cluster arc — spawn, converge,
 /// query, kill a fraction, recover, shutdown — over both transports with a
-/// fresh seed. Debug builds run it under the tracked-lock tripwire, so a
-/// lock-order inversion or a deadlock inside the data plane panics with
-/// both acquisition chains named instead of hanging; on any failure the
+/// fresh seed. Debug builds run it under the tracked-lock tripwire (the
+/// runtime holds no locks of its own; its observers do), so a lock-order
+/// inversion there panics with both acquisition chains named instead of
+/// hanging, and a stalled shard shows as a query that never completes; on
+/// any failure the
 /// flight recorder's last events are dumped to a JSONL file whose path is
 /// in the panic message, ready for `tracedump`-style inspection.
 ///

@@ -14,7 +14,7 @@
 //! closed-schema parser (`jsonl::parse_trace`) as a full trace.
 //!
 //! **Writer discipline.** The recorder is designed single-writer: one
-//! emitting context (a simulator, or one peer thread) per recorder. Under
+//! emitting context (a simulator, or one live-runtime shard) per recorder. Under
 //! `forbid(unsafe_code)` the slot write goes through a `Mutex`, but with a
 //! single writer that mutex is uncontended on every push — a reader taking
 //! a dump is the only thing that ever waits. Multiple writers are *safe*

@@ -9,7 +9,7 @@ use crate::event::Event;
 /// A sink for [`Event`]s.
 ///
 /// Implementations must be `Send + Sync`: the network runtime calls
-/// `on_event` from one thread per peer, and the parallel sweep runner may
+/// `on_event` from each of its shard threads, and the parallel sweep runner may
 /// drive several simulators at once. Implementations must also be
 /// **side-effect free with respect to the observed system** — an observer
 /// never feeds information back into the protocol, consumes protocol RNG,

@@ -225,9 +225,9 @@ impl WindowSnapshot {
 /// A shared registry of named counters and histograms.
 ///
 /// "Lock-free-enough": one short mutex held per update — contention only
-/// matters on the network runtime's per-peer threads, where each update is
-/// a map lookup plus an integer add, orders of magnitude cheaper than the
-/// socket I/O around it. Iteration order is `BTreeMap` order, so
+/// matters when the network runtime's shards share one registry, where
+/// each update is a map lookup plus an integer add, orders of magnitude
+/// cheaper than the protocol step around it. Iteration order is `BTreeMap` order, so
 /// [`Registry::snapshot`] is deterministic by construction.
 ///
 /// `Registry` also implements [`Observer`], aggregating a standard set of

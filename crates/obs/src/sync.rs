@@ -1,13 +1,13 @@
 //! Tracked lock wrappers: a deadlock tripwire for the threaded runtime.
 //!
-//! The live runtime (`crates/net`) is genuinely concurrent — per-destination
-//! writer threads, a delay-line thread, accept/read threads, peer event
-//! loops — and its locks are plain `std::sync` primitives. This module wraps
-//! them with *lock-class* tracking so that every debug/test run doubles as a
+//! The observability layer is shared by every thread that emits into it —
+//! the live runtime's shards and TCP threads, parallel simulators — and
+//! its locks are plain `std::sync` primitives. This module wraps them with
+//! *lock-class* tracking so that every debug/test run doubles as a
 //! deadlock audit:
 //!
 //! * every [`TrackedMutex`] / [`TrackedRwLock`] carries a `&'static str`
-//!   **lock class** (e.g. `net.link.state`), the same name the static
+//!   **lock class** (e.g. `obs.flight.ring`), the same name the static
 //!   `lock-order` pass in `crates/analyze` reasons about;
 //! * each thread keeps a **held-set** of the classes it currently holds;
 //! * acquiring class *B* while holding *A* records the edge *A → B* in a
@@ -23,7 +23,7 @@
 //! Per-class **hold-time histograms** can be published through a
 //! [`Registry`](crate::Registry) (see [`set_hold_registry`]): every release
 //! records the guard's hold duration in microseconds under
-//! `lock.hold_us.<class>`, making contention on the TCP writer path visible
+//! `lock.hold_us.<class>`, making contention on a shared observer visible
 //! in `netload` output.
 //!
 //! ## Zero-cost passthrough in release

@@ -1,4 +1,4 @@
-//! A miniature PlanetLab run over *real TCP sockets*: 40 live threaded peers on
+//! A miniature PlanetLab run over *real TCP sockets*: 40 live peers on
 //! loopback, gossip maintaining the overlay, a kill of 10% of the network,
 //! and queries before and after showing recovery — §6.7 / Fig. 13 in small.
 //!

@@ -18,7 +18,7 @@
 //! | [`sim`] | `overlay-sim` | discrete-event simulator (PeerSim role) |
 //! | [`dht`] | `dht-baseline` | Bamboo/SWORD delegation baseline |
 //! | [`traces`] | `synthtrace` | synthetic BOINC host attribute traces |
-//! | [`net`] | `autosel-net` | threaded network runtime (DAS / PlanetLab role) |
+//! | [`net`] | `autosel-net` | sharded network runtime (DAS / PlanetLab role) |
 //! | [`obs`] | `autosel-obs` | zero-dependency tracing & metrics (observers, trace trees) |
 //!
 //! ## Quickstart
@@ -86,7 +86,7 @@ pub mod traces {
     pub use synthtrace::*;
 }
 
-/// Threaded deployment runtime (re-export of `autosel-net`).
+/// Sharded deployment runtime (re-export of `autosel-net`).
 pub mod net {
     pub use autosel_net::*;
 }
