@@ -194,6 +194,41 @@ impl CellCoord {
         Region::new(intervals)
     }
 
+    /// Whether `N(level, dim)` intersects `region`: the answer of
+    /// `self.neighboring_cell(level, dim).intersects(region)`, computed
+    /// one dimension at a time without building the subcell. This is the
+    /// `overlaps` test of the query `forward` loop (Fig. 5), asked for
+    /// every (level, dimension) pair a node scans on every hop.
+    /// `neighboring_cell` stays the definition it is property-tested
+    /// against (`tests/cache_agreement.rs`).
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`neighboring_cell`](Self::neighboring_cell) does, or
+    /// if `region` has another dimensionality.
+    #[inline]
+    pub fn neighbor_overlaps(&self, level: Level, dim: usize, region: &Region) -> bool {
+        assert!(level >= 1, "N(l,k) is defined for l >= 1");
+        assert!(level <= self.max_level, "level beyond nesting depth");
+        assert!(dim < self.dims(), "dimension out of range");
+        assert_eq!(region.dims(), self.dims(), "dimensionality mismatch");
+        let half: BucketIndex = 1 << (level - 1);
+        self.indices
+            .iter()
+            .zip(region.intervals())
+            .enumerate()
+            .all(|(j, (&idx, &(rlo, rhi)))| {
+                let base = (idx >> level) << level;
+                let my_half = (idx >> (level - 1)) & 1;
+                let (lo, width) = match j.cmp(&dim) {
+                    std::cmp::Ordering::Less => (base + my_half * half, half),
+                    std::cmp::Ordering::Equal => (base + (1 - my_half) * half, half),
+                    std::cmp::Ordering::Greater => (base, 2 * half),
+                };
+                lo <= rhi && rlo < lo + width
+            })
+    }
+
     /// Classifies another coordinate relative to `self`: either it shares the
     /// unit cell (`C0`) or it lies in exactly one neighboring subcell
     /// `N(l,k)`. This is how the gossip layer decides which routing-table
@@ -284,52 +319,6 @@ impl CellCoord {
             }
         }
         unreachable!("coordinate in Cl \\ C(l-1) must fall in exactly one N(l,k)")
-    }
-
-    /// Precomputes every neighboring subcell of this coordinate; see
-    /// [`SubcellIndex`].
-    pub fn subcell_index(&self) -> SubcellIndex {
-        SubcellIndex::new(self)
-    }
-}
-
-/// Every neighboring subcell `N(l,k)` of one coordinate, materialized once.
-///
-/// [`CellCoord::neighboring_cell`] allocates a fresh [`Region`] per call,
-/// and the query `forward` loop (Fig. 5) asks for the same handful of
-/// regions on every hop a node serves. A node computes this index once at
-/// construction and borrows regions out of it for the rest of its life.
-#[derive(Debug, Clone)]
-pub struct SubcellIndex {
-    dims: usize,
-    /// Slot `(level-1) * dims + dim` holds `N(level, dim)`.
-    regions: Vec<Region>,
-}
-
-impl SubcellIndex {
-    /// Builds the index for `coord`: `dims × max_level` regions.
-    pub fn new(coord: &CellCoord) -> Self {
-        let dims = coord.dims();
-        let mut regions = Vec::with_capacity(dims * coord.max_level() as usize);
-        for level in 1..=coord.max_level() {
-            for dim in 0..dims {
-                regions.push(coord.neighboring_cell(level, dim));
-            }
-        }
-        SubcellIndex { dims, regions }
-    }
-
-    /// The cached `N(level, dim)` — same value [`CellCoord::neighboring_cell`]
-    /// would compute, without the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is 0 or beyond the coordinate's nesting depth, or
-    /// `dim` is out of range.
-    pub fn neighboring_cell(&self, level: Level, dim: usize) -> &Region {
-        assert!(level >= 1, "N(l,k) is defined for l >= 1");
-        assert!(dim < self.dims, "dimension out of range");
-        &self.regions[(level as usize - 1) * self.dims + dim]
     }
 }
 

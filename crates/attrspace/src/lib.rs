@@ -55,7 +55,7 @@ mod region;
 mod space;
 
 pub use catalog::ValueCatalog;
-pub use cell::{CellCoord, CellId, Level, Neighborhood, SubcellIndex};
+pub use cell::{CellCoord, CellId, Level, Neighborhood};
 pub use dimension::Dimension;
 pub use error::SpaceError;
 pub use point::Point;

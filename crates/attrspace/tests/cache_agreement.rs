@@ -1,9 +1,10 @@
 //! The hot-path caches must agree with their unaccelerated definitions:
 //! the division-based uniform bucket resolver vs. binary search, the
 //! bit-arithmetic `classify` vs. the region-materializing one, and the
-//! `SubcellIndex` vs. freshly computed `neighboring_cell` regions.
+//! arithmetic `neighbor_overlaps` vs. intersecting a materialized
+//! `neighboring_cell`.
 
-use attrspace::{CellCoord, Dimension, Space};
+use attrspace::{CellCoord, Dimension, Region, Space};
 use proptest::prelude::*;
 
 const MAX_LEVEL: u8 = 4;
@@ -65,16 +66,64 @@ proptest! {
         prop_assert_eq!(x.classify(&y), x.classify_reference(&y));
     }
 
-    /// The subcell index returns exactly the regions `neighboring_cell`
-    /// computes, for every (level, dim).
+}
+
+/// Largest dimensionality a node supports (the scope bitmask's width).
+const MAX_DIMS: usize = 32;
+
+/// One per-dimension interval of a test region over `2^max_level` buckets:
+/// random, aligned to a cell of some level, a single bucket, or the whole
+/// dimension.
+fn interval(shape: u8, max_level: u8, a: u32, b: u32, align: u8) -> (u32, u32) {
+    let mask = (1u32 << max_level) - 1;
+    let (a, b) = (a & mask, b & mask);
+    match shape {
+        0 => (a.min(b), a.max(b)),
+        1 => {
+            let level = align % (max_level + 1);
+            let base = (a >> level) << level;
+            (base, base + (1 << level) - 1)
+        }
+        2 => (a, a),
+        _ => (0, mask),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// `neighbor_overlaps` answers exactly what intersecting the
+    /// materialized `neighboring_cell` answers, for every level and
+    /// dimension, `d` from 1 to 32, and regions that are random, aligned,
+    /// one bucket, the full space — or (shape 4) a mix per dimension.
     #[test]
-    fn subcell_index_agrees(x in arb_coord(3)) {
-        let index = x.subcell_index();
-        for level in 1..=MAX_LEVEL {
-            for dim in 0..3 {
+    fn neighbor_overlaps_agrees_with_neighboring_cell(
+        d in 1usize..=MAX_DIMS,
+        max_level in 1u8..=6,
+        own in prop::collection::vec(any::<u32>(), MAX_DIMS),
+        shape in 0u8..5,
+        per_dim in prop::collection::vec((0u8..4, any::<u32>(), any::<u32>(), any::<u8>()), MAX_DIMS),
+    ) {
+        let mask = (1u32 << max_level) - 1;
+        let x = CellCoord::new(own[..d].iter().map(|v| v & mask).collect(), max_level);
+        let region = Region::new(
+            per_dim[..d]
+                .iter()
+                .map(|&(s, a, b, align)| {
+                    interval(if shape == 4 { s } else { shape }, max_level, a, b, align)
+                })
+                .collect(),
+        );
+        for level in 1..=max_level {
+            for dim in 0..d {
                 prop_assert_eq!(
-                    index.neighboring_cell(level, dim),
-                    &x.neighboring_cell(level, dim)
+                    x.neighbor_overlaps(level, dim, &region),
+                    x.neighboring_cell(level, dim).intersects(&region),
+                    "N({}, {}) of {} against {}",
+                    level,
+                    dim,
+                    x,
+                    region
                 );
             }
         }

@@ -1,8 +1,9 @@
 use crate::fasthash::{FastMap, FastSet};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use attrspace::{CellCoord, Level, Point, Query, Space, SubcellIndex};
+use attrspace::{CellCoord, Level, Point, Query, Space};
 use autosel_obs::{Event, ObsHandle, QueryRef};
 use epigossip::{NodeId, View};
 use rand::Rng;
@@ -73,10 +74,15 @@ pub enum Output {
 /// Per-query in-flight state: the paper's `pending`, `matching` and
 /// `waiting` tables collapsed into one record (they are always indexed by
 /// the same query id).
-#[derive(Debug)]
+///
+/// Records live boxed, and a concluded one goes back to its thread's
+/// pool ([`PendingQuery::recycle`]) instead of staying with the node that
+/// served it: a node keeps only the records of its in-flight queries.
+#[derive(Debug, Default)]
 struct PendingQuery {
-    /// Shared with every [`QueryMsg`] this node forwards for the query.
-    query: Arc<Query>,
+    /// Shared with every [`QueryMsg`] this node forwards for the query;
+    /// `None` only while the record sits in the pool.
+    query: Option<Arc<Query>>,
     /// Constraints on dynamic attributes, checked locally (footnote 1).
     dynamic: Vec<DynamicConstraint>,
     sigma: Option<u32>,
@@ -108,7 +114,52 @@ struct PendingQuery {
     visited_zero: FastSet<NodeId>,
 }
 
+/// How many emptied records one thread keeps for reuse. A thread serves
+/// its nodes' queries one message at a time, and each message concludes
+/// at most one query, so a small pool stays hot however many nodes the
+/// thread drives.
+const POOLED_RECORDS: usize = 64;
+
+thread_local! {
+    /// Emptied [`PendingQuery`] records of the nodes this thread drives.
+    /// A record bundles six containers (constraint and match lists, three
+    /// id sets, the waiting table) that churn once per query per hop;
+    /// reusing them keeps their capacity warm instead of round-tripping
+    /// the allocator, and one pool per thread, not per node, keeps that
+    /// capacity off the nodes that are idle. The boxes are the records
+    /// themselves: they move between this pool and the pending tables
+    /// without a copy.
+    #[allow(clippy::vec_box)]
+    static RECORDS: RefCell<Vec<Box<PendingQuery>>> = const { RefCell::new(Vec::new()) };
+}
+
 impl PendingQuery {
+    /// An empty record: a pooled one when this thread has one.
+    fn take() -> Box<PendingQuery> {
+        RECORDS
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default()
+    }
+
+    /// Empties a concluded record — including its query, so nothing of the
+    /// query outlives its conclusion — and returns it to this thread's
+    /// pool, or frees it when the pool is full.
+    fn recycle(mut self: Box<Self>) {
+        self.query = None;
+        self.dynamic.clear();
+        self.matching.clear();
+        self.matched_ids.clear();
+        self.waiting.clear();
+        self.contacted_zero.clear();
+        self.visited_zero.clear();
+        RECORDS.with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOLED_RECORDS {
+                pool.push(self);
+            }
+        });
+    }
+
     fn sigma_met(&self) -> bool {
         self.sigma.is_some_and(|s| self.count >= u64::from(s))
     }
@@ -215,22 +266,13 @@ pub struct SelectionNode {
     space: Space,
     point: Point,
     coord: CellCoord,
-    /// Precomputed `N(l,k)` regions of `coord` — `continue_query` scans one
-    /// per (level, dimension) pair on every hop, so they are materialized
-    /// once per point change instead of per scan. Built lazily on the first
-    /// forward: most nodes in a large population never route a query, and
-    /// skipping the build keeps population setup linear in cheap work.
-    subcells: Option<SubcellIndex>,
     routing: RoutingTable,
     /// Current values of this node's dynamic attributes (footnote 1).
     dynamic: FastMap<u32, attrspace::RawValue>,
-    pending: FastMap<QueryId, PendingQuery>,
-    /// Recycled shells of concluded [`PendingQuery`] records. A record
-    /// bundles five containers (match list, three dedup sets, the waiting
-    /// table) that churn once per query per hop; re-using the emptied
-    /// shells keeps their capacity warm instead of round-tripping the
-    /// allocator on every query. Bounded; see [`Self::recycle_pending`].
-    spare: Vec<PendingQuery>,
+    /// Records of the queries in flight here. Boxed, so an idle node's
+    /// table is a few pointer-sized slots; the table keeps its capacity
+    /// when it empties, because a node goes idle and busy all the time.
+    pending: FastMap<QueryId, Box<PendingQuery>>,
     /// Every query id ever accepted — duplicates are never re-processed,
     /// keeping the traversal exactly-once even under retries. While the
     /// query is still pending here the duplicate is *suppressed* (the real
@@ -278,12 +320,10 @@ impl SelectionNode {
             id,
             space: space.clone(),
             routing: RoutingTable::new(space.clone(), coord.clone()),
-            subcells: None,
             point,
             coord,
             dynamic: FastMap::default(),
             pending: FastMap::default(),
-            spare: Vec::new(),
             seen: SeenSet::default(),
             reply_cache: FastMap::default(),
             reply_cache_order: VecDeque::new(),
@@ -543,7 +583,6 @@ impl SelectionNode {
     /// no registry needs updating, which is the point of the paper.
     pub fn set_point(&mut self, point: Point) {
         self.coord = self.space.cell_coord(&point);
-        self.subcells = None;
         self.point = point;
         self.routing = RoutingTable::new(self.space.clone(), self.coord.clone());
     }
@@ -846,41 +885,21 @@ impl SelectionNode {
         let level = msg.level.clamp(-1, self.space.max_level() as i8);
         let dims = msg.dims & all_dims(self.space.dims());
 
-        let mut p = if let Some(mut shell) = self.spare.pop() {
-            // Containers arrive emptied (recycle_pending) with capacity
-            // warm; only the scalars and inputs need (re)setting.
-            shell.query = msg.query;
-            shell.dynamic = msg.dynamic;
-            shell.sigma = msg.sigma;
-            shell.level = level;
-            shell.dims = dims;
-            shell.reply_to = from;
-            shell.count_only = msg.count_only;
-            shell.count = 0;
-            shell.attempt = msg.attempt;
-            shell.next_attempt = 1;
-            shell.visited_zero.extend(msg.visited_zero);
-            shell
-        } else {
-            PendingQuery {
-                query: msg.query,
-                dynamic: msg.dynamic,
-                sigma: msg.sigma,
-                level,
-                dims,
-                reply_to: from,
-                count_only: msg.count_only,
-                count: 0,
-                matching: Vec::new(),
-                matched_ids: FastSet::default(),
-                attempt: msg.attempt,
-                next_attempt: 1,
-                waiting: FastMap::default(),
-                contacted_zero: FastSet::default(),
-                visited_zero: msg.visited_zero.into_iter().collect(),
-            }
-        };
-        let matched = self.matches_fully(&p.query, &p.dynamic);
+        let matched = self.matches_fully(&msg.query, &msg.dynamic);
+        // Containers arrive empty (fresh or recycled with capacity warm);
+        // only the scalars and inputs need setting.
+        let mut p = PendingQuery::take();
+        p.query = Some(msg.query);
+        p.dynamic = msg.dynamic;
+        p.sigma = msg.sigma;
+        p.level = level;
+        p.dims = dims;
+        p.reply_to = from;
+        p.count_only = msg.count_only;
+        p.count = 0;
+        p.attempt = msg.attempt;
+        p.next_attempt = 1;
+        p.visited_zero.extend(msg.visited_zero);
         if matched {
             p.add_match(Match { node: self.id, values: self.point.clone() });
         }
@@ -996,11 +1015,8 @@ impl SelectionNode {
     fn continue_query(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
         let deadline = now.saturating_add(self.config.query_timeout_ms);
         let d = self.space.dims();
-        if self.subcells.is_none() {
-            self.subcells = Some(self.coord.subcell_index());
-        }
-        let subcells = self.subcells.as_ref().expect("just built");
-        let p = self.pending.get_mut(&qid).expect("pending query");
+        let p: &mut PendingQuery = self.pending.get_mut(&qid).expect("pending query");
+        let query = p.query.as_ref().expect("a pending record holds its query");
         let mut out = Vec::new();
 
         while p.level > 0 {
@@ -1009,8 +1025,7 @@ impl SelectionNode {
                 if p.dims & (1 << dim) == 0 {
                     continue;
                 }
-                let subcell = subcells.neighboring_cell(level, dim);
-                if !p.query.region().intersects(subcell) {
+                if !self.coord.neighbor_overlaps(level, dim, query.region()) {
                     continue;
                 }
                 // The subcell overlaps the query. Forward to our link there,
@@ -1029,7 +1044,7 @@ impl SelectionNode {
                     );
                     let fwd = QueryMsg {
                         id: qid,
-                        query: p.query.clone(),
+                        query: Arc::clone(query),
                         sigma: p.sigma,
                         level: p.level,
                         dims: p.dims,
@@ -1067,7 +1082,7 @@ impl SelectionNode {
             // broadcast of §4.1 for densely populated cells.
             let mut targets = Vec::new();
             for (nid, npoint) in self.routing.zero_neighbors() {
-                if p.query.matches(npoint)
+                if query.matches(npoint)
                     && !p.matched_ids.contains(&nid)
                     && !p.contacted_zero.contains(&nid)
                     && !p.visited_zero.contains(&nid)
@@ -1093,7 +1108,7 @@ impl SelectionNode {
                 );
                 let fwd = QueryMsg {
                     id: qid,
-                    query: p.query.clone(),
+                    query: Arc::clone(query),
                     sigma: p.sigma,
                     level: -1,
                     dims: 0,
@@ -1129,7 +1144,7 @@ impl SelectionNode {
     /// Finishes a query at this node: answer upstream, or report completion
     /// when this node originated it.
     fn conclude(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
-        let p = self.pending.remove(&qid).expect("pending query");
+        let mut p = self.pending.remove(&qid).expect("pending query");
         debug_assert!(
             p.waiting.is_empty(),
             "query {qid} concluded with {} live subtree(s) still waiting",
@@ -1149,10 +1164,9 @@ impl SelectionNode {
                 count: p.count,
             });
         }
-        let mut p = p;
         let matching = std::mem::take(&mut p.matching);
         let (reply_to, count, attempt) = (p.reply_to, p.count, p.attempt);
-        self.recycle_pending(p);
+        p.recycle();
         match reply_to {
             Some(upstream) => {
                 self.obs.emit(|| Event::ReplySent {
@@ -1192,25 +1206,6 @@ impl SelectionNode {
                 vec![Output::Completed { id: qid, matches: matching, count }]
             }
         }
-    }
-
-    /// Returns a concluded record's shell to the [`spare`](Self::spare)
-    /// pool, emptied, so the next accepted query re-uses its container
-    /// capacity. The pool is small and bounded: a node concludes queries
-    /// one at a time, so a handful of shells covers any burst, and an
-    /// unbounded pool would slowly pin the peak working set forever.
-    fn recycle_pending(&mut self, mut p: PendingQuery) {
-        const SPARE_CAP: usize = 4;
-        if self.spare.len() >= SPARE_CAP {
-            return;
-        }
-        p.matching.clear();
-        p.dynamic.clear();
-        p.matched_ids.clear();
-        p.waiting.clear();
-        p.contacted_zero.clear();
-        p.visited_zero.clear();
-        self.spare.push(p);
     }
 }
 
@@ -1779,5 +1774,197 @@ mod tests {
         }
         assert!(!receipts.contains_key(&0), "nothing re-delivered to the origin");
         assert_eq!(dups, 0, "the dedup set left nothing for the seen-set to catch");
+    }
+
+    /// A node's memory follows its in-flight queries: a record exists only
+    /// while its query is pending, a pooled record holds nothing of the
+    /// query it served, and which records the pool hands out never shows
+    /// in the protocol's behaviour.
+    mod in_flight_memory {
+        use super::*;
+        use attrspace::Range;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Weak;
+
+        const NODES: u64 = 48;
+        /// Never answers: queries routed to it conclude by `T(q)`.
+        const DEAD: NodeId = 7;
+
+        /// What one run of [`run`] leaves behind.
+        struct Run {
+            nodes: Vec<SelectionNode>,
+            /// Every completion in order: id, sorted matched ids, count.
+            completed: Vec<(QueryId, Vec<NodeId>, u64)>,
+            messages: u64,
+            /// A handle on the query of every QUERY message sent.
+            queries: Vec<Weak<Query>>,
+            inbox: VecDeque<(NodeId, NodeId, Message)>,
+        }
+
+        impl Run {
+            fn absorb(&mut self, from: NodeId, outs: Vec<Output>) {
+                for o in outs {
+                    match o {
+                        Output::Send { to, msg } => {
+                            self.messages += 1;
+                            if let Message::Query(q) = &msg {
+                                self.queries.push(Arc::downgrade(&q.query));
+                            }
+                            if to != DEAD {
+                                self.inbox.push_back((from, to, msg));
+                            }
+                        }
+                        Output::Completed { id, matches, count } => {
+                            let mut ids: Vec<NodeId> = matches.iter().map(|m| m.node).collect();
+                            ids.sort_unstable();
+                            self.completed.push((id, ids, count));
+                        }
+                        Output::NeighborFailed(_) => {}
+                    }
+                }
+            }
+        }
+
+        /// A static cluster on partial routing knowledge, with one dead
+        /// node, runs sixteen concurrent queries — σ-bounded, unbounded,
+        /// count-only and with a dynamic constraint — to quiescence.
+        fn run(seed: u64) -> Run {
+            let s = Space::uniform(3, 80, 3).expect("valid 3-d space geometry");
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut nodes: Vec<SelectionNode> = (0..NODES)
+                .map(|id| {
+                    // Half of each dimension only, so C0 cells hold mates.
+                    let vals: Vec<u64> = (0..3).map(|_| rng.gen_range(0..40u64)).collect();
+                    let point = s.point(&vals).expect("coords lie inside the space");
+                    let mut n = SelectionNode::new(id, &s, point, ProtocolConfig::default());
+                    n.set_dynamic(0, id % 4);
+                    n
+                })
+                .collect();
+            let points: Vec<Point> = nodes.iter().map(|n| n.point().clone()).collect();
+            for n in &mut nodes {
+                for _ in 0..24 {
+                    let peer = rng.gen_range(0..NODES);
+                    if peer != n.id() {
+                        n.routing_mut().observe(peer, points[peer as usize].clone());
+                    }
+                }
+            }
+            let mut run = Run {
+                nodes: Vec::new(),
+                completed: Vec::new(),
+                messages: 0,
+                queries: Vec::new(),
+                inbox: VecDeque::new(),
+            };
+            for i in 0..16u64 {
+                let origin = rng.gen_range(DEAD + 1..NODES);
+                let q = Query::builder(&s)
+                    .min("a0", rng.gen_range(0..40u64))
+                    .build()
+                    .expect("well-formed query");
+                let node = &mut nodes[origin as usize];
+                let (_, outs) = match i % 4 {
+                    0 => node.begin_query(q, Some(4), i),
+                    1 => node.begin_query(q, None, i),
+                    2 => node.begin_count_query(q, Vec::new(), i),
+                    _ => {
+                        let c = DynamicConstraint {
+                            key: 0,
+                            range: Range { lo: 1, hi: 2 },
+                        };
+                        node.begin_query_full(q, vec![c], None, i)
+                    }
+                };
+                run.absorb(origin, outs);
+            }
+            let mut now = 16;
+            loop {
+                while let Some((from, to, msg)) = run.inbox.pop_front() {
+                    now += 1;
+                    let outs = nodes[to as usize].handle_message(from, msg, now);
+                    run.absorb(to, outs);
+                }
+                let Some(next) = nodes.iter().filter_map(|n| n.next_timeout()).min() else {
+                    break;
+                };
+                now = now.max(next);
+                for n in &mut nodes {
+                    let outs = n.poll_timeouts(now);
+                    run.absorb(n.id(), outs);
+                }
+            }
+            run.nodes = nodes;
+            run
+        }
+
+        /// After a static cluster runs to quiescence every node's `pending`
+        /// is empty, so no node owns a record; the records it used sit in
+        /// this thread's pool, emptied.
+        #[test]
+        fn a_quiescent_cluster_owns_no_records() {
+            let run = run(42);
+            assert_eq!(run.completed.len(), 16, "every query completed");
+            assert!(
+                run.nodes.iter().any(|n| n.timeouts_fired() > 0),
+                "the dead node forced a T(q) expiry"
+            );
+            for n in &run.nodes {
+                assert!(n.pending.is_empty(), "node {} still holds a record", n.id());
+            }
+            RECORDS.with(|pool| {
+                let pool = pool.borrow();
+                assert!(!pool.is_empty(), "records went back to the pool");
+                assert!(pool.len() <= POOLED_RECORDS);
+                for r in pool.iter() {
+                    assert!(r.query.is_none());
+                    assert!(r.dynamic.is_empty() && r.matching.is_empty());
+                    assert!(r.matched_ids.is_empty() && r.waiting.is_empty());
+                    assert!(r.contacted_zero.is_empty() && r.visited_zero.is_empty());
+                }
+            });
+        }
+
+        /// Regression: a recycled record used to keep its `Arc<Query>`, so
+        /// a parked record held the last query it served. Once every query
+        /// has concluded everywhere and every message is gone, nothing may
+        /// hold any of them.
+        #[test]
+        fn no_pooled_record_keeps_a_concluded_query() {
+            let run = run(42);
+            assert!(run.queries.len() > 16, "queries were forwarded");
+            for q in &run.queries {
+                assert!(q.upgrade().is_none(), "a concluded query is still held");
+            }
+        }
+
+        /// The same seeded scenario run twice on one thread (the second
+        /// time on a warm pool) and once on a fresh thread (a cold pool)
+        /// leaves every node in the same state, completes every query the
+        /// same way, and sends the same number of messages.
+        #[test]
+        fn outcomes_do_not_depend_on_the_pool() {
+            type Outcome = (Vec<u64>, Vec<(QueryId, Vec<NodeId>, u64)>, u64);
+            fn outcome(seed: u64) -> Outcome {
+                let r = run(seed);
+                (
+                    r.nodes.iter().map(|n| n.state_fingerprint()).collect(),
+                    r.completed,
+                    r.messages,
+                )
+            }
+            let first = outcome(7);
+            assert!(
+                RECORDS.with(|pool| !pool.borrow().is_empty()),
+                "the pool is warm"
+            );
+            let warm = outcome(7);
+            let cold = std::thread::spawn(|| outcome(7))
+                .join()
+                .expect("fresh thread ran");
+            assert_eq!(warm, first, "a warm pool changed the run");
+            assert_eq!(cold, first, "a cold pool changed the run");
+        }
     }
 }

@@ -95,3 +95,43 @@ fn oracle_wiring_is_deterministic_too() {
     };
     assert_eq!(build(), build());
 }
+
+/// Nodes take their per-query records from a pool of the thread that
+/// drives them. Which records it hands out must never show: a fault-plan
+/// run repeated on a warm thread and on a fresh thread gives the same
+/// stats for every query and the same state hash, which covers every
+/// node's `state_fingerprint`.
+#[test]
+fn pooled_query_records_do_not_change_a_run() {
+    fn run() -> (Vec<String>, u64) {
+        let space = Space::uniform(3, 80, 3).unwrap();
+        let mut cfg = SimConfig::fast_static();
+        cfg.protocol.query_timeout_ms = 8_000;
+        let mut sim = SimCluster::new(space.clone(), cfg, 4242);
+        sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 200);
+        sim.wire_oracle();
+        sim.set_fault_plan(
+            FaultPlan::new()
+                .drop_all(0.05)
+                .duplicate_protocol(0.2, 1)
+                .crash(2_000, 5),
+        );
+        let mut qids = Vec::new();
+        for sigma in [Some(8), None, Some(30), None] {
+            let query = Query::builder(&space).min("a1", 30).build().unwrap();
+            let origin = sim.random_node();
+            qids.push(sim.issue_query(origin, query, sigma));
+        }
+        sim.run_to_quiescence();
+        let stats = qids
+            .iter()
+            .map(|&q| sim.query_stats(q).unwrap().fingerprint())
+            .collect();
+        (stats, sim.state_hash())
+    }
+    let first = run();
+    let warm = run();
+    let cold = std::thread::spawn(run).join().unwrap();
+    assert_eq!(warm, first, "a warm pool changed the run");
+    assert_eq!(cold, first, "a cold pool changed the run");
+}
