@@ -1,9 +1,9 @@
 //! Static and dynamic analysis backstops for the resource-selection
 //! overlay: a stateless DPOR model checker that drives the simulator
 //! through every interesting message interleaving of a bounded scenario
-//! ([`explorer`]), a zero-dependency repo linter enforcing the
-//! codebase's own invariants ([`lint`]), and a static lock-order pass
-//! auditing the threaded runtime's acquisition graph ([`lockgraph`]).
+//! ([`explorer`]), and a zero-dependency repo linter enforcing the
+//! codebase's own invariants ([`lint`]) — among them that the live
+//! runtime stays lock-free (`runtime-lock`).
 //!
 //! The two halves share a philosophy: the repo's correctness story should
 //! not depend on anyone *remembering* the rules. The explorer turns
@@ -23,8 +23,6 @@
 
 pub mod explorer;
 pub mod lint;
-pub mod lockgraph;
 
 pub use explorer::{replay, Action, Choice, Explorer, Report, Scenario, Violation};
 pub use lint::{lint_repo, lint_source, Finding, Rule};
-pub use lockgraph::{lock_order_repo, lock_order_sources, LockFinding, LockRule};

@@ -13,12 +13,7 @@
 //! | `obs-schema` | `crates/obs/src/event.rs`, non-test | the trace JSON schema is closed (docs/OBSERVABILITY.md); a new key or event kind must be added to the schema table deliberately, not leak in via a string literal |
 //! | `unbounded-channel` | `crates/net/src`, non-test | bounded inboxes are the load-survival invariant: every peer queue has drop-on-full accounting, so an unbounded `mpsc::channel()` reintroduces the memory blow-up and hides backpressure the netload bench is meant to surface — the one sanctioned use, the shard inbox, is bounded by per-peer admission and says so in its pragma |
 //! | `spawn-per-send` | `crates/net/src`, non-test | the TCP transport once spawned a thread (and opened a connection) *per message* — the scalability bug the persistent link data plane replaced; every legitimate runtime thread is long-lived and named via `thread::Builder`, so a bare `thread::spawn` in the runtime is either that regression returning or an unnamed thread that ruins stack traces |
-//! | `lock-unwrap` | `crates/net/src`, tests included | the shard runtime holds no locks; one that comes back must be a tracked `autosel_obs::sync` wrapper (lock-class audit, invariant-stating poison panics), and a raw `.lock().unwrap()` / `.read().unwrap()` / `.write().unwrap()` is either an untracked `std::sync` lock sneaking back in, or a poison panic that names no invariant — the same standard the protocol files hold for `.unwrap()` |
-//!
-//! The deeper lock-order analysis (acquisition-graph cycles, blocking
-//! calls under a live guard, guards held across channel sends) lives in
-//! [`lockgraph`](crate::lockgraph) and runs as the `lock-order` pass of
-//! the same `analyze lint` bin.
+//! | `runtime-lock` | `crates/net/src`, non-test | the shard runtime holds no locks: a shard owns its peers' state and talks to other shards by message, so a `Mutex` / `RwLock` / `Condvar` appearing there is shared state coming back — the design, not an audit of lock orders, is what keeps the runtime free of deadlocks |
 //!
 //! The scanner is hand-rolled (no syn, no regex — the crate has zero
 //! external dependencies): comments and string literals are masked out of
@@ -53,8 +48,8 @@ pub enum Rule {
     UnboundedChannel,
     /// Bare `thread::spawn` in the live runtime's non-test code.
     SpawnPerSend,
-    /// Raw `.lock().unwrap()`-style acquisition in the live runtime.
-    LockUnwrap,
+    /// A `Mutex`, `RwLock` or `Condvar` in the live runtime's non-test code.
+    RuntimeLock,
 }
 
 impl Rule {
@@ -68,7 +63,7 @@ impl Rule {
         Rule::ObsSchema,
         Rule::UnboundedChannel,
         Rule::SpawnPerSend,
-        Rule::LockUnwrap,
+        Rule::RuntimeLock,
     ];
 
     /// The rule's stable name (used in pragmas and reports).
@@ -82,7 +77,7 @@ impl Rule {
             Rule::ObsSchema => "obs-schema",
             Rule::UnboundedChannel => "unbounded-channel",
             Rule::SpawnPerSend => "spawn-per-send",
-            Rule::LockUnwrap => "lock-unwrap",
+            Rule::RuntimeLock => "runtime-lock",
         }
     }
 }
@@ -124,31 +119,27 @@ const OBS_SCHEMA: &[&str] = &[
 
 /// A source file after masking: comments and literal bodies blanked from
 /// the code view, string literals and test regions recorded on the side.
-/// Shared with the [`lockgraph`](crate::lockgraph) pass.
-pub(crate) struct Scanned {
+struct Scanned {
     /// Raw source lines (pragma detection, excerpts).
-    pub(crate) raw: Vec<String>,
+    raw: Vec<String>,
     /// Code view lines: comments and string/char literal bodies replaced
     /// by spaces, structure (quotes, braces) preserved positionally.
-    pub(crate) code: Vec<String>,
+    code: Vec<String>,
     /// String literal bodies with their 1-based starting line.
-    pub(crate) strings: Vec<(usize, String)>,
+    strings: Vec<(usize, String)>,
     /// 1-based inclusive line ranges covered by `#[cfg(test)]` items.
-    pub(crate) test_regions: Vec<(usize, usize)>,
+    test_regions: Vec<(usize, usize)>,
 }
 
 impl Scanned {
-    pub(crate) fn in_test_region(&self, line: usize) -> bool {
+    fn in_test_region(&self, line: usize) -> bool {
         self.test_regions.iter().any(|&(lo, hi)| lo <= line && line <= hi)
     }
 
+    /// Pragma check (`lint:allow(rule)` on the line or the line above;
+    /// `lint:allow-file(rule)` anywhere).
     fn allowed(&self, rule: Rule, line: usize) -> bool {
-        self.allowed_name(rule.name(), line)
-    }
-
-    /// Pragma check by rule name (`lint:allow(name)` on the line or the
-    /// line above; `lint:allow-file(name)` anywhere).
-    pub(crate) fn allowed_name(&self, rule_name: &str, line: usize) -> bool {
+        let rule_name = rule.name();
         let file_tag = format!("lint:allow-file({rule_name})");
         if self.raw.iter().any(|l| l.contains(&file_tag)) {
             return true;
@@ -163,7 +154,7 @@ impl Scanned {
 /// `#[cfg(test)]` regions. Handles line/nested-block comments, string,
 /// raw-string (`r#"…"#`), byte-string and char literals, and
 /// distinguishes lifetimes from char literals well enough for real code.
-pub(crate) fn scan(src: &str) -> Scanned {
+fn scan(src: &str) -> Scanned {
     let bytes: Vec<char> = src.chars().collect();
     let mut code = String::with_capacity(src.len());
     let mut strings: Vec<(usize, String)> = Vec::new();
@@ -377,7 +368,7 @@ fn find_test_regions(code: &[String]) -> Vec<(usize, usize)> {
 
 /// Whether `hay` contains `needle` starting and ending at identifier
 /// boundaries (so `HashMap` does not match `FastHashMapLike`).
-pub(crate) fn has_token(hay: &str, needle: &str) -> bool {
+fn has_token(hay: &str, needle: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = hay[from..].find(needle) {
         let at = from + pos;
@@ -453,14 +444,11 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
         if in_net_src && !in_test && has_token(code_line, "thread::spawn") {
             push(Rule::SpawnPerSend, line, &scanned);
         }
-        // Tests included: a test that raw-locks runtime state bypasses the
-        // lock-class audit exactly when concurrency bugs are being chased.
         if in_net_src
-            && (code_line.contains(".lock().unwrap()")
-                || code_line.contains(".read().unwrap()")
-                || code_line.contains(".write().unwrap()"))
+            && !in_test
+            && ["Mutex", "RwLock", "Condvar"].iter().any(|t| has_token(code_line, t))
         {
-            push(Rule::LockUnwrap, line, &scanned);
+            push(Rule::RuntimeLock, line, &scanned);
         }
     }
 
@@ -508,7 +496,7 @@ pub fn lint_repo(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(findings)
 }
 
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
@@ -670,28 +658,30 @@ mod tests {
     }
 
     #[test]
-    fn lock_unwrap_flagged_in_net_runtime_and_its_tests() {
-        let src = "fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().unwrap() }\n";
-        assert!(
-            rules_hit("crates/net/src/transport.rs", src).contains(&Rule::LockUnwrap),
+    fn runtime_lock_flagged_in_net_runtime_only() {
+        let field = "struct Link {\n    queue: Mutex<Vec<u8>>,\n}\n";
+        assert_eq!(
+            rules_hit("crates/net/src/transport.rs", field),
+            vec![Rule::RuntimeLock],
             "positive match required"
         );
-        let read = "fn f() { let n = reg.read().unwrap().len(); }\n";
-        assert!(rules_hit("crates/net/src/peer.rs", read).contains(&Rule::LockUnwrap));
-        let write = "fn f() { reg.write().unwrap().clear(); }\n";
-        assert!(rules_hit("crates/net/src/cluster.rs", write).contains(&Rule::LockUnwrap));
-        // Unit tests inside the runtime are held to the same standard…
-        let module = "#[cfg(test)]\nmod tests {\n    fn f() { q.lock().unwrap().push(1); }\n}\n";
-        assert!(rules_hit("crates/net/src/transport.rs", module).contains(&Rule::LockUnwrap));
-        // …the tracked wrappers (no Result, no unwrap) are the sanctioned form…
-        let tracked = "fn f() { let mut q = self.queue.lock(); q.push(1); }\n";
-        assert!(rules_hit("crates/net/src/transport.rs", tracked).is_empty());
-        // …an invariant-stating expect is fine where std locks remain…
-        let expect = "fn f() { let g = m.lock().expect(\"registry lock poisoned\"); }\n";
-        assert!(rules_hit("crates/net/src/transport.rs", expect).is_empty());
-        // …other crates are out of scope, and a reasoned pragma escapes.
-        assert!(rules_hit("crates/obs/src/flight.rs", src).is_empty());
-        let allowed = "// lint:allow(lock-unwrap) — bench-only scaffold, no runtime lock classes\nfn f() { m.lock().unwrap(); }\n";
+        let import = "use std::sync::Mutex;\n";
+        assert!(rules_hit("crates/net/src/peer.rs", import).contains(&Rule::RuntimeLock));
+        let ctor = "fn f() { let table = std::sync::RwLock::new(0u32); }\n";
+        assert!(rules_hit("crates/net/src/cluster.rs", ctor).contains(&Rule::RuntimeLock));
+        let wake = "fn f(c: &Condvar) { c.notify_one(); }\n";
+        assert!(rules_hit("crates/net/src/peer.rs", wake).contains(&Rule::RuntimeLock));
+        // Test code may lock whatever it likes…
+        let module = "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    fn f() { let m = Mutex::new(1u8); }\n}\n";
+        assert!(rules_hit("crates/net/src/transport.rs", module).is_empty());
+        assert!(rules_hit("crates/net/tests/live.rs", import).is_empty());
+        // …the observers' locks are out of scope…
+        assert!(rules_hit("crates/obs/src/flight.rs", field).is_empty());
+        // …prose and longer identifiers do not match…
+        let prose = "// no Mutex here\nfn f() { let s = \"RwLock\"; let _ = MutexFree; }\n";
+        assert!(rules_hit("crates/net/src/peer.rs", prose).is_empty());
+        // …and a reasoned pragma escapes.
+        let allowed = "// lint:allow(runtime-lock) — shutdown handshake, taken once\nuse std::sync::Mutex;\n";
         assert!(rules_hit("crates/net/src/x.rs", allowed).is_empty());
     }
 

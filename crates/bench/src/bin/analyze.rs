@@ -6,12 +6,10 @@
 //!                 [--race-timeouts] [--inject-dedup-bug] [--max-schedules N]
 //! ```
 //!
-//! `lint` runs the repo linter over `<root>/crates` (default: the current
-//! directory) and prints every finding, then runs the `lock-order` pass
-//! (acquisition-order cycles, blocking calls and channel sends under live
-//! guards — see [`autosel_analyze::lockgraph`]) over the threaded runtime
-//! crates; exit status 1 if either reports anything. This is the CI
-//! `analyze-lint` gate.
+//! `lint` runs the repo linter's token rules (see [`autosel_analyze::lint`])
+//! over `<root>/crates` (default: the current directory) and prints every
+//! finding; exit status 1 if there is any, 2 if the tree cannot be read.
+//! This is the CI `analyze-lint` gate.
 //!
 //! `explore` builds a bounded scenario and exhaustively model-checks its
 //! message interleavings, printing the coverage report; exit status 1 on
@@ -27,7 +25,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use attrspace::{Query, Space};
-use autosel_analyze::{lint_repo, lock_order_repo, Explorer, Scenario};
+use autosel_analyze::{lint_repo, Explorer, Scenario};
 
 fn usage() -> ! {
     eprintln!(
@@ -67,22 +65,11 @@ fn lint_cmd(args: &[String]) -> ExitCode {
     for f in &findings {
         println!("{f}");
     }
-    let lock_findings = match lock_order_repo(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("analyze lint: lock-order pass cannot walk {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    for f in &lock_findings {
-        println!("{f}");
-    }
-    let total = findings.len() + lock_findings.len();
-    if total == 0 {
-        println!("analyze lint: clean (token rules + lock-order)");
+    if findings.is_empty() {
+        println!("analyze lint: clean (token rules)");
         ExitCode::SUCCESS
     } else {
-        println!("analyze lint: {total} finding(s)");
+        println!("analyze lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
     }
 }

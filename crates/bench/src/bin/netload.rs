@@ -304,11 +304,6 @@ fn main() {
         warmup_ms + measure_ms + timeout_ms + 1_000
     };
     let registry = Arc::new(Registry::with_windows(WindowSpec::covering(span_ms, 64)));
-    // When the lock tripwire is compiled in (debug builds or
-    // `--features lockcheck`), publish per-class hold-time histograms
-    // (`lock.hold_us.<class>`) into the same registry. A no-op passthrough
-    // otherwise.
-    autosel_obs::sync::set_hold_registry(Some(Arc::clone(&registry)));
     let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
     let mut fan = Fanout::new();
     fan.push(Arc::clone(&registry) as Arc<dyn autosel_obs::Observer>);
@@ -453,30 +448,6 @@ fn main() {
             s.conn_established, s.conn_failed, s.tx_frames, s.tx_batches,
             s.tx_queue_full_drops, s.tx_oversize_drops
         );
-    }
-    if autosel_obs::sync::lockcheck_active() {
-        // Hold times accumulate in the cumulative histograms (they are not
-        // windowed): one line per lock class, worst classes are the ones to
-        // stare at when the knee moves.
-        let cumulative = registry.snapshot();
-        let hold: Vec<_> = cumulative
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with("lock.hold_us."))
-            .collect();
-        if !hold.is_empty() {
-            println!("lock hold times (lockcheck build — not a performance run):");
-            for (name, h) in hold {
-                println!(
-                    "  {:<20} n={:<9} p50 {:>6.0} µs  p99 {:>7.0} µs  max {:>8} µs",
-                    &name["lock.hold_us.".len()..],
-                    h.count(),
-                    h.quantile(0.50),
-                    h.quantile(0.99),
-                    h.max()
-                );
-            }
-        }
     }
 
     // ---- flight dump around the injected fault (or on demand).

@@ -321,24 +321,19 @@ fn live_gossip_health_within_soak_bounds() {
     cluster.shutdown();
 }
 
-/// Opt-in bounded stress loop chasing the PR-9 cluster_live caveat (one
-/// unreproduced failure in a single full-workspace run on the 1-CPU
-/// container). Each iteration runs the full cluster arc — spawn, converge,
-/// query, kill a fraction, recover, shutdown — over both transports with a
-/// fresh seed. Debug builds run it under the tracked-lock tripwire (the
-/// runtime holds no locks of its own; its observers do), so a lock-order
-/// inversion there panics with both acquisition chains named instead of
-/// hanging, and a stalled shard shows as a query that never completes; on
-/// any failure the
-/// flight recorder's last events are dumped to a JSONL file whose path is
-/// in the panic message, ready for `tracedump`-style inspection.
+/// Opt-in bounded stress loop over the arc's liveness on both transports.
+/// Each iteration runs the full cluster arc — spawn, converge, query, kill
+/// a fraction, recover, shutdown — over mem and TCP with a fresh seed, so
+/// a stalled shard or data plane shows as a query that never delivers. On
+/// any failure the flight recorder's last events are dumped to a JSONL file
+/// whose path is printed, ready for `tracedump --check`.
 ///
 /// ```text
-/// AUTOSEL_STRESS_ITERS=25 cargo test -p autosel-net --test cluster_live -- --ignored stress
+/// AUTOSEL_STRESS_ITERS=25 cargo test -p autosel-net --test cluster_live -- --ignored stress_cluster_arcs
 /// ```
 #[test]
 #[ignore = "bounded stress loop; opt-in via --ignored (AUTOSEL_STRESS_ITERS, default 6)"]
-fn stress_cluster_arcs_under_tracked_locks() {
+fn stress_cluster_arcs() {
     let iters: u64 = std::env::var("AUTOSEL_STRESS_ITERS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -346,8 +341,8 @@ fn stress_cluster_arcs_under_tracked_locks() {
 
     // One arc: converge, query, kill, recover. The delivery bars are the
     // liveness floor (a stalled data plane scores 0.0), not a performance
-    // claim — the interesting failures are hangs, inversion panics and
-    // queries that never complete.
+    // claim — the interesting failures are hangs and queries that never
+    // complete.
     fn arc_once(seed: u64, tcp: bool, flight: &Arc<FlightRecorder>) {
         let space = Space::uniform(2, 80, 3).unwrap();
         let mut cfg = fast_config();

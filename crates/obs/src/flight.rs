@@ -18,16 +18,17 @@
 //! `forbid(unsafe_code)` the slot write goes through a `Mutex`, but with a
 //! single writer that mutex is uncontended on every push — a reader taking
 //! a dump is the only thing that ever waits. Multiple writers are *safe*
-//! (the lock serializes them) — their interleaving is simply whatever the
-//! lock order was.
+//! (the lock serializes them) — their interleaving is simply whatever order
+//! they took the lock in. The lock is a leaf: nothing else is locked or
+//! called while it is held.
 //!
 //! [`InvariantChecker`]: ../overlay_sim/struct.InvariantChecker.html
 
 use std::io::Write;
+use std::sync::Mutex;
 
 use crate::event::Event;
 use crate::observer::Observer;
-use crate::sync::TrackedMutex;
 
 #[derive(Debug)]
 struct Ring {
@@ -46,8 +47,7 @@ struct Ring {
 /// like every observer it never feeds back into the protocol.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    // lock-class: obs.flight.ring
-    ring: TrackedMutex<Ring>,
+    ring: Mutex<Ring>,
     capacity: usize,
 }
 
@@ -60,10 +60,7 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder needs at least one slot");
         FlightRecorder {
-            ring: TrackedMutex::new(
-                "obs.flight.ring",
-                Ring { slots: Vec::with_capacity(capacity), next: 0, total: 0 },
-            ),
+            ring: Mutex::new(Ring { slots: Vec::with_capacity(capacity), next: 0, total: 0 }),
             capacity,
         }
     }
@@ -75,7 +72,7 @@ impl FlightRecorder {
 
     /// Events currently held (≤ capacity).
     pub fn len(&self) -> usize {
-        self.ring.lock().slots.len()
+        self.ring.lock().expect("flight ring lock").slots.len()
     }
 
     /// Whether nothing has been recorded yet.
@@ -85,18 +82,18 @@ impl FlightRecorder {
 
     /// Events ever pushed, including those overwritten since.
     pub fn total_seen(&self) -> u64 {
-        self.ring.lock().total
+        self.ring.lock().expect("flight ring lock").total
     }
 
     /// Events lost to wraparound (`total_seen − len`).
     pub fn dropped(&self) -> u64 {
-        let ring = self.ring.lock();
+        let ring = self.ring.lock().expect("flight ring lock");
         ring.total - ring.slots.len() as u64
     }
 
     /// Records one event, overwriting the oldest once full.
     pub fn push(&self, event: Event) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().expect("flight ring lock");
         ring.total += 1;
         if ring.slots.len() < self.capacity {
             ring.slots.push(event);
@@ -110,7 +107,7 @@ impl FlightRecorder {
     /// The held events, oldest first — exactly the most recent
     /// `min(total_seen, capacity)` pushes in push order.
     pub fn recent(&self) -> Vec<Event> {
-        let ring = self.ring.lock();
+        let ring = self.ring.lock().expect("flight ring lock");
         let mut out = Vec::with_capacity(ring.slots.len());
         if ring.slots.len() == self.capacity {
             out.extend_from_slice(&ring.slots[ring.next..]);
@@ -123,7 +120,7 @@ impl FlightRecorder {
 
     /// Empties the ring (the drop counter keeps counting from where it was).
     pub fn clear(&self) {
-        let mut ring = self.ring.lock();
+        let mut ring = self.ring.lock().expect("flight ring lock");
         ring.slots.clear();
         ring.next = 0;
     }

@@ -16,7 +16,10 @@ use crate::observer::Observer;
 /// goes quiet (query a nonzero [`JsonlSink::io_errors`] to detect a
 /// truncated trace).
 pub struct JsonlSink {
-    // lock-class: obs.jsonl.out
+    /// The lock is the I/O serialisation point: lines from concurrent
+    /// emitters never interleave. Nothing but the writer runs while it is
+    /// held (the [`shared_buffer`](Self::shared_buffer) writer locks its
+    /// buffer inside it, always in that order).
     out: Mutex<Box<dyn Write + Send>>,
     errors: AtomicU64,
 }
@@ -57,10 +60,6 @@ impl JsonlSink {
 
     /// Flushes the underlying writer.
     pub fn flush(&self) -> std::io::Result<()> {
-        // The sink lock IS the I/O serialization point: writes under
-        // obs.jsonl.out are its contract, and it is a leaf class (nothing
-        // is ever acquired while holding it).
-        // lint:allow(lock-order) — sink lock is the I/O serialization point
         self.out.lock().expect("jsonl sink lock").flush()
     }
 }
@@ -70,7 +69,6 @@ impl Observer for JsonlSink {
         let mut line = event.to_json();
         line.push('\n');
         let mut out = self.out.lock().expect("jsonl sink lock");
-        // lint:allow(lock-order) — leaf sink lock, writes are its contract
         if out.write_all(line.as_bytes()).is_err() {
             self.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -80,7 +78,6 @@ impl Observer for JsonlSink {
 impl Drop for JsonlSink {
     fn drop(&mut self) {
         // Poisoning is deliberately ignored: the sink is going away.
-        // lint:allow(lock-order) — best-effort flush under the leaf sink lock
         let _ = self.out.lock().map(|mut w| w.flush());
     }
 }

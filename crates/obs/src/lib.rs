@@ -43,6 +43,13 @@
 //!   protocol RNG, or affect scheduling; enabling one cannot change a
 //!   run's deterministic fingerprints (`sweepbench` digests are
 //!   byte-identical with observation on or off).
+//! * **Leaf locks.** An observer is shared by every emitting thread, so
+//!   [`Registry`], [`FlightRecorder`], [`TraceTree`] and [`JsonlSink`]
+//!   each keep their state behind one plain `std::sync::Mutex`. None of
+//!   them takes another of these locks or calls another observer while
+//!   holding its own, so no two are ever held together. Only the JSONL
+//!   sink calls out under its lock — into its writer, whose I/O that lock
+//!   exists to serialise.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +60,6 @@ pub mod json;
 pub mod jsonl;
 pub mod observer;
 pub mod registry;
-pub mod sync;
 pub mod trace;
 pub mod window;
 
@@ -62,6 +68,5 @@ pub use flight::FlightRecorder;
 pub use jsonl::JsonlSink;
 pub use observer::{Fanout, NullObserver, ObsHandle, Observer};
 pub use registry::{Histogram, Registry, Snapshot, WindowSnapshot};
-pub use sync::{TrackedCondvar, TrackedMutex, TrackedRwLock};
 pub use trace::{Hop, QueryTrace, TraceSummary, TraceTree};
 pub use window::{WindowRate, WindowSpec, WindowedCounter, WindowedHistogram};

@@ -238,7 +238,6 @@ impl WindowSnapshot {
 /// `routing.zero_slots`).
 #[derive(Debug, Default)]
 pub struct Registry {
-    // lock-class: obs.reg.inner
     inner: Mutex<Inner>,
     /// When set, `*_at` updates also feed per-name sliding windows of this
     /// shape, and [`Registry::window_snapshot`] reads them back.

@@ -246,7 +246,6 @@ impl State {
 /// or replayed from a JSONL file) and ask for reconstructed trees.
 #[derive(Debug, Default)]
 pub struct TraceTree {
-    // lock-class: obs.trace.state
     state: Mutex<State>,
 }
 
