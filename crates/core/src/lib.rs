@@ -63,12 +63,14 @@
 
 pub mod bootstrap;
 pub mod fasthash;
+mod match_list;
 mod messages;
 mod node;
 mod profile;
 mod routing;
 mod selector;
 
+pub use match_list::{MatchIter, MatchList};
 pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
 pub use node::{ChoicePoint, Output, ProtocolConfig, SelectionNode};
 pub use profile::NodeProfile;

@@ -4,6 +4,8 @@ use std::sync::Arc;
 use attrspace::{Point, Query, Range, RawValue};
 use epigossip::NodeId;
 
+use crate::MatchList;
+
 /// A constraint on a *dynamic* attribute (footnote 1 of the paper): a value
 /// that changes too quickly to be represented as a space dimension — free
 /// disk, current load, queue depth. Queries are **routed** on the static
@@ -105,8 +107,11 @@ pub struct ReplyMsg {
     /// The query being answered.
     pub id: QueryId,
     /// Matching nodes found in the sender's subtree (empty in count-only
-    /// mode).
-    pub matching: Vec<Match>,
+    /// mode). Shared, not owned: the list holds the sender's own match and
+    /// its children's lists by reference, and the sender's reply cache
+    /// keeps the same allocation, so relaying, merging and retransmitting a
+    /// reply copy no match.
+    pub matching: MatchList,
     /// Number of matches in the sender's subtree. Equals `matching.len()`
     /// in enumerate mode; carries the whole answer in count-only mode.
     pub count: u64,
@@ -179,7 +184,7 @@ mod tests {
             visited_zero: Vec::new(),
             attempt: 1,
         });
-        let r = Message::Reply(ReplyMsg { id, matching: Vec::new(), count: 0, attempt: 1 });
+        let r = Message::Reply(ReplyMsg { id, matching: MatchList::new(), count: 0, attempt: 1 });
         assert_eq!(q.query_id(), id);
         assert_eq!(r.query_id(), id);
     }

@@ -1,6 +1,5 @@
 use crate::fasthash::{FastMap, FastSet};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use attrspace::{CellCoord, Level, Point, Query, Space};
@@ -8,9 +7,11 @@ use autosel_obs::{Event, ObsHandle, QueryRef};
 use epigossip::{NodeId, View};
 use rand::Rng;
 
+use crate::match_list::Segment;
 use crate::messages::all_dims;
 use crate::{
-    DynamicConstraint, Match, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg, RoutingTable,
+    DynamicConstraint, Match, MatchList, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg,
+    RoutingTable,
 };
 
 /// Protocol tuning knobs.
@@ -33,6 +34,11 @@ pub struct ProtocolConfig {
     /// retransmitted copy either fresh-merges (the original was lost) or is
     /// dropped as stale by its attempt id. Evicted FIFO; `0` disables the
     /// cache (duplicates of concluded queries then answer empty).
+    ///
+    /// An entry costs a few words, not a copy of the reply: it shares the
+    /// sent REPLY's [`MatchList`], which the upstream's own list shares in
+    /// turn, so the cache holds each match of a query once however many
+    /// nodes along its reply path keep the query cached.
     pub reply_cache: usize,
 }
 
@@ -95,7 +101,9 @@ struct PendingQuery {
     /// Count-only queries aggregate here instead of collecting matches.
     count_only: bool,
     count: u64,
-    matching: Vec<Match>,
+    /// This node's answer so far, in merge order: its own match and each
+    /// child list, shared whole when none of its ids was already here.
+    matching: Vec<Segment>,
     matched_ids: FastSet<NodeId>,
     /// The attempt id to echo upstream in the final REPLY — the one carried
     /// by the QUERY that created this record, refreshed if the same
@@ -164,19 +172,57 @@ impl PendingQuery {
         self.sigma.is_some_and(|s| self.count >= u64::from(s))
     }
 
-    fn add_match(&mut self, m: Match) -> bool {
+    /// Adds this node's own match.
+    fn add_own_match(&mut self, m: Match) {
         if self.count_only {
             // Exactly-once traversal: disjoint subtrees never double-count,
             // so no id set is needed (duplicated deliveries answer empty).
             self.count += 1;
-            return true;
-        }
-        if self.matched_ids.insert(m.node) {
-            self.matching.push(m);
+        } else if self.matched_ids.insert(m.node) {
+            self.matching.push(Segment::One(m));
             self.count += 1;
-            true
+        }
+    }
+
+    /// Merges a REPLY's subtree answer. `fresh` says the reply is the one
+    /// awaited for its forward (see [`SelectionNode::accept_reply`]).
+    fn merge_reply(&mut self, count: u64, matching: MatchList, fresh: bool) {
+        if self.count_only {
+            // Counts carry no node identity, so the attempt-tagged waiting
+            // entry is the only witness of "not yet merged": each attempt
+            // id is added at most once, no matter how many copies of the
+            // reply arrive. Enumerate mode is naturally immune —
+            // `matched_ids` dedups.
+            if fresh {
+                self.count += count;
+            }
         } else {
-            false
+            self.merge_matches(matching);
+        }
+    }
+
+    /// Merges a REPLY's matches (enumerate mode): every id not yet matched
+    /// here is added once, in list order. A list whose ids are all new is
+    /// kept whole — one reference count, not a copy; any other list has
+    /// its new matches copied one by one.
+    fn merge_matches(&mut self, list: MatchList) {
+        let mut all_new = true;
+        for (i, m) in list.iter().enumerate() {
+            let new = self.matched_ids.insert(m.node);
+            if new {
+                self.count += 1;
+            }
+            if all_new && !new {
+                // The first id already here: copy the new prefix, then go
+                // on element by element.
+                all_new = false;
+                self.matching.extend(list.iter().take(i).cloned().map(Segment::One));
+            } else if !all_new && new {
+                self.matching.push(Segment::One(m.clone()));
+            }
+        }
+        if all_new && !list.is_empty() {
+            self.matching.push(Segment::List(list));
         }
     }
 }
@@ -206,11 +252,13 @@ pub struct ChoicePoint {
 /// duplicate QUERY deliveries (see [`ProtocolConfig::reply_cache`]).
 #[derive(Debug)]
 struct CachedReply {
+    id: QueryId,
     /// The upstream the original REPLY went to — the only peer whose
     /// duplicates are answered from the cache (any other asker is a
     /// cross-path delivery whose subtree accounting we must not feed).
     to: NodeId,
-    matching: Vec<Match>,
+    /// The sent REPLY's list itself, not a copy of it.
+    matching: MatchList,
     count: u64,
 }
 
@@ -280,10 +328,12 @@ pub struct SelectionNode {
     /// from [`reply_cache`](Self::reply_cache), or empty on a cache miss.
     seen: SeenSet,
     /// Final replies of recently concluded queries, FIFO-bounded by
-    /// [`ProtocolConfig::reply_cache`].
-    reply_cache: FastMap<QueryId, CachedReply>,
-    /// FIFO eviction order for [`reply_cache`](Self::reply_cache).
-    reply_cache_order: VecDeque<QueryId>,
+    /// [`ProtocolConfig::reply_cache`]: a ring, sized to what it holds,
+    /// searched linearly — only a duplicate receipt looks anything up.
+    reply_cache: Vec<CachedReply>,
+    /// The oldest entry of a full [`reply_cache`](Self::reply_cache): the
+    /// next one a conclusion overwrites.
+    reply_cache_next: u32,
     config: ProtocolConfig,
     seq: u32,
     duplicate_receipts: u64,
@@ -325,8 +375,8 @@ impl SelectionNode {
             dynamic: FastMap::default(),
             pending: FastMap::default(),
             seen: SeenSet::default(),
-            reply_cache: FastMap::default(),
-            reply_cache_order: VecDeque::new(),
+            reply_cache: Vec::new(),
+            reply_cache_next: 0,
             config,
             seq: 0,
             duplicate_receipts: 0,
@@ -551,13 +601,12 @@ impl SelectionNode {
             h.word(u64::from(qid.seq));
         }
 
-        let mut cached: Vec<QueryId> = self.reply_cache.keys().copied().collect();
-        cached.sort_unstable();
+        let mut cached: Vec<&CachedReply> = self.reply_cache.iter().collect();
+        cached.sort_unstable_by_key(|c| c.id);
         h.word(cached.len() as u64);
-        for qid in cached {
-            let c = &self.reply_cache[&qid];
-            h.word(qid.origin);
-            h.word(u64::from(qid.seq));
+        for c in cached {
+            h.word(c.id.origin);
+            h.word(u64::from(c.id.seq));
             h.word(c.to);
             h.word(c.count);
             let mut ids: Vec<NodeId> = c.matching.iter().map(|m| m.node).collect();
@@ -830,7 +879,7 @@ impl SelectionNode {
                     to: from,
                     msg: Message::Reply(ReplyMsg {
                         id: msg.id,
-                        matching: Vec::new(),
+                        matching: MatchList::new(),
                         count: 0,
                         attempt: msg.attempt,
                     }),
@@ -851,7 +900,7 @@ impl SelectionNode {
                     to: from,
                     msg: Message::Reply(ReplyMsg {
                         id: msg.id,
-                        matching: Vec::new(),
+                        matching: MatchList::new(),
                         count: 0,
                         attempt: msg.attempt,
                     }),
@@ -861,7 +910,7 @@ impl SelectionNode {
             // we originally answered (retries become idempotent — the copy
             // fresh-merges iff the original was lost, else its attempt id
             // marks it stale). Anyone else gets an empty reply.
-            let reply = match self.reply_cache.get(&msg.id) {
+            let reply = match self.reply_cache.iter().find(|c| c.id == msg.id) {
                 Some(c) if c.to == from => ReplyMsg {
                     id: msg.id,
                     matching: c.matching.clone(),
@@ -870,7 +919,7 @@ impl SelectionNode {
                 },
                 _ => ReplyMsg {
                     id: msg.id,
-                    matching: Vec::new(),
+                    matching: MatchList::new(),
                     count: 0,
                     attempt: msg.attempt,
                 },
@@ -901,7 +950,7 @@ impl SelectionNode {
         p.next_attempt = 1;
         p.visited_zero.extend(msg.visited_zero);
         if matched {
-            p.add_match(Match { node: self.id, values: self.point.clone() });
+            p.add_own_match(Match { node: self.id, values: self.point.clone() });
         }
         let qid = msg.id;
         let sigma_met = p.sigma_met();
@@ -979,20 +1028,7 @@ impl SelectionNode {
             fresh,
             attempt: msg.attempt,
         });
-        if p.count_only {
-            // Counts carry no node identity, so the attempt-tagged waiting
-            // entry is the only witness of "not yet merged": each attempt
-            // id is added at most once, no matter how many copies of the
-            // reply arrive. Enumerate mode is naturally immune —
-            // `matched_ids` dedups.
-            if fresh {
-                p.count += msg.count;
-            }
-        } else {
-            for m in msg.matching {
-                p.add_match(m);
-            }
-        }
+        p.merge_reply(msg.count, msg.matching, fresh);
         if !p.waiting.is_empty() {
             return Vec::new();
         }
@@ -1151,7 +1187,7 @@ impl SelectionNode {
             p.waiting.len()
         );
         debug_assert!(
-            !self.reply_cache.contains_key(&qid),
+            self.reply_cache.iter().all(|c| c.id != qid),
             "query {qid} concluded twice: final reply already cached"
         );
         // A conclusion with unexplored scope left (level ≥ 0) can only mean
@@ -1164,7 +1200,9 @@ impl SelectionNode {
                 count: p.count,
             });
         }
-        let matching = std::mem::take(&mut p.matching);
+        // One allocation, shared from here on by the REPLY, the cache and
+        // the upstream's own list.
+        let matching = MatchList::from_segments(&mut p.matching);
         let (reply_to, count, attempt) = (p.reply_to, p.count, p.attempt);
         p.recycle();
         match reply_to {
@@ -1181,15 +1219,24 @@ impl SelectionNode {
                     // Keep the final answer around so duplicate QUERYs
                     // arriving after this point get the real reply again
                     // instead of a results-destroying empty one.
-                    while self.reply_cache_order.len() >= self.config.reply_cache {
-                        let evict = self.reply_cache_order.pop_front().expect("non-empty");
-                        self.reply_cache.remove(&evict);
+                    let entry =
+                        CachedReply { id: qid, to: upstream, matching: matching.clone(), count };
+                    let (held, bound) = (self.reply_cache.len(), self.config.reply_cache);
+                    if held < bound {
+                        if held == self.reply_cache.capacity() {
+                            // Exact growth while small (most nodes of a
+                            // large overlay hold an entry or two), then
+                            // doubling up to the bound.
+                            let grow = if held < 4 { 1 } else { held.min(bound - held) };
+                            self.reply_cache.reserve_exact(grow);
+                        }
+                        self.reply_cache.push(entry);
+                    } else {
+                        // Full: the oldest entry makes way.
+                        let oldest = self.reply_cache_next as usize;
+                        self.reply_cache[oldest] = entry;
+                        self.reply_cache_next = ((oldest + 1) % bound) as u32;
                     }
-                    self.reply_cache.insert(
-                        qid,
-                        CachedReply { to: upstream, matching: matching.clone(), count },
-                    );
-                    self.reply_cache_order.push_back(qid);
                 }
                 vec![Output::Send {
                     to: upstream,
@@ -1203,7 +1250,7 @@ impl SelectionNode {
                     node: self.id,
                     count,
                 });
-                vec![Output::Completed { id: qid, matches: matching, count }]
+                vec![Output::Completed { id: qid, matches: matching.to_vec(), count }]
             }
         }
     }
@@ -1387,8 +1434,8 @@ mod tests {
         let Output::Send { to: 1, msg: Message::Reply(r) } = &leaf_out[0] else {
             panic!("{leaf_out:?}")
         };
+        assert_eq!(r.matching.to_vec()[0].node, 2);
         assert_eq!(r.matching.len(), 1);
-        assert_eq!(r.matching[0].node, 2);
         assert_eq!(b.pending_len(), 0, "leaf keeps no state");
     }
 
@@ -1504,7 +1551,7 @@ mod tests {
         // the upstream's attempt id.
         let sub = b.handle_message(
             3,
-            Message::Reply(ReplyMsg { id: QueryId { origin: 1, seq: 0 }, matching: Vec::new(), count: 0, attempt: 1 }),
+            Message::Reply(ReplyMsg { id: QueryId { origin: 1, seq: 0 }, matching: MatchList::new(), count: 0, attempt: 1 }),
             2,
         );
         let Some(Output::Send { to: 1, msg: Message::Reply(r) }) = sub.last() else {
@@ -1544,7 +1591,7 @@ mod tests {
             2,
             Message::Reply(ReplyMsg {
                 id: qid,
-                matching: vec![Match { node: 2, values: b.point().clone() }],
+                matching: vec![Match { node: 2, values: b.point().clone() }].into(),
                 count: 1,
                 attempt: 1,
             }),
@@ -1597,7 +1644,7 @@ mod tests {
         let dup = Match { node: 2, values: b_point.clone() };
         let out2 = a.handle_message(
             *first,
-            Message::Reply(ReplyMsg { id: qid, matching: vec![dup.clone(), dup], count: 2, attempt: 1 }),
+            Message::Reply(ReplyMsg { id: qid, matching: vec![dup.clone(), dup].into(), count: 2, attempt: 1 }),
             1,
         );
         // Traversal continues or concludes; once concluded, count node 2 once.
@@ -1638,7 +1685,7 @@ mod tests {
         let (qid, out) = a.begin_count_query(q, Vec::new(), 0);
         let Output::Send { to: first, .. } = &out[0] else { panic!("{out:?}") };
 
-        let reply = Message::Reply(ReplyMsg { id: qid, matching: Vec::new(), count: 5, attempt: 1 });
+        let reply = Message::Reply(ReplyMsg { id: qid, matching: MatchList::new(), count: 5, attempt: 1 });
         let mut outs = a.handle_message(*first, reply.clone(), 1);
         assert_eq!(a.pending_len(), 1, "second subcell still outstanding");
         // The same reply delivered again (a duplication fault).
@@ -1776,6 +1823,189 @@ mod tests {
         assert_eq!(dups, 0, "the dedup set left nothing for the seen-set to catch");
     }
 
+    /// An upstream's REPLY holds its child's list itself, not a copy, and
+    /// the reply cache of each node on the path holds the very list that
+    /// node sent. U receives a leaf-level query from 9, matches, and fans
+    /// it out to its `C0` mate C, which matches too.
+    #[test]
+    fn replies_share_their_subtree_lists() {
+        let s = space();
+        let mut u = node(1, [5, 5]);
+        let mut c = node(2, [6, 6]);
+        u.routing_mut().observe(2, c.point().clone());
+        let qid = QueryId { origin: 9, seq: 0 };
+        let fwd = u.handle_message(9, Message::Query(query_at_level_zero(qid)), 0);
+        assert!(matches!(&fwd[..], [Output::Send { to: 2, .. }]), "{fwd:?}");
+
+        let leaf = deliver(&mut c, 1, &fwd, 1);
+        let Output::Send { to: 1, msg: Message::Reply(r) } = &leaf[0] else { panic!("{leaf:?}") };
+        let child = r.matching.clone();
+        let up = deliver(&mut u, 2, &leaf, 2);
+        let Output::Send { to: 9, msg: Message::Reply(up) } = &up[0] else { panic!("{up:?}") };
+
+        let ids: Vec<NodeId> = up.matching.iter().map(|m| m.node).collect();
+        assert_eq!(ids, vec![1, 2]);
+        assert_eq!(up.count, 2);
+        let shared: Vec<&MatchList> = up.matching.children().collect();
+        assert_eq!(shared.len(), 1, "the child's list is one segment: {:?}", up.matching);
+        assert!(shared[0].ptr_eq(&child), "the child's list was copied");
+        for (n, sent) in [(&u, &up.matching), (&c, &child)] {
+            let cached = n.reply_cache.iter().find(|e| e.id == qid).expect("reply cached");
+            assert!(cached.matching.ptr_eq(sent), "node {} cached a copy", n.id());
+        }
+        // A node that adds nothing of its own passes its one child's list
+        // up as it is.
+        let mut relay = node(3, [5, 5]);
+        relay.routing_mut().observe(2, c.point().clone());
+        let q = Query::builder(&s).range("a0", 6, 9).range("a1", 6, 9).build().expect("well-formed query");
+        let msg = QueryMsg { query: q.into(), ..query_at_level_zero(QueryId { origin: 9, seq: 1 }) };
+        let fwd = relay.handle_message(9, Message::Query(msg), 3);
+        let leaf = deliver(&mut c, 3, &fwd, 4);
+        let Output::Send { msg: Message::Reply(r), .. } = &leaf[0] else { panic!("{leaf:?}") };
+        let child = r.matching.clone();
+        let up = deliver(&mut relay, 2, &leaf, 5);
+        let Output::Send { msg: Message::Reply(up), .. } = &up[0] else { panic!("{up:?}") };
+        assert!(up.matching.ptr_eq(&child), "a lone child's list was wrapped or copied");
+    }
+
+    /// A QUERY its receiver answers by fanning out to its `C0` mates.
+    fn query_at_level_zero(id: QueryId) -> QueryMsg {
+        QueryMsg { level: 0, dims: all_dims(2), ..leaf_query(id, 1) }
+    }
+
+    /// The shared-list merge against the one it replaced: every match of a
+    /// REPLY through `add_match`, one at a time, into a flat vector. Random
+    /// reply sequences — empty lists, duplicate ids within a list and
+    /// across lists, lists nested inside lists, count mode, stale and
+    /// fresh copies — must leave the same matches in the same order, the
+    /// same count and the same id set.
+    mod merge_differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The per-query merge state before match lists were shared.
+        #[derive(Default)]
+        struct Reference {
+            count_only: bool,
+            count: u64,
+            matching: Vec<Match>,
+            matched_ids: FastSet<NodeId>,
+        }
+
+        impl Reference {
+            fn add_match(&mut self, m: Match) -> bool {
+                if self.count_only {
+                    self.count += 1;
+                    return true;
+                }
+                if self.matched_ids.insert(m.node) {
+                    self.matching.push(m);
+                    self.count += 1;
+                    true
+                } else {
+                    false
+                }
+            }
+
+            fn merge_reply(&mut self, count: u64, matching: Vec<Match>, fresh: bool) {
+                if self.count_only {
+                    if fresh {
+                        self.count += count;
+                    }
+                } else {
+                    for m in matching {
+                        self.add_match(m);
+                    }
+                }
+            }
+        }
+
+        fn m(node: NodeId) -> Match {
+            Match { node, values: space().point(&[node % 80, 7]).expect("coords lie inside the space") }
+        }
+
+        /// List `i` of the pool: its own ids (duplicates likely: ids are
+        /// drawn from 0..12) and earlier lists it nests, by index.
+        type ListSpec = (Vec<NodeId>, Vec<usize>);
+
+        fn build_pool(specs: &[ListSpec]) -> Vec<MatchList> {
+            let mut pool: Vec<MatchList> = Vec::new();
+            for (own, nested) in specs {
+                let mut segments: Vec<Segment> = own.iter().map(|&id| Segment::One(m(id))).collect();
+                for &j in nested.iter().filter(|_| !pool.is_empty()) {
+                    let child = &pool[j % pool.len()];
+                    if !child.is_empty() {
+                        segments.insert(j % (segments.len() + 1), Segment::List(child.clone()));
+                    }
+                }
+                pool.push(MatchList::from_segments(&mut segments));
+            }
+            pool
+        }
+
+        fn ids(list: &MatchList) -> Vec<NodeId> {
+            list.iter().map(|m| m.node).collect()
+        }
+
+        proptest! {
+            #[test]
+            fn shared_merge_agrees_with_the_match_by_match_loop(
+                specs in prop::collection::vec(
+                    (prop::collection::vec(0u64..12, 0..5), prop::collection::vec(0usize..8, 0..3)),
+                    1..8,
+                ),
+                replies in prop::collection::vec((0usize..8, any::<bool>(), 0u64..5), 0..8),
+                own in prop::option::of(0u64..12),
+                count_only in any::<bool>(),
+            ) {
+                let pool = build_pool(&specs);
+                let mut p = PendingQuery { count_only, ..PendingQuery::default() };
+                let mut r = Reference { count_only, ..Reference::default() };
+                if let Some(id) = own {
+                    p.add_own_match(m(id));
+                    r.add_match(m(id));
+                }
+                for &(i, fresh, count) in &replies {
+                    let list = &pool[i % pool.len()];
+                    p.merge_reply(count, list.clone(), fresh);
+                    r.merge_reply(count, list.to_vec(), fresh);
+                }
+                let merged = MatchList::from_segments(&mut p.matching);
+                let want: Vec<NodeId> = r.matching.iter().map(|m| m.node).collect();
+                prop_assert_eq!(ids(&merged), want);
+                prop_assert_eq!(merged.len(), r.matching.len());
+                prop_assert_eq!(&merged, &MatchList::from(r.matching.clone()));
+                prop_assert_eq!(p.count, r.count);
+                let mut got: Vec<NodeId> = p.matched_ids.iter().copied().collect();
+                let mut want: Vec<NodeId> = r.matched_ids.iter().copied().collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                prop_assert_eq!(got, want);
+            }
+
+            /// `From<Vec>` / `iter` / `len` / `eq` round-trip, flat and
+            /// nested alike.
+            #[test]
+            fn lists_round_trip_through_vectors(
+                specs in prop::collection::vec(
+                    (prop::collection::vec(0u64..12, 0..5), prop::collection::vec(0usize..8, 0..3)),
+                    1..8,
+                ),
+            ) {
+                for list in build_pool(&specs) {
+                    let flat = list.to_vec();
+                    prop_assert_eq!(list.len(), flat.len());
+                    prop_assert_eq!(list.iter().count(), flat.len());
+                    prop_assert!(list.iter().eq(flat.iter()));
+                    let back = MatchList::from(flat.clone());
+                    prop_assert_eq!(&back, &list);
+                    prop_assert_eq!(back.to_vec(), flat);
+                    prop_assert_eq!(format!("{back:?}"), format!("{list:?}"));
+                }
+            }
+        }
+    }
+
     /// A node's memory follows its in-flight queries: a record exists only
     /// while its query is pending, a pooled record holds nothing of the
     /// query it served, and which records the pool hands out never shows
@@ -1785,6 +2015,7 @@ mod tests {
         use attrspace::Range;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
+        use std::collections::VecDeque;
         use std::sync::Weak;
 
         const NODES: u64 = 48;

@@ -504,7 +504,7 @@ fn rearm(due: Instant, period: Duration, now: Instant) -> Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosel_core::ReplyMsg;
+    use autosel_core::{MatchList, ReplyMsg};
 
     /// An unstarted shard owning peers `0..n` of a one-shard in-memory
     /// cluster whose inboxes hold `capacity` events each.
@@ -525,7 +525,7 @@ mod tests {
 
     fn reply() -> NetMessage {
         let id = QueryId { origin: 0, seq: 0 };
-        let reply = ReplyMsg { id, matching: Vec::new(), count: 0, attempt: 1 };
+        let reply = ReplyMsg { id, matching: MatchList::new(), count: 0, attempt: 1 };
         NetMessage::Protocol(Message::Reply(reply))
     }
 

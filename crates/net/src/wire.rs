@@ -3,6 +3,10 @@
 //! Hand-rolled on [`bytes`]: the message shapes are small and fixed given
 //! the attribute space, so a serde format dependency would buy nothing
 //! (DESIGN.md §5). All integers are little-endian.
+//!
+//! Decoding is hostile-input safe: no byte sequence panics it, and no
+//! length field reserves more elements than the rest of the frame could
+//! encode, so a forged count costs at most what the frame's own bytes do.
 
 use std::error::Error;
 use std::fmt;
@@ -102,7 +106,7 @@ pub fn encode(msg: &NetMessage) -> Bytes {
             buf.put_u32_le(r.attempt);
             buf.put_u64_le(r.count);
             buf.put_u32_le(r.matching.len() as u32);
-            for m in &r.matching {
+            for m in r.matching.iter() {
                 buf.put_u64_le(m.node);
                 put_values(&mut buf, m.values.values());
             }
@@ -141,13 +145,13 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             let level = take_u8(&mut buf)? as i8;
             let dims = take_u32(&mut buf)?;
             let n = take_u16(&mut buf)? as usize;
-            let mut ranges = Vec::with_capacity(n.min(64));
+            let mut ranges = Vec::with_capacity(capacity_for(n, &buf, RANGE_BYTES));
             for _ in 0..n {
                 ranges.push(Range { lo: take_u64(&mut buf)?, hi: take_u64(&mut buf)? });
             }
             let query = Query::from_ranges(space, ranges).map_err(WireError::BadSpace)?;
             let nd = take_u16(&mut buf)? as usize;
-            let mut dynamic = Vec::with_capacity(nd.min(64));
+            let mut dynamic = Vec::with_capacity(capacity_for(nd, &buf, CONSTRAINT_BYTES));
             for _ in 0..nd {
                 dynamic.push(DynamicConstraint {
                     key: take_u32(&mut buf)?,
@@ -155,7 +159,7 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
                 });
             }
             let nv = take_u32(&mut buf)? as usize;
-            let mut visited_zero = Vec::with_capacity(nv.min(4096));
+            let mut visited_zero = Vec::with_capacity(capacity_for(nv, &buf, 8));
             for _ in 0..nv {
                 visited_zero.push(take_u64(&mut buf)?);
             }
@@ -177,13 +181,18 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             let attempt = take_u32(&mut buf)?;
             let count = take_u64(&mut buf)?;
             let n = take_u32(&mut buf)? as usize;
-            let mut matching = Vec::with_capacity(n.min(1024));
+            let mut matching = Vec::with_capacity(capacity_for(n, &buf, 8 + point_bytes(space)));
             for _ in 0..n {
                 let node = take_u64(&mut buf)?;
                 let values = take_point(space, &mut buf)?;
                 matching.push(Match { node, values });
             }
-            NetMessage::Protocol(Message::Reply(ReplyMsg { id, matching, count, attempt }))
+            NetMessage::Protocol(Message::Reply(ReplyMsg {
+                id,
+                matching: matching.into(),
+                count,
+                attempt,
+            }))
         }
         TAG_GOSSIP_REQ => {
             let layer = take_layer(&mut buf)?;
@@ -203,6 +212,23 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
         return Err(WireError::Trailing(buf.remaining()));
     }
     Ok(msg)
+}
+
+/// Encoded size of a query range: two `u64` bounds.
+const RANGE_BYTES: usize = 16;
+/// Encoded size of a dynamic constraint: a `u32` key and a range.
+const CONSTRAINT_BYTES: usize = 4 + RANGE_BYTES;
+
+/// Encoded size of a point of `space`: a `u16` arity and one `u64` per
+/// dimension (decoding rejects any other arity).
+fn point_bytes(space: &Space) -> usize {
+    2 + 8 * space.dims()
+}
+
+/// How many elements of at least `min_bytes` encoded bytes each to reserve
+/// for a count of `n`: no more than the rest of the frame can hold.
+fn capacity_for(n: usize, buf: &Bytes, min_bytes: usize) -> usize {
+    n.min(buf.remaining() / min_bytes)
 }
 
 fn layer_tag(layer: Layer) -> u8 {
@@ -293,7 +319,7 @@ fn take_batch(
     buf: &mut Bytes,
 ) -> Result<Vec<Descriptor<NodeProfile>>, WireError> {
     let n = take_u16(buf)? as usize;
-    let mut batch = Vec::with_capacity(n.min(256));
+    let mut batch = Vec::with_capacity(capacity_for(n, buf, 8 + 4 + point_bytes(space)));
     for _ in 0..n {
         let id = take_u64(buf)?;
         let age = take_u32(buf)?;
@@ -338,7 +364,8 @@ mod tests {
             matching: vec![
                 Match { node: 5, values: s.point(&[1, 2, 3]).unwrap() },
                 Match { node: 9, values: s.point(&[70, 0, 80]).unwrap() },
-            ],
+            ]
+            .into(),
             count: 2,
             attempt: 4,
         }));
