@@ -189,7 +189,7 @@ pub struct NetRun {
     pub seed: u64,
     /// `[issued, completed, timeouts, errors]`.
     pub tally: [u64; 4],
-    /// `[p50, p99, p999]` reply latency off the windowed registry.
+    /// `[p50, p99, p999]` reply latency off the registry's histogram.
     pub quantiles_ms: [f64; 3],
     /// Largest reply latency.
     pub max_ms: u64,
@@ -197,8 +197,6 @@ pub struct NetRun {
     pub mean_delivery: f64,
     /// Messages dropped by full inboxes.
     pub inbox_dropped: u64,
-    /// Span of the registry window the quantiles were read from.
-    pub window_span_ms: u64,
     /// The link counters — TCP runs only.
     pub tcp: Option<TcpStatsSnapshot>,
 }
@@ -259,8 +257,7 @@ impl NetRun {
                     .int("warmup_ms", self.warmup_ms);
                 latency(counts(row))
             }
-        }
-        .int("window_span_ms", self.window_span_ms);
+        };
         if let Some(tcp) = self.tcp {
             row = row
                 .int("tcp_conn_established", tcp.conn_established)
@@ -398,7 +395,6 @@ mod tests {
             max_ms: 97,
             mean_delivery: 0.41864,
             inbox_dropped: 0,
-            window_span_ms: 24_000,
             tcp,
         }
     }
@@ -413,7 +409,7 @@ mod tests {
         }
     }
 
-    /// The bytes the parent commit's `format!` rows produced for these values.
+    /// The pinned bytes of every row kind for these values.
     #[test]
     fn rows_match_the_bytes_the_bins_wrote_before() {
         assert_eq!(
@@ -433,11 +429,11 @@ mod tests {
         );
         assert_eq!(
             net(load(), "mem", None).row("current"),
-            r#"{"tag":"current","kind":"load","transport":"mem","nodes":60,"offered_qps":25.00,"achieved_qps":23.60,"warmup_ms":3000,"measure_ms":5000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"killed":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0,"gossip_links_random":1140,"gossip_links_semantic":172,"window_span_ms":24000}"#
+            r#"{"tag":"current","kind":"load","transport":"mem","nodes":60,"offered_qps":25.00,"achieved_qps":23.60,"warmup_ms":3000,"measure_ms":5000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"killed":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0,"gossip_links_random":1140,"gossip_links_semantic":172}"#
         );
         assert_eq!(
             net(load(), "tcp", tcp([354, 0, 2900, 3100, 0, 0])).row("current"),
-            r#"{"tag":"current","kind":"load","transport":"tcp","nodes":60,"offered_qps":25.00,"achieved_qps":23.60,"warmup_ms":3000,"measure_ms":5000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"killed":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0,"gossip_links_random":1140,"gossip_links_semantic":172,"window_span_ms":24000,"tcp_conn_established":354,"tcp_conn_failed":0,"tcp_tx_batches":2900,"tcp_tx_frames":3100,"tcp_tx_queue_full_drops":0,"tcp_tx_oversize_drops":0}"#
+            r#"{"tag":"current","kind":"load","transport":"tcp","nodes":60,"offered_qps":25.00,"achieved_qps":23.60,"warmup_ms":3000,"measure_ms":5000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"killed":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0,"gossip_links_random":1140,"gossip_links_semantic":172,"tcp_conn_established":354,"tcp_conn_failed":0,"tcp_tx_batches":2900,"tcp_tx_frames":3100,"tcp_tx_queue_full_drops":0,"tcp_tx_oversize_drops":0}"#
         );
         let stepped = NetPhase::Sweep {
             base_qps: 320.0,
@@ -452,10 +448,10 @@ mod tests {
         };
         assert_eq!(
             net(stepped.clone(), "mem", None).row("current"),
-            r#"{"tag":"current","kind":"sweep","transport":"mem","nodes":60,"base_qps":320.00,"factor":1.60,"knee_qps":512.00,"stages":[[320.00,325.80,325.80],[512.00,511.20,511.20],[819.20,822.60,700.00]],"stage_measure_ms":5000,"warmup_ms":3000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0,"window_span_ms":24000}"#
+            r#"{"tag":"current","kind":"sweep","transport":"mem","nodes":60,"base_qps":320.00,"factor":1.60,"knee_qps":512.00,"stages":[[320.00,325.80,325.80],[512.00,511.20,511.20],[819.20,822.60,700.00]],"stage_measure_ms":5000,"warmup_ms":3000,"sigma":8,"seed":42,"issued":118,"completed":117,"timeouts":1,"errors":0,"p50_ms":58.44,"p99_ms":97.00,"p999_ms":97.00,"max_ms":97,"mean_delivery":0.4186,"inbox_dropped":0}"#
         );
         assert!(net(stepped, "tcp", tcp([9, 8, 7, 6, 5, 4])).row("current").ends_with(
-            r#""window_span_ms":24000,"tcp_conn_established":9,"tcp_conn_failed":8,"tcp_tx_batches":7,"tcp_tx_frames":6,"tcp_tx_queue_full_drops":5,"tcp_tx_oversize_drops":4}"#
+            r#""inbox_dropped":0,"tcp_conn_established":9,"tcp_conn_failed":8,"tcp_tx_batches":7,"tcp_tx_frames":6,"tcp_tx_queue_full_drops":5,"tcp_tx_oversize_drops":4}"#
         ));
     }
 
@@ -525,5 +521,41 @@ mod tests {
             .filter_map(|l| num(l, "rss_mib"))
             .collect();
         assert!(rss.len() >= 3 && rss.iter().all(|&r| r > 0.0), "{rss:?}");
+    }
+
+    /// The field names of one flat entry line, in order: the text before
+    /// each `":`, back to its opening quote (no string value in these rows
+    /// holds a `":`).
+    fn keys(line: &str) -> Vec<&str> {
+        let mut parts: Vec<&str> = line.split("\":").collect();
+        parts.pop();
+        parts.iter().filter_map(|p| p.rsplit('"').next()).collect()
+    }
+
+    /// Every committed `BENCH_net.json` row has exactly the fields
+    /// [`NetRun::row`] writes for its kind and transport, so a row of a
+    /// retired schema cannot stay committed.
+    #[test]
+    fn committed_net_rows_have_the_schema_netload_writes() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+        let body = std::fs::read_to_string(path).unwrap();
+        verify(path, "autosel/bench-net/v1", entries(&body).count()).unwrap();
+        for line in entries(&body) {
+            let transport = raw_value(line, "transport").expect("net rows name a transport");
+            let link = if transport == "\"tcp\"" { tcp([0; 6]) } else { None };
+            let phase = match raw_value(line, "kind") {
+                Some("\"load\"") => load(),
+                Some("\"sweep\"") => NetPhase::Sweep {
+                    base_qps: 0.0,
+                    factor: 0.0,
+                    knee_qps: 0.0,
+                    stages: vec![[0.0; 3]],
+                    stage_measure_ms: 0,
+                },
+                other => panic!("unknown net row kind {other:?}: {line}"),
+            };
+            let written = net(phase, transport.trim_matches('"'), link).row("current");
+            assert_eq!(keys(line), keys(&written), "stale row schema: {line}");
+        }
     }
 }

@@ -14,11 +14,10 @@
 //! `--transport mem|tcp` selects the data plane: `mem` is the DAS-style
 //! in-process emulation (with injected latency), `tcp` runs the persistent
 //! per-destination links over real loopback sockets (injected latency off —
-//! the sockets provide their own). TCP runs publish the link counters
-//! (`net.tcp.conn_established`, `net.tcp.conn_failed`, `net.tcp.tx_batches`,
-//! `net.tcp.tx_frames`, `net.tcp.tx_queue_full_drops`,
-//! `net.tcp.tx_oversize_drops`) through the windowed registry and append
-//! them to the JSON row.
+//! the sockets provide their own). TCP runs read the link counters
+//! (connections established and failed, batches, frames, queue-full and
+//! oversize drops) from [`Transport::tcp_stats`] at the end of the run and
+//! append them to the JSON row.
 //!
 //! `--sweep` replaces the single fixed-rate measure phase with a rate
 //! sweep: offered qps steps ×1.6 per stage (each `MEASURE_MS` long) until
@@ -29,11 +28,10 @@
 //! queries still in flight after a stage's bounded drain are counted as
 //! that stage's timeouts.
 //!
-//! All latency figures are sourced from **windowed obs snapshots**: each
-//! completion is recorded into a [`Registry`] built with a window covering
-//! the measure phase, and the reported p50/p99/p999 are
-//! `Histogram::quantile` readings off `window_snapshot()` — the same
-//! code path a production dashboard would poll.
+//! All latency figures come from the obs [`Registry`]: each completion is
+//! recorded into its cumulative `net.query.latency_ms` histogram, and the
+//! reported p50/p99/p999 are `Histogram::quantile` readings of it — the
+//! same registry the cluster's observer fanout feeds.
 //!
 //! A [`FlightRecorder`] rides along in the observer fanout; with
 //! `--kill <fraction>` the harness kills that fraction of nodes at the
@@ -71,10 +69,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use attrspace::{Query, Space};
-use autosel_net::{NetCluster, NetConfig, QueryTicket, TcpStatsSnapshot, Transport};
+use autosel_net::{NetCluster, NetConfig, QueryTicket, Transport};
 use bench::artifact::{self, NetPhase, NetRun};
 use bench::experiments::uniform_points;
-use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry, WindowSpec};
+use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -139,27 +137,21 @@ struct StageResult {
 }
 
 /// Drains completed and timed-out tickets from `outstanding`, recording
-/// completion latencies into the windowed registry at `now_ms` since `t0`.
+/// completion latencies into the registry.
 fn sweep_tickets(
     outstanding: &mut Vec<Inflight>,
     registry: &Registry,
-    t0: Instant,
     timeout: Duration,
     tally: &mut Tally,
 ) {
     outstanding.retain(|f| {
         if let Some(outcome) = f.ticket.try_outcome() {
-            let now_ms = t0.elapsed().as_millis() as u64;
-            let latency_ms = f.issued.elapsed().as_millis() as u64;
-            registry.record_at("net.query.latency_ms", latency_ms, now_ms);
-            registry.add_at("net.queries.completed", 1, now_ms);
+            registry.record("net.query.latency_ms", f.issued.elapsed().as_millis() as u64);
             tally.completed += 1;
             tally.delivery_sum += outcome.delivery();
             return false;
         }
         if f.issued.elapsed() >= timeout {
-            let now_ms = t0.elapsed().as_millis() as u64;
-            registry.add_at("net.queries.timeout", 1, now_ms);
             tally.timeouts += 1;
             return false;
         }
@@ -167,43 +159,17 @@ fn sweep_tickets(
     });
 }
 
-/// Shared state of one load run: the generator's RNG, the registry window
-/// clock anchored at `t0`, and the TCP counter cursor for delta publishing.
+/// Shared state of one load run: the registry, the query and the
+/// generator's RNG.
 struct Harness {
     registry: Arc<Registry>,
-    transport: Transport,
-    t0: Instant,
     query: Query,
     rng: StdRng,
     timeout: Duration,
     sigma: u32,
-    last_tcp: TcpStatsSnapshot,
 }
 
 impl Harness {
-    /// Publishes the TCP link counters' growth since the last call as
-    /// windowed counter increments (`net.tcp.*`). No-op on mem transport.
-    fn publish_tcp(&mut self) {
-        let Some(cur) = self.transport.tcp_stats() else { return };
-        let now_ms = self.t0.elapsed().as_millis() as u64;
-        let bump = |name: &str, cur_v: u64, last_v: u64| {
-            if cur_v > last_v {
-                self.registry.add_at(name, cur_v - last_v, now_ms);
-            }
-        };
-        bump("net.tcp.conn_established", cur.conn_established, self.last_tcp.conn_established);
-        bump("net.tcp.conn_failed", cur.conn_failed, self.last_tcp.conn_failed);
-        bump("net.tcp.tx_batches", cur.tx_batches, self.last_tcp.tx_batches);
-        bump("net.tcp.tx_frames", cur.tx_frames, self.last_tcp.tx_frames);
-        bump(
-            "net.tcp.tx_queue_full_drops",
-            cur.tx_queue_full_drops,
-            self.last_tcp.tx_queue_full_drops,
-        );
-        bump("net.tcp.tx_oversize_drops", cur.tx_oversize_drops, self.last_tcp.tx_oversize_drops);
-        self.last_tcp = cur;
-    }
-
     /// One measure phase: open-loop Poisson arrivals at `rate` qps for
     /// `measure_dur`, then a bounded drain of `drain_dur`. Tickets still
     /// outstanding after the drain count as timeouts. A non-zero
@@ -233,11 +199,6 @@ impl Harness {
             if now_s >= next_arrival_s {
                 let origin = cluster.random_node();
                 tally.issued += 1;
-                self.registry.add_at(
-                    "net.queries.issued",
-                    1,
-                    self.t0.elapsed().as_millis() as u64,
-                );
                 match cluster.begin_query(origin, self.query.clone(), Some(self.sigma)) {
                     Some(ticket) => {
                         outstanding.push(Inflight { ticket, issued: Instant::now() });
@@ -248,8 +209,7 @@ impl Harness {
                 next_arrival_s += -(1.0 - u).ln() / rate;
                 continue; // catch up on bursts before sleeping
             }
-            sweep_tickets(&mut outstanding, &self.registry, self.t0, self.timeout, &mut tally);
-            self.publish_tcp();
+            sweep_tickets(&mut outstanding, &self.registry, self.timeout, &mut tally);
             let gap = Duration::from_secs_f64((next_arrival_s - now_s).max(0.0));
             std::thread::sleep(gap.min(Duration::from_millis(5)));
         }
@@ -258,8 +218,7 @@ impl Harness {
         // point of view (approximate at saturation, exact below the knee).
         let drain_deadline = Instant::now() + drain_dur;
         while !outstanding.is_empty() && Instant::now() < drain_deadline {
-            sweep_tickets(&mut outstanding, &self.registry, self.t0, self.timeout, &mut tally);
-            self.publish_tcp();
+            sweep_tickets(&mut outstanding, &self.registry, self.timeout, &mut tally);
             std::thread::sleep(Duration::from_millis(5));
         }
         tally.timeouts += outstanding.len() as u64;
@@ -296,14 +255,7 @@ fn main() {
     let out_path =
         std::env::var("AUTOSEL_NETLOAD_OUT").unwrap_or_else(|_| "BENCH_net.json".into());
 
-    // Window covering the whole run (warmup + measure/stages + drain) so the
-    // final snapshot's quantiles see every measured completion.
-    let span_ms = if sweep_mode {
-        warmup_ms + SWEEP_MAX_STAGES as u64 * (measure_ms + STAGE_DRAIN_MS) + timeout_ms + 1_000
-    } else {
-        warmup_ms + measure_ms + timeout_ms + 1_000
-    };
-    let registry = Arc::new(Registry::with_windows(WindowSpec::covering(span_ms, 64)));
+    let registry = Arc::new(Registry::new());
     let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
     let mut fan = Fanout::new();
     fan.push(Arc::clone(&registry) as Arc<dyn autosel_obs::Observer>);
@@ -344,13 +296,10 @@ fn main() {
     let query = Query::builder(&space).min("a0", 40).build().expect("query");
     let mut harness = Harness {
         registry: Arc::clone(&registry),
-        transport: transport.clone(),
-        t0,
         query,
         rng: StdRng::seed_from_u64(seed ^ 0x04E7_10AD),
         timeout: Duration::from_millis(timeout_ms),
         sigma,
-        last_tcp: TcpStatsSnapshot::default(),
     };
     let measure_dur = Duration::from_millis(measure_ms);
     let mut tally = Tally::default();
@@ -399,7 +348,6 @@ fn main() {
             &mut killed,
         );
     }
-    harness.publish_tcp();
 
     // The knee: the highest offered rate the cluster still kept up with.
     let knee_qps = stages
@@ -408,12 +356,8 @@ fn main() {
         .map(|s| s.offered_qps)
         .fold(0.0f64, f64::max);
 
-    // ---- snapshot: rates and quantiles from the windowed registry.
-    let now_ms = t0.elapsed().as_millis() as u64;
-    let snapshot = registry.window_snapshot(now_ms);
-    let latency = registry
-        .window_histogram("net.query.latency_ms", now_ms)
-        .unwrap_or_default();
+    // ---- snapshot: quantiles from the registry.
+    let latency = registry.histogram("net.query.latency_ms").unwrap_or_default();
     let (p50, p99, p999) =
         (latency.quantile(0.50), latency.quantile(0.99), latency.quantile(0.999));
     let measured_ms = if sweep_mode { stages.len() as u64 * measure_ms } else { measure_ms };
@@ -427,7 +371,7 @@ fn main() {
     let (gossip_random, gossip_semantic) = cluster.gossip_health();
     let tcp_stats = transport.tcp_stats();
 
-    println!("{}", snapshot.render());
+    println!("{}", registry.snapshot().render());
     if sweep_mode {
         println!(
             "sweep: {} stages from {rate:.1} qps ×{SWEEP_FACTOR}, knee at {knee_qps:.1} qps",
@@ -494,7 +438,6 @@ fn main() {
         max_ms: latency.max(),
         mean_delivery,
         inbox_dropped,
-        window_span_ms: snapshot.span_ms,
         tcp: tcp_stats,
     };
     let total = artifact::merge(&out_path, SCHEMA, vec![run.row(&tag)]).expect("write BENCH_net.json");

@@ -927,8 +927,9 @@ fn dynamic_config() -> SimConfig {
     cfg.gossip.period_ms = 10_000;
     // §6.6: "if a query cannot be propagated due to a broken link, the
     // message is dropped". On a real transport a dead endpoint fails fast,
-    // so the sender *skips* the broken branch and continues (see
-    // `SimConfig::fail_fast_dead_links`); the lost subtree is never retried.
+    // so the sender *skips* the broken branch and continues (the simulator
+    // bounces a send to a dead node back as a failed link, DESIGN.md §6);
+    // the lost subtree is never retried.
     // T(q) stays as a long backstop for the rare peer that dies *after*
     // accepting the query.
     cfg.protocol.query_timeout_ms = 30_000;

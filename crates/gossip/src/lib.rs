@@ -63,6 +63,6 @@ pub use cyclon::Cyclon;
 pub use descriptor::{Descriptor, NodeId};
 pub use scratch::Scratch;
 pub use selector::{sort_smallest, RankSelector, Ranking, Selector};
-pub use stack::{GossipMessage, GossipStack, Layer};
+pub use stack::{GossipHealth, GossipMessage, GossipStack, Layer};
 pub use vicinity::Vicinity;
 pub use view::View;

@@ -37,6 +37,37 @@ pub enum GossipMessage<P> {
     },
 }
 
+/// Aggregate view health of one gossip layer over a population — the
+/// in-degree / freshness / replacement-rate gauges behind the paper's
+/// overlay-maintenance discussion. The simulator sums it from its nodes'
+/// views, the live runtime from the gauges its peers publish after each
+/// round. All integer fixed-point (×1000 where fractional) so readings stay
+/// byte-stable across platforms.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GossipHealth {
+    /// Nodes with an active gossip stack.
+    pub nodes: u64,
+    /// Total view entries across those nodes.
+    pub links: u64,
+    /// Sum over nodes of per-view mean descriptor age, in thousandths.
+    pub age_sum_x1000: u64,
+    /// Total view turnover (monotone count of entries ever admitted;
+    /// deltas between two readings are the replacement rate).
+    pub turnover: u64,
+}
+
+impl GossipHealth {
+    /// Mean view size in thousandths (0 when no nodes gossip).
+    pub fn mean_view_size_x1000(&self) -> u64 {
+        (self.links * 1000).checked_div(self.nodes).unwrap_or(0)
+    }
+
+    /// Mean of the per-node mean descriptor ages, in thousandths.
+    pub fn mean_age_x1000(&self) -> u64 {
+        self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
+    }
+}
+
 /// A node's complete two-layer gossip state (§5 of the paper): CYCLON
 /// underneath for connectivity and randomness, a [`Vicinity`] layer on top
 /// for semantic links, with the random layer continuously feeding candidates

@@ -9,7 +9,7 @@ use attrspace::{Point, Query, Space};
 use autosel_core::fasthash::FastMap;
 use autosel_core::{Match, QueryId};
 use autosel_obs::{Event, ObsHandle};
-use epigossip::NodeId;
+use epigossip::{GossipHealth, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -70,34 +70,6 @@ impl QueryTicket {
     pub fn wait(self, timeout: Duration) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.recv_timeout(timeout).ok()?;
         Some(QueryOutcome { matches, truth: self.truth, sigma: self.sigma })
-    }
-}
-
-/// Aggregate view health of one gossip layer across a live cluster, read
-/// from the peers' published gauges — the wall-clock mirror of the
-/// simulator's `gossip_health()` reading (same fields, same fixed-point
-/// scaling), so soak-style health bounds apply to deployments too.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipHealth {
-    /// Peers that have published at least one gossip round.
-    pub nodes: u64,
-    /// Total view entries across those peers.
-    pub links: u64,
-    /// Sum over peers of per-view mean descriptor age, in thousandths.
-    pub age_sum_x1000: u64,
-    /// Total view turnover (entries ever admitted).
-    pub turnover: u64,
-}
-
-impl GossipHealth {
-    /// Mean view size in thousandths (0 when no peer has gossiped).
-    pub fn mean_view_size_x1000(&self) -> u64 {
-        (self.links * 1000).checked_div(self.nodes).unwrap_or(0)
-    }
-
-    /// Mean of the per-peer mean descriptor ages, in thousandths.
-    pub fn mean_age_x1000(&self) -> u64 {
-        self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
     }
 }
 

@@ -23,44 +23,6 @@ pub struct NetConfig {
     pub inbox_capacity: usize,
 }
 
-/// Tuning for the persistent TCP data plane
-/// ([`Transport::tcp_tuned`](crate::Transport::tcp_tuned)): every shard
-/// keeps one link to every shard's listener, and each link owns one writer
-/// thread, a bounded outbound queue, and a reconnect backoff.
-#[derive(Debug, Clone)]
-pub struct TcpTuning {
-    /// Bound on each link's outbound frame queue. Frames beyond it are
-    /// dropped (and counted in `tx_queue_full_drops`), like network loss —
-    /// the same load-survival discipline as the bounded peer inboxes.
-    pub link_queue_cap: usize,
-    /// First reconnect delay after a failed connect, in milliseconds.
-    pub connect_backoff_ms: u64,
-    /// Reconnect delays double per consecutive failure up to this cap.
-    pub connect_backoff_cap_ms: u64,
-}
-
-impl Default for TcpTuning {
-    fn default() -> Self {
-        TcpTuning { link_queue_cap: 1_024, connect_backoff_ms: 10, connect_backoff_cap_ms: 320 }
-    }
-}
-
-impl TcpTuning {
-    /// Validates the tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero queue bound or inverted backoff bounds.
-    pub fn validate(&self) {
-        assert!(self.link_queue_cap > 0, "link queue bound must be positive");
-        assert!(self.connect_backoff_ms > 0, "backoff must be positive");
-        assert!(
-            self.connect_backoff_ms <= self.connect_backoff_cap_ms,
-            "backoff cap below initial backoff"
-        );
-    }
-}
-
 impl Default for NetConfig {
     fn default() -> Self {
         // 1 virtual second ≈ 5 real ms: the paper's 10 s gossip period
@@ -110,17 +72,5 @@ mod tests {
     #[should_panic(expected = "latency bounds")]
     fn inverted_latency_rejected() {
         NetConfig { injected_latency_ms: Some((9, 2)), ..NetConfig::default() }.validate();
-    }
-
-    #[test]
-    fn default_tcp_tuning_is_valid() {
-        TcpTuning::default().validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff cap")]
-    fn inverted_backoff_rejected() {
-        TcpTuning { connect_backoff_ms: 500, connect_backoff_cap_ms: 100, ..TcpTuning::default() }
-            .validate();
     }
 }

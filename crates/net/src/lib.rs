@@ -35,7 +35,8 @@ mod peer;
 mod transport;
 pub mod wire;
 
-pub use cluster::{GossipHealth, InboxStats, NetCluster, QueryOutcome, QueryTicket};
-pub use config::{NetConfig, TcpTuning};
+pub use cluster::{InboxStats, NetCluster, QueryOutcome, QueryTicket};
+pub use config::NetConfig;
+pub use epigossip::GossipHealth;
 pub use peer::NetMessage;
 pub use transport::{TcpStatsSnapshot, Transport};

@@ -12,7 +12,6 @@ use epigossip::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::config::TcpTuning;
 use crate::peer::{NetMessage, PeerEvent, PeerSlot, Wire};
 
 /// Frames whose length prefix (`from` + `to` + payload) reaches this many
@@ -25,6 +24,17 @@ pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// Frame header: `[u32 len][u64 from][u64 to]`, `len` covering everything
 /// after itself.
 const HEADER_LEN: usize = 20;
+
+/// Bound on each TCP link's outbound frame queue. Frames beyond it are
+/// dropped (and counted in `tx_queue_full_drops`), like network loss — the
+/// same load-survival discipline as the bounded peer inboxes.
+const LINK_QUEUE_CAP: usize = 1_024;
+
+/// First reconnect delay after a failed connect.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Reconnect delays double per consecutive failure up to this cap.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(320);
 
 /// One event addressed to a peer, on its way to the peer's shard.
 pub(crate) type Envelope = (NodeId, PeerEvent);
@@ -193,7 +203,7 @@ enum Inner {
     Mem { latency_ms: Option<(u64, u64)> },
     /// Real TCP sockets with the [`wire`](crate::wire) codec — the
     /// PlanetLab transport.
-    Tcp { space: Space, tuning: TcpTuning, stats: Arc<TcpCounters> },
+    Tcp { space: Space, stats: Arc<TcpCounters> },
 }
 
 impl Transport {
@@ -203,20 +213,11 @@ impl Transport {
         Transport { inner: Inner::Mem { latency_ms } }
     }
 
-    /// The TCP transport decoding against `space`, with default
-    /// [`TcpTuning`].
+    /// The TCP transport decoding against `space`: every shard keeps one
+    /// link to every shard's listener, and each link owns one writer
+    /// thread, a bounded outbound queue and a capped reconnect backoff.
     pub fn tcp(space: Space) -> Self {
-        Self::tcp_tuned(space, TcpTuning::default())
-    }
-
-    /// The TCP transport with explicit link tuning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tuning` is invalid.
-    pub fn tcp_tuned(space: Space, tuning: TcpTuning) -> Self {
-        tuning.validate();
-        Transport { inner: Inner::Tcp { space, tuning, stats: Arc::default() } }
+        Transport { inner: Inner::Tcp { space, stats: Arc::default() } }
     }
 
     /// Counters of the persistent TCP data plane, aggregated across links
@@ -236,7 +237,7 @@ impl Transport {
     /// I/O errors from binding a listener or starting a thread.
     pub(crate) fn start(&self, fabric: &Arc<Fabric>) -> io::Result<(Vec<Wire>, Vec<Listener>)> {
         let shards = fabric.inboxes.len();
-        let (space, tuning, stats) = match &self.inner {
+        let (space, stats) = match &self.inner {
             Inner::Mem { latency_ms } => {
                 let wire = |k: usize| Wire::Mem {
                     latency_ms: *latency_ms,
@@ -246,13 +247,13 @@ impl Transport {
                 };
                 return Ok(((0..shards).map(wire).collect(), Vec::new()));
             }
-            Inner::Tcp { space, tuning, stats } => (space, tuning, stats),
+            Inner::Tcp { space, stats } => (space, stats),
         };
         let listeners = (0..shards)
             .map(|j| Listener::bind(j, space.clone(), Arc::clone(fabric), Arc::clone(stats)))
             .collect::<io::Result<Vec<_>>>()?;
         let wires = (0..shards)
-            .map(|k| TcpOut::connect(k, &listeners, tuning, stats, fabric).map(Wire::Tcp))
+            .map(|k| TcpOut::connect(k, &listeners, stats, fabric).map(Wire::Tcp))
             .collect::<io::Result<Vec<_>>>()?;
         Ok((wires, listeners))
     }
@@ -295,16 +296,14 @@ impl TcpOut {
     fn connect(
         shard: usize,
         listeners: &[Listener],
-        tuning: &TcpTuning,
         stats: &Arc<TcpCounters>,
         fabric: &Arc<Fabric>,
     ) -> io::Result<Self> {
         let mut out = TcpOut { links: Vec::new(), writers: Vec::new(), stats: Arc::clone(stats) };
         for (j, listener) in listeners.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(tuning.link_queue_cap);
+            let (tx, rx) = mpsc::sync_channel(LINK_QUEUE_CAP);
             let writer = Writer {
                 addr: listener.addr,
-                tuning: tuning.clone(),
                 stats: Arc::clone(stats),
                 fabric: Arc::clone(fabric),
             };
@@ -359,7 +358,6 @@ impl Drop for TcpOut {
 /// The writer end of one link.
 struct Writer {
     addr: SocketAddr,
-    tuning: TcpTuning,
     stats: Arc<TcpCounters>,
     fabric: Arc<Fabric>,
 }
@@ -378,12 +376,12 @@ impl Writer {
     /// (attempt-tagged replies) absorbs duplicates by design.
     fn run(&self, queue: &mpsc::Receiver<Frame>) {
         let mut stream: Option<TcpStream> = None;
-        let mut backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
+        let mut backoff = CONNECT_BACKOFF;
         let mut batch: Vec<Frame> = Vec::new();
         let mut buf: Vec<u8> = Vec::new();
         while let Ok(first) = queue.recv() {
             batch.push(first);
-            batch.extend(queue.try_iter().take(self.tuning.link_queue_cap));
+            batch.extend(queue.try_iter().take(LINK_QUEUE_CAP));
             buf.clear();
             for f in &batch {
                 f.put(&mut buf);
@@ -397,7 +395,7 @@ impl Writer {
                             // only adds latency.
                             let _ = s.set_nodelay(true);
                             TcpCounters::bump(&self.stats.conn_established, 1);
-                            backoff = Duration::from_millis(self.tuning.connect_backoff_ms);
+                            backoff = CONNECT_BACKOFF;
                             stream = Some(s);
                         }
                         Err(_) => {
@@ -425,8 +423,7 @@ impl Writer {
                 // Capped backoff before the next connect attempt; frames
                 // queued meanwhile wait (or drop on a full queue).
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2)
-                    .min(Duration::from_millis(self.tuning.connect_backoff_cap_ms));
+                backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
             }
             batch.clear();
         }
@@ -675,9 +672,8 @@ mod tests {
         assert_eq!(stats.tx_queue_full_drops.load(Relaxed), 3);
         drop(out);
         let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let tuning = TcpTuning { link_queue_cap: 8, ..TcpTuning::default() };
         let addr = sink.local_addr().unwrap();
-        let writer = Writer { addr, tuning, stats: Arc::clone(&stats), fabric };
+        let writer = Writer { addr, stats: Arc::clone(&stats), fabric };
         writer.run(&rx);
         assert_eq!(stats.tx_batches.load(Relaxed), 1, "one wakeup took the whole queue");
         assert_eq!(stats.tx_frames.load(Relaxed), 8);
@@ -696,7 +692,7 @@ mod tests {
         let addr = TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap();
         let gone = Listener { addr, stop: Arc::default(), accept: None };
         let stats = Arc::new(TcpCounters::default());
-        let out = TcpOut::connect(0, &[gone], &TcpTuning::default(), &stats, &fabric).unwrap();
+        let out = TcpOut::connect(0, &[gone], &stats, &fabric).unwrap();
         out.send(0, 0, 1, &sample_msg(&space())).unwrap();
         let (to, event) = next(&inboxes[0]);
         assert!(matches!((to, event), (0, PeerEvent::Failed(1))));

@@ -16,17 +16,10 @@
 //!
 //! A [`Registry`] of counters and log2-bucketed histograms (deterministic,
 //! sorted snapshots) is also an [`Observer`], aggregating the standard
-//! gauges. Two production additions build on it:
-//!
-//! * [`window`] — ring-of-buckets sliding windows ([`WindowedCounter`],
-//!   [`WindowedHistogram`]) so rates (qps, msgs/s) and windowed tail
-//!   quantiles can be snapshotted at any instant; a [`Registry`] built
-//!   [`with_windows`](Registry::with_windows) feeds them straight from
-//!   event timestamps, so windowed snapshots stay deterministic under
-//!   virtual time.
-//! * [`flight`] — a [`FlightRecorder`] ring of the most recent K events,
-//!   bounded memory, dumpable as trace JSONL on invariant violation or
-//!   demand.
+//! gauges. Its readings are cumulative over the registry's lifetime. A
+//! [`FlightRecorder`] ([`flight`]) builds on the same event stream: a ring
+//! of the most recent K events, bounded memory, dumpable as trace JSONL on
+//! invariant violation or demand.
 //!
 //! ## Design constraints
 //!
@@ -61,12 +54,10 @@ pub mod jsonl;
 pub mod observer;
 pub mod registry;
 pub mod trace;
-pub mod window;
 
 pub use event::{Event, Layer, NodeRef, QueryRef};
 pub use flight::FlightRecorder;
 pub use jsonl::JsonlSink;
 pub use observer::{Fanout, NullObserver, ObsHandle, Observer};
-pub use registry::{Histogram, Registry, Snapshot, WindowSnapshot};
+pub use registry::{Histogram, Registry, Snapshot};
 pub use trace::{Hop, QueryTrace, TraceSummary, TraceTree};
-pub use window::{WindowRate, WindowSpec, WindowedCounter, WindowedHistogram};

@@ -6,7 +6,6 @@ use std::sync::Mutex;
 
 use crate::event::{Event, Layer};
 use crate::observer::Observer;
-use crate::window::{WindowRate, WindowSpec, WindowedCounter, WindowedHistogram};
 
 /// A power-of-two-bucketed histogram of `u64` samples.
 ///
@@ -75,10 +74,8 @@ impl Histogram {
 
     /// Folds another histogram into this one (bucket-wise addition).
     ///
-    /// This is how windowed histograms aggregate their ring of per-bucket
-    /// sub-histograms into one snapshot; because buckets are positional the
-    /// merge is exact — merging then querying equals querying the union of
-    /// both sample streams.
+    /// Because buckets are positional the merge is exact — merging then
+    /// querying equals querying the union of both sample streams.
     pub fn merge(&mut self, other: &Histogram) {
         for (b, &c) in other.buckets.iter().enumerate() {
             self.buckets[b] += c;
@@ -144,8 +141,6 @@ impl Histogram {
 struct Inner {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    wcounters: BTreeMap<String, WindowedCounter>,
-    whistograms: BTreeMap<String, WindowedHistogram>,
 }
 
 /// A deterministic point-in-time copy of a [`Registry`], sorted by key.
@@ -182,46 +177,6 @@ impl Snapshot {
     }
 }
 
-/// A deterministic point-in-time reading of every sliding window in a
-/// [`Registry`], sorted by name. `at` is the caller-supplied snapshot
-/// instant; each window covers `(at − span_ms, at]`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WindowSnapshot {
-    /// The instant the snapshot was taken at (caller's clock).
-    pub at: u64,
-    /// Window span in milliseconds.
-    pub span_ms: u64,
-    /// Windowed counters, ascending by name.
-    pub rates: Vec<(String, WindowRate)>,
-    /// Merged windowed histograms, ascending by name.
-    pub histograms: Vec<(String, Histogram)>,
-}
-
-impl WindowSnapshot {
-    /// Renders the snapshot as stable, diff-friendly text: one
-    /// `name = total (rate/s)` line per counter, one quantile line per
-    /// histogram.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "window at={} span_ms={}", self.at, self.span_ms);
-        for (name, r) in &self.rates {
-            let _ = writeln!(out, "{name} = {} ({:.2}/s)", r.total, r.per_sec);
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "{name}: count={} p50={:.0} p99={:.0} p999={:.0} max={}",
-                h.count(),
-                h.quantile(0.50),
-                h.quantile(0.99),
-                h.quantile(0.999),
-                h.max()
-            );
-        }
-        out
-    }
-}
-
 /// A shared registry of named counters and histograms.
 ///
 /// "Lock-free-enough": one short mutex held per update — contention only
@@ -239,29 +194,12 @@ impl WindowSnapshot {
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<Inner>,
-    /// When set, `*_at` updates also feed per-name sliding windows of this
-    /// shape, and [`Registry::window_snapshot`] reads them back.
-    window: Option<WindowSpec>,
 }
 
 impl Registry {
-    /// An empty registry without windowed metrics.
+    /// An empty registry.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// An empty registry whose `*_at` updates also maintain sliding windows
-    /// of shape `spec` (one [`WindowedCounter`] / [`WindowedHistogram`] per
-    /// name, created lazily). The [`Observer`] impl feeds windows from each
-    /// event's own `at` timestamp, so windowed readings are deterministic
-    /// under virtual time and wall-clock-driven on the network runtime.
-    pub fn with_windows(spec: WindowSpec) -> Self {
-        Registry { inner: Mutex::default(), window: Some(spec) }
-    }
-
-    /// The window shape, when windowed metrics are enabled.
-    pub fn window_spec(&self) -> Option<WindowSpec> {
-        self.window
     }
 
     /// Adds 1 to the named counter (creating it at 0).
@@ -279,54 +217,6 @@ impl Registry {
     pub fn record(&self, name: &str, value: u64) {
         let mut inner = self.inner.lock().expect("registry lock");
         slot(&mut inner.histograms, name, Histogram::default).record(value);
-    }
-
-    /// [`add`](Self::add) stamped at `at_ms`: also feeds the name's sliding
-    /// window when windows are enabled.
-    pub fn add_at(&self, name: &str, delta: u64, at_ms: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        *slot(&mut inner.counters, name, || 0) += delta;
-        if let Some(spec) = self.window {
-            slot(&mut inner.wcounters, name, || WindowedCounter::new(spec)).add(at_ms, delta);
-        }
-    }
-
-    /// [`record`](Self::record) stamped at `at_ms`: also feeds the name's
-    /// sliding window when windows are enabled.
-    pub fn record_at(&self, name: &str, value: u64, at_ms: u64) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        slot(&mut inner.histograms, name, Histogram::default).record(value);
-        if let Some(spec) = self.window {
-            slot(&mut inner.whistograms, name, || WindowedHistogram::new(spec)).record(at_ms, value);
-        }
-    }
-
-    /// The named counter's window ending at `now_ms` (None when the name
-    /// has no windowed history or windows are disabled).
-    pub fn window_rate(&self, name: &str, now_ms: u64) -> Option<WindowRate> {
-        self.inner.lock().expect("registry lock").wcounters.get(name).map(|c| c.rate(now_ms))
-    }
-
-    /// Merged histogram of the named window ending at `now_ms` — feed it to
-    /// [`Histogram::quantile`] for windowed p50/p99/p999.
-    pub fn window_histogram(&self, name: &str, now_ms: u64) -> Option<Histogram> {
-        self.inner.lock().expect("registry lock").whistograms.get(name).map(|h| h.merged(now_ms))
-    }
-
-    /// Deterministic snapshot of every sliding window at `now_ms`, sorted
-    /// by name. Empty when windows are disabled.
-    pub fn window_snapshot(&self, now_ms: u64) -> WindowSnapshot {
-        let inner = self.inner.lock().expect("registry lock");
-        WindowSnapshot {
-            at: now_ms,
-            span_ms: self.window.map(|w| w.span_ms()).unwrap_or(0),
-            rates: inner.wcounters.iter().map(|(k, c)| (k.clone(), c.rate(now_ms))).collect(),
-            histograms: inner
-                .whistograms
-                .iter()
-                .map(|(k, h)| (k.clone(), h.merged(now_ms)))
-                .collect(),
-        }
     }
 
     /// Current value of a counter (0 when absent).
@@ -376,24 +266,21 @@ fn gossip_names(layer: Layer) -> [&'static str; 3] {
 
 impl Observer for Registry {
     fn on_event(&self, event: &Event) {
-        let at = event.at();
-        self.add_at(event.counter_name(), 1, at);
+        self.inc(event.counter_name());
         match *event {
-            Event::QueryReceived { duplicate: true, .. } => {
-                self.add_at("query.duplicates", 1, at);
-            }
-            Event::ReplySent { count, .. } => self.record_at("reply.count", count, at),
-            Event::QueryCompleted { count, .. } => self.record_at("query.final_count", count, at),
+            Event::QueryReceived { duplicate: true, .. } => self.inc("query.duplicates"),
+            Event::ReplySent { count, .. } => self.record("reply.count", count),
+            Event::QueryCompleted { count, .. } => self.record("query.final_count", count),
             Event::GossipRound { layer, view_size, mean_age_x1000, replaced, .. } => {
                 let [size, age, replacements] = gossip_names(layer);
-                self.record_at(size, view_size as u64, at);
-                self.record_at(age, mean_age_x1000, at);
-                self.add_at(replacements, replaced, at);
+                self.record(size, view_size as u64);
+                self.record(age, mean_age_x1000);
+                self.add(replacements, replaced);
             }
             Event::ViewChange { links, zero, changed, .. } => {
-                self.record_at("routing.links", links as u64, at);
-                self.record_at("routing.zero_slots", zero as u64, at);
-                self.add_at("routing.slots_changed", changed as u64, at);
+                self.record("routing.links", links as u64);
+                self.record("routing.zero_slots", zero as u64);
+                self.add("routing.slots_changed", changed as u64);
             }
             _ => {}
         }
@@ -510,35 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_registry_feeds_windows_from_event_time() {
-        use crate::window::WindowSpec;
-        let r = Registry::with_windows(WindowSpec::new(1_000, 4));
-        let q = QueryRef::new(1, 0);
-        for t in [0u64, 100, 4_500] {
-            r.on_event(&Event::QueryCompleted { at: t, query: q, node: 1, count: 3 });
-        }
-        // Cumulative view counts all three…
-        assert_eq!(r.counter("event.query_completed"), 3);
-        // …the window at t=4500 only the one inside (4500-4000, 4500].
-        let rate = r.window_rate("event.query_completed", 4_500).expect("windowed");
-        assert_eq!(rate.total, 1);
-        let snap = r.window_snapshot(4_500);
-        assert_eq!(snap.at, 4_500);
-        assert_eq!(snap.span_ms, 4_000);
-        assert!(snap.rates.iter().any(|(n, _)| n == "event.query_completed"));
-        let h = r.window_histogram("query.final_count", 4_500).expect("windowed histogram");
-        assert_eq!(h.count(), 1);
-        assert!(snap.render().contains("event.query_completed = 1"));
-        // A window-less registry records cumulatively and snapshots empty.
-        let plain = Registry::new();
-        plain.record_at("x", 9, 50);
-        assert_eq!(plain.histogram("x").unwrap().count(), 1);
-        assert!(plain.window_rate("x", 50).is_none());
-        let empty = plain.window_snapshot(50);
-        assert!(empty.rates.is_empty() && empty.histograms.is_empty());
-    }
-
-    #[test]
     fn registry_observes_standard_gauges() {
         let r = Registry::new();
         let q = QueryRef::new(1, 0);
@@ -568,11 +426,10 @@ mod tests {
         assert!(text.contains("gossip.view_size.random: count=1"));
     }
 
-    /// Every event kind, both layers and all four update calls, three
-    /// times over: the rendered snapshot and window snapshot.
-    fn repeated_updates() -> (String, String) {
-        use crate::window::WindowSpec;
-        let r = Registry::with_windows(WindowSpec::new(1_000, 4));
+    /// Every event kind, both layers and the update calls, three times
+    /// over: the rendered snapshot.
+    fn repeated_updates() -> String {
+        let r = Registry::new();
         let q = QueryRef::new(1, 0);
         for round in 0..3u64 {
             let at = round * 700;
@@ -596,10 +453,10 @@ mod tests {
             }
             r.add("plain", round);
             r.record("plain.hist", round * 3);
-            r.add_at("stamped", 2, at);
-            r.record_at("stamped.hist", round + 1, at);
+            r.add("stamped", 2);
+            r.record("stamped.hist", round + 1);
         }
-        (r.snapshot().render(), r.window_snapshot(2_000).render())
+        r.snapshot().render()
     }
 
     /// Captured before lookups stopped allocating keys: repeated updates
@@ -650,40 +507,10 @@ stamped.hist: count=3 sum=6 max=3 mean=2.00
   >=1: 1
   >=2: 2
 ";
-    const PINNED_WINDOW: &str = r"window at=2000 span_ms=4000
-event.gossip_round = 6 (1.50/s)
-event.node_crashed = 3 (0.75/s)
-event.node_restarted = 3 (0.75/s)
-event.query_completed = 3 (0.75/s)
-event.query_forwarded = 3 (0.75/s)
-event.query_issued = 3 (0.75/s)
-event.query_received = 3 (0.75/s)
-event.reply_merged = 3 (0.75/s)
-event.reply_sent = 3 (0.75/s)
-event.sigma_stop = 3 (0.75/s)
-event.timeout_fired = 3 (0.75/s)
-event.view_change = 3 (0.75/s)
-gossip.replaced.random = 3 (0.75/s)
-gossip.replaced.semantic = 6 (1.50/s)
-query.duplicates = 1 (0.25/s)
-routing.slots_changed = 3 (0.75/s)
-stamped = 6 (1.50/s)
-gossip.mean_age_x1000.random: count=3 p50=2900 p99=2900 p999=2900 max=2900
-gossip.mean_age_x1000.semantic: count=3 p50=853 p99=900 p999=900 max=900
-gossip.view_size.random: count=3 p50=20 p99=20 p999=20 max=20
-gossip.view_size.semantic: count=3 p50=19 p99=19 p999=19 max=19
-query.final_count: count=3 p50=7 p99=10 p999=10 max=10
-reply.count: count=3 p50=3 p99=4 p999=4 max=4
-routing.links: count=3 p50=13 p99=14 p999=14 max=14
-routing.zero_slots: count=3 p50=3 p99=3 p999=3 max=3
-stamped.hist: count=3 p50=2 p99=3 p999=3 max=3
-";
 
     #[test]
     fn render_bytes_hold_across_repeated_updates() {
-        let (snapshot, window) = repeated_updates();
-        assert_eq!(snapshot, PINNED_SNAPSHOT);
-        assert_eq!(window, PINNED_WINDOW);
+        assert_eq!(repeated_updates(), PINNED_SNAPSHOT);
     }
 
     mod quantile_properties {

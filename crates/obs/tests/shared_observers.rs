@@ -12,7 +12,7 @@ use std::thread;
 use autosel_obs::jsonl::parse_trace;
 use autosel_obs::{
     Event, Fanout, FlightRecorder, JsonlSink, Layer, ObsHandle, Observer, QueryRef, Registry,
-    TraceTree, WindowSpec,
+    TraceTree,
 };
 
 const EMITTERS: u64 = 4;
@@ -76,7 +76,7 @@ fn shared_observers_account_for_every_event_from_every_thread() {
         *expected.entry(ev.counter_name()).or_default() += 1;
     }
 
-    let registry = Arc::new(Registry::with_windows(WindowSpec::covering(1_000, 16)));
+    let registry = Arc::new(Registry::new());
     let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
     let trace = Arc::new(TraceTree::new());
     let (sink, buf) = JsonlSink::shared_buffer();
@@ -107,8 +107,7 @@ fn shared_observers_account_for_every_event_from_every_thread() {
                 // Each emitter completes a query only after issuing it, and
                 // a snapshot is taken under the registry's one lock.
                 assert!(get("event.query_completed") <= get("event.query_issued"));
-                let window = registry.window_snapshot(u64::from(QUERIES));
-                assert!(window.rates.iter().all(|(_, r)| r.total <= total as u64));
+                assert!(snap.counters.iter().all(|&(_, v)| v <= total as u64));
                 let seen = flight.total_seen();
                 assert!(seen >= last_seen, "total_seen went backwards");
                 last_seen = seen;

@@ -8,7 +8,7 @@ use autosel_core::{
     DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector,
 };
 use autosel_obs::{Event, ObsHandle};
-use epigossip::{GossipStack, NodeId};
+use epigossip::{GossipHealth, GossipStack, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,30 +23,6 @@ use crate::metrics::LoadHistogram;
 use crate::truth::TruthIndex;
 use crate::{Placement, QueryStats, SimConfig};
 
-/// A pluggable dispatch policy for [`SimCluster::run_to_quiescence_with`]:
-/// given the queued events (ascending `(at, seq)`), pick the handle to
-/// dispatch next, or `None` to stop. The default simulator order is
-/// [`EarliestFirst`]; the `autosel-analyze` explorer substitutes recorded
-/// or enumerated schedules.
-pub trait Scheduler {
-    /// Chooses the `seq` handle of the next event to dispatch. `queued` is
-    /// non-empty.
-    fn next(&mut self, queued: &[QueuedEvent]) -> Option<u64>;
-}
-
-/// The simulator's native policy: earliest firing time, FIFO on ties —
-/// exactly what the event heap's fixed tie-break does, so a run driven by
-/// this scheduler reproduces [`SimCluster::run_to_quiescence`] event for
-/// event.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EarliestFirst;
-
-impl Scheduler for EarliestFirst {
-    fn next(&mut self, queued: &[QueuedEvent]) -> Option<u64> {
-        queued.first().map(|e| e.seq)
-    }
-}
-
 struct SimNode {
     selection: SelectionNode,
     gossip: Option<GossipStack<NodeProfile>>,
@@ -60,35 +36,6 @@ struct SimNode {
     /// enough — it reschedules itself off `next_timeout()` — so deliveries
     /// skip pushing redundant poll events (previously one per message).
     next_poll: u64,
-}
-
-/// Aggregate view health of one gossip layer over the alive population —
-/// the in-degree / freshness / replacement-rate gauges behind the paper's
-/// overlay-maintenance discussion. All integer fixed-point (×1000 where
-/// fractional) so readings stay byte-stable across platforms.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GossipHealth {
-    /// Nodes with an active gossip stack.
-    pub nodes: u64,
-    /// Total view entries across those nodes.
-    pub links: u64,
-    /// Sum over nodes of per-view mean descriptor age, in thousandths.
-    pub age_sum_x1000: u64,
-    /// Total view turnover (monotone count of entries ever admitted;
-    /// deltas between two readings are the replacement rate).
-    pub turnover: u64,
-}
-
-impl GossipHealth {
-    /// Mean view size in thousandths (0 when no nodes gossip).
-    pub fn mean_view_size_x1000(&self) -> u64 {
-        (self.links * 1000).checked_div(self.nodes).unwrap_or(0)
-    }
-
-    /// Mean of the per-node mean descriptor ages, in thousandths.
-    pub fn mean_age_x1000(&self) -> u64 {
-        self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
-    }
 }
 
 /// A simulated population of resource-selection nodes under virtual time.
@@ -835,30 +782,6 @@ impl SimCluster {
         h.finish()
     }
 
-    /// Runs to quiescence with `scheduler` picking every dispatch (the
-    /// pluggable replacement for the heap's fixed `(at, seq)` tie-break).
-    /// Stops when the queue drains or the scheduler returns `None`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if gossip is enabled (see
-    /// [`run_to_quiescence`](Self::run_to_quiescence)), or if the
-    /// scheduler returns a handle that is not queued.
-    pub fn run_to_quiescence_with<S: Scheduler>(&mut self, scheduler: &mut S) {
-        assert!(
-            !self.config.gossip_enabled,
-            "gossip keeps the queue non-empty; use run_until"
-        );
-        loop {
-            let queued = self.queued_events();
-            if queued.is_empty() {
-                break;
-            }
-            let Some(seq) = scheduler.next(&queued) else { break };
-            assert!(self.dispatch_queued(seq), "scheduler returned unknown handle {seq}");
-        }
-    }
-
     /// One alive node's semantic gossip view, in view order (`None` for a
     /// dead node or with gossip disabled). Read-only window for overlay
     /// fingerprints and health checks.
@@ -908,7 +831,7 @@ impl SimCluster {
         match deliveries.first() {
             None => {}
             Some(&first)
-                if protocol && self.config.fail_fast_dead_links && !self.nodes.contains_key(&to) =>
+                if protocol && !self.nodes.contains_key(&to) =>
             {
                 // Dead destination: the connection attempt fails after one
                 // latency sample and the sender skips the broken link.
@@ -1249,20 +1172,6 @@ mod tests {
         let q = Query::builder(&s).min("a0", 60).build().unwrap();
         let qid = sim.issue_query(0, q, None);
         (sim, qid)
-    }
-
-    #[test]
-    fn earliest_first_scheduler_reproduces_default_run() {
-        let (mut a, qa) = explore_fixture();
-        let (mut b, qb) = explore_fixture();
-        a.run_to_quiescence();
-        b.run_to_quiescence_with(&mut EarliestFirst);
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.state_hash(), b.state_hash());
-        assert_eq!(
-            a.query_stats(qa).unwrap().fingerprint(),
-            b.query_stats(qb).unwrap().fingerprint()
-        );
     }
 
     #[test]

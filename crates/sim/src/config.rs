@@ -18,11 +18,6 @@ pub struct SimConfig {
     /// use oracle-wired routing tables with gossip off; dynamic experiments
     /// (Figs. 11–13) turn it on.
     pub gossip_enabled: bool,
-    /// Whether a protocol send to a dead node bounces back as fail-fast
-    /// feedback (a refused TCP connection) so the sender skips the broken
-    /// link and continues — matching the paper's deployments. With `false`
-    /// the message vanishes silently and only `T(q)` unfreezes the sender.
-    pub fail_fast_dead_links: bool,
 }
 
 impl Default for SimConfig {
@@ -32,7 +27,6 @@ impl Default for SimConfig {
             protocol: ProtocolConfig::default(),
             latency: LatencyModel::Uniform { lo_ms: 10, hi_ms: 100 },
             gossip_enabled: true,
-            fail_fast_dead_links: true,
         }
     }
 }
@@ -47,7 +41,6 @@ impl SimConfig {
             protocol: ProtocolConfig { query_timeout_ms: 60_000, ..ProtocolConfig::default() },
             latency: LatencyModel::Constant { ms: 1 },
             gossip_enabled: false,
-            fail_fast_dead_links: true,
         }
     }
 }

@@ -171,8 +171,7 @@ impl EventKey {
 }
 
 /// A snapshot descriptor of one event sitting in the simulator queue,
-/// exposed to external schedulers ([`crate::Scheduler`]) and the
-/// `autosel-analyze` explorer. `seq` is the handle for
+/// exposed to the `autosel-analyze` explorer. `seq` is the handle for
 /// [`crate::SimCluster::dispatch_queued`] and friends *within the current
 /// state*; `key` is the stable identity that survives re-execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

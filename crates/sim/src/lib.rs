@@ -25,9 +25,10 @@
 //!   and message totals: exactly the metrics the paper's figures plot;
 //! * an exploration surface for external model checkers
 //!   ([`SimCluster::queued_events`] exposing stable [`EventKey`]s,
-//!   per-event dispatch / drop / duplicate surgery, [`Scheduler`]-driven
-//!   runs, and a logical [`SimCluster::state_hash`]) — `autosel-analyze`
-//!   builds its DPOR interleaving explorer on it.
+//!   per-event dispatch / drop / duplicate surgery through
+//!   [`SimCluster::dispatch_queued`] and friends, and a logical
+//!   [`SimCluster::state_hash`]) — `autosel-analyze`'s DPOR interleaving
+//!   explorer drives every schedule through it.
 //!
 //! Determinism: a cluster seeded with the same seed replays identically.
 //!
@@ -69,8 +70,9 @@ pub mod faults;
 pub mod invariants;
 pub mod workload;
 
-pub use cluster::{EarliestFirst, GossipHealth, Scheduler, SimCluster};
+pub use cluster::SimCluster;
 pub use config::SimConfig;
+pub use epigossip::GossipHealth;
 pub use event::{EventKey, QueuedEvent};
 pub use faults::FaultPlan;
 pub use invariants::{InvariantChecker, InvariantViolation};

@@ -6,9 +6,7 @@
 use std::sync::Arc;
 
 use attrspace::{Query, Space};
-use autosel_obs::{
-    jsonl::parse_trace, FlightRecorder, JsonlSink, ObsHandle, Registry, TraceTree, WindowSpec,
-};
+use autosel_obs::{jsonl::parse_trace, FlightRecorder, JsonlSink, ObsHandle, Registry, TraceTree};
 use overlay_sim::faults::FaultPlan;
 use overlay_sim::{InvariantChecker, LatencyModel, Placement, SimCluster, SimConfig};
 
@@ -90,10 +88,10 @@ fn observers_do_not_perturb_the_simulation() {
         sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 120);
         sim.wire_oracle();
         if observe {
-            // Heaviest stack available: windowed metrics + flight ring +
-            // trace + serialization.
+            // Heaviest stack available: metrics + flight ring + trace +
+            // serialization.
             let mut fan = autosel_obs::Fanout::new();
-            fan.push(Arc::new(Registry::with_windows(WindowSpec::new(500, 16))));
+            fan.push(Arc::new(Registry::new()));
             fan.push(Arc::new(FlightRecorder::new(256)));
             fan.push(Arc::new(TraceTree::new()));
             let (sink, _buf) = JsonlSink::shared_buffer();
@@ -146,18 +144,17 @@ fn jsonl_roundtrip_rebuilds_the_live_tree() {
     assert_eq!(replayed.problems(), live.problems());
 }
 
-/// Windowed metrics under virtual time are fully deterministic: the
-/// registry feeds its sliding windows from event timestamps (never a wall
-/// clock), so two same-seed runs render byte-identical windowed snapshots —
-/// rates, windowed quantiles and all.
+/// Metrics under virtual time are fully deterministic: the registry only
+/// counts the event stream, so two same-seed runs render byte-identical
+/// snapshots — counters, histograms and all.
 #[test]
-fn windowed_snapshots_are_virtual_time_deterministic() {
+fn registry_snapshots_are_virtual_time_deterministic() {
     let run = || -> String {
         let space = Space::uniform(3, 80, 3).unwrap();
         let mut sim = SimCluster::new(space.clone(), SimConfig::fast_static(), 23);
         sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 100);
         sim.wire_oracle();
-        let reg = Arc::new(Registry::with_windows(WindowSpec::new(1_000, 8)));
+        let reg = Arc::new(Registry::new());
         sim.set_observer(ObsHandle::new(reg.clone()));
         for _ in 0..3 {
             let origin = sim.random_node();
@@ -165,13 +162,11 @@ fn windowed_snapshots_are_virtual_time_deterministic() {
             sim.run_to_quiescence();
             sim.forget_query(qid);
         }
-        // Snapshot at the run's own virtual end time: same events, same
-        // timestamps, same window contents.
-        reg.window_snapshot(sim.now()).render()
+        reg.snapshot().render()
     };
     let a = run();
-    assert!(a.contains("event.query_issued"), "windows never saw the event stream:\n{a}");
-    assert_eq!(a, run(), "windowed snapshot depends on something besides the event stream");
+    assert!(a.contains("event.query_issued"), "the registry never saw the event stream:\n{a}");
+    assert_eq!(a, run(), "snapshot depends on something besides the event stream");
 }
 
 /// The flight-recorder post-mortem path: a duplication fault trips the

@@ -101,7 +101,7 @@ pub mod prelude {
     pub use attrspace::{Dimension, Point, Query, Range, Space};
     pub use autosel_core::{Match, Output, ProtocolConfig, QueryId, SelectionNode};
     pub use autosel_obs::{
-        Fanout, FlightRecorder, JsonlSink, ObsHandle, Observer, Registry, TraceTree, WindowSpec,
+        Fanout, FlightRecorder, JsonlSink, ObsHandle, Observer, Registry, TraceTree,
     };
     pub use autosel_net::{NetCluster, NetConfig, Transport};
     pub use epigossip::{GossipConfig, GossipStack, NodeId};
