@@ -132,8 +132,13 @@ impl Scenario {
     ///
     /// Panics past [`MAX_NODES`] or if `vals` lies outside the space.
     pub fn node(&mut self, vals: &[u64]) -> NodeId {
-        assert!(self.points.len() < MAX_NODES, "scenarios are bounded to {MAX_NODES} nodes");
-        self.space.point(vals).expect("scenario point inside the space");
+        assert!(
+            self.points.len() < MAX_NODES,
+            "scenarios are bounded to {MAX_NODES} nodes"
+        );
+        self.space
+            .point(vals)
+            .expect("scenario point inside the space");
         self.points.push(vals.to_vec());
         (self.points.len() - 1) as NodeId
     }
@@ -441,7 +446,11 @@ pub struct Explorer {
 
 impl Default for Explorer {
     fn default() -> Self {
-        Explorer { max_schedules: 100_000, max_steps: 5_000_000, max_depth: 64 }
+        Explorer {
+            max_schedules: 100_000,
+            max_steps: 5_000_000,
+            max_depth: 64,
+        }
     }
 }
 
@@ -497,7 +506,11 @@ impl Dfs<'_> {
 
     fn found(&mut self, violation: InvariantViolation, schedule: Vec<Choice>) {
         let minimized = minimize(self.scenario, &schedule, &violation);
-        self.report.violation = Some(Violation { violation, schedule, minimized });
+        self.report.violation = Some(Violation {
+            violation,
+            schedule,
+            minimized,
+        });
     }
 
     fn explore(&mut self, prefix: &mut Vec<Choice>, sleep: &BTreeSet<EventKey>) {
@@ -576,7 +589,10 @@ impl Dfs<'_> {
                     .filter(|k| k.target() != ev.key.target())
                     .copied()
                     .collect();
-                prefix.push(Choice { key: ev.key, action });
+                prefix.push(Choice {
+                    key: ev.key,
+                    action,
+                });
                 self.explore(prefix, &child_sleep);
                 prefix.pop();
                 if self.report.violation.is_some() {

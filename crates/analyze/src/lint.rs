@@ -97,7 +97,14 @@ pub struct Finding {
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: [{}] {}", self.file, self.line, self.rule.name(), self.excerpt)
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file,
+            self.line,
+            self.rule.name(),
+            self.excerpt
+        )
     }
 }
 
@@ -106,15 +113,45 @@ impl fmt::Display for Finding {
 /// an entry here is the deliberate act the `obs-schema` rule forces.
 const OBS_SCHEMA: &[&str] = &[
     // keys
-    "ev", "at", "q", "node", "sigma", "count_only", "matched", "from", "to", "level", "attempt",
-    "parent", "duplicate", "count", "fresh", "peer", "layer", "view_size", "mean_age_x1000",
-    "replaced", "links", "zero", "changed",
+    "ev",
+    "at",
+    "q",
+    "node",
+    "sigma",
+    "count_only",
+    "matched",
+    "from",
+    "to",
+    "level",
+    "attempt",
+    "parent",
+    "duplicate",
+    "count",
+    "fresh",
+    "peer",
+    "layer",
+    "view_size",
+    "mean_age_x1000",
+    "replaced",
+    "links",
+    "zero",
+    "changed",
     // event kinds
-    "query_issued", "query_forwarded", "query_received", "reply_sent", "reply_merged",
-    "timeout_fired", "sigma_stop", "query_completed", "gossip_round", "view_change",
-    "node_crashed", "node_restarted",
+    "query_issued",
+    "query_forwarded",
+    "query_received",
+    "reply_sent",
+    "reply_merged",
+    "timeout_fired",
+    "sigma_stop",
+    "query_completed",
+    "gossip_round",
+    "view_change",
+    "node_crashed",
+    "node_restarted",
     // enum values (gossip layers)
-    "random", "semantic",
+    "random",
+    "semantic",
 ];
 
 /// A source file after masking: comments and literal bodies blanked from
@@ -133,7 +170,9 @@ struct Scanned {
 
 impl Scanned {
     fn in_test_region(&self, line: usize) -> bool {
-        self.test_regions.iter().any(|&(lo, hi)| lo <= line && line <= hi)
+        self.test_regions
+            .iter()
+            .any(|&(lo, hi)| lo <= line && line <= hi)
     }
 
     /// Pragma check (`lint:allow(rule)` on the line or the line above;
@@ -145,7 +184,11 @@ impl Scanned {
             return true;
         }
         let tag = format!("lint:allow({rule_name})");
-        let at = |n: usize| self.raw.get(n.wrapping_sub(1)).is_some_and(|l| l.contains(&tag));
+        let at = |n: usize| {
+            self.raw
+                .get(n.wrapping_sub(1))
+                .is_some_and(|l| l.contains(&tag))
+        };
         at(line) || (line > 1 && at(line - 1))
     }
 }
@@ -248,8 +291,9 @@ fn scan(src: &str) -> Scanned {
                 }
                 let mut body = String::new();
                 let mut k = j + 1; // past the opening quote
-                let closer: String =
-                    std::iter::once('"').chain(std::iter::repeat_n('#', hashes)).collect();
+                let closer: String = std::iter::once('"')
+                    .chain(std::iter::repeat_n('#', hashes))
+                    .collect();
                 while k < bytes.len() {
                     if bytes[k] == '"' && matches_at(&bytes, k, &closer) {
                         for _ in 0..closer.len() {
@@ -273,8 +317,8 @@ fn scan(src: &str) -> Scanned {
             }
             '\'' => {
                 // Char literal vs lifetime: a literal is '\…' or 'x'.
-                let is_char = next == Some('\\')
-                    || (next.is_some() && bytes.get(i + 2) == Some(&'\''));
+                let is_char =
+                    next == Some('\\') || (next.is_some() && bytes.get(i + 2) == Some(&'\''));
                 if is_char {
                     code.push(' ');
                     i += 1;
@@ -307,7 +351,12 @@ fn scan(src: &str) -> Scanned {
     let raw: Vec<String> = src.lines().map(str::to_string).collect();
     let code_lines: Vec<String> = code.lines().map(str::to_string).collect();
     let test_regions = find_test_regions(&code_lines);
-    Scanned { raw, code: code_lines, strings, test_regions }
+    Scanned {
+        raw,
+        code: code_lines,
+        strings,
+        test_regions,
+    }
 }
 
 fn is_raw_string_start(bytes: &[char], i: usize) -> bool {
@@ -323,7 +372,9 @@ fn is_raw_string_start(bytes: &[char], i: usize) -> bool {
 }
 
 fn matches_at(bytes: &[char], at: usize, pat: &str) -> bool {
-    pat.chars().enumerate().all(|(k, p)| bytes.get(at + k) == Some(&p))
+    pat.chars()
+        .enumerate()
+        .all(|(k, p)| bytes.get(at + k) == Some(&p))
 }
 
 /// Finds the line spans of `#[cfg(test)]` items by matching the braces of
@@ -334,7 +385,11 @@ fn find_test_regions(code: &[String]) -> Vec<(usize, usize)> {
     let joined: Vec<(usize, char)> = code
         .iter()
         .enumerate()
-        .flat_map(|(n, l)| l.chars().chain(std::iter::once('\n')).map(move |c| (n + 1, c)))
+        .flat_map(|(n, l)| {
+            l.chars()
+                .chain(std::iter::once('\n'))
+                .map(move |c| (n + 1, c))
+        })
         .collect();
     let text: String = joined.iter().map(|&(_, c)| c).collect();
     let mut from = 0usize;
@@ -342,7 +397,9 @@ fn find_test_regions(code: &[String]) -> Vec<(usize, usize)> {
         let attr_at = from + pos;
         let start_line = joined[attr_at].0;
         // First `{` after the attribute opens the item body.
-        let Some(open_rel) = text[attr_at..].find('{') else { break };
+        let Some(open_rel) = text[attr_at..].find('{') else {
+            break;
+        };
         let mut depth = 0i64;
         let mut end_line = start_line;
         let mut idx = attr_at + open_rel;
@@ -373,10 +430,16 @@ fn has_token(hay: &str, needle: &str) -> bool {
     while let Some(pos) = hay[from..].find(needle) {
         let at = from + pos;
         let before_ok = at == 0
-            || !hay[..at].chars().next_back().is_some_and(|c| c.is_alphanumeric() || c == '_');
+            || !hay[..at]
+                .chars()
+                .next_back()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
         let after = at + needle.len();
         let after_ok = after >= hay.len()
-            || !hay[after..].chars().next().is_some_and(|c| c.is_alphanumeric() || c == '_');
+            || !hay[after..]
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_alphanumeric() || c == '_');
         if before_ok && after_ok {
             return true;
         }
@@ -397,7 +460,11 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
                 rule,
                 file: relpath.to_string(),
                 line,
-                excerpt: scanned.raw.get(line - 1).map(|l| l.trim().to_string()).unwrap_or_default(),
+                excerpt: scanned
+                    .raw
+                    .get(line - 1)
+                    .map(|l| l.trim().to_string())
+                    .unwrap_or_default(),
             });
         }
     };
@@ -446,7 +513,9 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
         }
         if in_net_src
             && !in_test
-            && ["Mutex", "RwLock", "Condvar"].iter().any(|t| has_token(code_line, t))
+            && ["Mutex", "RwLock", "Condvar"]
+                .iter()
+                .any(|t| has_token(code_line, t))
         {
             push(Rule::RuntimeLock, line, &scanned);
         }
@@ -459,7 +528,9 @@ pub fn lint_source(relpath: &str, src: &str) -> Vec<Finding> {
             }
             let key_shaped = !body.is_empty()
                 && body.chars().next().is_some_and(|c| c.is_ascii_lowercase())
-                && body.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
+                && body
+                    .chars()
+                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_');
             if key_shaped && !OBS_SCHEMA.contains(&body.as_str()) {
                 push(Rule::ObsSchema, line, &scanned);
             }
@@ -520,14 +591,20 @@ mod tests {
     use super::*;
 
     fn rules_hit(relpath: &str, src: &str) -> Vec<Rule> {
-        lint_source(relpath, src).into_iter().map(|f| f.rule).collect()
+        lint_source(relpath, src)
+            .into_iter()
+            .map(|f| f.rule)
+            .collect()
     }
 
     #[test]
     fn std_collections_flagged_in_core_hot_path() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u64, u64> = HashMap::new(); }\n";
         let hits = rules_hit("crates/core/src/whatever.rs", src);
-        assert!(hits.contains(&Rule::StdCollections), "positive match required");
+        assert!(
+            hits.contains(&Rule::StdCollections),
+            "positive match required"
+        );
         // The per-message gossip path is held to the same rule…
         assert!(rules_hit("crates/gossip/src/vicinity.rs", src).contains(&Rule::StdCollections));
         // …its reference models under tests/ are not (negative control)…
@@ -564,7 +641,10 @@ mod tests {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
         assert!(rules_hit("crates/sim/src/clock.rs", src).contains(&Rule::WallClock));
         assert!(rules_hit("crates/bench/src/bin/x.rs", src).contains(&Rule::WallClock));
-        assert!(rules_hit("crates/net/src/clock.rs", src).is_empty(), "net owns real time");
+        assert!(
+            rules_hit("crates/net/src/clock.rs", src).is_empty(),
+            "net owns real time"
+        );
         let sys = "fn f() -> std::time::SystemTime { std::time::SystemTime::now() }\n";
         assert!(rules_hit("crates/core/src/x.rs", sys).contains(&Rule::WallClock));
     }
@@ -576,7 +656,10 @@ mod tests {
             rules_hit("crates/net/tests/live.rs", src).contains(&Rule::ThreadSleepInTests),
             "integration test files count as test code"
         );
-        assert!(rules_hit("crates/net/src/runtime.rs", src).is_empty(), "non-test code exempt");
+        assert!(
+            rules_hit("crates/net/src/runtime.rs", src).is_empty(),
+            "non-test code exempt"
+        );
         let module = "#[cfg(test)]\nmod tests {\n    fn f() { thread::sleep(d); }\n}\n";
         assert!(rules_hit("crates/core/src/x.rs", module).contains(&Rule::ThreadSleepInTests));
     }
@@ -586,8 +669,12 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         assert!(rules_hit("crates/core/src/node.rs", src).contains(&Rule::UnwrapInProtocol));
         assert!(rules_hit("crates/core/src/routing.rs", src).contains(&Rule::UnwrapInProtocol));
-        assert!(rules_hit("crates/core/src/selector.rs", src).is_empty(), "scoped to two files");
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
+        assert!(
+            rules_hit("crates/core/src/selector.rs", src).is_empty(),
+            "scoped to two files"
+        );
+        let in_test =
+            "#[cfg(test)]\nmod tests {\n    fn f(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
         assert!(
             rules_hit("crates/core/src/node.rs", in_test).contains(&Rule::UnwrapInProtocol),
             "protocol files hold their tests to the same standard"
@@ -604,8 +691,7 @@ mod tests {
         let known = "fn f(w: &mut W) { w.u64_field(\"attempt\", 1); }\n";
         assert!(rules_hit("crates/obs/src/event.rs", known).is_empty());
         // Key-shaped strings in *tests* are fixtures (bad-input cases).
-        let test_src =
-            "#[cfg(test)]\nmod tests {\n    const K: &str = \"warp_drive\";\n}\n";
+        let test_src = "#[cfg(test)]\nmod tests {\n    const K: &str = \"warp_drive\";\n}\n";
         assert!(rules_hit("crates/obs/src/event.rs", test_src).is_empty());
         // Other obs files are out of scope.
         assert!(rules_hit("crates/obs/src/json.rs", src).is_empty());
@@ -681,7 +767,8 @@ mod tests {
         let prose = "// no Mutex here\nfn f() { let s = \"RwLock\"; let _ = MutexFree; }\n";
         assert!(rules_hit("crates/net/src/peer.rs", prose).is_empty());
         // …and a reasoned pragma escapes.
-        let allowed = "// lint:allow(runtime-lock) — shutdown handshake, taken once\nuse std::sync::Mutex;\n";
+        let allowed =
+            "// lint:allow(runtime-lock) — shutdown handshake, taken once\nuse std::sync::Mutex;\n";
         assert!(rules_hit("crates/net/src/x.rs", allowed).is_empty());
     }
 
@@ -703,8 +790,7 @@ mod tests {
         assert!(rules_hit("crates/core/src/x.rs", file_level).is_empty());
         // The pragma only silences its own rule.
         let wrong_rule = "// lint:allow(wall-clock)\nuse std::collections::HashMap;\n";
-        assert!(rules_hit("crates/core/src/x.rs", wrong_rule)
-            .contains(&Rule::StdCollections));
+        assert!(rules_hit("crates/core/src/x.rs", wrong_rule).contains(&Rule::StdCollections));
     }
 
     #[test]

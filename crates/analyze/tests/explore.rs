@@ -15,7 +15,10 @@ fn three_node_scenario() -> Scenario {
     let origin = sc.node(&[5, 5]);
     sc.node(&[70, 5]);
     sc.node(&[70, 70]);
-    let q = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
+    let q = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(origin, q, None);
     sc
 }
@@ -29,8 +32,14 @@ fn two_query_scenario() -> Scenario {
     let a = sc.node(&[5, 5]);
     sc.node(&[70, 5]);
     let c = sc.node(&[70, 70]);
-    let q1 = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
-    let q2 = Query::builder(&space).min("a1", 60).build().expect("well-formed query");
+    let q1 = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
+    let q2 = Query::builder(&space)
+        .min("a1", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(a, q1, None);
     sc.query(c, q2, None);
     sc
@@ -48,7 +57,10 @@ fn strict_three_node_one_query_is_exhaustively_verified() {
     // A verified *finding*, not a shortcut: the protocol walks the overlay
     // with one in-flight message per query, so a lone query admits exactly
     // one delivery order.
-    assert_eq!(report.schedules, 1, "single-query runs are sequential by design");
+    assert_eq!(
+        report.schedules, 1,
+        "single-query runs are sequential by design"
+    );
 }
 
 #[test]
@@ -120,14 +132,22 @@ fn explorer_catches_reinjected_dedup_reply_bug() {
     sc.inject_empty_dedup_reply_bug(1); // node 1 relays the query down-tree
     let report = Explorer::default().explore(&sc);
 
-    let violation = report.violation.expect("explorer must find the re-injected bug");
+    let violation = report
+        .violation
+        .expect("explorer must find the re-injected bug");
     assert!(
-        matches!(violation.violation, InvariantViolation::ReportedInexact { .. }),
+        matches!(
+            violation.violation,
+            InvariantViolation::ReportedInexact { .. }
+        ),
         "the bug loses results, so exact-reporting must flag it, got {:?}",
         violation.violation
     );
 
-    assert!(!violation.minimized.is_empty(), "a non-trivial schedule cannot minimize to nothing");
+    assert!(
+        !violation.minimized.is_empty(),
+        "a non-trivial schedule cannot minimize to nothing"
+    );
     assert!(
         violation.minimized.len() <= violation.schedule.len(),
         "minimization must not grow the trace"
@@ -152,7 +172,11 @@ fn explorer_catches_reinjected_dedup_reply_bug() {
 /// `exhausted == false`, never a false "verified".
 #[test]
 fn budget_exhaustion_is_reported_not_hidden() {
-    let explorer = Explorer { max_schedules: 1, max_steps: 10, max_depth: 64 };
+    let explorer = Explorer {
+        max_schedules: 1,
+        max_steps: 10,
+        max_depth: 64,
+    };
     let report = explorer.explore(&two_query_scenario());
     assert!(!report.exhausted);
     assert!(!report.verified());
@@ -163,6 +187,10 @@ fn budget_exhaustion_is_reported_not_hidden() {
 #[test]
 fn two_queries_from_two_origins_verify() {
     let report = Explorer::default().explore(&two_query_scenario());
-    assert!(report.verified(), "two-query scenario must verify: {:?}", report.violation);
+    assert!(
+        report.verified(),
+        "two-query scenario must verify: {:?}",
+        report.violation
+    );
     assert!(report.schedules >= 2);
 }

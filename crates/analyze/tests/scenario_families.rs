@@ -30,7 +30,10 @@ fn four_node_kernel() -> Scenario {
     sc.node(&[70, 5]);
     sc.node(&[70, 40]);
     sc.node(&[70, 70]);
-    let q = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
+    let q = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(origin, q, None);
     sc
 }
@@ -67,8 +70,14 @@ fn flash_family_kernel_is_exhaustively_verified() {
     let a = sc.node(&[5, 5]);
     sc.node(&[70, 5]);
     let c = sc.node(&[70, 70]);
-    let q1 = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
-    let q2 = Query::builder(&space).min("a1", 60).build().expect("well-formed query");
+    let q1 = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
+    let q2 = Query::builder(&space)
+        .min("a1", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(a, q1, None);
     sc.query(c, q2, None);
     sc.allow_duplicates(1);
@@ -151,7 +160,10 @@ fn mutated_flash_kernel_is_caught_and_minimized() {
     let origin = sc.node(&[5, 5]);
     sc.node(&[70, 5]);
     sc.node(&[70, 70]);
-    let q = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
+    let q = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(origin, q, None);
     sc.allow_duplicates(1);
     sc.inject_empty_dedup_reply_bug(1);
@@ -161,7 +173,10 @@ fn mutated_flash_kernel_is_caught_and_minimized() {
         violation.minimized.len() <= violation.schedule.len(),
         "minimization must not grow the trace"
     );
-    assert!(!violation.minimized.is_empty(), "the bug needs at least the duplication choice");
+    assert!(
+        !violation.minimized.is_empty(),
+        "the bug needs at least the duplication choice"
+    );
     let replayed = replay(&sc, &violation.minimized)
         .expect("the minimized trace must still reproduce a violation");
     assert_eq!(

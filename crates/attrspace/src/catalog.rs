@@ -160,7 +160,11 @@ mod tests {
     fn symbolic_ranges_span_versions() {
         let c = ValueCatalog::from_symbols(["2.6.19", "2.6.20", "2.6.21", "2.6.22"]).unwrap();
         assert_eq!(c.range("2.6.20", "2.6.22"), Some((1, 3)));
-        assert_eq!(c.range("2.6.22", "2.6.20"), Some((1, 3)), "order-insensitive");
+        assert_eq!(
+            c.range("2.6.22", "2.6.20"),
+            Some((1, 3)),
+            "order-insensitive"
+        );
         assert_eq!(c.range("2.6.20", "9.9"), None);
     }
 

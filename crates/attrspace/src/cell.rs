@@ -68,14 +68,20 @@ impl CellCoord {
     /// Panics if any index is out of range for the nesting depth
     /// (`index >= 2^max_level`) or if `indices` is empty.
     pub fn new(indices: Vec<BucketIndex>, max_level: Level) -> Self {
-        assert!(!indices.is_empty(), "coordinate must have at least one dimension");
+        assert!(
+            !indices.is_empty(),
+            "coordinate must have at least one dimension"
+        );
         assert!((1..=31).contains(&max_level), "nesting depth out of range");
         let buckets: BucketIndex = 1 << max_level;
         assert!(
             indices.iter().all(|&i| i < buckets),
             "bucket index out of range for max_level {max_level}"
         );
-        CellCoord { indices: indices.into(), max_level }
+        CellCoord {
+            indices: indices.into(),
+            max_level,
+        }
     }
 
     /// The per-dimension bucket indices.
@@ -100,7 +106,10 @@ impl CellCoord {
     /// Panics if `level > max_level`.
     pub fn cell_id(&self, level: Level) -> CellId {
         assert!(level <= self.max_level, "level beyond nesting depth");
-        CellId { level, prefix: self.indices.iter().map(|&i| i >> level).collect() }
+        CellId {
+            level,
+            prefix: self.indices.iter().map(|&i| i >> level).collect(),
+        }
     }
 
     /// The region (box of unit buckets) covered by `Cl(X)`.
@@ -302,7 +311,10 @@ impl CellCoord {
             };
         }
         let bit = diff.leading_zeros() as usize;
-        Neighborhood::Cell { level: self.max_level - (bit / dims) as Level, dim: bit % dims }
+        Neighborhood::Cell {
+            level: self.max_level - (bit / dims) as Level,
+            dim: bit % dims,
+        }
     }
 
     /// Region-materializing rendition of [`classify`](Self::classify) — the
@@ -440,11 +452,20 @@ mod tests {
         let x = c(&[5, 2]);
         assert_eq!(x.classify(&c(&[5, 2])), Neighborhood::Zero);
         // Same C1, different C0, differing along dimension 0.
-        assert_eq!(x.classify(&c(&[4, 2])), Neighborhood::Cell { level: 1, dim: 0 });
+        assert_eq!(
+            x.classify(&c(&[4, 2])),
+            Neighborhood::Cell { level: 1, dim: 0 }
+        );
         // Same C1, differing along dimension 1 only.
-        assert_eq!(x.classify(&c(&[5, 3])), Neighborhood::Cell { level: 1, dim: 1 });
+        assert_eq!(
+            x.classify(&c(&[5, 3])),
+            Neighborhood::Cell { level: 1, dim: 1 }
+        );
         // Opposite half of the space along dimension 0.
-        assert_eq!(x.classify(&c(&[1, 1])), Neighborhood::Cell { level: 3, dim: 0 });
+        assert_eq!(
+            x.classify(&c(&[1, 1])),
+            Neighborhood::Cell { level: 3, dim: 0 }
+        );
     }
 
     #[test]
@@ -454,7 +475,11 @@ mod tests {
         let x = c(&[5, 2]);
         for other in [[5, 2], [4, 2], [5, 3], [1, 1], [7, 7]] {
             let y = c(&other);
-            assert_eq!(x.classify_coded(x.code(), &y, y.code()), x.classify(&y), "{y}");
+            assert_eq!(
+                x.classify_coded(x.code(), &y, y.code()),
+                x.classify(&y),
+                "{y}"
+            );
         }
     }
 

@@ -35,15 +35,22 @@ enum Resolver {
 impl Resolver {
     fn derive(boundaries: &[RawValue]) -> Self {
         match boundaries {
-            [] => Resolver::Uniform { first: RawValue::MAX, step: 1 },
-            [first] => Resolver::Uniform { first: *first, step: 1 },
+            [] => Resolver::Uniform {
+                first: RawValue::MAX,
+                step: 1,
+            },
+            [first] => Resolver::Uniform {
+                first: *first,
+                step: 1,
+            },
             [first, rest @ ..] => {
                 let step = rest[0] - first;
-                let even = boundaries
-                    .windows(2)
-                    .all(|w| w[1] - w[0] == step);
+                let even = boundaries.windows(2).all(|w| w[1] - w[0] == step);
                 if even {
-                    Resolver::Uniform { first: *first, step }
+                    Resolver::Uniform {
+                        first: *first,
+                        step,
+                    }
                 } else {
                     Resolver::General
                 }
@@ -69,7 +76,11 @@ impl Dimension {
             return Err(SpaceError::UnsortedBoundaries { dimension: name });
         }
         let resolver = Resolver::derive(&boundaries);
-        Ok(Dimension { name, boundaries, resolver })
+        Ok(Dimension {
+            name,
+            boundaries,
+            resolver,
+        })
     }
 
     /// Creates a dimension whose `buckets` buckets evenly split `[lo, hi)`.
@@ -90,7 +101,11 @@ impl Dimension {
         let width = (hi - lo) / u64::from(buckets);
         let boundaries: Vec<RawValue> = (1..buckets).map(|i| lo + u64::from(i) * width).collect();
         let resolver = Resolver::derive(&boundaries);
-        Dimension { name: name.into(), boundaries, resolver }
+        Dimension {
+            name: name.into(),
+            boundaries,
+            resolver,
+        }
     }
 
     /// The attribute name, e.g. `"mem"`.
@@ -142,7 +157,11 @@ impl Dimension {
     pub fn bucket_bounds(&self, idx: BucketIndex) -> (RawValue, RawValue) {
         let idx = idx as usize;
         assert!(idx <= self.boundaries.len(), "bucket index out of range");
-        let lo = if idx == 0 { 0 } else { self.boundaries[idx - 1] };
+        let lo = if idx == 0 {
+            0
+        } else {
+            self.boundaries[idx - 1]
+        };
         let hi = if idx == self.boundaries.len() {
             RawValue::MAX
         } else {
@@ -187,7 +206,12 @@ mod tests {
     #[test]
     fn unsorted_boundaries_rejected() {
         let err = Dimension::with_boundaries("x", vec![5, 5]).unwrap_err();
-        assert_eq!(err, SpaceError::UnsortedBoundaries { dimension: "x".into() });
+        assert_eq!(
+            err,
+            SpaceError::UnsortedBoundaries {
+                dimension: "x".into()
+            }
+        );
     }
 
     #[test]

@@ -60,15 +60,25 @@ impl fmt::Display for SpaceError {
             SpaceError::NoDimensions => write!(f, "space must have at least one dimension"),
             SpaceError::ZeroLevel => write!(f, "nesting depth max(l) must be at least 1"),
             SpaceError::LevelTooDeep { max_level } => {
-                write!(f, "nesting depth {max_level} too deep for u32 bucket indices")
+                write!(
+                    f,
+                    "nesting depth {max_level} too deep for u32 bucket indices"
+                )
             }
             SpaceError::DuplicateDimension { name } => {
                 write!(f, "duplicate dimension name `{name}`")
             }
             SpaceError::UnsortedBoundaries { dimension } => {
-                write!(f, "bucket boundaries of `{dimension}` are not strictly increasing")
+                write!(
+                    f,
+                    "bucket boundaries of `{dimension}` are not strictly increasing"
+                )
             }
-            SpaceError::BoundaryCount { dimension, got, expected } => write!(
+            SpaceError::BoundaryCount {
+                dimension,
+                got,
+                expected,
+            } => write!(
                 f,
                 "dimension `{dimension}` has {got} boundaries, nesting depth requires {expected}"
             ),
@@ -96,11 +106,22 @@ mod tests {
             SpaceError::ZeroLevel,
             SpaceError::LevelTooDeep { max_level: 40 },
             SpaceError::DuplicateDimension { name: "mem".into() },
-            SpaceError::UnsortedBoundaries { dimension: "mem".into() },
-            SpaceError::BoundaryCount { dimension: "mem".into(), got: 3, expected: 7 },
-            SpaceError::WrongArity { got: 1, expected: 5 },
+            SpaceError::UnsortedBoundaries {
+                dimension: "mem".into(),
+            },
+            SpaceError::BoundaryCount {
+                dimension: "mem".into(),
+                got: 3,
+                expected: 7,
+            },
+            SpaceError::WrongArity {
+                got: 1,
+                expected: 5,
+            },
             SpaceError::UnknownAttribute { name: "gpu".into() },
-            SpaceError::EmptyRange { dimension: "mem".into() },
+            SpaceError::EmptyRange {
+                dimension: "mem".into(),
+            },
         ];
         for v in variants {
             let s = v.to_string();

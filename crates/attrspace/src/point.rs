@@ -18,7 +18,9 @@ pub struct Point {
 
 impl Point {
     pub(crate) fn new_unchecked(values: Vec<RawValue>) -> Self {
-        Point { values: values.into() }
+        Point {
+            values: values.into(),
+        }
     }
 
     /// The raw attribute values, in dimension order.

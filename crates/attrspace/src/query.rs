@@ -15,7 +15,10 @@ pub struct Range {
 
 impl Range {
     /// The full range — matches every value (an unspecified attribute).
-    pub const FULL: Range = Range { lo: 0, hi: RawValue::MAX };
+    pub const FULL: Range = Range {
+        lo: 0,
+        hi: RawValue::MAX,
+    };
 
     /// Whether this range covers all possible values.
     pub fn is_full(&self) -> bool {
@@ -74,11 +77,16 @@ impl Query {
     /// [`SpaceError::EmptyRange`] when any range has `lo > hi`.
     pub fn from_ranges(space: &Space, ranges: Vec<Range>) -> Result<Self, SpaceError> {
         if ranges.len() != space.dims() {
-            return Err(SpaceError::WrongArity { got: ranges.len(), expected: space.dims() });
+            return Err(SpaceError::WrongArity {
+                got: ranges.len(),
+                expected: space.dims(),
+            });
         }
         for (r, dim) in ranges.iter().zip(space.dimensions()) {
             if r.lo > r.hi {
-                return Err(SpaceError::EmptyRange { dimension: dim.name().to_string() });
+                return Err(SpaceError::EmptyRange {
+                    dimension: dim.name().to_string(),
+                });
             }
         }
         let region = Region::new(
@@ -109,10 +117,16 @@ impl Query {
             .map(|(&(lo, hi), dim)| {
                 let (raw_lo, _) = dim.bucket_bounds(lo);
                 let (_, raw_hi) = dim.bucket_bounds(hi);
-                Range { lo: raw_lo, hi: raw_hi }
+                Range {
+                    lo: raw_lo,
+                    hi: raw_hi,
+                }
             })
             .collect();
-        Query { ranges, region: region.clone() }
+        Query {
+            ranges,
+            region: region.clone(),
+        }
     }
 
     /// The per-dimension value ranges.
@@ -180,8 +194,9 @@ impl<'a> QueryBuilder<'a> {
         match self.space.dimension_index(name) {
             Some(i) => Some(i),
             None => {
-                self.error
-                    .get_or_insert(SpaceError::UnknownAttribute { name: name.to_string() });
+                self.error.get_or_insert(SpaceError::UnknownAttribute {
+                    name: name.to_string(),
+                });
                 None
             }
         }
@@ -245,9 +260,19 @@ mod tests {
     #[test]
     fn builder_named_ranges() {
         let s = space();
-        let q = Query::builder(&s).min("mem", 40).range("bw", 10, 19).build().unwrap();
+        let q = Query::builder(&s)
+            .min("mem", 40)
+            .range("bw", 10, 19)
+            .build()
+            .unwrap();
         assert_eq!(q.ranges()[0], Range::FULL);
-        assert_eq!(q.ranges()[1], Range { lo: 40, hi: RawValue::MAX });
+        assert_eq!(
+            q.ranges()[1],
+            Range {
+                lo: 40,
+                hi: RawValue::MAX
+            }
+        );
         assert_eq!(q.ranges()[2], Range { lo: 10, hi: 19 });
         // Footprint: cpu free [0,7]; mem buckets 4..7; bw bucket 1.
         assert_eq!(q.region(), &Region::new(vec![(0, 7), (4, 7), (1, 1)]));
@@ -256,7 +281,11 @@ mod tests {
     #[test]
     fn matches_is_conjunction() {
         let s = space();
-        let q = Query::builder(&s).min("mem", 40).min("bw", 30).build().unwrap();
+        let q = Query::builder(&s)
+            .min("mem", 40)
+            .min("bw", 30)
+            .build()
+            .unwrap();
         assert!(q.matches(&s.point(&[0, 70, 33]).unwrap()));
         assert!(!q.matches(&s.point(&[0, 39, 33]).unwrap()));
         assert!(!q.matches(&s.point(&[0, 70, 29]).unwrap()));
@@ -273,7 +302,12 @@ mod tests {
     fn empty_range_rejected() {
         let s = space();
         let err = Query::builder(&s).range("mem", 50, 40).build().unwrap_err();
-        assert_eq!(err, SpaceError::EmptyRange { dimension: "mem".into() });
+        assert_eq!(
+            err,
+            SpaceError::EmptyRange {
+                dimension: "mem".into()
+            }
+        );
     }
 
     #[test]
@@ -295,7 +329,13 @@ mod tests {
         assert_eq!(q.ranges()[0], Range { lo: 20, hi: 39 });
         assert_eq!(q.ranges()[1], Range::FULL);
         // Top bucket is open-ended.
-        assert_eq!(q.ranges()[2], Range { lo: 70, hi: RawValue::MAX });
+        assert_eq!(
+            q.ranges()[2],
+            Range {
+                lo: 70,
+                hi: RawValue::MAX
+            }
+        );
         // Matching agrees with bucket containment for aligned queries.
         let p = s.point(&[25, 0, 1000]).unwrap();
         assert!(q.matches(&p));
@@ -305,7 +345,11 @@ mod tests {
     #[test]
     fn display_forms() {
         let s = space();
-        let q = Query::builder(&s).min("mem", 40).range("bw", 1, 2).build().unwrap();
+        let q = Query::builder(&s)
+            .min("mem", 40)
+            .range("bw", 1, 2)
+            .build()
+            .unwrap();
         assert_eq!(q.to_string(), "q{a0∈[*] ∧ a1∈[40,∞) ∧ a2∈[1,2]}");
     }
 }

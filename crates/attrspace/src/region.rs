@@ -45,7 +45,11 @@ impl Region {
     ///
     /// Panics if dimensionalities disagree.
     pub fn contains(&self, coord: &CellCoord) -> bool {
-        assert_eq!(coord.indices().len(), self.dims(), "dimensionality mismatch");
+        assert_eq!(
+            coord.indices().len(),
+            self.dims(),
+            "dimensionality mismatch"
+        );
         self.intervals
             .iter()
             .zip(coord.indices())

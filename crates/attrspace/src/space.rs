@@ -80,7 +80,10 @@ impl Space {
     /// Returns [`SpaceError::WrongArity`] if `values.len() != self.dims()`.
     pub fn point(&self, values: &[RawValue]) -> Result<Point, SpaceError> {
         if values.len() != self.dims() {
-            return Err(SpaceError::WrongArity { got: values.len(), expected: self.dims() });
+            return Err(SpaceError::WrongArity {
+                got: values.len(),
+                expected: self.dims(),
+            });
         }
         Ok(Point::new_unchecked(values.to_vec()))
     }
@@ -98,7 +101,11 @@ impl Space {
     /// validated at construction, so this indicates points from a different
     /// space).
     pub fn cell_coord(&self, point: &Point) -> CellCoord {
-        assert_eq!(point.values().len(), self.dims(), "point from a different space");
+        assert_eq!(
+            point.values().len(),
+            self.dims(),
+            "point from a different space"
+        );
         let indices: Vec<BucketIndex> = point
             .values()
             .iter()
@@ -112,7 +119,11 @@ impl Space {
     /// dimension resolves by binary search. Exists so property tests can
     /// assert the accelerated mapping agrees with the definition.
     pub fn cell_coord_reference(&self, point: &Point) -> CellCoord {
-        assert_eq!(point.values().len(), self.dims(), "point from a different space");
+        assert_eq!(
+            point.values().len(),
+            self.dims(),
+            "point from a different space"
+        );
         let indices: Vec<BucketIndex> = point
             .values()
             .iter()
@@ -157,7 +168,12 @@ impl SpaceBuilder {
     /// Adds a dimension whose buckets evenly split `[lo, hi)`; the bucket
     /// count is derived from `max_level` at build time.
     #[must_use]
-    pub fn uniform_dimension(mut self, name: impl Into<String>, lo: RawValue, hi: RawValue) -> Self {
+    pub fn uniform_dimension(
+        mut self,
+        name: impl Into<String>,
+        lo: RawValue,
+        hi: RawValue,
+    ) -> Self {
         self.pending_uniform.push((name.into(), lo, hi));
         self
     }
@@ -176,7 +192,9 @@ impl SpaceBuilder {
             return Err(SpaceError::ZeroLevel);
         }
         if self.max_level > 31 {
-            return Err(SpaceError::LevelTooDeep { max_level: self.max_level });
+            return Err(SpaceError::LevelTooDeep {
+                max_level: self.max_level,
+            });
         }
         let buckets: u32 = 1 << self.max_level;
 
@@ -198,11 +216,19 @@ impl SpaceBuilder {
                 });
             }
             if by_name.insert(dim.name().to_string(), i).is_some() {
-                return Err(SpaceError::DuplicateDimension { name: dim.name().to_string() });
+                return Err(SpaceError::DuplicateDimension {
+                    name: dim.name().to_string(),
+                });
             }
         }
 
-        Ok(Space { inner: Arc::new(SpaceInner { dimensions, by_name, max_level: self.max_level }) })
+        Ok(Space {
+            inner: Arc::new(SpaceInner {
+                dimensions,
+                by_name,
+                max_level: self.max_level,
+            }),
+        })
     }
 }
 
@@ -227,7 +253,10 @@ mod tests {
         assert!(s.point(&[1, 2, 3]).is_ok());
         assert_eq!(
             s.point(&[1, 2]).unwrap_err(),
-            SpaceError::WrongArity { got: 2, expected: 3 }
+            SpaceError::WrongArity {
+                got: 2,
+                expected: 3
+            }
         );
     }
 
@@ -246,13 +275,23 @@ mod tests {
 
     #[test]
     fn build_rejects_bad_configs() {
-        assert_eq!(Space::builder().max_level(3).build().unwrap_err(), SpaceError::NoDimensions);
         assert_eq!(
-            Space::builder().uniform_dimension("x", 0, 80).build().unwrap_err(),
+            Space::builder().max_level(3).build().unwrap_err(),
+            SpaceError::NoDimensions
+        );
+        assert_eq!(
+            Space::builder()
+                .uniform_dimension("x", 0, 80)
+                .build()
+                .unwrap_err(),
             SpaceError::ZeroLevel
         );
         assert!(matches!(
-            Space::builder().max_level(40).uniform_dimension("x", 0, 80).build().unwrap_err(),
+            Space::builder()
+                .max_level(40)
+                .uniform_dimension("x", 0, 80)
+                .build()
+                .unwrap_err(),
             SpaceError::LevelTooDeep { .. }
         ));
         assert!(matches!(

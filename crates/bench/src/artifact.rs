@@ -542,7 +542,11 @@ mod tests {
         verify(path, "autosel/bench-net/v1", entries(&body).count()).unwrap();
         for line in entries(&body) {
             let transport = raw_value(line, "transport").expect("net rows name a transport");
-            let link = if transport == "\"tcp\"" { tcp([0; 6]) } else { None };
+            let link = if transport == "\"tcp\"" {
+                tcp([0; 6])
+            } else {
+                None
+            };
             let phase = match raw_value(line, "kind") {
                 Some("\"load\"") => load(),
                 Some("\"sweep\"") => NetPhase::Sweep {

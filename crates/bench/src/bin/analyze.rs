@@ -85,7 +85,9 @@ fn explore_cmd(args: &[String]) -> ExitCode {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let num = |it: &mut std::slice::Iter<String>| -> usize {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+            it.next()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| usage())
         };
         match a.as_str() {
             "--nodes" => nodes = num(&mut it),
@@ -110,10 +112,16 @@ fn explore_cmd(args: &[String]) -> ExitCode {
     for vals in placements.iter().take(nodes) {
         sc.node(vals);
     }
-    let q1 = Query::builder(&space).min("a0", 60).build().expect("well-formed query");
+    let q1 = Query::builder(&space)
+        .min("a0", 60)
+        .build()
+        .expect("well-formed query");
     sc.query(0, q1, None);
     if queries == 2 {
-        let q2 = Query::builder(&space).min("a1", 60).build().expect("well-formed query");
+        let q2 = Query::builder(&space)
+            .min("a1", 60)
+            .build()
+            .expect("well-formed query");
         sc.query(2, q2, None);
     }
     sc.allow_duplicates(duplicates);

@@ -70,9 +70,9 @@ use std::time::{Duration, Instant};
 
 use attrspace::{Query, Space};
 use autosel_net::{NetCluster, NetConfig, QueryTicket, Transport};
+use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry};
 use bench::artifact::{self, NetPhase, NetRun};
 use bench::experiments::uniform_points;
-use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -92,15 +92,23 @@ const KNEE_RATIO: f64 = 0.9;
 const STAGE_DRAIN_MS: u64 = 1_000;
 
 fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    std::env::var(key)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    std::env::var(key)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// One in-flight query: its ticket and issue instant.
@@ -146,7 +154,10 @@ fn sweep_tickets(
 ) {
     outstanding.retain(|f| {
         if let Some(outcome) = f.ticket.try_outcome() {
-            registry.record("net.query.latency_ms", f.issued.elapsed().as_millis() as u64);
+            registry.record(
+                "net.query.latency_ms",
+                f.issued.elapsed().as_millis() as u64,
+            );
             tally.completed += 1;
             tally.delivery_sum += outcome.delivery();
             return false;
@@ -201,7 +212,10 @@ impl Harness {
                 tally.issued += 1;
                 match cluster.begin_query(origin, self.query.clone(), Some(self.sigma)) {
                     Some(ticket) => {
-                        outstanding.push(Inflight { ticket, issued: Instant::now() });
+                        outstanding.push(Inflight {
+                            ticket,
+                            issued: Instant::now(),
+                        });
                     }
                     None => tally.errors += 1,
                 }
@@ -231,8 +245,9 @@ fn main() {
     let args: Vec<String> = std::env::args().collect();
     let check_mode = args.iter().any(|a| a == "--check");
     let sweep_mode = args.iter().any(|a| a == "--sweep");
-    let kill_fraction: f64 =
-        arg_value(&args, "--kill").and_then(|s| s.parse().ok()).unwrap_or(0.0);
+    let kill_fraction: f64 = arg_value(&args, "--kill")
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0.0);
     let flight_out = arg_value(&args, "--flight-out");
     let transport_name = arg_value(&args, "--transport").unwrap_or_else(|| "mem".into());
     if transport_name != "mem" && transport_name != "tcp" {
@@ -252,8 +267,7 @@ fn main() {
     let sigma = env_u64("AUTOSEL_NETLOAD_SIGMA", 8) as u32;
     let seed = env_u64("AUTOSEL_NETLOAD_SEED", 42);
     let tag = std::env::var("AUTOSEL_NETLOAD_TAG").unwrap_or_else(|_| "current".into());
-    let out_path =
-        std::env::var("AUTOSEL_NETLOAD_OUT").unwrap_or_else(|_| "BENCH_net.json".into());
+    let out_path = std::env::var("AUTOSEL_NETLOAD_OUT").unwrap_or_else(|_| "BENCH_net.json".into());
 
     let registry = Arc::new(Registry::new());
     let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
@@ -357,10 +371,19 @@ fn main() {
         .fold(0.0f64, f64::max);
 
     // ---- snapshot: quantiles from the registry.
-    let latency = registry.histogram("net.query.latency_ms").unwrap_or_default();
-    let (p50, p99, p999) =
-        (latency.quantile(0.50), latency.quantile(0.99), latency.quantile(0.999));
-    let measured_ms = if sweep_mode { stages.len() as u64 * measure_ms } else { measure_ms };
+    let latency = registry
+        .histogram("net.query.latency_ms")
+        .unwrap_or_default();
+    let (p50, p99, p999) = (
+        latency.quantile(0.50),
+        latency.quantile(0.99),
+        latency.quantile(0.999),
+    );
+    let measured_ms = if sweep_mode {
+        stages.len() as u64 * measure_ms
+    } else {
+        measure_ms
+    };
     let achieved_qps = tally.completed as f64 * 1e3 / measured_ms.max(1) as f64;
     let mean_delivery = if tally.completed == 0 {
         0.0
@@ -414,7 +437,10 @@ fn main() {
             base_qps: rate,
             factor: SWEEP_FACTOR,
             knee_qps,
-            stages: stages.iter().map(|s| [s.offered_qps, s.issued_qps, s.achieved_qps]).collect(),
+            stages: stages
+                .iter()
+                .map(|s| [s.offered_qps, s.issued_qps, s.achieved_qps])
+                .collect(),
             stage_measure_ms: measure_ms,
         }
     } else {
@@ -440,7 +466,8 @@ fn main() {
         inbox_dropped,
         tcp: tcp_stats,
     };
-    let total = artifact::merge(&out_path, SCHEMA, vec![run.row(&tag)]).expect("write BENCH_net.json");
+    let total =
+        artifact::merge(&out_path, SCHEMA, vec![run.row(&tag)]).expect("write BENCH_net.json");
     println!("wrote {out_path} ({total} entries)");
 
     // ---- --check: validate the artifact and this run's gates.
@@ -471,7 +498,10 @@ fn main() {
         }
         if sweep_mode {
             if stages.len() < 2 {
-                eprintln!("--check FAILED: sweep produced {} stage(s), need ≥ 2", stages.len());
+                eprintln!(
+                    "--check FAILED: sweep produced {} stage(s), need ≥ 2",
+                    stages.len()
+                );
                 std::process::exit(1);
             }
             if knee_qps <= 0.0 {

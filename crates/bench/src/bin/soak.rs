@@ -111,7 +111,9 @@ fn main() -> ExitCode {
 }
 
 fn num(it: &mut std::slice::Iter<String>) -> u64 {
-    it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage())
 }
 
 fn run_cmd(args: &[String]) -> ExitCode {
@@ -121,7 +123,10 @@ fn run_cmd(args: &[String]) -> ExitCode {
     let mut seed: u64 = 42;
     let mut sample_ms: u64 = 300_000;
     let mut out: Option<String> = None;
-    let mut bounds = Bounds { min_view_pct: 50, max_age_factor_x10: 30 };
+    let mut bounds = Bounds {
+        min_view_pct: 50,
+        max_age_factor_x10: 30,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -138,7 +143,10 @@ fn run_cmd(args: &[String]) -> ExitCode {
         }
     }
     let Some(spec) = ScenarioSpec::family(&family, n, horizon_ms) else {
-        eprintln!("soak: unknown family {family:?} (known: {})", FAMILIES.join(", "));
+        eprintln!(
+            "soak: unknown family {family:?} (known: {})",
+            FAMILIES.join(", ")
+        );
         return ExitCode::from(2);
     };
 
@@ -193,7 +201,10 @@ fn run_cmd(args: &[String]) -> ExitCode {
             w.u64_field("harvested", s.harvested);
             w.u64_field("delivery_x1000", s.delivery_x1000);
             w.u64_field("reg_gossip_rounds", registry.counter("event.gossip_round"));
-            w.u64_field("reg_query_received", registry.counter("event.query_received"));
+            w.u64_field(
+                "reg_query_received",
+                registry.counter("event.query_received"),
+            );
             w.u64_field("reg_reply_sent", registry.counter("event.reply_sent"));
             w.u64_field("reg_duplicates", registry.counter("query.duplicates"));
             lines.push(w.finish());
@@ -214,20 +225,34 @@ fn run_cmd(args: &[String]) -> ExitCode {
         None => footer.str_field("violation", "none"),
         Some(v) => footer.str_field("violation", &v.to_string()),
     }
-    footer.str_field("timeline_digest", &format!("{:016x}", timeline_digest(&samples)));
+    footer.str_field(
+        "timeline_digest",
+        &format!("{:016x}", timeline_digest(&samples)),
+    );
     let _ = writeln!(sink, "{}", footer.finish());
     let _ = sink.flush();
 
     if let Some(v) = violation {
-        eprintln!("soak run: INVARIANT VIOLATION at t={} ms: {v}", runner.sim().now());
+        eprintln!(
+            "soak run: INVARIANT VIOLATION at t={} ms: {v}",
+            runner.sim().now()
+        );
         eprintln!("soak run: reproduce with --family {family} --n {n} --seed {seed}");
         return ExitCode::FAILURE;
     }
     let first = samples.first().expect("at least one sample");
     let last = samples.last().expect("at least one sample");
     for (layer, base, fin) in [
-        ("random", (first.rnd_view_x1000, first.rnd_age_x1000), (last.rnd_view_x1000, last.rnd_age_x1000)),
-        ("semantic", (first.sem_view_x1000, first.sem_age_x1000), (last.sem_view_x1000, last.sem_age_x1000)),
+        (
+            "random",
+            (first.rnd_view_x1000, first.rnd_age_x1000),
+            (last.rnd_view_x1000, last.rnd_age_x1000),
+        ),
+        (
+            "semantic",
+            (first.sem_view_x1000, first.sem_age_x1000),
+            (last.sem_view_x1000, last.sem_age_x1000),
+        ),
     ] {
         if let Err(e) = bounds.check_layer(layer, base, fin) {
             eprintln!("soak run: gossip-health bound breached: {e}");
@@ -246,7 +271,10 @@ fn run_cmd(args: &[String]) -> ExitCode {
 
 fn check_cmd(args: &[String]) -> ExitCode {
     let mut path: Option<&String> = None;
-    let mut bounds = Bounds { min_view_pct: 50, max_age_factor_x10: 30 };
+    let mut bounds = Bounds {
+        min_view_pct: 50,
+        max_age_factor_x10: 30,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -287,7 +315,9 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
             continue;
         }
         let obj = parse_object(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let kind = obj.str("kind").map_err(|e| format!("line {}: {e}", no + 1))?;
+        let kind = obj
+            .str("kind")
+            .map_err(|e| format!("line {}: {e}", no + 1))?;
         match kind {
             "soak_header" => {
                 if saw_header {
@@ -311,7 +341,8 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
                 if footer.is_some() {
                     return Err(format!("line {}: sample after footer", no + 1));
                 }
-                obj.expect_only(SAMPLE_KEYS).map_err(|e| format!("line {}: {e}", no + 1))?;
+                obj.expect_only(SAMPLE_KEYS)
+                    .map_err(|e| format!("line {}: {e}", no + 1))?;
                 let f = |name: &str| -> Result<u64, String> {
                     obj.u64(name).map_err(|e| format!("line {}: {e}", no + 1))
                 };
@@ -340,8 +371,11 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
                 obj.expect_only(&["kind", "samples", "violation", "timeline_digest"])
                     .map_err(|e| format!("line {}: {e}", no + 1))?;
                 footer = Some((
-                    obj.u64("samples").map_err(|e| format!("line {}: {e}", no + 1))?,
-                    obj.str("violation").map_err(|e| format!("line {}: {e}", no + 1))?.to_string(),
+                    obj.u64("samples")
+                        .map_err(|e| format!("line {}: {e}", no + 1))?,
+                    obj.str("violation")
+                        .map_err(|e| format!("line {}: {e}", no + 1))?
+                        .to_string(),
                     obj.str("timeline_digest")
                         .map_err(|e| format!("line {}: {e}", no + 1))?
                         .to_string(),
@@ -358,7 +392,10 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
         return Err(format!("run recorded a violation: {violation}"));
     }
     if count != samples.len() as u64 {
-        return Err(format!("footer says {count} samples, file has {}", samples.len()));
+        return Err(format!(
+            "footer says {count} samples, file has {}",
+            samples.len()
+        ));
     }
     if samples.is_empty() {
         return Err("timeline has no samples".into());
@@ -382,7 +419,10 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
                 ("harvested", p.harvested, s.harvested),
             ] {
                 if b < a {
-                    return Err(format!("cumulative counter {name} decreased at t={}", s.t_ms));
+                    return Err(format!(
+                        "cumulative counter {name} decreased at t={}",
+                        s.t_ms
+                    ));
                 }
             }
         }
@@ -393,7 +433,10 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
     }
     let last = samples.last().expect("non-empty");
     if last.pending != 0 {
-        return Err(format!("final sample leaks {} pending record(s)", last.pending));
+        return Err(format!(
+            "final sample leaks {} pending record(s)",
+            last.pending
+        ));
     }
     if last.harvested != last.issued {
         return Err(format!(
@@ -403,8 +446,16 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
     }
     let first = samples.first().expect("non-empty");
     for (layer, base, fin) in [
-        ("random", (first.rnd_view_x1000, first.rnd_age_x1000), (last.rnd_view_x1000, last.rnd_age_x1000)),
-        ("semantic", (first.sem_view_x1000, first.sem_age_x1000), (last.sem_view_x1000, last.sem_age_x1000)),
+        (
+            "random",
+            (first.rnd_view_x1000, first.rnd_age_x1000),
+            (last.rnd_view_x1000, last.rnd_age_x1000),
+        ),
+        (
+            "semantic",
+            (first.sem_view_x1000, first.sem_age_x1000),
+            (last.sem_view_x1000, last.sem_age_x1000),
+        ),
     ] {
         bounds.check_layer(layer, base, fin)?;
     }

@@ -71,7 +71,10 @@ fn env_usize_list(key: &str, default: &[usize]) -> Vec<usize> {
 }
 
 fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+    std::env::var(key)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
 }
 
 /// Peak resident set of *this* process in MiB, from `VmHWM` in
@@ -109,7 +112,10 @@ fn single_run(n: usize, seed: u64) -> (f64, f64, u64) {
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, q, Some(DEFAULT_SIGMA));
         sim.run_to_quiescence();
-        sim.query_stats(qid).expect("stats").fingerprint().hash(&mut hasher);
+        sim.query_stats(qid)
+            .expect("stats")
+            .fingerprint()
+            .hash(&mut hasher);
         sim.forget_query(qid);
     }
     let query_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -216,15 +222,25 @@ fn baseline_rss(path: &str) -> Vec<(usize, f64)> {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some("--one-shot") {
-        let n: usize = args.get(2).and_then(|s| s.parse().ok()).expect("--one-shot N SEED");
-        let seed: u64 = args.get(3).and_then(|s| s.parse().ok()).expect("--one-shot N SEED");
+        let n: usize = args
+            .get(2)
+            .and_then(|s| s.parse().ok())
+            .expect("--one-shot N SEED");
+        let seed: u64 = args
+            .get(3)
+            .and_then(|s| s.parse().ok())
+            .expect("--one-shot N SEED");
         one_shot_main(n, seed);
     }
     let check_mode = args.iter().any(|a| a == "--check");
-    let sizes = env_usize_list("AUTOSEL_BENCH_N", &[1_000, 5_000, 10_000, 100_000, 1_000_000]);
+    let sizes = env_usize_list(
+        "AUTOSEL_BENCH_N",
+        &[1_000, 5_000, 10_000, 100_000, 1_000_000],
+    );
     let seeds = env_usize("AUTOSEL_BENCH_SEEDS", 2).max(1);
     let tag = std::env::var("AUTOSEL_BENCH_TAG").unwrap_or_else(|_| "current".to_string());
-    let out_path = std::env::var("AUTOSEL_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim.json".to_string());
+    let out_path =
+        std::env::var("AUTOSEL_BENCH_OUT").unwrap_or_else(|_| "BENCH_sim.json".to_string());
     let baseline_path =
         std::env::var("AUTOSEL_BENCH_BASELINE").unwrap_or_else(|_| "BENCH_sim.json".to_string());
     // Read the RSS baseline before anything is written: out and baseline
@@ -262,8 +278,13 @@ fn main() {
     let t1 = Instant::now();
     let parallel = run_parallel(sweep_jobs(&grid_sizes, seeds), t);
     let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-    let sweep =
-        SimSweep { jobs: jobs_n, threads: t, serial_ms, parallel_ms, digests_match: serial == parallel };
+    let sweep = SimSweep {
+        jobs: jobs_n,
+        threads: t,
+        serial_ms,
+        parallel_ms,
+        digests_match: serial == parallel,
+    };
     determinism_ok &= sweep.digests_match;
     println!(
         "sweep {jobs_n} jobs: serial {serial_ms:.1} ms, {t} threads {parallel_ms:.1} ms, speedup {:.2}x, digests_match={}",

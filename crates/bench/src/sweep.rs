@@ -23,10 +23,16 @@ use std::sync::Mutex;
 /// (minimum 1), otherwise the machine's available parallelism capped at 8
 /// (figure sweeps rarely have more than 8 independent points in flight).
 pub fn threads() -> usize {
-    if let Some(t) = std::env::var("AUTOSEL_THREADS").ok().and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(t) = std::env::var("AUTOSEL_THREADS")
+        .ok()
+        .and_then(|s| s.parse::<usize>().ok())
+    {
         return t.max(1);
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
 }
 
 /// Runs every job, fanning them across `threads` scoped OS threads, and
@@ -57,7 +63,11 @@ where
                 if i >= n {
                     break;
                 }
-                let job = jobs[i].lock().expect("job mutex").take().expect("job taken once");
+                let job = jobs[i]
+                    .lock()
+                    .expect("job mutex")
+                    .take()
+                    .expect("job taken once");
                 let result = job();
                 *slots[i].lock().expect("slot mutex") = Some(result);
             });

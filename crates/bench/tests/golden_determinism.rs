@@ -40,7 +40,11 @@ fn static_scenario(seed: u64) -> String {
     sim.run_to_quiescence();
     lines.push(sim.query_stats(id1).unwrap().fingerprint());
 
-    let q2 = Query::builder(&space).range("a0", 20, 59).range("a1", 0, 39).build().unwrap();
+    let q2 = Query::builder(&space)
+        .range("a0", 20, 59)
+        .range("a1", 0, 39)
+        .build()
+        .unwrap();
     let o2 = sim.random_node();
     let id2 = sim.issue_query(o2, q2, Some(10));
     sim.run_to_quiescence();
@@ -60,7 +64,10 @@ fn static_scenario(seed: u64) -> String {
 fn churn_scenario(seed: u64) -> String {
     let space = Space::uniform(4, 80, 3).unwrap();
     let mut cfg = SimConfig {
-        latency: LatencyModel::Uniform { lo_ms: 5, hi_ms: 50 },
+        latency: LatencyModel::Uniform {
+            lo_ms: 5,
+            hi_ms: 50,
+        },
         ..SimConfig::default()
     };
     cfg.gossip.period_ms = 1_000;
@@ -88,7 +95,11 @@ fn gossip_state_scenario(seed: u64) -> String {
     // and slots have several candidates to draw from.
     gossip_state_in(
         Space::uniform(5, 80, 3).unwrap(),
-        &Placement::Normal { center: 60.0, stddev: 10.0, max: 80 },
+        &Placement::Normal {
+            center: 60.0,
+            stddev: 10.0,
+            max: 80,
+        },
         seed,
     )
 }
@@ -102,14 +113,21 @@ fn gossip_state_scenario(seed: u64) -> String {
 fn wide_gossip_state_scenario(seed: u64) -> String {
     gossip_state_in(
         Space::uniform(22, 80, 3).unwrap(),
-        &Placement::Normal { center: 65.0, stddev: 3.0, max: 80 },
+        &Placement::Normal {
+            center: 65.0,
+            stddev: 3.0,
+            max: 80,
+        },
         seed,
     )
 }
 
 fn gossip_state_in(space: Space, placement: &Placement, seed: u64) -> String {
     let mut cfg = SimConfig {
-        latency: LatencyModel::Uniform { lo_ms: 5, hi_ms: 50 },
+        latency: LatencyModel::Uniform {
+            lo_ms: 5,
+            hi_ms: 50,
+        },
         ..SimConfig::default()
     };
     cfg.gossip.period_ms = 1_000;
@@ -173,10 +191,19 @@ const GOLDEN_WIDE_GOSSIP_STATE_1337: &str =
 #[test]
 #[ignore = "capture helper: prints the golden strings for pinning"]
 fn print_goldens() {
-    println!("GOLDEN_WIDE_GOSSIP_STATE_42:\n{}\n", wide_gossip_state_scenario(42));
-    println!("GOLDEN_WIDE_GOSSIP_STATE_1337:\n{}\n", wide_gossip_state_scenario(1337));
+    println!(
+        "GOLDEN_WIDE_GOSSIP_STATE_42:\n{}\n",
+        wide_gossip_state_scenario(42)
+    );
+    println!(
+        "GOLDEN_WIDE_GOSSIP_STATE_1337:\n{}\n",
+        wide_gossip_state_scenario(1337)
+    );
     println!("GOLDEN_GOSSIP_STATE_42:\n{}\n", gossip_state_scenario(42));
-    println!("GOLDEN_GOSSIP_STATE_1337:\n{}\n", gossip_state_scenario(1337));
+    println!(
+        "GOLDEN_GOSSIP_STATE_1337:\n{}\n",
+        gossip_state_scenario(1337)
+    );
     println!("GOLDEN_STATIC_42:\n{}\n", static_scenario(42));
     println!("GOLDEN_STATIC_1337:\n{}\n", static_scenario(1337));
     println!("GOLDEN_CHURN_42:\n{}\n", churn_scenario(42));
@@ -185,21 +212,41 @@ fn print_goldens() {
 
 #[test]
 fn static_scenarios_match_pinned_goldens() {
-    assert_eq!(static_scenario(42), GOLDEN_STATIC_42, "seed 42 diverged from golden");
-    assert_eq!(static_scenario(1337), GOLDEN_STATIC_1337, "seed 1337 diverged from golden");
+    assert_eq!(
+        static_scenario(42),
+        GOLDEN_STATIC_42,
+        "seed 42 diverged from golden"
+    );
+    assert_eq!(
+        static_scenario(1337),
+        GOLDEN_STATIC_1337,
+        "seed 1337 diverged from golden"
+    );
 }
 
 #[test]
 fn churn_scenarios_match_pinned_goldens() {
-    assert_eq!(churn_scenario(42), GOLDEN_CHURN_42, "seed 42 diverged from golden");
-    assert_eq!(churn_scenario(1337), GOLDEN_CHURN_1337, "seed 1337 diverged from golden");
+    assert_eq!(
+        churn_scenario(42),
+        GOLDEN_CHURN_42,
+        "seed 42 diverged from golden"
+    );
+    assert_eq!(
+        churn_scenario(1337),
+        GOLDEN_CHURN_1337,
+        "seed 1337 diverged from golden"
+    );
 }
 
 /// Captured at the parent of the allocation-free gossip round (PR 16),
 /// before any hot-path edit, and asserted after it.
 #[test]
 fn gossip_state_matches_pinned_goldens() {
-    assert_eq!(gossip_state_scenario(42), GOLDEN_GOSSIP_STATE_42, "seed 42 diverged from golden");
+    assert_eq!(
+        gossip_state_scenario(42),
+        GOLDEN_GOSSIP_STATE_42,
+        "seed 42 diverged from golden"
+    );
     assert_eq!(
         gossip_state_scenario(1337),
         GOLDEN_GOSSIP_STATE_1337,

@@ -113,7 +113,11 @@ impl DenseGroups {
     fn build(entries: &[NeighborEntry], d: usize, max_level: Level) -> Self {
         let n_keys = 1usize << (d * max_level as usize);
         let mut keys: Vec<u32> = Vec::with_capacity(entries.len());
-        keys.extend(entries.iter().map(|e| packed_zero(e.coord.indices(), max_level) as u32));
+        keys.extend(
+            entries
+                .iter()
+                .map(|e| packed_zero(e.coord.indices(), max_level) as u32),
+        );
         let zero = Csr::build(n_keys, &keys);
         let mut slots = Vec::with_capacity(d * max_level as usize);
         for level in 1..=max_level {
@@ -149,10 +153,13 @@ impl<K: Hash + Eq> Groups<K> {
     ) -> Self {
         let mut zero: FastMap<K, Vec<u32>> = FastMap::default();
         for (i, e) in entries.iter().enumerate() {
-            zero.entry(zero_key(e.coord.indices())).or_default().push(i as u32);
+            zero.entry(zero_key(e.coord.indices()))
+                .or_default()
+                .push(i as u32);
         }
-        let mut slots: Vec<FastMap<K, Vec<u32>>> =
-            (0..d * max_level as usize).map(|_| FastMap::default()).collect();
+        let mut slots: Vec<FastMap<K, Vec<u32>>> = (0..d * max_level as usize)
+            .map(|_| FastMap::default())
+            .collect();
         for (i, e) in entries.iter().enumerate() {
             for level in 1..=max_level {
                 for dim in 0..d {
@@ -169,7 +176,9 @@ impl<K: Hash + Eq> Groups<K> {
 
 /// Packs a full coordinate into a word, `max_level` bits per dimension.
 fn packed_zero(coord: &[BucketIndex], max_level: Level) -> u64 {
-    coord.iter().fold(0u64, |k, &v| (k << max_level) | u64::from(v))
+    coord
+        .iter()
+        .fold(0u64, |k, &v| (k << max_level) | u64::from(v))
 }
 
 /// Packs the `N(level, dim)` membership prefix into a word, keeping each
@@ -185,7 +194,13 @@ fn wide_slot(coord: &[BucketIndex], level: Level, dim: usize) -> Vec<BucketIndex
     coord
         .iter()
         .enumerate()
-        .map(|(j, &v)| if j <= dim { v >> (level - 1) } else { v >> level })
+        .map(|(j, &v)| {
+            if j <= dim {
+                v >> (level - 1)
+            } else {
+                v >> level
+            }
+        })
         .collect()
 }
 
@@ -218,7 +233,12 @@ impl OracleWiring {
                 wide_slot,
             ))
         };
-        OracleWiring { d, max_level, entries, index }
+        OracleWiring {
+            d,
+            max_level,
+            entries,
+            index,
+        }
     }
 
     /// The indexed population entries, in the order given to
@@ -247,11 +267,18 @@ impl OracleWiring {
             GroupIndex::Dense(g) => self.wire_dense(g, i, table, rng),
             GroupIndex::Packed(g) => {
                 let ml = self.max_level;
-                self.wire_with(g, i, table, rng, |c| packed_zero(c, ml), |c, l, k| {
-                    // Flip our half along `k`: the low bit of its field.
-                    let field = (self.d - 1 - k) as u32 * u32::from(ml);
-                    packed_slot(c, l, k, ml) ^ (1u64 << field)
-                });
+                self.wire_with(
+                    g,
+                    i,
+                    table,
+                    rng,
+                    |c| packed_zero(c, ml),
+                    |c, l, k| {
+                        // Flip our half along `k`: the low bit of its field.
+                        let field = (self.d - 1 - k) as u32 * u32::from(ml);
+                        packed_slot(c, l, k, ml) ^ (1u64 << field)
+                    },
+                );
             }
             GroupIndex::Wide(g) => {
                 self.wire_with(g, i, table, rng, <[BucketIndex]>::to_vec, |c, l, k| {
@@ -336,7 +363,11 @@ pub fn wire_perfect<R: Rng + ?Sized>(nodes: &mut [SelectionNode], rng: &mut R) {
     let space = nodes[0].space().clone();
     let entries: Vec<NeighborEntry> = nodes
         .iter()
-        .map(|n| NeighborEntry { id: n.id(), point: n.point().clone(), coord: n.coord().clone() })
+        .map(|n| NeighborEntry {
+            id: n.id(),
+            point: n.point().clone(),
+            coord: n.coord().clone(),
+        })
         .collect();
     let wiring = OracleWiring::new(&space, entries);
     for (i, node) in nodes.iter_mut().enumerate() {
@@ -367,7 +398,12 @@ mod tests {
         (0..n)
             .map(|i| {
                 let vals: Vec<u64> = (0..space.dims()).map(|_| rng.gen_range(0..80)).collect();
-                SelectionNode::new(i, space, space.point(&vals).unwrap(), ProtocolConfig::default())
+                SelectionNode::new(
+                    i,
+                    space,
+                    space.point(&vals).unwrap(),
+                    ProtocolConfig::default(),
+                )
             })
             .collect()
     }

@@ -190,7 +190,11 @@ mod tests {
         // Fibonacci multiplier: consecutive small ids must not collide in
         // the low bits a power-of-two table actually uses.
         let low: FastSet<u64> = (0u64..1000).map(|i| hash_of(&i) >> 57).collect();
-        assert!(low.len() > 64, "top-7-bit buckets poorly spread: {}", low.len());
+        assert!(
+            low.len() > 64,
+            "top-7-bit buckets poorly spread: {}",
+            low.len()
+        );
         let set: FastSet<u64> = (0u64..1000).map(|i| hash_of(&i)).collect();
         assert_eq!(set.len(), 1000, "collisions among consecutive ids");
     }

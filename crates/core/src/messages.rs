@@ -144,7 +144,10 @@ impl Message {
 
 /// Returns a bitmask with the low `d` bits set — "all dimensions".
 pub(crate) fn all_dims(d: usize) -> u32 {
-    debug_assert!(d <= 32, "at most 32 dimensions supported by the dims bitmask");
+    debug_assert!(
+        d <= 32,
+        "at most 32 dimensions supported by the dims bitmask"
+    );
     if d == 32 {
         u32::MAX
     } else {
@@ -184,7 +187,12 @@ mod tests {
             visited_zero: Vec::new(),
             attempt: 1,
         });
-        let r = Message::Reply(ReplyMsg { id, matching: MatchList::new(), count: 0, attempt: 1 });
+        let r = Message::Reply(ReplyMsg {
+            id,
+            matching: MatchList::new(),
+            count: 0,
+            attempt: 1,
+        });
         assert_eq!(q.query_id(), id);
         assert_eq!(r.query_id(), id);
     }

@@ -44,7 +44,11 @@ pub struct ProtocolConfig {
 
 impl Default for ProtocolConfig {
     fn default() -> Self {
-        ProtocolConfig { query_timeout_ms: 5_000, c0_relay: false, reply_cache: 32 }
+        ProtocolConfig {
+            query_timeout_ms: 5_000,
+            c0_relay: false,
+            reply_cache: 32,
+        }
     }
 }
 
@@ -216,7 +220,8 @@ impl PendingQuery {
                 // The first id already here: copy the new prefix, then go
                 // on element by element.
                 all_new = false;
-                self.matching.extend(list.iter().take(i).cloned().map(Segment::One));
+                self.matching
+                    .extend(list.iter().take(i).cloned().map(Segment::One));
             } else if !all_new && new {
                 self.matching.push(Segment::One(m.clone()));
             }
@@ -295,7 +300,10 @@ impl SeenSet {
         for (origin, block) in keys {
             let mut bits = self.blocks[&(origin, block)];
             while bits != 0 {
-                out.push(QueryId { origin, seq: block * 64 + bits.trailing_zeros() });
+                out.push(QueryId {
+                    origin,
+                    seq: block * 64 + bits.trailing_zeros(),
+                });
                 bits &= bits - 1;
             }
         }
@@ -737,7 +745,10 @@ impl SelectionNode {
         count_only: bool,
         now: u64,
     ) -> (QueryId, Vec<Output>) {
-        let id = QueryId { origin: self.id, seq: self.seq };
+        let id = QueryId {
+            origin: self.id,
+            seq: self.seq,
+        };
         self.seq += 1;
         let msg = QueryMsg {
             id,
@@ -777,7 +788,9 @@ impl SelectionNode {
         let mut out = Vec::new();
         let qids: Vec<QueryId> = self.pending.keys().copied().collect();
         for qid in qids {
-            let Some(p) = self.pending.get_mut(&qid) else { continue };
+            let Some(p) = self.pending.get_mut(&qid) else {
+                continue;
+            };
             let expired: Vec<NodeId> = p
                 .waiting
                 .iter()
@@ -924,7 +937,10 @@ impl SelectionNode {
                     attempt: msg.attempt,
                 },
             };
-            return vec![Output::Send { to: from, msg: Message::Reply(reply) }];
+            return vec![Output::Send {
+                to: from,
+                msg: Message::Reply(reply),
+            }];
         }
         self.seen.insert(msg.id);
 
@@ -950,7 +966,10 @@ impl SelectionNode {
         p.next_attempt = 1;
         p.visited_zero.extend(msg.visited_zero);
         if matched {
-            p.add_own_match(Match { node: self.id, values: self.point.clone() });
+            p.add_own_match(Match {
+                node: self.id,
+                values: self.point.clone(),
+            });
         }
         let qid = msg.id;
         let sigma_met = p.sigma_met();
@@ -1099,7 +1118,10 @@ impl SelectionNode {
                         level: fwd_level,
                         attempt,
                     });
-                    out.push(Output::Send { to, msg: Message::Query(fwd) });
+                    out.push(Output::Send {
+                        to,
+                        msg: Message::Query(fwd),
+                    });
                     return out;
                 }
                 // No known node in that subcell: treat as empty and keep
@@ -1163,7 +1185,10 @@ impl SelectionNode {
                     level: -1,
                     attempt,
                 });
-                out.push(Output::Send { to: id, msg: Message::Query(fwd) });
+                out.push(Output::Send {
+                    to: id,
+                    msg: Message::Query(fwd),
+                });
             }
             p.level = -1;
             if !out.is_empty() {
@@ -1219,8 +1244,12 @@ impl SelectionNode {
                     // Keep the final answer around so duplicate QUERYs
                     // arriving after this point get the real reply again
                     // instead of a results-destroying empty one.
-                    let entry =
-                        CachedReply { id: qid, to: upstream, matching: matching.clone(), count };
+                    let entry = CachedReply {
+                        id: qid,
+                        to: upstream,
+                        matching: matching.clone(),
+                        count,
+                    };
                     let (held, bound) = (self.reply_cache.len(), self.config.reply_cache);
                     if held < bound {
                         if held == self.reply_cache.capacity() {
@@ -1240,7 +1269,12 @@ impl SelectionNode {
                 }
                 vec![Output::Send {
                     to: upstream,
-                    msg: Message::Reply(ReplyMsg { id: qid, matching, count, attempt }),
+                    msg: Message::Reply(ReplyMsg {
+                        id: qid,
+                        matching,
+                        count,
+                        attempt,
+                    }),
                 }]
             }
             None => {
@@ -1250,7 +1284,11 @@ impl SelectionNode {
                     node: self.id,
                     count,
                 });
-                vec![Output::Completed { id: qid, matches: matching.to_vec(), count }]
+                vec![Output::Completed {
+                    id: qid,
+                    matches: matching.to_vec(),
+                    count,
+                }]
             }
         }
     }
@@ -1267,7 +1305,12 @@ mod tests {
 
     fn node(id: NodeId, vals: [u64; 2]) -> SelectionNode {
         let s = space();
-        SelectionNode::new(id, &s, s.point(&vals).expect("coords lie inside the space"), ProtocolConfig::default())
+        SelectionNode::new(
+            id,
+            &s,
+            s.point(&vals).expect("coords lie inside the space"),
+            ProtocolConfig::default(),
+        )
     }
 
     fn deliver(to: &mut SelectionNode, from: NodeId, out: &[Output], now: u64) -> Vec<Output> {
@@ -1342,7 +1385,15 @@ mod tests {
         #[test]
         fn fingerprint_matches_the_plain_id_set() {
             let mut n = node(1, [10, 20]);
-            let ids = [(7, 0), (7, 63), (7, 64), (7, 65), (3, u32::MAX), (3, 5), (9, 1_000)];
+            let ids = [
+                (7, 0),
+                (7, 63),
+                (7, 64),
+                (7, 65),
+                (3, u32::MAX),
+                (3, 5),
+                (9, 1_000),
+            ];
             for (origin, seq) in ids {
                 n.seen.insert(QueryId { origin, seq });
             }
@@ -1353,10 +1404,16 @@ mod tests {
     #[test]
     fn self_match_with_sigma_one_completes_locally() {
         let mut a = node(1, [70, 70]);
-        let q = Query::builder(&space()).min("a0", 60).build().expect("well-formed query");
+        let q = Query::builder(&space())
+            .min("a0", 60)
+            .build()
+            .expect("well-formed query");
         let (id, out) = a.begin_query(q, Some(1), 0);
         assert_eq!(out.len(), 1);
-        let Output::Completed { id: got, matches, .. } = &out[0] else {
+        let Output::Completed {
+            id: got, matches, ..
+        } = &out[0]
+        else {
             panic!("expected completion, got {out:?}")
         };
         assert_eq!(*got, id);
@@ -1368,9 +1425,14 @@ mod tests {
     #[test]
     fn no_neighbors_no_match_completes_empty() {
         let mut a = node(1, [5, 5]);
-        let q = Query::builder(&space()).min("a0", 60).build().expect("well-formed query");
+        let q = Query::builder(&space())
+            .min("a0", 60)
+            .build()
+            .expect("well-formed query");
         let (_, out) = a.begin_query(q, None, 0);
-        let Output::Completed { matches, .. } = &out[0] else { panic!("{out:?}") };
+        let Output::Completed { matches, .. } = &out[0] else {
+            panic!("{out:?}")
+        };
         assert!(matches.is_empty());
     }
 
@@ -1379,18 +1441,34 @@ mod tests {
         let mut a = node(1, [5, 5]);
         let mut b = node(2, [70, 70]);
         a.routing_mut().observe(2, b.point().clone());
-        let q = Query::builder(&space()).min("a0", 60).min("a1", 60).build().expect("well-formed query");
+        let q = Query::builder(&space())
+            .min("a0", 60)
+            .min("a1", 60)
+            .build()
+            .expect("well-formed query");
         let (qid, out) = a.begin_query(q, None, 0);
         // A forwards to B (the only link toward the query region).
-        assert!(matches!(&out[0], Output::Send { to: 2, msg: Message::Query(_) }));
+        assert!(matches!(
+            &out[0],
+            Output::Send {
+                to: 2,
+                msg: Message::Query(_)
+            }
+        ));
         let replies = deliver(&mut b, 1, &out, 1);
         // B matches, has no further links, replies.
-        let Output::Send { to: 1, msg: Message::Reply(r) } = &replies[0] else {
+        let Output::Send {
+            to: 1,
+            msg: Message::Reply(r),
+        } = &replies[0]
+        else {
             panic!("{replies:?}")
         };
         assert_eq!(r.matching.len(), 1);
         let done = deliver(&mut a, 2, &replies, 2);
-        let Output::Completed { id, matches, .. } = &done[0] else { panic!("{done:?}") };
+        let Output::Completed { id, matches, .. } = &done[0] else {
+            panic!("{done:?}")
+        };
         assert_eq!(*id, qid);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 2);
@@ -1403,15 +1481,25 @@ mod tests {
         let s = space();
         let mut a = node(1, [5, 5]);
         // Three C0 mates, two of which match the query.
-        a.routing_mut().observe(2, s.point(&[6, 6]).expect("coords lie inside the space"));
-        a.routing_mut().observe(3, s.point(&[7, 7]).expect("coords lie inside the space"));
-        a.routing_mut().observe(4, s.point(&[3, 3]).expect("coords lie inside the space"));
-        let q = Query::builder(&s).range("a0", 5, 9).range("a1", 5, 9).build().expect("well-formed query");
+        a.routing_mut()
+            .observe(2, s.point(&[6, 6]).expect("coords lie inside the space"));
+        a.routing_mut()
+            .observe(3, s.point(&[7, 7]).expect("coords lie inside the space"));
+        a.routing_mut()
+            .observe(4, s.point(&[3, 3]).expect("coords lie inside the space"));
+        let q = Query::builder(&s)
+            .range("a0", 5, 9)
+            .range("a1", 5, 9)
+            .build()
+            .expect("well-formed query");
         let (_, out) = a.begin_query(q.clone(), None, 0);
         let targets: FastSet<NodeId> = out
             .iter()
             .filter_map(|o| match o {
-                Output::Send { to, msg: Message::Query(m) } => {
+                Output::Send {
+                    to,
+                    msg: Message::Query(m),
+                } => {
                     assert_eq!(m.level, -1, "leaf delivery");
                     Some(*to)
                 }
@@ -1431,7 +1519,11 @@ mod tests {
                 .collect::<Vec<_>>(),
             1,
         );
-        let Output::Send { to: 1, msg: Message::Reply(r) } = &leaf_out[0] else {
+        let Output::Send {
+            to: 1,
+            msg: Message::Reply(r),
+        } = &leaf_out[0]
+        else {
             panic!("{leaf_out:?}")
         };
         assert_eq!(r.matching.to_vec()[0].node, 2);
@@ -1442,7 +1534,10 @@ mod tests {
     fn leaf_query(id: QueryId, attempt: u32) -> QueryMsg {
         QueryMsg {
             id,
-            query: Query::builder(&space()).build().expect("well-formed query").into(),
+            query: Query::builder(&space())
+                .build()
+                .expect("well-formed query")
+                .into(),
             sigma: None,
             level: -1,
             dims: 0,
@@ -1462,13 +1557,29 @@ mod tests {
         let mut a = node(1, [5, 5]);
         let msg = leaf_query(QueryId { origin: 9, seq: 0 }, 3);
         let first = a.handle_message(9, Message::Query(msg.clone()), 0);
-        let Output::Send { to: 9, msg: Message::Reply(r) } = &first[0] else { panic!("{first:?}") };
+        let Output::Send {
+            to: 9,
+            msg: Message::Reply(r),
+        } = &first[0]
+        else {
+            panic!("{first:?}")
+        };
         assert_eq!(r.matching.len(), 1);
         assert_eq!(r.attempt, 3, "reply echoes the query's attempt id");
 
         let second = a.handle_message(9, Message::Query(msg.clone()), 1);
-        let Output::Send { to: 9, msg: Message::Reply(r) } = &second[0] else { panic!("{second:?}") };
-        assert_eq!(r.matching.len(), 1, "duplicate answered from the reply cache");
+        let Output::Send {
+            to: 9,
+            msg: Message::Reply(r),
+        } = &second[0]
+        else {
+            panic!("{second:?}")
+        };
+        assert_eq!(
+            r.matching.len(),
+            1,
+            "duplicate answered from the reply cache"
+        );
         assert_eq!(r.count, 1);
         assert_eq!(r.attempt, 3);
         assert_eq!(a.duplicate_receipts(), 1);
@@ -1476,7 +1587,13 @@ mod tests {
         // A copy arriving over a *different* edge is a cross-path delivery:
         // that sender gets nothing from this subtree — empty, not cached.
         let third = a.handle_message(8, Message::Query(msg), 2);
-        let Output::Send { to: 8, msg: Message::Reply(r) } = &third[0] else { panic!("{third:?}") };
+        let Output::Send {
+            to: 8,
+            msg: Message::Reply(r),
+        } = &third[0]
+        else {
+            panic!("{third:?}")
+        };
         assert!(r.matching.is_empty(), "cross-path duplicate answered empty");
         assert_eq!(a.duplicate_receipts(), 2);
     }
@@ -1486,12 +1603,26 @@ mod tests {
     #[test]
     fn reply_cache_zero_disables_retransmission() {
         let s = space();
-        let cfg = ProtocolConfig { reply_cache: 0, ..ProtocolConfig::default() };
-        let mut a = SelectionNode::new(1, &s, s.point(&[5, 5]).expect("coords lie inside the space"), cfg);
+        let cfg = ProtocolConfig {
+            reply_cache: 0,
+            ..ProtocolConfig::default()
+        };
+        let mut a = SelectionNode::new(
+            1,
+            &s,
+            s.point(&[5, 5]).expect("coords lie inside the space"),
+            cfg,
+        );
         let msg = leaf_query(QueryId { origin: 9, seq: 0 }, 1);
         let _ = a.handle_message(9, Message::Query(msg.clone()), 0);
         let second = a.handle_message(9, Message::Query(msg), 1);
-        let Output::Send { msg: Message::Reply(r), .. } = &second[0] else { panic!() };
+        let Output::Send {
+            msg: Message::Reply(r),
+            ..
+        } = &second[0]
+        else {
+            panic!()
+        };
         assert!(r.matching.is_empty(), "no cache, duplicate answered empty");
     }
 
@@ -1501,18 +1632,46 @@ mod tests {
     #[test]
     fn reply_cache_evicts_fifo_at_its_bound() {
         let s = space();
-        let cfg = ProtocolConfig { reply_cache: 2, ..ProtocolConfig::default() };
-        let mut a = SelectionNode::new(1, &s, s.point(&[5, 5]).expect("coords lie inside the space"), cfg);
+        let cfg = ProtocolConfig {
+            reply_cache: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut a = SelectionNode::new(
+            1,
+            &s,
+            s.point(&[5, 5]).expect("coords lie inside the space"),
+            cfg,
+        );
         for seq in 0..3 {
             let msg = leaf_query(QueryId { origin: 9, seq }, 1);
             let _ = a.handle_message(9, Message::Query(msg), u64::from(seq));
         }
         // seq 0 was evicted (bound 2), seqs 1 and 2 are still cached.
-        let dup0 = a.handle_message(9, Message::Query(leaf_query(QueryId { origin: 9, seq: 0 }, 1)), 10);
-        let Output::Send { msg: Message::Reply(r), .. } = &dup0[0] else { panic!() };
+        let dup0 = a.handle_message(
+            9,
+            Message::Query(leaf_query(QueryId { origin: 9, seq: 0 }, 1)),
+            10,
+        );
+        let Output::Send {
+            msg: Message::Reply(r),
+            ..
+        } = &dup0[0]
+        else {
+            panic!()
+        };
         assert!(r.matching.is_empty(), "evicted entry answers empty");
-        let dup2 = a.handle_message(9, Message::Query(leaf_query(QueryId { origin: 9, seq: 2 }, 1)), 11);
-        let Output::Send { msg: Message::Reply(r), .. } = &dup2[0] else { panic!() };
+        let dup2 = a.handle_message(
+            9,
+            Message::Query(leaf_query(QueryId { origin: 9, seq: 2 }, 1)),
+            11,
+        );
+        let Output::Send {
+            msg: Message::Reply(r),
+            ..
+        } = &dup2[0]
+        else {
+            panic!()
+        };
         assert_eq!(r.matching.len(), 1, "recent entry still cached");
     }
 
@@ -1525,10 +1684,15 @@ mod tests {
         let s = space();
         let mut b = node(2, [5, 5]);
         // B will forward into the query region, so the query stays pending.
-        b.routing_mut().observe(3, s.point(&[70, 70]).expect("coords lie inside the space"));
+        b.routing_mut()
+            .observe(3, s.point(&[70, 70]).expect("coords lie inside the space"));
         let msg = QueryMsg {
             id: QueryId { origin: 1, seq: 0 },
-            query: Query::builder(&s).min("a0", 60).build().expect("well-formed query").into(),
+            query: Query::builder(&s)
+                .min("a0", 60)
+                .build()
+                .expect("well-formed query")
+                .into(),
             sigma: None,
             level: 3,
             dims: all_dims(2),
@@ -1539,22 +1703,40 @@ mod tests {
         };
         let first = b.handle_message(1, Message::Query(msg.clone()), 0);
         assert!(
-            matches!(&first[0], Output::Send { to: 3, msg: Message::Query(_) }),
+            matches!(
+                &first[0],
+                Output::Send {
+                    to: 3,
+                    msg: Message::Query(_)
+                }
+            ),
             "query forwarded into its subtree: {first:?}"
         );
         assert_eq!(b.pending_len(), 1);
         let second = b.handle_message(1, Message::Query(msg), 1);
-        assert!(second.is_empty(), "duplicate while pending must stay silent: {second:?}");
+        assert!(
+            second.is_empty(),
+            "duplicate while pending must stay silent: {second:?}"
+        );
         assert_eq!(b.duplicate_receipts(), 1);
 
         // The real subtree reply still flows upstream afterwards, echoing
         // the upstream's attempt id.
         let sub = b.handle_message(
             3,
-            Message::Reply(ReplyMsg { id: QueryId { origin: 1, seq: 0 }, matching: MatchList::new(), count: 0, attempt: 1 }),
+            Message::Reply(ReplyMsg {
+                id: QueryId { origin: 1, seq: 0 },
+                matching: MatchList::new(),
+                count: 0,
+                attempt: 1,
+            }),
             2,
         );
-        let Some(Output::Send { to: 1, msg: Message::Reply(r) }) = sub.last() else {
+        let Some(Output::Send {
+            to: 1,
+            msg: Message::Reply(r),
+        }) = sub.last()
+        else {
             panic!("{sub:?}")
         };
         assert_eq!(r.attempt, 7);
@@ -1565,15 +1747,23 @@ mod tests {
         let mut a = node(1, [5, 5]);
         let mut dead = node(2, [70, 70]);
         a.routing_mut().observe(2, dead.point().clone());
-        let q = Query::builder(&space()).min("a0", 60).build().expect("well-formed query");
+        let q = Query::builder(&space())
+            .min("a0", 60)
+            .build()
+            .expect("well-formed query");
         let (qid, out) = a.begin_query(q, None, 0);
         assert!(matches!(&out[0], Output::Send { to: 2, .. }));
         let _ = &mut dead; // never answers
 
-        assert_eq!(a.next_timeout(), Some(ProtocolConfig::default().query_timeout_ms));
+        assert_eq!(
+            a.next_timeout(),
+            Some(ProtocolConfig::default().query_timeout_ms)
+        );
         let out = a.poll_timeouts(ProtocolConfig::default().query_timeout_ms);
         assert!(out.contains(&Output::NeighborFailed(2)));
-        let Some(Output::Completed { id, matches, .. }) = out.last() else { panic!("{out:?}") };
+        let Some(Output::Completed { id, matches, .. }) = out.last() else {
+            panic!("{out:?}")
+        };
         assert_eq!(*id, qid);
         assert!(matches.is_empty());
         assert!(a.routing().neighbor(3, 0).is_none(), "dead link dropped");
@@ -1584,14 +1774,21 @@ mod tests {
         let mut a = node(1, [5, 5]);
         let b = node(2, [70, 70]);
         a.routing_mut().observe(2, b.point().clone());
-        let q = Query::builder(&space()).min("a0", 60).build().expect("well-formed query");
+        let q = Query::builder(&space())
+            .min("a0", 60)
+            .build()
+            .expect("well-formed query");
         let (qid, _) = a.begin_query(q, None, 0);
         let _ = a.poll_timeouts(u64::MAX);
         let out = a.handle_message(
             2,
             Message::Reply(ReplyMsg {
                 id: qid,
-                matching: vec![Match { node: 2, values: b.point().clone() }].into(),
+                matching: vec![Match {
+                    node: 2,
+                    values: b.point().clone(),
+                }]
+                .into(),
                 count: 1,
                 attempt: 1,
             }),
@@ -1606,11 +1803,16 @@ mod tests {
         // check, so σ=0 still reports the local self-match — but nothing is
         // ever forwarded.
         let mut a = node(1, [70, 70]);
-        a.routing_mut().observe(2, space().point(&[5, 5]).expect("coords lie inside the space"));
+        a.routing_mut().observe(
+            2,
+            space().point(&[5, 5]).expect("coords lie inside the space"),
+        );
         let q = Query::builder(&space()).build().expect("well-formed query");
         let (_, out) = a.begin_query(q, Some(0), 0);
         assert_eq!(out.len(), 1, "no forwarding under met σ");
-        let Output::Completed { matches, .. } = &out[0] else { panic!("{out:?}") };
+        let Output::Completed { matches, .. } = &out[0] else {
+            panic!("{out:?}")
+        };
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 1);
     }
@@ -1618,9 +1820,16 @@ mod tests {
     #[test]
     fn set_point_moves_cell_and_clears_routing() {
         let mut a = node(1, [5, 5]);
-        a.routing_mut().observe(2, space().point(&[6, 6]).expect("coords lie inside the space"));
+        a.routing_mut().observe(
+            2,
+            space().point(&[6, 6]).expect("coords lie inside the space"),
+        );
         assert_eq!(a.routing().link_count(), 1);
-        a.set_point(space().point(&[75, 75]).expect("coords lie inside the space"));
+        a.set_point(
+            space()
+                .point(&[75, 75])
+                .expect("coords lie inside the space"),
+        );
         assert_eq!(a.coord().indices(), &[7, 7]);
         assert_eq!(a.routing().link_count(), 0);
     }
@@ -1640,11 +1849,21 @@ mod tests {
             .expect("well-formed query");
         let (qid, out1) = a.begin_query(q, None, 0);
         // First subtree: B replies claiming both B and (spuriously) B again.
-        let Output::Send { to: first, .. } = &out1[0] else { panic!() };
-        let dup = Match { node: 2, values: b_point.clone() };
+        let Output::Send { to: first, .. } = &out1[0] else {
+            panic!()
+        };
+        let dup = Match {
+            node: 2,
+            values: b_point.clone(),
+        };
         let out2 = a.handle_message(
             *first,
-            Message::Reply(ReplyMsg { id: qid, matching: vec![dup.clone(), dup].into(), count: 2, attempt: 1 }),
+            Message::Reply(ReplyMsg {
+                id: qid,
+                matching: vec![dup.clone(), dup].into(),
+                count: 2,
+                attempt: 1,
+            }),
             1,
         );
         // Traversal continues or concludes; once concluded, count node 2 once.
@@ -1679,13 +1898,25 @@ mod tests {
     fn duplicated_reply_counts_once_in_count_mode() {
         let s = space();
         let mut a = node(1, [5, 5]);
-        a.routing_mut().observe(2, s.point(&[70, 70]).expect("coords lie inside the space")); // N(3,0)
-        a.routing_mut().observe(3, s.point(&[5, 70]).expect("coords lie inside the space")); // N(3,1)
-        let q = Query::builder(&s).min("a1", 60).build().expect("well-formed query");
+        a.routing_mut()
+            .observe(2, s.point(&[70, 70]).expect("coords lie inside the space")); // N(3,0)
+        a.routing_mut()
+            .observe(3, s.point(&[5, 70]).expect("coords lie inside the space")); // N(3,1)
+        let q = Query::builder(&s)
+            .min("a1", 60)
+            .build()
+            .expect("well-formed query");
         let (qid, out) = a.begin_count_query(q, Vec::new(), 0);
-        let Output::Send { to: first, .. } = &out[0] else { panic!("{out:?}") };
+        let Output::Send { to: first, .. } = &out[0] else {
+            panic!("{out:?}")
+        };
 
-        let reply = Message::Reply(ReplyMsg { id: qid, matching: MatchList::new(), count: 5, attempt: 1 });
+        let reply = Message::Reply(ReplyMsg {
+            id: qid,
+            matching: MatchList::new(),
+            count: 5,
+            attempt: 1,
+        });
         let mut outs = a.handle_message(*first, reply.clone(), 1);
         assert_eq!(a.pending_len(), 1, "second subcell still outstanding");
         // The same reply delivered again (a duplication fault).
@@ -1708,22 +1939,48 @@ mod tests {
     fn retransmitted_count_reply_merges_once_per_attempt() {
         let s = space();
         let mut a = node(1, [5, 5]);
-        a.routing_mut().observe(2, s.point(&[70, 70]).expect("coords lie inside the space")); // N(3,0)
-        a.routing_mut().observe(3, s.point(&[5, 70]).expect("coords lie inside the space")); // N(3,1)
-        let q = Query::builder(&s).min("a1", 60).build().expect("well-formed query");
+        a.routing_mut()
+            .observe(2, s.point(&[70, 70]).expect("coords lie inside the space")); // N(3,0)
+        a.routing_mut()
+            .observe(3, s.point(&[5, 70]).expect("coords lie inside the space")); // N(3,1)
+        let q = Query::builder(&s)
+            .min("a1", 60)
+            .build()
+            .expect("well-formed query");
         let (qid, out) = a.begin_count_query(q, Vec::new(), 0);
-        let Output::Send { to: first, msg: Message::Query(fwd) } = &out[0] else {
+        let Output::Send {
+            to: first,
+            msg: Message::Query(fwd),
+        } = &out[0]
+        else {
             panic!("{out:?}")
         };
 
         // The downstream leaf B processes the forward, then a duplicated
         // copy of the same forward: the second answer is the cached
         // retransmission of the first, byte-identical.
-        let mut b = SelectionNode::new(*first, &s, s.point(&[70, 70]).expect("coords lie inside the space"), ProtocolConfig::default());
+        let mut b = SelectionNode::new(
+            *first,
+            &s,
+            s.point(&[70, 70]).expect("coords lie inside the space"),
+            ProtocolConfig::default(),
+        );
         let r1 = b.handle_message(1, Message::Query(fwd.clone()), 1);
         let r2 = b.handle_message(1, Message::Query(fwd.clone()), 2);
-        let Output::Send { msg: Message::Reply(reply1), .. } = &r1[0] else { panic!("{r1:?}") };
-        let Output::Send { msg: Message::Reply(reply2), .. } = &r2[0] else { panic!("{r2:?}") };
+        let Output::Send {
+            msg: Message::Reply(reply1),
+            ..
+        } = &r1[0]
+        else {
+            panic!("{r1:?}")
+        };
+        let Output::Send {
+            msg: Message::Reply(reply2),
+            ..
+        } = &r2[0]
+        else {
+            panic!("{r2:?}")
+        };
         assert_eq!(reply1, reply2, "retransmission replays the real reply");
         assert_eq!(reply1.count, 1, "B matched itself");
 
@@ -1736,15 +1993,22 @@ mod tests {
             Output::Completed { count, .. } => Some(*count),
             _ => None,
         });
-        assert_eq!(*outs
-            .iter()
-            .filter_map(|o| match o {
-                Output::Completed { id, .. } => Some(id),
-                _ => None,
-            })
-            .next()
-            .expect("concluded"), qid);
-        assert_eq!(total, Some(1), "retransmitted count added more than once per attempt");
+        assert_eq!(
+            *outs
+                .iter()
+                .filter_map(|o| match o {
+                    Output::Completed { id, .. } => Some(id),
+                    _ => None,
+                })
+                .next()
+                .expect("concluded"),
+            qid
+        );
+        assert_eq!(
+            total,
+            Some(1),
+            "retransmitted count added more than once per attempt"
+        );
     }
 
     /// The §4.1 epidemic relay: leaf receivers re-forward to same-`C0`
@@ -1759,18 +2023,39 @@ mod tests {
 
         let s = Space::uniform(1, 80, 1).expect("valid 1-d space geometry");
         let run = |c0_relay: bool| -> (Vec<NodeId>, FastMap<NodeId, u32>, u64) {
-            let cfg = ProtocolConfig { c0_relay, ..ProtocolConfig::default() };
+            let cfg = ProtocolConfig {
+                c0_relay,
+                ..ProtocolConfig::default()
+            };
             let mut nodes: FastMap<NodeId, SelectionNode> = (0..4)
                 .map(|id| {
-                    (id, SelectionNode::new(id, &s, s.point(&[id + 1]).expect("coords lie inside the space"), cfg.clone()))
+                    (
+                        id,
+                        SelectionNode::new(
+                            id,
+                            &s,
+                            s.point(&[id + 1]).expect("coords lie inside the space"),
+                            cfg.clone(),
+                        ),
+                    )
                 })
                 .collect();
             for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
                 let p = nodes[&b].point().clone();
-                nodes.get_mut(&a).expect("node wired into the ring").routing_mut().observe(b, p);
+                nodes
+                    .get_mut(&a)
+                    .expect("node wired into the ring")
+                    .routing_mut()
+                    .observe(b, p);
             }
-            let q = Query::builder(&s).range("a0", 0, 39).build().expect("well-formed query");
-            let (_, outs) = nodes.get_mut(&0).expect("node wired into the ring").begin_query(q, None, 0);
+            let q = Query::builder(&s)
+                .range("a0", 0, 39)
+                .build()
+                .expect("well-formed query");
+            let (_, outs) = nodes
+                .get_mut(&0)
+                .expect("node wired into the ring")
+                .begin_query(q, None, 0);
 
             let mut receipts: FastMap<NodeId, u32> = FastMap::default();
             let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
@@ -1793,12 +2078,18 @@ mod tests {
                 if matches!(msg, Message::Query(_)) {
                     *receipts.entry(to).or_insert(0) += 1;
                 }
-                let outs = nodes.get_mut(&to).expect("node wired into the ring").handle_message(from, msg, now);
+                let outs = nodes
+                    .get_mut(&to)
+                    .expect("node wired into the ring")
+                    .handle_message(from, msg, now);
                 now += 1;
                 absorb(to, outs, &mut inbox, &mut completed);
             }
-            let mut got: Vec<NodeId> =
-                completed.expect("concluded").iter().map(|m| m.node).collect();
+            let mut got: Vec<NodeId> = completed
+                .expect("concluded")
+                .iter()
+                .map(|m| m.node)
+                .collect();
             got.sort_unstable();
             let dups = nodes.values().map(|n| n.duplicate_receipts()).sum();
             for n in nodes.values() {
@@ -1819,8 +2110,14 @@ mod tests {
         for (&node, &count) in &receipts {
             assert_eq!(count, 1, "node {node} received {count} deliveries");
         }
-        assert!(!receipts.contains_key(&0), "nothing re-delivered to the origin");
-        assert_eq!(dups, 0, "the dedup set left nothing for the seen-set to catch");
+        assert!(
+            !receipts.contains_key(&0),
+            "nothing re-delivered to the origin"
+        );
+        assert_eq!(
+            dups, 0,
+            "the dedup set left nothing for the seen-set to catch"
+        );
     }
 
     /// An upstream's REPLY holds its child's list itself, not a copy, and
@@ -1838,39 +2135,90 @@ mod tests {
         assert!(matches!(&fwd[..], [Output::Send { to: 2, .. }]), "{fwd:?}");
 
         let leaf = deliver(&mut c, 1, &fwd, 1);
-        let Output::Send { to: 1, msg: Message::Reply(r) } = &leaf[0] else { panic!("{leaf:?}") };
+        let Output::Send {
+            to: 1,
+            msg: Message::Reply(r),
+        } = &leaf[0]
+        else {
+            panic!("{leaf:?}")
+        };
         let child = r.matching.clone();
         let up = deliver(&mut u, 2, &leaf, 2);
-        let Output::Send { to: 9, msg: Message::Reply(up) } = &up[0] else { panic!("{up:?}") };
+        let Output::Send {
+            to: 9,
+            msg: Message::Reply(up),
+        } = &up[0]
+        else {
+            panic!("{up:?}")
+        };
 
         let ids: Vec<NodeId> = up.matching.iter().map(|m| m.node).collect();
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(up.count, 2);
         let shared: Vec<&MatchList> = up.matching.children().collect();
-        assert_eq!(shared.len(), 1, "the child's list is one segment: {:?}", up.matching);
+        assert_eq!(
+            shared.len(),
+            1,
+            "the child's list is one segment: {:?}",
+            up.matching
+        );
         assert!(shared[0].ptr_eq(&child), "the child's list was copied");
         for (n, sent) in [(&u, &up.matching), (&c, &child)] {
-            let cached = n.reply_cache.iter().find(|e| e.id == qid).expect("reply cached");
-            assert!(cached.matching.ptr_eq(sent), "node {} cached a copy", n.id());
+            let cached = n
+                .reply_cache
+                .iter()
+                .find(|e| e.id == qid)
+                .expect("reply cached");
+            assert!(
+                cached.matching.ptr_eq(sent),
+                "node {} cached a copy",
+                n.id()
+            );
         }
         // A node that adds nothing of its own passes its one child's list
         // up as it is.
         let mut relay = node(3, [5, 5]);
         relay.routing_mut().observe(2, c.point().clone());
-        let q = Query::builder(&s).range("a0", 6, 9).range("a1", 6, 9).build().expect("well-formed query");
-        let msg = QueryMsg { query: q.into(), ..query_at_level_zero(QueryId { origin: 9, seq: 1 }) };
+        let q = Query::builder(&s)
+            .range("a0", 6, 9)
+            .range("a1", 6, 9)
+            .build()
+            .expect("well-formed query");
+        let msg = QueryMsg {
+            query: q.into(),
+            ..query_at_level_zero(QueryId { origin: 9, seq: 1 })
+        };
         let fwd = relay.handle_message(9, Message::Query(msg), 3);
         let leaf = deliver(&mut c, 3, &fwd, 4);
-        let Output::Send { msg: Message::Reply(r), .. } = &leaf[0] else { panic!("{leaf:?}") };
+        let Output::Send {
+            msg: Message::Reply(r),
+            ..
+        } = &leaf[0]
+        else {
+            panic!("{leaf:?}")
+        };
         let child = r.matching.clone();
         let up = deliver(&mut relay, 2, &leaf, 5);
-        let Output::Send { msg: Message::Reply(up), .. } = &up[0] else { panic!("{up:?}") };
-        assert!(up.matching.ptr_eq(&child), "a lone child's list was wrapped or copied");
+        let Output::Send {
+            msg: Message::Reply(up),
+            ..
+        } = &up[0]
+        else {
+            panic!("{up:?}")
+        };
+        assert!(
+            up.matching.ptr_eq(&child),
+            "a lone child's list was wrapped or copied"
+        );
     }
 
     /// A QUERY its receiver answers by fanning out to its `C0` mates.
     fn query_at_level_zero(id: QueryId) -> QueryMsg {
-        QueryMsg { level: 0, dims: all_dims(2), ..leaf_query(id, 1) }
+        QueryMsg {
+            level: 0,
+            dims: all_dims(2),
+            ..leaf_query(id, 1)
+        }
     }
 
     /// The shared-list merge against the one it replaced: every match of a
@@ -1921,7 +2269,12 @@ mod tests {
         }
 
         fn m(node: NodeId) -> Match {
-            Match { node, values: space().point(&[node % 80, 7]).expect("coords lie inside the space") }
+            Match {
+                node,
+                values: space()
+                    .point(&[node % 80, 7])
+                    .expect("coords lie inside the space"),
+            }
         }
 
         /// List `i` of the pool: its own ids (duplicates likely: ids are
@@ -1931,7 +2284,8 @@ mod tests {
         fn build_pool(specs: &[ListSpec]) -> Vec<MatchList> {
             let mut pool: Vec<MatchList> = Vec::new();
             for (own, nested) in specs {
-                let mut segments: Vec<Segment> = own.iter().map(|&id| Segment::One(m(id))).collect();
+                let mut segments: Vec<Segment> =
+                    own.iter().map(|&id| Segment::One(m(id))).collect();
                 for &j in nested.iter().filter(|_| !pool.is_empty()) {
                     let child = &pool[j % pool.len()];
                     if !child.is_empty() {

@@ -34,7 +34,10 @@ impl NodeProfile {
     pub fn new(space: &Space, point: Point) -> Self {
         let coord = space.cell_coord(&point);
         let code = coord.code();
-        NodeProfile { advertised: Arc::new(Advertised { point, coord }), code }
+        NodeProfile {
+            advertised: Arc::new(Advertised { point, coord }),
+            code,
+        }
     }
 
     /// The raw attribute values.
@@ -56,7 +59,8 @@ impl NodeProfile {
     /// [`CellCoord::classify`] from the two inline codes.
     #[inline]
     pub fn classify(&self, other: &NodeProfile) -> Neighborhood {
-        self.coord().classify_coded(self.code, other.coord(), other.code)
+        self.coord()
+            .classify_coded(self.code, other.coord(), other.code)
     }
 }
 
@@ -74,6 +78,9 @@ mod tests {
         assert_eq!(profile.coord().indices(), &[0, 4, 7]);
         assert_eq!(profile.code(), profile.coord().code());
         let other = NodeProfile::new(&space, space.point(&[75, 45, 79]).unwrap());
-        assert_eq!(profile.classify(&other), profile.coord().classify(other.coord()));
+        assert_eq!(
+            profile.classify(&other),
+            profile.coord().classify(other.coord())
+        );
     }
 }

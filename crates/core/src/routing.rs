@@ -66,7 +66,13 @@ impl RoutingTable {
     /// Creates an empty table for a node at `own` in `space`.
     pub fn new(space: Space, own: CellCoord) -> Self {
         let slots = vec![EMPTY; space.dims() * space.max_level() as usize];
-        RoutingTable { space, own, slots, zero_ids: Vec::new(), zero_points: Vec::new() }
+        RoutingTable {
+            space,
+            own,
+            slots,
+            zero_ids: Vec::new(),
+            zero_points: Vec::new(),
+        }
     }
 
     fn slot_index(&self, level: Level, dim: usize) -> usize {
@@ -224,7 +230,11 @@ impl RoutingTable {
         self.zero_ids.clear();
         self.zero_points.clear();
         for (id, point, class) in candidates {
-            debug_assert_eq!(class, self.own.classify(&self.space.cell_coord(point)), "class of {id}");
+            debug_assert_eq!(
+                class,
+                self.own.classify(&self.space.cell_coord(point)),
+                "class of {id}"
+            );
             match class {
                 Neighborhood::Zero => self.upsert_zero(id, point.clone()),
                 Neighborhood::Cell { level, dim } => {
@@ -288,13 +298,28 @@ mod tests {
         // Own coord (1,1) in an 8×8 grid.
         let mut t = table_at([15, 15]);
         // Same C0 bucket.
-        t.observe(2, space().point(&[12, 11]).expect("coords lie inside the space"));
+        t.observe(
+            2,
+            space()
+                .point(&[12, 11])
+                .expect("coords lie inside the space"),
+        );
         assert_eq!(t.zero_count(), 1);
         // Opposite half along dimension 0 → N(3,0).
-        t.observe(3, space().point(&[75, 15]).expect("coords lie inside the space"));
+        t.observe(
+            3,
+            space()
+                .point(&[75, 15])
+                .expect("coords lie inside the space"),
+        );
         assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 3);
         // Same C1, other bucket along dim 1 → N(1,1).
-        t.observe(4, space().point(&[15, 5]).expect("coords lie inside the space"));
+        t.observe(
+            4,
+            space()
+                .point(&[15, 5])
+                .expect("coords lie inside the space"),
+        );
         assert_eq!(t.neighbor(1, 1).expect("slot filled by observe"), 4);
         assert_eq!(t.link_count(), 3);
     }
@@ -302,9 +327,23 @@ mod tests {
     #[test]
     fn observe_keeps_existing_slot_holder() {
         let mut t = table_at([15, 15]);
-        t.observe(3, space().point(&[75, 15]).expect("coords lie inside the space"));
-        t.observe(5, space().point(&[70, 10]).expect("coords lie inside the space")); // same subcell N(3,0)
-        assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 3, "first link kept");
+        t.observe(
+            3,
+            space()
+                .point(&[75, 15])
+                .expect("coords lie inside the space"),
+        );
+        t.observe(
+            5,
+            space()
+                .point(&[70, 10])
+                .expect("coords lie inside the space"),
+        ); // same subcell N(3,0)
+        assert_eq!(
+            t.neighbor(3, 0).expect("slot filled by observe"),
+            3,
+            "first link kept"
+        );
     }
 
     #[test]
@@ -314,7 +353,11 @@ mod tests {
         t.observe(2, s.point(&[12, 11]).expect("coords lie inside the space"));
         let fresh = s.point(&[13, 12]).expect("coords lie inside the space");
         t.observe(2, fresh.clone());
-        assert_eq!(t.zero_count(), 1, "re-observation is an update, not a duplicate");
+        assert_eq!(
+            t.zero_count(),
+            1,
+            "re-observation is an update, not a duplicate"
+        );
         let (id, p) = t.zero_neighbors().next().expect("one zero mate");
         assert_eq!(id, 2);
         assert_eq!(p, &fresh, "stored point refreshed by the later observation");
@@ -323,8 +366,18 @@ mod tests {
     #[test]
     fn remove_clears_everywhere() {
         let mut t = table_at([15, 15]);
-        t.observe(2, space().point(&[12, 11]).expect("coords lie inside the space"));
-        t.observe(3, space().point(&[75, 15]).expect("coords lie inside the space"));
+        t.observe(
+            2,
+            space()
+                .point(&[12, 11])
+                .expect("coords lie inside the space"),
+        );
+        t.observe(
+            3,
+            space()
+                .point(&[75, 15])
+                .expect("coords lie inside the space"),
+        );
         t.remove(2);
         t.remove(3);
         assert_eq!(t.link_count(), 0);
@@ -333,7 +386,10 @@ mod tests {
 
     /// `(id, point, class)` offers for `table`, classes from the cell codes
     /// as `SelectionNode::sync_from_view` computes them.
-    fn offer(table: &RoutingTable, entries: &[(NodeId, Vec<u64>)]) -> Vec<(NodeId, Point, Neighborhood)> {
+    fn offer(
+        table: &RoutingTable,
+        entries: &[(NodeId, Vec<u64>)],
+    ) -> Vec<(NodeId, Point, Neighborhood)> {
         let (s, own) = (table.space(), table.own_coord());
         entries
             .iter()
@@ -352,9 +408,16 @@ mod tests {
         t.observe(3, s.point(&[75, 15]).expect("coords lie inside the space"));
         let mut rng = StdRng::seed_from_u64(9);
         // Candidates: current holder 3 still present + extra in same subcell.
-        let first = offer(&t, &[(3, vec![75, 15]), (5, vec![70, 10]), (6, vec![12, 11])]); // 6: C0 mate
+        let first = offer(
+            &t,
+            &[(3, vec![75, 15]), (5, vec![70, 10]), (6, vec![12, 11])],
+        ); // 6: C0 mate
         t.rebuild(first.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
-        assert_eq!(t.neighbor(3, 0).expect("slot filled by observe"), 3, "stability: holder kept");
+        assert_eq!(
+            t.neighbor(3, 0).expect("slot filled by observe"),
+            3,
+            "stability: holder kept"
+        );
         assert_eq!(t.zero_count(), 1);
         // Holder vanishes from candidates → random replacement.
         let second = offer(&t, &[(5, vec![70, 10])]);

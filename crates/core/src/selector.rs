@@ -25,7 +25,10 @@ pub struct SlotSelector {
 
 impl Default for SlotSelector {
     fn default() -> Self {
-        SlotSelector { zero_cap: 8, per_slot: 2 }
+        SlotSelector {
+            zero_cap: 8,
+            per_slot: 2,
+        }
     }
 }
 
@@ -64,7 +67,13 @@ impl Selector<NodeProfile> for SlotSelector {
             0 => 0,
             _ => self.zero_cap + (class - 1) * self.per_slot,
         };
-        let row_cap = |class: usize| if class == 0 { self.zero_cap } else { self.per_slot };
+        let row_cap = |class: usize| {
+            if class == 0 {
+                self.zero_cap
+            } else {
+                self.per_slot
+            }
+        };
         let key = |at: u32| (pool[at as usize].age, pool[at as usize].id);
 
         let mut rows: Scratch<u32, ROWS> = Scratch::filled(row_start(1 + slots), 0);
@@ -132,11 +141,18 @@ mod tests {
     use attrspace::Space;
 
     fn profile(space: &Space, vals: &[u64]) -> NodeProfile {
-        NodeProfile::new(space, space.point(vals).expect("coords lie inside the space"))
+        NodeProfile::new(
+            space,
+            space.point(vals).expect("coords lie inside the space"),
+        )
     }
 
     fn desc(id: NodeId, space: &Space, vals: &[u64], age: u32) -> Descriptor<NodeProfile> {
-        Descriptor { id, profile: profile(space, vals), age }
+        Descriptor {
+            id,
+            profile: profile(space, vals),
+            age,
+        }
     }
 
     /// What the gossip layer keeps of `pool`: the ranked descriptors, best
@@ -149,7 +165,11 @@ mod tests {
     ) -> Vec<Descriptor<NodeProfile>> {
         let refs: Vec<&Descriptor<NodeProfile>> = pool.iter().collect();
         let ranking = sel.rank(own, &refs, capacity);
-        ranking.as_slice().iter().map(|&at| pool[at as usize].clone()).collect()
+        ranking
+            .as_slice()
+            .iter()
+            .map(|&at| pool[at as usize].clone())
+            .collect()
     }
 
     fn ids(kept: &[Descriptor<NodeProfile>]) -> Vec<NodeId> {
@@ -160,7 +180,10 @@ mod tests {
     fn zero_mates_have_top_priority() {
         let s = Space::uniform(2, 80, 3).expect("valid 2-d space geometry");
         let own = profile(&s, &[5, 5]);
-        let sel = SlotSelector { zero_cap: 4, per_slot: 1 };
+        let sel = SlotSelector {
+            zero_cap: 4,
+            per_slot: 1,
+        };
         let mut cands = vec![
             desc(10, &s, &[6, 6], 0),  // C0 mate
             desc(11, &s, &[7, 3], 1),  // C0 mate
@@ -172,17 +195,26 @@ mod tests {
 
         // per_slot spares respected with more capacity.
         cands.push(desc(22, &s, &[70, 9], 3)); // also N(3,0), older spare
-        let sel = SlotSelector { zero_cap: 4, per_slot: 2 };
+        let sel = SlotSelector {
+            zero_cap: 4,
+            per_slot: 2,
+        };
         // zero mates, then rank-0 of each slot ((3,0) before (3,1)), then
         // rank-1 spares.
-        assert_eq!(ids(&select(&sel, &own, &cands, 10)), vec![10, 11, 20, 21, 22]);
+        assert_eq!(
+            ids(&select(&sel, &own, &cands, 10)),
+            vec![10, 11, 20, 21, 22]
+        );
     }
 
     #[test]
     fn broad_before_deep() {
         let s = Space::uniform(2, 80, 3).expect("valid 2-d space geometry");
         let own = profile(&s, &[5, 5]);
-        let sel = SlotSelector { zero_cap: 0, per_slot: 3 };
+        let sel = SlotSelector {
+            zero_cap: 0,
+            per_slot: 3,
+        };
         let pool = vec![
             desc(1, &s, &[75, 5], 0),
             desc(2, &s, &[70, 9], 1),
@@ -197,8 +229,13 @@ mod tests {
     fn zero_cap_bounds_c0_crowd() {
         let s = Space::uniform(2, 80, 3).expect("valid 2-d space geometry");
         let own = profile(&s, &[5, 5]);
-        let sel = SlotSelector { zero_cap: 2, per_slot: 1 };
-        let pool: Vec<_> = (0..6).map(|i| desc(i, &s, &[5 + i % 5, 5], i as u32)).collect();
+        let sel = SlotSelector {
+            zero_cap: 2,
+            per_slot: 1,
+        };
+        let pool: Vec<_> = (0..6)
+            .map(|i| desc(i, &s, &[5 + i % 5, 5], i as u32))
+            .collect();
         // All six are C0 mates, but only zero_cap get priority; the rest are
         // leftovers and still fill remaining capacity, youngest first.
         assert_eq!(ids(&select(&sel, &own, &pool, 6)), vec![0, 1, 2, 3, 4, 5]);

@@ -10,9 +10,7 @@
 use std::collections::HashMap;
 
 use attrspace::{Query, Space};
-use autosel_core::{
-    Match, Message, Output, ProtocolConfig, QueryMsg, ReplyMsg, SelectionNode,
-};
+use autosel_core::{Match, Message, Output, ProtocolConfig, QueryMsg, ReplyMsg, SelectionNode};
 use epigossip::NodeId;
 use proptest::prelude::*;
 
@@ -38,8 +36,14 @@ fn absorb(
 ) {
     for o in outs {
         match o {
-            Output::Send { to, msg: Message::Query(q) } => pending_fwd.push((to, q)),
-            Output::Send { to: _, msg: Message::Reply(r) } => pending_rep.push((from, r)),
+            Output::Send {
+                to,
+                msg: Message::Query(q),
+            } => pending_fwd.push((to, q)),
+            Output::Send {
+                to: _,
+                msg: Message::Reply(r),
+            } => pending_rep.push((from, r)),
             Output::Completed { matches, count, .. } => *completed = Some((matches, count)),
             Output::NeighborFailed(_) => {}
         }

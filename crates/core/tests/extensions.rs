@@ -6,9 +6,7 @@ use std::collections::{HashSet, VecDeque};
 
 use attrspace::{Query, Range, Space};
 use autosel_core::bootstrap::wire_perfect;
-use autosel_core::{
-    DynamicConstraint, Match, Message, Output, ProtocolConfig, SelectionNode,
-};
+use autosel_core::{DynamicConstraint, Match, Message, Output, ProtocolConfig, SelectionNode};
 use epigossip::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,15 +16,16 @@ fn drive(nodes: &mut [SelectionNode], origin: usize, outs: Vec<Output>) -> (Vec<
     let mut receipts = vec![0u32; nodes.len()];
     let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
     let mut completed = None;
-    let mut push = |from: NodeId, outs: Vec<Output>, inbox: &mut VecDeque<(NodeId, NodeId, Message)>| {
-        for o in outs {
-            match o {
-                Output::Send { to, msg } => inbox.push_back((from, to, msg)),
-                Output::Completed { matches, .. } => completed = Some(matches),
-                Output::NeighborFailed(_) => {}
+    let mut push =
+        |from: NodeId, outs: Vec<Output>, inbox: &mut VecDeque<(NodeId, NodeId, Message)>| {
+            for o in outs {
+                match o {
+                    Output::Send { to, msg } => inbox.push_back((from, to, msg)),
+                    Output::Completed { matches, .. } => completed = Some(matches),
+                    Output::NeighborFailed(_) => {}
+                }
             }
-        }
-    };
+        };
     push(origin as NodeId, outs, &mut inbox);
     let mut now = 1;
     while let Some((from, to, msg)) = inbox.pop_front() {
@@ -45,7 +44,12 @@ fn population(space: &Space, n: usize, seed: u64, config: ProtocolConfig) -> Vec
     let mut nodes: Vec<SelectionNode> = (0..n)
         .map(|i| {
             let vals: Vec<u64> = (0..space.dims()).map(|_| rng.gen_range(0..80)).collect();
-            SelectionNode::new(i as NodeId, space, space.point(&vals).unwrap(), config.clone())
+            SelectionNode::new(
+                i as NodeId,
+                space,
+                space.point(&vals).unwrap(),
+                config.clone(),
+            )
         })
         .collect();
     wire_perfect(&mut nodes, &mut rng);
@@ -71,14 +75,23 @@ fn dynamic_constraints_filter_at_match_time() {
         .filter(|n| query.matches(n.point()))
         .map(|n| n.id())
         .collect();
-    let dynamic = vec![DynamicConstraint { key: FREE_DISK, range: Range { lo: 100, hi: u64::MAX } }];
+    let dynamic = vec![DynamicConstraint {
+        key: FREE_DISK,
+        range: Range {
+            lo: 100,
+            hi: u64::MAX,
+        },
+    }];
 
     let (_, outs) = nodes[3].begin_query_full(query.clone(), dynamic, None, 0);
     let (matches, receipts) = drive(&mut nodes, 3, outs);
 
     let got: HashSet<NodeId> = matches.iter().map(|m| m.node).collect();
-    let expected: HashSet<NodeId> =
-        static_truth.iter().copied().filter(|id| id % 2 == 0).collect();
+    let expected: HashSet<NodeId> = static_truth
+        .iter()
+        .copied()
+        .filter(|id| id % 2 == 0)
+        .collect();
     assert_eq!(got, expected, "only dynamically-eligible nodes reported");
     // Routing is unchanged: every *statically* matching node is still
     // visited (the dynamic check happens locally, not in the overlay).
@@ -99,25 +112,40 @@ fn dynamic_values_can_change_between_queries() {
     b.set_dynamic(1, 5);
 
     let query = Query::builder(&space).min("a0", 60).build().unwrap();
-    let dynamic = vec![DynamicConstraint { key: 1, range: Range { lo: 10, hi: 100 } }];
+    let dynamic = vec![DynamicConstraint {
+        key: 1,
+        range: Range { lo: 10, hi: 100 },
+    }];
 
     // First query: b's load is 5 → constraint unsatisfied.
     let (_, outs) = a.begin_query_full(query.clone(), dynamic.clone(), None, 0);
-    let Output::Send { msg, .. } = &outs[0] else { panic!("{outs:?}") };
+    let Output::Send { msg, .. } = &outs[0] else {
+        panic!("{outs:?}")
+    };
     let replies = b.handle_message(1, msg.clone(), 1);
-    let Output::Send { msg: reply, .. } = &replies[0] else { panic!() };
+    let Output::Send { msg: reply, .. } = &replies[0] else {
+        panic!()
+    };
     let done = a.handle_message(2, reply.clone(), 2);
-    let Output::Completed { matches, .. } = &done[0] else { panic!("{done:?}") };
+    let Output::Completed { matches, .. } = &done[0] else {
+        panic!("{done:?}")
+    };
     assert!(matches.is_empty(), "dynamically ineligible");
 
     // Value changes — no registry to update, next query sees it instantly.
     b.set_dynamic(1, 42);
     let (_, outs) = a.begin_query_full(query, dynamic, None, 10);
-    let Output::Send { msg, .. } = &outs[0] else { panic!() };
+    let Output::Send { msg, .. } = &outs[0] else {
+        panic!()
+    };
     let replies = b.handle_message(1, msg.clone(), 11);
-    let Output::Send { msg: reply, .. } = &replies[0] else { panic!() };
+    let Output::Send { msg: reply, .. } = &replies[0] else {
+        panic!()
+    };
     let done = a.handle_message(2, reply.clone(), 12);
-    let Output::Completed { matches, .. } = &done[0] else { panic!() };
+    let Output::Completed { matches, .. } = &done[0] else {
+        panic!()
+    };
     assert_eq!(matches.len(), 1);
     assert_eq!(matches[0].node, 2);
 }
@@ -125,11 +153,21 @@ fn dynamic_values_can_change_between_queries() {
 #[test]
 fn missing_dynamic_value_never_matches() {
     let space = Space::uniform(2, 80, 2).unwrap();
-    let mut a = SelectionNode::new(1, &space, space.point(&[70, 70]).unwrap(), ProtocolConfig::default());
+    let mut a = SelectionNode::new(
+        1,
+        &space,
+        space.point(&[70, 70]).unwrap(),
+        ProtocolConfig::default(),
+    );
     let query = Query::builder(&space).build().unwrap();
-    let dynamic = vec![DynamicConstraint { key: 9, range: Range::FULL }];
+    let dynamic = vec![DynamicConstraint {
+        key: 9,
+        range: Range::FULL,
+    }];
     let (_, outs) = a.begin_query_full(query, dynamic, None, 0);
-    let Output::Completed { matches, .. } = &outs[0] else { panic!("{outs:?}") };
+    let Output::Completed { matches, .. } = &outs[0] else {
+        panic!("{outs:?}")
+    };
     assert!(matches.is_empty(), "no value set for key 9");
 }
 
@@ -138,22 +176,34 @@ fn missing_dynamic_value_never_matches() {
 /// epidemic relay can.
 fn dense_cell_chain(relay: bool) -> Vec<SelectionNode> {
     let space = Space::uniform(2, 80, 2).unwrap();
-    let cfg = ProtocolConfig { c0_relay: relay, ..ProtocolConfig::default() };
+    let cfg = ProtocolConfig {
+        c0_relay: relay,
+        ..ProtocolConfig::default()
+    };
     let n = 12;
     let mut nodes: Vec<SelectionNode> = (0..n)
         .map(|i| {
             // All in the same C0 bucket (values 0..19 → bucket 0 at L=2).
-            SelectionNode::new(i, &space, space.point(&[5 + i % 10, 7]).unwrap(), cfg.clone())
+            SelectionNode::new(
+                i,
+                &space,
+                space.point(&[5 + i % 10, 7]).unwrap(),
+                cfg.clone(),
+            )
         })
         .collect();
     // Chain knowledge: node i knows only i-1 and i+1.
     let points: Vec<_> = nodes.iter().map(|x| x.point().clone()).collect();
     for i in 0..n as usize {
         if i > 0 {
-            nodes[i].routing_mut().observe((i - 1) as NodeId, points[i - 1].clone());
+            nodes[i]
+                .routing_mut()
+                .observe((i - 1) as NodeId, points[i - 1].clone());
         }
         if i + 1 < n as usize {
-            nodes[i].routing_mut().observe((i + 1) as NodeId, points[i + 1].clone());
+            nodes[i]
+                .routing_mut()
+                .observe((i + 1) as NodeId, points[i + 1].clone());
         }
     }
     nodes
@@ -217,7 +267,10 @@ fn hostile_scope_fields_cannot_panic_a_node() {
         .enumerate()
     {
         let msg = QueryMsg {
-            id: QueryId { origin: 999, seq: i as u32 },
+            id: QueryId {
+                origin: 999,
+                seq: i as u32,
+            },
             query: query.clone().into(),
             sigma: Some(5),
             level,
@@ -236,7 +289,11 @@ fn hostile_scope_fields_cannot_panic_a_node() {
 fn count_queries_agree_with_enumeration_at_constant_reply_size() {
     let space = Space::uniform(3, 80, 3).unwrap();
     let mut nodes = population(&space, 400, 12, ProtocolConfig::default());
-    let query = Query::builder(&space).min("a0", 30).range("a2", 10, 59).build().unwrap();
+    let query = Query::builder(&space)
+        .min("a0", 30)
+        .range("a2", 10, 59)
+        .build()
+        .unwrap();
 
     // Enumerate.
     let (_, outs) = nodes[0].begin_query(query.clone(), None, 0);

@@ -36,9 +36,9 @@ fn run_query(
 
     let (qid, outs) = nodes[origin].begin_query(query, sigma, 0);
     let push = |from: NodeId,
-                    outs: Vec<Output>,
-                    inbox: &mut VecDeque<(NodeId, NodeId, Message)>,
-                    completed: &mut Option<(QueryId, Vec<Match>)>| {
+                outs: Vec<Output>,
+                inbox: &mut VecDeque<(NodeId, NodeId, Message)>,
+                completed: &mut Option<(QueryId, Vec<Match>)>| {
         for o in outs {
             match o {
                 Output::Send { to, msg } => inbox.push_back((from, to, msg)),
@@ -62,7 +62,11 @@ fn run_query(
 
     let (id, matches) = completed.expect("query must complete");
     assert_eq!(id, qid);
-    RunResult { matches, receipts, messages }
+    RunResult {
+        matches,
+        receipts,
+        messages,
+    }
 }
 
 fn population(space: &Space, n: usize, seed: u64) -> (Vec<SelectionNode>, StdRng) {

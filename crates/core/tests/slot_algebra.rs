@@ -30,7 +30,10 @@ fn assert_slot_algebra(t: &RoutingTable, universe: &[(NodeId, attrspace::Point)]
     let own = t.own_coord();
     let bound = space.dims() * space.max_level() as usize;
 
-    assert!(t.slot_count() <= bound, "slot bound d*max(l) = {bound} exceeded");
+    assert!(
+        t.slot_count() <= bound,
+        "slot bound d*max(l) = {bound} exceeded"
+    );
     assert_eq!(t.link_count(), t.slot_count() + t.zero_count());
 
     // Each filled slot is occupied by a node genuinely offered for N(l,k),
@@ -38,7 +41,10 @@ fn assert_slot_algebra(t: &RoutingTable, universe: &[(NodeId, attrspace::Point)]
     // so duplicates would show as a count mismatch).
     let mut seen = std::collections::HashSet::new();
     for (level, dim, id) in t.filled_slots() {
-        assert!(seen.insert((level, dim)), "two occupants for N({level},{dim})");
+        assert!(
+            seen.insert((level, dim)),
+            "two occupants for N({level},{dim})"
+        );
         assert!(
             universe.iter().any(|(uid, p)| *uid == id
                 && own.classify(&space.cell_coord(p)) == Neighborhood::Cell { level, dim }),

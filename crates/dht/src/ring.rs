@@ -30,7 +30,11 @@ impl Ring {
         assert!(!nodes.is_empty(), "ring needs at least one node");
         nodes.sort_unstable();
         nodes.dedup();
-        let mut ring = Ring { fingers: Vec::new(), load: HashMap::new(), nodes };
+        let mut ring = Ring {
+            fingers: Vec::new(),
+            load: HashMap::new(),
+            nodes,
+        };
         ring.rebuild_fingers();
         ring
     }
@@ -172,7 +176,11 @@ mod tests {
 
     #[test]
     fn route_reaches_owner_in_log_hops() {
-        let mut r = Ring::new((0u64..1024).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15)).collect());
+        let mut r = Ring::new(
+            (0u64..1024)
+                .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
+                .collect(),
+        );
         let nodes = r.nodes().to_vec();
         let mut max_hops = 0;
         for k in 0..200u64 {

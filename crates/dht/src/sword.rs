@@ -171,8 +171,15 @@ mod tests {
         let idx = SwordIndex::build(spread_ring(8), &small_resources(), &[16, 1600]);
         assert!(idx.key_of(0, 1) < idx.key_of(0, 2));
         assert!(idx.key_of(0, 2) < idx.key_of(0, 16));
-        assert!(idx.key_of(0, 16) < idx.key_of(1, 0), "dims are disjoint arcs");
-        assert_eq!(idx.key_of(0, 99), idx.key_of(0, 16), "values saturate at max");
+        assert!(
+            idx.key_of(0, 16) < idx.key_of(1, 0),
+            "dims are disjoint arcs"
+        );
+        assert_eq!(
+            idx.key_of(0, 99),
+            idx.key_of(0, 16),
+            "values saturate at max"
+        );
     }
 
     #[test]
@@ -234,6 +241,8 @@ mod tests {
     fn empty_range_returns_nothing() {
         let mut idx = SwordIndex::build(spread_ring(8), &small_resources(), &[16, 1600]);
         let start = idx.ring().nodes()[0];
-        assert!(idx.range_query(start, 0, (9, 3), &[(0, u64::MAX); 2], None).is_empty());
+        assert!(idx
+            .range_query(start, 0, (9, 3), &[(0, u64::MAX); 2], None)
+            .is_empty());
     }
 }

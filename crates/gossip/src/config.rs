@@ -39,7 +39,10 @@ impl GossipConfig {
     /// or the period is zero.
     pub fn validate(&self) {
         assert!(self.cyclon_view > 0, "cyclon view size must be positive");
-        assert!(self.semantic_view > 0, "semantic view size must be positive");
+        assert!(
+            self.semantic_view > 0,
+            "semantic view size must be positive"
+        );
         assert!(
             self.cyclon_shuffle > 0 && self.cyclon_shuffle <= self.cyclon_view,
             "cyclon shuffle length must be in [1, view size]"
@@ -68,6 +71,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "shuffle length")]
     fn oversized_shuffle_rejected() {
-        GossipConfig { cyclon_shuffle: 21, ..GossipConfig::default() }.validate();
+        GossipConfig {
+            cyclon_shuffle: 21,
+            ..GossipConfig::default()
+        }
+        .validate();
     }
 }

@@ -145,11 +145,18 @@ mod tests {
         c.introduce(2, ());
         c.introduce(3, ());
         // Age id 2 by one extra round via a no-partner trick: insert older.
-        c.view.insert(Descriptor { id: 4, profile: (), age: 9 });
+        c.view.insert(Descriptor {
+            id: 4,
+            profile: (),
+            age: 9,
+        });
         let (partner, batch) = c.initiate(&mut rng()).unwrap();
         assert_eq!(partner, 4, "oldest entry is the shuffle partner");
         assert!(!c.view().contains(4), "partner removed from view");
-        assert!(batch.iter().any(|d| d.id == 1 && d.age == 0), "self descriptor included");
+        assert!(
+            batch.iter().any(|d| d.id == 1 && d.age == 0),
+            "self descriptor included"
+        );
         assert!(batch.len() <= 3);
         assert!(batch.iter().all(|d| d.id != 4), "partner never echoed back");
     }

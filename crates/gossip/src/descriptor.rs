@@ -24,7 +24,11 @@ pub struct Descriptor<P> {
 impl<P> Descriptor<P> {
     /// Creates a fresh (age 0) descriptor.
     pub fn new(id: NodeId, profile: P) -> Self {
-        Descriptor { id, profile, age: 0 }
+        Descriptor {
+            id,
+            profile,
+            age: 0,
+        }
     }
 
     /// A copy with age reset to zero (used when a node advertises itself).
@@ -32,7 +36,11 @@ impl<P> Descriptor<P> {
     where
         P: Clone,
     {
-        Descriptor { id: self.id, profile: self.profile.clone(), age: 0 }
+        Descriptor {
+            id: self.id,
+            profile: self.profile.clone(),
+            age: 0,
+        }
     }
 }
 
@@ -67,7 +75,11 @@ mod tests {
 
     #[test]
     fn display_mentions_id_and_age() {
-        let d = Descriptor { id: 3, profile: 9u32, age: 2 };
+        let d = Descriptor {
+            id: 3,
+            profile: 9u32,
+            age: 2,
+        };
         assert_eq!(d.to_string(), "#3(age 2, 9)");
     }
 }

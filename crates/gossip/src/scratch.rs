@@ -23,13 +23,25 @@ impl<T: Copy, const N: usize> Scratch<T, N> {
     /// An empty buffer for a `T` without a default (a reference, say):
     /// `fill` initialises the inline slots and is never read back.
     pub fn with_fill(fill: T) -> Self {
-        Scratch { inline: [fill; N], len: 0, spill: Vec::new() }
+        Scratch {
+            inline: [fill; N],
+            len: 0,
+            spill: Vec::new(),
+        }
     }
 
     /// A buffer holding `len` copies of `value`.
     pub fn filled(len: usize, value: T) -> Self {
-        let spill = if len > N { vec![value; len] } else { Vec::new() };
-        Scratch { inline: [value; N], len, spill }
+        let spill = if len > N {
+            vec![value; len]
+        } else {
+            Vec::new()
+        };
+        Scratch {
+            inline: [value; N],
+            len,
+            spill,
+        }
     }
 
     /// Appends `item`.

@@ -54,7 +54,10 @@ where
 {
     /// Creates a selector from a symmetric distance function.
     pub fn new(distance: F) -> Self {
-        RankSelector { distance, _marker: std::marker::PhantomData }
+        RankSelector {
+            distance,
+            _marker: std::marker::PhantomData,
+        }
     }
 }
 
@@ -76,7 +79,10 @@ where
             .enumerate()
             .map(|(pos, d)| ((self.distance)(own, &d.profile), d.age, d.id, pos as u32))
             .collect();
-        sort_smallest(keys.as_mut_slice(), capacity).iter().map(|k| k.3).collect()
+        sort_smallest(keys.as_mut_slice(), capacity)
+            .iter()
+            .map(|k| k.3)
+            .collect()
     }
 }
 
@@ -84,9 +90,18 @@ where
 mod tests {
     use super::*;
 
-    fn ranked(s: &impl Selector<u64>, own: u64, pool: &[Descriptor<u64>], capacity: usize) -> Vec<NodeId> {
+    fn ranked(
+        s: &impl Selector<u64>,
+        own: u64,
+        pool: &[Descriptor<u64>],
+        capacity: usize,
+    ) -> Vec<NodeId> {
         let refs: Vec<&Descriptor<u64>> = pool.iter().collect();
-        s.rank(&own, &refs, capacity).as_slice().iter().map(|&p| pool[p as usize].id).collect()
+        s.rank(&own, &refs, capacity)
+            .as_slice()
+            .iter()
+            .map(|&p| pool[p as usize].id)
+            .collect()
     }
 
     #[test]
@@ -107,10 +122,26 @@ mod tests {
     fn ties_break_by_age_then_id_then_position() {
         let s = RankSelector::new(|_: &u64, _: &u64| 0);
         let pool = [
-            Descriptor { id: 5, profile: 0, age: 3 },
-            Descriptor { id: 9, profile: 0, age: 0 },
-            Descriptor { id: 2, profile: 1, age: 0 },
-            Descriptor { id: 2, profile: 2, age: 0 },
+            Descriptor {
+                id: 5,
+                profile: 0,
+                age: 3,
+            },
+            Descriptor {
+                id: 9,
+                profile: 0,
+                age: 0,
+            },
+            Descriptor {
+                id: 2,
+                profile: 1,
+                age: 0,
+            },
+            Descriptor {
+                id: 2,
+                profile: 2,
+                age: 0,
+            },
         ];
         let refs: Vec<&Descriptor<u64>> = pool.iter().collect();
         assert_eq!(s.rank(&0, &refs, 3).as_slice(), &[2, 3, 1]);

@@ -122,7 +122,12 @@ impl<P: Clone> GossipStack<P> {
     ) -> Self {
         config.validate();
         GossipStack {
-            cyclon: Cyclon::new(id, profile.clone(), config.cyclon_view, config.cyclon_shuffle),
+            cyclon: Cyclon::new(
+                id,
+                profile.clone(),
+                config.cyclon_view,
+                config.cyclon_shuffle,
+            ),
             vicinity: Vicinity::new(
                 id,
                 profile.clone(),
@@ -290,7 +295,11 @@ impl<P: Clone> GossipStack<P> {
         rng: &mut R,
     ) -> Vec<(NodeId, GossipMessage<P>)> {
         match msg {
-            GossipMessage::Request { layer: Layer::Random, from_profile, batch } => {
+            GossipMessage::Request {
+                layer: Layer::Random,
+                from_profile,
+                batch,
+            } => {
                 // The shuffle borrows the batch (cloning what it keeps);
                 // the batch itself then moves into the semantic layer,
                 // which random-layer traffic also feeds. The layers' views
@@ -299,19 +308,41 @@ impl<P: Clone> GossipStack<P> {
                 let reply = self.cyclon.handle_request(from, &batch, rng);
                 self.vicinity.absorb(batch);
                 self.vicinity.absorb([Descriptor::new(from, from_profile)]);
-                vec![(from, GossipMessage::Response { layer: Layer::Random, batch: reply })]
+                vec![(
+                    from,
+                    GossipMessage::Response {
+                        layer: Layer::Random,
+                        batch: reply,
+                    },
+                )]
             }
-            GossipMessage::Request { layer: Layer::Semantic, from_profile, batch } => {
+            GossipMessage::Request {
+                layer: Layer::Semantic,
+                from_profile,
+                batch,
+            } => {
                 let from_desc = Descriptor::new(from, from_profile);
                 let reply = self.vicinity.handle_request(&from_desc, batch, rng);
-                vec![(from, GossipMessage::Response { layer: Layer::Semantic, batch: reply })]
+                vec![(
+                    from,
+                    GossipMessage::Response {
+                        layer: Layer::Semantic,
+                        batch: reply,
+                    },
+                )]
             }
-            GossipMessage::Response { layer: Layer::Random, batch } => {
+            GossipMessage::Response {
+                layer: Layer::Random,
+                batch,
+            } => {
                 self.cyclon.handle_response(from, &batch);
                 self.vicinity.absorb(batch);
                 Vec::new()
             }
-            GossipMessage::Response { layer: Layer::Semantic, batch } => {
+            GossipMessage::Response {
+                layer: Layer::Semantic,
+                batch,
+            } => {
                 self.vicinity.handle_response(from, batch);
                 Vec::new()
             }
@@ -330,7 +361,10 @@ mod tests {
         GossipStack::new(
             id,
             profile,
-            GossipConfig { period_ms: 1000, ..GossipConfig::default() },
+            GossipConfig {
+                period_ms: 1000,
+                ..GossipConfig::default()
+            },
             RankSelector::new(|a: &u64, b: &u64| a.abs_diff(*b)),
         )
     }
@@ -369,7 +403,10 @@ mod tests {
             }
         }
         assert!(b.random_view().contains(1) || b.semantic_view().contains(1));
-        assert!(b.semantic_view().contains(1), "semantic layer learned requester");
+        assert!(
+            b.semantic_view().contains(1),
+            "semantic layer learned requester"
+        );
     }
 
     #[test]

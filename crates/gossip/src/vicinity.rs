@@ -62,7 +62,14 @@ impl<P: Clone> Vicinity<P> {
         shuffle_len: usize,
         selector: Arc<dyn Selector<P>>,
     ) -> Self {
-        Vicinity { id, profile, view: View::new(view_size), shuffle_len, selector, pending_partner: None }
+        Vicinity {
+            id,
+            profile,
+            view: View::new(view_size),
+            shuffle_len,
+            selector,
+            pending_partner: None,
+        }
     }
 
     /// Updates the advertised profile and re-ranks the view (a changed
@@ -95,7 +102,9 @@ impl<P: Clone> Vicinity<P> {
         C::Item: Into<Descriptor<P>>,
     {
         let (selector, own, capacity) = (&self.selector, &self.profile, self.view.capacity());
-        self.view.reselect(candidates, self.id, |pool| selector.rank(own, pool, capacity));
+        self.view.reselect(candidates, self.id, |pool| {
+            selector.rank(own, pool, capacity)
+        });
     }
 
     /// Starts one semantic gossip: ages entries, picks the oldest semantic
@@ -155,7 +164,8 @@ impl<P: Clone> Vicinity<P> {
                 pool.push(&entries[at as usize]);
             }
             pool.push(&own);
-            self.selector.rank(&partner.profile, pool.as_slice(), self.shuffle_len)
+            self.selector
+                .rank(&partner.profile, pool.as_slice(), self.shuffle_len)
         };
         let mut own = Some(own);
         // One spare slot: a request's receiver appends the sender's
@@ -224,7 +234,10 @@ mod tests {
         a.absorb(vec![Descriptor::new(2, 11)]);
         let (partner, batch) = a.initiate(&mut rng()).unwrap();
         assert_eq!(partner, 2);
-        assert!(batch.iter().any(|d| d.id == 1), "self descriptor advertised");
+        assert!(
+            batch.iter().any(|d| d.id == 1),
+            "self descriptor advertised"
+        );
         let reply = b.handle_request(&Descriptor::new(1, 10), batch, &mut rng());
         a.handle_response(2, reply);
         assert!(b.view().contains(1), "B adopted A");

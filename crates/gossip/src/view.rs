@@ -39,7 +39,11 @@ impl<P> View<P> {
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "view capacity must be positive");
-        View { entries: Vec::with_capacity(capacity), capacity, turnover: 0 }
+        View {
+            entries: Vec::with_capacity(capacity),
+            capacity,
+            turnover: 0,
+        }
     }
 
     /// Maximum number of descriptors.
@@ -259,7 +263,9 @@ impl<P> View<P> {
     {
         let offered = candidates.as_ref();
         let (known, offered_len) = (self.entries.len(), offered.len());
-        let Some(fill) = self.entries.first().or(offered.first()) else { return };
+        let Some(fill) = self.entries.first().or(offered.first()) else {
+            return;
+        };
         // `source[i]`: where pool member `i` lives — `j < known` is entry
         // `j`, `known + j` is candidate `j`.
         let mut pool: Scratch<&Descriptor<P>, POOL> = Scratch::with_fill(fill);
@@ -303,7 +309,9 @@ impl<P> View<P> {
         let mut taken: Scratch<bool, POOL> = Scratch::filled(source.len(), false);
         let mut order: Scratch<u32, INLINE> = Scratch::new();
         for &at in ranking.as_slice() {
-            if order.len() == self.capacity || std::mem::replace(&mut taken.as_mut_slice()[at as usize], true) {
+            if order.len() == self.capacity
+                || std::mem::replace(&mut taken.as_mut_slice()[at as usize], true)
+            {
                 continue;
             }
             if at as usize >= known {
@@ -345,7 +353,11 @@ mod tests {
     use rand::SeedableRng;
 
     fn d(id: NodeId, age: u32) -> Descriptor<u8> {
-        Descriptor { id, profile: 0, age }
+        Descriptor {
+            id,
+            profile: 0,
+            age,
+        }
     }
 
     #[test]
@@ -419,7 +431,7 @@ mod tests {
         assert!(v.contains(10)); // filled the empty slot
         assert!(v.contains(2)); // untouched: was not sent
         assert!(!v.contains(1)); // replaced by 11 or 12
-        // Exactly one of 11/12 placed, the other dropped.
+                                 // Exactly one of 11/12 placed, the other dropped.
         assert_eq!([11, 12].iter().filter(|&&i| v.contains(i)).count(), 1);
     }
 
@@ -469,10 +481,18 @@ mod tests {
         v.insert(d(2, 1));
         v.reselect([d(7, 0), d(1, 2)], 99, |pool| {
             let pooled: Vec<_> = pool.iter().map(|e| (e.id, e.age)).collect();
-            assert_eq!(pooled, vec![(1, 2), (2, 1), (7, 0)], "fresher candidate in place");
+            assert_eq!(
+                pooled,
+                vec![(1, 2), (2, 1), (7, 0)],
+                "fresher candidate in place"
+            );
             [2, 1, 0].into_iter().collect()
         });
-        assert_eq!(v.ids(), vec![7, 2, 1], "the ranking's order becomes the view's");
+        assert_eq!(
+            v.ids(),
+            vec![7, 2, 1],
+            "the ranking's order becomes the view's"
+        );
         assert_eq!(v.get(1).unwrap().age, 2);
         assert_eq!(v.turnover(), 3);
     }
@@ -481,11 +501,15 @@ mod tests {
     fn reselect_clones_borrowed_candidates_only_when_kept() {
         use std::rc::Rc;
         let mut v: View<Rc<u8>> = View::new(2);
-        let offered: Vec<Descriptor<Rc<u8>>> =
-            (1..=4).map(|id| Descriptor::new(id, Rc::new(id as u8))).collect();
+        let offered: Vec<Descriptor<Rc<u8>>> = (1..=4)
+            .map(|id| Descriptor::new(id, Rc::new(id as u8)))
+            .collect();
         v.reselect(&offered, 99, keep(&[3, 1]));
         assert_eq!(v.ids(), vec![3, 1]);
-        let counts: Vec<usize> = offered.iter().map(|d| Rc::strong_count(&d.profile)).collect();
+        let counts: Vec<usize> = offered
+            .iter()
+            .map(|d| Rc::strong_count(&d.profile))
+            .collect();
         assert_eq!(counts, vec![2, 1, 2, 1]);
     }
 
@@ -494,7 +518,11 @@ mod tests {
         let mut v = View::new(2);
         let received = [d(1, 0), d(2, 0), d(3, 0)];
         v.merge_shuffle(&received, &[], 99);
-        assert_eq!(v.ids(), vec![1, 2], "third dropped: full, nothing replaceable");
+        assert_eq!(
+            v.ids(),
+            vec![1, 2],
+            "third dropped: full, nothing replaceable"
+        );
     }
 
     #[test]

@@ -33,7 +33,12 @@ struct ReferenceVicinity {
 }
 
 impl ReferenceVicinity {
-    fn select(&self, own: u64, mut candidates: Vec<Descriptor<u64>>, capacity: usize) -> Vec<Descriptor<u64>> {
+    fn select(
+        &self,
+        own: u64,
+        mut candidates: Vec<Descriptor<u64>>,
+        capacity: usize,
+    ) -> Vec<Descriptor<u64>> {
         candidates.sort_by_key(|d| (distance(&own, &d.profile), d.age, d.id));
         candidates.truncate(capacity);
         candidates
@@ -75,12 +80,20 @@ impl ReferenceVicinity {
         self.replace_all(kept);
     }
 
-    fn random_subset(&self, n: usize, exclude: Option<NodeId>, rng: &mut StdRng) -> Vec<Descriptor<u64>> {
+    fn random_subset(
+        &self,
+        n: usize,
+        exclude: Option<NodeId>,
+        rng: &mut StdRng,
+    ) -> Vec<Descriptor<u64>> {
         let mut pool: Vec<u32> = (0..self.entries.len() as u32)
             .filter(|&i| Some(self.entries[i as usize].id) != exclude)
             .collect();
         pool.shuffle(rng);
-        pool.iter().take(n).map(|&i| self.entries[i as usize].clone()).collect()
+        pool.iter()
+            .take(n)
+            .map(|&i| self.entries[i as usize].clone())
+            .collect()
     }
 
     /// Clone every entry but the partner's, add our own, select, and make
@@ -100,7 +113,12 @@ impl ReferenceVicinity {
         for d in &mut self.entries {
             d.age = d.age.saturating_add(1);
         }
-        let oldest = self.entries.iter().enumerate().max_by_key(|(_, d)| d.age)?.0;
+        let oldest = self
+            .entries
+            .iter()
+            .enumerate()
+            .max_by_key(|(_, d)| d.age)?
+            .0;
         let partner = self.entries[oldest].clone();
         Some((partner.id, self.batch_for(&partner, rng)))
     }
@@ -118,7 +136,9 @@ impl ReferenceVicinity {
 }
 
 fn batch(raw: &[(u64, u64, u32)]) -> Vec<Descriptor<u64>> {
-    raw.iter().map(|&(id, profile, age)| Descriptor { id, profile, age }).collect()
+    raw.iter()
+        .map(|&(id, profile, age)| Descriptor { id, profile, age })
+        .collect()
 }
 
 fn assert_same_view(v: &Vicinity<u64>, reference: &ReferenceVicinity) {

@@ -58,7 +58,12 @@ fn reachable(nodes: &HashMap<NodeId, GossipStack<u64>>, from: NodeId) -> HashSet
     let mut stack = vec![from];
     while let Some(id) = stack.pop() {
         let Some(n) = nodes.get(&id) else { continue };
-        for next in n.random_view().ids().into_iter().chain(n.semantic_view().ids()) {
+        for next in n
+            .random_view()
+            .ids()
+            .into_iter()
+            .chain(n.semantic_view().ids())
+        {
             if nodes.contains_key(&next) && seen.insert(next) {
                 stack.push(next);
             }
@@ -85,7 +90,10 @@ fn semantic_views_converge_to_nearest_neighbors() {
     let mut hits = 0usize;
     let mut total = 0usize;
     for (&id, node) in &nodes {
-        for w in [id.checked_sub(1), id.checked_add(1).filter(|&x| x < 64)].into_iter().flatten() {
+        for w in [id.checked_sub(1), id.checked_add(1).filter(|&x| x < 64)]
+            .into_iter()
+            .flatten()
+        {
             total += 1;
             if node.semantic_view().contains(w) {
                 hits += 1;
@@ -93,7 +101,10 @@ fn semantic_views_converge_to_nearest_neighbors() {
         }
     }
     let ratio = hits as f64 / total as f64;
-    assert!(ratio > 0.95, "only {hits}/{total} nearest-neighbor links found");
+    assert!(
+        ratio > 0.95,
+        "only {hits}/{total} nearest-neighbor links found"
+    );
 }
 
 #[test]
@@ -135,7 +146,11 @@ fn overlay_heals_after_majority_failure() {
     // lingering in random views.
     let survivors: HashSet<NodeId> = nodes.keys().copied().collect();
     let seen = reachable(&nodes, *survivors.iter().next().unwrap());
-    assert_eq!(seen.len(), survivors.len(), "overlay partitioned after failure");
+    assert_eq!(
+        seen.len(),
+        survivors.len(),
+        "overlay partitioned after failure"
+    );
 
     let dead_refs: usize = nodes
         .values()
@@ -180,7 +195,10 @@ fn churned_node_rejoins_under_new_identity() {
         .filter(|n| n.id() != 1000)
         .filter(|n| n.semantic_view().contains(1000) || n.random_view().contains(1000))
         .count();
-    assert!(adopted >= 5, "rejoined node adopted by only {adopted} peers");
+    assert!(
+        adopted >= 5,
+        "rejoined node adopted by only {adopted} peers"
+    );
     let newcomer = &nodes[&1000];
     assert!(
         newcomer.semantic_view().contains(6) || newcomer.semantic_view().contains(8),

@@ -56,7 +56,9 @@ fn run_rounds(
             }
         }
         while let Some((from, to, msg)) = queue.pop_front() {
-            let Some(node) = nodes.get_mut(&to) else { continue };
+            let Some(node) = nodes.get_mut(&to) else {
+                continue;
+            };
             for (back, reply) in node.handle(from, msg, rng) {
                 queue.push_back((to, back, reply));
             }
@@ -69,7 +71,12 @@ fn reachable(nodes: &HashMap<NodeId, GossipStack<u64>>, from: NodeId) -> HashSet
     let mut stack = vec![from];
     while let Some(id) = stack.pop() {
         let Some(n) = nodes.get(&id) else { continue };
-        for next in n.random_view().ids().into_iter().chain(n.semantic_view().ids()) {
+        for next in n
+            .random_view()
+            .ids()
+            .into_iter()
+            .chain(n.semantic_view().ids())
+        {
             if nodes.contains_key(&next) && seen.insert(next) {
                 stack.push(next);
             }

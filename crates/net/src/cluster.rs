@@ -34,7 +34,9 @@ impl QueryOutcome {
     /// nothing matched. At most the paper's delivery: a reached node whose
     /// reply was lost is not counted.
     pub fn delivery(&self) -> f64 {
-        let wanted = self.sigma.map_or(self.truth, |s| self.truth.min(s as usize));
+        let wanted = self
+            .sigma
+            .map_or(self.truth, |s| self.truth.min(s as usize));
         if wanted == 0 {
             1.0
         } else {
@@ -63,13 +65,21 @@ impl QueryTicket {
     /// flight. Ready at most once; later polls return `None` again.
     pub fn try_outcome(&self) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.try_recv().ok()?;
-        Some(QueryOutcome { matches, truth: self.truth, sigma: self.sigma })
+        Some(QueryOutcome {
+            matches,
+            truth: self.truth,
+            sigma: self.sigma,
+        })
     }
 
     /// Blocks until completion or `timeout`.
     pub fn wait(self, timeout: Duration) -> Option<QueryOutcome> {
         let (_, matches) = self.rx.recv_timeout(timeout).ok()?;
-        Some(QueryOutcome { matches, truth: self.truth, sigma: self.sigma })
+        Some(QueryOutcome {
+            matches,
+            truth: self.truth,
+            sigma: self.sigma,
+        })
     }
 }
 
@@ -283,11 +293,22 @@ impl NetCluster {
         sigma: Option<u32>,
     ) -> Option<QueryTicket> {
         self.point_of(origin)?;
-        let truth = self.points.iter().flatten().filter(|p| query.matches(p)).count();
+        let truth = self
+            .points
+            .iter()
+            .flatten()
+            .filter(|p| query.matches(p))
+            .count();
         // Rendezvous bound of 1: each query completes exactly once.
         let (tx, rx) = mpsc::sync_channel(1);
-        let begin = Command::BeginQuery { query, sigma, reply: tx };
-        self.fabric.send_blocking(origin, PeerEvent::Command(begin)).ok()?;
+        let begin = Command::BeginQuery {
+            query,
+            sigma,
+            reply: tx,
+        };
+        self.fabric
+            .send_blocking(origin, PeerEvent::Command(begin))
+            .ok()?;
         Some(QueryTicket { rx, truth, sigma })
     }
 
@@ -310,7 +331,9 @@ impl NetCluster {
         self.point_of(origin)?;
         let (tx, rx) = mpsc::sync_channel(1);
         let begin = Command::BeginCount { query, reply: tx };
-        self.fabric.send_blocking(origin, PeerEvent::Command(begin)).ok()?;
+        self.fabric
+            .send_blocking(origin, PeerEvent::Command(begin))
+            .ok()?;
         rx.recv_timeout(timeout).ok()
     }
 
@@ -327,13 +350,18 @@ impl NetCluster {
 
     /// Marks `id` dead and has its shard drop it; false if it already was.
     fn remove(&mut self, id: NodeId) -> bool {
-        let Some(point) = usize::try_from(id).ok().and_then(|i| self.points.get_mut(i)) else {
+        let Some(point) = usize::try_from(id)
+            .ok()
+            .and_then(|i| self.points.get_mut(i))
+        else {
             return false;
         };
         if point.take().is_none() {
             return false;
         }
-        let _ = self.fabric.send_blocking(id, PeerEvent::Command(Command::Kill));
+        let _ = self
+            .fabric
+            .send_blocking(id, PeerEvent::Command(Command::Kill));
         self.fabric.peer(id).dead.store(true, Relaxed);
         true
     }
@@ -362,7 +390,9 @@ impl NetCluster {
     /// Per-node routing-table link counts, as last published by each peer
     /// after a view sync. Zero until a node's first gossip round.
     pub fn link_counts(&self) -> HashMap<NodeId, u64> {
-        self.alive().map(|(id, p)| (id, p.links.load(Relaxed))).collect()
+        self.alive()
+            .map(|(id, p)| (id, p.links.load(Relaxed)))
+            .collect()
     }
 
     /// The transport this cluster runs on — e.g. to read
@@ -438,7 +468,12 @@ impl NetCluster {
         for id in 0..self.points.len() as NodeId {
             self.remove(id);
         }
-        let panicked = self.shards.drain(..).map(JoinHandle::join).filter(Result::is_err).count();
+        let panicked = self
+            .shards
+            .drain(..)
+            .map(JoinHandle::join)
+            .filter(Result::is_err)
+            .count();
         self.listeners.clear();
         panicked == 0
     }
@@ -459,10 +494,18 @@ mod tests {
     fn outcome(reported: u64, truth: usize, sigma: Option<u32>) -> QueryOutcome {
         let space = Space::uniform(1, 80, 3).expect("valid space");
         let values = space.point(&[5]).expect("arity 1");
-        let matches = (0..reported).map(|node| Match { node, values: values.clone() }).collect();
+        let matches = (0..reported)
+            .map(|node| Match {
+                node,
+                values: values.clone(),
+            })
+            .collect();
         let (tx, rx) = mpsc::sync_channel(1);
-        tx.send((QueryId { origin: 0, seq: 1 }, matches)).expect("receiver alive");
-        QueryTicket { rx, truth, sigma }.try_outcome().expect("completed")
+        tx.send((QueryId { origin: 0, seq: 1 }, matches))
+            .expect("receiver alive");
+        QueryTicket { rx, truth, sigma }
+            .try_outcome()
+            .expect("completed")
     }
 
     #[test]
@@ -508,7 +551,10 @@ mod tests {
         /// seconds was never left waiting on a timeout.
         fn config() -> NetConfig {
             NetConfig {
-                gossip: epigossip::GossipConfig { period_ms: 30, ..Default::default() },
+                gossip: epigossip::GossipConfig {
+                    period_ms: 30,
+                    ..Default::default()
+                },
                 protocol: autosel_core::ProtocolConfig {
                     query_timeout_ms: 60_000,
                     ..Default::default()
@@ -563,7 +609,10 @@ mod tests {
                         .is_some_and(|o| match_ids(&o) == want)
                 })
             });
-            assert!(routed, "overlay never routed every origin to the full truth");
+            assert!(
+                routed,
+                "overlay never routed every origin to the full truth"
+            );
         }
 
         #[test]
@@ -580,7 +629,12 @@ mod tests {
                             .expect("query");
                         let want = truth_ids(&cluster, &query);
                         let origin = cluster.random_node();
-                        (cluster.begin_query(origin, query, None).expect("origin alive"), want)
+                        (
+                            cluster
+                                .begin_query(origin, query, None)
+                                .expect("origin alive"),
+                            want,
+                        )
                     })
                     .collect();
                 for (i, (ticket, want)) in tickets.iter().enumerate() {
@@ -594,10 +648,16 @@ mod tests {
                     let mut unique = ids.clone();
                     unique.dedup();
                     assert_eq!(ids, unique, "K={k}, query {i}: a node reported twice");
-                    assert_eq!(&ids, want, "K={k}, query {i}: matches differ from the truth");
+                    assert_eq!(
+                        &ids, want,
+                        "K={k}, query {i}: matches differ from the truth"
+                    );
                 }
                 for (ticket, _) in &tickets {
-                    assert!(ticket.try_outcome().is_none(), "K={k}: a query completed twice");
+                    assert!(
+                        ticket.try_outcome().is_none(),
+                        "K={k}: a query completed twice"
+                    );
                 }
             }
         }
@@ -616,9 +676,10 @@ mod tests {
                 let everyone = Query::builder(&space()).build().expect("query");
                 let want = truth_ids(&cluster, &everyone);
                 let stopped_waiting = || {
-                    flight.recent().iter().any(|e| {
-                        matches!(e, Event::TimeoutFired { peer, .. } if *peer == victim)
-                    })
+                    flight
+                        .recent()
+                        .iter()
+                        .any(|e| matches!(e, Event::TimeoutFired { peer, .. } if *peer == victim))
                 };
                 // The query timeout is 60 s: a query that meets the dead peer
                 // and still answers within seconds was told it is gone.
@@ -631,7 +692,10 @@ mod tests {
                         break;
                     }
                 }
-                assert!(stopped_waiting(), "K={k}: no query ever routed to the victim");
+                assert!(
+                    stopped_waiting(),
+                    "K={k}: no query ever routed to the victim"
+                );
             }
         }
 
@@ -642,7 +706,10 @@ mod tests {
                 let flight = Arc::new(FlightRecorder::new(1 << 20));
                 let obs = ObsHandle::new(Arc::clone(&flight) as Arc<dyn autosel_obs::Observer>);
                 let mut cluster = spawn(12, k, Transport::mem(Some((LO, LO + 2))), obs);
-                assert!(wait_until(|| cluster.mean_links() >= 1.0), "no routing links formed");
+                assert!(
+                    wait_until(|| cluster.mean_links() >= 1.0),
+                    "no routing links formed"
+                );
                 flight.clear();
                 let everyone = Query::builder(&space()).build().expect("query");
                 for origin in 0..4 {
@@ -656,15 +723,37 @@ mod tests {
                 let mut hops = 0;
                 for e in &events {
                     let (query, from, to, sent) = match *e {
-                        Event::QueryForwarded { at, query, from, to, .. } => (query, from, to, at),
-                        Event::ReplySent { at, query, node, to, .. } => (query, node, to, at),
+                        Event::QueryForwarded {
+                            at,
+                            query,
+                            from,
+                            to,
+                            ..
+                        } => (query, from, to, at),
+                        Event::ReplySent {
+                            at,
+                            query,
+                            node,
+                            to,
+                            ..
+                        } => (query, node, to, at),
                         _ => continue,
                     };
                     let arrived = events.iter().find_map(|a| match *a {
-                        Event::QueryReceived { at, query: q, node, parent, .. }
-                            if q == query && node == to && parent == from => Some(at),
-                        Event::ReplyMerged { at, query: q, node, from: f, .. }
-                            if q == query && node == to && f == from => Some(at),
+                        Event::QueryReceived {
+                            at,
+                            query: q,
+                            node,
+                            parent,
+                            ..
+                        } if q == query && node == to && parent == from => Some(at),
+                        Event::ReplyMerged {
+                            at,
+                            query: q,
+                            node,
+                            from: f,
+                            ..
+                        } if q == query && node == to && f == from => Some(at),
                         _ => None,
                     });
                     let arrived = arrived.expect("every send of a completed query arrived");
@@ -680,8 +769,11 @@ mod tests {
         fn shutdown_closes_every_listener_and_thread() {
             for k in KS {
                 for tcp in [false, true] {
-                    let transport =
-                        if tcp { Transport::tcp(space()) } else { Transport::mem(None) };
+                    let transport = if tcp {
+                        Transport::tcp(space())
+                    } else {
+                        Transport::mem(None)
+                    };
                     let mut cluster = spawn(9, k, transport, ObsHandle::null());
                     converge(&mut cluster);
                     let addrs: Vec<_> = cluster.listeners.iter().map(Listener::addr).collect();

@@ -30,8 +30,14 @@ impl Default for NetConfig {
         // as aggressively: it must cover a whole depth-first subtree (many
         // sequential hops), or slow subtrees get amputated as "failed".
         NetConfig {
-            gossip: GossipConfig { period_ms: 50, ..GossipConfig::default() },
-            protocol: ProtocolConfig { query_timeout_ms: 5_000, ..ProtocolConfig::default() },
+            gossip: GossipConfig {
+                period_ms: 50,
+                ..GossipConfig::default()
+            },
+            protocol: ProtocolConfig {
+                query_timeout_ms: 5_000,
+                ..ProtocolConfig::default()
+            },
             poll_interval_ms: 20,
             injected_latency_ms: Some((1, 5)),
             bootstrap_degree: 3,
@@ -52,7 +58,10 @@ impl NetConfig {
         if let Some((lo, hi)) = self.injected_latency_ms {
             assert!(lo <= hi, "latency bounds inverted");
         }
-        assert!(self.bootstrap_degree > 0, "need at least one bootstrap seed");
+        assert!(
+            self.bootstrap_degree > 0,
+            "need at least one bootstrap seed"
+        );
         assert!(self.inbox_capacity > 0, "inbox capacity must be positive");
     }
 }
@@ -71,6 +80,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "latency bounds")]
     fn inverted_latency_rejected() {
-        NetConfig { injected_latency_ms: Some((9, 2)), ..NetConfig::default() }.validate();
+        NetConfig {
+            injected_latency_ms: Some((9, 2)),
+            ..NetConfig::default()
+        }
+        .validate();
     }
 }

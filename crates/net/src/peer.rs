@@ -164,16 +164,26 @@ impl PeerTask {
     /// [`NetCluster::gossip_health`](crate::NetCluster::gossip_health).
     fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<(NodeId, NetMessage)>) {
         let msgs = self.gossip.tick(now, &mut self.rng);
-        self.selection.sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
-        slot.links.store(self.selection.routing().link_count() as u64, Ordering::Relaxed);
+        self.selection
+            .sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
+        slot.links.store(
+            self.selection.routing().link_count() as u64,
+            Ordering::Relaxed,
+        );
         let random = self.gossip.random_view();
         let semantic = self.gossip.semantic_view();
-        slot.view_random.store(random.len() as u64, Ordering::Relaxed);
-        slot.view_semantic.store(semantic.len() as u64, Ordering::Relaxed);
-        slot.age_random_x1000.store(random.mean_age_x1000(), Ordering::Relaxed);
-        slot.age_semantic_x1000.store(semantic.mean_age_x1000(), Ordering::Relaxed);
-        slot.turnover_random.store(random.turnover(), Ordering::Relaxed);
-        slot.turnover_semantic.store(semantic.turnover(), Ordering::Relaxed);
+        slot.view_random
+            .store(random.len() as u64, Ordering::Relaxed);
+        slot.view_semantic
+            .store(semantic.len() as u64, Ordering::Relaxed);
+        slot.age_random_x1000
+            .store(random.mean_age_x1000(), Ordering::Relaxed);
+        slot.age_semantic_x1000
+            .store(semantic.mean_age_x1000(), Ordering::Relaxed);
+        slot.turnover_random
+            .store(random.turnover(), Ordering::Relaxed);
+        slot.turnover_semantic
+            .store(semantic.turnover(), Ordering::Relaxed);
         out.extend(msgs.into_iter().map(|(to, m)| (to, NetMessage::Gossip(m))));
     }
 
@@ -193,11 +203,23 @@ impl PeerTask {
             PeerEvent::Deliver(from, NetMessage::Gossip(g)) => {
                 slot.received.fetch_add(1, Ordering::Relaxed);
                 let replies = self.gossip.handle(from, g, &mut self.rng);
-                self.selection.sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
-                slot.links.store(self.selection.routing().link_count() as u64, Ordering::Relaxed);
-                out.extend(replies.into_iter().map(|(to, m)| (to, NetMessage::Gossip(m))));
+                self.selection
+                    .sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
+                slot.links.store(
+                    self.selection.routing().link_count() as u64,
+                    Ordering::Relaxed,
+                );
+                out.extend(
+                    replies
+                        .into_iter()
+                        .map(|(to, m)| (to, NetMessage::Gossip(m))),
+                );
             }
-            PeerEvent::Command(Command::BeginQuery { query, sigma, reply }) => {
+            PeerEvent::Command(Command::BeginQuery {
+                query,
+                sigma,
+                reply,
+            }) => {
                 let (qid, outputs) = self.selection.begin_query(query, sigma, now);
                 self.pending_queries.insert(qid, reply);
                 self.apply_outputs(outputs, out);
@@ -291,7 +313,10 @@ impl Shard {
         ids.sort_unstable();
         let staggered = |period: Duration| -> VecDeque<(Instant, NodeId)> {
             let step = period / ids.len().max(1) as u32;
-            (1..).zip(&ids).map(|(i, &id)| (started + step * i, id)).collect()
+            (1..)
+                .zip(&ids)
+                .map(|(i, &id)| (started + step * i, id))
+                .collect()
         };
         Shard {
             index,
@@ -319,7 +344,9 @@ impl Shard {
         while !self.peers.is_empty() {
             let now = Instant::now();
             if !self.pass(now) {
-                let wait = self.next_deadline(now).saturating_duration_since(Instant::now());
+                let wait = self
+                    .next_deadline(now)
+                    .saturating_duration_since(Instant::now());
                 if let Ok((to, event)) = self.inbox.recv_timeout(wait) {
                     self.dispatch(to, event);
                 }
@@ -333,7 +360,9 @@ impl Shard {
         self.release_delayed(now);
         let mut taken = 0;
         while taken < PASS {
-            let Ok((to, event)) = self.inbox.try_recv() else { break };
+            let Ok((to, event)) = self.inbox.try_recv() else {
+                break;
+            };
             taken += 1;
             if let PeerEvent::Command(Command::BeginQuery { .. } | Command::BeginCount { .. }) =
                 event
@@ -345,7 +374,9 @@ impl Shard {
         }
         let mut handled = 0;
         while handled < PASS {
-            let Some((to, event)) = self.local.pop_front() else { break };
+            let Some((to, event)) = self.local.pop_front() else {
+                break;
+            };
             self.dispatch(to, event);
             handled += 1;
         }
@@ -353,7 +384,9 @@ impl Shard {
         // as the local queue stays short.
         if taken < PASS {
             while handled < PASS && self.local.len() < PASS {
-                let Some((to, event)) = self.fresh.pop_front() else { break };
+                let Some((to, event)) = self.fresh.pop_front() else {
+                    break;
+                };
                 self.dispatch(to, event);
                 handled += 1;
             }
@@ -367,11 +400,15 @@ impl Shard {
             Wire::Mem { delayed, .. } => delayed.first_key_value().map(|(&(due, _), _)| due),
             Wire::Tcp(_) => None,
         };
-        [self.gossip_due.front().map(|d| d.0), self.poll_due.front().map(|d| d.0), delayed]
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or(now + self.poll_period)
+        [
+            self.gossip_due.front().map(|d| d.0),
+            self.poll_due.front().map(|d| d.0),
+            delayed,
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .unwrap_or(now + self.poll_period)
     }
 
     /// Runs every gossip round and timeout poll due by `now`. A late timer
@@ -380,19 +417,25 @@ impl Shard {
         while let Some(&(due, id)) = self.gossip_due.front().filter(|d| d.0 <= now) {
             self.gossip_due.pop_front();
             let ms = self.now_ms();
-            let Some(peer) = self.peers.get_mut(&id) else { continue };
+            let Some(peer) = self.peers.get_mut(&id) else {
+                continue;
+            };
             peer.gossip(ms, self.fabric.peer(id), &mut self.out);
             self.flush(id);
-            self.gossip_due.push_back((rearm(due, self.gossip_period, now), id));
+            self.gossip_due
+                .push_back((rearm(due, self.gossip_period, now), id));
         }
         while let Some(&(due, id)) = self.poll_due.front().filter(|d| d.0 <= now) {
             self.poll_due.pop_front();
             let ms = self.now_ms();
-            let Some(peer) = self.peers.get_mut(&id) else { continue };
+            let Some(peer) = self.peers.get_mut(&id) else {
+                continue;
+            };
             let outputs = peer.selection.poll_timeouts(ms);
             peer.apply_outputs(outputs, &mut self.out);
             self.flush(id);
-            self.poll_due.push_back((rearm(due, self.poll_period, now), id));
+            self.poll_due
+                .push_back((rearm(due, self.poll_period, now), id));
         }
     }
 
@@ -400,8 +443,12 @@ impl Shard {
     /// destination's queue.
     fn release_delayed(&mut self, now: Instant) {
         loop {
-            let Wire::Mem { delayed, .. } = &mut self.wire else { return };
-            let Some(entry) = delayed.first_entry().filter(|e| e.key().0 <= now) else { return };
+            let Wire::Mem { delayed, .. } = &mut self.wire else {
+                return;
+            };
+            let Some(entry) = delayed.first_entry().filter(|e| e.key().0 <= now) else {
+                return;
+            };
             let (from, to, msg) = entry.remove();
             self.deliver(from, to, msg);
         }
@@ -442,8 +489,15 @@ impl Shard {
     fn send(&mut self, from: NodeId, to: NodeId, msg: NetMessage) {
         self.fabric.peer(from).sent.fetch_add(1, Ordering::Relaxed);
         match &mut self.wire {
-            Wire::Mem { latency_ms: None, .. } => self.deliver(from, to, msg),
-            Wire::Mem { latency_ms: Some((lo, hi)), rng, delayed, seq } => {
+            Wire::Mem {
+                latency_ms: None, ..
+            } => self.deliver(from, to, msg),
+            Wire::Mem {
+                latency_ms: Some((lo, hi)),
+                rng,
+                delayed,
+                seq,
+            } => {
                 let due = Instant::now() + Duration::from_millis(rng.gen_range(*lo..=*hi));
                 *seq += 1;
                 delayed.insert((due, *seq), (from, to, msg));
@@ -473,7 +527,9 @@ impl Shard {
         if self.fabric.shard_of(to) != self.index {
             return self.fabric.try_deliver(to, event).is_ok();
         }
-        let Some(room) = self.fabric.admit(to) else { return false };
+        let Some(room) = self.fabric.admit(to) else {
+            return false;
+        };
         if room {
             self.local.push_back((to, event));
         }
@@ -510,12 +566,18 @@ mod tests {
     /// cluster whose inboxes hold `capacity` events each.
     fn shard(n: usize, capacity: usize, latency_ms: Option<(u64, u64)>) -> Shard {
         let space = Space::uniform(2, 80, 3).unwrap();
-        let config = NetConfig { inbox_capacity: capacity, ..NetConfig::default() };
+        let config = NetConfig {
+            inbox_capacity: capacity,
+            ..NetConfig::default()
+        };
         let (fabric, mut inboxes) = Fabric::new(n, 1, capacity);
         let peers = (0..n as NodeId)
             .map(|id| {
                 let point = space.point(&[id * 7 % 80, 40]).unwrap();
-                (id, PeerTask::new(id, &space, point, &config, ObsHandle::null()))
+                (
+                    id,
+                    PeerTask::new(id, &space, point, &config, ObsHandle::null()),
+                )
             })
             .collect();
         let (mut wires, _) = crate::Transport::mem(latency_ms).start(&fabric).unwrap();
@@ -525,7 +587,12 @@ mod tests {
 
     fn reply() -> NetMessage {
         let id = QueryId { origin: 0, seq: 0 };
-        let reply = ReplyMsg { id, matching: MatchList::new(), count: 0, attempt: 1 };
+        let reply = ReplyMsg {
+            id,
+            matching: MatchList::new(),
+            count: 0,
+            attempt: 1,
+        };
         NetMessage::Protocol(Message::Reply(reply))
     }
 
@@ -536,7 +603,10 @@ mod tests {
             s.send(0, 1, reply());
         }
         assert_eq!(s.local.len(), 4);
-        assert!(s.local.iter().all(|(to, e)| *to == 1 && matches!(e, PeerEvent::Deliver(0, _))));
+        assert!(s
+            .local
+            .iter()
+            .all(|(to, e)| *to == 1 && matches!(e, PeerEvent::Deliver(0, _))));
         let slot = s.fabric.peer(1);
         assert_eq!(slot.inbox_depth.load(Ordering::Relaxed), 4);
         assert_eq!(slot.inbox_dropped.load(Ordering::Relaxed), 2);
@@ -565,7 +635,10 @@ mod tests {
         s.release_delayed(sent);
         assert!(s.local.is_empty(), "delivered before its latency");
         s.release_delayed(sent + Duration::from_millis(31));
-        assert!(matches!(s.local.pop_front(), Some((1, PeerEvent::Deliver(0, _)))));
+        assert!(matches!(
+            s.local.pop_front(),
+            Some((1, PeerEvent::Deliver(0, _)))
+        ));
     }
 
     /// A shard that dies with peers (a panic) must not leave the cluster
@@ -575,20 +648,32 @@ mod tests {
         let s = shard(2, 2, None);
         let fabric = Arc::clone(&s.fabric);
         for _ in 0..2 {
-            fabric.send_blocking(1, PeerEvent::Command(Command::Kill)).unwrap();
+            fabric
+                .send_blocking(1, PeerEvent::Command(Command::Kill))
+                .unwrap();
         }
         drop(s);
         assert!(fabric.live(1).is_none());
-        assert!(fabric.send_blocking(1, PeerEvent::Command(Command::Kill)).is_err());
+        assert!(fabric
+            .send_blocking(1, PeerEvent::Command(Command::Kill))
+            .is_err());
     }
 
     #[test]
     fn new_queries_wait_while_in_flight_work_is_queued() {
         let mut s = shard(2, 1_000, None);
-        let query = Query::builder(&Space::uniform(2, 80, 3).unwrap()).build().unwrap();
+        let query = Query::builder(&Space::uniform(2, 80, 3).unwrap())
+            .build()
+            .unwrap();
         let (tx, rx) = mpsc::sync_channel(1);
-        let begin = Command::BeginQuery { query, sigma: None, reply: tx };
-        s.fabric.send_blocking(1, PeerEvent::Command(begin)).unwrap();
+        let begin = Command::BeginQuery {
+            query,
+            sigma: None,
+            reply: tx,
+        };
+        s.fabric
+            .send_blocking(1, PeerEvent::Command(begin))
+            .unwrap();
         // Two passes' worth of in-flight work is queued ahead of it.
         for _ in 0..2 * PASS {
             s.send(0, 1, reply());

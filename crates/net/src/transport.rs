@@ -65,7 +65,14 @@ impl Fabric {
         // capacity × its peers. lint:allow(unbounded-channel)
         let (inboxes, receivers) = (0..shards).map(|_| mpsc::channel()).unzip();
         let peers = (0..n).map(|_| PeerSlot::default()).collect();
-        (Arc::new(Fabric { peers, inboxes, capacity: capacity as u64 }), receivers)
+        (
+            Arc::new(Fabric {
+                peers,
+                inboxes,
+                capacity: capacity as u64,
+            }),
+            receivers,
+        )
     }
 
     /// The shard owning `id`: peers are pinned by id.
@@ -106,7 +113,9 @@ impl Fabric {
     /// deadlock. `Err` means `to` is unknown or dead.
     pub(crate) fn try_deliver(&self, to: NodeId, event: PeerEvent) -> Result<(), ()> {
         if self.admit(to).ok_or(())? {
-            self.inboxes[self.shard_of(to)].send((to, event)).map_err(drop)?;
+            self.inboxes[self.shard_of(to)]
+                .send((to, event))
+                .map_err(drop)?;
         }
         Ok(())
     }
@@ -123,7 +132,9 @@ impl Fabric {
             }
             std::thread::sleep(Duration::from_micros(100));
         }
-        self.inboxes[self.shard_of(to)].send((to, event)).map_err(drop)
+        self.inboxes[self.shard_of(to)]
+            .send((to, event))
+            .map_err(drop)
     }
 }
 
@@ -203,21 +214,31 @@ enum Inner {
     Mem { latency_ms: Option<(u64, u64)> },
     /// Real TCP sockets with the [`wire`](crate::wire) codec — the
     /// PlanetLab transport.
-    Tcp { space: Space, stats: Arc<TcpCounters> },
+    Tcp {
+        space: Space,
+        stats: Arc<TcpCounters>,
+    },
 }
 
 impl Transport {
     /// The in-memory transport; `latency_ms` is a uniform per-message delay
     /// range in milliseconds (`None` = deliver at once).
     pub fn mem(latency_ms: Option<(u64, u64)>) -> Self {
-        Transport { inner: Inner::Mem { latency_ms } }
+        Transport {
+            inner: Inner::Mem { latency_ms },
+        }
     }
 
     /// The TCP transport decoding against `space`: every shard keeps one
     /// link to every shard's listener, and each link owns one writer
     /// thread, a bounded outbound queue and a capped reconnect backoff.
     pub fn tcp(space: Space) -> Self {
-        Transport { inner: Inner::Tcp { space, stats: Arc::default() } }
+        Transport {
+            inner: Inner::Tcp {
+                space,
+                stats: Arc::default(),
+            },
+        }
     }
 
     /// Counters of the persistent TCP data plane, aggregated across links
@@ -299,7 +320,11 @@ impl TcpOut {
         stats: &Arc<TcpCounters>,
         fabric: &Arc<Fabric>,
     ) -> io::Result<Self> {
-        let mut out = TcpOut { links: Vec::new(), writers: Vec::new(), stats: Arc::clone(stats) };
+        let mut out = TcpOut {
+            links: Vec::new(),
+            writers: Vec::new(),
+            stats: Arc::clone(stats),
+        };
         for (j, listener) in listeners.iter().enumerate() {
             let (tx, rx) = mpsc::sync_channel(LINK_QUEUE_CAP);
             let writer = Writer {
@@ -328,7 +353,11 @@ impl TcpOut {
         to: NodeId,
         msg: &NetMessage,
     ) -> Result<(), ()> {
-        let frame = Frame { from, to, payload: crate::wire::encode(msg) };
+        let frame = Frame {
+            from,
+            to,
+            payload: crate::wire::encode(msg),
+        };
         if frame.len() >= MAX_FRAME_LEN {
             TcpCounters::bump(&self.stats.tx_oversize_drops, 1);
             return Ok(());
@@ -461,7 +490,9 @@ impl Listener {
                         break;
                     }
                     let Ok(stream) = stream else { break };
-                    let Ok(handle) = stream.try_clone() else { continue };
+                    let Ok(handle) = stream.try_clone() else {
+                        continue;
+                    };
                     let (space, fabric, stats) =
                         (space.clone(), Arc::clone(&fabric), Arc::clone(&stats));
                     let reader = std::thread::Builder::new()
@@ -470,7 +501,10 @@ impl Listener {
                             let serves =
                                 |to| fabric.shard_of(to) == shard && fabric.slot(to).is_some();
                             let deliver = |from, to, msg| {
-                                if fabric.try_deliver(to, PeerEvent::Deliver(from, msg)).is_err() {
+                                if fabric
+                                    .try_deliver(to, PeerEvent::Deliver(from, msg))
+                                    .is_err()
+                                {
                                     let _ = fabric.try_deliver(from, PeerEvent::Failed(to));
                                 }
                             };
@@ -486,7 +520,11 @@ impl Listener {
                     let _ = reader.join();
                 }
             })?;
-        Ok(Listener { addr, stop, accept: Some(accept) })
+        Ok(Listener {
+            addr,
+            stop,
+            accept: Some(accept),
+        })
     }
 }
 
@@ -572,13 +610,19 @@ mod tests {
     fn msg_with_frame_len_near(space: &Space, target_len: usize) -> NetMessage {
         let base = sample_msg(space);
         let extra = (target_len - frame(1, 2, &base).len()) / 8;
-        let NetMessage::Protocol(Message::Query(mut q)) = base else { unreachable!() };
+        let NetMessage::Protocol(Message::Query(mut q)) = base else {
+            unreachable!()
+        };
         q.visited_zero = (0..extra as u64).collect();
         NetMessage::Protocol(Message::Query(q))
     }
 
     fn frame(from: NodeId, to: NodeId, msg: &NetMessage) -> Frame {
-        Frame { from, to, payload: crate::wire::encode(msg) }
+        Frame {
+            from,
+            to,
+            payload: crate::wire::encode(msg),
+        }
     }
 
     fn frame_bytes(from: NodeId, to: NodeId, msg: &NetMessage) -> Vec<u8> {
@@ -589,7 +633,9 @@ mod tests {
 
     /// The next event queued for a shard: `(to, event)`.
     fn next(inbox: &mpsc::Receiver<Envelope>) -> Envelope {
-        inbox.recv_timeout(Duration::from_secs(60)).expect("an event arrives")
+        inbox
+            .recv_timeout(Duration::from_secs(60))
+            .expect("an event arrives")
     }
 
     /// The TCP plane of `n` peers on `k` shards; the shards' inboxes are
@@ -598,7 +644,13 @@ mod tests {
     fn plane(
         n: usize,
         k: usize,
-    ) -> (Arc<Fabric>, Vec<mpsc::Receiver<Envelope>>, Vec<Listener>, Vec<TcpOut>, Transport) {
+    ) -> (
+        Arc<Fabric>,
+        Vec<mpsc::Receiver<Envelope>>,
+        Vec<Listener>,
+        Vec<TcpOut>,
+        Transport,
+    ) {
         let (fabric, inboxes) = Fabric::new(n, k, 64);
         let transport = Transport::tcp(space());
         let (wires, listeners) = transport.start(&fabric).unwrap();
@@ -617,14 +669,22 @@ mod tests {
         for k in [1, 2, 3] {
             let (fabric, inboxes) = Fabric::new(6, k, 4);
             for _ in 0..6 {
-                fabric.try_deliver(1, PeerEvent::Failed(9)).expect("peer 1 is alive");
+                fabric
+                    .try_deliver(1, PeerEvent::Failed(9))
+                    .expect("peer 1 is alive");
             }
-            fabric.try_deliver(4, PeerEvent::Failed(9)).expect("peer 4 is alive");
+            fabric
+                .try_deliver(4, PeerEvent::Failed(9))
+                .expect("peer 4 is alive");
             assert_eq!(fabric.peer(1).inbox_depth.load(Relaxed), 4, "K={k}");
             assert_eq!(fabric.peer(1).inbox_dropped.load(Relaxed), 2, "K={k}");
             assert_eq!(fabric.peer(4).inbox_dropped.load(Relaxed), 0, "K={k}");
-            let queued =
-                |id: NodeId| inboxes[fabric.shard_of(id)].try_iter().filter(|e| e.0 == id).count();
+            let queued = |id: NodeId| {
+                inboxes[fabric.shard_of(id)]
+                    .try_iter()
+                    .filter(|e| e.0 == id)
+                    .count()
+            };
             assert_eq!(queued(1), 4, "K={k}");
             // Dead and unknown peers refuse at once, so senders fail fast.
             fabric.peer(3).dead.store(true, Relaxed);
@@ -641,17 +701,26 @@ mod tests {
         let space = space();
         let (fabric, inboxes, _listeners, outs, transport) = plane(4, 2);
         for _ in 0..N {
-            outs[0].send(fabric.shard_of(1), 0, 1, &sample_msg(&space)).unwrap();
+            outs[0]
+                .send(fabric.shard_of(1), 0, 1, &sample_msg(&space))
+                .unwrap();
         }
-        outs[1].send(fabric.shard_of(3), 3, 3, &sample_msg(&space)).unwrap();
+        outs[1]
+            .send(fabric.shard_of(3), 3, 3, &sample_msg(&space))
+            .unwrap();
         for _ in 0..=N {
             let (to, event) = next(&inboxes[1]);
-            let PeerEvent::Deliver(from, msg) = event else { panic!("unexpected {event:?}") };
+            let PeerEvent::Deliver(from, msg) = event else {
+                panic!("unexpected {event:?}")
+            };
             assert!((to, from) == (1, 0) || (to, from) == (3, 3));
             assert_eq!(msg, sample_msg(&space));
         }
         let stats = transport.tcp_stats().expect("tcp stats");
-        assert_eq!(stats.conn_established, 2, "one connection per used link: {stats:?}");
+        assert_eq!(
+            stats.conn_established, 2,
+            "one connection per used link: {stats:?}"
+        );
         assert_eq!(stats.tx_frames, N as u64 + 1);
         assert!(stats.tx_batches >= 2 && stats.tx_batches <= N as u64 + 1);
         assert_eq!((stats.tx_queue_full_drops, stats.rx_dropped), (0, 0));
@@ -665,7 +734,11 @@ mod tests {
         let (fabric, _inboxes) = Fabric::new(2, 1, 8);
         let stats = Arc::new(TcpCounters::default());
         let (tx, rx) = mpsc::sync_channel(8);
-        let out = TcpOut { links: vec![tx], writers: Vec::new(), stats: Arc::clone(&stats) };
+        let out = TcpOut {
+            links: vec![tx],
+            writers: Vec::new(),
+            stats: Arc::clone(&stats),
+        };
         for _ in 0..11 {
             out.send(0, 0, 1, &sample_msg(&space)).unwrap();
         }
@@ -673,13 +746,27 @@ mod tests {
         drop(out);
         let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = sink.local_addr().unwrap();
-        let writer = Writer { addr, stats: Arc::clone(&stats), fabric };
+        let writer = Writer {
+            addr,
+            stats: Arc::clone(&stats),
+            fabric,
+        };
         writer.run(&rx);
-        assert_eq!(stats.tx_batches.load(Relaxed), 1, "one wakeup took the whole queue");
+        assert_eq!(
+            stats.tx_batches.load(Relaxed),
+            1,
+            "one wakeup took the whole queue"
+        );
         assert_eq!(stats.tx_frames.load(Relaxed), 8);
         let (conn, _) = sink.accept().unwrap();
         let mut got = 0;
-        read_frames(BufReader::new(conn), &space, |_| true, |_, _, _| got += 1, &stats.rx_dropped);
+        read_frames(
+            BufReader::new(conn),
+            &space,
+            |_| true,
+            |_, _, _| got += 1,
+            &stats.rx_dropped,
+        );
         assert_eq!((got, stats.rx_dropped.load(Relaxed)), (8, 0));
     }
 
@@ -689,8 +776,15 @@ mod tests {
     fn link_writer_fails_fast_on_dead_endpoint() {
         let (fabric, inboxes) = Fabric::new(2, 1, 8);
         // Bind-then-drop: a loopback port with nothing listening.
-        let addr = TcpListener::bind(("127.0.0.1", 0)).unwrap().local_addr().unwrap();
-        let gone = Listener { addr, stop: Arc::default(), accept: None };
+        let addr = TcpListener::bind(("127.0.0.1", 0))
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let gone = Listener {
+            addr,
+            stop: Arc::default(),
+            accept: None,
+        };
         let stats = Arc::new(TcpCounters::default());
         let out = TcpOut::connect(0, &[gone], &stats, &fabric).unwrap();
         out.send(0, 0, 1, &sample_msg(&space())).unwrap();
@@ -720,8 +814,15 @@ mod tests {
         let addr = listeners[0].addr();
         drop(outs);
         drop(listeners);
-        assert_eq!(Arc::strong_count(&fabric), 1, "a writer, reader or accept thread is left");
-        assert!(TcpStream::connect(addr).is_err(), "listener still accepting");
+        assert_eq!(
+            Arc::strong_count(&fabric),
+            1,
+            "a writer, reader or accept thread is left"
+        );
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "listener still accepting"
+        );
     }
 
     /// The frame-size cap is enforced at send time, at the exact boundary:
@@ -779,12 +880,20 @@ mod tests {
     /// `(from, to)`, frames dropped, the largest read it asked for and
     /// the bytes it consumed.
     fn read_all(bytes: &[u8]) -> (Vec<(NodeId, NodeId)>, u64, usize, u64) {
-        let mut probe = Probe { inner: Cursor::new(bytes), largest: 0 };
+        let mut probe = Probe {
+            inner: Cursor::new(bytes),
+            largest: 0,
+        };
         let (mut delivered, dropped) = (Vec::new(), AtomicU64::new(0));
         let deliver = |from, to, _| delivered.push((from, to));
         let conn = BufReader::with_capacity(HEADER_LEN, &mut probe);
         read_frames(conn, &space(), |to| to < 4, deliver, &dropped);
-        (delivered, dropped.into_inner(), probe.largest, probe.inner.position())
+        (
+            delivered,
+            dropped.into_inner(),
+            probe.largest,
+            probe.inner.position(),
+        )
     }
 
     #[test]
@@ -798,7 +907,11 @@ mod tests {
             let (delivered, dropped, largest, consumed) = read_all(&stream);
             assert_eq!(delivered, vec![(7, 1)]);
             assert_eq!(dropped, 1, "len {len}");
-            assert_eq!(consumed as usize, good.len() + HEADER_LEN, "len {len}: read the body");
+            assert_eq!(
+                consumed as usize,
+                good.len() + HEADER_LEN,
+                "len {len}: read the body"
+            );
             assert!(largest < good.len());
         }
         // The largest legal length, cut short: one cap-bounded read, dropped.
@@ -847,7 +960,10 @@ mod tests {
                     a.zip(b).flat_map(|(x, y)| [x, y].concat()).collect()
                 }
                 Piece::Oversized(over) => {
-                    let mut f = (MAX_FRAME_LEN as u32).saturating_add(over).to_le_bytes().to_vec();
+                    let mut f = (MAX_FRAME_LEN as u32)
+                        .saturating_add(over)
+                        .to_le_bytes()
+                        .to_vec();
                     f.extend_from_slice(&[0x5A; 40]);
                     f
                 }

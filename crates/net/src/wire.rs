@@ -111,7 +111,11 @@ pub fn encode(msg: &NetMessage) -> Bytes {
                 put_values(&mut buf, m.values.values());
             }
         }
-        NetMessage::Gossip(GossipMessage::Request { layer, from_profile, batch }) => {
+        NetMessage::Gossip(GossipMessage::Request {
+            layer,
+            from_profile,
+            batch,
+        }) => {
             buf.put_u8(TAG_GOSSIP_REQ);
             buf.put_u8(layer_tag(*layer));
             put_values(&mut buf, from_profile.point().values());
@@ -147,7 +151,10 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             let n = take_u16(&mut buf)? as usize;
             let mut ranges = Vec::with_capacity(capacity_for(n, &buf, RANGE_BYTES));
             for _ in 0..n {
-                ranges.push(Range { lo: take_u64(&mut buf)?, hi: take_u64(&mut buf)? });
+                ranges.push(Range {
+                    lo: take_u64(&mut buf)?,
+                    hi: take_u64(&mut buf)?,
+                });
             }
             let query = Query::from_ranges(space, ranges).map_err(WireError::BadSpace)?;
             let nd = take_u16(&mut buf)? as usize;
@@ -155,7 +162,10 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             for _ in 0..nd {
                 dynamic.push(DynamicConstraint {
                     key: take_u32(&mut buf)?,
-                    range: Range { lo: take_u64(&mut buf)?, hi: take_u64(&mut buf)? },
+                    range: Range {
+                        lo: take_u64(&mut buf)?,
+                        hi: take_u64(&mut buf)?,
+                    },
                 });
             }
             let nv = take_u32(&mut buf)? as usize;
@@ -199,7 +209,11 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             let point = take_point(space, &mut buf)?;
             let from_profile = NodeProfile::new(space, point);
             let batch = take_batch(space, &mut buf)?;
-            NetMessage::Gossip(GossipMessage::Request { layer, from_profile, batch })
+            NetMessage::Gossip(GossipMessage::Request {
+                layer,
+                from_profile,
+                batch,
+            })
         }
         TAG_GOSSIP_RESP => {
             let layer = take_layer(&mut buf)?;
@@ -288,7 +302,10 @@ fn take_u64(buf: &mut Bytes) -> Result<u64, WireError> {
 }
 
 fn take_query_id(buf: &mut Bytes) -> Result<QueryId, WireError> {
-    Ok(QueryId { origin: take_u64(buf)?, seq: take_u32(buf)? })
+    Ok(QueryId {
+        origin: take_u64(buf)?,
+        seq: take_u32(buf)?,
+    })
 }
 
 fn take_layer(buf: &mut Bytes) -> Result<Layer, WireError> {
@@ -314,17 +331,18 @@ fn take_point(space: &Space, buf: &mut Bytes) -> Result<attrspace::Point, WireEr
     space.point(&values).map_err(WireError::BadSpace)
 }
 
-fn take_batch(
-    space: &Space,
-    buf: &mut Bytes,
-) -> Result<Vec<Descriptor<NodeProfile>>, WireError> {
+fn take_batch(space: &Space, buf: &mut Bytes) -> Result<Vec<Descriptor<NodeProfile>>, WireError> {
     let n = take_u16(buf)? as usize;
     let mut batch = Vec::with_capacity(capacity_for(n, buf, 8 + 4 + point_bytes(space)));
     for _ in 0..n {
         let id = take_u64(buf)?;
         let age = take_u32(buf)?;
         let point = take_point(space, buf)?;
-        batch.push(Descriptor { id, age, profile: NodeProfile::new(space, point) });
+        batch.push(Descriptor {
+            id,
+            age,
+            profile: NodeProfile::new(space, point),
+        });
     }
     Ok(batch)
 }
@@ -342,11 +360,19 @@ mod tests {
         let s = space();
         let q = QueryMsg {
             id: QueryId { origin: 7, seq: 3 },
-            query: Query::builder(&s).min("a0", 40).range("a2", 5, 10).build().unwrap().into(),
+            query: Query::builder(&s)
+                .min("a0", 40)
+                .range("a2", 5, 10)
+                .build()
+                .unwrap()
+                .into(),
             sigma: Some(50),
             level: 2,
             dims: 0b101,
-            dynamic: vec![DynamicConstraint { key: 9, range: Range { lo: 5, hi: 10 } }],
+            dynamic: vec![DynamicConstraint {
+                key: 9,
+                range: Range { lo: 5, hi: 10 },
+            }],
             count_only: true,
             visited_zero: vec![3, 8],
             attempt: 6,
@@ -362,8 +388,14 @@ mod tests {
         let msg = NetMessage::Protocol(Message::Reply(ReplyMsg {
             id: QueryId { origin: 1, seq: 0 },
             matching: vec![
-                Match { node: 5, values: s.point(&[1, 2, 3]).unwrap() },
-                Match { node: 9, values: s.point(&[70, 0, 80]).unwrap() },
+                Match {
+                    node: 5,
+                    values: s.point(&[1, 2, 3]).unwrap(),
+                },
+                Match {
+                    node: 9,
+                    values: s.point(&[70, 0, 80]).unwrap(),
+                },
             ]
             .into(),
             count: 2,
@@ -380,7 +412,11 @@ mod tests {
             NetMessage::Gossip(GossipMessage::Request {
                 layer: Layer::Random,
                 from_profile: p(&[1, 2, 3]),
-                batch: vec![Descriptor { id: 4, age: 9, profile: p(&[4, 5, 6]) }],
+                batch: vec![Descriptor {
+                    id: 4,
+                    age: 9,
+                    profile: p(&[4, 5, 6]),
+                }],
             }),
             NetMessage::Gossip(GossipMessage::Response {
                 layer: Layer::Semantic,
@@ -423,6 +459,9 @@ mod tests {
         }));
         let mut bad = BytesMut::from(&good[..]);
         bad.put_u8(0);
-        assert_eq!(decode(&s, bad.freeze()).unwrap_err(), WireError::Trailing(1));
+        assert_eq!(
+            decode(&s, bad.freeze()).unwrap_err(),
+            WireError::Trailing(1)
+        );
     }
 }

@@ -41,10 +41,12 @@ fn wait_for_delivery(cluster: &mut NetCluster, query: &Query, bar: f64, tries: u
     let mut best = 0.0f64;
     for _ in 0..tries {
         let links_before = cluster.mean_links();
-        let _ = wait_until(|| cluster.mean_links() > links_before, Duration::from_millis(700));
+        let _ = wait_until(
+            || cluster.mean_links() > links_before,
+            Duration::from_millis(700),
+        );
         let origin = cluster.random_node();
-        if let Some(outcome) = cluster.query(origin, query.clone(), None, Duration::from_secs(30))
-        {
+        if let Some(outcome) = cluster.query(origin, query.clone(), None, Duration::from_secs(30)) {
             best = best.max(outcome.delivery());
             // Strictly above, as every caller asserts: returning at an
             // exact `bar` failed them whenever early delivery hit it.
@@ -68,11 +70,17 @@ fn points(space: &Space, n: usize, seed: u64) -> Vec<Point> {
 
 fn fast_config() -> NetConfig {
     NetConfig {
-        gossip: epigossip::GossipConfig { period_ms: 30, ..Default::default() },
+        gossip: epigossip::GossipConfig {
+            period_ms: 30,
+            ..Default::default()
+        },
         // The per-neighbor timeout must cover a whole depth-first *subtree*
         // (many sequential hops), not one RTT — too tight a value amputates
         // subtrees and silently loses matches.
-        protocol: autosel_core::ProtocolConfig { query_timeout_ms: 10_000, ..Default::default() },
+        protocol: autosel_core::ProtocolConfig {
+            query_timeout_ms: 10_000,
+            ..Default::default()
+        },
         poll_interval_ms: 10,
         injected_latency_ms: Some((1, 3)),
         bootstrap_degree: 3,
@@ -105,9 +113,14 @@ fn sigma_queries_return_promptly_on_live_cluster() {
     let space = Space::uniform(3, 80, 3).unwrap();
     let cfg = fast_config();
     let pts = points(&space, 60, 2);
-    let mut cluster =
-        NetCluster::spawn(space.clone(), pts, cfg.clone(), Transport::mem(cfg.injected_latency_ms), 3)
-            .unwrap();
+    let mut cluster = NetCluster::spawn(
+        space.clone(),
+        pts,
+        cfg.clone(),
+        Transport::mem(cfg.injected_latency_ms),
+        3,
+    )
+    .unwrap();
     assert!(
         wait_until(|| cluster.mean_links() >= 1.0, Duration::from_secs(30)),
         "overlay never formed routing links"
@@ -142,9 +155,14 @@ fn overlay_survives_partial_kill_and_recovers() {
     let space = Space::uniform(2, 80, 3).unwrap();
     let cfg = fast_config();
     let pts = points(&space, 80, 3);
-    let mut cluster =
-        NetCluster::spawn(space.clone(), pts, cfg.clone(), Transport::mem(cfg.injected_latency_ms), 11)
-            .unwrap();
+    let mut cluster = NetCluster::spawn(
+        space.clone(),
+        pts,
+        cfg.clone(),
+        Transport::mem(cfg.injected_latency_ms),
+        11,
+    )
+    .unwrap();
     // Converge before the kill so the survivors have links to recover
     // through; bounded wait on the link gauge, not a guessed sleep.
     assert!(
@@ -166,7 +184,10 @@ fn overlay_survives_partial_kill_and_recovers() {
 fn tcp_cluster_end_to_end() {
     let space = Space::uniform(2, 80, 2).unwrap();
     let cfg = NetConfig {
-        gossip: epigossip::GossipConfig { period_ms: 40, ..Default::default() },
+        gossip: epigossip::GossipConfig {
+            period_ms: 40,
+            ..Default::default()
+        },
         injected_latency_ms: None,
         ..fast_config()
     };
@@ -177,7 +198,10 @@ fn tcp_cluster_end_to_end() {
     let best = wait_for_delivery(&mut cluster, &query, 0.75, 12);
     assert!(best > 0.75, "tcp delivery {best:.2}");
     let traffic = cluster.traffic();
-    assert!(traffic.values().all(|&(s, r)| s > 0 || r > 0), "all peers active");
+    assert!(
+        traffic.values().all(|&(s, r)| s > 0 || r > 0),
+        "all peers active"
+    );
     cluster.shutdown();
 }
 
@@ -190,7 +214,10 @@ fn tcp_cluster_end_to_end() {
 fn tcp_cluster_survives_kill_and_recovers() {
     let space = Space::uniform(2, 80, 2).unwrap();
     let cfg = NetConfig {
-        gossip: epigossip::GossipConfig { period_ms: 40, ..Default::default() },
+        gossip: epigossip::GossipConfig {
+            period_ms: 40,
+            ..Default::default()
+        },
         injected_latency_ms: None,
         ..fast_config()
     };
@@ -255,13 +282,22 @@ fn observed_cluster_traces_queries_and_gossip() {
     assert!(best > 0.5, "observed overlay reached only {best:.2}");
     cluster.shutdown();
 
-    assert!(reg.counter("event.gossip_round") > 0, "live gossip rounds unobserved");
-    assert!(reg.counter("event.query_issued") > 0, "live queries unobserved");
+    assert!(
+        reg.counter("event.gossip_round") > 0,
+        "live gossip rounds unobserved"
+    );
+    assert!(
+        reg.counter("event.query_issued") > 0,
+        "live queries unobserved"
+    );
     let queries = tree.queries();
     assert!(!queries.is_empty(), "no query traces recorded");
     for q in &queries {
         let qt = tree.query(*q).expect("trace recorded");
-        assert_eq!(qt.root, q.origin, "each live query has one rooted tree at its origin");
+        assert_eq!(
+            qt.root, q.origin,
+            "each live query has one rooted tree at its origin"
+        );
     }
     // Threads interleave freely, yet causality must still resolve: every
     // recorded hop hangs off a recorded parent.
@@ -369,11 +405,17 @@ fn stress_cluster_arcs() {
         );
         let query = Query::builder(&space).build().unwrap();
         let best = wait_for_delivery(&mut cluster, &query, 0.5, 8);
-        assert!(best > 0.0, "no query ever delivered (seed {seed}, tcp {tcp})");
+        assert!(
+            best > 0.0,
+            "no query ever delivered (seed {seed}, tcp {tcp})"
+        );
         let victims = cluster.kill_fraction(0.25);
         assert!(!victims.is_empty());
         let best = wait_for_delivery(&mut cluster, &query, 0.5, 8);
-        assert!(best > 0.0, "post-kill data plane stalled (seed {seed}, tcp {tcp})");
+        assert!(
+            best > 0.0,
+            "post-kill data plane stalled (seed {seed}, tcp {tcp})"
+        );
         cluster.shutdown();
     }
 
@@ -386,8 +428,10 @@ fn stress_cluster_arcs() {
                 arc_once(seed, tcp, &f);
             }));
             if let Err(panic) = run {
-                let path = std::env::temp_dir()
-                    .join(format!("cluster_live_stress_{seed:x}_{}.jsonl", if tcp { "tcp" } else { "mem" }));
+                let path = std::env::temp_dir().join(format!(
+                    "cluster_live_stress_{seed:x}_{}.jsonl",
+                    if tcp { "tcp" } else { "mem" }
+                ));
                 if let Ok(mut out) = std::fs::File::create(&path) {
                     let _ = flight.dump_jsonl(&mut out);
                 }
@@ -409,9 +453,14 @@ fn count_queries_on_live_cluster() {
     let cfg = fast_config();
     let pts = points(&space, 60, 6);
     let truth = pts.iter().filter(|p| p.values()[0] >= 40).count() as u64;
-    let mut cluster =
-        NetCluster::spawn(space.clone(), pts, cfg.clone(), Transport::mem(cfg.injected_latency_ms), 9)
-            .unwrap();
+    let mut cluster = NetCluster::spawn(
+        space.clone(),
+        pts,
+        cfg.clone(),
+        Transport::mem(cfg.injected_latency_ms),
+        9,
+    )
+    .unwrap();
     let query = Query::builder(&space).min("a0", 40).build().unwrap();
     // Converge first (reuse the adaptive helper), then count.
     let _ = wait_for_delivery(&mut cluster, &query, 0.95, 15);

@@ -6,9 +6,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use attrspace::{Query, Range, Space};
-use autosel_core::{
-    DynamicConstraint, Match, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg,
-};
+use autosel_core::{DynamicConstraint, Match, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg};
 use autosel_net::wire::{decode, encode, WireError};
 use autosel_net::NetMessage;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -76,7 +74,10 @@ fn decode_peak(space: &Space, frame: &Bytes) -> (Result<NetMessage, WireError>, 
 }
 
 fn arb_range() -> impl Strategy<Value = Range> {
-    (any::<u64>(), any::<u64>()).prop_map(|(a, b)| Range { lo: a.min(b), hi: a.max(b) })
+    (any::<u64>(), any::<u64>()).prop_map(|(a, b)| Range {
+        lo: a.min(b),
+        hi: a.max(b),
+    })
 }
 
 fn arb_point(d: usize) -> impl Strategy<Value = Vec<u64>> {
@@ -95,20 +96,24 @@ fn arb_query_msg(space: Space) -> impl Strategy<Value = QueryMsg> {
         prop::collection::vec((any::<u32>(), arb_range()), 0..4),
         prop::collection::vec(any::<u64>(), 0..8),
     )
-        .prop_map(move |(origin, seq, sigma, level, dims, ranges, dynamic, visited)| QueryMsg {
-            id: QueryId { origin, seq },
-            query: Query::from_ranges(&space, ranges).expect("lo<=hi by construction").into(),
-            sigma,
-            level,
-            dims,
-            dynamic: dynamic
-                .into_iter()
-                .map(|(key, range)| DynamicConstraint { key, range })
-                .collect(),
-            count_only: origin % 2 == 0,
-            visited_zero: visited,
-            attempt: seq ^ dims,
-        })
+        .prop_map(
+            move |(origin, seq, sigma, level, dims, ranges, dynamic, visited)| QueryMsg {
+                id: QueryId { origin, seq },
+                query: Query::from_ranges(&space, ranges)
+                    .expect("lo<=hi by construction")
+                    .into(),
+                sigma,
+                level,
+                dims,
+                dynamic: dynamic
+                    .into_iter()
+                    .map(|(key, range)| DynamicConstraint { key, range })
+                    .collect(),
+                count_only: origin % 2 == 0,
+                visited_zero: visited,
+                attempt: seq ^ dims,
+            },
+        )
 }
 
 fn arb_reply_msg(space: Space) -> impl Strategy<Value = ReplyMsg> {
@@ -121,7 +126,10 @@ fn arb_reply_msg(space: Space) -> impl Strategy<Value = ReplyMsg> {
         .prop_map(move |(origin, seq, matching)| {
             let matching: Vec<Match> = matching
                 .into_iter()
-                .map(|(node, vals)| Match { node, values: space.point(&vals).expect("arity") })
+                .map(|(node, vals)| Match {
+                    node,
+                    values: space.point(&vals).expect("arity"),
+                })
                 .collect();
             ReplyMsg {
                 id: QueryId { origin, seq },
@@ -135,9 +143,12 @@ fn arb_reply_msg(space: Space) -> impl Strategy<Value = ReplyMsg> {
 fn arb_gossip(space: Space) -> impl Strategy<Value = GossipMessage<NodeProfile>> {
     let d = space.dims();
     let s2 = space.clone();
-    let descriptor = (any::<u64>(), any::<u32>(), arb_point(d)).prop_map(move |(id, age, vals)| {
-        Descriptor { id, age, profile: NodeProfile::new(&s2, s2.point(&vals).expect("arity")) }
-    });
+    let descriptor =
+        (any::<u64>(), any::<u32>(), arb_point(d)).prop_map(move |(id, age, vals)| Descriptor {
+            id,
+            age,
+            profile: NodeProfile::new(&s2, s2.point(&vals).expect("arity")),
+        });
     let batch = prop::collection::vec(descriptor, 0..5);
     let layer = prop_oneof![Just(Layer::Random), Just(Layer::Semantic)];
     let s3 = space;
@@ -353,7 +364,11 @@ fn forged_lengths_allocate_no_more_than_the_frame_holds() {
     ];
     for (name, bytes) in &cases {
         let (out, peak) = decode_peak(&space, bytes);
-        assert_eq!(out, Err(WireError::Truncated), "{name}: forged length not caught");
+        assert_eq!(
+            out,
+            Err(WireError::Truncated),
+            "{name}: forged length not caught"
+        );
         assert!(
             peak <= 4 * bytes.len(),
             "{name}: decoding a {}-byte frame held {peak} heap bytes",

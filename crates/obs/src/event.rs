@@ -40,7 +40,10 @@ impl QueryRef {
     pub fn parse(s: &str) -> Option<Self> {
         let rest = s.strip_prefix('q')?;
         let (origin, seq) = rest.split_once('#')?;
-        Some(QueryRef { origin: origin.parse().ok()?, seq: seq.parse().ok()? })
+        Some(QueryRef {
+            origin: origin.parse().ok()?,
+            seq: seq.parse().ok()?,
+        })
     }
 }
 
@@ -353,7 +356,13 @@ impl Event {
             w.str_field("q", &q.to_string());
         }
         match *self {
-            Event::QueryIssued { node, sigma, count_only, matched, .. } => {
+            Event::QueryIssued {
+                node,
+                sigma,
+                count_only,
+                matched,
+                ..
+            } => {
                 w.u64_field("node", node);
                 match sigma {
                     Some(s) => w.u64_field("sigma", s as u64),
@@ -362,26 +371,52 @@ impl Event {
                 w.bool_field("count_only", count_only);
                 w.bool_field("matched", matched);
             }
-            Event::QueryForwarded { from, to, level, attempt, .. } => {
+            Event::QueryForwarded {
+                from,
+                to,
+                level,
+                attempt,
+                ..
+            } => {
                 w.u64_field("from", from);
                 w.u64_field("to", to);
                 w.i64_field("level", level as i64);
                 w.u64_field("attempt", attempt as u64);
             }
-            Event::QueryReceived { node, parent, level, matched, duplicate, .. } => {
+            Event::QueryReceived {
+                node,
+                parent,
+                level,
+                matched,
+                duplicate,
+                ..
+            } => {
                 w.u64_field("node", node);
                 w.u64_field("parent", parent);
                 w.i64_field("level", level as i64);
                 w.bool_field("matched", matched);
                 w.bool_field("duplicate", duplicate);
             }
-            Event::ReplySent { node, to, count, attempt, .. } => {
+            Event::ReplySent {
+                node,
+                to,
+                count,
+                attempt,
+                ..
+            } => {
                 w.u64_field("node", node);
                 w.u64_field("to", to);
                 w.u64_field("count", count);
                 w.u64_field("attempt", attempt as u64);
             }
-            Event::ReplyMerged { node, from, count, fresh, attempt, .. } => {
+            Event::ReplyMerged {
+                node,
+                from,
+                count,
+                fresh,
+                attempt,
+                ..
+            } => {
                 w.u64_field("node", node);
                 w.u64_field("from", from);
                 w.u64_field("count", count);
@@ -396,14 +431,27 @@ impl Event {
                 w.u64_field("node", node);
                 w.u64_field("count", count);
             }
-            Event::GossipRound { node, layer, view_size, mean_age_x1000, replaced, .. } => {
+            Event::GossipRound {
+                node,
+                layer,
+                view_size,
+                mean_age_x1000,
+                replaced,
+                ..
+            } => {
                 w.u64_field("node", node);
                 w.str_field("layer", layer.name());
                 w.u64_field("view_size", view_size as u64);
                 w.u64_field("mean_age_x1000", mean_age_x1000);
                 w.u64_field("replaced", replaced);
             }
-            Event::ViewChange { node, links, zero, changed, .. } => {
+            Event::ViewChange {
+                node,
+                links,
+                zero,
+                changed,
+                ..
+            } => {
                 w.u64_field("node", node);
                 w.u64_field("links", links as u64);
                 w.u64_field("zero", zero as u64);
@@ -430,14 +478,29 @@ impl Event {
         let known: &[&str] = match kind {
             "query_issued" => &["ev", "at", "q", "node", "sigma", "count_only", "matched"],
             "query_forwarded" => &["ev", "at", "q", "from", "to", "level", "attempt"],
-            "query_received" => &["ev", "at", "q", "node", "parent", "level", "matched", "duplicate"],
+            "query_received" => &[
+                "ev",
+                "at",
+                "q",
+                "node",
+                "parent",
+                "level",
+                "matched",
+                "duplicate",
+            ],
             "reply_sent" => &["ev", "at", "q", "node", "to", "count", "attempt"],
             "reply_merged" => &["ev", "at", "q", "node", "from", "count", "fresh", "attempt"],
             "timeout_fired" => &["ev", "at", "q", "node", "peer"],
             "sigma_stop" | "query_completed" => &["ev", "at", "q", "node", "count"],
-            "gossip_round" => {
-                &["ev", "at", "node", "layer", "view_size", "mean_age_x1000", "replaced"]
-            }
+            "gossip_round" => &[
+                "ev",
+                "at",
+                "node",
+                "layer",
+                "view_size",
+                "mean_age_x1000",
+                "replaced",
+            ],
             "view_change" => &["ev", "at", "node", "links", "zero", "changed"],
             "node_crashed" | "node_restarted" => &["ev", "at", "node"],
             other => return Err(format!("unknown event kind {other:?}")),
@@ -525,8 +588,14 @@ impl Event {
                 zero: obj.u64("zero")? as u32,
                 changed: obj.u64("changed")? as u32,
             },
-            "node_crashed" => Event::NodeCrashed { at, node: obj.u64("node")? },
-            "node_restarted" => Event::NodeRestarted { at, node: obj.u64("node")? },
+            "node_crashed" => Event::NodeCrashed {
+                at,
+                node: obj.u64("node")?,
+            },
+            "node_restarted" => Event::NodeRestarted {
+                at,
+                node: obj.u64("node")?,
+            },
             _ => unreachable!("kind validated above"),
         };
         Ok(ev)
@@ -548,8 +617,22 @@ mod tests {
                 count_only: false,
                 matched: true,
             },
-            Event::QueryIssued { at: 0, query: q, node: 7, sigma: None, count_only: true, matched: false },
-            Event::QueryForwarded { at: 1, query: q, from: 7, to: 12, level: -1, attempt: 2 },
+            Event::QueryIssued {
+                at: 0,
+                query: q,
+                node: 7,
+                sigma: None,
+                count_only: true,
+                matched: false,
+            },
+            Event::QueryForwarded {
+                at: 1,
+                query: q,
+                from: 7,
+                to: 12,
+                level: -1,
+                attempt: 2,
+            },
             Event::QueryReceived {
                 at: 2,
                 query: q,
@@ -559,11 +642,41 @@ mod tests {
                 matched: false,
                 duplicate: true,
             },
-            Event::ReplySent { at: 3, query: q, node: 12, to: 7, count: 4, attempt: 2 },
-            Event::ReplyMerged { at: 4, query: q, node: 7, from: 12, count: 4, fresh: true, attempt: 2 },
-            Event::TimeoutFired { at: 5, query: q, node: 7, peer: 12 },
-            Event::SigmaStop { at: 6, query: q, node: 9, count: 51 },
-            Event::QueryCompleted { at: 7, query: q, node: 7, count: 51 },
+            Event::ReplySent {
+                at: 3,
+                query: q,
+                node: 12,
+                to: 7,
+                count: 4,
+                attempt: 2,
+            },
+            Event::ReplyMerged {
+                at: 4,
+                query: q,
+                node: 7,
+                from: 12,
+                count: 4,
+                fresh: true,
+                attempt: 2,
+            },
+            Event::TimeoutFired {
+                at: 5,
+                query: q,
+                node: 7,
+                peer: 12,
+            },
+            Event::SigmaStop {
+                at: 6,
+                query: q,
+                node: 9,
+                count: 51,
+            },
+            Event::QueryCompleted {
+                at: 7,
+                query: q,
+                node: 7,
+                count: 51,
+            },
             Event::GossipRound {
                 at: 8,
                 node: 3,
@@ -572,7 +685,13 @@ mod tests {
                 mean_age_x1000: 2500,
                 replaced: 3,
             },
-            Event::ViewChange { at: 9, node: 3, links: 14, zero: 2, changed: 1 },
+            Event::ViewChange {
+                at: 9,
+                node: 3,
+                links: 14,
+                zero: 2,
+                changed: 1,
+            },
             Event::NodeCrashed { at: 10, node: 5 },
             Event::NodeRestarted { at: 11, node: 5 },
         ]

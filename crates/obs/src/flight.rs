@@ -60,7 +60,11 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "flight recorder needs at least one slot");
         FlightRecorder {
-            ring: Mutex::new(Ring { slots: Vec::with_capacity(capacity), next: 0, total: 0 }),
+            ring: Mutex::new(Ring {
+                slots: Vec::with_capacity(capacity),
+                next: 0,
+                total: 0,
+            }),
             capacity,
         }
     }

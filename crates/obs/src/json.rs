@@ -20,7 +20,9 @@ pub struct ObjectWriter {
 impl ObjectWriter {
     /// Starts an empty object.
     pub fn new() -> Self {
-        ObjectWriter { buf: String::from("{") }
+        ObjectWriter {
+            buf: String::from("{"),
+        }
     }
 
     fn key(&mut self, name: &str) {
@@ -170,7 +172,10 @@ impl JsonObject {
 
 /// Parses one flat JSON object (one JSONL line).
 pub fn parse_object(input: &str) -> Result<JsonObject, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
     p.skip_ws();
     p.expect(b'{')?;
     let mut fields = BTreeMap::new();
@@ -310,7 +315,9 @@ impl Parser<'_> {
             return Err("non-integer numbers are not part of the event schema".into());
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
-        text.parse::<i128>().map(JsonValue::Int).map_err(|e| format!("bad number {text:?}: {e}"))
+        text.parse::<i128>()
+            .map(JsonValue::Int)
+            .map_err(|e| format!("bad number {text:?}: {e}"))
     }
 }
 
@@ -343,7 +350,15 @@ mod tests {
 
     #[test]
     fn malformed_inputs_error() {
-        for bad in ["", "{", "{\"a\":}", "{\"a\":1,}", "{\"a\":1}x", "{\"a\":1.5}", "{\"a\":1,\"a\":2}"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\":1}x",
+            "{\"a\":1.5}",
+            "{\"a\":1,\"a\":2}",
+        ] {
             assert!(parse_object(bad).is_err(), "{bad:?} should not parse");
         }
     }
@@ -353,7 +368,10 @@ mod tests {
         let mut w = ObjectWriter::new();
         w.str_field("s", "héllo → wörld");
         let text = w.finish();
-        assert_eq!(parse_object(&text).unwrap().str("s").unwrap(), "héllo → wörld");
+        assert_eq!(
+            parse_object(&text).unwrap().str("s").unwrap(),
+            "héllo → wörld"
+        );
         // Escaped code points parse too.
         let obj = parse_object("{\"s\":\"\\u00e9\"}").unwrap();
         assert_eq!(obj.str("s").unwrap(), "é");

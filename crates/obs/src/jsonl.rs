@@ -27,7 +27,10 @@ pub struct JsonlSink {
 impl JsonlSink {
     /// Wraps an arbitrary writer (a `File`, a `Vec<u8>`, a socket…).
     pub fn new(out: Box<dyn Write + Send>) -> Self {
-        JsonlSink { out: Mutex::new(out), errors: AtomicU64::new(0) }
+        JsonlSink {
+            out: Mutex::new(out),
+            errors: AtomicU64::new(0),
+        }
     }
 
     /// Creates (truncates) `path` and streams events to it, buffered.
@@ -43,7 +46,10 @@ impl JsonlSink {
         struct SharedBuf(Arc<Mutex<Vec<u8>>>);
         impl Write for SharedBuf {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().expect("shared buffer lock").extend_from_slice(data);
+                self.0
+                    .lock()
+                    .expect("shared buffer lock")
+                    .extend_from_slice(data);
                 Ok(data.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
@@ -116,8 +122,20 @@ mod tests {
                 count_only: false,
                 matched: true,
             },
-            Event::QueryForwarded { at: 1, query: q, from: 1, to: 2, level: 0, attempt: 1 },
-            Event::QueryCompleted { at: 9, query: q, node: 1, count: 3 },
+            Event::QueryForwarded {
+                at: 1,
+                query: q,
+                from: 1,
+                to: 2,
+                level: 0,
+                attempt: 1,
+            },
+            Event::QueryCompleted {
+                at: 9,
+                query: q,
+                node: 1,
+                count: 3,
+            },
         ];
         for ev in &evs {
             sink.on_event(ev);
@@ -131,8 +149,8 @@ mod tests {
 
     #[test]
     fn parse_trace_reports_line_numbers() {
-        let err = parse_trace("{\"ev\":\"node_crashed\",\"at\":1,\"node\":2}\n\nnot json\n")
-            .unwrap_err();
+        let err =
+            parse_trace("{\"ev\":\"node_crashed\",\"at\":1,\"node\":2}\n\nnot json\n").unwrap_err();
         assert!(err.starts_with("line 3:"), "{err}");
     }
 

@@ -86,7 +86,9 @@ impl ObsHandle {
 
     /// Wraps an already-shared observer.
     pub fn new(observer: Arc<dyn Observer>) -> Self {
-        ObsHandle { inner: Some(observer) }
+        ObsHandle {
+            inner: Some(observer),
+        }
     }
 
     /// Convenience: wraps a concrete observer value in an `Arc`.
@@ -111,7 +113,11 @@ impl ObsHandle {
 
 impl fmt::Debug for ObsHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.enabled() { "ObsHandle(active)" } else { "ObsHandle(null)" })
+        f.write_str(if self.enabled() {
+            "ObsHandle(active)"
+        } else {
+            "ObsHandle(null)"
+        })
     }
 }
 

@@ -23,7 +23,12 @@ pub struct Histogram {
 
 impl Default for Histogram {
     fn default() -> Self {
-        Histogram { buckets: [0; 65], count: 0, sum: 0, max: 0 }
+        Histogram {
+            buckets: [0; 65],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
     }
 }
 
@@ -221,12 +226,23 @@ impl Registry {
 
     /// Current value of a counter (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.lock().expect("registry lock").counters.get(name).copied().unwrap_or(0)
+        self.inner
+            .lock()
+            .expect("registry lock")
+            .counters
+            .get(name)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// A copy of the named histogram, when present.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.lock().expect("registry lock").histograms.get(name).cloned()
+        self.inner
+            .lock()
+            .expect("registry lock")
+            .histograms
+            .get(name)
+            .cloned()
     }
 
     /// A deterministic snapshot: every counter and histogram, sorted by
@@ -234,15 +250,27 @@ impl Registry {
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock().expect("registry lock");
         Snapshot {
-            counters: inner.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-            histograms: inner.histograms.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+            counters: inner
+                .counters
+                .iter()
+                .map(|(k, &v)| (k.clone(), v))
+                .collect(),
+            histograms: inner
+                .histograms
+                .iter()
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
         }
     }
 }
 
 /// `map[name]`, made by `make` on first use: an update allocates the key's
 /// `String` only then.
-fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, make: impl FnOnce() -> V) -> &'m mut V {
+fn slot<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    name: &str,
+    make: impl FnOnce() -> V,
+) -> &'m mut V {
     if !map.contains_key(name) {
         map.insert(name.to_owned(), make());
     }
@@ -253,9 +281,11 @@ fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, make: impl FnOnce()
 /// replaced}.<layer>`, spelled out so a gossip round formats nothing.
 fn gossip_names(layer: Layer) -> [&'static str; 3] {
     match layer {
-        Layer::Random => {
-            ["gossip.view_size.random", "gossip.mean_age_x1000.random", "gossip.replaced.random"]
-        }
+        Layer::Random => [
+            "gossip.view_size.random",
+            "gossip.mean_age_x1000.random",
+            "gossip.replaced.random",
+        ],
         Layer::Semantic => [
             "gossip.view_size.semantic",
             "gossip.mean_age_x1000.semantic",
@@ -268,16 +298,29 @@ impl Observer for Registry {
     fn on_event(&self, event: &Event) {
         self.inc(event.counter_name());
         match *event {
-            Event::QueryReceived { duplicate: true, .. } => self.inc("query.duplicates"),
+            Event::QueryReceived {
+                duplicate: true, ..
+            } => self.inc("query.duplicates"),
             Event::ReplySent { count, .. } => self.record("reply.count", count),
             Event::QueryCompleted { count, .. } => self.record("query.final_count", count),
-            Event::GossipRound { layer, view_size, mean_age_x1000, replaced, .. } => {
+            Event::GossipRound {
+                layer,
+                view_size,
+                mean_age_x1000,
+                replaced,
+                ..
+            } => {
                 let [size, age, replacements] = gossip_names(layer);
                 self.record(size, view_size as u64);
                 self.record(age, mean_age_x1000);
                 self.add(replacements, replaced);
             }
-            Event::ViewChange { links, zero, changed, .. } => {
+            Event::ViewChange {
+                links,
+                zero,
+                changed,
+                ..
+            } => {
                 self.record("routing.links", links as u64);
                 self.record("routing.zero_slots", zero as u64);
                 self.add("routing.slots_changed", changed as u64);
@@ -304,7 +347,15 @@ mod tests {
         // 0 | 1 | {2,3} | {4..7} | {8} | {1024} | {u64::MAX}
         assert_eq!(
             buckets,
-            vec![(0, 1), (1, 1), (2, 2), (4, 2), (8, 1), (1024, 1), (1 << 63, 1)]
+            vec![
+                (0, 1),
+                (1, 1),
+                (2, 2),
+                (4, 2),
+                (8, 1),
+                (1024, 1),
+                (1 << 63, 1)
+            ]
         );
     }
 
@@ -334,7 +385,11 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.quantile(1.0), 512.0, "q=1 is exactly max");
-        assert_eq!(h.quantile(0.1), 1.0, "rank 1 is the 1-bucket, clamped to its only value");
+        assert_eq!(
+            h.quantile(0.1),
+            1.0,
+            "rank 1 is the 1-bucket, clamped to its only value"
+        );
         // The median of 10 samples is rank 5 → the 16-bucket [16, 32).
         let p50 = h.quantile(0.5);
         assert!((16.0..32.0).contains(&p50), "p50={p50} outside its bucket");
@@ -372,7 +427,10 @@ mod tests {
         h.record(u64::MAX); // bucket 64, lower bound 2^63
         h.record(u64::MAX - 1);
         let p99 = h.quantile(0.99);
-        assert!(p99 >= (1u64 << 63) as f64, "p99={p99} below the overflow bucket");
+        assert!(
+            p99 >= (1u64 << 63) as f64,
+            "p99={p99} below the overflow bucket"
+        );
         assert!(p99 <= u64::MAX as f64, "clamped to max");
         assert_eq!(h.quantile(1.0), u64::MAX as f64);
         // Empty histogram: defined as 0.
@@ -435,17 +493,89 @@ mod tests {
             let at = round * 700;
             let n = round as u32;
             for e in [
-                Event::QueryIssued { at, query: q, node: 1, sigma: Some(4), count_only: false, matched: true },
-                Event::QueryForwarded { at, query: q, from: 1, to: 2, level: 1, attempt: n },
-                Event::QueryReceived { at, query: q, node: 2, parent: 1, level: 1, matched: true, duplicate: round == 1 },
-                Event::ReplySent { at, query: q, node: 2, to: 1, count: round + 2, attempt: n },
-                Event::ReplyMerged { at, query: q, node: 1, from: 2, count: round, fresh: true, attempt: n },
-                Event::TimeoutFired { at, query: q, node: 1, peer: 3 },
-                Event::SigmaStop { at, query: q, node: 1, count: 4 },
-                Event::QueryCompleted { at, query: q, node: 1, count: 5 * round },
-                Event::GossipRound { at, node: 2, layer: Layer::Random, view_size: 20 - n, mean_age_x1000: 1_500 + at, replaced: round },
-                Event::GossipRound { at, node: 2, layer: Layer::Semantic, view_size: 19, mean_age_x1000: 900, replaced: 2 * round },
-                Event::ViewChange { at, node: 2, links: 12 + n, zero: 3, changed: n },
+                Event::QueryIssued {
+                    at,
+                    query: q,
+                    node: 1,
+                    sigma: Some(4),
+                    count_only: false,
+                    matched: true,
+                },
+                Event::QueryForwarded {
+                    at,
+                    query: q,
+                    from: 1,
+                    to: 2,
+                    level: 1,
+                    attempt: n,
+                },
+                Event::QueryReceived {
+                    at,
+                    query: q,
+                    node: 2,
+                    parent: 1,
+                    level: 1,
+                    matched: true,
+                    duplicate: round == 1,
+                },
+                Event::ReplySent {
+                    at,
+                    query: q,
+                    node: 2,
+                    to: 1,
+                    count: round + 2,
+                    attempt: n,
+                },
+                Event::ReplyMerged {
+                    at,
+                    query: q,
+                    node: 1,
+                    from: 2,
+                    count: round,
+                    fresh: true,
+                    attempt: n,
+                },
+                Event::TimeoutFired {
+                    at,
+                    query: q,
+                    node: 1,
+                    peer: 3,
+                },
+                Event::SigmaStop {
+                    at,
+                    query: q,
+                    node: 1,
+                    count: 4,
+                },
+                Event::QueryCompleted {
+                    at,
+                    query: q,
+                    node: 1,
+                    count: 5 * round,
+                },
+                Event::GossipRound {
+                    at,
+                    node: 2,
+                    layer: Layer::Random,
+                    view_size: 20 - n,
+                    mean_age_x1000: 1_500 + at,
+                    replaced: round,
+                },
+                Event::GossipRound {
+                    at,
+                    node: 2,
+                    layer: Layer::Semantic,
+                    view_size: 19,
+                    mean_age_x1000: 900,
+                    replaced: 2 * round,
+                },
+                Event::ViewChange {
+                    at,
+                    node: 2,
+                    links: 12 + n,
+                    zero: 3,
+                    changed: n,
+                },
                 Event::NodeCrashed { at, node: 4 },
                 Event::NodeRestarted { at, node: 4 },
             ] {

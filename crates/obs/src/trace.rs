@@ -99,7 +99,14 @@ impl State {
     fn apply(&mut self, ev: &Event) {
         let State { queries, problems } = self;
         match *ev {
-            Event::QueryIssued { at, query, node, sigma, count_only, matched } => {
+            Event::QueryIssued {
+                at,
+                query,
+                node,
+                sigma,
+                count_only,
+                matched,
+            } => {
                 if queries.contains_key(&query) {
                     push_problem(
                         problems,
@@ -110,7 +117,12 @@ impl State {
                 let mut hops = BTreeMap::new();
                 hops.insert(
                     node,
-                    Hop { received_at: Some(at), matched, level: i8::MIN, ..Hop::default() },
+                    Hop {
+                        received_at: Some(at),
+                        matched,
+                        level: i8::MIN,
+                        ..Hop::default()
+                    },
                 );
                 queries.insert(
                     query,
@@ -125,9 +137,19 @@ impl State {
                     },
                 );
             }
-            Event::QueryForwarded { at, query, from, to, level, .. } => {
+            Event::QueryForwarded {
+                at,
+                query,
+                from,
+                to,
+                level,
+                ..
+            } => {
                 let Some(qt) = queries.get_mut(&query) else {
-                    push_problem(problems, format!("{query}: forward {from}->{to} before issue"));
+                    push_problem(
+                        problems,
+                        format!("{query}: forward {from}->{to} before issue"),
+                    );
                     return;
                 };
                 if !qt.hops.contains_key(&from) {
@@ -149,9 +171,20 @@ impl State {
                 // Re-forwards to an already-visited node produce a
                 // duplicate delivery there; the receive event flags it.
             }
-            Event::QueryReceived { at, query, node, parent, level, matched, duplicate } => {
+            Event::QueryReceived {
+                at,
+                query,
+                node,
+                parent,
+                level,
+                matched,
+                duplicate,
+            } => {
                 let Some(qt) = queries.get_mut(&query) else {
-                    push_problem(problems, format!("{query}: delivery at {node} before issue"));
+                    push_problem(
+                        problems,
+                        format!("{query}: delivery at {node} before issue"),
+                    );
                     return;
                 };
                 if !qt.hops.contains_key(&parent) {
@@ -187,7 +220,13 @@ impl State {
                     }
                 }
             }
-            Event::ReplySent { at, query, node, count, .. } => {
+            Event::ReplySent {
+                at,
+                query,
+                node,
+                count,
+                ..
+            } => {
                 let Some(qt) = queries.get_mut(&query) else {
                     push_problem(problems, format!("{query}: reply from {node} before issue"));
                     return;
@@ -197,7 +236,14 @@ impl State {
                     hop.reply = Some((at, count));
                 }
             }
-            Event::ReplyMerged { at, query, node: _, from, fresh, .. } => {
+            Event::ReplyMerged {
+                at,
+                query,
+                node: _,
+                from,
+                fresh,
+                ..
+            } => {
                 let Some(qt) = queries.get_mut(&query) else {
                     push_problem(
                         problems,
@@ -221,12 +267,16 @@ impl State {
                 };
                 qt.hops.entry(peer).or_default().timed_out = true;
             }
-            Event::SigmaStop { query, node, count, .. } => {
+            Event::SigmaStop {
+                query, node, count, ..
+            } => {
                 if let Some(qt) = queries.get_mut(&query) {
                     qt.sigma_stops.push((node, count));
                 }
             }
-            Event::QueryCompleted { at, query, count, .. } => {
+            Event::QueryCompleted {
+                at, query, count, ..
+            } => {
                 let Some(qt) = queries.get_mut(&query) else {
                     push_problem(problems, format!("{query}: completed before issue"));
                     return;
@@ -262,12 +312,23 @@ impl TraceTree {
 
     /// Every query seen so far, ascending by (origin, seq).
     pub fn queries(&self) -> Vec<QueryRef> {
-        self.state.lock().expect("trace lock").queries.keys().copied().collect()
+        self.state
+            .lock()
+            .expect("trace lock")
+            .queries
+            .keys()
+            .copied()
+            .collect()
     }
 
     /// A copy of one query's reconstruction.
     pub fn query(&self, q: QueryRef) -> Option<QueryTrace> {
-        self.state.lock().expect("trace lock").queries.get(&q).cloned()
+        self.state
+            .lock()
+            .expect("trace lock")
+            .queries
+            .get(&q)
+            .cloned()
     }
 
     /// Structural problems: unresolved parents, multiple roots, deliveries
@@ -280,7 +341,10 @@ impl TraceTree {
     /// Aggregate numbers for one query's tree.
     pub fn summary(&self, q: QueryRef) -> Option<TraceSummary> {
         let qt = self.query(q)?;
-        let mut s = TraceSummary { hops: qt.hops.len(), ..TraceSummary::default() };
+        let mut s = TraceSummary {
+            hops: qt.hops.len(),
+            ..TraceSummary::default()
+        };
         for (&id, hop) in &qt.hops {
             if hop.matched {
                 s.matched += 1;
@@ -313,7 +377,11 @@ impl TraceTree {
         }
         match qt.completed {
             Some((at, count)) => {
-                let _ = write!(out, "  completed t={at}ms count={count} ({} ms)", at - qt.issued_at);
+                let _ = write!(
+                    out,
+                    "  completed t={at}ms count={count} ({} ms)",
+                    at - qt.issued_at
+                );
             }
             None => out.push_str("  !UNRESOLVED"),
         }
@@ -351,8 +419,15 @@ fn depth_of(qt: &QueryTrace, node: NodeRef, seen: usize) -> usize {
     if seen > qt.hops.len() {
         return seen;
     }
-    let Some(hop) = qt.hops.get(&node) else { return seen };
-    1 + hop.children.iter().map(|&c| depth_of(qt, c, seen + 1)).max().unwrap_or(0)
+    let Some(hop) = qt.hops.get(&node) else {
+        return seen;
+    };
+    1 + hop
+        .children
+        .iter()
+        .map(|&c| depth_of(qt, c, seen + 1))
+        .max()
+        .unwrap_or(0)
 }
 
 fn render_hop(out: &mut String, qt: &QueryTrace, node: NodeRef, prefix: &str, last: bool) {
@@ -436,21 +511,131 @@ mod tests {
     fn sample_events() -> Vec<Event> {
         let q = q();
         vec![
-            Event::QueryIssued { at: 0, query: q, node: 1, sigma: Some(10), count_only: false, matched: true },
-            Event::QueryForwarded { at: 0, query: q, from: 1, to: 2, level: 1, attempt: 1 },
-            Event::QueryForwarded { at: 0, query: q, from: 1, to: 3, level: 1, attempt: 2 },
-            Event::QueryReceived { at: 5, query: q, node: 2, parent: 1, level: 1, matched: true, duplicate: false },
-            Event::QueryReceived { at: 5, query: q, node: 3, parent: 1, level: 1, matched: false, duplicate: false },
-            Event::QueryReceived { at: 6, query: q, node: 3, parent: 1, level: 1, matched: false, duplicate: true },
-            Event::QueryForwarded { at: 5, query: q, from: 2, to: 4, level: 0, attempt: 1 },
-            Event::QueryReceived { at: 10, query: q, node: 4, parent: 2, level: 0, matched: true, duplicate: false },
-            Event::ReplySent { at: 10, query: q, node: 4, to: 2, count: 1, attempt: 1 },
-            Event::ReplySent { at: 5, query: q, node: 3, to: 1, count: 0, attempt: 2 },
-            Event::ReplyMerged { at: 10, query: q, node: 1, from: 3, count: 0, fresh: true, attempt: 2 },
-            Event::ReplyMerged { at: 15, query: q, node: 2, from: 4, count: 1, fresh: true, attempt: 1 },
-            Event::ReplySent { at: 15, query: q, node: 2, to: 1, count: 2, attempt: 1 },
-            Event::ReplyMerged { at: 20, query: q, node: 1, from: 2, count: 2, fresh: true, attempt: 1 },
-            Event::QueryCompleted { at: 20, query: q, node: 1, count: 3 },
+            Event::QueryIssued {
+                at: 0,
+                query: q,
+                node: 1,
+                sigma: Some(10),
+                count_only: false,
+                matched: true,
+            },
+            Event::QueryForwarded {
+                at: 0,
+                query: q,
+                from: 1,
+                to: 2,
+                level: 1,
+                attempt: 1,
+            },
+            Event::QueryForwarded {
+                at: 0,
+                query: q,
+                from: 1,
+                to: 3,
+                level: 1,
+                attempt: 2,
+            },
+            Event::QueryReceived {
+                at: 5,
+                query: q,
+                node: 2,
+                parent: 1,
+                level: 1,
+                matched: true,
+                duplicate: false,
+            },
+            Event::QueryReceived {
+                at: 5,
+                query: q,
+                node: 3,
+                parent: 1,
+                level: 1,
+                matched: false,
+                duplicate: false,
+            },
+            Event::QueryReceived {
+                at: 6,
+                query: q,
+                node: 3,
+                parent: 1,
+                level: 1,
+                matched: false,
+                duplicate: true,
+            },
+            Event::QueryForwarded {
+                at: 5,
+                query: q,
+                from: 2,
+                to: 4,
+                level: 0,
+                attempt: 1,
+            },
+            Event::QueryReceived {
+                at: 10,
+                query: q,
+                node: 4,
+                parent: 2,
+                level: 0,
+                matched: true,
+                duplicate: false,
+            },
+            Event::ReplySent {
+                at: 10,
+                query: q,
+                node: 4,
+                to: 2,
+                count: 1,
+                attempt: 1,
+            },
+            Event::ReplySent {
+                at: 5,
+                query: q,
+                node: 3,
+                to: 1,
+                count: 0,
+                attempt: 2,
+            },
+            Event::ReplyMerged {
+                at: 10,
+                query: q,
+                node: 1,
+                from: 3,
+                count: 0,
+                fresh: true,
+                attempt: 2,
+            },
+            Event::ReplyMerged {
+                at: 15,
+                query: q,
+                node: 2,
+                from: 4,
+                count: 1,
+                fresh: true,
+                attempt: 1,
+            },
+            Event::ReplySent {
+                at: 15,
+                query: q,
+                node: 2,
+                to: 1,
+                count: 2,
+                attempt: 1,
+            },
+            Event::ReplyMerged {
+                at: 20,
+                query: q,
+                node: 1,
+                from: 2,
+                count: 2,
+                fresh: true,
+                attempt: 1,
+            },
+            Event::QueryCompleted {
+                at: 20,
+                query: q,
+                node: 1,
+                count: 3,
+            },
         ]
     }
 
@@ -484,7 +669,10 @@ mod tests {
         let text = tree.render(q()).unwrap();
         assert!(text.contains("completed t=20ms count=3"), "{text}");
         // The duplicate is flagged at node 3's hop line, not elsewhere.
-        let dup_line = text.lines().find(|l| l.contains("!dup")).expect("dup flag rendered");
+        let dup_line = text
+            .lines()
+            .find(|l| l.contains("!dup"))
+            .expect("dup flag rendered");
         assert!(dup_line.contains("[3]"), "{text}");
         assert!(text.contains("[2] L1 recv@5 (+5 ms) matched"), "{text}");
     }
@@ -500,7 +688,14 @@ mod tests {
             count_only: false,
             matched: false,
         });
-        tree.apply(&Event::QueryForwarded { at: 1, query: q(), from: 99, to: 5, level: 0, attempt: 1 });
+        tree.apply(&Event::QueryForwarded {
+            at: 1,
+            query: q(),
+            from: 99,
+            to: 5,
+            level: 0,
+            attempt: 1,
+        });
         let problems = tree.problems();
         assert_eq!(problems.len(), 1);
         assert!(problems[0].contains("not a hop"), "{problems:?}");
@@ -549,7 +744,14 @@ mod tests {
             count_only: false,
             matched: false,
         });
-        tree.apply(&Event::QueryForwarded { at: 0, query: qr, from: 1, to: 2, level: 0, attempt: 1 });
+        tree.apply(&Event::QueryForwarded {
+            at: 0,
+            query: qr,
+            from: 1,
+            to: 2,
+            level: 0,
+            attempt: 1,
+        });
         tree.apply(&Event::QueryReceived {
             at: 3,
             query: qr,

@@ -28,8 +28,22 @@ fn script(e: u64) -> Vec<Event> {
     for seq in 0..QUERIES {
         let (at, query) = (u64::from(seq), QueryRef::new(e, seq));
         out.extend([
-            Event::QueryIssued { at, query, node: e, sigma: None, count_only: false, matched: true },
-            Event::QueryForwarded { at, query, from: e, to: child, level: 0, attempt: 1 },
+            Event::QueryIssued {
+                at,
+                query,
+                node: e,
+                sigma: None,
+                count_only: false,
+                matched: true,
+            },
+            Event::QueryForwarded {
+                at,
+                query,
+                from: e,
+                to: child,
+                level: 0,
+                attempt: 1,
+            },
             Event::QueryReceived {
                 at,
                 query,
@@ -39,20 +53,50 @@ fn script(e: u64) -> Vec<Event> {
                 matched: true,
                 duplicate: false,
             },
-            Event::ReplySent { at, query, node: child, to: e, count: 1, attempt: 1 },
-            Event::ReplyMerged { at, query, node: e, from: child, count: 1, fresh: true, attempt: 1 },
-            Event::QueryCompleted { at, query, node: e, count: 2 },
+            Event::ReplySent {
+                at,
+                query,
+                node: child,
+                to: e,
+                count: 1,
+                attempt: 1,
+            },
+            Event::ReplyMerged {
+                at,
+                query,
+                node: e,
+                from: child,
+                count: 1,
+                fresh: true,
+                attempt: 1,
+            },
+            Event::QueryCompleted {
+                at,
+                query,
+                node: e,
+                count: 2,
+            },
             Event::GossipRound {
                 at,
                 node: e,
-                layer: if seq % 2 == 0 { Layer::Random } else { Layer::Semantic },
+                layer: if seq % 2 == 0 {
+                    Layer::Random
+                } else {
+                    Layer::Semantic
+                },
                 view_size: 8,
                 mean_age_x1000: 1_500,
                 replaced: 1,
             },
         ]);
         if seq % 10 == 0 {
-            out.push(Event::ViewChange { at, node: e, links: 6, zero: 1, changed: 2 });
+            out.push(Event::ViewChange {
+                at,
+                node: e,
+                links: 6,
+                zero: 1,
+                changed: 2,
+            });
         }
     }
     out
@@ -63,7 +107,11 @@ fn script(e: u64) -> Vec<Event> {
 fn emitter_of(ev: &Event) -> u64 {
     match *ev {
         Event::GossipRound { node, .. } | Event::ViewChange { node, .. } => node,
-        _ => ev.query().expect("scripted protocol events carry a query").origin,
+        _ => {
+            ev.query()
+                .expect("scripted protocol events carry a query")
+                .origin
+        }
     }
 }
 
@@ -91,8 +139,12 @@ fn shared_observers_account_for_every_event_from_every_thread() {
     let start = Arc::new(Barrier::new(EMITTERS as usize + 1));
     let done = Arc::new(AtomicBool::new(false));
     let reader = {
-        let (registry, flight, start, done) =
-            (Arc::clone(&registry), Arc::clone(&flight), Arc::clone(&start), Arc::clone(&done));
+        let (registry, flight, start, done) = (
+            Arc::clone(&registry),
+            Arc::clone(&flight),
+            Arc::clone(&start),
+            Arc::clone(&done),
+        );
         thread::spawn(move || {
             start.wait();
             let mut last_seen = 0;
@@ -102,7 +154,10 @@ fn shared_observers_account_for_every_event_from_every_thread() {
                 let finished = done.load(Ordering::Acquire);
                 let snap = registry.snapshot();
                 let get = |name: &str| {
-                    snap.counters.iter().find(|(n, _)| n == name).map_or(0, |&(_, v)| v)
+                    snap.counters
+                        .iter()
+                        .find(|(n, _)| n == name)
+                        .map_or(0, |&(_, v)| v)
                 };
                 // Each emitter completes a query only after issuing it, and
                 // a snapshot is taken under the registry's one lock.
@@ -147,8 +202,17 @@ fn shared_observers_account_for_every_event_from_every_thread() {
     for (&name, &n) in &expected {
         assert_eq!(registry.counter(name), n, "{name}");
     }
-    let kinds = registry.snapshot().counters.iter().filter(|(n, _)| n.starts_with("event.")).count();
-    assert_eq!(kinds, expected.len(), "no counter for a kind that was never emitted");
+    let kinds = registry
+        .snapshot()
+        .counters
+        .iter()
+        .filter(|(n, _)| n.starts_with("event."))
+        .count();
+    assert_eq!(
+        kinds,
+        expected.len(),
+        "no counter for a kind that was never emitted"
+    );
 
     // Flight recorder: saw everything, holds the newest K, and each
     // emitter's share of those is the tail of its script.
@@ -156,7 +220,10 @@ fn shared_observers_account_for_every_event_from_every_thread() {
     let recent = flight.recent();
     assert_eq!(recent.len(), FLIGHT_CAPACITY);
     for (e, script) in scripts.iter().enumerate() {
-        let held: Vec<&Event> = recent.iter().filter(|ev| emitter_of(ev) == e as u64).collect();
+        let held: Vec<&Event> = recent
+            .iter()
+            .filter(|ev| emitter_of(ev) == e as u64)
+            .collect();
         let tail: Vec<&Event> = script[script.len() - held.len()..].iter().collect();
         assert_eq!(held, tail, "emitter {e}'s events in the ring");
     }
@@ -168,8 +235,15 @@ fn shared_observers_account_for_every_event_from_every_thread() {
     assert_eq!(text.lines().count(), total);
     let parsed = parse_trace(&text).expect("interleaved lines stay whole");
     for (e, script) in scripts.iter().enumerate() {
-        let mine: Vec<&Event> = parsed.iter().filter(|ev| emitter_of(ev) == e as u64).collect();
-        assert_eq!(mine, script.iter().collect::<Vec<_>>(), "emitter {e}'s lines");
+        let mine: Vec<&Event> = parsed
+            .iter()
+            .filter(|ev| emitter_of(ev) == e as u64)
+            .collect();
+        assert_eq!(
+            mine,
+            script.iter().collect::<Vec<_>>(),
+            "emitter {e}'s lines"
+        );
     }
 
     // Trace tree: every issued query, each a clean two-hop tree.
@@ -177,6 +251,10 @@ fn shared_observers_account_for_every_event_from_every_thread() {
     assert!(trace.problems().is_empty(), "{:?}", trace.problems());
     for q in trace.queries() {
         let qt = trace.query(q).expect("listed query");
-        assert_eq!((qt.hops.len(), qt.completed.map(|(_, n)| n)), (2, Some(2)), "{q}");
+        assert_eq!(
+            (qt.hops.len(), qt.completed.map(|(_, n)| n)),
+            (2, Some(2)),
+            "{q}"
+        );
     }
 }

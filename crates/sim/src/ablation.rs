@@ -91,7 +91,12 @@ pub fn flood_search(
             queue.push_back(v);
         }
     }
-    AblationStats { messages, overhead, reached, truth }
+    AblationStats {
+        messages,
+        overhead,
+        reached,
+        truth,
+    }
 }
 
 /// The naive design of §4.1: every node links only to its most immediate
@@ -162,7 +167,12 @@ pub fn greedy_coordinate_search(
             .filter(|&v| dist(v) < dist(cur));
         let Some(v) = next else {
             // Stuck in a local minimum: the search fails before reaching Q.
-            return AblationStats { messages, overhead, reached, truth };
+            return AblationStats {
+                messages,
+                overhead,
+                reached,
+                truth,
+            };
         };
         messages += 1;
         if !seen[v] {
@@ -196,7 +206,12 @@ pub fn greedy_coordinate_search(
             queue.push_back(v);
         }
     }
-    AblationStats { messages, overhead, reached, truth }
+    AblationStats {
+        messages,
+        overhead,
+        reached,
+        truth,
+    }
 }
 
 #[cfg(test)]
@@ -208,7 +223,9 @@ mod tests {
         let space = Space::uniform(3, 80, 3).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         let placement = Placement::Uniform { lo: 0, hi: 80 };
-        let points = (0..n).map(|i| placement.draw(&space, i, &mut rng)).collect();
+        let points = (0..n)
+            .map(|i| placement.draw(&space, i, &mut rng))
+            .collect();
         (space, points)
     }
 
@@ -217,7 +234,11 @@ mod tests {
         let (space, points) = setup(300, 1);
         let query = Query::builder(&space).min("a0", 40).build().unwrap();
         let s = flood_search(&points, &query, 6, 0, 9);
-        assert!(s.delivery() > 0.99, "flooding reaches all: {}", s.delivery());
+        assert!(
+            s.delivery() > 0.99,
+            "flooding reaches all: {}",
+            s.delivery()
+        );
         // Flooding touches (nearly) every node regardless of selectivity.
         assert!(s.messages as usize >= points.len(), "{} msgs", s.messages);
         assert!(s.overhead as usize > points.len() / 4);
@@ -246,7 +267,12 @@ mod tests {
 
     #[test]
     fn stats_delivery_vacuous() {
-        let s = AblationStats { messages: 0, overhead: 0, reached: 0, truth: 0 };
+        let s = AblationStats {
+            messages: 0,
+            overhead: 0,
+            reached: 0,
+            truth: 0,
+        };
         assert_eq!(s.delivery(), 1.0);
     }
 }

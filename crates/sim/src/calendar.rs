@@ -129,8 +129,7 @@ impl CalendarQueue {
         if d == self.cursor_day && self.serving_sorted {
             // Keep the serving bucket's descending (at, seq) order intact.
             let key = (ev.at, ev.seq);
-            let pos = bucket
-                .partition_point(|e| (e.at, e.seq) > key);
+            let pos = bucket.partition_point(|e| (e.at, e.seq) > key);
             bucket.insert(pos, ev);
         } else {
             bucket.push(ev);
@@ -176,8 +175,7 @@ impl CalendarQueue {
                     // Descending, so pops are cheap back-removals. `(at,
                     // seq)` is a total order (seq unique): the sort is
                     // deterministic regardless of insertion order.
-                    self.buckets[idx]
-                        .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+                    self.buckets[idx].sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                     self.serving_sorted = true;
                 }
                 return;
@@ -192,7 +190,12 @@ impl CalendarQueue {
                 if self.overflow.is_empty() {
                     return; // len == 0 was handled above; defensive
                 }
-                let min_day = self.overflow.iter().map(|e| day(e.at)).min().expect("non-empty");
+                let min_day = self
+                    .overflow
+                    .iter()
+                    .map(|e| day(e.at))
+                    .min()
+                    .expect("non-empty");
                 self.cursor_day = min_day;
                 self.rebase_overflow();
             }
@@ -289,7 +292,11 @@ mod tests {
     use crate::event::EventKind;
 
     fn ev(at: u64, seq: u64) -> ScheduledEvent {
-        ScheduledEvent { at, seq, kind: EventKind::PollTimeouts { node: 0 } }
+        ScheduledEvent {
+            at,
+            seq,
+            kind: EventKind::PollTimeouts { node: 0 },
+        }
     }
 
     fn drain(q: &mut CalendarQueue) -> Vec<(u64, u64)> {
@@ -365,7 +372,10 @@ mod tests {
         assert_eq!(q.peek_at(), Some(year - width));
         q.push(ev(width, 4));
         assert_eq!(q.peek_at(), Some(width));
-        assert_eq!(drain(&mut q), vec![(width, 4), (year - width, 2), (2 * year, 3)]);
+        assert_eq!(
+            drain(&mut q),
+            vec![(width, 4), (year - width, 2), (2 * year, 3)]
+        );
     }
 
     #[test]

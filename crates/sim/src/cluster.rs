@@ -16,10 +16,10 @@ use autosel_core::fasthash::Fnv64;
 
 use crate::calendar::CalendarQueue;
 use crate::event::{EventKey, EventKind, Payload, QueuedEvent, ScheduledEvent};
-use crate::nodestore::NodeStore;
 use crate::faults::{FaultPlan, NodeEventKind};
 use crate::invariants::{InvariantChecker, InvariantViolation};
 use crate::metrics::LoadHistogram;
+use crate::nodestore::NodeStore;
 use crate::truth::TruthIndex;
 use crate::{Placement, QueryStats, SimConfig};
 
@@ -150,7 +150,13 @@ impl SimCluster {
     /// previous one (already-scheduled node events still fire).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         for ev in plan.node_events() {
-            self.schedule(ev.at.max(self.now), EventKind::NodeFault { node: ev.node, kind: ev.kind });
+            self.schedule(
+                ev.at.max(self.now),
+                EventKind::NodeFault {
+                    node: ev.node,
+                    kind: ev.kind,
+                },
+            );
         }
         self.faults = plan;
     }
@@ -236,19 +242,32 @@ impl SimCluster {
         };
         if let Err(at) = self.sorted_ids.binary_search(&id) {
             self.sorted_ids.insert(at, id);
-            self.truth_index.insert(selection.coord(), selection.point().values());
+            self.truth_index
+                .insert(selection.coord(), selection.point().values());
         }
-        self.nodes
-            .insert(id, SimNode { selection, gossip, sent: 0, received: 0, next_poll: u64::MAX });
+        self.nodes.insert(
+            id,
+            SimNode {
+                selection,
+                gossip,
+                sent: 0,
+                received: 0,
+                next_poll: u64::MAX,
+            },
+        );
     }
 
     /// Takes `id` out of the population and its indexes; `None` if it is
     /// not alive.
     fn remove_node(&mut self, id: NodeId) -> Option<SimNode> {
         let node = self.nodes.remove(&id)?;
-        let at = self.sorted_ids.binary_search(&id).expect("alive node is indexed");
+        let at = self
+            .sorted_ids
+            .binary_search(&id)
+            .expect("alive node is indexed");
         self.sorted_ids.remove(at);
-        self.truth_index.remove(node.selection.coord(), node.selection.point().values());
+        self.truth_index
+            .remove(node.selection.coord(), node.selection.point().values());
         Some(node)
     }
 
@@ -391,7 +410,10 @@ impl SimCluster {
     /// departure). In-flight messages to it are dropped on delivery.
     pub fn kill(&mut self, id: NodeId) {
         if self.remove_node(id).is_some() {
-            self.obs.emit(|| Event::NodeCrashed { at: self.now, node: id });
+            self.obs.emit(|| Event::NodeCrashed {
+                at: self.now,
+                node: id,
+            });
         }
     }
 
@@ -401,7 +423,10 @@ impl SimCluster {
     pub fn crash(&mut self, id: NodeId) {
         if let Some(n) = self.remove_node(id) {
             self.crashed.insert(id, n.selection.point().clone());
-            self.obs.emit(|| Event::NodeCrashed { at: self.now, node: id });
+            self.obs.emit(|| Event::NodeCrashed {
+                at: self.now,
+                node: id,
+            });
         }
     }
 
@@ -410,9 +435,14 @@ impl SimCluster {
     /// suppression set died with the process). Returns whether a restart
     /// happened (false if `id` was not crashed).
     pub fn restart(&mut self, id: NodeId) -> bool {
-        let Some(point) = self.crashed.remove(&id) else { return false };
+        let Some(point) = self.crashed.remove(&id) else {
+            return false;
+        };
         self.insert_node(id, point);
-        self.obs.emit(|| Event::NodeRestarted { at: self.now, node: id });
+        self.obs.emit(|| Event::NodeRestarted {
+            at: self.now,
+            node: id,
+        });
         true
     }
 
@@ -454,7 +484,9 @@ impl SimCluster {
     pub fn gossip_health(&self) -> (GossipHealth, GossipHealth) {
         let mut out = [GossipHealth::default(), GossipHealth::default()];
         for &id in &self.sorted_ids {
-            let Some(g) = self.nodes[&id].gossip.as_ref() else { continue };
+            let Some(g) = self.nodes[&id].gossip.as_ref() else {
+                continue;
+            };
             for (h, view) in out.iter_mut().zip([g.random_view(), g.semantic_view()]) {
                 h.nodes += 1;
                 h.links += view.len() as u64;
@@ -524,7 +556,10 @@ impl SimCluster {
     /// how much of the traversal was rescued by timeouts rather than
     /// replies (always zero on a fault-free static run).
     pub fn timeouts_fired_total(&self) -> u64 {
-        self.nodes.values().map(|n| n.selection.timeouts_fired()).sum()
+        self.nodes
+            .values()
+            .map(|n| n.selection.timeouts_fired())
+            .sum()
     }
 
     /// Number of events currently queued — a cheap backlog gauge for
@@ -671,7 +706,11 @@ impl SimCluster {
         let mut out: Vec<QueuedEvent> = self
             .queue
             .iter()
-            .map(|ev| QueuedEvent { at: ev.at, seq: ev.seq, key: EventKey::of(ev) })
+            .map(|ev| QueuedEvent {
+                at: ev.at,
+                seq: ev.seq,
+                key: EventKey::of(ev),
+            })
             .collect();
         out.sort_unstable_by_key(|e| (e.at, e.seq));
         out
@@ -688,7 +727,9 @@ impl SimCluster {
     /// event has that handle. Virtual time never rewinds: a dispatched
     /// event fires at `max(now, its scheduled time)`.
     pub fn dispatch_queued(&mut self, seq: u64) -> bool {
-        let Some(ev) = self.take_queued(seq) else { return false };
+        let Some(ev) = self.take_queued(seq) else {
+            return false;
+        };
         self.now = self.now.max(ev.at);
         self.dispatch(ev.kind);
         true
@@ -712,7 +753,11 @@ impl SimCluster {
         };
         self.seq += 1;
         let copy = self.seq;
-        self.queue.push(ScheduledEvent { at, seq: copy, kind });
+        self.queue.push(ScheduledEvent {
+            at,
+            seq: copy,
+            kind,
+        });
         Some(copy)
     }
 
@@ -786,7 +831,11 @@ impl SimCluster {
     /// dead node or with gossip disabled). Read-only window for overlay
     /// fingerprints and health checks.
     pub fn semantic_view_of(&self, id: NodeId) -> Option<&epigossip::View<NodeProfile>> {
-        self.nodes.get(&id)?.gossip.as_ref().map(|g| g.semantic_view())
+        self.nodes
+            .get(&id)?
+            .gossip
+            .as_ref()
+            .map(|g| g.semantic_view())
     }
 
     /// One alive node's routing table.
@@ -806,7 +855,11 @@ impl SimCluster {
 
     fn schedule(&mut self, at: u64, kind: EventKind) {
         self.seq += 1;
-        self.queue.push(ScheduledEvent { at, seq: self.seq, kind });
+        self.queue.push(ScheduledEvent {
+            at,
+            seq: self.seq,
+            kind,
+        });
     }
 
     fn send(&mut self, from: NodeId, to: NodeId, payload: Payload) {
@@ -826,22 +879,37 @@ impl SimCluster {
         // zero (dropped / partitioned), one, or several (duplicated)
         // deliveries, each with its own delay.
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
-        self.faults
-            .deliveries_into(self.now, from, to, protocol, base, &mut self.rng, &mut deliveries);
+        self.faults.deliveries_into(
+            self.now,
+            from,
+            to,
+            protocol,
+            base,
+            &mut self.rng,
+            &mut deliveries,
+        );
         match deliveries.first() {
             None => {}
-            Some(&first)
-                if protocol && !self.nodes.contains_key(&to) =>
-            {
+            Some(&first) if protocol && !self.nodes.contains_key(&to) => {
                 // Dead destination: the connection attempt fails after one
                 // latency sample and the sender skips the broken link.
-                self.schedule(self.now + first, EventKind::SendFailed { node: from, peer: to });
+                self.schedule(
+                    self.now + first,
+                    EventKind::SendFailed {
+                        node: from,
+                        peer: to,
+                    },
+                );
             }
             Some(_) => {
                 for &d in &deliveries {
                     self.schedule(
                         self.now + d,
-                        EventKind::Deliver { from, to, payload: payload.clone() },
+                        EventKind::Deliver {
+                            from,
+                            to,
+                            payload: payload.clone(),
+                        },
                     );
                 }
             }
@@ -895,11 +963,17 @@ impl SimCluster {
                     }
                     Payload::Gossip(msg) => {
                         let node = self.nodes.get_mut(&to).expect("alive");
-                        let Some(stack) = node.gossip.as_mut() else { return };
+                        let Some(stack) = node.gossip.as_mut() else {
+                            return;
+                        };
                         let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
                         let replies = stack.handle(from, msg, &mut self.rng);
                         // Routing tables follow the semantic view.
-                        node.selection.sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
+                        node.selection.sync_from_view(
+                            stack.semantic_view(),
+                            self.now,
+                            &mut self.rng,
+                        );
                         for (dst, m) in replies {
                             self.send(to, dst, Payload::Gossip(Arc::new(m)));
                         }
@@ -907,8 +981,12 @@ impl SimCluster {
                 }
             }
             EventKind::GossipTick { node } => {
-                let Some(n) = self.nodes.get_mut(&node) else { return };
-                let Some(stack) = n.gossip.as_mut() else { return };
+                let Some(n) = self.nodes.get_mut(&node) else {
+                    return;
+                };
+                let Some(stack) = n.gossip.as_mut() else {
+                    return;
+                };
                 if self.now < stack.next_gossip_at() {
                     // A crashed incarnation's chain: `restart` started a
                     // fresh one, and a live chain fires exactly at
@@ -917,7 +995,8 @@ impl SimCluster {
                     return;
                 }
                 let msgs = stack.tick(self.now, &mut self.rng);
-                n.selection.sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
+                n.selection
+                    .sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
                 let period = self.config.gossip.period_ms;
                 for (dst, m) in msgs {
                     self.send(node, dst, Payload::Gossip(Arc::new(m)));
@@ -925,7 +1004,9 @@ impl SimCluster {
                 self.schedule(self.now + period, EventKind::GossipTick { node });
             }
             EventKind::PollTimeouts { node } => {
-                let Some(n) = self.nodes.get_mut(&node) else { return };
+                let Some(n) = self.nodes.get_mut(&node) else {
+                    return;
+                };
                 n.next_poll = u64::MAX;
                 let outputs = n.selection.poll_timeouts(self.now);
                 if let Some(at) = n.selection.next_timeout() {
@@ -936,7 +1017,9 @@ impl SimCluster {
                 self.apply_outputs(node, outputs);
             }
             EventKind::SendFailed { node, peer } => {
-                let Some(n) = self.nodes.get_mut(&node) else { return };
+                let Some(n) = self.nodes.get_mut(&node) else {
+                    return;
+                };
                 if let Some(g) = n.gossip.as_mut() {
                     g.evict(peer);
                 }
@@ -962,8 +1045,12 @@ impl SimCluster {
     /// [`InvariantChecker`] exists to catch).
     fn schedule_timeout_poll(&mut self, node: NodeId) {
         let at = {
-            let Some(n) = self.nodes.get_mut(&node) else { return };
-            let Some(at) = n.selection.next_timeout() else { return };
+            let Some(n) = self.nodes.get_mut(&node) else {
+                return;
+            };
+            let Some(at) = n.selection.next_timeout() else {
+                return;
+            };
             let at = at.max(self.now + 1);
             // An earlier-or-equal poll is already queued and will cover this
             // deadline (it reschedules itself) — skip the redundant event.
@@ -978,8 +1065,12 @@ impl SimCluster {
 
     fn record_receipt(&mut self, to: NodeId, msg: &Message) {
         let Message::Query(q) = msg else { return };
-        let Some(stats) = self.queries.get_mut(&q.id) else { return };
-        let Some(query) = self.truth.get(&q.id) else { return };
+        let Some(stats) = self.queries.get_mut(&q.id) else {
+            return;
+        };
+        let Some(query) = self.truth.get(&q.id) else {
+            return;
+        };
         if !stats.receivers.insert(to) {
             stats.duplicates += 1;
             return;
@@ -1060,8 +1151,16 @@ mod tests {
         let queries = [
             Query::builder(&s).build().unwrap(),
             Query::builder(&s).min("a0", 40).build().unwrap(),
-            Query::builder(&s).range("a0", 13, 57).max("a2", 71).build().unwrap(),
-            Query::builder(&s).min("a1", 85).range("a2", 20, 29).build().unwrap(),
+            Query::builder(&s)
+                .range("a0", 13, 57)
+                .max("a2", 71)
+                .build()
+                .unwrap(),
+            Query::builder(&s)
+                .min("a1", 85)
+                .range("a2", 20, 29)
+                .build()
+                .unwrap(),
         ];
         let check = |sim: &mut SimCluster, after: &str| {
             for q in &queries {
@@ -1074,13 +1173,20 @@ mod tests {
                 let qid = sim.issue_query(origin, q.clone(), Some(5));
                 let cid = sim.issue_count_query(origin, q.clone());
                 for id in [qid, cid] {
-                    assert_eq!(sim.query_stats(id).unwrap().truth as usize, scan, "{after}: {q}");
+                    assert_eq!(
+                        sim.query_stats(id).unwrap().truth as usize,
+                        scan,
+                        "{after}: {q}"
+                    );
                     sim.forget_query(id);
                 }
                 sim.run_to_quiescence();
             }
             let bound = sim.len() * s.max_level() as usize + 1;
-            assert!(sim.truth_index.cells() <= bound, "{after}: empty cells were kept");
+            assert!(
+                sim.truth_index.cells() <= bound,
+                "{after}: empty cells were kept"
+            );
         };
 
         sim.populate(&placement, 400);
@@ -1100,7 +1206,11 @@ mod tests {
         }
         check(&mut sim, "churn_step");
         sim.kill_fraction(1.0);
-        assert_eq!(sim.truth_index.cells(), 1, "an empty cluster indexes nothing");
+        assert_eq!(
+            sim.truth_index.cells(),
+            1,
+            "an empty cluster indexes nothing"
+        );
     }
 
     #[test]
@@ -1108,12 +1218,10 @@ mod tests {
         let s = space();
         let mut sim = SimCluster::new(s, SimConfig::default(), 4);
         sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 100);
-        let before: std::collections::HashSet<NodeId> =
-            sim.node_ids().iter().copied().collect();
+        let before: std::collections::HashSet<NodeId> = sim.node_ids().iter().copied().collect();
         sim.churn_step(0.1, &Placement::Uniform { lo: 0, hi: 80 });
         assert_eq!(sim.len(), 100);
-        let after: std::collections::HashSet<NodeId> =
-            sim.node_ids().iter().copied().collect();
+        let after: std::collections::HashSet<NodeId> = sim.node_ids().iter().copied().collect();
         assert_eq!(after.difference(&before).count(), 10, "10 fresh identities");
     }
 
@@ -1135,7 +1243,8 @@ mod tests {
         let st = sim.query_stats(qid).unwrap();
         assert!(
             st.delivery() > 0.9,
-            "gossip-built routing reached only {:.2}", st.delivery()
+            "gossip-built routing reached only {:.2}",
+            st.delivery()
         );
     }
 
@@ -1156,7 +1265,10 @@ mod tests {
         sim.run_to_quiescence();
         let st = sim.query_stats(count).unwrap();
         assert_eq!(st.reported, full, "count mode agrees with enumeration");
-        assert!(sim.query_result(count).unwrap().is_empty(), "no match lists");
+        assert!(
+            sim.query_result(count).unwrap().is_empty(),
+            "no match lists"
+        );
         assert_eq!(st.duplicates, 0);
     }
 
@@ -1180,10 +1292,19 @@ mod tests {
         let queued = sim.queued_events();
         assert!(!queued.is_empty());
         // The one interesting event: A's QUERY in flight to B.
-        let deliver = queued.iter().find(|e| e.key.is_deliver()).expect("query in flight");
+        let deliver = queued
+            .iter()
+            .find(|e| e.key.is_deliver())
+            .expect("query in flight");
         assert_eq!(
             deliver.key,
-            crate::EventKey::Deliver { from: 0, to: 1, query: Some(qid), reply: false, attempt: 1 }
+            crate::EventKey::Deliver {
+                from: 0,
+                to: 1,
+                query: Some(qid),
+                reply: false,
+                attempt: 1
+            }
         );
         assert_eq!(deliver.key.target(), 1);
         // Re-executing the same scenario yields the same keys even though
@@ -1197,8 +1318,11 @@ mod tests {
     #[test]
     fn dispatch_drop_duplicate_surgery() {
         let (mut sim, qid) = explore_fixture();
-        let deliver =
-            *sim.queued_events().iter().find(|e| e.key.is_deliver()).expect("query in flight");
+        let deliver = *sim
+            .queued_events()
+            .iter()
+            .find(|e| e.key.is_deliver())
+            .expect("query in flight");
         // Unknown handles are refused.
         assert!(!sim.dispatch_queued(u64::MAX));
         assert!(sim.duplicate_queued(u64::MAX).is_none());
@@ -1218,10 +1342,18 @@ mod tests {
     fn state_hash_tracks_logical_state_not_history() {
         let (sim, _) = explore_fixture();
         let (other, _) = explore_fixture();
-        assert_eq!(sim.state_hash(), other.state_hash(), "identical builds hash equal");
+        assert_eq!(
+            sim.state_hash(),
+            other.state_hash(),
+            "identical builds hash equal"
+        );
         let mut done = explore_fixture().0;
         done.run_to_quiescence();
-        assert_ne!(sim.state_hash(), done.state_hash(), "progress changes the hash");
+        assert_ne!(
+            sim.state_hash(),
+            done.state_hash(),
+            "progress changes the hash"
+        );
     }
 
     #[test]

@@ -25,7 +25,10 @@ impl Default for SimConfig {
         SimConfig {
             gossip: GossipConfig::default(),
             protocol: ProtocolConfig::default(),
-            latency: LatencyModel::Uniform { lo_ms: 10, hi_ms: 100 },
+            latency: LatencyModel::Uniform {
+                lo_ms: 10,
+                hi_ms: 100,
+            },
             gossip_enabled: true,
         }
     }
@@ -38,7 +41,10 @@ impl SimConfig {
     pub fn fast_static() -> Self {
         SimConfig {
             gossip: GossipConfig::default(),
-            protocol: ProtocolConfig { query_timeout_ms: 60_000, ..ProtocolConfig::default() },
+            protocol: ProtocolConfig {
+                query_timeout_ms: 60_000,
+                ..ProtocolConfig::default()
+            },
             latency: LatencyModel::Constant { ms: 1 },
             gossip_enabled: false,
         }

@@ -21,7 +21,11 @@ pub(crate) enum Payload {
 #[derive(Debug, Clone)]
 pub(crate) enum EventKind {
     /// Deliver `payload` from `from` to `to`.
-    Deliver { from: NodeId, to: NodeId, payload: Payload },
+    Deliver {
+        from: NodeId,
+        to: NodeId,
+        payload: Payload,
+    },
     /// Let `node` initiate its periodic gossip (self-rescheduling).
     GossipTick { node: NodeId },
     /// Check `node`'s protocol timeouts.
@@ -132,15 +136,23 @@ impl EventKey {
                     },
                     Payload::Gossip(_) => (None, false, 0),
                 };
-                EventKey::Deliver { from: *from, to: *to, query, reply, attempt }
+                EventKey::Deliver {
+                    from: *from,
+                    to: *to,
+                    query,
+                    reply,
+                    attempt,
+                }
             }
             EventKind::GossipTick { node } => EventKey::GossipTick { node: *node },
-            EventKind::PollTimeouts { node } => {
-                EventKey::PollTimeouts { node: *node, at: ev.at }
-            }
-            EventKind::SendFailed { node, peer } => {
-                EventKey::SendFailed { node: *node, peer: *peer }
-            }
+            EventKind::PollTimeouts { node } => EventKey::PollTimeouts {
+                node: *node,
+                at: ev.at,
+            },
+            EventKind::SendFailed { node, peer } => EventKey::SendFailed {
+                node: *node,
+                peer: *peer,
+            },
             EventKind::NodeFault { node, kind } => EventKey::NodeFault {
                 node: *node,
                 restart: matches!(kind, NodeEventKind::Restart),
@@ -190,7 +202,11 @@ mod tests {
     use std::collections::BinaryHeap;
 
     fn ev(at: u64, seq: u64) -> ScheduledEvent {
-        ScheduledEvent { at, seq, kind: EventKind::PollTimeouts { node: 0 } }
+        ScheduledEvent {
+            at,
+            seq,
+            kind: EventKind::PollTimeouts { node: 0 },
+        }
     }
 
     #[test]
@@ -200,7 +216,8 @@ mod tests {
         h.push(ev(1, 2));
         h.push(ev(1, 1));
         h.push(ev(3, 3));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| h.pop().map(|e| (e.at, e.seq))).collect();
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| h.pop().map(|e| (e.at, e.seq))).collect();
         assert_eq!(order, vec![(1, 1), (1, 2), (3, 3), (5, 0)]);
     }
 }

@@ -45,7 +45,10 @@ pub struct Window {
 
 impl Window {
     /// The whole timeline.
-    pub const ALWAYS: Window = Window { from: 0, until: u64::MAX };
+    pub const ALWAYS: Window = Window {
+        from: 0,
+        until: u64::MAX,
+    };
 
     /// A window `[from, until)`.
     ///
@@ -230,7 +233,11 @@ impl FaultPlan {
 
     /// Uniform message loss with probability `p`, forever, all traffic.
     pub fn drop_all(self, p: f64) -> Self {
-        self.rule(FaultRule { window: Window::ALWAYS, scope: Scope::All, action: Action::Drop { p } })
+        self.rule(FaultRule {
+            window: Window::ALWAYS,
+            scope: Scope::All,
+            action: Action::Drop { p },
+        })
     }
 
     /// Message loss on the directed link `from → to`.
@@ -253,7 +260,11 @@ impl FaultPlan {
 
     /// Message loss limited to a time window, all traffic.
     pub fn drop_window(self, window: Window, p: f64) -> Self {
-        self.rule(FaultRule { window, scope: Scope::All, action: Action::Drop { p } })
+        self.rule(FaultRule {
+            window,
+            scope: Scope::All,
+            action: Action::Drop { p },
+        })
     }
 
     /// Extra delay of `[lo, hi]` ms with probability `p`, forever.
@@ -268,7 +279,11 @@ impl FaultPlan {
     /// Panics if `lo > hi`.
     pub fn delay_window(self, window: Window, p: f64, lo: u64, hi: u64) -> Self {
         assert!(lo <= hi, "delay range is inverted");
-        self.rule(FaultRule { window, scope: Scope::All, action: Action::Delay { p, lo, hi } })
+        self.rule(FaultRule {
+            window,
+            scope: Scope::All,
+            action: Action::Delay { p, lo, hi },
+        })
     }
 
     /// Duplicates protocol messages (`copies` extra deliveries) with
@@ -286,25 +301,39 @@ impl FaultPlan {
         self.rule(FaultRule {
             window: Window::ALWAYS,
             scope: Scope::All,
-            action: Action::Reorder { p, window: window_ms },
+            action: Action::Reorder {
+                p,
+                window: window_ms,
+            },
         })
     }
 
     /// Splits `island` from the rest of the network for `window`.
     pub fn partition<I: IntoIterator<Item = NodeId>>(mut self, window: Window, island: I) -> Self {
-        self.partitions.push(Partition { window, island: island.into_iter().collect() });
+        self.partitions.push(Partition {
+            window,
+            island: island.into_iter().collect(),
+        });
         self
     }
 
     /// Crashes `node` at virtual time `at`.
     pub fn crash(mut self, at: u64, node: NodeId) -> Self {
-        self.node_events.push(NodeEvent { at, node, kind: NodeEventKind::Crash });
+        self.node_events.push(NodeEvent {
+            at,
+            node,
+            kind: NodeEventKind::Crash,
+        });
         self
     }
 
     /// Restarts `node` (previously crashed) at virtual time `at`.
     pub fn restart(mut self, at: u64, node: NodeId) -> Self {
-        self.node_events.push(NodeEvent { at, node, kind: NodeEventKind::Restart });
+        self.node_events.push(NodeEvent {
+            at,
+            node,
+            kind: NodeEventKind::Restart,
+        });
         self
     }
 
@@ -428,7 +457,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let link = FaultPlan::new().drop_link(3, 4, 1.0);
         assert!(link.deliveries(0, 3, 4, true, 1, &mut rng).is_empty());
-        assert_eq!(link.deliveries(0, 4, 3, true, 1, &mut rng), vec![1], "directed");
+        assert_eq!(
+            link.deliveries(0, 4, 3, true, 1, &mut rng),
+            vec![1],
+            "directed"
+        );
         assert_eq!(link.deliveries(0, 3, 5, true, 1, &mut rng), vec![1]);
 
         let node = FaultPlan::new().drop_node(7, 1.0);
@@ -442,7 +475,9 @@ mod tests {
             action: Action::Drop { p: 1.0 },
         });
         assert_eq!(gossip_only.deliveries(0, 1, 2, true, 1, &mut rng), vec![1]);
-        assert!(gossip_only.deliveries(0, 1, 2, false, 1, &mut rng).is_empty());
+        assert!(gossip_only
+            .deliveries(0, 1, 2, false, 1, &mut rng)
+            .is_empty());
     }
 
     #[test]
@@ -472,16 +507,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         assert!(plan.deliveries(500, 1, 9, true, 1, &mut rng).is_empty());
         assert!(plan.deliveries(500, 9, 2, true, 1, &mut rng).is_empty());
-        assert_eq!(plan.deliveries(500, 1, 2, true, 1, &mut rng), vec![1], "within island");
-        assert_eq!(plan.deliveries(500, 8, 9, true, 1, &mut rng), vec![1], "within mainland");
-        assert_eq!(plan.deliveries(1_000, 1, 9, true, 1, &mut rng), vec![1], "healed");
+        assert_eq!(
+            plan.deliveries(500, 1, 2, true, 1, &mut rng),
+            vec![1],
+            "within island"
+        );
+        assert_eq!(
+            plan.deliveries(500, 8, 9, true, 1, &mut rng),
+            vec![1],
+            "within mainland"
+        );
+        assert_eq!(
+            plan.deliveries(1_000, 1, 9, true, 1, &mut rng),
+            vec![1],
+            "healed"
+        );
     }
 
     #[test]
     fn rules_compose_in_order() {
         // Delay then duplicate: copies trail the *base*, the original is
         // delayed — both effects visible at once.
-        let plan = FaultPlan::new().delay_all(1.0, 100, 100).duplicate_protocol(1.0, 1);
+        let plan = FaultPlan::new()
+            .delay_all(1.0, 100, 100)
+            .duplicate_protocol(1.0, 1);
         let mut rng = StdRng::seed_from_u64(8);
         let d = plan.deliveries(0, 0, 1, true, 10, &mut rng);
         assert_eq!(d, vec![110, 11]);
@@ -495,10 +544,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_fault_schedule() {
-        let plan = FaultPlan::new().drop_all(0.3).delay_all(0.5, 10, 90).reorder_all(0.2, 40);
+        let plan = FaultPlan::new()
+            .drop_all(0.3)
+            .delay_all(0.5, 10, 90)
+            .reorder_all(0.2, 40);
         let run = |seed: u64| -> Vec<Vec<u64>> {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..200u64).map(|t| plan.deliveries(t, t % 7, t % 5, t % 2 == 0, 20, &mut rng)).collect()
+            (0..200u64)
+                .map(|t| plan.deliveries(t, t % 7, t % 5, t % 2 == 0, 20, &mut rng))
+                .collect()
         };
         assert_eq!(run(99), run(99));
         assert_ne!(run(99), run(100), "different seeds diverge somewhere");

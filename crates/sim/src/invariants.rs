@@ -180,13 +180,21 @@ pub struct InvariantChecker {
 impl InvariantChecker {
     /// Full-strength checks for fault-free runs (implies exact reporting).
     pub fn strict() -> Self {
-        InvariantChecker { mode: Mode::Strict, exact_reporting: true, last_now: 0 }
+        InvariantChecker {
+            mode: Mode::Strict,
+            exact_reporting: true,
+            last_now: 0,
+        }
     }
 
     /// Fault-tolerant checks: duplicates / under-delivery / incompleteness
     /// are permitted, structural invariants are not.
     pub fn relaxed() -> Self {
-        InvariantChecker { mode: Mode::Relaxed, exact_reporting: false, last_now: 0 }
+        InvariantChecker {
+            mode: Mode::Relaxed,
+            exact_reporting: false,
+            last_now: 0,
+        }
     }
 
     /// Additionally require `reported == matched_reached` for every
@@ -203,7 +211,10 @@ impl InvariantChecker {
     pub fn check_step(&mut self, cluster: &SimCluster) -> Result<(), InvariantViolation> {
         let now = cluster.now();
         if now < self.last_now {
-            return Err(InvariantViolation::TimeWentBackwards { prev: self.last_now, now });
+            return Err(InvariantViolation::TimeWentBackwards {
+                prev: self.last_now,
+                now,
+            });
         }
         self.last_now = now;
 
@@ -301,7 +312,10 @@ impl InvariantChecker {
                 seen.insert(cur);
                 while let Some(&Some(next)) = edges.get(&cur) {
                     if !seen.insert(next) {
-                        return Err(InvariantViolation::ReplyCycle { query: *qid, node: next });
+                        return Err(InvariantViolation::ReplyCycle {
+                            query: *qid,
+                            node: next,
+                        });
                     }
                     cur = next;
                 }

@@ -57,17 +57,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod ablation;
 mod calendar;
 mod cluster;
 mod config;
 mod event;
+pub mod faults;
+pub mod invariants;
 mod metrics;
 mod network;
 mod nodestore;
 mod truth;
-pub mod ablation;
-pub mod faults;
-pub mod invariants;
 pub mod workload;
 
 pub use cluster::SimCluster;

@@ -244,8 +244,14 @@ mod tests {
         // Incomplete query: the option fields serialize as null.
         let s = QueryStats::new(0, 0);
         let parsed = autosel_obs::json::parse_object(&s.to_json()).expect("valid JSON");
-        assert!(matches!(parsed.get("sigma"), Some(autosel_obs::json::JsonValue::Null)));
-        assert!(matches!(parsed.get("latency_ms"), Some(autosel_obs::json::JsonValue::Null)));
+        assert!(matches!(
+            parsed.get("sigma"),
+            Some(autosel_obs::json::JsonValue::Null)
+        ));
+        assert!(matches!(
+            parsed.get("latency_ms"),
+            Some(autosel_obs::json::JsonValue::Null)
+        ));
     }
 
     #[test]

@@ -71,7 +71,10 @@ impl LatencyModel {
         rng: &mut R,
     ) -> Option<u64> {
         match *self {
-            LatencyModel::Regions { regions, ref matrix } => {
+            LatencyModel::Regions {
+                regions,
+                ref matrix,
+            } => {
                 let r = regions.max(1);
                 let cell = ((from % r) * r + (to % r)) as usize;
                 let (lo, hi) = matrix.get(cell).copied().unwrap_or((0, 0));
@@ -112,7 +115,11 @@ mod tests {
 
     #[test]
     fn lossy_drops_roughly_at_rate() {
-        let m = LatencyModel::Lossy { lo_ms: 1, hi_ms: 1, loss: 0.5 };
+        let m = LatencyModel::Lossy {
+            lo_ms: 1,
+            hi_ms: 1,
+            loss: 0.5,
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let lost = (0..2000).filter(|_| m.sample(&mut rng).is_none()).count();
         assert!((800..1200).contains(&lost), "lost {lost}/2000");
@@ -129,8 +136,15 @@ mod tests {
         // RNG stream of any pre-existing model (pinned digests rely on it).
         for model in [
             LatencyModel::Constant { ms: 3 },
-            LatencyModel::Uniform { lo_ms: 2, hi_ms: 40 },
-            LatencyModel::Lossy { lo_ms: 2, hi_ms: 40, loss: 0.3 },
+            LatencyModel::Uniform {
+                lo_ms: 2,
+                hi_ms: 40,
+            },
+            LatencyModel::Lossy {
+                lo_ms: 2,
+                hi_ms: 40,
+                loss: 0.3,
+            },
         ] {
             let mut a = StdRng::seed_from_u64(9);
             let mut b = StdRng::seed_from_u64(9);

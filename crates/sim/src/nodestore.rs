@@ -24,7 +24,10 @@ pub(crate) struct NodeStore<T> {
 
 impl<T> Default for NodeStore<T> {
     fn default() -> Self {
-        NodeStore { slots: Vec::new(), alive: 0 }
+        NodeStore {
+            slots: Vec::new(),
+            alive: 0,
+        }
     }
 }
 

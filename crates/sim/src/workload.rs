@@ -45,7 +45,11 @@ impl Placement {
             Placement::Uniform { lo, hi } => {
                 (0..space.dims()).map(|_| rng.gen_range(*lo..*hi)).collect()
             }
-            Placement::Normal { center, stddev, max } => (0..space.dims())
+            Placement::Normal {
+                center,
+                stddev,
+                max,
+            } => (0..space.dims())
                 .map(|_| {
                     let v = center + stddev * standard_normal(rng);
                     (v.round().max(0.0) as u64).min(max.saturating_sub(1))
@@ -74,11 +78,10 @@ fn per_dim_extents(space: &Space, f: f64) -> Vec<BucketIndex> {
     let b = space.buckets_per_dim();
     let d = space.dims();
     let per = f.max(1e-9).powf(1.0 / d as f64);
-    let mut extents: Vec<BucketIndex> = vec![((per * b as f64).round() as BucketIndex).clamp(1, b); d];
+    let mut extents: Vec<BucketIndex> =
+        vec![((per * b as f64).round() as BucketIndex).clamp(1, b); d];
     // Greedy correction toward the target.
-    let frac = |ext: &[BucketIndex]| -> f64 {
-        ext.iter().map(|&e| e as f64 / b as f64).product()
-    };
+    let frac = |ext: &[BucketIndex]| -> f64 { ext.iter().map(|&e| e as f64 / b as f64).product() };
     for _ in 0..4 * d {
         let cur = frac(&extents);
         if cur < f {
@@ -203,7 +206,11 @@ mod tests {
     #[test]
     fn normal_placement_clusters_near_center() {
         let s = space();
-        let p = Placement::Normal { center: 60.0, stddev: 10.0, max: 80 };
+        let p = Placement::Normal {
+            center: 60.0,
+            stddev: 10.0,
+            max: 80,
+        };
         let mut rng = StdRng::seed_from_u64(1);
         let mut sum = 0.0;
         let n = 2000;

@@ -8,7 +8,11 @@ use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
 
 fn lossy_config(loss: f64) -> SimConfig {
     SimConfig {
-        latency: LatencyModel::Lossy { lo_ms: 1, hi_ms: 5, loss },
+        latency: LatencyModel::Lossy {
+            lo_ms: 1,
+            hi_ms: 5,
+            loss,
+        },
         protocol: autosel_core::ProtocolConfig {
             query_timeout_ms: 2_000,
             ..Default::default()
@@ -39,7 +43,10 @@ fn queries_terminate_under_message_loss() {
         sim.forget_query(qid);
     }
     let mean = total_delivery / queries as f64;
-    assert!(mean > 0.7, "2% loss should not devastate delivery: {mean:.3}");
+    assert!(
+        mean > 0.7,
+        "2% loss should not devastate delivery: {mean:.3}"
+    );
     assert!(mean < 1.0 + 1e-9);
 }
 

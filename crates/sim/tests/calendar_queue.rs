@@ -41,7 +41,10 @@ fn full_run_digest_matches_pinned_bench_entry() {
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, q, Some(50));
         sim.run_to_quiescence();
-        sim.query_stats(qid).expect("stats").fingerprint().hash(&mut hasher);
+        sim.query_stats(qid)
+            .expect("stats")
+            .fingerprint()
+            .hash(&mut hasher);
         sim.forget_query(qid);
     }
     assert_eq!(

@@ -7,7 +7,10 @@ use overlay_sim::{FaultPlan, LatencyModel, Placement, QueryStats, SimCluster, Si
 fn run_scenario(seed: u64) -> (Vec<u64>, f64, u64, u64) {
     let space = Space::uniform(4, 80, 3).unwrap();
     let mut cfg = SimConfig {
-        latency: LatencyModel::Uniform { lo_ms: 5, hi_ms: 50 },
+        latency: LatencyModel::Uniform {
+            lo_ms: 5,
+            hi_ms: 50,
+        },
         ..SimConfig::default()
     };
     cfg.gossip.period_ms = 1_000;
@@ -75,8 +78,16 @@ fn same_seed_and_fault_plan_replay_identical_stats() {
         out
     };
     let a = run(31337);
-    assert_eq!(a, run(31337), "same seed + same plan must be byte-identical");
-    assert_ne!(a, run(31338), "a different seed draws a different fault schedule");
+    assert_eq!(
+        a,
+        run(31337),
+        "same seed + same plan must be byte-identical"
+    );
+    assert_ne!(
+        a,
+        run(31338),
+        "a different seed draws a different fault schedule"
+    );
 }
 
 #[test]

@@ -10,9 +10,7 @@
 use attrspace::{Query, Space};
 use overlay_sim::faults::{Action, FaultPlan, FaultRule, Scope, Window};
 use overlay_sim::invariants::InvariantViolation;
-use overlay_sim::{
-    InvariantChecker, LatencyModel, Placement, QueryStats, SimCluster, SimConfig,
-};
+use overlay_sim::{InvariantChecker, LatencyModel, Placement, QueryStats, SimCluster, SimConfig};
 
 const SEEDS: [u64; 3] = [11, 42, 97];
 
@@ -43,7 +41,13 @@ fn half_space_query(space: &Space) -> Query {
 /// after every event, and returns the per-query stats. `exact` arms the
 /// exact-reporting check on a relaxed checker (strict always implies it) —
 /// right for plans that duplicate/reorder but never lose messages.
-fn run_plan(seed: u64, plan: &FaultPlan, strict: bool, exact: bool, queries: usize) -> Vec<QueryStats> {
+fn run_plan(
+    seed: u64,
+    plan: &FaultPlan,
+    strict: bool,
+    exact: bool,
+    queries: usize,
+) -> Vec<QueryStats> {
     let (mut sim, space) = build(seed, 200);
     sim.set_fault_plan(plan.clone());
     let mut checker = if strict {
@@ -80,29 +84,79 @@ fn fault_matrix_delivery_envelopes() {
     // `matched_reached` for every completed query (strict implies it).
     let plans: Vec<(&str, FaultPlan, bool, bool, f64)> = vec![
         ("quiet", FaultPlan::new(), true, true, 1.0),
-        ("light-loss", FaultPlan::new().drop_all(0.02), false, false, 0.70),
-        ("heavy-loss", FaultPlan::new().drop_all(0.15), false, false, 0.20),
-        ("jitter", FaultPlan::new().delay_all(0.5, 10, 100), true, true, 1.0),
-        ("reorder", FaultPlan::new().reorder_all(0.5, 100), true, true, 1.0),
-        ("duplication", FaultPlan::new().duplicate_protocol(0.25, 1), false, true, 1.0),
         (
-            "dup-reorder",
-            FaultPlan::new().duplicate_protocol(0.5, 1).reorder_all(0.5, 100),
+            "light-loss",
+            FaultPlan::new().drop_all(0.02),
+            false,
+            false,
+            0.70,
+        ),
+        (
+            "heavy-loss",
+            FaultPlan::new().drop_all(0.15),
+            false,
+            false,
+            0.20,
+        ),
+        (
+            "jitter",
+            FaultPlan::new().delay_all(0.5, 10, 100),
+            true,
+            true,
+            1.0,
+        ),
+        (
+            "reorder",
+            FaultPlan::new().reorder_all(0.5, 100),
+            true,
+            true,
+            1.0,
+        ),
+        (
+            "duplication",
+            FaultPlan::new().duplicate_protocol(0.25, 1),
             false,
             true,
             1.0,
         ),
-        ("flaky-node", FaultPlan::new().drop_node(7, 0.5), false, false, 0.55),
-        ("late-loss", FaultPlan::new().drop_window(Window::new(40, u64::MAX), 0.05), false, false, 0.55),
+        (
+            "dup-reorder",
+            FaultPlan::new()
+                .duplicate_protocol(0.5, 1)
+                .reorder_all(0.5, 100),
+            false,
+            true,
+            1.0,
+        ),
+        (
+            "flaky-node",
+            FaultPlan::new().drop_node(7, 0.5),
+            false,
+            false,
+            0.55,
+        ),
+        (
+            "late-loss",
+            FaultPlan::new().drop_window(Window::new(40, u64::MAX), 0.05),
+            false,
+            false,
+            0.55,
+        ),
         (
             "combo",
-            FaultPlan::new().drop_all(0.05).delay_all(0.3, 20, 100).duplicate_protocol(0.1, 1),
+            FaultPlan::new()
+                .drop_all(0.05)
+                .delay_all(0.3, 20, 100)
+                .duplicate_protocol(0.1, 1),
             false,
             false,
             0.40,
         ),
     ];
-    assert!(plans.len() >= 8, "the issue demands at least 8 distinct plans");
+    assert!(
+        plans.len() >= 8,
+        "the issue demands at least 8 distinct plans"
+    );
 
     let mut mean_by_plan: Vec<(&str, f64)> = Vec::new();
     for (name, plan, strict, exact, min_delivery) in &plans {
@@ -116,7 +170,10 @@ fn fault_matrix_delivery_envelopes() {
                 "plan {name} seed {seed}: mean delivery {mean:.3} under envelope {min_delivery}"
             );
             for st in &stats {
-                assert!(st.completed, "plan {name} seed {seed}: a query never completed");
+                assert!(
+                    st.completed,
+                    "plan {name} seed {seed}: a query never completed"
+                );
                 assert!(
                     st.overhead <= st.messages,
                     "plan {name}: overhead {} exceeds total messages {}",
@@ -125,7 +182,11 @@ fn fault_matrix_delivery_envelopes() {
                 );
                 if *strict {
                     assert_eq!(st.duplicates, 0, "plan {name}: strict run saw duplicates");
-                    assert_eq!(st.delivery(), 1.0, "plan {name}: strict run under-delivered");
+                    assert_eq!(
+                        st.delivery(),
+                        1.0,
+                        "plan {name}: strict run under-delivered"
+                    );
                 }
                 if *exact {
                     assert_eq!(
@@ -176,7 +237,11 @@ fn timeouts_fire_under_loss_only() {
             sim.timeouts_fired_total() > 0,
             "seed {seed}: 25% loss should force timeout recovery"
         );
-        assert_eq!(sim.pending_total(), 0, "timeout recovery must not leak state");
+        assert_eq!(
+            sim.pending_total(),
+            0,
+            "timeout recovery must not leak state"
+        );
     }
 }
 
@@ -200,10 +265,17 @@ fn partition_severs_then_heals() {
         // Mainland origin: the island's matching nodes are unreachable.
         let origin = *ids.last().unwrap();
         let qid = sim.issue_query(origin, half_space_query(&space), None);
-        sim.run_to_quiescence_checked(&mut checker).expect("invariants under partition");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("invariants under partition");
         let st = sim.query_stats(qid).unwrap().clone();
-        assert!(st.completed, "seed {seed}: partitioned query must still terminate");
-        assert!(sim.now() < HEAL_AT, "recovery outlived the partition window");
+        assert!(
+            st.completed,
+            "seed {seed}: partitioned query must still terminate"
+        );
+        assert!(
+            sim.now() < HEAL_AT,
+            "recovery outlived the partition window"
+        );
         assert!(st.delivery() < 1.0, "seed {seed}: partition cost nothing?");
         assert!(
             st.matched_reached.iter().all(|id| !island.contains(id)),
@@ -218,7 +290,8 @@ fn partition_severs_then_heals() {
         sim.wire_oracle();
         let origin = *ids.last().unwrap();
         let qid = sim.issue_query(origin, half_space_query(&space), None);
-        sim.run_to_quiescence_checked(&mut checker).expect("invariants after heal");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("invariants after heal");
         let st = sim.query_stats(qid).unwrap();
         assert!(st.completed);
         assert_eq!(st.delivery(), 1.0, "seed {seed}: delivery after heal");
@@ -237,7 +310,12 @@ fn partition_severs_then_heals() {
 fn massive_failure_degrades_then_repair_restores_delivery() {
     for &seed in &SEEDS {
         let (mut sim, space) = build(seed, 200);
-        let victims: Vec<u64> = sim.node_ids().iter().copied().filter(|id| id % 3 == 0).collect();
+        let victims: Vec<u64> = sim
+            .node_ids()
+            .iter()
+            .copied()
+            .filter(|id| id % 3 == 0)
+            .collect();
         let mut plan = FaultPlan::new();
         for &v in &victims {
             plan = plan.crash(1_000, v);
@@ -252,7 +330,8 @@ fn massive_failure_degrades_then_repair_restores_delivery() {
         for _ in 0..4 {
             let origin = sim.random_node();
             let qid = sim.issue_query(origin, half_space_query(&space), None);
-            sim.run_to_quiescence_checked(&mut checker).expect("invariants after mass crash");
+            sim.run_to_quiescence_checked(&mut checker)
+                .expect("invariants after mass crash");
             let st = sim.query_stats(qid).unwrap();
             assert!(st.completed);
             deliveries.push(st.delivery());
@@ -263,16 +342,24 @@ fn massive_failure_degrades_then_repair_restores_delivery() {
             mean > 0.02,
             "seed {seed}: survivors reached {mean:.3} of each other — queries went nowhere"
         );
-        assert!(mean < 1.0, "seed {seed}: losing 33% of the overlay cost nothing?");
+        assert!(
+            mean < 1.0,
+            "seed {seed}: losing 33% of the overlay cost nothing?"
+        );
         assert_eq!(sim.pending_total(), 0);
 
         // One repair round brings delivery among survivors back to 100%.
         sim.wire_oracle();
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, half_space_query(&space), None);
-        sim.run_to_quiescence_checked(&mut checker).expect("invariants after repair");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("invariants after repair");
         let st = sim.query_stats(qid).unwrap();
-        assert_eq!(st.delivery(), 1.0, "seed {seed}: repair did not restore delivery");
+        assert_eq!(
+            st.delivery(),
+            1.0,
+            "seed {seed}: repair did not restore delivery"
+        );
     }
 }
 
@@ -293,7 +380,8 @@ fn crash_restart_rejoins_under_same_identity() {
         assert_eq!(sim.crashed_ids(), vec![victim]);
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, half_space_query(&space), None);
-        sim.run_to_quiescence_checked(&mut checker).expect("invariants while down");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("invariants while down");
         assert!(sim.query_stats(qid).unwrap().completed);
 
         // After the restart: same id, same point. Fail-fast feedback made
@@ -309,7 +397,8 @@ fn crash_restart_rejoins_under_same_identity() {
         let all = Query::builder(&space).build().unwrap();
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, all, None);
-        sim.run_to_quiescence_checked(&mut checker).expect("invariants after restart");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("invariants after restart");
         let st = sim.query_stats(qid).unwrap();
         assert!(st.completed);
         if origin != victim {
@@ -318,7 +407,11 @@ fn crash_restart_rejoins_under_same_identity() {
                 "seed {seed}: restarted node never reached"
             );
         }
-        assert!(st.delivery() > 0.8, "seed {seed}: delivery {:.3}", st.delivery());
+        assert!(
+            st.delivery() > 0.8,
+            "seed {seed}: delivery {:.3}",
+            st.delivery()
+        );
     }
 }
 
@@ -340,13 +433,16 @@ fn churn_with_loss_keeps_routing_alive() {
         sim.set_fault_plan(FaultPlan::new().drop_all(0.02));
         let mut checker = InvariantChecker::relaxed();
 
-        sim.run_until_checked(30_000, &mut checker).expect("invariants during warmup");
+        sim.run_until_checked(30_000, &mut checker)
+            .expect("invariants during warmup");
         sim.churn_step(0.05, &placement);
-        sim.run_until_checked(40_000, &mut checker).expect("invariants during churn");
+        sim.run_until_checked(40_000, &mut checker)
+            .expect("invariants during churn");
 
         let origin = sim.random_node();
         let qid = sim.issue_query(origin, half_space_query(&space), None);
-        sim.run_until_checked(90_000, &mut checker).expect("invariants during query");
+        sim.run_until_checked(90_000, &mut checker)
+            .expect("invariants during query");
         let st = sim.query_stats(qid).unwrap();
         assert!(st.completed, "seed {seed}: churned query never completed");
         assert!(
@@ -405,18 +501,28 @@ fn duplicates_do_not_corrupt_results() {
         let origin = sim.random_node();
         let query = half_space_query(&space);
         let qid = sim.issue_query(origin, query.clone(), None);
-        sim.run_to_quiescence_checked(&mut checker).expect("relaxed run");
+        sim.run_to_quiescence_checked(&mut checker)
+            .expect("relaxed run");
         let st = sim.query_stats(qid).unwrap();
         assert!(st.completed);
         assert_eq!(st.delivery(), 1.0, "seed {seed}");
-        assert_eq!(st.reported, st.truth, "duplicates must not change the answer");
-        assert!(st.duplicates > 0, "every message was doubled; dedup must have fired");
+        assert_eq!(
+            st.reported, st.truth,
+            "duplicates must not change the answer"
+        );
+        assert!(
+            st.duplicates > 0,
+            "every message was doubled; dedup must have fired"
+        );
         let matches = sim.query_result(qid).expect("enumeration completed");
         let mut ids: Vec<_> = matches.iter().map(|m| m.node).collect();
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), matches.len(), "a node was reported twice");
-        assert!(matches.iter().all(|m| query.matches(&m.values)), "phantom match reported");
+        assert!(
+            matches.iter().all(|m| query.matches(&m.values)),
+            "phantom match reported"
+        );
         assert_eq!(sim.pending_total(), 0);
     }
 }
@@ -442,9 +548,16 @@ fn duplication_reports_exactly() {
                 .unwrap_or_else(|v| panic!("invariant violated under seed {seed}: {v}"));
             let st = sim.query_stats(qid).unwrap();
             assert!(st.completed, "seed {seed}: query never completed");
-            assert!(st.duplicates > 0, "seed {seed}: plan injected no duplicates");
+            assert!(
+                st.duplicates > 0,
+                "seed {seed}: plan injected no duplicates"
+            );
             // Delivery side: every matching node was reached.
-            assert_eq!(st.delivery(), 1.0, "seed {seed}: duplication dented delivery");
+            assert_eq!(
+                st.delivery(),
+                1.0,
+                "seed {seed}: duplication dented delivery"
+            );
             assert_eq!(
                 st.matched_reached.len() as u32,
                 st.truth,
@@ -483,7 +596,10 @@ fn count_queries_stay_exact_under_reply_duplication() {
                 // empty by its seen-set, which is also reply traffic).
                 plan = plan.rule(FaultRule {
                     window: Window::ALWAYS,
-                    scope: Scope::Link { from: id, to: origin },
+                    scope: Scope::Link {
+                        from: id,
+                        to: origin,
+                    },
                     action: Action::Duplicate { p: 1.0, copies: 1 },
                 });
             }
@@ -499,7 +615,10 @@ fn count_queries_stay_exact_under_reply_duplication() {
         // replies are invisible to it. The origin having forwarded at all
         // (messages > 0) guarantees it received every reply twice.
         assert!(st.messages > 0, "seed {seed}: query never left the origin");
-        assert!(st.truth > 1, "seed {seed}: trivial ground truth proves nothing");
+        assert!(
+            st.truth > 1,
+            "seed {seed}: trivial ground truth proves nothing"
+        );
         assert_eq!(
             st.reported, st.truth,
             "seed {seed}: duplicated replies were double-counted"

@@ -28,7 +28,10 @@ fn cluster(n: usize, seed: u64) -> SimCluster {
 /// Max relative degradation the recovered state may show versus baseline:
 /// view size ≥ 90%, mean age ≤ 150%.
 fn assert_recovered(layer: &str, baseline: &GossipHealth, healed: &GossipHealth) {
-    let (bv, hv) = (baseline.mean_view_size_x1000(), healed.mean_view_size_x1000());
+    let (bv, hv) = (
+        baseline.mean_view_size_x1000(),
+        healed.mean_view_size_x1000(),
+    );
     assert!(
         hv * 10 >= bv * 9,
         "{layer} view size did not recover: baseline {bv}, healed {hv} (x1000)"
@@ -46,11 +49,22 @@ fn partition_heals_within_bounded_rounds() {
     // 25 rounds of warmup, then baseline.
     sim.run_until(25 * GOSSIP_PERIOD_MS);
     let (base_rnd, base_sem) = sim.gossip_health();
-    assert!(base_rnd.mean_view_size_x1000() > 0, "warmup produced no random view");
-    assert!(base_sem.mean_view_size_x1000() > 0, "warmup produced no semantic view");
+    assert!(
+        base_rnd.mean_view_size_x1000() > 0,
+        "warmup produced no random view"
+    );
+    assert!(
+        base_sem.mean_view_size_x1000() > 0,
+        "warmup produced no semantic view"
+    );
 
     // Partition half the population away for 15 rounds, then heal.
-    let island: Vec<NodeId> = sim.node_ids().iter().copied().filter(|id| id % 2 == 0).collect();
+    let island: Vec<NodeId> = sim
+        .node_ids()
+        .iter()
+        .copied()
+        .filter(|id| id % 2 == 0)
+        .collect();
     let from = sim.now();
     let until = from + 15 * GOSSIP_PERIOD_MS;
     sim.set_fault_plan(FaultPlan::new().partition(Window::new(from, until), island));
@@ -91,8 +105,16 @@ fn flash_crowd_is_absorbed_within_bounded_rounds() {
     let (after_rnd, after_sem) = sim.gossip_health();
 
     // Every node — newcomers included — gossips on both layers...
-    assert_eq!(after_rnd.nodes, sim.len() as u64, "newcomers missing from the random layer");
-    assert_eq!(after_sem.nodes, sim.len() as u64, "newcomers missing from the semantic layer");
+    assert_eq!(
+        after_rnd.nodes,
+        sim.len() as u64,
+        "newcomers missing from the random layer"
+    );
+    assert_eq!(
+        after_sem.nodes,
+        sim.len() as u64,
+        "newcomers missing from the semantic layer"
+    );
     // ...and the per-node health statistics return to baseline, i.e. the
     // grown population is as well-mixed as the original one was.
     assert_recovered("random", &base_rnd, &after_rnd);

@@ -71,9 +71,15 @@ fn duplication_faults_are_flagged_at_the_offending_hop() {
     assert_eq!(tree.problems(), Vec::<String>::new());
     let q = tree.queries()[0];
     let s = tree.summary(q).expect("summary");
-    assert!(s.duplicates > 0, "seeded duplication produced no duplicate receipts");
+    assert!(
+        s.duplicates > 0,
+        "seeded duplication produced no duplicate receipts"
+    );
     let rendered = tree.render(q).expect("render");
-    assert!(rendered.contains("!dup("), "duplicate hops must be flagged inline:\n{rendered}");
+    assert!(
+        rendered.contains("!dup("),
+        "duplicate hops must be flagged inline:\n{rendered}"
+    );
 }
 
 /// The determinism contract: a traced run and an untraced run of the same
@@ -108,7 +114,11 @@ fn observers_do_not_perturb_the_simulation() {
         }
         out
     };
-    assert_eq!(run(false), run(true), "observer presence changed the simulation");
+    assert_eq!(
+        run(false),
+        run(true),
+        "observer presence changed the simulation"
+    );
 }
 
 /// JSONL round-trip: streaming events through the serializer and parser
@@ -140,7 +150,11 @@ fn jsonl_roundtrip_rebuilds_the_live_tree() {
     }
     let q = live.queries()[0];
     assert_eq!(replayed.queries(), live.queries());
-    assert_eq!(replayed.render(q), live.render(q), "replay diverged from live trace");
+    assert_eq!(
+        replayed.render(q),
+        live.render(q),
+        "replay diverged from live trace"
+    );
     assert_eq!(replayed.problems(), live.problems());
 }
 
@@ -165,8 +179,15 @@ fn registry_snapshots_are_virtual_time_deterministic() {
         reg.snapshot().render()
     };
     let a = run();
-    assert!(a.contains("event.query_issued"), "the registry never saw the event stream:\n{a}");
-    assert_eq!(a, run(), "snapshot depends on something besides the event stream");
+    assert!(
+        a.contains("event.query_issued"),
+        "the registry never saw the event stream:\n{a}"
+    );
+    assert_eq!(
+        a,
+        run(),
+        "snapshot depends on something besides the event stream"
+    );
 }
 
 /// The flight-recorder post-mortem path: a duplication fault trips the
@@ -208,10 +229,17 @@ fn invariant_violation_dumps_a_parseable_flight_recording() {
         .run_to_quiescence_checked(&mut InvariantChecker::strict())
         .expect_err("seeded duplication must trip the strict checker");
     let rendered = violation.to_string();
-    assert!(rendered.contains("duplicate"), "unexpected violation: {rendered}");
+    assert!(
+        rendered.contains("duplicate"),
+        "unexpected violation: {rendered}"
+    );
 
     // The ring is a bounded window onto a larger stream…
-    assert_eq!(flight.len(), K, "expected a full ring at the violation point");
+    assert_eq!(
+        flight.len(),
+        K,
+        "expected a full ring at the violation point"
+    );
     assert!(
         flight.total_seen() > K as u64,
         "run too small to exercise wraparound ({} events)",
@@ -233,7 +261,11 @@ fn invariant_violation_dumps_a_parseable_flight_recording() {
     // The ring held the *most recent* events: its newest timestamp is the
     // newest the registry saw anywhere.
     let newest = events.last().unwrap().at();
-    assert_eq!(newest, sim.now(), "ring tail should sit at the violating instant");
+    assert_eq!(
+        newest,
+        sim.now(),
+        "ring tail should sit at the violating instant"
+    );
 }
 
 /// Gossip health gauges tick when the membership layer is on: the registry
@@ -249,13 +281,27 @@ fn gossip_rounds_feed_health_gauges() {
     sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 30);
     sim.run_until(20_000);
 
-    assert!(reg.counter("event.gossip_round") > 0, "no gossip rounds observed");
-    let sizes = reg.histogram("gossip.view_size.random").expect("random-layer gauge");
-    assert!(sizes.count() > 0 && sizes.max() > 0, "random views never filled");
+    assert!(
+        reg.counter("event.gossip_round") > 0,
+        "no gossip rounds observed"
+    );
+    let sizes = reg
+        .histogram("gossip.view_size.random")
+        .expect("random-layer gauge");
+    assert!(
+        sizes.count() > 0 && sizes.max() > 0,
+        "random views never filled"
+    );
     let (random, semantic) = sim.gossip_health();
     assert_eq!(random.nodes, 30);
-    assert!(random.links > 0, "no random-layer links after 20 virtual seconds");
-    assert!(semantic.links > 0, "no semantic links after 20 virtual seconds");
+    assert!(
+        random.links > 0,
+        "no random-layer links after 20 virtual seconds"
+    );
+    assert!(
+        semantic.links > 0,
+        "no semantic links after 20 virtual seconds"
+    );
     assert!(
         random.turnover >= random.links,
         "turnover counts every admission, so it can never trail the live link count"

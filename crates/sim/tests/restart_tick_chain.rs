@@ -28,7 +28,13 @@ fn restart_does_not_leak_a_gossip_tick_chain() {
     // Five rounds of crash-10 / restart-10 inside 100 ms: the crashed
     // incarnations' ticks (up to a period away) are all still queued.
     for round in 0..5u64 {
-        let victims: Vec<_> = sim.node_ids().iter().copied().skip(round as usize * 7).take(10).collect();
+        let victims: Vec<_> = sim
+            .node_ids()
+            .iter()
+            .copied()
+            .skip(round as usize * 7)
+            .take(10)
+            .collect();
         for &id in &victims {
             sim.crash(id);
         }
@@ -43,7 +49,11 @@ fn restart_does_not_leak_a_gossip_tick_chain() {
     // Every superseded tick fires within one period of the arc and must
     // die there instead of rescheduling itself.
     sim.run_until(sim.now() + 2_000);
-    assert_eq!(queued_ticks(&sim), sim.len(), "queued GossipTick events == alive nodes");
+    assert_eq!(
+        queued_ticks(&sim),
+        sim.len(),
+        "queued GossipTick events == alive nodes"
+    );
     sim.run_until(sim.now() + 10_000);
     assert_eq!(queued_ticks(&sim), sim.len(), "and it stays that way");
 }

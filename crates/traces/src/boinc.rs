@@ -113,7 +113,7 @@ impl HostGenerator {
             os: CategoricalU64::new(&[(0, 0.87), (1, 0.08), (2, 0.04), (3, 0.01)]),
             vendor: CategoricalU64::new(&[(0, 0.72), (1, 0.26), (2, 0.02)]),
             tz: CategoricalU64::new(&[
-                (7, 0.05),  // UTC-5 … dense North-America/Europe band
+                (7, 0.05), // UTC-5 … dense North-America/Europe band
                 (6, 0.10),
                 (5, 0.15),
                 (4, 0.10),
@@ -132,7 +132,7 @@ impl HostGenerator {
         let rng = &mut self.rng;
         let cores = 1u64 << self.cores.sample(rng); // 1,2,4,8,16
         let mhz = (lognormal(rng, 7.7, 0.35).clamp(300.0, 6_000.0)) as u64; // ~2.2 GHz median
-        // RAM: ladder of powers of two, correlated with cores.
+                                                                            // RAM: ladder of powers of two, correlated with cores.
         let ram_exp = ((lognormal(rng, 0.0, 0.5) * 512.0 * cores as f64).log2())
             .round()
             .clamp(7.0, 16.0);
@@ -155,8 +155,8 @@ impl HostGenerator {
         let iops = (mhz as f64 * rng.gen_range(0.9..1.8)) as u64;
         let mem_bw = (ram_mb as f64).sqrt() as u64 * (100 + rng.gen_range(0..100u64));
         let uptime_hours = (lognormal(rng, 2.0, 1.0).clamp(0.0, 2_000.0)) as u64; // median ~7h
-        let availability_pct = (100.0 * (1.0 - (-(uptime_hours as f64) / 24.0).exp()))
-            .clamp(1.0, 100.0) as u64;
+        let availability_pct =
+            (100.0 * (1.0 - (-(uptime_hours as f64) / 24.0).exp())).clamp(1.0, 100.0) as u64;
         let timezone_offset = self.tz.sample(rng);
 
         Host {

@@ -83,7 +83,10 @@ impl CategoricalU64 {
     /// Samples one value.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         let u: f64 = rng.gen_range(0.0..1.0);
-        let i = self.cdf.partition_point(|&c| c < u).min(self.values.len() - 1);
+        let i = self
+            .cdf
+            .partition_point(|&c| c < u)
+            .min(self.values.len() - 1);
         self.values[i]
     }
 }

@@ -224,7 +224,11 @@ impl ScenarioSpec {
 
     /// Adds [`Component::FlashCrowd`].
     pub fn flash_crowd(self, at_ms: u64, joins: u32, ramp_ms: u64) -> Self {
-        self.component(Component::FlashCrowd { at_ms, joins, ramp_ms })
+        self.component(Component::FlashCrowd {
+            at_ms,
+            joins,
+            ramp_ms,
+        })
     }
 
     /// Adds [`Component::Diurnal`].
@@ -234,7 +238,11 @@ impl ScenarioSpec {
     /// Panics if `period_ms` is zero.
     pub fn diurnal(self, base_per_hour: u32, amplitude_pct: u32, period_ms: u64) -> Self {
         assert!(period_ms > 0, "diurnal period must be positive");
-        self.component(Component::Diurnal { base_per_hour, amplitude_pct, period_ms })
+        self.component(Component::Diurnal {
+            base_per_hour,
+            amplitude_pct,
+            period_ms,
+        })
     }
 
     /// Adds a healing-partition [`Component::RegionOutage`].
@@ -267,8 +275,15 @@ impl ScenarioSpec {
     /// Panics unless `matrix.len() == regions²` with `regions ≥ 1`.
     pub fn region_latency(self, regions: u32, matrix: &[(u64, u64)]) -> Self {
         assert!(regions >= 1, "at least one region");
-        assert_eq!(matrix.len(), (regions * regions) as usize, "matrix must be regions²");
-        self.component(Component::RegionLatency { regions, matrix: matrix.to_vec() })
+        assert_eq!(
+            matrix.len(),
+            (regions * regions) as usize,
+            "matrix must be regions²"
+        );
+        self.component(Component::RegionLatency {
+            regions,
+            matrix: matrix.to_vec(),
+        })
     }
 
     /// Adds [`Component::Duplication`].
@@ -283,7 +298,11 @@ impl ScenarioSpec {
 
     /// Adds [`Component::Decimation`].
     pub fn decimation(self, waves: u32, interval_ms: u64, permille: u32) -> Self {
-        self.component(Component::Decimation { waves, interval_ms, permille })
+        self.component(Component::Decimation {
+            waves,
+            interval_ms,
+            permille,
+        })
     }
 
     /// Initial population size.
@@ -361,12 +380,8 @@ impl ScenarioSpec {
                 Component::SessionChurn { offline_mean_s } => {
                     let hosts: Vec<Host> =
                         HostGenerator::new(seed).take(self.n0 as usize).collect();
-                    let sched = Schedule::generate(
-                        &hosts,
-                        self.horizon_ms / 1000,
-                        *offline_mean_s,
-                        seed,
-                    );
+                    let sched =
+                        Schedule::generate(&hosts, self.horizon_ms / 1000, *offline_mean_s, seed);
                     // Hosts that are offline at t = 0 start the arc crashed.
                     let mut online = vec![false; self.n0 as usize];
                     for &(t_s, ev) in sched.events() {
@@ -378,7 +393,12 @@ impl ScenarioSpec {
                     }
                     for (host, up) in online.iter().enumerate() {
                         if !up {
-                            events.push((start, ArcEvent::Crash { node: host as NodeId }));
+                            events.push((
+                                start,
+                                ArcEvent::Crash {
+                                    node: host as NodeId,
+                                },
+                            ));
                         }
                     }
                     for &(t_s, ev) in sched.events() {
@@ -390,16 +410,26 @@ impl ScenarioSpec {
                             break;
                         }
                         events.push(match ev {
-                            SessionEvent::Join { host } => {
-                                (t, ArcEvent::Restart { node: host as NodeId })
-                            }
-                            SessionEvent::Leave { host } => {
-                                (t, ArcEvent::Crash { node: host as NodeId })
-                            }
+                            SessionEvent::Join { host } => (
+                                t,
+                                ArcEvent::Restart {
+                                    node: host as NodeId,
+                                },
+                            ),
+                            SessionEvent::Leave { host } => (
+                                t,
+                                ArcEvent::Crash {
+                                    node: host as NodeId,
+                                },
+                            ),
                         });
                     }
                 }
-                Component::FlashCrowd { at_ms, joins, ramp_ms } => {
+                Component::FlashCrowd {
+                    at_ms,
+                    joins,
+                    ramp_ms,
+                } => {
                     // Spread the joins over 1 s steps across the ramp,
                     // remainder front-loaded.
                     let steps = (ramp_ms / 1000).max(1);
@@ -412,7 +442,11 @@ impl ScenarioSpec {
                         }
                     }
                 }
-                Component::Diurnal { base_per_hour, amplitude_pct, period_ms } => {
+                Component::Diurnal {
+                    base_per_hour,
+                    amplitude_pct,
+                    period_ms,
+                } => {
                     // Deterministic rate integration at 1 s ticks: no RNG,
                     // so the issue instants are part of the compiled
                     // stream's byte identity.
@@ -432,7 +466,13 @@ impl ScenarioSpec {
                         t += 1000;
                     }
                 }
-                Component::RegionOutage { regions, region, from_ms, until_ms, partition } => {
+                Component::RegionOutage {
+                    regions,
+                    region,
+                    from_ms,
+                    until_ms,
+                    partition,
+                } => {
                     let r = u64::from((*regions).max(1));
                     let members = (0..u64::from(self.n0))
                         .filter(|id| id % r == u64::from(*region))
@@ -475,14 +515,25 @@ impl ScenarioSpec {
                     plan = plan.rule(FaultRule {
                         window: Window::new(start, end),
                         scope: Scope::All,
-                        action: Action::Drop { p: f64::from((*p_pct).min(100)) / 100.0 },
+                        action: Action::Drop {
+                            p: f64::from((*p_pct).min(100)) / 100.0,
+                        },
                     });
                 }
-                Component::Decimation { waves, interval_ms, permille } => {
+                Component::Decimation {
+                    waves,
+                    interval_ms,
+                    permille,
+                } => {
                     for w in 0..u64::from(*waves) {
                         let t = start + w * interval_ms;
                         if t < end {
-                            events.push((t, ArcEvent::KillPermille { permille: *permille }));
+                            events.push((
+                                t,
+                                ArcEvent::KillPermille {
+                                    permille: *permille,
+                                },
+                            ));
                         }
                     }
                 }
@@ -868,7 +919,8 @@ impl SoakRunner {
             }
             ArcEvent::Join { count } => self.sim.populate(&self.placement, count as usize),
             ArcEvent::KillPermille { permille } => {
-                self.sim.kill_fraction(f64::from(permille.min(1000)) / 1000.0);
+                self.sim
+                    .kill_fraction(f64::from(permille.min(1000)) / 1000.0);
             }
             ArcEvent::Query => {
                 if self.sim.is_empty() {
@@ -951,13 +1003,22 @@ mod tests {
     fn strictness_table() {
         let base = ScenarioSpec::new(40, 300_000);
         assert_eq!(base.clone().strictness(), Strictness::Strict);
-        assert_eq!(base.clone().diurnal(120, 50, 100_000).strictness(), Strictness::Strict);
+        assert_eq!(
+            base.clone().diurnal(120, 50, 100_000).strictness(),
+            Strictness::Strict
+        );
         assert_eq!(
             base.clone().flash_crowd(0, 10, 0).strictness(),
             Strictness::RelaxedExact
         );
-        assert_eq!(base.clone().duplication(5, 1).strictness(), Strictness::RelaxedExact);
-        assert_eq!(base.clone().session_churn(600).strictness(), Strictness::Relaxed);
+        assert_eq!(
+            base.clone().duplication(5, 1).strictness(),
+            Strictness::RelaxedExact
+        );
+        assert_eq!(
+            base.clone().session_churn(600).strictness(),
+            Strictness::Relaxed
+        );
         assert_eq!(
             base.clone().duplication(5, 1).loss(2).strictness(),
             Strictness::Relaxed
@@ -989,8 +1050,14 @@ mod tests {
             last = t;
             assert!(t >= c.warmup_ms && t <= c.warmup_ms + c.horizon_ms);
         }
-        assert!(c.events.iter().any(|(_, e)| matches!(e, ArcEvent::Join { .. })));
-        assert!(c.events.iter().any(|(_, e)| matches!(e, ArcEvent::KillPermille { .. })));
+        assert!(c
+            .events
+            .iter()
+            .any(|(_, e)| matches!(e, ArcEvent::Join { .. })));
+        assert!(c
+            .events
+            .iter()
+            .any(|(_, e)| matches!(e, ArcEvent::KillPermille { .. })));
         assert!(c.events.iter().any(|(_, e)| matches!(e, ArcEvent::Query)));
     }
 
@@ -1002,13 +1069,19 @@ mod tests {
             .probe_every_ms(0)
             .diurnal(240, 0, 1_800_000);
         let c = spec.compile(0);
-        let queries = c.events.iter().filter(|(_, e)| matches!(e, ArcEvent::Query)).count();
+        let queries = c
+            .events
+            .iter()
+            .filter(|(_, e)| matches!(e, ArcEvent::Query))
+            .count();
         assert!((239..=241).contains(&queries), "got {queries}");
     }
 
     #[test]
     fn short_strict_soak_passes_with_checker_armed() {
-        let spec = ScenarioSpec::new(40, 240_000).warmup_ms(60_000).diurnal(120, 80, 120_000);
+        let spec = ScenarioSpec::new(40, 240_000)
+            .warmup_ms(60_000)
+            .diurnal(120, 80, 120_000);
         let mut runner = SoakRunner::new(&spec, 42);
         let samples = runner.run(60_000).expect("strict soak clean");
         assert!(samples.len() >= 3);

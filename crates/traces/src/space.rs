@@ -52,7 +52,10 @@ mod tests {
 
     #[test]
     fn quantile_buckets_are_roughly_balanced() {
-        let rows: Vec<Vec<u64>> = HostGenerator::new(5).take(4000).map(|h| h.to_values()).collect();
+        let rows: Vec<Vec<u64>> = HostGenerator::new(5)
+            .take(4000)
+            .map(|h| h.to_values())
+            .collect();
         let space = fit_space(&rows, 3).unwrap();
         assert_eq!(space.dims(), 16);
         // For a continuous attribute (disk_gb, index 4) buckets should hold
@@ -75,7 +78,10 @@ mod tests {
     fn degenerate_columns_still_build() {
         // os_family: 87% zeros — quantile boundaries collide and must be
         // nudged; the space must still build and classify.
-        let rows: Vec<Vec<u64>> = HostGenerator::new(6).take(2000).map(|h| h.to_values()).collect();
+        let rows: Vec<Vec<u64>> = HostGenerator::new(6)
+            .take(2000)
+            .map(|h| h.to_values())
+            .collect();
         let space = fit_space(&rows, 3).unwrap();
         let os = &space.dimensions()[8];
         assert_eq!(os.bucket(0), 0, "windows lands in bucket 0");
@@ -90,7 +96,10 @@ mod tests {
 
     #[test]
     fn all_rows_are_valid_points() {
-        let rows: Vec<Vec<u64>> = HostGenerator::new(7).take(500).map(|h| h.to_values()).collect();
+        let rows: Vec<Vec<u64>> = HostGenerator::new(7)
+            .take(500)
+            .map(|h| h.to_values())
+            .collect();
         let space = fit_space(&rows, 2).unwrap();
         for r in &rows {
             let p = space.point(r).unwrap();

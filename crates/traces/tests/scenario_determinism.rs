@@ -15,10 +15,19 @@ fn add_component(spec: ScenarioSpec, code: u8, a: u64, b: u64) -> ScenarioSpec {
     match code % 7 {
         0 => spec.session_churn(600 + a % 3_600),
         1 => spec.flash_crowd(a % 300_000, (b % 30) as u32 + 1, b % 120_000),
-        2 => spec.diurnal(60 + (a % 600) as u32, (b % 100) as u32, 60_000 + b % 300_000),
+        2 => spec.diurnal(
+            60 + (a % 600) as u32,
+            (b % 100) as u32,
+            60_000 + b % 300_000,
+        ),
         3 => {
             let regions = 2 + (a % 3) as u32;
-            spec.region_partition(regions, (b % u64::from(regions)) as u32, a % 100_000, 100_000 + b % 200_000)
+            spec.region_partition(
+                regions,
+                (b % u64::from(regions)) as u32,
+                a % 100_000,
+                100_000 + b % 200_000,
+            )
         }
         4 => spec.duplication((a % 20) as u32, (b % 2) as u32 + 1),
         5 => spec.loss((a % 10) as u32),
@@ -111,7 +120,11 @@ fn families_compile_deterministically() {
         let spec = ScenarioSpec::family(family, 50, 600_000).expect("known family");
         let a = spec.compile(1337);
         let b = spec.compile(1337);
-        assert_eq!(a.digest(), b.digest(), "family {family} compiled non-deterministically");
+        assert_eq!(
+            a.digest(),
+            b.digest(),
+            "family {family} compiled non-deterministically"
+        );
     }
 }
 
@@ -132,7 +145,11 @@ fn full_soak_run_reproduces_under_pinned_seed() {
         let samples = runner
             .run_with(60_000, |st| fingerprints.push(st.fingerprint()))
             .expect("clean arc");
-        (timeline_digest(&samples), runner.probes().to_vec(), fingerprints)
+        (
+            timeline_digest(&samples),
+            runner.probes().to_vec(),
+            fingerprints,
+        )
     };
     let (digest_a, probes_a, fp_a) = run();
     let (digest_b, probes_b, fp_b) = run();

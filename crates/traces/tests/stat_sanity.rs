@@ -45,7 +45,11 @@ fn session_lengths_are_heavy_tailed() {
     // A week-long horizon so even long sessions close and enter the sample.
     let schedule = Schedule::generate(&hosts, 7 * 86_400, 3_600, 42);
     let mut lengths = online_session_lengths(&schedule);
-    assert!(lengths.len() > 500, "expected a big sample, got {}", lengths.len());
+    assert!(
+        lengths.len() > 500,
+        "expected a big sample, got {}",
+        lengths.len()
+    );
     lengths.sort_unstable();
     let p50 = percentile(&lengths, 0.50);
     let p90 = percentile(&lengths, 0.90);
@@ -56,7 +60,10 @@ fn session_lengths_are_heavy_tailed() {
     assert!(p90 >= 2 * p50, "tail too light: p50={p50}s p90={p90}s");
     assert!(p99 >= 5 * p50, "tail too light: p50={p50}s p99={p99}s");
     // And the body is sane: typical sessions are hours, not seconds/weeks.
-    assert!((600..=86_400).contains(&p50), "implausible median session: {p50}s");
+    assert!(
+        (600..=86_400).contains(&p50),
+        "implausible median session: {p50}s"
+    );
 }
 
 #[test]
@@ -98,7 +105,10 @@ fn lognormal_median_is_exp_mu() {
         .collect();
     xs.sort_unstable();
     let p50 = percentile(&xs, 0.50);
-    assert!((800..=1_250).contains(&p50), "log-normal median drifted: {p50}");
+    assert!(
+        (800..=1_250).contains(&p50),
+        "log-normal median drifted: {p50}"
+    );
     // σ = 0.7 ⇒ p90/p50 = e^{1.28·0.7} ≈ 2.45.
     let p90 = percentile(&xs, 0.90);
     assert!(
@@ -118,19 +128,28 @@ fn zipf_concentrates_mass_on_the_head() {
     }
     // Under uniform sampling each rank gets 0.1%; Zipf(s=1) gives the top
     // rank ~13% and the top ten ~39%.
-    assert!(counts[0] > n / 20, "head too light: rank 0 drew {}/{n}", counts[0]);
+    assert!(
+        counts[0] > n / 20,
+        "head too light: rank 0 drew {}/{n}",
+        counts[0]
+    );
     let top10: u64 = counts[..10].iter().sum();
     assert!(top10 > n / 4, "top-10 mass too light: {top10}/{n}");
-    assert!(counts[500] < counts[0] / 10, "tail rank as popular as the head");
+    assert!(
+        counts[500] < counts[0] / 10,
+        "tail rank as popular as the head"
+    );
 }
 
 /// Counts the diurnal Query events of a probe-free compiled arc, bucketed
 /// into `buckets` equal time slices.
 fn diurnal_buckets(base_per_hour: u32, amplitude_pct: u32, buckets: usize) -> Vec<u64> {
     let period = 3_600_000;
-    let spec = ScenarioSpec::new(50, period)
-        .probe_every_ms(0)
-        .diurnal(base_per_hour, amplitude_pct, period);
+    let spec = ScenarioSpec::new(50, period).probe_every_ms(0).diurnal(
+        base_per_hour,
+        amplitude_pct,
+        period,
+    );
     let compiled = spec.compile(3);
     let start = compiled.warmup_ms;
     let mut counts = vec![0u64; buckets];
@@ -149,7 +168,10 @@ fn diurnal_amplitude_shapes_the_rate() {
     // quarter (phase 0..π/2..π) and troughs in the third.
     let counts = diurnal_buckets(720, 80, 4);
     let total: u64 = counts.iter().sum();
-    assert!((715..=725).contains(&total), "base rate drifted: {total} events/hour");
+    assert!(
+        (715..=725).contains(&total),
+        "base rate drifted: {total} events/hour"
+    );
     let peak = counts[0].max(counts[1]);
     let trough = counts[2].min(counts[3]);
     // amplitude 80% ⇒ quarter-integrated peak/trough ratio ≈ (1+0.51)/(1-0.51).

@@ -44,7 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("{:>5}  {:>14}  {:.3}", probe, churned, stats.delivery());
         cluster.forget_query(qid);
     }
-    println!("\ndelivery stays near 1.0 while the population is continuously\n\
-              replaced — no repair protocol beyond plain gossip (§6.6).");
+    println!(
+        "\ndelivery stays near 1.0 while the population is continuously\n\
+              replaced — no repair protocol beyond plain gossip (§6.6)."
+    );
     Ok(())
 }

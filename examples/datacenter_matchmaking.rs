@@ -22,7 +22,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hosts: Vec<_> = HostGenerator::new(2026).take(5_000).collect();
     let rows: Vec<Vec<u64>> = hosts.iter().map(|h| h.to_values()).collect();
     let space = fit_space(&rows, 3)?;
-    println!("fitted a {}-dimensional space over {} hosts", space.dims(), rows.len());
+    println!(
+        "fitted a {}-dimensional space over {} hosts",
+        space.dims(),
+        rows.len()
+    );
 
     let mut cluster = SimCluster::new(space.clone(), SimConfig::fast_static(), 99);
     cluster.populate(&Placement::Trace(rows), 5_000);

@@ -33,7 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:<16} {:>9} {:>12}", "job", "machines", "utilization");
     let mut tickets = Vec::new();
     for round in 0..6 {
-        let spec = if round % 2 == 0 { &batch } else { &latency_sensitive };
+        let spec = if round % 2 == 0 {
+            &batch
+        } else {
+            &latency_sensitive
+        };
         match sched.submit(spec) {
             Ok(alloc) => {
                 println!(
@@ -52,7 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for t in tickets.drain(..).step_by(2) {
         sched.release(t);
     }
-    println!("after releases: utilization {:.1}%", 100.0 * sched.utilization());
+    println!(
+        "after releases: utilization {:.1}%",
+        100.0 * sched.utilization()
+    );
 
     // The freed capacity is immediately visible to the next query.
     let refill = sched.submit(&batch)?;

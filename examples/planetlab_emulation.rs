@@ -21,19 +21,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     let cfg = NetConfig {
-        gossip: GossipConfig { period_ms: 40, ..GossipConfig::default() },
+        gossip: GossipConfig {
+            period_ms: 40,
+            ..GossipConfig::default()
+        },
         injected_latency_ms: None, // real socket latency only
         ..NetConfig::default()
     };
     println!("spawning 40 peers, each with its own TCP listener on loopback…");
-    let mut cluster = NetCluster::spawn(
-        space.clone(),
-        points,
-        cfg,
-        Transport::tcp(space.clone()),
-        8,
-    )
-    ?;
+    let mut cluster =
+        NetCluster::spawn(space.clone(), points, cfg, Transport::tcp(space.clone()), 8)?;
 
     // Convergence: ~50 gossip rounds of 40 ms.
     std::thread::sleep(Duration::from_secs(2));
@@ -42,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let origin = cluster.random_node();
     let before = cluster
         .query(origin, query.clone(), None, Duration::from_secs(30))
-        
         .expect("pre-failure query");
     println!(
         "before failure: {}/{} matching peers reported (delivery {:.2})",
@@ -52,14 +48,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let victims = cluster.kill_fraction(0.10);
-    println!("killed {} peers ungracefully (no goodbye messages)", victims.len());
+    println!(
+        "killed {} peers ungracefully (no goodbye messages)",
+        victims.len()
+    );
 
     // Give gossip a recovery window, then measure again.
     std::thread::sleep(Duration::from_secs(2));
     let origin = cluster.random_node();
     let after = cluster
         .query(origin, query, None, Duration::from_secs(30))
-        
         .expect("post-failure query");
     println!(
         "after recovery: {}/{} matching peers reported (delivery {:.2})",

@@ -100,10 +100,10 @@ pub mod obs {
 pub mod prelude {
     pub use attrspace::{Dimension, Point, Query, Range, Space};
     pub use autosel_core::{Match, Output, ProtocolConfig, QueryId, SelectionNode};
+    pub use autosel_net::{NetCluster, NetConfig, Transport};
     pub use autosel_obs::{
         Fanout, FlightRecorder, JsonlSink, ObsHandle, Observer, Registry, TraceTree,
     };
-    pub use autosel_net::{NetCluster, NetConfig, Transport};
     pub use epigossip::{GossipConfig, GossipStack, NodeId};
     pub use overlay_sim::{LatencyModel, Placement, QueryStats, SimCluster, SimConfig};
     pub use synthtrace::scenario::{ScenarioSpec, SoakRunner};

@@ -97,7 +97,12 @@ impl Scheduler {
             cluster.set_dynamic(id, FREE_SLOTS_KEY, u64::from(slots_per_node));
             slots.insert(id, slots_per_node);
         }
-        Scheduler { cluster, slots, jobs: HashMap::new(), next_ticket: 0 }
+        Scheduler {
+            cluster,
+            slots,
+            jobs: HashMap::new(),
+            next_ticket: 0,
+        }
     }
 
     /// Read/drive access to the underlying cluster.
@@ -108,11 +113,7 @@ impl Scheduler {
     /// Fraction of total slots currently allocated.
     pub fn utilization(&self) -> f64 {
         let total: u64 = self.slots.values().map(|&s| u64::from(s)).sum();
-        let used: u64 = self
-            .jobs
-            .values()
-            .map(|nodes| nodes.len() as u64)
-            .sum();
+        let used: u64 = self.jobs.values().map(|nodes| nodes.len() as u64).sum();
         if total + used == 0 {
             0.0
         } else {
@@ -133,7 +134,10 @@ impl Scheduler {
         let mut dynamic = spec.dynamic.clone();
         dynamic.push(DynamicConstraint {
             key: FREE_SLOTS_KEY,
-            range: Range { lo: 1, hi: u64::MAX },
+            range: Range {
+                lo: 1,
+                hi: u64::MAX,
+            },
         });
         // Ask for head-room: 2× replicas lets the scheduler pick.
         let sigma = spec.replicas.saturating_mul(2);
@@ -166,13 +170,18 @@ impl Scheduler {
         let ticket = JobTicket(self.next_ticket);
         self.next_ticket += 1;
         self.jobs.insert(ticket, candidates.clone());
-        Ok(Allocation { job: ticket, nodes: candidates })
+        Ok(Allocation {
+            job: ticket,
+            nodes: candidates,
+        })
     }
 
     /// Releases a placed job, returning its slots to the machines (dead
     /// machines are skipped). Unknown tickets are ignored.
     pub fn release(&mut self, ticket: JobTicket) {
-        let Some(nodes) = self.jobs.remove(&ticket) else { return };
+        let Some(nodes) = self.jobs.remove(&ticket) else {
+            return;
+        };
         for id in nodes {
             if self.cluster.point_of(id).is_none() {
                 continue; // machine died while running the job
@@ -229,7 +238,10 @@ mod tests {
     #[test]
     fn release_returns_slots() {
         let (mut s, space) = scheduler(60, 1);
-        let spec = JobSpec { replicas: 30, ..job(&space, 30) };
+        let spec = JobSpec {
+            replicas: 30,
+            ..job(&space, 30)
+        };
         let a = s.submit(&spec).expect("placement");
         // The pool is nearly drained; an identical job cannot fit.
         let err = s.submit(&spec).unwrap_err();
@@ -270,7 +282,10 @@ mod tests {
         let spec = JobSpec {
             name: "gpu".into(),
             query: Query::builder(&space).build().unwrap(),
-            dynamic: vec![DynamicConstraint { key: 42, range: Range { lo: 1, hi: 1 } }],
+            dynamic: vec![DynamicConstraint {
+                key: 42,
+                range: Range { lo: 1, hi: 1 },
+            }],
             replicas: 5,
         };
         let a = s.submit(&spec).expect("gpu placement");

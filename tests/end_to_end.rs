@@ -22,10 +22,7 @@ fn boinc_traces_through_fitted_space_and_simulator() {
         .min("ram_mb", 2_048)
         .build()
         .expect("valid query");
-    let truth = rows
-        .iter()
-        .filter(|r| r[0] >= 4 && r[2] >= 2_048)
-        .count();
+    let truth = rows.iter().filter(|r| r[0] >= 4 && r[2] >= 2_048).count();
 
     let origin = cluster.random_node();
     let qid = cluster.issue_query(origin, query, None);

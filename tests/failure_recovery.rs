@@ -50,7 +50,10 @@ fn fifty_percent_failure_recovers() {
     cluster.populate(&placement, 400);
     cluster.run_until(250_000);
 
-    assert!(probe_delivery(&mut cluster, &space) > 0.99, "pre-failure baseline");
+    assert!(
+        probe_delivery(&mut cluster, &space) > 0.99,
+        "pre-failure baseline"
+    );
 
     cluster.kill_fraction(0.5);
     // Right after the blast, delivery is disrupted (many broken links).
@@ -100,7 +103,10 @@ fn repeated_decimation_planetlab_style() {
         cluster.kill_fraction(0.10);
         cluster.run_until(cluster.now() + 400_000); // 40 gossip rounds
         let d = probe_delivery(&mut cluster, &space);
-        assert!(d > 0.9, "wave {wave}: delivery {d:.3} after recovery window");
+        assert!(
+            d > 0.9,
+            "wave {wave}: delivery {d:.3} after recovery window"
+        );
     }
     assert!(cluster.len() < 302 && cluster.len() > 200);
 }

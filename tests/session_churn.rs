@@ -51,7 +51,7 @@ fn overlay_survives_trace_driven_sessions() {
                 SessionEvent::Join { host } => {
                     alive.entry(host).or_insert_with(|| {
                         // Rejoin under a fresh identity (§6.6's model).
-                        
+
                         sim.add_node(space.point(&rows[host]).unwrap())
                     });
                 }
