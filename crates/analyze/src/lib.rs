@@ -1,20 +1,17 @@
-//! Static and dynamic analysis backstops for the resource-selection
-//! overlay: a stateless DPOR model checker that drives the simulator
-//! through every interesting message interleaving of a bounded scenario
-//! ([`explorer`]), and a zero-dependency repo linter enforcing the
-//! codebase's own invariants ([`lint`]) — among them that the live
-//! runtime stays lock-free (`runtime-lock`).
+//! Dynamic analysis backstop for the resource-selection overlay: a
+//! stateless DPOR model checker that drives the simulator through every
+//! interesting message interleaving of a bounded scenario ([`explorer`]).
 //!
-//! The two halves share a philosophy: the repo's correctness story should
-//! not depend on anyone *remembering* the rules. The explorer turns
-//! "the protocol is correct under reordering, duplication and loss" from
-//! a review argument into an exhaustively checked property (for bounded
-//! scenarios); the linter turns "hot paths stay deterministic, virtual
-//! time stays virtual" from review lore into CI failures.
+//! It turns "the protocol is correct under reordering, duplication and
+//! loss" from a review argument into an exhaustively checked property (for
+//! bounded scenarios), so the repo's correctness story does not depend on
+//! anyone *remembering* it. The repo's static rules — hot paths stay
+//! deterministic, virtual time stays virtual, the live runtime stays
+//! lock-free — are Clippy configuration, not code here (`clippy.toml`).
 //!
 //! Like the rest of the workspace, this crate has **zero external
-//! dependencies** — the scanner is hand-rolled and the checker reuses the
-//! simulator's own invariant machinery.
+//! dependencies**: the checker reuses the simulator's own invariant
+//! machinery.
 //!
 //! See `docs/ANALYSIS.md` for scope, guarantees and limits.
 
@@ -22,7 +19,5 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod explorer;
-pub mod lint;
 
 pub use explorer::{replay, Action, Choice, Explorer, Report, Scenario, Violation};
-pub use lint::{lint_repo, lint_source, Finding, Rule};

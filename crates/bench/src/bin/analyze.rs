@@ -1,15 +1,9 @@
-//! CI front-end for the `autosel-analyze` crate.
+//! CI front-end for the `autosel-analyze` explorer.
 //!
 //! ```text
-//! analyze lint [--root <path>]
 //! analyze explore [--nodes 3|4|5] [--queries 1|2] [--duplicates N] [--drops N]
 //!                 [--race-timeouts] [--inject-dedup-bug] [--max-schedules N]
 //! ```
-//!
-//! `lint` runs the repo linter's token rules (see [`autosel_analyze::lint`])
-//! over `<root>/crates` (default: the current directory) and prints every
-//! finding; exit status 1 if there is any, 2 if the tree cannot be read.
-//! This is the CI `analyze-lint` gate.
 //!
 //! `explore` builds a bounded scenario and exhaustively model-checks its
 //! message interleavings, printing the coverage report; exit status 1 on
@@ -21,16 +15,14 @@
 //! *expects* detection (exit 1 if the explorer misses it) — a mutation
 //! check that the checker can actually fail.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use attrspace::{Query, Space};
-use autosel_analyze::{lint_repo, Explorer, Scenario};
+use autosel_analyze::{Explorer, Scenario};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: analyze lint [--root <path>]\n\
-         \x20      analyze explore [--nodes 3|4|5] [--queries 1|2] [--duplicates N]\n\
+        "usage: analyze explore [--nodes 3|4|5] [--queries 1|2] [--duplicates N]\n\
          \x20                      [--drops N] [--race-timeouts] [--inject-dedup-bug]\n\
          \x20                      [--max-schedules N]"
     );
@@ -40,37 +32,8 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint_cmd(&args[1..]),
         Some("explore") => explore_cmd(&args[1..]),
         _ => usage(),
-    }
-}
-
-fn lint_cmd(args: &[String]) -> ExitCode {
-    let mut root = PathBuf::from(".");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => root = PathBuf::from(it.next().unwrap_or_else(|| usage())),
-            _ => usage(),
-        }
-    }
-    let findings = match lint_repo(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("analyze lint: cannot walk {}: {e}", root.display());
-            return ExitCode::from(2);
-        }
-    };
-    for f in &findings {
-        println!("{f}");
-    }
-    if findings.is_empty() {
-        println!("analyze lint: clean (token rules)");
-        ExitCode::SUCCESS
-    } else {
-        println!("analyze lint: {} finding(s)", findings.len());
-        ExitCode::FAILURE
     }
 }
 

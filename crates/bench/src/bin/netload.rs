@@ -60,10 +60,7 @@
 //!   cargo run --release -p bench --bin netload -- --check --transport tcp
 //! ```
 
-// lint:allow-file(wall-clock) — the live runtime runs on real time; wall
-// clock is the instrument here, not a leak into simulated time.
-// lint:allow-file(thread-sleep-in-tests) — not a test: the generator
-// paces real arrivals.
+#![allow(clippy::disallowed_methods)] // wall-clock, thread-sleep: live load runs and is paced on real time
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

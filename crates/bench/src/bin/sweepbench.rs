@@ -35,8 +35,8 @@
 //!   cargo run --release -p bench --bin sweepbench -- --check
 //! ```
 
-// lint:allow-file(wall-clock) — this benchmark *measures* real elapsed
-// time; wall clock is the instrument, not a leak into simulated time.
+#![allow(clippy::disallowed_methods)] // wall-clock: this benchmark measures real elapsed time
+
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::io::Write as _;

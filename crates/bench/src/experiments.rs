@@ -471,6 +471,7 @@ fn fig13_live(name: &'static str, n: usize, tcp: bool) -> Outcome {
     )
     .expect("spawn live cluster");
     // Convergence: ~60 gossip rounds.
+    #[allow(clippy::disallowed_methods)] // thread-sleep: waits on real gossip rounds
     std::thread::sleep(Duration::from_secs(3));
 
     let query = Query::builder(&space).min("a0", 20).build().expect("query");
@@ -479,6 +480,7 @@ fn fig13_live(name: &'static str, n: usize, tcp: bool) -> Outcome {
     for wave in 0..5 {
         if wave > 0 {
             cluster.kill_fraction(0.10);
+            #[allow(clippy::disallowed_methods)] // thread-sleep: real-time repair between waves
             std::thread::sleep(Duration::from_secs(2));
         }
         let origin = cluster.random_node();

@@ -13,8 +13,8 @@
 //! Not collision-resistant against adversarial keys; use only for internal
 //! identifiers, never for attacker-controlled input.
 
-// lint:allow-file(std-collections) — this module *wraps* the std maps to
-// build the deterministic FastMap/FastSet aliases everyone else must use.
+#![allow(clippy::disallowed_types)] // std-collections: wraps the std maps to build FastMap/FastSet
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 

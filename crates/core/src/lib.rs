@@ -72,7 +72,7 @@ mod selector;
 
 pub use match_list::{MatchIter, MatchList};
 pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
-pub use node::{ChoicePoint, Output, ProtocolConfig, SelectionNode};
+pub use node::{Output, ProtocolConfig, SelectionNode};
 pub use profile::NodeProfile;
 pub use routing::{NeighborEntry, RoutingTable};
 pub use selector::SlotSelector;

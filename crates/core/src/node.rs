@@ -1,3 +1,7 @@
+// This file defines protocol invariants: every panic site states the
+// invariant it relies on (`expect`), tests included.
+#![warn(clippy::unwrap_used)]
+
 use crate::fasthash::{FastMap, FastSet};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -230,27 +234,6 @@ impl PendingQuery {
             self.matching.push(Segment::List(list));
         }
     }
-}
-
-/// One outstanding non-deterministic decision at a node: a forwarded
-/// subtree whose REPLY has not arrived yet. The environment (network,
-/// simulator, or a model checker) decides what happens next — the reply is
-/// delivered, delayed past `deadline`, or the attempt is superseded.
-///
-/// This is the protocol's *entire* branching surface: every divergence
-/// between two executions of the same scenario is an ordering of these
-/// resolutions, which is what makes the `autosel-analyze` explorer's
-/// schedule enumeration exhaustive rather than heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ChoicePoint {
-    /// The query whose traversal is blocked on this decision.
-    pub query: QueryId,
-    /// The peer owing a REPLY.
-    pub peer: NodeId,
-    /// Absolute deadline (driver clock, ms) after which `T(q)` fires.
-    pub deadline: u64,
-    /// The attempt id the reply must echo to merge fresh.
-    pub attempt: u32,
 }
 
 /// A concluded query's final answer, kept for retransmission to late
@@ -492,52 +475,6 @@ impl SelectionNode {
         self.pending.iter().map(|(&q, p)| (q, p.reply_to)).collect()
     }
 
-    /// Peers this node is still waiting on for query `id`, with their reply
-    /// deadlines. Empty when the query is unknown or fully answered.
-    ///
-    /// Deadlines are **absolute timestamps in milliseconds on the driver's
-    /// clock** — the same clock whose `now` values are passed into
-    /// [`handle_message`](Self::handle_message) (virtual time under the
-    /// simulator, wall-clock milliseconds under the network runtime) — not
-    /// durations remaining. An entry is removed the moment the peer
-    /// answers, is declared unreachable, or its deadline expires in
-    /// [`poll_timeouts`](Self::poll_timeouts); entries never persist past
-    /// their query's conclusion.
-    pub fn waiting_on(&self, id: QueryId) -> Vec<(NodeId, u64)> {
-        self.pending
-            .get(&id)
-            .map(|p| p.waiting.iter().map(|(&n, &(d, _))| (n, d)).collect())
-            .unwrap_or_default()
-    }
-
-    /// Every outstanding non-deterministic decision at this node, across
-    /// all in-flight queries, in a canonical (sorted) order: one
-    /// [`ChoicePoint`] per `(query, awaited peer)` pair. The set is empty
-    /// exactly when the node's behaviour is a pure function of the next
-    /// message — i.e. nothing about its future depends on arrival order.
-    ///
-    /// This is the hook the `autosel-analyze` model checker enumerates
-    /// schedules over; drivers may also log it to explain *why* a traversal
-    /// is stalled.
-    pub fn choice_points(&self) -> Vec<ChoicePoint> {
-        let mut out: Vec<ChoicePoint> = self
-            .pending
-            .iter()
-            .flat_map(|(&query, p)| {
-                p.waiting
-                    .iter()
-                    .map(move |(&peer, &(deadline, attempt))| ChoicePoint {
-                        query,
-                        peer,
-                        deadline,
-                        attempt,
-                    })
-            })
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// A 64-bit FNV-1a digest of this node's complete protocol state —
     /// pending records (scope frontier, counts, waiting map with deadlines
     /// and attempt ids), the duplicate-suppression set, the reply cache,
@@ -649,16 +586,6 @@ impl SelectionNode {
     /// [`DynamicConstraint`] check them locally at match time (footnote 1).
     pub fn set_dynamic(&mut self, key: u32, value: attrspace::RawValue) {
         self.dynamic.insert(key, value);
-    }
-
-    /// Removes a dynamic attribute (constraints on it no longer match).
-    pub fn clear_dynamic(&mut self, key: u32) {
-        self.dynamic.remove(&key);
-    }
-
-    /// The current value of a dynamic attribute, if set.
-    pub fn dynamic_value(&self, key: u32) -> Option<attrspace::RawValue> {
-        self.dynamic.get(&key).copied()
     }
 
     /// Whether this node currently satisfies `query` plus the given dynamic

@@ -1,3 +1,7 @@
+// This file defines protocol invariants: every panic site states the
+// invariant it relies on (`expect`), tests included.
+#![warn(clippy::unwrap_used)]
+
 use std::fmt;
 
 use attrspace::{CellCoord, Level, Neighborhood, Point, Space};

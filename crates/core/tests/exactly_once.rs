@@ -7,6 +7,8 @@
 //! result instead of an empty stub, so neither the count total nor the
 //! enumerated match set can drift.
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; std maps only tally deliveries
+
 use std::collections::HashMap;
 
 use attrspace::{Query, Space};

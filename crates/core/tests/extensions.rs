@@ -2,6 +2,8 @@
 //! locally at match time (footnote 1) and the `C0` epidemic relay for
 //! densely populated lowest-level cells (§4.1).
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
+
 use std::collections::{HashSet, VecDeque};
 
 use attrspace::{Query, Range, Space};

@@ -14,6 +14,8 @@
 //! point of the suite is that no *sequence* of observations, removals and
 //! rebuilds can break them.
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
+
 use attrspace::{CellCoord, Neighborhood, Space};
 use autosel_core::RoutingTable;
 use epigossip::NodeId;

@@ -7,6 +7,8 @@
 //! entries, in the same order, the same `turnover`, the same batches and the
 //! same RNG stream after any chain of absorbs and exchanges.
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; the reference keeps the old pool
+
 use std::collections::HashMap;
 use std::sync::Arc;
 

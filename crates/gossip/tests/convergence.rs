@@ -1,6 +1,8 @@
 //! End-to-end behaviour of the two-layer stack on a synchronously simulated
 //! population: semantic convergence, connectivity, and self-healing.
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; the population is a std map
+
 use epigossip::{GossipConfig, GossipMessage, GossipStack, NodeId, RankSelector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -3,6 +3,8 @@
 //! the mechanism behind the paper's §6.7 claim that only true graph
 //! partition prevents recovery.
 
+#![allow(clippy::disallowed_types)] // std-collections: test code; the population is a std map
+
 use epigossip::{GossipConfig, GossipMessage, GossipStack, NodeId, RankSelector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

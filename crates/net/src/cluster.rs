@@ -387,14 +387,6 @@ impl NetCluster {
             .collect()
     }
 
-    /// Per-node routing-table link counts, as last published by each peer
-    /// after a view sync. Zero until a node's first gossip round.
-    pub fn link_counts(&self) -> HashMap<NodeId, u64> {
-        self.alive()
-            .map(|(id, p)| (id, p.links.load(Relaxed)))
-            .collect()
-    }
-
     /// The transport this cluster runs on — e.g. to read
     /// [`Transport::tcp_stats`] during a TCP load run.
     pub fn transport(&self) -> &Transport {
@@ -577,7 +569,7 @@ mod tests {
                 if pred() {
                     return true;
                 }
-                // Bounded by the deadline above. lint:allow(thread-sleep-in-tests)
+                #[allow(clippy::disallowed_methods)] // thread-sleep: bounded by the deadline above
                 std::thread::sleep(Duration::from_millis(20));
             }
             false

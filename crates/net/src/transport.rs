@@ -62,7 +62,8 @@ impl Fabric {
     ) -> (Arc<Self>, Vec<mpsc::Receiver<Envelope>>) {
         // Bounded by construction: every event takes a place in its peer's
         // slot first (`try_reserve`), so a shard inbox holds at most
-        // capacity × its peers. lint:allow(unbounded-channel)
+        // capacity × its peers.
+        #[allow(clippy::disallowed_methods)] // unbounded-channel: bounded by per-peer admission
         let (inboxes, receivers) = (0..shards).map(|_| mpsc::channel()).unzip();
         let peers = (0..n).map(|_| PeerSlot::default()).collect();
         (
@@ -130,6 +131,7 @@ impl Fabric {
             if slot.dead.load(Ordering::Relaxed) {
                 return Err(());
             }
+            #[allow(clippy::disallowed_methods)] // thread-sleep: rare control path, not a test
             std::thread::sleep(Duration::from_micros(100));
         }
         self.inboxes[self.shard_of(to)]
@@ -451,6 +453,7 @@ impl Writer {
                 }
                 // Capped backoff before the next connect attempt; frames
                 // queued meanwhile wait (or drop on a full queue).
+                #[allow(clippy::disallowed_methods)] // thread-sleep: connect backoff, not a test
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
             }

@@ -24,9 +24,8 @@ fn wait_until(mut pred: impl FnMut() -> bool, deadline: Duration) -> bool {
         if start.elapsed() >= deadline {
             return false;
         }
-        // This IS the polling helper the rule points everyone at;
-        // the sleep is bounded by the caller's deadline.
-        // lint:allow(thread-sleep-in-tests)
+        // This IS the polling helper the rule points everyone at.
+        #[allow(clippy::disallowed_methods)] // thread-sleep: bounded by the caller's deadline
         std::thread::sleep(Duration::from_millis(50));
     }
 }
@@ -140,8 +139,8 @@ fn sigma_queries_return_promptly_on_live_cluster() {
             }
         }
         // Live-runtime retry loop: the cluster runs on real sockets,
-        // so backing off between σ retries needs real time; bounded
-        // by the tries counter. lint:allow(thread-sleep-in-tests)
+        // so backing off between σ retries needs real time.
+        #[allow(clippy::disallowed_methods)] // thread-sleep: bounded by the tries counter
         std::thread::sleep(Duration::from_millis(100));
     }
     let outcome = outcome.expect("σ query completes");

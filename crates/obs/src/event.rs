@@ -606,26 +606,59 @@ impl Event {
 mod tests {
     use super::*;
 
-    fn all_variants() -> Vec<Event> {
+    /// The closed trace schema (docs/OBSERVABILITY.md): every JSON key,
+    /// `ev` kind and enum string `to_json` may emit. Adding one is a
+    /// deliberate edit here and to that table.
+    const OBS_SCHEMA: &[&str] = &[
+        // keys
+        "ev",
+        "at",
+        "q",
+        "node",
+        "sigma",
+        "count_only",
+        "matched",
+        "from",
+        "to",
+        "level",
+        "attempt",
+        "parent",
+        "duplicate",
+        "count",
+        "fresh",
+        "peer",
+        "layer",
+        "view_size",
+        "mean_age_x1000",
+        "replaced",
+        "links",
+        "zero",
+        "changed",
+        // event kinds
+        "query_issued",
+        "query_forwarded",
+        "query_received",
+        "reply_sent",
+        "reply_merged",
+        "timeout_fired",
+        "sigma_stop",
+        "query_completed",
+        "gossip_round",
+        "view_change",
+        "node_crashed",
+        "node_restarted",
+        // enum values (gossip layers)
+        "random",
+        "semantic",
+    ];
+
+    /// The variant after `ev`'s in declaration order, `None` after the
+    /// last. The match has no wildcard, so a new variant does not compile
+    /// until it has an arm here, which is where it joins the chain.
+    fn next_variant(ev: &Event) -> Option<Event> {
         let q = QueryRef::new(7, 3);
-        vec![
-            Event::QueryIssued {
-                at: 0,
-                query: q,
-                node: 7,
-                sigma: Some(50),
-                count_only: false,
-                matched: true,
-            },
-            Event::QueryIssued {
-                at: 0,
-                query: q,
-                node: 7,
-                sigma: None,
-                count_only: true,
-                matched: false,
-            },
-            Event::QueryForwarded {
+        Some(match ev {
+            Event::QueryIssued { .. } => Event::QueryForwarded {
                 at: 1,
                 query: q,
                 from: 7,
@@ -633,7 +666,7 @@ mod tests {
                 level: -1,
                 attempt: 2,
             },
-            Event::QueryReceived {
+            Event::QueryForwarded { .. } => Event::QueryReceived {
                 at: 2,
                 query: q,
                 node: 12,
@@ -642,7 +675,7 @@ mod tests {
                 matched: false,
                 duplicate: true,
             },
-            Event::ReplySent {
+            Event::QueryReceived { .. } => Event::ReplySent {
                 at: 3,
                 query: q,
                 node: 12,
@@ -650,7 +683,7 @@ mod tests {
                 count: 4,
                 attempt: 2,
             },
-            Event::ReplyMerged {
+            Event::ReplySent { .. } => Event::ReplyMerged {
                 at: 4,
                 query: q,
                 node: 7,
@@ -659,25 +692,25 @@ mod tests {
                 fresh: true,
                 attempt: 2,
             },
-            Event::TimeoutFired {
+            Event::ReplyMerged { .. } => Event::TimeoutFired {
                 at: 5,
                 query: q,
                 node: 7,
                 peer: 12,
             },
-            Event::SigmaStop {
+            Event::TimeoutFired { .. } => Event::SigmaStop {
                 at: 6,
                 query: q,
                 node: 9,
                 count: 51,
             },
-            Event::QueryCompleted {
+            Event::SigmaStop { .. } => Event::QueryCompleted {
                 at: 7,
                 query: q,
                 node: 7,
                 count: 51,
             },
-            Event::GossipRound {
+            Event::QueryCompleted { .. } => Event::GossipRound {
                 at: 8,
                 node: 3,
                 layer: Layer::Semantic,
@@ -685,16 +718,49 @@ mod tests {
                 mean_age_x1000: 2500,
                 replaced: 3,
             },
-            Event::ViewChange {
+            Event::GossipRound { .. } => Event::ViewChange {
                 at: 9,
                 node: 3,
                 links: 14,
                 zero: 2,
                 changed: 1,
             },
-            Event::NodeCrashed { at: 10, node: 5 },
-            Event::NodeRestarted { at: 11, node: 5 },
-        ]
+            Event::ViewChange { .. } => Event::NodeCrashed { at: 10, node: 5 },
+            Event::NodeCrashed { .. } => Event::NodeRestarted { at: 11, node: 5 },
+            Event::NodeRestarted { .. } => return None,
+        })
+    }
+
+    /// One instance of every variant (following [`next_variant`]), plus the
+    /// field values that serialize differently: a null `sigma` and the
+    /// other gossip layer.
+    fn all_variants() -> Vec<Event> {
+        let first = Event::QueryIssued {
+            at: 0,
+            query: QueryRef::new(7, 3),
+            node: 7,
+            sigma: Some(50),
+            count_only: false,
+            matched: true,
+        };
+        let mut all: Vec<Event> = std::iter::successors(Some(first), next_variant).collect();
+        all.push(Event::QueryIssued {
+            at: 0,
+            query: QueryRef::new(7, 3),
+            node: 7,
+            sigma: None,
+            count_only: true,
+            matched: false,
+        });
+        all.push(Event::GossipRound {
+            at: 8,
+            node: 3,
+            layer: Layer::Random,
+            view_size: 16,
+            mean_age_x1000: 2500,
+            replaced: 3,
+        });
+        all
     }
 
     #[test]
@@ -704,6 +770,34 @@ mod tests {
             let back = Event::from_json(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(ev, back, "round trip failed for {line}");
         }
+    }
+
+    #[test]
+    fn to_json_emits_exactly_the_pinned_schema() {
+        let mut emitted = std::collections::BTreeSet::new();
+        for ev in all_variants() {
+            let line = ev.to_json();
+            let obj = json::parse_object(&line).expect("to_json writes one flat object");
+            obj.expect_only(OBS_SCHEMA)
+                .unwrap_or_else(|e| panic!("{line}: key outside the schema: {e}"));
+            for &name in OBS_SCHEMA {
+                match obj.get(name) {
+                    Some(JsonValue::Str(value)) if name != "q" => {
+                        let pinned = OBS_SCHEMA.iter().find(|&&s| s == value);
+                        let value = pinned.unwrap_or_else(|| {
+                            panic!("{line}: value {value:?} outside the schema")
+                        });
+                        emitted.extend([name, *value]);
+                    }
+                    Some(_) => {
+                        emitted.insert(name);
+                    }
+                    None => {}
+                }
+            }
+        }
+        let pinned: std::collections::BTreeSet<&str> = OBS_SCHEMA.iter().copied().collect();
+        assert_eq!(emitted, pinned, "a pinned name is never emitted");
     }
 
     #[test]

@@ -405,6 +405,7 @@ mod tests {
         ) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
             let mut cal = CalendarQueue::new();
+            #[allow(clippy::disallowed_types)] // binary-heap: test code; the reference model
             let mut heap: std::collections::BinaryHeap<ScheduledEvent> =
                 std::collections::BinaryHeap::new();
             let mut next_seq = 0u64;

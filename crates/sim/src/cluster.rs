@@ -29,8 +29,6 @@ struct SimNode {
     /// Messages (queries + replies + gossip) dispatched by this node —
     /// Fig. 9's load metric.
     sent: u64,
-    /// Protocol messages received.
-    received: u64,
     /// Firing time of the earliest `PollTimeouts` event queued for this
     /// node, or `u64::MAX` when none is. One covering poll per node is
     /// enough — it reschedules itself off `next_timeout()` — so deliveries
@@ -251,7 +249,6 @@ impl SimCluster {
                 selection,
                 gossip,
                 sent: 0,
-                received: 0,
                 next_poll: u64::MAX,
             },
         );
@@ -507,7 +504,6 @@ impl SimCluster {
     pub fn reset_load(&mut self) {
         for n in self.nodes.values_mut() {
             n.sent = 0;
-            n.received = 0;
         }
     }
 
@@ -952,7 +948,6 @@ impl SimCluster {
                     Payload::Protocol(msg) => {
                         self.record_receipt(to, &msg);
                         let node = self.nodes.get_mut(&to).expect("alive");
-                        node.received += 1;
                         // Sole owner in the common (non-duplicated) case:
                         // unwrap without copying.
                         let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
@@ -1214,6 +1209,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
     fn churn_preserves_population_and_refreshes_ids() {
         let s = space();
         let mut sim = SimCluster::new(s, SimConfig::default(), 4);

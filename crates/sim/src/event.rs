@@ -197,6 +197,7 @@ pub struct QueuedEvent {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)] // binary-heap: test code; checks the heap order the calendar replaced
 mod tests {
     use super::*;
     use std::collections::BinaryHeap;

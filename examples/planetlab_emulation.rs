@@ -33,6 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         NetCluster::spawn(space.clone(), points, cfg, Transport::tcp(space.clone()), 8)?;
 
     // Convergence: ~50 gossip rounds of 40 ms.
+    #[allow(clippy::disallowed_methods)] // thread-sleep: the demo waits on real gossip rounds
     std::thread::sleep(Duration::from_secs(2));
 
     let query = Query::builder(&space).min("a0", 20).build()?;
@@ -54,6 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Give gossip a recovery window, then measure again.
+    #[allow(clippy::disallowed_methods)] // thread-sleep: the demo waits on real repair
     std::thread::sleep(Duration::from_secs(2));
     let origin = cluster.random_node();
     let after = cluster
