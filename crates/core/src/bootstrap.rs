@@ -3,11 +3,13 @@
 
 use crate::fasthash::FastMap;
 use std::hash::Hash;
+use std::sync::Arc;
 
 use attrspace::{BucketIndex, Level, Space};
 use epigossip::NodeId;
 use rand::Rng;
 
+use crate::routing::ZeroSet;
 use crate::{NeighborEntry, RoutingTable, SelectionNode};
 
 /// Precomputed group indexes for wiring routing tables from global
@@ -26,6 +28,13 @@ use crate::{NeighborEntry, RoutingTable, SelectionNode};
 /// independent randomness the gossip selection provides, which is what
 /// spreads query load in §6.4).
 ///
+/// Everything a table is wired from depends only on its node's `C0` cell,
+/// so it is resolved once per occupied cell: the `neighborsZero` set, which
+/// every member's table shares (each skipping its own id, and copying it on
+/// its first write — per-node copies would make set-up grow as
+/// N² / cells), and the candidate range of every `(l,k)` slot. Wiring a
+/// table then reads its cell's ranges and draws.
+///
 /// Group keys are mixed-granularity prefixes. A node `Y` belongs to
 /// `N(l,k)(X)` iff
 ///
@@ -43,135 +52,17 @@ use crate::{NeighborEntry, RoutingTable, SelectionNode};
 /// populations.
 #[derive(Debug)]
 pub struct OracleWiring {
-    d: usize,
-    max_level: Level,
     entries: Vec<NeighborEntry>,
-    index: GroupIndex,
-}
-
-/// Entry indexes grouped by cell key — direct-indexed arrays when the
-/// packed key space is small, hashed `u64` keys when the coordinate fits a
-/// word, per-dimension vectors otherwise.
-#[derive(Debug)]
-enum GroupIndex {
-    Dense(DenseGroups),
-    Packed(Groups<u64>),
-    Wide(Groups<Vec<BucketIndex>>),
-}
-
-/// Largest packed-key width (in bits) indexed as dense arrays: 2^16 offsets
-/// per table stays a few hundred KB while covering every configuration the
-/// paper benchmarks (e.g. 5 dims × 3 levels = 15 bits).
-const DENSE_KEY_BITS: usize = 16;
-
-/// One group table in compressed-sparse-row form: the member list of packed
-/// key `k` is `members[starts[k]..starts[k + 1]]`. Grouping and lookup are
-/// a direct array index — no hashing — which is what makes oracle-wiring a
-/// 100 000-node population cheap enough to rerun per sweep point.
-#[derive(Debug)]
-struct Csr {
-    starts: Vec<u32>,
-    members: Vec<u32>,
-}
-
-impl Csr {
-    /// Groups entry indexes `0..keys.len()` by their packed key. Members of
-    /// a group keep ascending entry order (the hashed path's insertion
-    /// order), so the one-draw-per-slot RNG contract picks identically.
-    fn build(n_keys: usize, keys: &[u32]) -> Self {
-        let mut starts = vec![0u32; n_keys + 1];
-        for &k in keys {
-            starts[k as usize + 1] += 1;
-        }
-        for i in 0..n_keys {
-            starts[i + 1] += starts[i];
-        }
-        let mut cursor = starts.clone();
-        let mut members = vec![0u32; keys.len()];
-        for (i, &k) in keys.iter().enumerate() {
-            let c = &mut cursor[k as usize];
-            members[*c as usize] = i as u32;
-            *c += 1;
-        }
-        Csr { starts, members }
-    }
-
-    fn get(&self, key: u64) -> &[u32] {
-        let k = key as usize;
-        &self.members[self.starts[k] as usize..self.starts[k + 1] as usize]
-    }
-}
-
-/// [`Groups`] with every table in [`Csr`] form.
-#[derive(Debug)]
-struct DenseGroups {
-    zero: Csr,
-    slots: Vec<Csr>,
-}
-
-impl DenseGroups {
-    fn build(entries: &[NeighborEntry], d: usize, max_level: Level) -> Self {
-        let n_keys = 1usize << (d * max_level as usize);
-        let mut keys: Vec<u32> = Vec::with_capacity(entries.len());
-        keys.extend(
-            entries
-                .iter()
-                .map(|e| packed_zero(e.coord.indices(), max_level) as u32),
-        );
-        let zero = Csr::build(n_keys, &keys);
-        let mut slots = Vec::with_capacity(d * max_level as usize);
-        for level in 1..=max_level {
-            for dim in 0..d {
-                keys.clear();
-                keys.extend(
-                    entries
-                        .iter()
-                        .map(|e| packed_slot(e.coord.indices(), level, dim, max_level) as u32),
-                );
-                slots.push(Csr::build(n_keys, &keys));
-            }
-        }
-        DenseGroups { zero, slots }
-    }
-}
-
-#[derive(Debug)]
-struct Groups<K> {
-    /// `C0` groups: full-coordinate key → entry indexes in that cell.
-    zero: FastMap<K, Vec<u32>>,
-    /// Per `(level-1)·d + dim`: mixed-granularity prefix → entry indexes.
-    slots: Vec<FastMap<K, Vec<u32>>>,
-}
-
-impl<K: Hash + Eq> Groups<K> {
-    fn build(
-        entries: &[NeighborEntry],
-        d: usize,
-        max_level: Level,
-        zero_key: impl Fn(&[BucketIndex]) -> K,
-        slot_key: impl Fn(&[BucketIndex], Level, usize) -> K,
-    ) -> Self {
-        let mut zero: FastMap<K, Vec<u32>> = FastMap::default();
-        for (i, e) in entries.iter().enumerate() {
-            zero.entry(zero_key(e.coord.indices()))
-                .or_default()
-                .push(i as u32);
-        }
-        let mut slots: Vec<FastMap<K, Vec<u32>>> = (0..d * max_level as usize)
-            .map(|_| FastMap::default())
-            .collect();
-        for (i, e) in entries.iter().enumerate() {
-            for level in 1..=max_level {
-                for dim in 0..d {
-                    slots[(level as usize - 1) * d + dim]
-                        .entry(slot_key(e.coord.indices(), level, dim))
-                        .or_default()
-                        .push(i as u32);
-                }
-            }
-        }
-        Groups { zero, slots }
-    }
+    /// Per slot `(level-1)·d + dim`: entry ids grouped by `N(l,k)` prefix,
+    /// each group in entry order.
+    members: Vec<Vec<NodeId>>,
+    /// One `neighborsZero` set per occupied `C0` cell, its members included.
+    zero: Vec<Arc<ZeroSet>>,
+    /// Per cell, `d · max(l)` candidate ranges `(start, len)`, one per slot
+    /// into that slot's `members`; `len` 0 for an empty subcell.
+    ranges: Vec<(u32, u32)>,
+    /// Per entry, the index of its cell in `zero` and `ranges`.
+    cell_of: Vec<u32>,
 }
 
 /// Packs a full coordinate into a word, `max_level` bits per dimension.
@@ -181,12 +72,15 @@ fn packed_zero(coord: &[BucketIndex], max_level: Level) -> u64 {
         .fold(0u64, |k, &v| (k << max_level) | u64::from(v))
 }
 
-/// Packs the `N(level, dim)` membership prefix into a word, keeping each
-/// dimension in its own `max_level`-bit field so one field can be flipped.
-fn packed_slot(coord: &[BucketIndex], level: Level, dim: usize, max_level: Level) -> u64 {
-    coord.iter().enumerate().fold(0u64, |k, (j, &v)| {
+/// Packs the `N(level, dim)` membership prefix of a `d`-dimensional
+/// coordinate, given [`packed_zero`], into a word, keeping each dimension
+/// in its own `max_level`-bit field so one field can be flipped.
+fn packed_slot(zero: u64, d: usize, level: Level, dim: usize, max_level: Level) -> u64 {
+    let mask = (1u64 << max_level) - 1;
+    (0..d).fold(0u64, |k, j| {
+        let v = zero >> ((d - 1 - j) * max_level as usize) & mask;
         let shift = if j <= dim { level - 1 } else { level };
-        (k << max_level) | u64::from(v >> shift)
+        (k << max_level) | (v >> shift)
     })
 }
 
@@ -204,40 +98,144 @@ fn wide_slot(coord: &[BucketIndex], level: Level, dim: usize) -> Vec<BucketIndex
         .collect()
 }
 
+/// Groups `entries` by `C0` cell (`key` of entry `i`'s full coordinate)
+/// into one shared `neighborsZero` set per occupied cell. Returns the
+/// sets, each cell's first entry, and per entry the index of its cell.
+fn zero_sets<K: Hash + Eq>(
+    entries: &[NeighborEntry],
+    key: impl Fn(usize) -> K,
+) -> (Vec<Arc<ZeroSet>>, Vec<u32>, Vec<u32>) {
+    let mut cells: FastMap<K, u32> = FastMap::default();
+    let mut members: Vec<Vec<u32>> = Vec::new();
+    let mut cell_of = Vec::with_capacity(entries.len());
+    for i in 0..entries.len() {
+        let next = members.len() as u32;
+        let cell = *cells.entry(key(i)).or_insert(next);
+        if cell == next {
+            members.push(Vec::new());
+        }
+        members[cell as usize].push(i as u32);
+        cell_of.push(cell);
+    }
+    let firsts = members.iter().map(|cell| cell[0]).collect();
+    let sets = members
+        .iter()
+        .map(|cell| {
+            let mates = cell.iter().map(|&m| &entries[m as usize]);
+            Arc::new(ZeroSet::new(mates.map(|e| (e.id, e.point.clone()))))
+        })
+        .collect();
+    (sets, firsts, cell_of)
+}
+
+/// Groups `entries` by `key` (of entry `i`: one slot's `N(l,k)` prefix):
+/// the entry ids ordered by group, each group in entry order (so the
+/// one-draw-per-slot RNG contract picks as a per-group list would), and
+/// per cell — given by its first entry — the range of the group its
+/// `flipped` key names.
+fn slot_groups<K: Hash + Eq>(
+    entries: &[NeighborEntry],
+    firsts: &[u32],
+    key: impl Fn(usize) -> K,
+    flipped: impl Fn(usize) -> K,
+) -> (Vec<NodeId>, Vec<(u32, u32)>) {
+    let mut groups: FastMap<K, u32> = FastMap::default();
+    let of: Vec<u32> = (0..entries.len())
+        .map(|i| {
+            let next = groups.len() as u32;
+            *groups.entry(key(i)).or_insert(next)
+        })
+        .collect();
+    // Counting sort by group: `starts[g]..starts[g + 1]` is group `g`.
+    let mut starts = vec![0u32; groups.len() + 1];
+    for &g in &of {
+        starts[g as usize + 1] += 1;
+    }
+    for g in 0..groups.len() {
+        starts[g + 1] += starts[g];
+    }
+    let mut cursor = starts.clone();
+    let mut members = vec![0; entries.len()];
+    for (e, &g) in entries.iter().zip(&of) {
+        let c = &mut cursor[g as usize];
+        members[*c as usize] = e.id;
+        *c += 1;
+    }
+    let ranges = firsts
+        .iter()
+        .map(|&f| {
+            groups.get(&flipped(f as usize)).map_or((0, 0), |&g| {
+                let (start, end) = (starts[g as usize], starts[g as usize + 1]);
+                (start, end - start)
+            })
+        })
+        .collect();
+    (members, ranges)
+}
+
 impl OracleWiring {
-    /// Indexes `entries` (the whole population) for wiring against `space`.
+    /// Indexes `entries` (the whole population, ids distinct) for wiring
+    /// against `space`.
     ///
     /// # Panics
     ///
     /// Panics if `entries` is empty.
     pub fn new(space: &Space, entries: Vec<NeighborEntry>) -> Self {
+        let packed = space.dims() * space.max_level() as usize <= 64;
+        Self::build(space, entries, packed)
+    }
+
+    /// [`new`](Self::new) with the key width chosen: `u64`-packed prefixes
+    /// or one `Vec` per prefix, which any width fits.
+    fn build(space: &Space, entries: Vec<NeighborEntry>, packed: bool) -> Self {
         assert!(!entries.is_empty(), "cannot wire an empty population");
         let d = space.dims();
-        let max_level = space.max_level();
-        let index = if d * max_level as usize <= DENSE_KEY_BITS {
-            GroupIndex::Dense(DenseGroups::build(&entries, d, max_level))
-        } else if d * max_level as usize <= 64 {
-            GroupIndex::Packed(Groups::build(
-                &entries,
-                d,
-                max_level,
-                |c| packed_zero(c, max_level),
-                |c, l, k| packed_slot(c, l, k, max_level),
-            ))
+        let ml = space.max_level();
+        let coord = |i: usize| entries[i].coord.indices();
+        // Each packed coordinate is read from its node once, not per slot.
+        let packed_zeros: Vec<u64> = if packed {
+            (0..entries.len())
+                .map(|i| packed_zero(coord(i), ml))
+                .collect()
         } else {
-            GroupIndex::Wide(Groups::build(
-                &entries,
-                d,
-                max_level,
-                <[BucketIndex]>::to_vec,
-                wide_slot,
-            ))
+            Vec::new()
         };
+        let (zero, firsts, cell_of) = if packed {
+            zero_sets(&entries, |i| packed_zeros[i])
+        } else {
+            zero_sets(&entries, |i| coord(i).to_vec())
+        };
+        let slots = d * ml as usize;
+        let mut members = Vec::with_capacity(slots);
+        let mut ranges = vec![(0, 0); zero.len() * slots];
+        for level in 1..=ml {
+            for dim in 0..d {
+                let (group, cell_ranges) = if packed {
+                    // Flip our half along `dim`: the low bit of its field.
+                    let field = (d - 1 - dim) as u32 * u32::from(ml);
+                    let key = |i: usize| packed_slot(packed_zeros[i], d, level, dim, ml);
+                    slot_groups(&entries, &firsts, key, |i| key(i) ^ (1u64 << field))
+                } else {
+                    let key = |i: usize| wide_slot(coord(i), level, dim);
+                    slot_groups(&entries, &firsts, key, |i| {
+                        let mut key = key(i);
+                        key[dim] ^= 1;
+                        key
+                    })
+                };
+                let slot = members.len();
+                for (cell, range) in cell_ranges.into_iter().enumerate() {
+                    ranges[cell * slots + slot] = range;
+                }
+                members.push(group);
+            }
+        }
         OracleWiring {
-            d,
-            max_level,
             entries,
-            index,
+            members,
+            zero,
+            ranges,
+            cell_of,
         }
     }
 
@@ -248,7 +246,8 @@ impl OracleWiring {
     }
 
     /// Rewires entry `i`'s routing table from global knowledge: all `C0`
-    /// mates, plus one uniformly random occupant per non-empty `N(l,k)`.
+    /// mates (a clone of the cell's shared set), plus one uniformly random
+    /// occupant per non-empty `N(l,k)`.
     ///
     /// Slots are visited level-ascending, dimension-ascending, drawing from
     /// `rng` once per non-empty subcell — callers that fix the entry order
@@ -263,93 +262,18 @@ impl OracleWiring {
         table: &mut RoutingTable,
         rng: &mut R,
     ) -> usize {
-        match &self.index {
-            GroupIndex::Dense(g) => self.wire_dense(g, i, table, rng),
-            GroupIndex::Packed(g) => {
-                let ml = self.max_level;
-                self.wire_with(
-                    g,
-                    i,
-                    table,
-                    rng,
-                    |c| packed_zero(c, ml),
-                    |c, l, k| {
-                        // Flip our half along `k`: the low bit of its field.
-                        let field = (self.d - 1 - k) as u32 * u32::from(ml);
-                        packed_slot(c, l, k, ml) ^ (1u64 << field)
-                    },
-                );
-            }
-            GroupIndex::Wide(g) => {
-                self.wire_with(g, i, table, rng, <[BucketIndex]>::to_vec, |c, l, k| {
-                    let mut key = wide_slot(c, l, k);
-                    key[k] ^= 1;
-                    key
-                });
+        let cell = self.cell_of[i] as usize;
+        table.clear();
+        table.share_zero(Arc::clone(&self.zero[cell]), self.entries[i].id);
+        let slots = self.members.len();
+        let ranges = &self.ranges[cell * slots..(cell + 1) * slots];
+        for (slot, (&(start, len), group)) in ranges.iter().zip(&self.members).enumerate() {
+            if len > 0 {
+                let pick = group[start as usize + rng.gen_range(0..len as usize)];
+                table.set_slot(slot, pick);
             }
         }
         table.link_count()
-    }
-
-    /// [`wire_with`](Self::wire_with) over direct-indexed tables: same
-    /// slot visit order, same one-draw-per-non-empty-subcell RNG contract.
-    fn wire_dense<R: Rng + ?Sized>(
-        &self,
-        g: &DenseGroups,
-        i: usize,
-        table: &mut RoutingTable,
-        rng: &mut R,
-    ) {
-        let own = self.entries[i].coord.indices();
-        let ml = self.max_level;
-        table.clear();
-        for &m in g.zero.get(packed_zero(own, ml)) {
-            if m as usize != i {
-                table.insert_zero(&self.entries[m as usize]);
-            }
-        }
-        for level in 1..=ml {
-            for dim in 0..self.d {
-                let field = (self.d - 1 - dim) as u32 * u32::from(ml);
-                let key = packed_slot(own, level, dim, ml) ^ (1u64 << field);
-                let cands = g.slots[(level as usize - 1) * self.d + dim].get(key);
-                if !cands.is_empty() {
-                    let pick = cands[rng.gen_range(0..cands.len())] as usize;
-                    table.set_neighbor(level, dim, &self.entries[pick]);
-                }
-            }
-        }
-    }
-
-    fn wire_with<K: Hash + Eq, R: Rng + ?Sized>(
-        &self,
-        groups: &Groups<K>,
-        i: usize,
-        table: &mut RoutingTable,
-        rng: &mut R,
-        zero_key: impl Fn(&[BucketIndex]) -> K,
-        flipped_slot_key: impl Fn(&[BucketIndex], Level, usize) -> K,
-    ) {
-        let own = self.entries[i].coord.indices();
-        table.clear();
-        if let Some(mates) = groups.zero.get(&zero_key(own)) {
-            for &m in mates {
-                if m as usize != i {
-                    table.insert_zero(&self.entries[m as usize]);
-                }
-            }
-        }
-        for level in 1..=self.max_level {
-            for dim in 0..self.d {
-                let key = flipped_slot_key(own, level, dim);
-                if let Some(cands) = groups.slots[(level as usize - 1) * self.d + dim].get(&key) {
-                    if !cands.is_empty() {
-                        let pick = cands[rng.gen_range(0..cands.len())] as usize;
-                        table.set_neighbor(level, dim, &self.entries[pick]);
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -439,6 +363,59 @@ mod tests {
         }
     }
 
+    /// Oracle wiring hands the members of a `C0` cell one shared set; no
+    /// node lists itself, and a write at one member (a timeout's `remove`)
+    /// copies before it changes anything, so the others keep the full set.
+    #[test]
+    fn cell_members_share_one_zero_set_until_written() {
+        // 2 × 2 cells: ~25 members each.
+        let space = Space::uniform(2, 80, 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut nodes = population(&space, 100, 5);
+        wire_perfect(&mut nodes, &mut rng);
+        let zero = |n: &SelectionNode| -> Vec<NodeId> {
+            n.routing().zero_neighbors().map(|(id, _)| id).collect()
+        };
+        let mates = |i: usize| -> Vec<usize> {
+            (0..nodes.len())
+                .filter(|&j| nodes[j].coord().same_cell(nodes[i].coord(), 0))
+                .collect()
+        };
+        for i in 0..nodes.len() {
+            let me = nodes[i].id();
+            assert!(!zero(&nodes[i]).contains(&me), "node {i} lists itself");
+            let cell = mates(i);
+            assert_eq!(nodes[i].routing().zero_count(), cell.len() - 1);
+            for &j in &cell {
+                assert!(
+                    nodes[i].routing().shares_zero_with(nodes[j].routing()),
+                    "nodes {i} and {j} hold separate copies of one cell's set"
+                );
+            }
+        }
+
+        let cell = mates(0);
+        assert!(cell.len() >= 3, "the test needs a crowded cell");
+        let (writer, victim) = (cell[1], nodes[cell[2]].id());
+        let before: Vec<Vec<NodeId>> = cell.iter().map(|&j| zero(&nodes[j])).collect();
+        nodes[writer].routing_mut().remove(victim);
+        assert!(!zero(&nodes[writer]).contains(&victim));
+        assert_eq!(zero(&nodes[writer]).len(), cell.len() - 2);
+        assert!(!nodes[writer]
+            .routing()
+            .shares_zero_with(nodes[cell[0]].routing()));
+        for (k, &j) in cell.iter().enumerate().filter(|&(_, &j)| j != writer) {
+            assert_eq!(
+                zero(&nodes[j]),
+                before[k],
+                "node {j} saw node {writer}'s remove"
+            );
+            assert!(nodes[j]
+                .routing()
+                .shares_zero_with(nodes[cell[0]].routing()));
+        }
+    }
+
     /// The packed-key fast path must produce the exact same wiring (same
     /// links, same RNG draws) as the wide fallback. A 22-dimension depth-3
     /// space needs 66 bits and genuinely exercises the wide path.
@@ -460,19 +437,8 @@ mod tests {
                 })
                 .collect();
             let auto = OracleWiring::new(&space, entries.clone());
-            // Force the wide fallback on the same entries for comparison.
-            let forced = OracleWiring {
-                d: space.dims(),
-                max_level: space.max_level(),
-                index: GroupIndex::Wide(Groups::build(
-                    &entries,
-                    space.dims(),
-                    space.max_level(),
-                    <[BucketIndex]>::to_vec,
-                    wide_slot,
-                )),
-                entries,
-            };
+            // Force the wide keys on the same entries for comparison.
+            let forced = OracleWiring::build(&space, entries, false);
             for i in (0..nodes.len()).step_by(13) {
                 let mut ta = RoutingTable::new(space.clone(), nodes[i].coord().clone());
                 let mut tb = RoutingTable::new(space.clone(), nodes[i].coord().clone());

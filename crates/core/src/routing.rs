@@ -3,6 +3,7 @@
 #![warn(clippy::unwrap_used)]
 
 use std::fmt;
+use std::sync::Arc;
 
 use attrspace::{CellCoord, Level, Neighborhood, Point, Space};
 use epigossip::{NodeId, Scratch};
@@ -40,20 +41,66 @@ const EMPTY: NodeId = NodeId::MAX;
 ///
 /// Storage is struct-of-arrays and id-centric: slots are a bare
 /// `Vec<NodeId>` (8 bytes each instead of a ~48-byte `Option<NeighborEntry>`)
-/// and the zero set is a sorted id column with a parallel point column —
-/// at a million nodes the routing layer's footprint is dominated by what
-/// queries actually read, nothing else.
+/// and the zero set is an id column with a parallel point column behind an
+/// `Arc`, which oracle wiring shares across a `C0` cell — at a million
+/// nodes the routing layer's footprint is dominated by what queries
+/// actually read, nothing else.
 pub struct RoutingTable {
     space: Space,
     own: CellCoord,
     /// Slot `(level-1) * d + dim` holds the chosen neighbor's id in
     /// `N(level,dim)`, or [`EMPTY`].
     slots: Vec<NodeId>,
-    /// Ids of all known nodes of this node's own `C0` cell, sorted
-    /// ascending (the determinism order the old `BTreeMap` provided).
-    zero_ids: Vec<NodeId>,
-    /// Advertised points of the `C0` mates, parallel to `zero_ids`.
-    zero_points: Vec<Point>,
+    /// The `neighborsZero` set; `None` until the first mate is recorded.
+    /// Oracle wiring hands every member of a `C0` cell a clone of one
+    /// cell-wide set, so a write first takes a private copy
+    /// ([`zero_mut`](Self::zero_mut)).
+    zero: Option<Arc<ZeroSet>>,
+    /// The id `zero` lists but this table does not: its owner's, while
+    /// `zero` is a cell's shared set, [`EMPTY`] otherwise.
+    zero_skip: NodeId,
+}
+
+/// The ids of a `neighborsZero` set, ascending (the determinism order the
+/// old `BTreeMap` provided), with the advertised points alongside.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ZeroSet {
+    ids: Vec<NodeId>,
+    points: Vec<Point>,
+}
+
+impl ZeroSet {
+    /// The set of `mates` (distinct ids, any order).
+    pub(crate) fn new(mates: impl IntoIterator<Item = (NodeId, Point)>) -> Self {
+        let mut mates: Vec<(NodeId, Point)> = mates.into_iter().collect();
+        mates.sort_unstable_by_key(|&(id, _)| id);
+        debug_assert!(mates.windows(2).all(|w| w[0].0 < w[1].0), "ids repeat");
+        let (ids, points) = mates.into_iter().unzip();
+        ZeroSet { ids, points }
+    }
+
+    fn contains(&self, id: NodeId) -> bool {
+        self.ids.binary_search(&id).is_ok()
+    }
+
+    /// Records a mate, keeping the id column sorted; a re-observation
+    /// refreshes the stored point (last write wins, as the old map did).
+    fn upsert(&mut self, id: NodeId, point: Point) {
+        match self.ids.binary_search(&id) {
+            Ok(i) => self.points[i] = point,
+            Err(i) => {
+                self.ids.insert(i, id);
+                self.points.insert(i, point);
+            }
+        }
+    }
+
+    fn remove(&mut self, id: NodeId) {
+        if let Ok(i) = self.ids.binary_search(&id) {
+            self.ids.remove(i);
+            self.points.remove(i);
+        }
+    }
 }
 
 impl fmt::Debug for RoutingTable {
@@ -61,7 +108,7 @@ impl fmt::Debug for RoutingTable {
         f.debug_struct("RoutingTable")
             .field("own", &self.own)
             .field("links", &self.link_count())
-            .field("zero", &self.zero_ids.len())
+            .field("zero", &self.zero_count())
             .finish_non_exhaustive()
     }
 }
@@ -74,8 +121,8 @@ impl RoutingTable {
             space,
             own,
             slots,
-            zero_ids: Vec::new(),
-            zero_points: Vec::new(),
+            zero: None,
+            zero_skip: EMPTY,
         }
     }
 
@@ -104,12 +151,21 @@ impl RoutingTable {
     /// The `neighborsZero` set: all known nodes of this node's `C0` cell
     /// with their advertised points, ascending by id.
     pub fn zero_neighbors(&self) -> impl Iterator<Item = (NodeId, &Point)> {
-        self.zero_ids.iter().copied().zip(self.zero_points.iter())
+        let (ids, points) = match self.zero.as_deref() {
+            Some(z) => (&z.ids[..], &z.points[..]),
+            None => (&[][..], &[][..]),
+        };
+        let skip = self.zero_skip;
+        ids.iter()
+            .copied()
+            .zip(points)
+            .filter(move |&(id, _)| id != skip)
     }
 
     /// Number of same-`C0` links.
     pub fn zero_count(&self) -> usize {
-        self.zero_ids.len()
+        let listed = self.zero.as_ref().map_or(0, |z| z.ids.len());
+        listed - usize::from(self.zero_skip != EMPTY)
     }
 
     /// Number of non-empty `(l,k)` slots.
@@ -124,18 +180,45 @@ impl RoutingTable {
 
     /// Total links maintained (Fig. 10's metric: slot links + `C0` links).
     pub fn link_count(&self) -> usize {
-        self.slot_count() + self.zero_ids.len()
+        self.slot_count() + self.zero_count()
     }
 
-    /// Records a `C0` mate, keeping the id column sorted; a re-observation
-    /// refreshes the stored point (last write wins, as the old map did).
-    fn upsert_zero(&mut self, id: NodeId, point: Point) {
-        match self.zero_ids.binary_search(&id) {
-            Ok(i) => self.zero_points[i] = point,
-            Err(i) => {
-                self.zero_ids.insert(i, id);
-                self.zero_points.insert(i, point);
+    /// Makes the zero set a cell's shared `set`, which lists `owner` (this
+    /// table's node) among the mates; the table skips it (oracle
+    /// bootstrap).
+    pub(crate) fn share_zero(&mut self, set: Arc<ZeroSet>, owner: NodeId) {
+        debug_assert!(set.contains(owner), "{owner} is not a member");
+        self.zero_skip = owner;
+        self.zero = Some(set);
+    }
+
+    /// Whether this table's zero set is the very allocation `other`'s is.
+    #[cfg(test)]
+    pub(crate) fn shares_zero_with(&self, other: &RoutingTable) -> bool {
+        matches!((&self.zero, &other.zero), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// The zero set, made this table's own for writing: a shared set is
+    /// copied (without the skipped id) first, a private one is written in
+    /// place. Shared or private is the `Arc`'s refcount, not a second path.
+    fn zero_mut(&mut self) -> &mut ZeroSet {
+        let skip = std::mem::replace(&mut self.zero_skip, EMPTY);
+        let set = Arc::make_mut(self.zero.get_or_insert_with(Arc::default));
+        if skip != EMPTY {
+            set.remove(skip);
+        }
+        set
+    }
+
+    /// Empties the zero set, keeping a private set's buffers.
+    fn clear_zero(&mut self) {
+        self.zero_skip = EMPTY;
+        match self.zero.as_mut().and_then(Arc::get_mut) {
+            Some(set) => {
+                set.ids.clear();
+                set.points.clear();
             }
+            None => self.zero = None,
         }
     }
 
@@ -146,7 +229,7 @@ impl RoutingTable {
     pub fn observe(&mut self, id: NodeId, point: Point) {
         let coord = self.space.cell_coord(&point);
         match self.own.classify(&coord) {
-            Neighborhood::Zero => self.upsert_zero(id, point),
+            Neighborhood::Zero => self.zero_mut().upsert(id, point),
             Neighborhood::Cell { level, dim } => {
                 let idx = self.slot_index(level, dim);
                 if self.slots[idx] == EMPTY || self.slots[idx] == id {
@@ -158,24 +241,14 @@ impl RoutingTable {
 
     /// Empties the whole table.
     pub fn clear(&mut self) {
-        self.zero_ids.clear();
-        self.zero_points.clear();
+        self.clear_zero();
         self.slots.fill(EMPTY);
     }
 
-    /// Directly sets the link for slot `(level, dim)` (oracle bootstrap).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the entry does not lie in `N(level, dim)` of this
-    /// node.
-    pub fn set_neighbor(&mut self, level: Level, dim: usize, entry: &NeighborEntry) {
-        debug_assert!(
-            self.own.neighboring_cell(level, dim).contains(&entry.coord),
-            "entry outside N({level},{dim})"
-        );
-        let idx = self.slot_index(level, dim);
-        self.slots[idx] = entry.id;
+    /// Directly sets the link of slot `(level-1)·d + dim` to `id` (oracle
+    /// bootstrap, which resolved the subcell itself).
+    pub(crate) fn set_slot(&mut self, slot: usize, id: NodeId) {
+        self.slots[slot] = id;
     }
 
     /// Directly inserts a `neighborsZero` member (oracle bootstrap).
@@ -185,14 +258,14 @@ impl RoutingTable {
     /// Panics (debug) if the entry is not in this node's `C0` cell.
     pub fn insert_zero(&mut self, entry: &NeighborEntry) {
         debug_assert!(entry.coord.same_cell(&self.own, 0), "entry outside C0");
-        self.upsert_zero(entry.id, entry.point.clone());
+        self.zero_mut().upsert(entry.id, entry.point.clone());
     }
 
     /// Removes a peer everywhere (failure suspicion).
     pub fn remove(&mut self, id: NodeId) {
-        if let Ok(i) = self.zero_ids.binary_search(&id) {
-            self.zero_ids.remove(i);
-            self.zero_points.remove(i);
+        let listed = self.zero.as_ref().is_some_and(|z| z.contains(id));
+        if listed && id != self.zero_skip {
+            self.zero_mut().remove(id);
         }
         for s in &mut self.slots {
             if *s == id {
@@ -231,8 +304,7 @@ impl RoutingTable {
         let mut offered: Scratch<(u32, NodeId), 32> = Scratch::new();
         let mut count: Scratch<u32, 16> = Scratch::filled(self.slots.len(), 0);
         let mut held: Scratch<bool, 16> = Scratch::filled(self.slots.len(), false);
-        self.zero_ids.clear();
-        self.zero_points.clear();
+        self.clear_zero();
         for (id, point, class) in candidates {
             debug_assert_eq!(
                 class,
@@ -240,7 +312,7 @@ impl RoutingTable {
                 "class of {id}"
             );
             match class {
-                Neighborhood::Zero => self.upsert_zero(id, point.clone()),
+                Neighborhood::Zero => self.zero_mut().upsert(id, point.clone()),
                 Neighborhood::Cell { level, dim } => {
                     let slot = self.slot_index(level, dim);
                     count.as_mut_slice()[slot] += 1;
@@ -441,12 +513,78 @@ mod tests {
         assert_eq!(got, vec![(1, 1, 4), (3, 0, 3)]);
     }
 
-    impl RoutingTable {
-        /// `rebuild` as it was before it borrowed the view and took classes
-        /// (owned points, coordinates re-derived and classified, one `Vec`
-        /// of candidates per slot): the reference the rewrites are held to —
-        /// same table, same `changed`, same RNG draws.
-        fn rebuild_reference<R: Rng + ?Sized>(
+    /// The routing table as it was before the zero set could be shared:
+    /// private sorted `Vec` columns, and `rebuild` as it was before it
+    /// borrowed the view and took classes (owned points, coordinates
+    /// re-derived and classified, one `Vec` of candidates per slot). The
+    /// reference the rewrites are held to — same links in the same order,
+    /// same `changed`, same RNG draws.
+    struct VecTable {
+        space: Space,
+        own: CellCoord,
+        slots: Vec<NodeId>,
+        zero_ids: Vec<NodeId>,
+        zero_points: Vec<Point>,
+    }
+
+    impl VecTable {
+        fn new(space: Space, own: CellCoord) -> Self {
+            let slots = vec![EMPTY; space.dims() * space.max_level() as usize];
+            VecTable {
+                space,
+                own,
+                slots,
+                zero_ids: Vec::new(),
+                zero_points: Vec::new(),
+            }
+        }
+
+        fn slot_index(&self, level: Level, dim: usize) -> usize {
+            (level as usize - 1) * self.space.dims() + dim
+        }
+
+        fn upsert_zero(&mut self, id: NodeId, point: Point) {
+            match self.zero_ids.binary_search(&id) {
+                Ok(i) => self.zero_points[i] = point,
+                Err(i) => {
+                    self.zero_ids.insert(i, id);
+                    self.zero_points.insert(i, point);
+                }
+            }
+        }
+
+        fn observe(&mut self, id: NodeId, point: Point) {
+            let coord = self.space.cell_coord(&point);
+            match self.own.classify(&coord) {
+                Neighborhood::Zero => self.upsert_zero(id, point),
+                Neighborhood::Cell { level, dim } => {
+                    let idx = self.slot_index(level, dim);
+                    if self.slots[idx] == EMPTY || self.slots[idx] == id {
+                        self.slots[idx] = id;
+                    }
+                }
+            }
+        }
+
+        fn clear(&mut self) {
+            self.zero_ids.clear();
+            self.zero_points.clear();
+            self.slots.fill(EMPTY);
+        }
+
+        fn remove(&mut self, id: NodeId) {
+            if let Ok(i) = self.zero_ids.binary_search(&id) {
+                self.zero_ids.remove(i);
+                self.zero_points.remove(i);
+            }
+            for s in &mut self.slots {
+                if *s == id {
+                    *s = EMPTY;
+                }
+            }
+        }
+
+        fn rebuild<R: Rng + ?Sized>(
             &mut self,
             candidates: impl IntoIterator<Item = (NodeId, Point)>,
             rng: &mut R,
@@ -480,12 +618,57 @@ mod tests {
             }
             changed
         }
+
+        fn zero_neighbors(&self) -> Vec<(NodeId, Point)> {
+            self.zero_ids
+                .iter()
+                .copied()
+                .zip(self.zero_points.iter().cloned())
+                .collect()
+        }
+
+        fn link_count(&self) -> usize {
+            self.slots.iter().filter(|&&s| s != EMPTY).count() + self.zero_ids.len()
+        }
+    }
+
+    fn zero_list(t: &RoutingTable) -> Vec<(NodeId, Point)> {
+        t.zero_neighbors().map(|(id, p)| (id, p.clone())).collect()
     }
 
     mod differential {
         use super::*;
         use proptest::prelude::*;
         use rand::RngCore;
+
+        /// One write to a zero set, in the vocabulary of its callers:
+        /// oracle wiring (`Share` = `clear` + hand over the cell's set),
+        /// bootstrap, observation, failure handling and gossip.
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Wire the table to a shared set of the owner and the `C0`
+            /// population members picked by the mask.
+            Share(u16),
+            InsertZero(u64),
+            /// Observe a member, at its own point or (`true`) at another
+            /// point of the same cell.
+            Observe(u64, bool),
+            Remove(u64),
+            /// Rebuild from the members picked by the mask.
+            Rebuild(u16),
+            Clear,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                any::<u16>().prop_map(Op::Share),
+                (0u64..16).prop_map(Op::InsertZero),
+                (0u64..16, any::<bool>()).prop_map(|(id, alt)| Op::Observe(id, alt)),
+                (0u64..16).prop_map(Op::Remove),
+                any::<u16>().prop_map(Op::Rebuild),
+                Just(Op::Clear),
+            ]
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
@@ -510,7 +693,7 @@ mod tests {
                 let s = Space::uniform(d, 80, max_level).expect("valid space geometry");
                 let own = s.cell_coord(&s.point(&own_vals[..d]).expect("coords lie inside the space"));
                 let mut table = RoutingTable::new(s.clone(), own.clone());
-                let mut reference = RoutingTable::new(s.clone(), own);
+                let mut reference = VecTable::new(s.clone(), own);
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut reference_rng = StdRng::seed_from_u64(seed);
                 for offer in &offers {
@@ -529,14 +712,128 @@ mod tests {
                         .collect();
                     let offer = super::offer(&table, &offer);
                     let changed = table.rebuild(offer.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
-                    let expected = reference.rebuild_reference(
+                    let expected = reference.rebuild(
                         offer.iter().map(|(id, p, _)| (*id, p.clone())),
                         &mut reference_rng,
                     );
                     prop_assert_eq!(changed, expected);
                     prop_assert_eq!(&table.slots, &reference.slots);
-                    prop_assert_eq!(&table.zero_ids, &reference.zero_ids);
-                    prop_assert_eq!(&table.zero_points, &reference.zero_points);
+                    prop_assert_eq!(zero_list(&table), reference.zero_neighbors());
+                    prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "draw pattern diverged");
+                }
+            }
+
+            /// Any sequence of writes leaves a table whose zero set starts
+            /// shared exactly where the reference's private `Vec`s are —
+            /// same mates in the same order, same counts, same `changed`,
+            /// same RNG draws — and never reaches the table it shares with:
+            /// a sibling wired to the same set keeps seeing it unchanged.
+            #[test]
+            fn shared_zero_set_equals_private_reference(
+                d in 1usize..=3,
+                member_vals in prop::collection::vec(prop::collection::vec(0u64..80, 3), 16),
+                in_cell in any::<u16>(),
+                ops in prop::collection::vec(op(), 1..40),
+                seed in 0u64..1000,
+            ) {
+                let s = Space::uniform(d, 80, 3).expect("valid space geometry");
+                // Member 0 owns the table, member 1 the sibling; the members
+                // picked by `in_cell` (and both owners) sit in their `C0`
+                // cell, [10, 20) on every attribute, the rest anywhere.
+                let point = |vals: &[u64]| s.point(&vals[..d]).expect("coords lie inside the space");
+                let members: Vec<Point> = member_vals
+                    .iter()
+                    .enumerate()
+                    .map(|(id, vals)| {
+                        let inside = id < 2 || in_cell >> id & 1 == 1;
+                        let vals: Vec<u64> =
+                            vals.iter().map(|&v| if inside { 10 + v % 10 } else { v }).collect();
+                        point(&vals)
+                    })
+                    .collect();
+                let moved = |id: usize| {
+                    let vals: Vec<u64> = member_vals[id].iter().map(|&v| 10 + (v + 3) % 10).collect();
+                    point(&vals)
+                };
+                let own = s.cell_coord(&members[0]);
+                let in_c0 = |p: &Point| s.cell_coord(p).same_cell(&own, 0);
+                let mut table = RoutingTable::new(s.clone(), own.clone());
+                let mut sibling = RoutingTable::new(s.clone(), own.clone());
+                let mut reference = VecTable::new(s.clone(), own.clone());
+                let mut sibling_reference = VecTable::new(s.clone(), own.clone());
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                for op in ops {
+                    match op {
+                        Op::Share(mask) => {
+                            let mates: Vec<NodeId> = (0..16u64)
+                                .filter(|&id| id < 2 || mask >> id & 1 == 1)
+                                .filter(|&id| in_c0(&members[id as usize]))
+                                .collect();
+                            let set = Arc::new(ZeroSet::new(
+                                mates.iter().map(|&id| (id, members[id as usize].clone())),
+                            ));
+                            for (t, r, owner) in [
+                                (&mut table, &mut reference, 0),
+                                (&mut sibling, &mut sibling_reference, 1),
+                            ] {
+                                t.clear();
+                                t.share_zero(Arc::clone(&set), owner);
+                                r.clear();
+                                for &id in mates.iter().filter(|&&id| id != owner) {
+                                    r.upsert_zero(id, members[id as usize].clone());
+                                }
+                            }
+                            prop_assert!(Arc::ptr_eq(
+                                table.zero.as_ref().expect("shared"),
+                                sibling.zero.as_ref().expect("shared"),
+                            ));
+                        }
+                        Op::InsertZero(id) => {
+                            let p = &members[id as usize];
+                            if in_c0(p) {
+                                let entry = NeighborEntry { id, point: p.clone(), coord: s.cell_coord(p) };
+                                table.insert_zero(&entry);
+                                reference.upsert_zero(id, p.clone());
+                            }
+                        }
+                        Op::Observe(id, alt) => {
+                            let p = if alt && in_c0(&members[id as usize]) {
+                                moved(id as usize)
+                            } else {
+                                members[id as usize].clone()
+                            };
+                            table.observe(id, p.clone());
+                            reference.observe(id, p);
+                        }
+                        Op::Remove(id) => {
+                            table.remove(id);
+                            reference.remove(id);
+                        }
+                        Op::Rebuild(mask) => {
+                            let picked: Vec<(NodeId, Vec<u64>)> = (0..16u64)
+                                .filter(|&id| mask >> id & 1 == 1)
+                                .map(|id| (id, members[id as usize].values()[..d].to_vec()))
+                                .collect();
+                            let offer = super::offer(&table, &picked);
+                            let changed = table.rebuild(offer.iter().map(|(id, p, c)| (*id, p, *c)), &mut rng);
+                            let expected = reference.rebuild(
+                                offer.iter().map(|(id, p, _)| (*id, p.clone())),
+                                &mut reference_rng,
+                            );
+                            prop_assert_eq!(changed, expected);
+                        }
+                        Op::Clear => {
+                            table.clear();
+                            reference.clear();
+                        }
+                    }
+                    prop_assert_eq!(zero_list(&table), reference.zero_neighbors());
+                    prop_assert_eq!(table.zero_count(), reference.zero_ids.len());
+                    prop_assert_eq!(table.link_count(), reference.link_count());
+                    prop_assert_eq!(&table.slots, &reference.slots);
+                    prop_assert_eq!(zero_list(&sibling), sibling_reference.zero_neighbors());
+                    prop_assert_eq!(sibling.zero_count(), sibling_reference.zero_ids.len());
                     prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "draw pattern diverged");
                 }
             }

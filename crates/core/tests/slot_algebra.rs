@@ -10,7 +10,7 @@
 //!   `C0` cell (nor the owner itself filed as its own neighbor's peer id —
 //!   ids are free, but the coordinate constraint must hold).
 //!
-//! These hold by construction of `observe`/`rebuild`/`set_neighbor`; the
+//! These hold by construction of `observe`/`rebuild` and oracle wiring; the
 //! point of the suite is that no *sequence* of observations, removals and
 //! rebuilds can break them.
 

@@ -298,16 +298,17 @@ impl<P: Clone> GossipStack<P> {
             GossipMessage::Request {
                 layer: Layer::Random,
                 from_profile,
-                batch,
+                mut batch,
             } => {
                 // The shuffle borrows the batch (cloning what it keeps);
-                // the batch itself then moves into the semantic layer,
-                // which random-layer traffic also feeds. The layers' views
-                // are independent and only the shuffle draws from `rng`,
-                // so the order between them is free.
+                // the batch itself, with the sender's descriptor, then
+                // moves into the semantic layer, which random-layer
+                // traffic also feeds. The layers' views are independent
+                // and only the shuffle draws from `rng`, so the order
+                // between them is free.
                 let reply = self.cyclon.handle_request(from, &batch, rng);
+                batch.push(Descriptor::new(from, from_profile));
                 self.vicinity.absorb(batch);
-                self.vicinity.absorb([Descriptor::new(from, from_profile)]);
                 vec![(
                     from,
                     GossipMessage::Response {
@@ -418,6 +419,120 @@ mod tests {
         let _ = a.tick(1000, &mut rng);
         assert!(!a.random_view().contains(2));
         assert!(!a.semantic_view().contains(2));
+    }
+
+    /// A random-layer request as it was handled before it absorbed once:
+    /// the batch, then a second reselect for the sender alone.
+    fn handle_random_twice(
+        stack: &mut GossipStack<u64>,
+        from: NodeId,
+        msg: GossipMessage<u64>,
+        rng: &mut StdRng,
+    ) -> Vec<Descriptor<u64>> {
+        let GossipMessage::Request {
+            layer: Layer::Random,
+            from_profile,
+            batch,
+        } = msg
+        else {
+            panic!("not a random-layer request");
+        };
+        let reply = stack.cyclon.handle_request(from, &batch, rng);
+        stack.vicinity.absorb(batch);
+        stack.vicinity.absorb([Descriptor::new(from, from_profile)]);
+        reply
+    }
+
+    fn semantic(stack: &GossipStack<u64>) -> (Vec<Descriptor<u64>>, u64) {
+        let view = stack.semantic_view();
+        (view.as_slice().to_vec(), view.turnover())
+    }
+
+    /// Absorbing the sender's descriptor with the batch equals absorbing it
+    /// after: same semantic view in the same order, same turnover, same
+    /// reply — for every request `tick` sends, since a CYCLON batch
+    /// carries its sender's fresh descriptor.
+    #[test]
+    fn one_reselect_per_random_request_equals_two() {
+        // A sender and a receiver, each bootstrapped off up to 30 random
+        // peers (one profile per id); identical for equal seeds.
+        let pair = |seed: u64| {
+            let mut draw = StdRng::seed_from_u64(seed);
+            let profile_of = |id: NodeId| (id * 37) % 101;
+            let (mut sender, mut receiver) = (stack(1, 40), stack(2, 50));
+            for s in [&mut sender, &mut receiver] {
+                for _ in 0..draw.gen_range(0..30usize) {
+                    let id = draw.gen_range(3..60u64);
+                    s.introduce(id, profile_of(id));
+                }
+            }
+            (sender, receiver)
+        };
+        let mut requests = 0;
+        for seed in 0..500u64 {
+            let (mut sender, mut once) = pair(seed);
+            let (_, mut twice) = pair(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let Some((_, request)) = sender.tick(0, &mut rng).into_iter().find(|(_, m)| {
+                matches!(
+                    m,
+                    GossipMessage::Request {
+                        layer: Layer::Random,
+                        ..
+                    }
+                )
+            }) else {
+                continue;
+            };
+            requests += 1;
+            let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let replies = once.handle(1, request.clone(), &mut r1);
+            let reply = handle_random_twice(&mut twice, 1, request, &mut r2);
+            assert_eq!(semantic(&once), semantic(&twice), "seed {seed}");
+            let [(1, GossipMessage::Response { batch, .. })] = &replies[..] else {
+                panic!("one response to the sender");
+            };
+            assert_eq!(batch, &reply, "seed {seed}");
+        }
+        assert!(requests > 400, "only {requests} senders had a peer");
+    }
+
+    /// A batch without its sender's descriptor (none that `tick` builds)
+    /// can tell the two apart, in the turnover only: a batch candidate the
+    /// first reselect admitted and the second displaced was counted as
+    /// admitted; with one reselect it never is.
+    #[test]
+    fn one_reselect_skips_a_displaced_admission_of_a_foreign_batch() {
+        let config = GossipConfig {
+            semantic_view: 3,
+            semantic_shuffle: 2,
+            period_ms: 1000,
+            ..GossipConfig::default()
+        };
+        let receiver = || {
+            let selector = RankSelector::new(|a: &u64, b: &u64| a.abs_diff(*b));
+            let mut s = GossipStack::new(2, 100, config.clone(), selector);
+            for (id, profile) in [(3, 101), (4, 102), (5, 900)] {
+                s.introduce(id, profile);
+            }
+            s
+        };
+        let (mut once, mut twice) = (receiver(), receiver());
+        // Candidate 6 beats the far entry 5; the sender 1 beats 6.
+        let request = GossipMessage::Request {
+            layer: Layer::Random,
+            from_profile: 100,
+            batch: vec![Descriptor::new(6, 150)],
+        };
+        let (mut r1, mut r2) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+        let before = once.semantic_view().turnover();
+        once.handle(1, request.clone(), &mut r1);
+        handle_random_twice(&mut twice, 1, request, &mut r2);
+        let ((view, turnover), (view_twice, turnover_twice)) = (semantic(&once), semantic(&twice));
+        assert_eq!(view, view_twice, "same view, same order");
+        assert_eq!(once.semantic_view().ids(), vec![1, 3, 4]);
+        assert_eq!(turnover - before, 1, "only the sender was admitted");
+        assert_eq!(turnover_twice - before, 2, "6 admitted, then displaced");
     }
 
     #[test]

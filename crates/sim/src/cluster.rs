@@ -8,7 +8,7 @@ use autosel_core::{
     DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector,
 };
 use autosel_obs::{Event, ObsHandle};
-use epigossip::{GossipHealth, GossipStack, NodeId};
+use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -25,7 +25,9 @@ use crate::{Placement, QueryStats, SimConfig};
 
 struct SimNode {
     selection: SelectionNode,
-    gossip: Option<GossipStack<NodeProfile>>,
+    /// Boxed: a static overlay's nodes never gossip and pay one word, not
+    /// a whole stack.
+    gossip: Option<Box<GossipStack<NodeProfile>>>,
     /// Messages (queries + replies + gossip) dispatched by this node —
     /// Fig. 9's load metric.
     sent: u64,
@@ -75,6 +77,8 @@ pub struct SimCluster {
     /// Observability sink, propagated into every node (null by default).
     /// Events carry virtual-time timestamps.
     obs: ObsHandle,
+    /// The semantic layer's policy, one allocation shared by every stack.
+    selector: Arc<dyn Selector<NodeProfile>>,
 }
 
 impl std::fmt::Debug for SimCluster {
@@ -109,6 +113,7 @@ impl SimCluster {
             crashed: FastMap::default(),
             delivery_scratch: Vec::new(),
             obs: ObsHandle::null(),
+            selector: Arc::new(SlotSelector::default()),
         }
     }
 
@@ -217,18 +222,19 @@ impl SimCluster {
             SelectionNode::new(id, &self.space, point, self.config.protocol.clone());
         selection.set_observer(self.obs.clone());
         let gossip = if self.config.gossip_enabled {
-            let mut stack = GossipStack::new(
+            let mut stack = Box::new(GossipStack::with_selector(
                 id,
                 selection.profile(),
                 self.config.gossip.clone(),
-                SlotSelector::default(),
-            );
+                Arc::clone(&self.selector),
+            ));
             stack.set_observer(self.obs.clone());
             let existing = &self.sorted_ids;
             for _ in 0..3.min(existing.len()) {
                 let seed = existing[self.rng.gen_range(0..existing.len())];
-                let profile = self.nodes[&seed].selection.profile();
-                stack.introduce(seed, profile);
+                let seed_stack = self.nodes[&seed].gossip.as_ref();
+                let profile = seed_stack.expect("every node gossips").profile();
+                stack.introduce(seed, profile.clone());
             }
             // Stagger the first gossip within one period.
             let offset = self.rng.gen_range(0..self.config.gossip.period_ms);
@@ -898,16 +904,14 @@ impl SimCluster {
                 );
             }
             Some(_) => {
-                for &d in &deliveries {
-                    self.schedule(
-                        self.now + d,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            payload: payload.clone(),
-                        },
-                    );
+                // Every delivery but the last shares the payload; the last
+                // takes it.
+                let (&last, copies) = deliveries.split_last().expect("non-empty");
+                for &d in copies {
+                    let payload = payload.clone();
+                    self.schedule(self.now + d, EventKind::Deliver { from, to, payload });
                 }
+                self.schedule(self.now + last, EventKind::Deliver { from, to, payload });
             }
         }
         self.delivery_scratch = deliveries;
@@ -1082,6 +1086,21 @@ impl SimCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A million-node store pays `SimNode` per node: besides the protocol
+    /// state it holds three words (the boxed gossip stack, `sent`,
+    /// `next_poll`), so a stack stored inline again fails here.
+    #[test]
+    fn sim_node_keeps_the_gossip_stack_out_of_line() {
+        use std::mem::size_of;
+        assert!(size_of::<GossipStack<NodeProfile>>() > 64);
+        assert_eq!(size_of::<Option<Box<GossipStack<NodeProfile>>>>(), 8);
+        assert!(
+            size_of::<SimNode>() <= size_of::<SelectionNode>() + 3 * 8,
+            "SimNode grew to {} bytes",
+            size_of::<SimNode>()
+        );
+    }
     use attrspace::Query;
 
     fn space() -> Space {
