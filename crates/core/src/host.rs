@@ -1,0 +1,326 @@
+// This file defines protocol invariants: every panic site states the
+// invariant it relies on (`expect`), tests included.
+#![warn(clippy::unwrap_used)]
+
+use attrspace::Query;
+use autosel_obs::ObsHandle;
+use epigossip::{GossipMessage, GossipStack, NodeId};
+use rand::Rng;
+
+use crate::{DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode};
+
+/// A message between two nodes: the selection protocol or overlay gossip.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NetMessage {
+    /// QUERY/REPLY traffic.
+    Protocol(Message),
+    /// Membership gossip.
+    Gossip(GossipMessage<NodeProfile>),
+}
+
+/// What a [`Host`] call asks of its runtime.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Effect {
+    /// Transmit the message to the node.
+    Send(NodeId, NetMessage),
+    /// A query this node issued finished (see [`Output::Completed`]).
+    Completed {
+        /// The query.
+        id: QueryId,
+        /// The matches collected; empty in count-only mode.
+        matches: Vec<Match>,
+        /// Total matches found.
+        count: u64,
+    },
+}
+
+/// One node as a runtime drives it: its [`SelectionNode`] and, if it
+/// gossips, its [`GossipStack`]. The simulator and the network runtime both
+/// drive nodes through it, each with its own clock and RNG; it is the one
+/// place that knows how the two machines meet:
+///
+/// * a gossip message or round is followed by
+///   [`sync_from_view`](SelectionNode::sync_from_view);
+/// * a neighbor that timed out and a peer the transport reports
+///   [`unreachable`](Self::unreachable) both leave the gossip layers;
+/// * sends and completions are appended, in order, to the caller's buffer.
+///
+/// Evictions draw nothing from the RNG.
+#[derive(Debug)]
+pub struct Host {
+    selection: SelectionNode,
+    /// Boxed: a node of a static overlay never gossips and pays one word.
+    gossip: Option<Box<GossipStack<NodeProfile>>>,
+}
+
+impl Host {
+    /// A node from its selection machine and, if it gossips, a stack
+    /// advertising the same profile.
+    pub fn new(selection: SelectionNode, gossip: Option<Box<GossipStack<NodeProfile>>>) -> Self {
+        Host { selection, gossip }
+    }
+
+    /// The selection state machine.
+    pub fn selection(&self) -> &SelectionNode {
+        &self.selection
+    }
+
+    /// The selection state machine, for set-up (oracle wiring, dynamic
+    /// attributes) and test harnesses.
+    pub fn selection_mut(&mut self) -> &mut SelectionNode {
+        &mut self.selection
+    }
+
+    /// The gossip stack, if this node gossips.
+    pub fn gossip(&self) -> Option<&GossipStack<NodeProfile>> {
+        self.gossip.as_deref()
+    }
+
+    /// Installs an observability sink on both machines.
+    pub fn set_observer(&mut self, obs: ObsHandle) {
+        if let Some(g) = self.gossip.as_mut() {
+            g.set_observer(obs.clone());
+        }
+        self.selection.set_observer(obs);
+    }
+
+    /// Bootstrap: seeds both gossip layers with a known peer.
+    pub fn introduce(&mut self, id: NodeId, profile: NodeProfile) {
+        if let Some(g) = self.gossip.as_mut() {
+            g.introduce(id, profile);
+        }
+    }
+
+    /// Issues a query from this node (σ-bounded if `sigma` is given;
+    /// count-only replies carry one integer per subtree).
+    pub fn begin(
+        &mut self,
+        query: Query,
+        dynamic: Vec<DynamicConstraint>,
+        sigma: Option<u32>,
+        count_only: bool,
+        now: u64,
+        out: &mut Vec<Effect>,
+    ) -> QueryId {
+        let (id, outputs) = if count_only {
+            self.selection.begin_count_query(query, dynamic, now)
+        } else {
+            self.selection.begin_query_full(query, dynamic, sigma, now)
+        };
+        self.apply(outputs, out);
+        id
+    }
+
+    /// Hands this node a message from `from`. A node without a gossip
+    /// stack ignores gossip.
+    pub fn deliver<R: Rng + ?Sized>(
+        &mut self,
+        from: NodeId,
+        msg: NetMessage,
+        now: u64,
+        rng: &mut R,
+        out: &mut Vec<Effect>,
+    ) {
+        match msg {
+            NetMessage::Protocol(m) => {
+                let outputs = self.selection.handle_message(from, m, now);
+                self.apply(outputs, out);
+            }
+            NetMessage::Gossip(m) => {
+                if let Some(g) = self.gossip.as_mut() {
+                    let replies = g.handle(from, m, rng);
+                    self.selection.sync_from_view(g.semantic_view(), now, rng);
+                    out.extend(gossip(replies));
+                }
+            }
+        }
+    }
+
+    /// One gossip round (empty before the stack's first scheduled time).
+    pub fn gossip_tick<R: Rng + ?Sized>(&mut self, now: u64, rng: &mut R, out: &mut Vec<Effect>) {
+        if let Some(g) = self.gossip.as_mut() {
+            let msgs = g.tick(now, rng);
+            self.selection.sync_from_view(g.semantic_view(), now, rng);
+            out.extend(gossip(msgs));
+        }
+    }
+
+    /// Expires overdue neighbors (the paper's `T(q)`).
+    pub fn poll_timeouts(&mut self, now: u64, out: &mut Vec<Effect>) {
+        let outputs = self.selection.poll_timeouts(now);
+        self.apply(outputs, out);
+    }
+
+    /// Transport feedback: `peer` is unreachable. Queries waiting on it
+    /// continue without its subtree.
+    pub fn unreachable(&mut self, peer: NodeId, now: u64, out: &mut Vec<Effect>) {
+        self.evict(peer);
+        let outputs = self.selection.peer_unreachable(peer, now);
+        self.apply(outputs, out);
+    }
+
+    fn evict(&mut self, peer: NodeId) {
+        if let Some(g) = self.gossip.as_mut() {
+            g.evict(peer);
+        }
+    }
+
+    fn apply(&mut self, outputs: Vec<Output>, out: &mut Vec<Effect>) {
+        for o in outputs {
+            match o {
+                Output::Send { to, msg } => out.push(Effect::Send(to, NetMessage::Protocol(msg))),
+                Output::Completed { id, matches, count } => {
+                    out.push(Effect::Completed { id, matches, count });
+                }
+                Output::NeighborFailed(peer) => self.evict(peer),
+            }
+        }
+    }
+}
+
+fn gossip(msgs: Vec<(NodeId, GossipMessage<NodeProfile>)>) -> impl Iterator<Item = Effect> {
+    msgs.into_iter()
+        .map(|(to, m)| Effect::Send(to, NetMessage::Gossip(m)))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use attrspace::Space;
+    use epigossip::{Descriptor, GossipConfig, Layer};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::{ProtocolConfig, SlotSelector};
+
+    fn space() -> Space {
+        Space::uniform(2, 80, 3).expect("valid 2-d space geometry")
+    }
+
+    fn profile(vals: [u64; 2]) -> NodeProfile {
+        let point = space().point(&vals).expect("coords lie inside the space");
+        NodeProfile::new(&space(), point)
+    }
+
+    /// Node 1 at `[5, 5]`, gossiping or not, with `links` in its table.
+    fn host(gossips: bool, links: &[(NodeId, [u64; 2])]) -> Host {
+        let own = profile([5, 5]);
+        let config = ProtocolConfig::default();
+        let mut sel = SelectionNode::new(1, &space(), own.point().clone(), config);
+        for &(id, vals) in links {
+            sel.routing_mut().observe(id, profile(vals).point().clone());
+        }
+        let selector = Arc::new(SlotSelector::default());
+        let stack = GossipStack::with_selector(1, own, GossipConfig::default(), selector);
+        Host::new(sel, gossips.then(|| Box::new(stack)))
+    }
+
+    fn gossip(layer: Layer, batch: Vec<Descriptor<NodeProfile>>) -> NetMessage {
+        let from_profile = profile([5, 45]);
+        NetMessage::Gossip(GossipMessage::Request {
+            layer,
+            from_profile,
+            batch,
+        })
+    }
+
+    fn query(host: &Host, min_a0: u64) -> Query {
+        let q = Query::builder(host.selection().space()).min("a0", min_a0);
+        q.build().expect("well-formed query")
+    }
+
+    /// Whether `host` has routing links, all of them the ones a fresh node
+    /// at its point builds from its semantic view alone.
+    fn routing_follows_view(node: &Host) -> bool {
+        let mut fresh = host(false, &[]).selection;
+        let view = node.gossip().expect("gossips").semantic_view();
+        fresh.sync_from_view(view, 0, &mut StdRng::seed_from_u64(0));
+        let links = |s: &SelectionNode| {
+            let zero: Vec<NodeId> = s.routing().zero_neighbors().map(|(id, _)| id).collect();
+            (s.routing().filled_slots().collect::<Vec<_>>(), zero)
+        };
+        node.selection().routing().link_count() > 0 && links(node.selection()) == links(&fresh)
+    }
+
+    #[test]
+    fn a_timed_out_or_unreachable_peer_leaves_both_gossip_layers_and_the_routing_table() {
+        let mut host = host(true, &[(2, [70, 70]), (3, [5, 70])]);
+        host.introduce(2, profile([70, 70]));
+        host.introduce(3, profile([5, 70]));
+        let mut out = Vec::new();
+        host.begin(query(&host, 60), Vec::new(), None, false, 0, &mut out);
+        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        // Whether `id` is in the random view, the semantic view, the table.
+        let known = |h: &Host, id: NodeId| {
+            let (g, r) = (h.gossip().expect("gossips"), h.selection().routing());
+            let routed =
+                r.filled_slots().any(|(.., n)| n == id) || r.zero_neighbors().any(|(n, _)| n == id);
+            [
+                g.random_view().contains(id),
+                g.semantic_view().contains(id),
+                routed,
+            ]
+        };
+        assert_eq!(known(&host, 3), [true; 3]);
+
+        out.clear();
+        host.unreachable(3, 1, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(known(&host, 3), [false; 3]);
+        assert_eq!(known(&host, 2), [true; 3]);
+        host.poll_timeouts(u64::MAX, &mut out);
+        assert_eq!(known(&host, 2), [false; 3]);
+        assert!(
+            matches!(out[..], [Effect::Completed { count: 0, .. }]),
+            "{out:?}"
+        );
+    }
+
+    /// Peers in four routing slots and one `C0` mate: one candidate per
+    /// slot, so a fresh table from the same view has no choice to make.
+    #[test]
+    fn routing_follows_the_semantic_view_after_gossip() {
+        let mut host = host(true, &[]);
+        let (mut rng, mut out) = (StdRng::seed_from_u64(7), Vec::new());
+        let batch = [(3, [6, 6]), (4, [15, 5]), (5, [5, 25]), (6, [45, 5])]
+            .map(|(id, vals)| Descriptor::new(id, profile(vals)));
+        let msg = gossip(Layer::Semantic, batch.to_vec());
+        host.deliver(2, msg, 10, &mut rng, &mut out);
+        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        assert!(routing_follows_view(&host));
+
+        // Knock the table out of step with the view: a round re-syncs it.
+        for id in 2..=6 {
+            host.selection_mut().routing_mut().remove(id);
+        }
+        host.gossip_tick(20, &mut rng, &mut out);
+        assert!(routing_follows_view(&host));
+    }
+
+    #[test]
+    fn a_host_without_gossip_ignores_gossip_and_failures_touch_only_routing() {
+        let mut host = host(false, &[(2, [5, 70]), (3, [70, 5])]);
+        let (mut rng, mut out) = (StdRng::seed_from_u64(7), Vec::new());
+        host.introduce(4, profile([6, 6]));
+        host.deliver(4, gossip(Layer::Random, Vec::new()), 0, &mut rng, &mut out);
+        host.gossip_tick(0, &mut rng, &mut out);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(host.selection().routing().link_count(), 2);
+
+        // One neighbor the transport reports gone, one that times out.
+        host.begin(query(&host, 0), Vec::new(), None, true, 0, &mut out);
+        assert!(matches!(out[..], [Effect::Send(3, _)]), "{out:?}");
+        out.clear();
+        host.unreachable(3, 1, &mut out);
+        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        out.clear();
+        host.poll_timeouts(u64::MAX, &mut out);
+        assert!(
+            matches!(out[..], [Effect::Completed { count: 1, .. }]),
+            "{out:?}"
+        );
+        assert_eq!(host.selection().routing().link_count(), 0);
+    }
+}

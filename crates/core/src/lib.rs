@@ -19,11 +19,15 @@
 //!   [`SlotSelector`] is the [`epigossip::Selector`] policy that makes the
 //!   semantic gossip layer retain exactly the peers the routing table needs.
 //!
-//! Everything is **sans-IO**: [`SelectionNode::handle_message`] consumes a
-//! message and a timestamp and returns [`Output`]s (messages to transmit,
-//! completions, failure suspicions). The discrete-event simulator
-//! (`overlay-sim`) and the deployment runtime (`autosel-net`) drive the
-//! same state machine byte-for-byte.
+//! Everything is **sans-IO**: [`SelectionNode::handle_message`] takes the
+//! sender, a message and a timestamp and returns [`Output`]s (messages to
+//! transmit, completions, failure suspicions). A [`Host`] is one node as a
+//! runtime drives it — its `SelectionNode` plus its
+//! [`epigossip::GossipStack`] — and the one place that wires the two
+//! together (gossip re-syncs routing, failures evict, sends and completions
+//! go to one buffer). The discrete-event simulator (`overlay-sim`) and the
+//! deployment runtime (`autosel-net`) both drive nodes through it, each with
+//! its own clock and RNG, exchanging [`NetMessage`]s.
 //!
 //! ## Example: three nodes, oracle-wired, one query
 //!
@@ -63,6 +67,7 @@
 
 pub mod bootstrap;
 pub mod fasthash;
+mod host;
 mod match_list;
 mod messages;
 mod node;
@@ -70,6 +75,7 @@ mod profile;
 mod routing;
 mod selector;
 
+pub use host::{Effect, Host, NetMessage};
 pub use match_list::{MatchIter, MatchList};
 pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
 pub use node::{Output, ProtocolConfig, SelectionNode};

@@ -452,11 +452,10 @@ impl SelectionNode {
     /// timeout-driven recovery apart from clean traversals.
     ///
     /// A dimensionless event count (not a duration), monotone over the
-    /// node's lifetime: it is **never reset** — not by query completion,
-    /// not by [`set_point`](Self::set_point) — and only returns to zero
-    /// when the node value itself is rebuilt (e.g. a simulated
-    /// crash-restart constructs a fresh `SelectionNode`). Each fired
-    /// timeout is also emitted as an [`Event::TimeoutFired`] when an
+    /// node's lifetime: it is **never reset** by query completion, and only
+    /// returns to zero when the node value itself is rebuilt (e.g. a
+    /// simulated crash-restart constructs a fresh `SelectionNode`). Each
+    /// fired timeout is also emitted as an [`Event::TimeoutFired`] when an
     /// observer is installed.
     pub fn timeouts_fired(&self) -> u64 {
         self.timeouts_fired
@@ -570,15 +569,6 @@ impl SelectionNode {
             h.word(id);
         }
         h.finish()
-    }
-
-    /// Changes this node's attribute values. The routing table is rebuilt
-    /// empty (own cell may have moved) and must be repopulated by gossip —
-    /// no registry needs updating, which is the point of the paper.
-    pub fn set_point(&mut self, point: Point) {
-        self.coord = self.space.cell_coord(&point);
-        self.point = point;
-        self.routing = RoutingTable::new(self.space.clone(), self.coord.clone());
     }
 
     /// Sets (or updates) the current value of a dynamic attribute. Dynamic
@@ -1742,23 +1732,6 @@ mod tests {
         };
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 1);
-    }
-
-    #[test]
-    fn set_point_moves_cell_and_clears_routing() {
-        let mut a = node(1, [5, 5]);
-        a.routing_mut().observe(
-            2,
-            space().point(&[6, 6]).expect("coords lie inside the space"),
-        );
-        assert_eq!(a.routing().link_count(), 1);
-        a.set_point(
-            space()
-                .point(&[75, 75])
-                .expect("coords lie inside the space"),
-        );
-        assert_eq!(a.coord().indices(), &[7, 7]);
-        assert_eq!(a.routing().link_count(), 0);
     }
 
     #[test]

@@ -39,8 +39,9 @@ pub enum GossipMessage<P> {
 
 /// Aggregate view health of one gossip layer over a population — the
 /// in-degree / freshness / replacement-rate gauges behind the paper's
-/// overlay-maintenance discussion. The simulator sums it from its nodes'
-/// views, the live runtime from the gauges its peers publish after each
+/// overlay-maintenance discussion. One node's reading is
+/// [`GossipStack::health`]; [`GossipHealth::total`] sums readings, from the
+/// simulator's stacks or from the gauges live peers publish after each
 /// round. All integer fixed-point (×1000 where fractional) so readings stay
 /// byte-stable across platforms.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,6 +66,18 @@ impl GossipHealth {
     /// Mean of the per-node mean descriptor ages, in thousandths.
     pub fn mean_age_x1000(&self) -> u64 {
         self.age_sum_x1000.checked_div(self.nodes).unwrap_or(0)
+    }
+
+    /// Sums per-node `(random, semantic)` readings into population totals.
+    pub fn total(readings: impl IntoIterator<Item = (Self, Self)>) -> (Self, Self) {
+        let add = |a: Self, b: Self| GossipHealth {
+            nodes: a.nodes + b.nodes,
+            links: a.links + b.links,
+            age_sum_x1000: a.age_sum_x1000 + b.age_sum_x1000,
+            turnover: a.turnover + b.turnover,
+        };
+        let sum = |(r, s), (dr, ds)| (add(r, dr), add(s, ds));
+        readings.into_iter().fold(Default::default(), sum)
     }
 }
 
@@ -171,6 +184,18 @@ impl<P: Clone> GossipStack<P> {
         self.vicinity.view()
     }
 
+    /// This node's `(random, semantic)` view health: one node, its view
+    /// sizes, mean descriptor ages and turnover counts.
+    pub fn health(&self) -> (GossipHealth, GossipHealth) {
+        let of = |view: &crate::View<P>| GossipHealth {
+            nodes: 1,
+            links: view.len() as u64,
+            age_sum_x1000: view.mean_age_x1000(),
+            turnover: view.turnover(),
+        };
+        (of(self.random_view()), of(self.semantic_view()))
+    }
+
     /// Seeds both layers with a known peer (bootstrap / rejoin).
     pub fn introduce(&mut self, id: NodeId, profile: P) {
         self.cyclon.introduce(id, profile.clone());
@@ -263,23 +288,19 @@ impl<P: Clone> GossipStack<P> {
         }
 
         if self.obs.enabled() {
-            let id = self.cyclon.id();
-            for (i, (layer, view)) in [
-                (autosel_obs::Layer::Random, self.cyclon.view()),
-                (autosel_obs::Layer::Semantic, self.vicinity.view()),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let turnover = view.turnover();
-                let replaced = turnover - self.last_turnover[i];
-                self.last_turnover[i] = turnover;
+            let (id, (random, semantic)) = (self.cyclon.id(), self.health());
+            let layers = [
+                (autosel_obs::Layer::Random, random),
+                (autosel_obs::Layer::Semantic, semantic),
+            ];
+            for ((layer, h), last) in layers.into_iter().zip(&mut self.last_turnover) {
+                let replaced = h.turnover - std::mem::replace(last, h.turnover);
                 self.obs.emit(|| Event::GossipRound {
                     at: now,
                     node: id,
                     layer,
-                    view_size: view.len() as u32,
-                    mean_age_x1000: view.mean_age_x1000(),
+                    view_size: h.links as u32,
+                    mean_age_x1000: h.age_sum_x1000,
                     replaced,
                 });
             }

@@ -7,9 +7,9 @@ use std::time::{Duration, Instant};
 
 use attrspace::{Point, Query, Space};
 use autosel_core::fasthash::FastMap;
-use autosel_core::{Match, QueryId};
+use autosel_core::{Match, NodeProfile, QueryId, SlotSelector};
 use autosel_obs::{Event, ObsHandle};
-use epigossip::{GossipHealth, NodeId};
+use epigossip::{GossipHealth, NodeId, Selector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -209,8 +209,10 @@ impl NetCluster {
         let (fabric, inboxes) = Fabric::new(n, shards, config.inbox_capacity);
         let mut owned: Vec<FastMap<NodeId, PeerTask>> =
             (0..shards).map(|_| FastMap::default()).collect();
+        // One semantic-layer policy for the whole cluster, as in the simulator.
+        let selector: Arc<dyn Selector<NodeProfile>> = Arc::new(SlotSelector::default());
         for (id, point) in (0..).zip(&points) {
-            let peer = PeerTask::new(id, &space, point.clone(), &config, obs.clone());
+            let peer = PeerTask::new(id, &space, point.clone(), &config, &selector, obs.clone());
             owned[fabric.shard_of(id)].insert(id, peer);
         }
         // Bootstrap introductions (ids are known to the spawner only),
@@ -408,19 +410,7 @@ impl NetCluster {
     /// round yet (all-zero gauges) still count as nodes, matching the
     /// simulator's treatment of a quiet stack.
     pub fn gossip_health(&self) -> (GossipHealth, GossipHealth) {
-        let mut random = GossipHealth::default();
-        let mut semantic = GossipHealth::default();
-        for (_, p) in self.alive() {
-            random.nodes += 1;
-            random.links += p.view_random.load(Relaxed);
-            random.age_sum_x1000 += p.age_random_x1000.load(Relaxed);
-            random.turnover += p.turnover_random.load(Relaxed);
-            semantic.nodes += 1;
-            semantic.links += p.view_semantic.load(Relaxed);
-            semantic.age_sum_x1000 += p.age_semantic_x1000.load(Relaxed);
-            semantic.turnover += p.turnover_semantic.load(Relaxed);
-        }
-        (random, semantic)
+        GossipHealth::total(self.alive().map(|(_, p)| p.health()))
     }
 
     /// Per-peer inbox gauges: instantaneous queue depth and total

@@ -5,9 +5,10 @@
 //! This crate is the equivalent runtime, built on OS threads and blocking
 //! I/O:
 //!
-//! * every node runs the *same* sans-IO state machines as the simulator
-//!   ([`autosel_core::SelectionNode`] + [`epigossip::GossipStack`]), with
-//!   real timers, real queues and real message interleavings;
+//! * every node is the *same* sans-IO [`autosel_core::Host`] the simulator
+//!   drives ([`autosel_core::SelectionNode`] + [`epigossip::GossipStack`]),
+//!   with its own RNG, real timers, real queues and real message
+//!   interleavings;
 //! * nodes are pinned by id to a few worker shards — about one per core —
 //!   and each shard is one thread owning its nodes outright: one loop runs
 //!   their gossip and timeout timers and hands them their messages, so
@@ -35,8 +36,8 @@ mod peer;
 mod transport;
 pub mod wire;
 
+pub use autosel_core::NetMessage;
 pub use cluster::{InboxStats, NetCluster, QueryOutcome, QueryTicket};
 pub use config::NetConfig;
 pub use epigossip::GossipHealth;
-pub use peer::NetMessage;
 pub use transport::{TcpStatsSnapshot, Transport};

@@ -5,23 +5,14 @@ use std::time::{Duration, Instant};
 
 use attrspace::{Point, Query, Space};
 use autosel_core::fasthash::FastMap;
-use autosel_core::{Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector};
+use autosel_core::{Effect, Host, Match, NetMessage, NodeProfile, QueryId, SelectionNode};
 use autosel_obs::ObsHandle;
-use epigossip::{GossipMessage, GossipStack, NodeId};
+use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::transport::{Envelope, Fabric, TcpOut};
 use crate::NetConfig;
-
-/// A message on the wire: either the selection protocol or overlay gossip.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NetMessage {
-    /// QUERY/REPLY traffic.
-    Protocol(Message),
-    /// Membership gossip.
-    Gossip(GossipMessage<NodeProfile>),
-}
 
 /// Commands a peer accepts from its [`NetCluster`](crate::NetCluster) handle.
 ///
@@ -73,14 +64,9 @@ pub(crate) struct PeerSlot {
     /// Deliveries dropped because this peer's inbox was full. The protocol
     /// absorbs these like network loss: timeouts retry or amputate.
     pub inbox_dropped: AtomicU64,
-    /// Gossip-health gauges, published after every gossip round, that
-    /// mirror the simulator's `gossip_health()` reading.
-    pub view_random: AtomicU64,
-    pub view_semantic: AtomicU64,
-    pub age_random_x1000: AtomicU64,
-    pub age_semantic_x1000: AtomicU64,
-    pub turnover_random: AtomicU64,
-    pub turnover_semantic: AtomicU64,
+    /// Gossip-health gauges, published after every gossip round: view
+    /// size, mean age and turnover of the random, then the semantic view.
+    gossip: [[AtomicU64; 3]; 2],
 }
 
 impl PeerSlot {
@@ -97,15 +83,34 @@ impl PeerSlot {
     fn taken(&self) {
         self.inbox_depth.fetch_sub(1, Ordering::Relaxed);
     }
+
+    fn publish_health(&self, (random, semantic): (GossipHealth, GossipHealth)) {
+        for (gauges, h) in self.gossip.iter().zip([random, semantic]) {
+            for (g, v) in gauges.iter().zip([h.links, h.age_sum_x1000, h.turnover]) {
+                g.store(v, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// This peer's last published gossip health; a peer that has not
+    /// gossiped yet reads as one node with empty views.
+    pub(crate) fn health(&self) -> (GossipHealth, GossipHealth) {
+        let read = |[links, age, turnover]: &[AtomicU64; 3]| GossipHealth {
+            nodes: 1,
+            links: links.load(Ordering::Relaxed),
+            age_sum_x1000: age.load(Ordering::Relaxed),
+            turnover: turnover.load(Ordering::Relaxed),
+        };
+        (read(&self.gossip[0]), read(&self.gossip[1]))
+    }
 }
 
-/// One peer's protocol state — the same sans-IO machines the simulator
-/// drives — plus the completion channels of the queries it originated.
-/// Owned outright by one [`Shard`]; its sends go to the shard's `out`
-/// buffer and are routed after each event.
+/// One peer: the same sans-IO [`Host`] the simulator drives, its own RNG,
+/// and the completion channels of the queries it originated. Owned
+/// outright by one [`Shard`]; what it produces goes to the shard's `out`
+/// buffer and is routed after each event.
 pub(crate) struct PeerTask {
-    selection: SelectionNode,
-    gossip: GossipStack<NodeProfile>,
+    host: Host,
     rng: SmallRng,
     pending_queries: FastMap<QueryId, mpsc::SyncSender<(QueryId, Vec<Match>)>>,
     pending_counts: FastMap<QueryId, mpsc::SyncSender<u64>>,
@@ -117,20 +122,20 @@ impl PeerTask {
         space: &Space,
         point: Point,
         config: &NetConfig,
+        selector: &Arc<dyn Selector<NodeProfile>>,
         obs: ObsHandle,
     ) -> Self {
-        let mut selection = SelectionNode::new(id, space, point, config.protocol.clone());
-        selection.set_observer(obs.clone());
-        let mut gossip = GossipStack::new(
+        let selection = SelectionNode::new(id, space, point, config.protocol.clone());
+        let gossip = GossipStack::with_selector(
             id,
             selection.profile(),
             config.gossip.clone(),
-            SlotSelector::default(),
+            Arc::clone(selector),
         );
-        gossip.set_observer(obs);
+        let mut host = Host::new(selection, Some(Box::new(gossip)));
+        host.set_observer(obs);
         PeerTask {
-            selection,
-            gossip,
+            host,
             rng: SmallRng::seed_from_u64(id ^ 0xA5A5_5A5A_DEAD_BEEF),
             pending_queries: FastMap::default(),
             pending_counts: FastMap::default(),
@@ -139,105 +144,61 @@ impl PeerTask {
 
     /// Bootstrap introduction to `id` at `point`.
     pub(crate) fn introduce(&mut self, id: NodeId, point: Point) {
-        let profile = NodeProfile::new(self.selection.space(), point);
-        self.gossip.introduce(id, profile);
+        let profile = NodeProfile::new(self.host.selection().space(), point);
+        self.host.introduce(id, profile);
     }
 
-    fn apply_outputs(&mut self, outputs: Vec<Output>, out: &mut Vec<(NodeId, NetMessage)>) {
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => out.push((to, NetMessage::Protocol(msg))),
-                Output::Completed { id, matches, count } => {
-                    if let Some(reply) = self.pending_queries.remove(&id) {
-                        let _ = reply.send((id, matches));
-                    } else if let Some(reply) = self.pending_counts.remove(&id) {
-                        let _ = reply.send(count);
-                    }
-                }
-                Output::NeighborFailed(peer) => self.gossip.evict(peer),
-            }
+    /// Hands a finished query's answer to whoever began it.
+    fn complete(&mut self, id: QueryId, matches: Vec<Match>, count: u64) {
+        if let Some(reply) = self.pending_queries.remove(&id) {
+            let _ = reply.send((id, matches));
+        } else if let Some(reply) = self.pending_counts.remove(&id) {
+            let _ = reply.send(count);
         }
     }
 
-    /// One gossip round, then the per-layer gossip-health gauges (view
-    /// size, mean descriptor age, turnover) — one store per field, read by
-    /// [`NetCluster::gossip_health`](crate::NetCluster::gossip_health).
-    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<(NodeId, NetMessage)>) {
-        let msgs = self.gossip.tick(now, &mut self.rng);
-        self.selection
-            .sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
-        slot.links.store(
-            self.selection.routing().link_count() as u64,
-            Ordering::Relaxed,
-        );
-        let random = self.gossip.random_view();
-        let semantic = self.gossip.semantic_view();
-        slot.view_random
-            .store(random.len() as u64, Ordering::Relaxed);
-        slot.view_semantic
-            .store(semantic.len() as u64, Ordering::Relaxed);
-        slot.age_random_x1000
-            .store(random.mean_age_x1000(), Ordering::Relaxed);
-        slot.age_semantic_x1000
-            .store(semantic.mean_age_x1000(), Ordering::Relaxed);
-        slot.turnover_random
-            .store(random.turnover(), Ordering::Relaxed);
-        slot.turnover_semantic
-            .store(semantic.turnover(), Ordering::Relaxed);
-        out.extend(msgs.into_iter().map(|(to, m)| (to, NetMessage::Gossip(m))));
+    /// Publishes the routing-table link count (a convergence gauge).
+    fn publish_links(&self, slot: &PeerSlot) {
+        let links = self.host.selection().routing().link_count();
+        slot.links.store(links as u64, Ordering::Relaxed);
     }
 
-    fn handle(
-        &mut self,
-        event: PeerEvent,
-        now: u64,
-        slot: &PeerSlot,
-        out: &mut Vec<(NodeId, NetMessage)>,
-    ) {
+    /// One gossip round, then the gauges the cluster handle reads.
+    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<Effect>) {
+        self.host.gossip_tick(now, &mut self.rng, out);
+        self.publish_links(slot);
+        if let Some(g) = self.host.gossip() {
+            slot.publish_health(g.health());
+        }
+    }
+
+    fn handle(&mut self, event: PeerEvent, now: u64, slot: &PeerSlot, out: &mut Vec<Effect>) {
         match event {
-            PeerEvent::Deliver(from, NetMessage::Protocol(m)) => {
+            PeerEvent::Deliver(from, msg) => {
                 slot.received.fetch_add(1, Ordering::Relaxed);
-                let outputs = self.selection.handle_message(from, m, now);
-                self.apply_outputs(outputs, out);
-            }
-            PeerEvent::Deliver(from, NetMessage::Gossip(g)) => {
-                slot.received.fetch_add(1, Ordering::Relaxed);
-                let replies = self.gossip.handle(from, g, &mut self.rng);
-                self.selection
-                    .sync_from_view(self.gossip.semantic_view(), now, &mut self.rng);
-                slot.links.store(
-                    self.selection.routing().link_count() as u64,
-                    Ordering::Relaxed,
-                );
-                out.extend(
-                    replies
-                        .into_iter()
-                        .map(|(to, m)| (to, NetMessage::Gossip(m))),
-                );
+                let gossip = matches!(msg, NetMessage::Gossip(_));
+                self.host.deliver(from, msg, now, &mut self.rng, out);
+                if gossip {
+                    self.publish_links(slot);
+                }
             }
             PeerEvent::Command(Command::BeginQuery {
                 query,
                 sigma,
                 reply,
             }) => {
-                let (qid, outputs) = self.selection.begin_query(query, sigma, now);
+                let qid = self.host.begin(query, Vec::new(), sigma, false, now, out);
                 self.pending_queries.insert(qid, reply);
-                self.apply_outputs(outputs, out);
             }
             PeerEvent::Command(Command::BeginCount { query, reply }) => {
-                let (qid, outputs) = self.selection.begin_count_query(query, Vec::new(), now);
+                let qid = self.host.begin(query, Vec::new(), None, true, now, out);
                 self.pending_counts.insert(qid, reply);
-                self.apply_outputs(outputs, out);
             }
             // The shard removes a killed peer before it gets here.
             PeerEvent::Command(Command::Kill) => {}
-            PeerEvent::Failed(peer) => {
-                // The runtime said `peer` is gone: skip its subtrees now
-                // and stop gossiping with it.
-                self.gossip.evict(peer);
-                let outputs = self.selection.peer_unreachable(peer, now);
-                self.apply_outputs(outputs, out);
-            }
+            // The runtime said `peer` is gone: skip its subtrees now and
+            // stop gossiping with it.
+            PeerEvent::Failed(peer) => self.host.unreachable(peer, now, out),
         }
     }
 }
@@ -289,8 +250,8 @@ pub(crate) struct Shard {
     gossip_period: Duration,
     poll_period: Duration,
     wire: Wire,
-    /// Sends produced by the event being handled, routed right after it.
-    out: Vec<(NodeId, NetMessage)>,
+    /// What the event being handled produced, routed right after it.
+    out: Vec<Effect>,
     started: Instant,
 }
 
@@ -431,8 +392,7 @@ impl Shard {
             let Some(peer) = self.peers.get_mut(&id) else {
                 continue;
             };
-            let outputs = peer.selection.poll_timeouts(ms);
-            peer.apply_outputs(outputs, &mut self.out);
+            peer.host.poll_timeouts(ms, &mut self.out);
             self.flush(id);
             self.poll_due
                 .push_back((rearm(due, self.poll_period, now), id));
@@ -475,11 +435,19 @@ impl Shard {
         self.flush(to);
     }
 
-    /// Routes every send the last handled event of `from` produced.
+    /// Routes what the last handled event of `from` produced: sends leave
+    /// the shard, completions go to `from`'s waiting callers.
     fn flush(&mut self, from: NodeId) {
         let mut out = std::mem::take(&mut self.out);
-        for (to, msg) in out.drain(..) {
-            self.send(from, to, msg);
+        for effect in out.drain(..) {
+            match effect {
+                Effect::Send(to, msg) => self.send(from, to, msg),
+                Effect::Completed { id, matches, count } => {
+                    if let Some(peer) = self.peers.get_mut(&from) {
+                        peer.complete(id, matches, count);
+                    }
+                }
+            }
         }
         self.out = out;
     }
@@ -560,7 +528,7 @@ fn rearm(due: Instant, period: Duration, now: Instant) -> Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autosel_core::{MatchList, ReplyMsg};
+    use autosel_core::{MatchList, Message, ReplyMsg, SlotSelector};
 
     /// An unstarted shard owning peers `0..n` of a one-shard in-memory
     /// cluster whose inboxes hold `capacity` events each.
@@ -571,12 +539,13 @@ mod tests {
             ..NetConfig::default()
         };
         let (fabric, mut inboxes) = Fabric::new(n, 1, capacity);
+        let selector: Arc<dyn Selector<NodeProfile>> = Arc::new(SlotSelector::default());
         let peers = (0..n as NodeId)
             .map(|id| {
                 let point = space.point(&[id * 7 % 80, 40]).unwrap();
                 (
                     id,
-                    PeerTask::new(id, &space, point, &config, ObsHandle::null()),
+                    PeerTask::new(id, &space, point, &config, &selector, ObsHandle::null()),
                 )
             })
             .collect();

@@ -7,12 +7,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use attrspace::Space;
+use autosel_core::NetMessage;
 use bytes::Bytes;
 use epigossip::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::peer::{NetMessage, PeerEvent, PeerSlot, Wire};
+use crate::peer::{PeerEvent, PeerSlot, Wire};
 
 /// Frames whose length prefix (`from` + `to` + payload) reaches this many
 /// bytes are rejected. Enforced at *send* time — an oversize message is

@@ -12,11 +12,11 @@ use std::error::Error;
 use std::fmt;
 
 use attrspace::{Query, Range, Space, SpaceError};
-use autosel_core::{DynamicConstraint, Match, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg};
+use autosel_core::{
+    DynamicConstraint, Match, Message, NetMessage, NodeProfile, QueryId, QueryMsg, ReplyMsg,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use epigossip::{Descriptor, GossipMessage, Layer};
-
-use crate::peer::NetMessage;
 
 /// Codec failures.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -5,7 +5,8 @@ use attrspace::{Point, Query, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
-    DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode, SlotSelector,
+    DynamicConstraint, Effect, Host, Match, Message, NetMessage, NodeProfile, QueryId,
+    SelectionNode, SlotSelector,
 };
 use autosel_obs::{Event, ObsHandle};
 use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
@@ -15,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use autosel_core::fasthash::Fnv64;
 
 use crate::calendar::CalendarQueue;
-use crate::event::{EventKey, EventKind, Payload, QueuedEvent, ScheduledEvent};
+use crate::event::{EventKey, EventKind, QueuedEvent, ScheduledEvent};
 use crate::faults::{FaultPlan, NodeEventKind};
 use crate::invariants::{InvariantChecker, InvariantViolation};
 use crate::metrics::LoadHistogram;
@@ -24,10 +25,7 @@ use crate::truth::TruthIndex;
 use crate::{Placement, QueryStats, SimConfig};
 
 struct SimNode {
-    selection: SelectionNode,
-    /// Boxed: a static overlay's nodes never gossip and pay one word, not
-    /// a whole stack.
-    gossip: Option<Box<GossipStack<NodeProfile>>>,
+    host: Host,
     /// Messages (queries + replies + gossip) dispatched by this node —
     /// Fig. 9's load metric.
     sent: u64,
@@ -74,6 +72,8 @@ pub struct SimCluster {
     /// Reused buffer for per-message fault resolution (zero allocations on
     /// the send path once warm).
     delivery_scratch: Vec<u64>,
+    /// Reused buffer for what one host call produced, routed right after it.
+    effects: Vec<Effect>,
     /// Observability sink, propagated into every node (null by default).
     /// Events carry virtual-time timestamps.
     obs: ObsHandle,
@@ -112,6 +112,7 @@ impl SimCluster {
             faults: FaultPlan::new(),
             crashed: FastMap::default(),
             delivery_scratch: Vec::new(),
+            effects: Vec::new(),
             obs: ObsHandle::null(),
             selector: Arc::new(SlotSelector::default()),
         }
@@ -124,12 +125,8 @@ impl SimCluster {
     /// queue, so a traced run and an untraced run of the same seed produce
     /// byte-identical [`QueryStats`] fingerprints.
     pub fn set_observer(&mut self, obs: ObsHandle) {
-        for &id in &self.sorted_ids {
-            let n = self.nodes.get_mut(&id).expect("indexed node alive");
-            n.selection.set_observer(obs.clone());
-            if let Some(g) = n.gossip.as_mut() {
-                g.set_observer(obs.clone());
-            }
+        for n in self.nodes.values_mut() {
+            n.host.set_observer(obs.clone());
         }
         self.obs = obs;
     }
@@ -203,7 +200,7 @@ impl SimCluster {
 
     /// The attribute values of `id`, if alive.
     pub fn point_of(&self, id: NodeId) -> Option<&Point> {
-        self.nodes.get(&id).map(|n| n.selection.point())
+        self.nodes.get(&id).map(|n| n.host.selection().point())
     }
 
     /// Adds one node at `point`, bootstrapping its gossip stack off up to
@@ -218,9 +215,7 @@ impl SimCluster {
     /// Inserts a node under a caller-chosen id (fresh joins allocate one,
     /// restarts reuse the crashed identity).
     fn insert_node(&mut self, id: NodeId, point: Point) {
-        let mut selection =
-            SelectionNode::new(id, &self.space, point, self.config.protocol.clone());
-        selection.set_observer(self.obs.clone());
+        let selection = SelectionNode::new(id, &self.space, point, self.config.protocol.clone());
         let gossip = if self.config.gossip_enabled {
             let mut stack = Box::new(GossipStack::with_selector(
                 id,
@@ -228,11 +223,10 @@ impl SimCluster {
                 self.config.gossip.clone(),
                 Arc::clone(&self.selector),
             ));
-            stack.set_observer(self.obs.clone());
             let existing = &self.sorted_ids;
             for _ in 0..3.min(existing.len()) {
                 let seed = existing[self.rng.gen_range(0..existing.len())];
-                let seed_stack = self.nodes[&seed].gossip.as_ref();
+                let seed_stack = self.nodes[&seed].host.gossip();
                 let profile = seed_stack.expect("every node gossips").profile();
                 stack.introduce(seed, profile.clone());
             }
@@ -249,11 +243,12 @@ impl SimCluster {
             self.truth_index
                 .insert(selection.coord(), selection.point().values());
         }
+        let mut host = Host::new(selection, gossip);
+        host.set_observer(self.obs.clone());
         self.nodes.insert(
             id,
             SimNode {
-                selection,
-                gossip,
+                host,
                 sent: 0,
                 next_poll: u64::MAX,
             },
@@ -269,8 +264,9 @@ impl SimCluster {
             .binary_search(&id)
             .expect("alive node is indexed");
         self.sorted_ids.remove(at);
+        let selection = node.host.selection();
         self.truth_index
-            .remove(node.selection.coord(), node.selection.point().values());
+            .remove(selection.coord(), selection.point().values());
         Some(node)
     }
 
@@ -292,7 +288,7 @@ impl SimCluster {
             .sorted_ids
             .iter()
             .map(|id| {
-                let sel = &self.nodes[id].selection;
+                let sel = self.nodes[id].host.selection();
                 NeighborEntry {
                     id: *id,
                     point: sel.point().clone(),
@@ -304,7 +300,8 @@ impl SimCluster {
         for i in 0..wiring.entries().len() {
             let id = wiring.entries()[i].id;
             let node = self.nodes.get_mut(&id).expect("known id");
-            wiring.wire_table(i, node.selection.routing_mut(), &mut self.rng);
+            let table = node.host.selection_mut().routing_mut();
+            wiring.wire_table(i, table, &mut self.rng);
         }
     }
 
@@ -318,7 +315,8 @@ impl SimCluster {
         self.nodes
             .get_mut(&id)
             .expect("node alive")
-            .selection
+            .host
+            .selection_mut()
             .set_dynamic(key, value);
     }
 
@@ -370,23 +368,21 @@ impl SimCluster {
         sigma: Option<u32>,
         count_only: bool,
     ) -> QueryId {
-        let mut stats = QueryStats::new(self.now, self.truth_index.count(&query));
+        let now = self.now;
+        let mut stats = QueryStats::new(now, self.truth_index.count(&query));
         stats.sigma = sigma;
-        let node = &mut self.nodes.get_mut(&origin).expect("origin alive").selection;
-        let (qid, outputs) = if count_only {
-            node.begin_count_query(query.clone(), dynamic, self.now)
-        } else {
-            node.begin_query_full(query.clone(), dynamic, sigma, self.now)
-        };
+        let mut out = std::mem::take(&mut self.effects);
+        let host = &mut self.nodes.get_mut(&origin).expect("origin alive").host;
+        let qid = host.begin(query.clone(), dynamic, sigma, count_only, now, &mut out);
         // The origin counts as reached if it matches (it "received" the
         // query by creating it).
         stats.receivers.insert(origin);
-        if query.matches(node.point()) {
+        if query.matches(host.selection().point()) {
             stats.matched_reached.insert(origin);
         }
         self.queries.insert(qid, stats);
         self.truth.insert(qid, query);
-        self.apply_outputs(origin, outputs);
+        self.route(origin, out);
         self.schedule_timeout_poll(origin);
         qid
     }
@@ -425,7 +421,7 @@ impl SimCluster {
     /// bring the machine back. No-op if `id` is not alive.
     pub fn crash(&mut self, id: NodeId) {
         if let Some(n) = self.remove_node(id) {
-            self.crashed.insert(id, n.selection.point().clone());
+            self.crashed.insert(id, n.host.selection().point().clone());
             self.obs.emit(|| Event::NodeCrashed {
                 at: self.now,
                 node: id,
@@ -485,20 +481,8 @@ impl SimCluster {
     /// [`Event::GossipRound`] stream with an on-demand aggregate that needs
     /// no observer installed. Empty readings (gossip disabled) are all-zero.
     pub fn gossip_health(&self) -> (GossipHealth, GossipHealth) {
-        let mut out = [GossipHealth::default(), GossipHealth::default()];
-        for &id in &self.sorted_ids {
-            let Some(g) = self.nodes[&id].gossip.as_ref() else {
-                continue;
-            };
-            for (h, view) in out.iter_mut().zip([g.random_view(), g.semantic_view()]) {
-                h.nodes += 1;
-                h.links += view.len() as u64;
-                h.age_sum_x1000 += view.mean_age_x1000();
-                h.turnover += view.turnover();
-            }
-        }
-        let [random, semantic] = out;
-        (random, semantic)
+        let stacks = self.nodes.values().filter_map(|n| n.host.gossip());
+        GossipHealth::total(stacks.map(GossipStack::health))
     }
 
     /// Per-node dispatched-message counts (Fig. 9's load metric).
@@ -516,9 +500,8 @@ impl SimCluster {
     /// Per-node routing-table link counts (Fig. 10's metric).
     pub fn link_histogram(&self) -> LoadHistogram {
         LoadHistogram::new(
-            self.nodes
-                .values()
-                .map(|n| n.selection.routing().link_count() as u64)
+            self.selections_iter()
+                .map(|(_, s)| s.routing().link_count() as u64)
                 .collect(),
         )
     }
@@ -531,11 +514,9 @@ impl SimCluster {
     /// view reports what a live deployment would maintain.
     pub fn link_histogram_cache_bounded(&self, cache: usize) -> LoadHistogram {
         LoadHistogram::new(
-            self.nodes
-                .values()
-                .map(|n| {
-                    let slots = n.selection.routing().slot_count();
-                    let zero = n.selection.routing().zero_count();
+            self.selections_iter()
+                .map(|(_, s)| {
+                    let (slots, zero) = (s.routing().slot_count(), s.routing().zero_count());
                     (slots + zero.min(cache.saturating_sub(slots))) as u64
                 })
                 .collect(),
@@ -551,16 +532,15 @@ impl SimCluster {
     /// In-flight query records summed over all alive nodes — zero once
     /// every query has drained (the leak metric of the invariant checker).
     pub fn pending_total(&self) -> usize {
-        self.nodes.values().map(|n| n.selection.pending_len()).sum()
+        self.selections_iter().map(|(_, s)| s.pending_len()).sum()
     }
 
     /// Total `T(q)` timeout expirations fired across all alive nodes —
     /// how much of the traversal was rescued by timeouts rather than
     /// replies (always zero on a fault-free static run).
     pub fn timeouts_fired_total(&self) -> u64 {
-        self.nodes
-            .values()
-            .map(|n| n.selection.timeouts_fired())
+        self.selections_iter()
+            .map(|(_, s)| s.timeouts_fired())
             .sum()
     }
 
@@ -585,7 +565,7 @@ impl SimCluster {
 
     /// Iterates alive nodes' protocol state (internal: invariant checking).
     pub(crate) fn selections_iter(&self) -> impl Iterator<Item = (NodeId, &SelectionNode)> {
-        self.nodes.iter().map(|(id, n)| (id, &n.selection))
+        self.nodes.iter().map(|(id, n)| (id, n.host.selection()))
     }
 
     /// Processes events until the queue is empty (static experiments) —
@@ -782,7 +762,7 @@ impl SimCluster {
         for &id in &self.sorted_ids {
             let n = &self.nodes[&id];
             h.word(id);
-            h.word(n.selection.state_fingerprint());
+            h.word(n.host.selection().state_fingerprint());
             h.word(n.next_poll);
         }
         let mut crashed: Vec<NodeId> = self.crashed.keys().copied().collect();
@@ -835,14 +815,14 @@ impl SimCluster {
     pub fn semantic_view_of(&self, id: NodeId) -> Option<&epigossip::View<NodeProfile>> {
         self.nodes
             .get(&id)?
-            .gossip
-            .as_ref()
+            .host
+            .gossip()
             .map(|g| g.semantic_view())
     }
 
     /// One alive node's routing table.
     pub fn routing_of(&self, id: NodeId) -> Option<&autosel_core::RoutingTable> {
-        self.nodes.get(&id).map(|n| n.selection.routing())
+        self.nodes.get(&id).map(|n| n.host.selection().routing())
     }
 
     /// Direct mutable access to one node's protocol state machine.
@@ -852,7 +832,7 @@ impl SimCluster {
     /// nodes and production drivers must go through messages.
     #[doc(hidden)]
     pub fn selection_mut(&mut self, id: NodeId) -> Option<&mut SelectionNode> {
-        self.nodes.get_mut(&id).map(|n| &mut n.selection)
+        self.nodes.get_mut(&id).map(|n| n.host.selection_mut())
     }
 
     fn schedule(&mut self, at: u64, kind: EventKind) {
@@ -864,11 +844,11 @@ impl SimCluster {
         });
     }
 
-    fn send(&mut self, from: NodeId, to: NodeId, payload: Payload) {
+    fn send(&mut self, from: NodeId, to: NodeId, payload: Arc<NetMessage>) {
         if let Some(n) = self.nodes.get_mut(&from) {
             n.sent += 1;
         }
-        if let Payload::Protocol(msg) = &payload {
+        if let NetMessage::Protocol(msg) = payload.as_ref() {
             if let Some(stats) = self.queries.get_mut(&msg.query_id()) {
                 stats.messages += 1;
             }
@@ -876,7 +856,7 @@ impl SimCluster {
         let Some(base) = self.config.latency.sample_link(from, to, &mut self.rng) else {
             return; // lost by the latency model
         };
-        let protocol = matches!(payload, Payload::Protocol(_));
+        let protocol = matches!(*payload, NetMessage::Protocol(_));
         // The single fault-injection boundary: the plan turns one send into
         // zero (dropped / partitioned), one, or several (duplicated)
         // deliveries, each with its own delay.
@@ -917,13 +897,13 @@ impl SimCluster {
         self.delivery_scratch = deliveries;
     }
 
-    fn apply_outputs(&mut self, from: NodeId, outputs: Vec<Output>) {
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => {
-                    self.send(from, to, Payload::Protocol(Arc::new(msg)));
-                }
-                Output::Completed { id, matches, count } => {
+    /// Routes what one host call of `from` produced, in order: sends go on
+    /// the network, completions into the query's stats.
+    fn route(&mut self, from: NodeId, mut effects: Vec<Effect>) {
+        for effect in effects.drain(..) {
+            match effect {
+                Effect::Send(to, msg) => self.send(from, to, Arc::new(msg)),
+                Effect::Completed { id, matches, count } => {
                     if let Some(stats) = self.queries.get_mut(&id) {
                         stats.completed = true;
                         stats.completed_at = Some(self.now);
@@ -931,15 +911,24 @@ impl SimCluster {
                     }
                     self.completed.insert(id, matches);
                 }
-                Output::NeighborFailed(peer) => {
-                    if let Some(n) = self.nodes.get_mut(&from) {
-                        if let Some(g) = n.gossip.as_mut() {
-                            g.evict(peer);
-                        }
-                    }
-                }
             }
         }
+        self.effects = effects;
+    }
+
+    /// Runs one call on `node`'s host, if it is alive, and routes what it
+    /// produced.
+    fn drive(
+        &mut self,
+        node: NodeId,
+        call: impl FnOnce(&mut Host, u64, &mut StdRng, &mut Vec<Effect>),
+    ) {
+        let Some(n) = self.nodes.get_mut(&node) else {
+            return;
+        };
+        let mut effects = std::mem::take(&mut self.effects);
+        call(&mut n.host, self.now, &mut self.rng, &mut effects);
+        self.route(node, effects);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -948,58 +937,28 @@ impl SimCluster {
                 if !self.nodes.contains_key(&to) {
                     return; // dead receiver: message dropped (§6.6)
                 }
-                match payload {
-                    Payload::Protocol(msg) => {
-                        self.record_receipt(to, &msg);
-                        let node = self.nodes.get_mut(&to).expect("alive");
-                        // Sole owner in the common (non-duplicated) case:
-                        // unwrap without copying.
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
-                        let outputs = node.selection.handle_message(from, msg, self.now);
-                        self.apply_outputs(to, outputs);
-                        // Ensure a timeout poll is scheduled for new waits.
-                        self.schedule_timeout_poll(to);
-                    }
-                    Payload::Gossip(msg) => {
-                        let node = self.nodes.get_mut(&to).expect("alive");
-                        let Some(stack) = node.gossip.as_mut() else {
-                            return;
-                        };
-                        let msg = Arc::try_unwrap(msg).unwrap_or_else(|a| (*a).clone());
-                        let replies = stack.handle(from, msg, &mut self.rng);
-                        // Routing tables follow the semantic view.
-                        node.selection.sync_from_view(
-                            stack.semantic_view(),
-                            self.now,
-                            &mut self.rng,
-                        );
-                        for (dst, m) in replies {
-                            self.send(to, dst, Payload::Gossip(Arc::new(m)));
-                        }
-                    }
+                self.record_receipt(to, &payload);
+                let protocol = matches!(*payload, NetMessage::Protocol(_));
+                // Sole owner in the common (non-duplicated) case: unwrap
+                // without copying.
+                let msg = Arc::try_unwrap(payload).unwrap_or_else(|a| (*a).clone());
+                self.drive(to, |h, now, rng, out| h.deliver(from, msg, now, rng, out));
+                if protocol {
+                    // Ensure a timeout poll is scheduled for new waits.
+                    self.schedule_timeout_poll(to);
                 }
             }
             EventKind::GossipTick { node } => {
-                let Some(n) = self.nodes.get_mut(&node) else {
-                    return;
-                };
-                let Some(stack) = n.gossip.as_mut() else {
-                    return;
-                };
-                if self.now < stack.next_gossip_at() {
-                    // A crashed incarnation's chain: `restart` started a
-                    // fresh one, and a live chain fires exactly at
-                    // `next_gossip_at`. Let this one die instead of
-                    // rescheduling it (and re-syncing routing) forever.
+                let stack = self.nodes.get(&node).and_then(|n| n.host.gossip());
+                if stack.is_none_or(|g| self.now < g.next_gossip_at()) {
+                    // A dead node's chain, or a crashed incarnation's:
+                    // `restart` started a fresh one, and a live chain fires
+                    // exactly at `next_gossip_at`. Let this one die instead
+                    // of rescheduling it (and re-syncing routing) forever.
                     return;
                 }
-                let msgs = stack.tick(self.now, &mut self.rng);
-                n.selection
-                    .sync_from_view(stack.semantic_view(), self.now, &mut self.rng);
+                self.drive(node, |h, now, rng, out| h.gossip_tick(now, rng, out));
                 let period = self.config.gossip.period_ms;
-                for (dst, m) in msgs {
-                    self.send(node, dst, Payload::Gossip(Arc::new(m)));
-                }
                 self.schedule(self.now + period, EventKind::GossipTick { node });
             }
             EventKind::PollTimeouts { node } => {
@@ -1007,23 +966,14 @@ impl SimCluster {
                     return;
                 };
                 n.next_poll = u64::MAX;
-                let outputs = n.selection.poll_timeouts(self.now);
-                if let Some(at) = n.selection.next_timeout() {
-                    let at = at.max(self.now + 1);
-                    n.next_poll = at;
-                    self.schedule(at, EventKind::PollTimeouts { node });
-                }
-                self.apply_outputs(node, outputs);
+                let mut effects = std::mem::take(&mut self.effects);
+                n.host.poll_timeouts(self.now, &mut effects);
+                // The next poll is queued before this one's sends.
+                self.schedule_timeout_poll(node);
+                self.route(node, effects);
             }
             EventKind::SendFailed { node, peer } => {
-                let Some(n) = self.nodes.get_mut(&node) else {
-                    return;
-                };
-                if let Some(g) = n.gossip.as_mut() {
-                    g.evict(peer);
-                }
-                let outputs = n.selection.peer_unreachable(peer, self.now);
-                self.apply_outputs(node, outputs);
+                self.drive(node, |h, now, _, out| h.unreachable(peer, now, out));
                 // Skipping the dead subtree may have re-forwarded the query
                 // to fresh peers with fresh deadlines.
                 self.schedule_timeout_poll(node);
@@ -1047,7 +997,7 @@ impl SimCluster {
             let Some(n) = self.nodes.get_mut(&node) else {
                 return;
             };
-            let Some(at) = n.selection.next_timeout() else {
+            let Some(at) = n.host.selection().next_timeout() else {
                 return;
             };
             let at = at.max(self.now + 1);
@@ -1062,8 +1012,10 @@ impl SimCluster {
         self.schedule(at, EventKind::PollTimeouts { node });
     }
 
-    fn record_receipt(&mut self, to: NodeId, msg: &Message) {
-        let Message::Query(q) = msg else { return };
+    fn record_receipt(&mut self, to: NodeId, msg: &NetMessage) {
+        let NetMessage::Protocol(Message::Query(q)) = msg else {
+            return;
+        };
         let Some(stats) = self.queries.get_mut(&q.id) else {
             return;
         };
@@ -1074,7 +1026,7 @@ impl SimCluster {
             stats.duplicates += 1;
             return;
         }
-        let point = self.nodes[&to].selection.point();
+        let point = self.nodes[&to].host.selection().point();
         if query.matches(point) {
             stats.matched_reached.insert(to);
         } else {

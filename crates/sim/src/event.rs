@@ -1,30 +1,22 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use autosel_core::Message;
-use autosel_core::NodeProfile;
-use epigossip::{GossipMessage, NodeId};
+use autosel_core::{Message, NetMessage};
+use epigossip::NodeId;
 
 use crate::faults::NodeEventKind;
-
-/// A payload in flight between two nodes. `Arc`-backed so that scheduling a
-/// delivery (or a fault-injected duplicate) is a refcount bump instead of a
-/// deep clone of the message body; the receiver unwraps the sole reference
-/// at dispatch time without copying.
-#[derive(Debug, Clone)]
-pub(crate) enum Payload {
-    Protocol(Arc<Message>),
-    Gossip(Arc<GossipMessage<NodeProfile>>),
-}
 
 /// A scheduled simulator event.
 #[derive(Debug, Clone)]
 pub(crate) enum EventKind {
-    /// Deliver `payload` from `from` to `to`.
+    /// Deliver `payload` from `from` to `to`. `Arc`-backed so that
+    /// scheduling a delivery (or a fault-injected duplicate) is a refcount
+    /// bump instead of a deep clone of the message body; the receiver
+    /// unwraps the sole reference at dispatch time without copying.
     Deliver {
         from: NodeId,
         to: NodeId,
-        payload: Payload,
+        payload: Arc<NetMessage>,
     },
     /// Let `node` initiate its periodic gossip (self-rescheduling).
     GossipTick { node: NodeId },
@@ -129,12 +121,10 @@ impl EventKey {
     pub(crate) fn of(ev: &ScheduledEvent) -> EventKey {
         match &ev.kind {
             EventKind::Deliver { from, to, payload } => {
-                let (query, reply, attempt) = match payload {
-                    Payload::Protocol(msg) => match msg.as_ref() {
-                        Message::Query(q) => (Some(q.id), false, q.attempt),
-                        Message::Reply(r) => (Some(r.id), true, r.attempt),
-                    },
-                    Payload::Gossip(_) => (None, false, 0),
+                let (query, reply, attempt) = match payload.as_ref() {
+                    NetMessage::Protocol(Message::Query(q)) => (Some(q.id), false, q.attempt),
+                    NetMessage::Protocol(Message::Reply(r)) => (Some(r.id), true, r.attempt),
+                    NetMessage::Gossip(_) => (None, false, 0),
                 };
                 EventKey::Deliver {
                     from: *from,

@@ -3,9 +3,9 @@
 //! The paper evaluates its protocol on PeerSim with up to 100 000 nodes; this
 //! crate is the equivalent substrate, built from scratch:
 //!
-//! * [`SimCluster`] — a population of [`autosel_core::SelectionNode`]s (each
-//!   optionally paired with a two-layer [`epigossip::GossipStack`]) driven by
-//!   a virtual-time event queue;
+//! * [`SimCluster`] — a population of [`autosel_core::Host`]s (a
+//!   [`autosel_core::SelectionNode`], optionally paired with a two-layer
+//!   [`epigossip::GossipStack`]) driven by a virtual-time event queue;
 //! * [`LatencyModel`] — per-message delays and loss;
 //! * [`Placement`] — how node attribute values are drawn (uniform, normal
 //!   hotspot, or externally supplied trace vectors);
