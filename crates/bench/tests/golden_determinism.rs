@@ -22,6 +22,7 @@
 
 use attrspace::{Query, Space};
 use autosel_core::fasthash::Fnv64;
+use autosel_core::QueryRequest;
 use bench::sweep::run_parallel;
 use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
 
@@ -52,7 +53,7 @@ fn static_scenario(seed: u64) -> String {
 
     let q3 = Query::builder(&space).min("a2", 30).build().unwrap();
     let o3 = sim.random_node();
-    let id3 = sim.issue_count_query(o3, q3);
+    let id3 = sim.issue(o3, QueryRequest::count(q3));
     sim.run_to_quiescence();
     lines.push(sim.query_stats(id3).unwrap().fingerprint());
 

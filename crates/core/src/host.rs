@@ -2,12 +2,11 @@
 // invariant it relies on (`expect`), tests included.
 #![warn(clippy::unwrap_used)]
 
-use attrspace::Query;
 use autosel_obs::ObsHandle;
 use epigossip::{GossipMessage, GossipStack, NodeId};
 use rand::Rng;
 
-use crate::{DynamicConstraint, Match, Message, NodeProfile, Output, QueryId, SelectionNode};
+use crate::{Match, Message, NodeProfile, Output, QueryId, QueryRequest, SelectionNode};
 
 /// A message between two nodes: the selection protocol or overlay gossip.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,22 +90,9 @@ impl Host {
         }
     }
 
-    /// Issues a query from this node (σ-bounded if `sigma` is given;
-    /// count-only replies carry one integer per subtree).
-    pub fn begin(
-        &mut self,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        sigma: Option<u32>,
-        count_only: bool,
-        now: u64,
-        out: &mut Vec<Effect>,
-    ) -> QueryId {
-        let (id, outputs) = if count_only {
-            self.selection.begin_count_query(query, dynamic, now)
-        } else {
-            self.selection.begin_query_full(query, dynamic, sigma, now)
-        };
+    /// Issues `request` from this node.
+    pub fn begin(&mut self, request: QueryRequest, now: u64, out: &mut Vec<Effect>) -> QueryId {
+        let (id, outputs) = self.selection.begin(request, now);
         self.apply(outputs, out);
         id
     }
@@ -187,7 +173,7 @@ fn gossip(msgs: Vec<(NodeId, GossipMessage<NodeProfile>)>) -> impl Iterator<Item
 mod tests {
     use std::sync::Arc;
 
-    use attrspace::Space;
+    use attrspace::{Query, Space};
     use epigossip::{Descriptor, GossipConfig, Layer};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -250,7 +236,7 @@ mod tests {
         host.introduce(2, profile([70, 70]));
         host.introduce(3, profile([5, 70]));
         let mut out = Vec::new();
-        host.begin(query(&host, 60), Vec::new(), None, false, 0, &mut out);
+        host.begin(query(&host, 60).into(), 0, &mut out);
         assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
         // Whether `id` is in the random view, the semantic view, the table.
         let known = |h: &Host, id: NodeId| {
@@ -310,7 +296,7 @@ mod tests {
         assert_eq!(host.selection().routing().link_count(), 2);
 
         // One neighbor the transport reports gone, one that times out.
-        host.begin(query(&host, 0), Vec::new(), None, true, 0, &mut out);
+        host.begin(QueryRequest::count(query(&host, 0)), 0, &mut out);
         assert!(matches!(out[..], [Effect::Send(3, _)]), "{out:?}");
         out.clear();
         host.unreachable(3, 1, &mut out);

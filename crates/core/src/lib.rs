@@ -77,7 +77,9 @@ mod selector;
 
 pub use host::{Effect, Host, NetMessage};
 pub use match_list::{MatchIter, MatchList};
-pub use messages::{DynamicConstraint, Match, Message, QueryId, QueryMsg, ReplyMsg};
+pub use messages::{
+    Answer, DynamicConstraint, Match, Message, QueryId, QueryMsg, QueryRequest, ReplyMsg,
+};
 pub use node::{Output, ProtocolConfig, SelectionNode};
 pub use profile::NodeProfile;
 pub use routing::{NeighborEntry, RoutingTable};

@@ -27,6 +27,67 @@ impl DynamicConstraint {
     }
 }
 
+/// What a user hands a node (the paper's `create_QUERY`): a range query,
+/// constraints on dynamic attributes, and the answer wanted.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryRequest {
+    /// The static attribute ranges the query is routed on.
+    pub query: Query,
+    /// Constraints on dynamic attributes, checked locally by every
+    /// candidate (footnote 1); empty for purely static queries.
+    pub dynamic: Vec<DynamicConstraint>,
+    /// What the origin reports when the traversal ends.
+    pub answer: Answer,
+}
+
+/// The answer a [`QueryRequest`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Answer {
+    /// The matching nodes themselves.
+    Matches {
+        /// Upper bound `σ` on the number of nodes wanted (`None` = all).
+        sigma: Option<u32>,
+    },
+    /// Only how many nodes match, never σ-bounded: the same traversal, but
+    /// replies carry one integer per subtree (see [`QueryMsg::count_only`]).
+    Count,
+}
+
+impl QueryRequest {
+    /// Enumerates the nodes matching `query`, σ-bounded if `sigma` is given.
+    pub fn matches(query: Query, sigma: Option<u32>) -> Self {
+        QueryRequest {
+            query,
+            dynamic: Vec::new(),
+            answer: Answer::Matches { sigma },
+        }
+    }
+
+    /// Counts the nodes matching `query`.
+    pub fn count(query: Query) -> Self {
+        QueryRequest {
+            query,
+            dynamic: Vec::new(),
+            answer: Answer::Count,
+        }
+    }
+
+    /// The σ bound, if any (a count has none).
+    pub fn sigma(&self) -> Option<u32> {
+        match self.answer {
+            Answer::Matches { sigma } => sigma,
+            Answer::Count => None,
+        }
+    }
+}
+
+/// An unbounded enumeration without dynamic constraints.
+impl From<Query> for QueryRequest {
+    fn from(query: Query) -> Self {
+        QueryRequest::matches(query, None)
+    }
+}
+
 /// Globally unique query identifier: the originating node plus a local
 /// sequence number (the paper's `q.id`, "must be unique").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -14,8 +14,8 @@ use rand::Rng;
 use crate::match_list::Segment;
 use crate::messages::all_dims;
 use crate::{
-    DynamicConstraint, Match, MatchList, Message, NodeProfile, QueryId, QueryMsg, ReplyMsg,
-    RoutingTable,
+    Answer, DynamicConstraint, Match, MatchList, Message, NodeProfile, QueryId, QueryMsg,
+    QueryRequest, ReplyMsg, RoutingTable,
 };
 
 /// Protocol tuning knobs.
@@ -178,6 +178,45 @@ impl PendingQuery {
 
     fn sigma_met(&self) -> bool {
         self.sigma.is_some_and(|s| self.count >= u64::from(s))
+    }
+
+    /// The forward of query `qid` to `to` with the given scope: stamps it
+    /// with a fresh attempt id and waits on `to` for that attempt until
+    /// `deadline`.
+    fn forward(
+        &mut self,
+        qid: QueryId,
+        to: NodeId,
+        level: i8,
+        dims: u32,
+        visited_zero: Vec<NodeId>,
+        deadline: u64,
+    ) -> QueryMsg {
+        let attempt = self.next_attempt;
+        self.next_attempt += 1;
+        // Attempt monotonicity: every freshly stamped id must strictly
+        // exceed everything still awaited, or a stale reply could
+        // masquerade as the live one.
+        debug_assert!(
+            self.waiting.values().all(|&(_, a)| a < attempt),
+            "query {qid} stamped non-monotone attempt {attempt}"
+        );
+        self.waiting.insert(to, (deadline, attempt));
+        QueryMsg {
+            id: qid,
+            query: Arc::clone(
+                self.query
+                    .as_ref()
+                    .expect("a pending record holds its query"),
+            ),
+            sigma: self.sigma,
+            level,
+            dims,
+            dynamic: self.dynamic.clone(),
+            count_only: self.count_only,
+            visited_zero,
+            attempt,
+        }
     }
 
     /// Adds this node's own match.
@@ -615,53 +654,11 @@ impl SelectionNode {
     }
 
     /// Issues a new query from this node (the paper's `create_QUERY`): the
-    /// user contacts *any* node and passes the query to it.
+    /// user contacts *any* node and passes the request to it.
     ///
     /// Returns the query id and the initial outputs (forwarded messages, or
     /// an immediate [`Output::Completed`] if this node alone satisfies it).
-    pub fn begin_query(
-        &mut self,
-        query: Query,
-        sigma: Option<u32>,
-        now: u64,
-    ) -> (QueryId, Vec<Output>) {
-        self.begin_query_full(query, Vec::new(), sigma, now)
-    }
-
-    /// Like [`begin_query`](Self::begin_query) with additional constraints
-    /// on dynamic attributes, checked locally by every candidate
-    /// (footnote 1 of the paper).
-    pub fn begin_query_full(
-        &mut self,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        sigma: Option<u32>,
-        now: u64,
-    ) -> (QueryId, Vec<Output>) {
-        self.begin(query, dynamic, sigma, false, now)
-    }
-
-    /// Issues a *count-only* query: the traversal is identical, but replies
-    /// aggregate a single integer per subtree instead of carrying match
-    /// lists — constant-size replies, exact counts (§2's Astrolabe
-    /// comparison: this overlay both counts and enumerates).
-    pub fn begin_count_query(
-        &mut self,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        now: u64,
-    ) -> (QueryId, Vec<Output>) {
-        self.begin(query, dynamic, None, true, now)
-    }
-
-    fn begin(
-        &mut self,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        sigma: Option<u32>,
-        count_only: bool,
-        now: u64,
-    ) -> (QueryId, Vec<Output>) {
+    pub fn begin(&mut self, request: QueryRequest, now: u64) -> (QueryId, Vec<Output>) {
         let id = QueryId {
             origin: self.id,
             seq: self.seq,
@@ -669,17 +666,28 @@ impl SelectionNode {
         self.seq += 1;
         let msg = QueryMsg {
             id,
-            query: Arc::new(query),
-            sigma,
+            sigma: request.sigma(),
+            count_only: request.answer == Answer::Count,
+            query: Arc::new(request.query),
             level: self.space.max_level() as i8,
             dims: all_dims(self.space.dims()),
-            dynamic,
-            count_only,
+            dynamic: request.dynamic,
             visited_zero: Vec::new(),
             attempt: 0,
         };
         let out = self.accept_query(None, msg, now);
         (id, out)
+    }
+
+    /// [`begin`](Self::begin) enumerating the matches of `query`,
+    /// σ-bounded if `sigma` is given.
+    pub fn begin_query(
+        &mut self,
+        query: Query,
+        sigma: Option<u32>,
+        now: u64,
+    ) -> (QueryId, Vec<Output>) {
+        self.begin(QueryRequest::matches(query, sigma), now)
     }
 
     /// Processes an incoming protocol message.
@@ -729,14 +737,7 @@ impl SelectionNode {
                 });
                 out.push(Output::NeighborFailed(peer));
             }
-            let p = self.pending.get(&qid).expect("still pending");
-            if p.waiting.is_empty() {
-                if p.sigma_met() {
-                    out.extend(self.conclude(qid, now));
-                } else {
-                    out.extend(self.continue_query(qid, now));
-                }
-            }
+            out.extend(self.settle(qid, now));
         }
         out
     }
@@ -767,16 +768,23 @@ impl SelectionNode {
                 node: self.id,
                 peer,
             });
-            let p = self.pending.get(&qid).expect("just listed");
-            if p.waiting.is_empty() {
-                if p.sigma_met() {
-                    out.extend(self.conclude(qid, now));
-                } else {
-                    out.extend(self.continue_query(qid, now));
-                }
-            }
+            out.extend(self.settle(qid, now));
         }
         out
+    }
+
+    /// The query stopped waiting on someone. Once it waits on no one, it
+    /// concludes if σ is met and otherwise continues with its remaining
+    /// scope — the subtree it gave up on is skipped.
+    fn settle(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
+        let p = self.pending.get(&qid).expect("a settling query is pending");
+        if !p.waiting.is_empty() {
+            Vec::new()
+        } else if p.sigma_met() {
+            self.conclude(qid, now)
+        } else {
+            self.continue_query(qid, now)
+        }
     }
 
     /// The `receive_query` procedure of Fig. 5.
@@ -801,21 +809,14 @@ impl SelectionNode {
                 });
             }
             let Some(from) = from else { return Vec::new() };
-            if self.buggy_empty_dedup_reply && self.pending.contains_key(&msg.id) {
+            // Answer `from` with the cached final reply, if it has one,
+            // or empty.
+            let cached = if self.buggy_empty_dedup_reply && self.pending.contains_key(&msg.id) {
                 // Mutation hook (see `inject_empty_dedup_reply_bug`): the
                 // historical behaviour answered *every* duplicate empty,
                 // even mid-flight — the race the explorer must detect.
-                return vec![Output::Send {
-                    to: from,
-                    msg: Message::Reply(ReplyMsg {
-                        id: msg.id,
-                        matching: MatchList::new(),
-                        count: 0,
-                        attempt: msg.attempt,
-                    }),
-                }];
-            }
-            if let Some(p) = self.pending.get_mut(&msg.id) {
+                None
+            } else if let Some(p) = self.pending.get_mut(&msg.id) {
                 if p.reply_to == Some(from) {
                     // Still in flight for this same upstream: stay silent —
                     // the real REPLY will answer it. Track the newest
@@ -826,33 +827,22 @@ impl SelectionNode {
                 // In flight, but the duplicate came over a different edge
                 // (stale-view cross-path): that sender's subtree gets
                 // nothing from us — answer empty immediately.
-                return vec![Output::Send {
-                    to: from,
-                    msg: Message::Reply(ReplyMsg {
-                        id: msg.id,
-                        matching: MatchList::new(),
-                        count: 0,
-                        attempt: msg.attempt,
-                    }),
-                }];
-            }
-            // Concluded: retransmit the cached final reply to the upstream
-            // we originally answered (retries become idempotent — the copy
-            // fresh-merges iff the original was lost, else its attempt id
-            // marks it stale). Anyone else gets an empty reply.
-            let reply = match self.reply_cache.iter().find(|c| c.id == msg.id) {
-                Some(c) if c.to == from => ReplyMsg {
-                    id: msg.id,
-                    matching: c.matching.clone(),
-                    count: c.count,
-                    attempt: msg.attempt,
-                },
-                _ => ReplyMsg {
-                    id: msg.id,
-                    matching: MatchList::new(),
-                    count: 0,
-                    attempt: msg.attempt,
-                },
+                None
+            } else {
+                // Concluded: retransmit the cached final reply to the
+                // upstream we originally answered (retries become idempotent
+                // — the copy fresh-merges iff the original was lost, else its
+                // attempt id marks it stale). Anyone else gets an empty reply.
+                let c = self.reply_cache.iter().find(|c| c.id == msg.id);
+                c.filter(|c| c.to == from)
+            };
+            let (matching, count) =
+                cached.map_or((MatchList::new(), 0), |c| (c.matching.clone(), c.count));
+            let reply = ReplyMsg {
+                id: msg.id,
+                matching,
+                count,
+                attempt: msg.attempt,
             };
             return vec![Output::Send {
                 to: from,
@@ -889,7 +879,6 @@ impl SelectionNode {
             });
         }
         let qid = msg.id;
-        let sigma_met = p.sigma_met();
         let (sigma, count_only) = (p.sigma, p.count_only);
         self.pending.insert(qid, p);
         self.obs.emit(|| match from {
@@ -911,11 +900,7 @@ impl SelectionNode {
                 duplicate: false,
             },
         });
-        if sigma_met {
-            self.conclude(qid, now)
-        } else {
-            self.continue_query(qid, now)
-        }
+        self.settle(qid, now)
     }
 
     /// The `receive_reply` procedure of Fig. 5.
@@ -968,6 +953,9 @@ impl SelectionNode {
         if !p.waiting.is_empty() {
             return Vec::new();
         }
+        // Unlike `settle`, a reply also concludes at `level < 0`: a node
+        // sits at level -1 after its `C0` fan-out, and with `c0_relay` on
+        // `continue_query` would fan out from there a second time.
         if p.sigma_met() || p.level < 0 {
             self.conclude(msg.id, now)
         } else {
@@ -1004,36 +992,15 @@ impl SelectionNode {
                 // pruning this dimension from both our own frontier and the
                 // forwarded scope (prevents backward propagation, Fig.5 l.4).
                 p.dims &= !(1 << dim);
-                if let Some(link) = self.routing.neighbor(level, dim) {
-                    let attempt = p.next_attempt;
-                    p.next_attempt += 1;
-                    // Attempt monotonicity: every freshly stamped id must
-                    // strictly exceed everything still awaited, or a stale
-                    // reply could masquerade as the live one.
-                    debug_assert!(
-                        p.waiting.values().all(|&(_, a)| a < attempt),
-                        "query {qid} stamped non-monotone attempt {attempt}"
-                    );
-                    let fwd = QueryMsg {
-                        id: qid,
-                        query: Arc::clone(query),
-                        sigma: p.sigma,
-                        level: p.level,
-                        dims: p.dims,
-                        dynamic: p.dynamic.clone(),
-                        count_only: p.count_only,
-                        visited_zero: Vec::new(),
-                        attempt,
-                    };
-                    p.waiting.insert(link, (deadline, attempt));
-                    let (to, fwd_level) = (link, p.level);
+                if let Some(to) = self.routing.neighbor(level, dim) {
+                    let fwd = p.forward(qid, to, p.level, p.dims, Vec::new(), deadline);
                     self.obs.emit(|| Event::QueryForwarded {
                         at: now,
                         query: qref(qid),
                         from: self.id,
                         to,
-                        level: fwd_level,
-                        attempt,
+                        level: fwd.level,
+                        attempt: fwd.attempt,
                     });
                     out.push(Output::Send {
                         to,
@@ -1074,36 +1041,19 @@ impl SelectionNode {
                 .collect();
             visited.sort_unstable();
             visited.dedup();
-            for id in targets {
-                let attempt = p.next_attempt;
-                p.next_attempt += 1;
-                debug_assert!(
-                    p.waiting.values().all(|&(_, a)| a < attempt),
-                    "query {qid} stamped non-monotone attempt {attempt}"
-                );
-                let fwd = QueryMsg {
-                    id: qid,
-                    query: Arc::clone(query),
-                    sigma: p.sigma,
-                    level: -1,
-                    dims: 0,
-                    dynamic: p.dynamic.clone(),
-                    count_only: p.count_only,
-                    visited_zero: visited.clone(),
-                    attempt,
-                };
-                p.waiting.insert(id, (deadline, attempt));
-                p.contacted_zero.insert(id);
+            for to in targets {
+                let fwd = p.forward(qid, to, -1, 0, visited.clone(), deadline);
+                p.contacted_zero.insert(to);
                 self.obs.emit(|| Event::QueryForwarded {
                     at: now,
                     query: qref(qid),
                     from: self.id,
-                    to: id,
+                    to,
                     level: -1,
-                    attempt,
+                    attempt: fwd.attempt,
                 });
                 out.push(Output::Send {
-                    to: id,
+                    to,
                     msg: Message::Query(fwd),
                 });
             }
@@ -1806,7 +1756,7 @@ mod tests {
             .min("a1", 60)
             .build()
             .expect("well-formed query");
-        let (qid, out) = a.begin_count_query(q, Vec::new(), 0);
+        let (qid, out) = a.begin(QueryRequest::count(q), 0);
         let Output::Send { to: first, .. } = &out[0] else {
             panic!("{out:?}")
         };
@@ -1847,7 +1797,7 @@ mod tests {
             .min("a1", 60)
             .build()
             .expect("well-formed query");
-        let (qid, out) = a.begin_count_query(q, Vec::new(), 0);
+        let (qid, out) = a.begin(QueryRequest::count(q), 0);
         let Output::Send {
             to: first,
             msg: Message::Query(fwd),
@@ -1908,115 +1858,6 @@ mod tests {
             total,
             Some(1),
             "retransmitted count added more than once per attempt"
-        );
-    }
-
-    /// The §4.1 epidemic relay: leaf receivers re-forward to same-`C0`
-    /// mates the sender did not know. Four nodes share one `C0` cell but
-    /// each knows only its ring successor (A→B→C→D→A), so full coverage
-    /// *requires* relaying — and D's link back to A is exactly the edge
-    /// that would re-deliver the query if the message's `visited_zero` set
-    /// did not suppress it.
-    #[test]
-    fn c0_relay_covers_the_cell_without_duplicate_deliveries() {
-        use std::collections::VecDeque;
-
-        let s = Space::uniform(1, 80, 1).expect("valid 1-d space geometry");
-        let run = |c0_relay: bool| -> (Vec<NodeId>, FastMap<NodeId, u32>, u64) {
-            let cfg = ProtocolConfig {
-                c0_relay,
-                ..ProtocolConfig::default()
-            };
-            let mut nodes: FastMap<NodeId, SelectionNode> = (0..4)
-                .map(|id| {
-                    (
-                        id,
-                        SelectionNode::new(
-                            id,
-                            &s,
-                            s.point(&[id + 1]).expect("coords lie inside the space"),
-                            cfg.clone(),
-                        ),
-                    )
-                })
-                .collect();
-            for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
-                let p = nodes[&b].point().clone();
-                nodes
-                    .get_mut(&a)
-                    .expect("node wired into the ring")
-                    .routing_mut()
-                    .observe(b, p);
-            }
-            let q = Query::builder(&s)
-                .range("a0", 0, 39)
-                .build()
-                .expect("well-formed query");
-            let (_, outs) = nodes
-                .get_mut(&0)
-                .expect("node wired into the ring")
-                .begin_query(q, None, 0);
-
-            let mut receipts: FastMap<NodeId, u32> = FastMap::default();
-            let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
-            let mut completed: Option<Vec<Match>> = None;
-            let absorb = |from: NodeId,
-                          outs: Vec<Output>,
-                          inbox: &mut VecDeque<(NodeId, NodeId, Message)>,
-                          completed: &mut Option<Vec<Match>>| {
-                for o in outs {
-                    match o {
-                        Output::Send { to, msg } => inbox.push_back((from, to, msg)),
-                        Output::Completed { matches, .. } => *completed = Some(matches),
-                        Output::NeighborFailed(_) => panic!("all nodes alive"),
-                    }
-                }
-            };
-            absorb(0, outs, &mut inbox, &mut completed);
-            let mut now = 1;
-            while let Some((from, to, msg)) = inbox.pop_front() {
-                if matches!(msg, Message::Query(_)) {
-                    *receipts.entry(to).or_insert(0) += 1;
-                }
-                let outs = nodes
-                    .get_mut(&to)
-                    .expect("node wired into the ring")
-                    .handle_message(from, msg, now);
-                now += 1;
-                absorb(to, outs, &mut inbox, &mut completed);
-            }
-            let mut got: Vec<NodeId> = completed
-                .expect("concluded")
-                .iter()
-                .map(|m| m.node)
-                .collect();
-            got.sort_unstable();
-            let dups = nodes.values().map(|n| n.duplicate_receipts()).sum();
-            for n in nodes.values() {
-                assert_eq!(n.pending_len(), 0, "no residual state");
-            }
-            (got, receipts, dups)
-        };
-
-        // Without the relay, A's leaf fan-out stops at its only known mate.
-        let (reached_off, _, _) = run(false);
-        assert_eq!(reached_off, vec![0, 1]);
-
-        // With it, the query percolates the whole cell…
-        let (reached_on, receipts, dups) = run(true);
-        assert_eq!(reached_on, vec![0, 1, 2, 3]);
-        // …and `visited_zero` suppresses the ring-closing edge D→A: every
-        // node received the query exactly once, none twice.
-        for (&node, &count) in &receipts {
-            assert_eq!(count, 1, "node {node} received {count} deliveries");
-        }
-        assert!(
-            !receipts.contains_key(&0),
-            "nothing re-delivered to the origin"
-        );
-        assert_eq!(
-            dups, 0,
-            "the dedup set left nothing for the seen-set to catch"
         );
     }
 
@@ -2353,13 +2194,19 @@ mod tests {
                 let (_, outs) = match i % 4 {
                     0 => node.begin_query(q, Some(4), i),
                     1 => node.begin_query(q, None, i),
-                    2 => node.begin_count_query(q, Vec::new(), i),
+                    2 => node.begin(QueryRequest::count(q), i),
                     _ => {
                         let c = DynamicConstraint {
                             key: 0,
                             range: Range { lo: 1, hi: 2 },
                         };
-                        node.begin_query_full(q, vec![c], None, i)
+                        node.begin(
+                            QueryRequest {
+                                dynamic: vec![c],
+                                ..q.into()
+                            },
+                            i,
+                        )
                     }
                 };
                 run.absorb(origin, outs);

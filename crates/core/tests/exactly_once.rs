@@ -12,7 +12,9 @@
 use std::collections::HashMap;
 
 use attrspace::{Query, Space};
-use autosel_core::{Match, Message, Output, ProtocolConfig, QueryMsg, ReplyMsg, SelectionNode};
+use autosel_core::{
+    Match, Message, Output, ProtocolConfig, QueryMsg, QueryRequest, ReplyMsg, SelectionNode,
+};
 use epigossip::NodeId;
 use proptest::prelude::*;
 
@@ -77,11 +79,12 @@ proptest! {
         // Matches all three nodes: exactness means the answer is 3, not
         // "at most 3" or "whatever survived the race".
         let query = Query::builder(&s).build().unwrap();
-        let (qid, outs) = if count_mode {
-            a.begin_count_query(query, Vec::new(), 0)
+        let request = if count_mode {
+            QueryRequest::count(query)
         } else {
-            a.begin_query(query, None, 0)
+            query.into()
         };
+        let (qid, outs) = a.begin(request, 0);
 
         let mut pending_fwd: Vec<(NodeId, QueryMsg)> = Vec::new();
         let mut pending_rep: Vec<(NodeId, ReplyMsg)> = Vec::new();

@@ -4,42 +4,16 @@
 
 #![allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
 
-use std::collections::{HashSet, VecDeque};
+mod common;
+
+use std::collections::HashSet;
 
 use attrspace::{Query, Range, Space};
 use autosel_core::bootstrap::wire_perfect;
-use autosel_core::{DynamicConstraint, Match, Message, Output, ProtocolConfig, SelectionNode};
+use autosel_core::{DynamicConstraint, ProtocolConfig, QueryRequest, SelectionNode};
 use epigossip::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Minimal synchronous driver (subset of `routing_properties.rs`).
-fn drive(nodes: &mut [SelectionNode], origin: usize, outs: Vec<Output>) -> (Vec<Match>, Vec<u32>) {
-    let mut receipts = vec![0u32; nodes.len()];
-    let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
-    let mut completed = None;
-    let mut push =
-        |from: NodeId, outs: Vec<Output>, inbox: &mut VecDeque<(NodeId, NodeId, Message)>| {
-            for o in outs {
-                match o {
-                    Output::Send { to, msg } => inbox.push_back((from, to, msg)),
-                    Output::Completed { matches, .. } => completed = Some(matches),
-                    Output::NeighborFailed(_) => {}
-                }
-            }
-        };
-    push(origin as NodeId, outs, &mut inbox);
-    let mut now = 1;
-    while let Some((from, to, msg)) = inbox.pop_front() {
-        if matches!(msg, Message::Query(_)) {
-            receipts[to as usize] += 1;
-        }
-        let outs = nodes[to as usize].handle_message(from, msg, now);
-        now += 1;
-        push(to, outs, &mut inbox);
-    }
-    (completed.expect("completed"), receipts)
-}
 
 fn population(space: &Space, n: usize, seed: u64, config: ProtocolConfig) -> Vec<SelectionNode> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -85,10 +59,13 @@ fn dynamic_constraints_filter_at_match_time() {
         },
     }];
 
-    let (_, outs) = nodes[3].begin_query_full(query.clone(), dynamic, None, 0);
-    let (matches, receipts) = drive(&mut nodes, 3, outs);
+    let request = QueryRequest {
+        dynamic,
+        ..query.clone().into()
+    };
+    let run = common::run(&mut nodes, 3, request, 0);
 
-    let got: HashSet<NodeId> = matches.iter().map(|m| m.node).collect();
+    let got: HashSet<NodeId> = run.matches.iter().map(|m| m.node).collect();
     let expected: HashSet<NodeId> = static_truth
         .iter()
         .copied()
@@ -99,7 +76,7 @@ fn dynamic_constraints_filter_at_match_time() {
     // visited (the dynamic check happens locally, not in the overlay).
     for &id in &static_truth {
         if id != 3 {
-            assert_eq!(receipts[id as usize], 1, "node {id} not visited");
+            assert_eq!(run.receipts[id as usize], 1, "node {id} not visited");
         }
     }
 }
@@ -120,34 +97,17 @@ fn dynamic_values_can_change_between_queries() {
     }];
 
     // First query: b's load is 5 → constraint unsatisfied.
-    let (_, outs) = a.begin_query_full(query.clone(), dynamic.clone(), None, 0);
-    let Output::Send { msg, .. } = &outs[0] else {
-        panic!("{outs:?}")
+    let request = QueryRequest {
+        dynamic,
+        ..query.into()
     };
-    let replies = b.handle_message(1, msg.clone(), 1);
-    let Output::Send { msg: reply, .. } = &replies[0] else {
-        panic!()
-    };
-    let done = a.handle_message(2, reply.clone(), 2);
-    let Output::Completed { matches, .. } = &done[0] else {
-        panic!("{done:?}")
-    };
+    let mut nodes = [a, b];
+    let matches = common::run(&mut nodes, 0, request.clone(), 0).matches;
     assert!(matches.is_empty(), "dynamically ineligible");
 
     // Value changes — no registry to update, next query sees it instantly.
-    b.set_dynamic(1, 42);
-    let (_, outs) = a.begin_query_full(query, dynamic, None, 10);
-    let Output::Send { msg, .. } = &outs[0] else {
-        panic!()
-    };
-    let replies = b.handle_message(1, msg.clone(), 11);
-    let Output::Send { msg: reply, .. } = &replies[0] else {
-        panic!()
-    };
-    let done = a.handle_message(2, reply.clone(), 12);
-    let Output::Completed { matches, .. } = &done[0] else {
-        panic!()
-    };
+    nodes[1].set_dynamic(1, 42);
+    let matches = common::run(&mut nodes, 0, request, 10).matches;
     assert_eq!(matches.len(), 1);
     assert_eq!(matches[0].node, 2);
 }
@@ -155,21 +115,18 @@ fn dynamic_values_can_change_between_queries() {
 #[test]
 fn missing_dynamic_value_never_matches() {
     let space = Space::uniform(2, 80, 2).unwrap();
-    let mut a = SelectionNode::new(
-        1,
-        &space,
-        space.point(&[70, 70]).unwrap(),
-        ProtocolConfig::default(),
-    );
+    let point = space.point(&[70, 70]).unwrap();
+    let a = SelectionNode::new(1, &space, point, ProtocolConfig::default());
     let query = Query::builder(&space).build().unwrap();
     let dynamic = vec![DynamicConstraint {
         key: 9,
         range: Range::FULL,
     }];
-    let (_, outs) = a.begin_query_full(query, dynamic, None, 0);
-    let Output::Completed { matches, .. } = &outs[0] else {
-        panic!("{outs:?}")
+    let request = QueryRequest {
+        dynamic,
+        ..query.into()
     };
+    let matches = common::run(&mut [a], 0, request, 0).matches;
     assert!(matches.is_empty(), "no value set for key 9");
 }
 
@@ -218,8 +175,7 @@ fn c0_relay_covers_mates_beyond_direct_knowledge() {
 
     // Without the relay: origin 0 only reaches its direct mate(s).
     let mut plain = dense_cell_chain(false);
-    let (_, outs) = plain[0].begin_query(query.clone(), None, 0);
-    let (matches, _) = drive(&mut plain, 0, outs);
+    let matches = common::run(&mut plain, 0, query.clone().into(), 0).matches;
     assert!(
         matches.len() <= 2,
         "plain fanout is bounded by direct knowledge, got {}",
@@ -228,12 +184,11 @@ fn c0_relay_covers_mates_beyond_direct_knowledge() {
 
     // With the relay: the query spreads down the chain epidemic-style.
     let mut relayed = dense_cell_chain(true);
-    let (_, outs) = relayed[0].begin_query(query.clone(), None, 0);
-    let (matches, receipts) = drive(&mut relayed, 0, outs);
-    assert_eq!(matches.len(), 12, "relay reaches the whole cell");
+    let run = common::run(&mut relayed, 0, query.clone().into(), 0);
+    assert_eq!(run.matches.len(), 12, "relay reaches the whole cell");
     // The visited_zero set keeps the epidemic nearly duplicate-free in a
     // chain topology: every node receives the query exactly once.
-    for (i, &r) in receipts.iter().enumerate().skip(1) {
+    for (i, &r) in run.receipts.iter().enumerate().skip(1) {
         assert_eq!(r, 1, "node {i} receipts");
     }
 }
@@ -247,13 +202,63 @@ fn c0_relay_with_sigma_overshoots_but_terminates() {
     let space = Space::uniform(2, 80, 2).unwrap();
     let query = Query::builder(&space).max("a0", 79).build().unwrap();
     let mut relayed = dense_cell_chain(true);
-    let (_, outs) = relayed[0].begin_query(query, Some(4), 0);
-    let (matches, _) = drive(&mut relayed, 0, outs);
+    let matches = common::run(&mut relayed, 0, QueryRequest::matches(query, Some(4)), 0).matches;
     assert!(matches.len() >= 4, "σ satisfied via relay");
     assert_eq!(matches.len(), 12);
     for n in relayed.iter() {
         assert_eq!(n.pending_len(), 0, "no dangling state after the epidemic");
     }
+}
+
+/// The §4.1 epidemic relay: leaf receivers re-forward to same-`C0` mates
+/// the sender did not know. Four nodes share one `C0` cell but each knows
+/// only its ring successor (A→B→C→D→A), so full coverage *requires*
+/// relaying — and D's link back to A is exactly the edge that would
+/// re-deliver the query if the message's `visited_zero` set did not
+/// suppress it.
+#[test]
+fn c0_relay_covers_the_cell_without_duplicate_deliveries() {
+    let s = Space::uniform(1, 80, 1).unwrap();
+    let query = Query::builder(&s).range("a0", 0, 39).build().unwrap();
+    let run = |c0_relay: bool| -> (Vec<NodeId>, Vec<u32>, u64) {
+        let cfg = ProtocolConfig {
+            c0_relay,
+            ..ProtocolConfig::default()
+        };
+        let mut nodes: Vec<SelectionNode> = (0..4)
+            .map(|id| SelectionNode::new(id, &s, s.point(&[id + 1]).unwrap(), cfg.clone()))
+            .collect();
+        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+            let p = nodes[b].point().clone();
+            nodes[a].routing_mut().observe(b as NodeId, p);
+        }
+        let run = common::run(&mut nodes, 0, query.clone().into(), 0);
+        let mut got: Vec<NodeId> = run.matches.iter().map(|m| m.node).collect();
+        got.sort_unstable();
+        let dups = nodes.iter().map(|n| n.duplicate_receipts()).sum();
+        for n in &nodes {
+            assert_eq!(n.pending_len(), 0, "no residual state");
+        }
+        (got, run.receipts, dups)
+    };
+
+    // Without the relay, A's leaf fan-out stops at its only known mate.
+    let (reached_off, _, _) = run(false);
+    assert_eq!(reached_off, vec![0, 1]);
+
+    // With it, the query percolates the whole cell…
+    let (reached_on, receipts, dups) = run(true);
+    assert_eq!(reached_on, vec![0, 1, 2, 3]);
+    // …and `visited_zero` suppresses the ring-closing edge D→A: every
+    // node received the query exactly once, none twice.
+    for (node, &count) in receipts.iter().enumerate().skip(1) {
+        assert_eq!(count, 1, "node {node} received {count} deliveries");
+    }
+    assert_eq!(receipts[0], 0, "nothing re-delivered to the origin");
+    assert_eq!(
+        dups, 0,
+        "the dedup set left nothing for the seen-set to catch"
+    );
 }
 
 #[test]
@@ -298,35 +303,13 @@ fn count_queries_agree_with_enumeration_at_constant_reply_size() {
         .unwrap();
 
     // Enumerate.
-    let (_, outs) = nodes[0].begin_query(query.clone(), None, 0);
-    let (matches, _) = drive(&mut nodes, 0, outs);
+    let matches = common::run(&mut nodes, 0, query.clone().into(), 0).matches;
 
     // Count-only: same traversal, aggregate-only replies.
-    let mut count_result = None;
-    let (_, outs) = nodes[0].begin_count_query(query.clone(), Vec::new(), 100);
-    let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
-    let mut reply_matches = 0usize;
-    for o in outs {
-        if let Output::Send { to, msg } = o {
-            inbox.push_back((0, to, msg));
-        } else if let Output::Completed { count, .. } = o {
-            count_result = Some(count);
-        }
-    }
-    let mut now = 101;
-    while let Some((from, to, msg)) = inbox.pop_front() {
-        if let Message::Reply(r) = &msg {
-            reply_matches += r.matching.len();
-        }
-        for o in nodes[to as usize].handle_message(from, msg, now) {
-            match o {
-                Output::Send { to: dst, msg } => inbox.push_back((to, dst, msg)),
-                Output::Completed { count, .. } => count_result = Some(count),
-                Output::NeighborFailed(_) => {}
-            }
-        }
-        now += 1;
-    }
-    assert_eq!(count_result, Some(matches.len() as u64), "exact count");
-    assert_eq!(reply_matches, 0, "count-only replies carry no match lists");
+    let counted = common::run(&mut nodes, 0, QueryRequest::count(query), 100);
+    assert_eq!(counted.count, matches.len() as u64, "exact count");
+    assert_eq!(
+        counted.reply_matches, 0,
+        "count-only replies carry no match lists"
+    );
 }

@@ -3,71 +3,15 @@
 //! delivery"), that *no node ever receives the same query twice*, and that
 //! σ-bounded queries stop early but never under-deliver.
 
-use std::collections::VecDeque;
+mod common;
 
 use attrspace::{Query, Range, Space};
 use autosel_core::bootstrap::{ground_truth, wire_perfect};
-use autosel_core::{Match, Message, Output, ProtocolConfig, QueryId, SelectionNode};
+use autosel_core::{ProtocolConfig, QueryRequest, SelectionNode};
 use epigossip::NodeId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Synchronous driver: runs one query from `origin` to completion, counting
-/// query receipts per node. Panics on dropped messages (all nodes alive).
-struct RunResult {
-    matches: Vec<Match>,
-    /// Per node: how often it received the QUERY message.
-    receipts: Vec<u32>,
-    /// Total protocol messages (queries + replies).
-    messages: u64,
-}
-
-fn run_query(
-    nodes: &mut [SelectionNode],
-    origin: usize,
-    query: Query,
-    sigma: Option<u32>,
-) -> RunResult {
-    let mut receipts = vec![0u32; nodes.len()];
-    let mut messages = 0u64;
-    let mut inbox: VecDeque<(NodeId, NodeId, Message)> = VecDeque::new();
-    let mut completed: Option<(QueryId, Vec<Match>)> = None;
-
-    let (qid, outs) = nodes[origin].begin_query(query, sigma, 0);
-    let push = |from: NodeId,
-                outs: Vec<Output>,
-                inbox: &mut VecDeque<(NodeId, NodeId, Message)>,
-                completed: &mut Option<(QueryId, Vec<Match>)>| {
-        for o in outs {
-            match o {
-                Output::Send { to, msg } => inbox.push_back((from, to, msg)),
-                Output::Completed { id, matches, .. } => *completed = Some((id, matches)),
-                Output::NeighborFailed(_) => panic!("no failures in static run"),
-            }
-        }
-    };
-    push(origin as NodeId, outs, &mut inbox, &mut completed);
-
-    let mut now = 1;
-    while let Some((from, to, msg)) = inbox.pop_front() {
-        messages += 1;
-        if let Message::Query(_) = &msg {
-            receipts[to as usize] += 1;
-        }
-        let outs = nodes[to as usize].handle_message(from, msg, now);
-        now += 1;
-        push(to, outs, &mut inbox, &mut completed);
-    }
-
-    let (id, matches) = completed.expect("query must complete");
-    assert_eq!(id, qid);
-    RunResult {
-        matches,
-        receipts,
-        messages,
-    }
-}
 
 fn population(space: &Space, n: usize, seed: u64) -> (Vec<SelectionNode>, StdRng) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -99,7 +43,7 @@ fn unbounded_query_reaches_exactly_the_matching_set() {
     truth.sort_unstable();
 
     for origin in [0usize, 123, 499] {
-        let r = run_query(&mut nodes, origin, query.clone(), None);
+        let r = common::run(&mut nodes, origin, query.clone().into(), 0);
         let mut got: Vec<NodeId> = r.matches.iter().map(|m| m.node).collect();
         got.sort_unstable();
         assert_eq!(got, truth, "100% delivery from origin {origin}");
@@ -126,8 +70,13 @@ fn sigma_bounds_early_stop_without_underdelivery() {
     let total = ground_truth(&nodes, &query).len();
     assert!(total > 100, "workload sanity: selective but populous");
 
-    let r_unbounded = run_query(&mut nodes, 5, query.clone(), None);
-    let r_sigma = run_query(&mut nodes, 5, query.clone(), Some(10));
+    let r_unbounded = common::run(&mut nodes, 5, query.clone().into(), 0);
+    let r_sigma = common::run(
+        &mut nodes,
+        5,
+        QueryRequest::matches(query.clone(), Some(10)),
+        0,
+    );
     assert!(r_sigma.matches.len() >= 10, "σ satisfied");
     assert!(
         r_sigma.matches.len() < total,
@@ -152,7 +101,7 @@ fn query_from_every_node_of_a_small_population() {
     let mut truth = ground_truth(&nodes, &query);
     truth.sort_unstable();
     for origin in 0..nodes.len() {
-        let r = run_query(&mut nodes, origin, query.clone(), None);
+        let r = common::run(&mut nodes, origin, query.clone().into(), 0);
         let mut got: Vec<NodeId> = r.matches.iter().map(|m| m.node).collect();
         got.sort_unstable();
         assert_eq!(got, truth, "origin {origin}");
@@ -169,7 +118,7 @@ fn empty_result_queries_terminate() {
     let free = (0..80u64).find(|v| !occupied.contains(v));
     if let Some(v) = free {
         let query = Query::builder(&space).exact("a0", v).build().unwrap();
-        let r = run_query(&mut nodes, 0, query, None);
+        let r = common::run(&mut nodes, 0, query.into(), 0);
         assert!(r.matches.is_empty());
     }
 }
@@ -200,7 +149,7 @@ proptest! {
         truth.sort_unstable();
 
         let origin = origin_sel % n;
-        let r = run_query(&mut nodes, origin, query, None);
+        let r = common::run(&mut nodes, origin, query.into(), 0);
         let mut got: Vec<NodeId> = r.matches.iter().map(|m| m.node).collect();
         got.sort_unstable();
         prop_assert_eq!(got, truth);
@@ -221,7 +170,7 @@ proptest! {
         let (mut nodes, _) = population(&space, n, seed);
         let query = Query::builder(&space).min("a0", 10).build().unwrap();
         let total = ground_truth(&nodes, &query).len() as u32;
-        let r = run_query(&mut nodes, 0, query.clone(), Some(sigma));
+        let r = common::run(&mut nodes, 0, QueryRequest::matches(query.clone(), Some(sigma)), 0);
         prop_assert!(r.matches.len() as u32 >= sigma.min(total));
         for m in &r.matches {
             prop_assert!(query.matches(&m.values));

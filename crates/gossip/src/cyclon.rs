@@ -68,11 +68,6 @@ impl<P: Clone> Cyclon<P> {
         }
     }
 
-    /// Updates the profile advertised in future shuffles (attribute change).
-    pub fn set_profile(&mut self, profile: P) {
-        self.profile = profile;
-    }
-
     /// Seeds the view with a known peer (bootstrap).
     pub fn introduce(&mut self, id: NodeId, profile: P) {
         if id != self.id {

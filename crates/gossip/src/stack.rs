@@ -202,13 +202,6 @@ impl<P: Clone> GossipStack<P> {
         self.vicinity.absorb([Descriptor::new(id, profile)]);
     }
 
-    /// Changes this node's advertised profile (attribute values changed).
-    pub fn set_profile(&mut self, profile: P) {
-        self.profile = profile.clone();
-        self.cyclon.set_profile(profile.clone());
-        self.vicinity.set_profile(profile);
-    }
-
     /// Drops a peer from both layers (e.g. the transport reported a broken
     /// connection).
     pub fn evict(&mut self, id: NodeId) {
@@ -554,23 +547,5 @@ mod tests {
         assert_eq!(once.semantic_view().ids(), vec![1, 3, 4]);
         assert_eq!(turnover - before, 1, "only the sender was admitted");
         assert_eq!(turnover_twice - before, 2, "6 admitted, then displaced");
-    }
-
-    #[test]
-    fn set_profile_is_advertised() {
-        let mut a = stack(1, 5);
-        let mut b = stack(2, 6);
-        a.introduce(2, 6);
-        a.set_profile(50);
-        let mut rng = StdRng::seed_from_u64(3);
-        for (_, m) in a.tick(0, &mut rng) {
-            b.handle(1, m, &mut rng);
-        }
-        let d = b
-            .semantic_view()
-            .get(1)
-            .or_else(|| b.random_view().get(1))
-            .expect("B learned A");
-        assert_eq!(d.profile, 50);
     }
 }

@@ -72,13 +72,6 @@ impl<P: Clone> Vicinity<P> {
         }
     }
 
-    /// Updates the advertised profile and re-ranks the view (a changed
-    /// profile can change which peers are useful).
-    pub fn set_profile(&mut self, profile: P) {
-        self.profile = profile;
-        self.absorb_from([] as [Descriptor<P>; 0]);
-    }
-
     /// Feeds candidate descriptors through the selector (called with fresh
     /// CYCLON samples every round, with bootstrap seeds, and with gossip
     /// exchanges).
@@ -241,22 +234,6 @@ mod tests {
         let reply = b.handle_request(&Descriptor::new(1, 10), batch, &mut rng());
         a.handle_response(2, reply);
         assert!(b.view().contains(1), "B adopted A");
-    }
-
-    #[test]
-    fn set_profile_reranks() {
-        let mut v = Vicinity::new(1, 0u64, 2, 2, selector());
-        v.absorb(vec![
-            Descriptor::new(2, 1),
-            Descriptor::new(3, 2),
-            Descriptor::new(4, 1000),
-        ]);
-        assert!(v.view().contains(2) && v.view().contains(3));
-        v.set_profile(1000);
-        // Under the new profile, a far candidate now wins over id 2.
-        v.absorb(vec![Descriptor::new(4, 1000)]);
-        assert!(v.view().contains(4) && v.view().contains(3));
-        assert!(!v.view().contains(2));
     }
 
     #[test]

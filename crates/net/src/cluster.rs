@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use attrspace::{Point, Query, Space};
 use autosel_core::fasthash::FastMap;
-use autosel_core::{Match, NodeProfile, QueryId, SlotSelector};
+use autosel_core::{Match, NodeProfile, QueryRequest, SlotSelector};
 use autosel_obs::{Event, ObsHandle};
 use epigossip::{GossipHealth, NodeId, Selector};
 use rand::rngs::StdRng;
@@ -20,8 +20,10 @@ use crate::{NetConfig, Transport};
 /// The result of a cluster-issued query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Matches reported to the originator.
+    /// Matches reported to the originator; empty for a count.
     pub matches: Vec<Match>,
+    /// Total matches found (a count query's answer).
+    pub count: u64,
     /// Nodes matching the query at issue time (alive then).
     pub truth: usize,
     /// The `σ` bound the query was issued with, if any.
@@ -45,12 +47,12 @@ impl QueryOutcome {
     }
 }
 
-/// A query in flight, issued by [`NetCluster::begin_query`]. Holds the
+/// A query in flight, issued by [`NetCluster::begin`]. Holds the
 /// completion channel; poll with [`try_outcome`](Self::try_outcome) (load
 /// generators juggling many tickets) or block with [`wait`](Self::wait).
 #[derive(Debug)]
 pub struct QueryTicket {
-    rx: mpsc::Receiver<(QueryId, Vec<Match>)>,
+    rx: mpsc::Receiver<(Vec<Match>, u64)>,
     truth: usize,
     sigma: Option<u32>,
 }
@@ -64,22 +66,21 @@ impl QueryTicket {
     /// The outcome if the query has completed, `None` while still in
     /// flight. Ready at most once; later polls return `None` again.
     pub fn try_outcome(&self) -> Option<QueryOutcome> {
-        let (_, matches) = self.rx.try_recv().ok()?;
-        Some(QueryOutcome {
-            matches,
-            truth: self.truth,
-            sigma: self.sigma,
-        })
+        Some(self.outcome(self.rx.try_recv().ok()?))
     }
 
     /// Blocks until completion or `timeout`.
     pub fn wait(self, timeout: Duration) -> Option<QueryOutcome> {
-        let (_, matches) = self.rx.recv_timeout(timeout).ok()?;
-        Some(QueryOutcome {
+        Some(self.outcome(self.rx.recv_timeout(timeout).ok()?))
+    }
+
+    fn outcome(&self, (matches, count): (Vec<Match>, u64)) -> QueryOutcome {
+        QueryOutcome {
             matches,
+            count,
             truth: self.truth,
             sigma: self.sigma,
-        })
+        }
     }
 }
 
@@ -283,35 +284,38 @@ impl NetCluster {
         ids[self.rng.gen_range(0..ids.len())]
     }
 
-    /// Issues `query` at `origin` without waiting: returns a
+    /// Issues `request` at `origin` without waiting: returns a
     /// [`QueryTicket`] whose channel the origin completes into. The
     /// non-blocking form load generators need — thousands of queries can
-    /// be in flight from one issuing thread. Returns `None` if the origin
-    /// is dead.
+    /// be in flight from one issuing thread. The ticket's `truth` counts
+    /// *static* matches only. Returns `None` if the origin is dead.
+    pub fn begin(&mut self, origin: NodeId, request: QueryRequest) -> Option<QueryTicket> {
+        self.point_of(origin)?;
+        let truth = self
+            .points
+            .iter()
+            .flatten()
+            .filter(|p| request.query.matches(p))
+            .count();
+        let sigma = request.sigma();
+        // Rendezvous bound of 1: each query completes exactly once.
+        let (tx, rx) = mpsc::sync_channel(1);
+        let begin = Command::Begin { request, reply: tx };
+        self.fabric
+            .send_blocking(origin, PeerEvent::Command(begin))
+            .ok()?;
+        Some(QueryTicket { rx, truth, sigma })
+    }
+
+    /// [`begin`](Self::begin) enumerating the matches of `query`,
+    /// σ-bounded if `sigma` is given.
     pub fn begin_query(
         &mut self,
         origin: NodeId,
         query: Query,
         sigma: Option<u32>,
     ) -> Option<QueryTicket> {
-        self.point_of(origin)?;
-        let truth = self
-            .points
-            .iter()
-            .flatten()
-            .filter(|p| query.matches(p))
-            .count();
-        // Rendezvous bound of 1: each query completes exactly once.
-        let (tx, rx) = mpsc::sync_channel(1);
-        let begin = Command::BeginQuery {
-            query,
-            sigma,
-            reply: tx,
-        };
-        self.fabric
-            .send_blocking(origin, PeerEvent::Command(begin))
-            .ok()?;
-        Some(QueryTicket { rx, truth, sigma })
+        self.begin(origin, QueryRequest::matches(query, sigma))
     }
 
     /// Issues `query` at `origin` and waits for completion (bounded by
@@ -324,19 +328,6 @@ impl NetCluster {
         timeout: Duration,
     ) -> Option<QueryOutcome> {
         self.begin_query(origin, query, sigma)?.wait(timeout)
-    }
-
-    /// Runs a *count-only* query at `origin`: the answer is a single exact
-    /// integer aggregated along the traversal tree (constant-size replies).
-    /// Returns `None` on timeout or a dead origin.
-    pub fn count(&mut self, origin: NodeId, query: Query, timeout: Duration) -> Option<u64> {
-        self.point_of(origin)?;
-        let (tx, rx) = mpsc::sync_channel(1);
-        let begin = Command::BeginCount { query, reply: tx };
-        self.fabric
-            .send_blocking(origin, PeerEvent::Command(begin))
-            .ok()?;
-        rx.recv_timeout(timeout).ok()
     }
 
     /// Kills `id` ungracefully: its shard drops it, no goodbye is gossiped,
@@ -483,8 +474,7 @@ mod tests {
             })
             .collect();
         let (tx, rx) = mpsc::sync_channel(1);
-        tx.send((QueryId { origin: 0, seq: 1 }, matches))
-            .expect("receiver alive");
+        tx.send((matches, reported)).expect("receiver alive");
         QueryTicket { rx, truth, sigma }
             .try_outcome()
             .expect("completed")

@@ -3,9 +3,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use attrspace::{Point, Query, Space};
+use attrspace::{Point, Space};
 use autosel_core::fasthash::FastMap;
-use autosel_core::{Effect, Host, Match, NetMessage, NodeProfile, QueryId, SelectionNode};
+use autosel_core::{
+    Effect, Host, Match, NetMessage, NodeProfile, QueryId, QueryRequest, SelectionNode,
+};
 use autosel_obs::ObsHandle;
 use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
 use rand::rngs::SmallRng;
@@ -20,14 +22,10 @@ use crate::NetConfig;
 /// exactly one completion per issued query, so the bound can never block it.
 #[derive(Debug)]
 pub(crate) enum Command {
-    BeginQuery {
-        query: Query,
-        sigma: Option<u32>,
-        reply: mpsc::SyncSender<(QueryId, Vec<Match>)>,
-    },
-    BeginCount {
-        query: Query,
-        reply: mpsc::SyncSender<u64>,
+    /// Issues the request; its matches and count go to `reply`.
+    Begin {
+        request: QueryRequest,
+        reply: mpsc::SyncSender<(Vec<Match>, u64)>,
     },
     /// Removes the peer from its shard; a shard whose last peer is gone
     /// stops.
@@ -112,8 +110,7 @@ impl PeerSlot {
 pub(crate) struct PeerTask {
     host: Host,
     rng: SmallRng,
-    pending_queries: FastMap<QueryId, mpsc::SyncSender<(QueryId, Vec<Match>)>>,
-    pending_counts: FastMap<QueryId, mpsc::SyncSender<u64>>,
+    pending: FastMap<QueryId, mpsc::SyncSender<(Vec<Match>, u64)>>,
 }
 
 impl PeerTask {
@@ -137,8 +134,7 @@ impl PeerTask {
         PeerTask {
             host,
             rng: SmallRng::seed_from_u64(id ^ 0xA5A5_5A5A_DEAD_BEEF),
-            pending_queries: FastMap::default(),
-            pending_counts: FastMap::default(),
+            pending: FastMap::default(),
         }
     }
 
@@ -146,15 +142,6 @@ impl PeerTask {
     pub(crate) fn introduce(&mut self, id: NodeId, point: Point) {
         let profile = NodeProfile::new(self.host.selection().space(), point);
         self.host.introduce(id, profile);
-    }
-
-    /// Hands a finished query's answer to whoever began it.
-    fn complete(&mut self, id: QueryId, matches: Vec<Match>, count: u64) {
-        if let Some(reply) = self.pending_queries.remove(&id) {
-            let _ = reply.send((id, matches));
-        } else if let Some(reply) = self.pending_counts.remove(&id) {
-            let _ = reply.send(count);
-        }
     }
 
     /// Publishes the routing-table link count (a convergence gauge).
@@ -182,17 +169,9 @@ impl PeerTask {
                     self.publish_links(slot);
                 }
             }
-            PeerEvent::Command(Command::BeginQuery {
-                query,
-                sigma,
-                reply,
-            }) => {
-                let qid = self.host.begin(query, Vec::new(), sigma, false, now, out);
-                self.pending_queries.insert(qid, reply);
-            }
-            PeerEvent::Command(Command::BeginCount { query, reply }) => {
-                let qid = self.host.begin(query, Vec::new(), None, true, now, out);
-                self.pending_counts.insert(qid, reply);
+            PeerEvent::Command(Command::Begin { request, reply }) => {
+                let qid = self.host.begin(request, now, out);
+                self.pending.insert(qid, reply);
             }
             // The shard removes a killed peer before it gets here.
             PeerEvent::Command(Command::Kill) => {}
@@ -325,9 +304,7 @@ impl Shard {
                 break;
             };
             taken += 1;
-            if let PeerEvent::Command(Command::BeginQuery { .. } | Command::BeginCount { .. }) =
-                event
-            {
+            if let PeerEvent::Command(Command::Begin { .. }) = event {
                 self.fresh.push_back((to, event));
             } else {
                 self.dispatch(to, event);
@@ -443,8 +420,9 @@ impl Shard {
             match effect {
                 Effect::Send(to, msg) => self.send(from, to, msg),
                 Effect::Completed { id, matches, count } => {
-                    if let Some(peer) = self.peers.get_mut(&from) {
-                        peer.complete(id, matches, count);
+                    let peer = self.peers.get_mut(&from);
+                    if let Some(reply) = peer.and_then(|p| p.pending.remove(&id)) {
+                        let _ = reply.send((matches, count));
                     }
                 }
             }
@@ -528,6 +506,7 @@ fn rearm(due: Instant, period: Duration, now: Instant) -> Instant {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use attrspace::Query;
     use autosel_core::{MatchList, Message, ReplyMsg, SlotSelector};
 
     /// An unstarted shard owning peers `0..n` of a one-shard in-memory
@@ -635,9 +614,8 @@ mod tests {
             .build()
             .unwrap();
         let (tx, rx) = mpsc::sync_channel(1);
-        let begin = Command::BeginQuery {
-            query,
-            sigma: None,
+        let begin = Command::Begin {
+            request: query.into(),
             reply: tx,
         };
         s.fabric

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use attrspace::{Point, Query, Space};
+use autosel_core::QueryRequest;
 use autosel_net::{NetCluster, NetConfig, Transport};
 use autosel_obs::{FlightRecorder, ObsHandle, Registry, TraceTree};
 use rand::rngs::StdRng;
@@ -465,8 +466,10 @@ fn count_queries_on_live_cluster() {
     let _ = wait_for_delivery(&mut cluster, &query, 0.95, 15);
     let origin = cluster.random_node();
     let count = cluster
-        .count(origin, query, Duration::from_secs(30))
-        .expect("count completes");
+        .begin(origin, QueryRequest::count(query))
+        .and_then(|ticket| ticket.wait(Duration::from_secs(30)))
+        .expect("count completes")
+        .count;
     assert!(
         count >= truth * 9 / 10 && count <= truth,
         "count {count} vs truth {truth}"

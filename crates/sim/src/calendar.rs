@@ -106,7 +106,7 @@ impl CalendarQueue {
     }
 
     /// Inserts an event. Pushes never precede virtual `now`, but they may
-    /// precede the *cursor*: `peek_at`/`pop` advance the cursor to the
+    /// precede the *cursor*: `pop_due` advances the cursor to the
     /// earliest queued day, and a driver can then schedule fresh work at
     /// `now` (e.g. issue queries while only a far-future gossip tick is
     /// pending). Such pushes rewind the cursor — see [`rewind_to`].
@@ -227,6 +227,7 @@ impl CalendarQueue {
     }
 
     /// The earliest queued firing time, or `None` when empty.
+    #[cfg(test)]
     pub(crate) fn peek_at(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
@@ -237,17 +238,23 @@ impl CalendarQueue {
     }
 
     /// Removes and returns the earliest event (ascending `(at, seq)`).
+    #[cfg(test)]
     pub(crate) fn pop(&mut self) -> Option<ScheduledEvent> {
+        self.pop_due(u64::MAX)
+    }
+
+    /// Removes and returns the earliest event if it fires at or before `t`.
+    pub(crate) fn pop_due(&mut self, t: u64) -> Option<ScheduledEvent> {
         if self.len == 0 {
             return None;
         }
         self.normalize();
-        let idx = (self.cursor_day % NUM_BUCKETS as u64) as usize;
-        let ev = self.buckets[idx].pop();
-        if ev.is_some() {
-            self.len -= 1;
+        let bucket = &mut self.buckets[(self.cursor_day % NUM_BUCKETS as u64) as usize];
+        if bucket.last()?.at > t {
+            return None;
         }
-        ev
+        self.len -= 1;
+        bucket.pop()
     }
 
     /// Iterates every queued event in unspecified order (callers sort by
@@ -394,11 +401,11 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// The queue is behaviorally identical to the `BinaryHeap` it
-        /// replaced: any interleaving of schedules, pops, explorer-style
-        /// drops and duplicates yields the exact same `(at, seq)` pop
-        /// order and the same lengths throughout. `at` ranges past the
-        /// ring horizon (512 × 256 ms) so rewinds, year crossings and
-        /// overflow rebasing are all on the path.
+        /// replaced: any interleaving of schedules, pops, bounded pops,
+        /// explorer-style drops and duplicates yields the exact same
+        /// `(at, seq)` pop order and the same lengths throughout. `at`
+        /// ranges past the ring horizon (512 × 256 ms) so rewinds, year
+        /// crossings and overflow rebasing are all on the path.
         #[test]
         fn equivalent_to_binary_heap_reference(
             ops in proptest::collection::vec((0u8..10, 0u64..200_000u64), 1..250)
@@ -417,11 +424,18 @@ mod tests {
                         cal.push(ev(at, next_seq));
                         heap.push(ev(at, next_seq));
                     }
-                    5 | 6 => {
+                    5 => {
                         // Dispatch the earliest event.
                         let got = cal.pop().map(|e| (e.at, e.seq));
                         let want = heap.pop().map(|e| (e.at, e.seq));
                         prop_assert_eq!(got, want);
+                    }
+                    6 => {
+                        // Dispatch the earliest event if due by `at`.
+                        let got = cal.pop_due(at).map(|e| (e.at, e.seq));
+                        let due = heap.peek().is_some_and(|e| e.at <= at);
+                        let want = due.then(|| heap.pop()).flatten();
+                        prop_assert_eq!(got, want.map(|e| (e.at, e.seq)));
                     }
                     7 => {
                         prop_assert_eq!(cal.peek_at(), heap.peek().map(|e| e.at));

@@ -1,12 +1,13 @@
 use autosel_core::fasthash::FastMap;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use attrspace::{Point, Query, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
-    DynamicConstraint, Effect, Host, Match, Message, NetMessage, NodeProfile, QueryId,
-    SelectionNode, SlotSelector,
+    Effect, Host, Match, Message, NetMessage, NodeProfile, QueryId, QueryRequest, SelectionNode,
+    SlotSelector,
 };
 use autosel_obs::{Event, ObsHandle};
 use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
@@ -255,8 +256,8 @@ impl SimCluster {
         );
     }
 
-    /// Takes `id` out of the population and its indexes; `None` if it is
-    /// not alive.
+    /// Takes `id` out of the population and its indexes, reporting it
+    /// crashed; `None` if it is not alive.
     fn remove_node(&mut self, id: NodeId) -> Option<SimNode> {
         let node = self.nodes.remove(&id)?;
         let at = self
@@ -267,6 +268,10 @@ impl SimCluster {
         let selection = node.host.selection();
         self.truth_index
             .remove(selection.coord(), selection.point().values());
+        self.obs.emit(|| Event::NodeCrashed {
+            at: self.now,
+            node: id,
+        });
         Some(node)
     }
 
@@ -320,60 +325,22 @@ impl SimCluster {
             .set_dynamic(key, value);
     }
 
-    /// Issues `query` from `origin` (σ-bounded if given); returns the id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is not alive.
-    pub fn issue_query(&mut self, origin: NodeId, query: Query, sigma: Option<u32>) -> QueryId {
-        self.issue_query_full(origin, query, Vec::new(), sigma)
-    }
-
-    /// Issues a *count-only* query (§2's Astrolabe comparison: this overlay
-    /// both counts and enumerates): the traversal is identical but replies
-    /// carry one integer per subtree. Read the exact count from
+    /// Issues `request` from `origin`; returns the id. The recorded
+    /// [`QueryStats::truth`] counts *static* matches only — delivery is
+    /// measured against the routable set. A count query's answer is
     /// [`QueryStats::reported`] once completed.
     ///
     /// # Panics
     ///
     /// Panics if `origin` is not alive.
-    pub fn issue_count_query(&mut self, origin: NodeId, query: Query) -> QueryId {
-        self.issue(origin, query, Vec::new(), None, true)
-    }
-
-    /// Like [`issue_query`](Self::issue_query) with dynamic-attribute
-    /// constraints. Note the recorded [`QueryStats::truth`] counts *static*
-    /// matches only — delivery is measured against the routable set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is not alive.
-    pub fn issue_query_full(
-        &mut self,
-        origin: NodeId,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        sigma: Option<u32>,
-    ) -> QueryId {
-        self.issue(origin, query, dynamic, sigma, false)
-    }
-
-    /// The one issue path: snapshots the ground truth, starts the query at
-    /// `origin` (count-only or enumerating) and opens its [`QueryStats`].
-    fn issue(
-        &mut self,
-        origin: NodeId,
-        query: Query,
-        dynamic: Vec<DynamicConstraint>,
-        sigma: Option<u32>,
-        count_only: bool,
-    ) -> QueryId {
+    pub fn issue(&mut self, origin: NodeId, request: QueryRequest) -> QueryId {
         let now = self.now;
+        let query = request.query.clone();
         let mut stats = QueryStats::new(now, self.truth_index.count(&query));
-        stats.sigma = sigma;
+        stats.sigma = request.sigma();
         let mut out = std::mem::take(&mut self.effects);
         let host = &mut self.nodes.get_mut(&origin).expect("origin alive").host;
-        let qid = host.begin(query.clone(), dynamic, sigma, count_only, now, &mut out);
+        let qid = host.begin(request, now, &mut out);
         // The origin counts as reached if it matches (it "received" the
         // query by creating it).
         stats.receivers.insert(origin);
@@ -385,6 +352,16 @@ impl SimCluster {
         self.route(origin, out);
         self.schedule_timeout_poll(origin);
         qid
+    }
+
+    /// [`issue`](Self::issue) enumerating the matches of `query`,
+    /// σ-bounded if `sigma` is given.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is not alive.
+    pub fn issue_query(&mut self, origin: NodeId, query: Query, sigma: Option<u32>) -> QueryId {
+        self.issue(origin, QueryRequest::matches(query, sigma))
     }
 
     /// The recorded statistics for a query.
@@ -408,12 +385,7 @@ impl SimCluster {
     /// Kills `id` abruptly (no goodbye messages — the paper's ungraceful
     /// departure). In-flight messages to it are dropped on delivery.
     pub fn kill(&mut self, id: NodeId) {
-        if self.remove_node(id).is_some() {
-            self.obs.emit(|| Event::NodeCrashed {
-                at: self.now,
-                node: id,
-            });
-        }
+        self.remove_node(id);
     }
 
     /// Crashes `id`: like [`kill`](Self::kill), but the identity and
@@ -422,10 +394,6 @@ impl SimCluster {
     pub fn crash(&mut self, id: NodeId) {
         if let Some(n) = self.remove_node(id) {
             self.crashed.insert(id, n.host.selection().point().clone());
-            self.obs.emit(|| Event::NodeCrashed {
-                at: self.now,
-                node: id,
-            });
         }
     }
 
@@ -576,27 +544,14 @@ impl SimCluster {
     /// Panics if gossip is enabled (the gossip tick makes the queue
     /// perpetual; use [`run_until`](Self::run_until) instead).
     pub fn run_to_quiescence(&mut self) {
-        assert!(
-            !self.config.gossip_enabled,
-            "gossip keeps the queue non-empty; use run_until"
-        );
-        while let Some(ev) = self.queue.pop() {
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-        }
+        self.assert_static();
+        let Ok(()) = self.run(u64::MAX, |_| Ok::<_, Infallible>(()));
     }
 
     /// Processes events with firing time ≤ `t`, then advances the clock to
     /// `t`.
     pub fn run_until(&mut self, t: u64) {
-        while let Some(at) = self.queue.peek_at() {
-            if at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-        }
+        let Ok(()) = self.run(t, |_| Ok::<_, Infallible>(()));
         self.now = self.now.max(t);
     }
 
@@ -618,15 +573,8 @@ impl SimCluster {
         &mut self,
         checker: &mut InvariantChecker,
     ) -> Result<(), InvariantViolation> {
-        assert!(
-            !self.config.gossip_enabled,
-            "gossip keeps the queue non-empty; use run_until_checked"
-        );
-        while let Some(ev) = self.queue.pop() {
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-            checker.check_step(self)?;
-        }
+        self.assert_static();
+        self.run(u64::MAX, |sim| checker.check_step(sim))?;
         checker.check_quiescent(self)
     }
 
@@ -642,31 +590,27 @@ impl SimCluster {
         t: u64,
         checker: &mut InvariantChecker,
     ) -> Result<(), InvariantViolation> {
-        while let Some(at) = self.queue.peek_at() {
-            if at > t {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked");
-            self.now = self.now.max(ev.at);
-            self.dispatch(ev.kind);
-            checker.check_step(self)?;
-        }
+        self.run(t, |sim| checker.check_step(sim))?;
         self.now = self.now.max(t);
         checker.check_step(self)
     }
 
-    /// Runs `checker`'s step invariants against the current state — the
-    /// hook for drivers that interleave their own mutations between run
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// The first [`InvariantViolation`] found.
-    pub fn check_invariants(
-        &self,
-        checker: &mut InvariantChecker,
-    ) -> Result<(), InvariantViolation> {
-        checker.check_step(self)
+    fn assert_static(&self) {
+        assert!(
+            !self.config.gossip_enabled,
+            "gossip keeps the queue non-empty; use run_until"
+        );
+    }
+
+    /// The one event loop: dispatches every event firing at or before `t`,
+    /// in `(at, seq)` order, and calls `step` after each.
+    fn run<E>(&mut self, t: u64, mut step: impl FnMut(&Self) -> Result<(), E>) -> Result<(), E> {
+        while let Some(ev) = self.queue.pop_due(t) {
+            self.now = self.now.max(ev.at);
+            self.dispatch(ev.kind);
+            step(self)?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1137,7 +1081,7 @@ mod tests {
                     .count();
                 let origin = sim.random_node();
                 let qid = sim.issue_query(origin, q.clone(), Some(5));
-                let cid = sim.issue_count_query(origin, q.clone());
+                let cid = sim.issue(origin, QueryRequest::count(q.clone()));
                 for id in [qid, cid] {
                     assert_eq!(
                         sim.query_stats(id).unwrap().truth as usize,
@@ -1228,7 +1172,7 @@ mod tests {
         sim.run_to_quiescence();
         let full = sim.query_stats(enumerate).unwrap().reported;
 
-        let count = sim.issue_count_query(origin, q);
+        let count = sim.issue(origin, QueryRequest::count(q));
         sim.run_to_quiescence();
         let st = sim.query_stats(count).unwrap();
         assert_eq!(st.reported, full, "count mode agrees with enumeration");

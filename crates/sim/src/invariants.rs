@@ -33,8 +33,7 @@
 //! [`SimCluster::run_to_quiescence_checked`](crate::SimCluster::run_to_quiescence_checked)
 //! /
 //! [`SimCluster::run_until_checked`](crate::SimCluster::run_until_checked),
-//! or call [`SimCluster::check_invariants`](crate::SimCluster::check_invariants)
-//! at hand-picked instants.
+//! or call [`InvariantChecker::check_step`] at hand-picked instants.
 
 use autosel_core::fasthash::{FastMap, FastSet};
 use autosel_core::QueryId;

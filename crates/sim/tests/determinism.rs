@@ -2,7 +2,10 @@
 //! identically, across populations, gossip, churn and queries.
 
 use attrspace::{Query, Space};
-use overlay_sim::{FaultPlan, LatencyModel, Placement, QueryStats, SimCluster, SimConfig};
+use autosel_core::QueryRequest;
+use overlay_sim::{
+    FaultPlan, InvariantChecker, LatencyModel, Placement, QueryStats, SimCluster, SimConfig,
+};
 
 fn run_scenario(seed: u64) -> (Vec<u64>, f64, u64, u64) {
     let space = Space::uniform(4, 80, 3).unwrap();
@@ -145,4 +148,65 @@ fn pooled_query_records_do_not_change_a_run() {
     let cold = std::thread::spawn(run).join().unwrap();
     assert_eq!(warm, first, "a warm pool changed the run");
     assert_eq!(cold, first, "a cold pool changed the run");
+}
+
+/// The run methods share one event loop, and arming a checker must not
+/// change what it dispatches: at one seed, under loss and duplication, a
+/// run with a relaxed [`InvariantChecker`] and one without reach the same
+/// state hash and the same stats for every query — through `run_until` on
+/// a gossiping overlay and through `run_to_quiescence` on a static one.
+/// Deliveries take a constant 20 ms, so each 100 ms `run_until` step ends
+/// exactly on a delivery of the traversal in flight; the last step ends
+/// between events.
+#[test]
+fn a_checker_does_not_change_the_events_a_run_dispatches() {
+    let space = Space::uniform(3, 80, 3).unwrap();
+    let query = Query::builder(&space).min("a0", 40).build().unwrap();
+    let run = |gossip: bool, checked: bool| {
+        let mut cfg = if gossip {
+            SimConfig::default()
+        } else {
+            SimConfig::fast_static()
+        };
+        cfg.latency = LatencyModel::Constant { ms: 20 };
+        cfg.gossip.period_ms = 1_000;
+        cfg.protocol.query_timeout_ms = 3_000;
+        let mut sim = SimCluster::new(space.clone(), cfg, 2024);
+        sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 100);
+        if gossip {
+            sim.run_until(20_000)
+        } else {
+            sim.wire_oracle()
+        }
+        sim.set_fault_plan(FaultPlan::new().drop_all(0.05).duplicate_protocol(0.2, 1));
+        let mut checker = InvariantChecker::relaxed();
+        let mut advance = |sim: &mut SimCluster, step: u64| {
+            let (t, held) = (sim.now() + step, "relaxed invariants hold");
+            match (gossip, checked) {
+                (true, true) => sim.run_until_checked(t, &mut checker).expect(held),
+                (true, false) => sim.run_until(t),
+                (false, true) => sim.run_to_quiescence_checked(&mut checker).expect(held),
+                (false, false) => sim.run_to_quiescence(),
+            }
+        };
+        let mut qids = Vec::new();
+        for request in [
+            QueryRequest::matches(query.clone(), Some(10)),
+            query.clone().into(),
+            QueryRequest::count(query.clone()),
+        ] {
+            let origin = sim.random_node();
+            qids.push(sim.issue(origin, request));
+            advance(&mut sim, 100);
+        }
+        advance(&mut sim, 30_007);
+        let stats: Vec<QueryStats> = qids
+            .iter()
+            .map(|&q| sim.query_stats(q).unwrap().clone())
+            .collect();
+        (sim.state_hash(), stats)
+    };
+    for gossip in [true, false] {
+        assert_eq!(run(gossip, true), run(gossip, false), "gossip: {gossip}");
+    }
 }

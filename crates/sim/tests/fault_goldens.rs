@@ -14,6 +14,7 @@
 
 use attrspace::{Query, Space};
 use autosel_core::fasthash::Fnv64;
+use autosel_core::QueryRequest;
 use overlay_sim::{FaultPlan, LatencyModel, Placement, SimCluster, SimConfig};
 
 /// FNV-1a over a sequence of words.
@@ -57,7 +58,7 @@ fn fault_scenario(seed: u64) -> String {
         qids.push(if round == 0 {
             sim.issue_query(o2, narrow, None)
         } else {
-            sim.issue_count_query(o2, narrow)
+            sim.issue(o2, QueryRequest::count(narrow))
         });
         sim.run_to_quiescence();
     }

@@ -8,6 +8,7 @@
 //! simulator replays identically — see `docs/TESTING.md`).
 
 use attrspace::{Query, Space};
+use autosel_core::QueryRequest;
 use overlay_sim::faults::{Action, FaultPlan, FaultRule, Scope, Window};
 use overlay_sim::invariants::InvariantViolation;
 use overlay_sim::{InvariantChecker, LatencyModel, Placement, QueryStats, SimCluster, SimConfig};
@@ -606,7 +607,7 @@ fn count_queries_stay_exact_under_reply_duplication() {
         }
         sim.set_fault_plan(plan);
         let mut checker = InvariantChecker::relaxed();
-        let qid = sim.issue_count_query(origin, half_space_query(&space));
+        let qid = sim.issue(origin, QueryRequest::count(half_space_query(&space)));
         sim.run_to_quiescence_checked(&mut checker)
             .unwrap_or_else(|v| panic!("invariant violated under seed {seed}: {v}"));
         let st = sim.query_stats(qid).unwrap();

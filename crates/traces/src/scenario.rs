@@ -877,7 +877,7 @@ impl SoakRunner {
                 let (_, ev) = self.compiled.events[self.cursor];
                 self.cursor += 1;
                 self.apply(ev);
-                self.sim.check_invariants(&mut self.checker)?;
+                self.checker.check_step(&self.sim)?;
             }
             let bucket = self.harvest(t, &mut on_harvest);
             last_delivery_bucket.0 += bucket.0;

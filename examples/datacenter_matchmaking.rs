@@ -125,7 +125,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         range: Range { lo: 0, hi: 49 },
     }];
     let origin = cluster.random_node();
-    let qid = cluster.issue_query_full(origin, query, dynamic, Some(64));
+    let qid = cluster.issue(
+        origin,
+        QueryRequest {
+            dynamic,
+            ..QueryRequest::matches(query, Some(64))
+        },
+    );
     cluster.run_to_quiescence();
     let matches = cluster.query_result(qid).expect("completed");
     println!(

@@ -99,7 +99,9 @@ pub mod obs {
 /// The most common imports in one place.
 pub mod prelude {
     pub use attrspace::{Dimension, Point, Query, Range, Space};
-    pub use autosel_core::{Match, Output, ProtocolConfig, QueryId, SelectionNode};
+    pub use autosel_core::{
+        Answer, Match, Output, ProtocolConfig, QueryId, QueryRequest, SelectionNode,
+    };
     pub use autosel_net::{NetCluster, NetConfig, Transport};
     pub use autosel_obs::{
         Fanout, FlightRecorder, JsonlSink, ObsHandle, Observer, Registry, TraceTree,

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use attrspace::{Query, Range};
-use autosel_core::{DynamicConstraint, QueryId};
+use autosel_core::{DynamicConstraint, QueryId, QueryRequest};
 use epigossip::NodeId;
 use overlay_sim::SimCluster;
 
@@ -142,9 +142,11 @@ impl Scheduler {
         // Ask for head-room: 2× replicas lets the scheduler pick.
         let sigma = spec.replicas.saturating_mul(2);
         let origin = self.cluster.random_node();
-        let qid = self
-            .cluster
-            .issue_query_full(origin, spec.query.clone(), dynamic, Some(sigma));
+        let request = QueryRequest {
+            dynamic,
+            ..QueryRequest::matches(spec.query.clone(), Some(sigma))
+        };
+        let qid = self.cluster.issue(origin, request);
         self.cluster.run_to_quiescence();
         let Some(matches) = self.cluster.query_result(qid) else {
             return Err(ScheduleError::QueryFailed(qid));
