@@ -1,4 +1,5 @@
-//! CI front-end for the `autosel-analyze` explorer.
+//! CI front-end for the simulator's interleaving explorer
+//! (`overlay_sim::explore`).
 //!
 //! ```text
 //! analyze explore [--nodes 3|4|5] [--queries 1|2] [--duplicates N] [--drops N]
@@ -18,7 +19,7 @@
 use std::process::ExitCode;
 
 use attrspace::{Query, Space};
-use autosel_analyze::{Explorer, Scenario};
+use overlay_sim::explore::{Explorer, Scenario};
 
 fn usage() -> ! {
     eprintln!(

@@ -11,13 +11,13 @@ use std::time::Duration;
 
 use attrspace::{Point, Query, Space};
 use autosel_net::{NetCluster, NetConfig, Transport};
-use dht_baseline::{Ring, SwordIndex};
 use epigossip::GossipConfig;
 
 use crate::sweep::{run_parallel, threads};
 use crate::table::Table;
 use crate::RunContext;
 use overlay_sim::ablation::{flood_search, greedy_coordinate_search};
+use overlay_sim::sword::{Ring, SwordIndex};
 use overlay_sim::workload::{best_case_query, random_query, worst_case_query};
 use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
 use rand::rngs::StdRng;
@@ -139,7 +139,7 @@ pub static FIGURES: &[Figure] = &[
     },
     Figure {
         id: "fig13_live",
-        title: "repeated 10% decimation on live threaded peers (in-memory transport)",
+        title: "repeated 10% decimation on live peers (in-memory transport)",
         claim: "as fig13, on the paper's PlanetLab population with real threads and timers",
         headline: "final-wave delivery — paper: near-1",
         selection: Selection::Live,
@@ -1016,7 +1016,7 @@ pub fn fig12(
 
 /// **Figure 13** — PlanetLab-style repeated decimation *in the simulator*:
 /// 10% of the network is killed every `wave_interval_s` without replacement.
-/// Returns `(time s, delivery)` probes. (The live threaded rendition is
+/// Returns `(time s, delivery)` probes. (The live rendition is
 /// `fig13_live`, which drives `autosel-net`.)
 pub fn fig13_sim(n: usize, waves: usize, wave_interval_s: u64, seed: u64) -> Vec<(u64, f64)> {
     // Expressed on the scenario DSL: repeated 10% decimation waves with

@@ -424,10 +424,11 @@ impl SelectionNode {
     /// clears the waiting entry before the real subtree REPLY arrives —
     /// silently discarding that subtree's results.
     ///
-    /// This exists so the `autosel-analyze` explorer can prove it detects
-    /// the race (the PR-4 regression) within its schedule budget. It is
-    /// never enabled by any driver; the flag costs nothing on the hot path
-    /// (checked only after the duplicate-receipt branch is already taken).
+    /// This exists so the simulator's explorer (`overlay_sim::explore`) can
+    /// prove it detects the race (a historical regression) within its
+    /// schedule budget. It is never enabled by any runtime; the flag costs
+    /// nothing on the hot path (checked only after the duplicate-receipt
+    /// branch is already taken).
     #[doc(hidden)]
     pub fn inject_empty_dedup_reply_bug(&mut self) {
         self.buggy_empty_dedup_reply = true;

@@ -1,21 +1,22 @@
 //! End-to-end behaviour of the two-layer stack on a synchronously simulated
-//! population: semantic convergence, connectivity, and self-healing.
-
-#![allow(clippy::disallowed_types)] // std-collections: test code; the population is a std map
+//! population: semantic convergence, connectivity, self-healing, and
+//! partitions — two overlay islands stay separate until a single
+//! introduction bridges them, the mechanism behind the paper's §6.7 claim
+//! that only true graph partition prevents recovery.
 
 use epigossip::{GossipConfig, GossipMessage, GossipStack, NodeId, RankSelector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
+
+type Population = BTreeMap<NodeId, GossipStack<u64>>;
 
 /// Runs `rounds` synchronous gossip rounds over the population, delivering
-/// every message (including replies) within the round.
-fn run_rounds(
-    nodes: &mut HashMap<NodeId, GossipStack<u64>>,
-    start_round: u64,
-    rounds: u64,
-    rng: &mut StdRng,
-) {
+/// every message (including replies) within the round. Nodes tick in
+/// ascending id order, so one seed is one schedule and a failing seed
+/// reproduces; a hash map's order would change from process to process.
+fn run_rounds(nodes: &mut Population, start_round: u64, rounds: u64, rng: &mut StdRng) {
     for r in start_round..start_round + rounds {
         let now = r * 1000;
         let ids: Vec<NodeId> = nodes.keys().copied().collect();
@@ -36,27 +37,28 @@ fn run_rounds(
     }
 }
 
-fn line_population(n: u64, cfg: &GossipConfig) -> HashMap<NodeId, GossipStack<u64>> {
-    let mut nodes = HashMap::new();
-    for id in 0..n {
+/// Nodes `ids` with profiles on a line (`id * 10`), bootstrapped as a chain:
+/// each node knows only its predecessor in `ids`.
+fn line_population(ids: Range<u64>, cfg: &GossipConfig) -> Population {
+    let start = ids.start;
+    ids.map(|id| {
         let mut s = GossipStack::new(
             id,
-            id * 10, // profile: position on a line
+            id * 10,
             cfg.clone(),
             RankSelector::new(|a: &u64, b: &u64| a.abs_diff(*b)),
         );
-        // Bootstrap chain: each node knows its predecessor only.
-        if id > 0 {
+        if id > start {
             s.introduce(id - 1, (id - 1) * 10);
         }
-        nodes.insert(id, s);
-    }
-    nodes
+        (id, s)
+    })
+    .collect()
 }
 
-/// Random-layer reachability from node 0 over the union of both views.
-fn reachable(nodes: &HashMap<NodeId, GossipStack<u64>>, from: NodeId) -> HashSet<NodeId> {
-    let mut seen = HashSet::from([from]);
+/// Reachability from `from` over the union of both views.
+fn reachable(nodes: &Population, from: NodeId) -> BTreeSet<NodeId> {
+    let mut seen = BTreeSet::from([from]);
     let mut stack = vec![from];
     while let Some(id) = stack.pop() {
         let Some(n) = nodes.get(&id) else { continue };
@@ -84,7 +86,7 @@ fn semantic_views_converge_to_nearest_neighbors() {
         period_ms: 1000,
     };
     let mut rng = StdRng::seed_from_u64(11);
-    let mut nodes = line_population(64, &cfg);
+    let mut nodes = line_population(0..64, &cfg);
     run_rounds(&mut nodes, 0, 40, &mut rng);
 
     // Each node's semantic view should be dominated by line-adjacent peers:
@@ -119,7 +121,7 @@ fn population_remains_connected() {
         period_ms: 1000,
     };
     let mut rng = StdRng::seed_from_u64(5);
-    let mut nodes = line_population(100, &cfg);
+    let mut nodes = line_population(0..100, &cfg);
     run_rounds(&mut nodes, 0, 30, &mut rng);
     assert_eq!(reachable(&nodes, 0).len(), 100);
 }
@@ -134,7 +136,7 @@ fn overlay_heals_after_majority_failure() {
         period_ms: 1000,
     };
     let mut rng = StdRng::seed_from_u64(23);
-    let mut nodes = line_population(120, &cfg);
+    let mut nodes = line_population(0..120, &cfg);
     run_rounds(&mut nodes, 0, 25, &mut rng);
 
     // Kill half the population (every even id).
@@ -146,7 +148,7 @@ fn overlay_heals_after_majority_failure() {
 
     // Survivors form a connected overlay again, with no dead entries
     // lingering in random views.
-    let survivors: HashSet<NodeId> = nodes.keys().copied().collect();
+    let survivors: BTreeSet<NodeId> = nodes.keys().copied().collect();
     let seen = reachable(&nodes, *survivors.iter().next().unwrap());
     assert_eq!(
         seen.len(),
@@ -176,7 +178,7 @@ fn churned_node_rejoins_under_new_identity() {
         period_ms: 1000,
     };
     let mut rng = StdRng::seed_from_u64(2);
-    let mut nodes = line_population(40, &cfg);
+    let mut nodes = line_population(0..40, &cfg);
     run_rounds(&mut nodes, 0, 20, &mut rng);
 
     // Node 7 leaves and re-enters as id 1000 with the same profile,
@@ -206,4 +208,34 @@ fn churned_node_rejoins_under_new_identity() {
         newcomer.semantic_view().contains(6) || newcomer.semantic_view().contains(8),
         "newcomer failed to find line neighbors"
     );
+}
+
+#[test]
+fn islands_stay_apart_until_bridged_then_merge() {
+    let cfg = GossipConfig {
+        cyclon_view: 8,
+        cyclon_shuffle: 4,
+        semantic_view: 6,
+        semantic_shuffle: 4,
+        period_ms: 1_000,
+    };
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut nodes = line_population(0..40, &cfg);
+    nodes.extend(line_population(100..140, &cfg));
+    run_rounds(&mut nodes, 0, 25, &mut rng);
+
+    // No introduction crossed the gap: two components.
+    let a = reachable(&nodes, 0);
+    assert_eq!(a.len(), 40, "island A self-contained");
+    assert!(!a.contains(&100), "no cross-island knowledge");
+    let b = reachable(&nodes, 100);
+    assert_eq!(b.len(), 40, "island B self-contained");
+
+    // One single introduction bridges them…
+    nodes.get_mut(&0).unwrap().introduce(100, 1000);
+    run_rounds(&mut nodes, 25, 30, &mut rng);
+
+    // …and gossip merges the membership completely.
+    let merged = reachable(&nodes, 17);
+    assert_eq!(merged.len(), 80, "overlay merged through one bridge link");
 }

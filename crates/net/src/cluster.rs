@@ -134,6 +134,9 @@ impl std::fmt::Debug for NetCluster {
     }
 }
 
+/// How many random other peers each new peer is introduced to.
+const BOOTSTRAP_DEGREE: usize = 3;
+
 /// How many shards a cluster of `n` peers runs on — the one place this is
 /// decided. One per core but one, which is left to the caller (the load
 /// generator, or the application issuing queries), and never more shards
@@ -146,9 +149,9 @@ fn shard_count(n: usize) -> usize {
 
 impl NetCluster {
     /// Spawns `points.len()` peers on the given transport. Each is
-    /// introduced to `config.bootstrap_degree` random other peers, so the
-    /// overlay must *gossip itself* into a routed state (give it a few
-    /// periods before expecting full delivery).
+    /// introduced to three random other peers, so the overlay must *gossip
+    /// itself* into a routed state (give it a few periods before expecting
+    /// full delivery).
     ///
     /// # Errors
     ///
@@ -220,7 +223,7 @@ impl NetCluster {
         // made before any peer runs.
         let mut rng = StdRng::seed_from_u64(seed);
         for id in 0..n as NodeId {
-            for _ in 0..config.bootstrap_degree {
+            for _ in 0..BOOTSTRAP_DEGREE {
                 let other = rng.gen_range(0..n);
                 if other as NodeId != id {
                     let peer = owned[fabric.shard_of(id)].get_mut(&id).expect("owned");
@@ -531,7 +534,6 @@ mod tests {
                     query_timeout_ms: 60_000,
                     ..Default::default()
                 },
-                poll_interval_ms: 10,
                 ..NetConfig::default()
             }
         }

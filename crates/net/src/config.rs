@@ -9,13 +9,9 @@ pub struct NetConfig {
     pub gossip: GossipConfig,
     /// Protocol timeouts (real time).
     pub protocol: ProtocolConfig,
-    /// How often each peer polls its protocol timeouts.
-    pub poll_interval_ms: u64,
     /// Artificial latency range injected by the in-memory transport
     /// (`None` = deliver immediately). TCP runs rely on real socket latency.
     pub injected_latency_ms: Option<(u64, u64)>,
-    /// How many random existing peers a new node is introduced to.
-    pub bootstrap_degree: usize,
     /// Bound on each peer's event inbox, counted per peer however many
     /// peers share a shard's queues. Peer traffic beyond it is dropped (and
     /// counted), like network loss — the load-survival invariant that keeps
@@ -38,9 +34,7 @@ impl Default for NetConfig {
                 query_timeout_ms: 5_000,
                 ..ProtocolConfig::default()
             },
-            poll_interval_ms: 20,
             injected_latency_ms: Some((1, 5)),
-            bootstrap_degree: 3,
             inbox_capacity: 4_096,
         }
     }
@@ -51,17 +45,13 @@ impl NetConfig {
     ///
     /// # Panics
     ///
-    /// Panics on zero periods or inverted latency bounds.
+    /// Panics on an invalid gossip configuration, inverted latency bounds
+    /// or a zero inbox capacity.
     pub fn validate(&self) {
         self.gossip.validate();
-        assert!(self.poll_interval_ms > 0, "poll interval must be positive");
         if let Some((lo, hi)) = self.injected_latency_ms {
             assert!(lo <= hi, "latency bounds inverted");
         }
-        assert!(
-            self.bootstrap_degree > 0,
-            "need at least one bootstrap seed"
-        );
         assert!(self.inbox_capacity > 0, "inbox capacity must be positive");
     }
 }

@@ -205,6 +205,9 @@ pub(crate) enum Wire {
 /// before it looks at the timers again.
 const PASS: usize = 64;
 
+/// How often each peer polls its protocol timeouts (real time).
+const POLL_PERIOD: Duration = Duration::from_millis(20);
+
 /// A worker owning a fixed set of peers outright. Its one loop runs, per
 /// pass: due gossip and poll timers, due latency-injected sends, then up to
 /// [`PASS`] events from its inbox (other shards, the TCP readers, the
@@ -227,7 +230,6 @@ pub(crate) struct Shard {
     gossip_due: VecDeque<(Instant, NodeId)>,
     poll_due: VecDeque<(Instant, NodeId)>,
     gossip_period: Duration,
-    poll_period: Duration,
     wire: Wire,
     /// What the event being handled produced, routed right after it.
     out: Vec<Effect>,
@@ -248,7 +250,6 @@ impl Shard {
         started: Instant,
     ) -> Self {
         let gossip_period = Duration::from_millis(config.gossip.period_ms);
-        let poll_period = Duration::from_millis(config.poll_interval_ms);
         let mut ids: Vec<NodeId> = peers.keys().copied().collect();
         ids.sort_unstable();
         let staggered = |period: Duration| -> VecDeque<(Instant, NodeId)> {
@@ -261,14 +262,13 @@ impl Shard {
         Shard {
             index,
             gossip_due: staggered(gossip_period),
-            poll_due: staggered(poll_period),
+            poll_due: staggered(POLL_PERIOD),
             peers,
             fabric,
             inbox,
             local: VecDeque::new(),
             fresh: VecDeque::new(),
             gossip_period,
-            poll_period,
             wire,
             out: Vec::new(),
             started,
@@ -346,7 +346,7 @@ impl Shard {
         .into_iter()
         .flatten()
         .min()
-        .unwrap_or(now + self.poll_period)
+        .unwrap_or(now + POLL_PERIOD)
     }
 
     /// Runs every gossip round and timeout poll due by `now`. A late timer
@@ -371,8 +371,7 @@ impl Shard {
             };
             peer.host.poll_timeouts(ms, &mut self.out);
             self.flush(id);
-            self.poll_due
-                .push_back((rearm(due, self.poll_period, now), id));
+            self.poll_due.push_back((rearm(due, POLL_PERIOD, now), id));
         }
     }
 

@@ -81,9 +81,7 @@ fn fast_config() -> NetConfig {
             query_timeout_ms: 10_000,
             ..Default::default()
         },
-        poll_interval_ms: 10,
         injected_latency_ms: Some((1, 3)),
-        bootstrap_degree: 3,
         ..NetConfig::default()
     }
 }

@@ -465,21 +465,14 @@ impl SimCluster {
         }
     }
 
-    /// Per-node routing-table link counts (Fig. 10's metric).
-    pub fn link_histogram(&self) -> LoadHistogram {
-        LoadHistogram::new(
-            self.selections_iter()
-                .map(|(_, s)| s.routing().link_count() as u64)
-                .collect(),
-        )
-    }
-
-    /// Link counts as a *gossip-bounded* node would report them: the
-    /// `neighborsZero` contribution is capped by the remaining gossip-cache
-    /// capacity (the paper's footnote 4: "for d < 5 the number of neighbors
-    /// maintained by each node is bounded by the gossip cache"). Oracle
-    /// wiring stores the full `C0` membership for delivery exactness; this
-    /// view reports what a live deployment would maintain.
+    /// Per-node routing-table link counts (Fig. 10's metric) as a
+    /// *gossip-bounded* node would report them: the `neighborsZero`
+    /// contribution is capped by the remaining gossip-cache capacity (the
+    /// paper's footnote 4: "for d < 5 the number of neighbors maintained by
+    /// each node is bounded by the gossip cache"). Oracle wiring stores the
+    /// full `C0` membership for delivery exactness; this view reports what a
+    /// live deployment would maintain. A `cache` of `usize::MAX` counts
+    /// every link.
     pub fn link_histogram_cache_bounded(&self, cache: usize) -> LoadHistogram {
         LoadHistogram::new(
             self.selections_iter()
@@ -517,13 +510,6 @@ impl SimCluster {
     /// means deliveries are being scheduled faster than they drain.
     pub fn queued_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Ids of all tracked (issued and not forgotten) queries, ascending.
-    pub fn tracked_queries(&self) -> Vec<QueryId> {
-        let mut ids: Vec<QueryId> = self.queries.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Iterates tracked query stats (internal: invariant checking).
@@ -614,14 +600,14 @@ impl SimCluster {
     }
 
     // ------------------------------------------------------------------
-    // Exploration API: external control over the event queue.
+    // Exploration API: the explorer's control over the event queue.
     //
     // `dispatch` already tolerates *any* dispatch order — it advances the
     // clock with `now = now.max(ev.at)`, so dispatching a later-scheduled
     // event first simply models an adversarially slow network for the
-    // others. These hooks expose that freedom to external schedulers and
-    // to the `autosel-analyze` model checker without touching the default
-    // calendar-queue hot path (whose digests are pinned).
+    // others. These hooks expose that freedom to the `explore` model
+    // checker without touching the default calendar-queue hot path (whose
+    // digests are pinned).
     // ------------------------------------------------------------------
 
     /// Snapshot of every queued event, ascending `(at, seq)`: index 0 is
@@ -652,7 +638,7 @@ impl SimCluster {
     /// its position in the default order. Returns `false` if no queued
     /// event has that handle. Virtual time never rewinds: a dispatched
     /// event fires at `max(now, its scheduled time)`.
-    pub fn dispatch_queued(&mut self, seq: u64) -> bool {
+    pub(crate) fn dispatch_queued(&mut self, seq: u64) -> bool {
         let Some(ev) = self.take_queued(seq) else {
             return false;
         };
@@ -664,7 +650,7 @@ impl SimCluster {
     /// Silently discards the queued event with handle `seq` — a targeted
     /// message loss (choice-point form of the fault plan's random drop).
     /// Returns whether anything was removed.
-    pub fn drop_queued(&mut self, seq: u64) -> bool {
+    pub(crate) fn drop_queued(&mut self, seq: u64) -> bool {
         self.take_queued(seq).is_some()
     }
 
@@ -672,7 +658,7 @@ impl SimCluster {
     /// firing time — a targeted duplication. Returns the copy's handle,
     /// or `None` if `seq` is not queued. The copy shares the original's
     /// [`EventKey`].
-    pub fn duplicate_queued(&mut self, seq: u64) -> Option<u64> {
+    pub(crate) fn duplicate_queued(&mut self, seq: u64) -> Option<u64> {
         let (at, kind) = {
             let ev = self.queue.find_seq(seq)?;
             (ev.at, ev.kind.clone())
@@ -692,7 +678,7 @@ impl SimCluster {
     /// [`SelectionNode::state_fingerprint`], the queue's logical contents,
     /// and all tracked query accounting. Two states with equal hashes
     /// behave identically under identical further choices — the pruning
-    /// predicate of the `autosel-analyze` explorer.
+    /// predicate of the [`explore`](crate::explore) explorer.
     ///
     /// Deliberately excluded: raw `seq` numbers (schedule-dependent names
     /// for the same logical events) and the RNG (exploration scenarios —
@@ -1279,7 +1265,7 @@ mod tests {
         sim.run_to_quiescence();
         assert_eq!(sim.load_histogram().len(), 100);
         assert!(sim.load_histogram().max() > 0);
-        assert!(sim.link_histogram().mean() > 1.0);
+        assert!(sim.link_histogram_cache_bounded(usize::MAX).mean() > 1.0);
         sim.reset_load();
         assert_eq!(sim.load_histogram().max(), 0);
     }

@@ -173,8 +173,8 @@ impl EventKey {
 }
 
 /// A snapshot descriptor of one event sitting in the simulator queue,
-/// exposed to the `autosel-analyze` explorer. `seq` is the handle for
-/// [`crate::SimCluster::dispatch_queued`] and friends *within the current
+/// exposed to the [`explore`](crate::explore) explorer. `seq` is the
+/// handle the explorer dispatches, drops or duplicates *within the current
 /// state*; `key` is the stable identity that survives re-execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedEvent {

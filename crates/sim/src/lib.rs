@@ -23,12 +23,14 @@
 //!   every event and at quiescence;
 //! * [`QueryStats`] — per-query routing overhead, delivery, duplicate count
 //!   and message totals: exactly the metrics the paper's figures plot;
-//! * an exploration surface for external model checkers
-//!   ([`SimCluster::queued_events`] exposing stable [`EventKey`]s,
-//!   per-event dispatch / drop / duplicate surgery through
-//!   [`SimCluster::dispatch_queued`] and friends, and a logical
-//!   [`SimCluster::state_hash`]) — `autosel-analyze`'s DPOR interleaving
-//!   explorer drives every schedule through it.
+//! * [`explore`] — a DPOR interleaving explorer that enumerates every
+//!   inequivalent schedule of a bounded [`explore::Scenario`], driving the
+//!   cluster through [`SimCluster::queued_events`] (stable [`EventKey`]s),
+//!   per-event dispatch / drop / duplicate surgery and a logical
+//!   [`SimCluster::state_hash`];
+//! * [`ablation`] and [`sword`] — the comparison baselines over plain point
+//!   sets: the §4.1 design ablations (naive greedy routing, flooding) and
+//!   the Bamboo + SWORD delegation index of Fig. 9(b) (§6.4).
 //!
 //! Determinism: a cluster seeded with the same seed replays identically.
 //!
@@ -62,11 +64,13 @@ mod calendar;
 mod cluster;
 mod config;
 mod event;
+pub mod explore;
 pub mod faults;
 pub mod invariants;
 mod metrics;
 mod network;
 mod nodestore;
+pub mod sword;
 mod truth;
 pub mod workload;
 

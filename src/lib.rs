@@ -15,8 +15,7 @@
 //! | [`space`] | `attrspace` | attribute space, nested cells `N(l,k)`, queries |
 //! | [`gossip`] | `epigossip` | CYCLON + semantic two-layer overlay maintenance |
 //! | [`protocol`] | `autosel-core` | the QUERY/REPLY routing state machine |
-//! | [`sim`] | `overlay-sim` | discrete-event simulator (PeerSim role) |
-//! | [`dht`] | `dht-baseline` | Bamboo/SWORD delegation baseline |
+//! | [`sim`] | `overlay-sim` | discrete-event simulator (PeerSim role), the SWORD baseline, the interleaving explorer |
 //! | [`traces`] | `synthtrace` | synthetic BOINC host attribute traces |
 //! | [`net`] | `autosel-net` | sharded network runtime (DAS / PlanetLab role) |
 //! | [`obs`] | `autosel-obs` | zero-dependency tracing & metrics (observers, trace trees) |
@@ -74,11 +73,6 @@ pub mod protocol {
 /// Discrete-event simulation (re-export of `overlay-sim`).
 pub mod sim {
     pub use overlay_sim::*;
-}
-
-/// The DHT/SWORD baseline (re-export of `dht-baseline`).
-pub mod dht {
-    pub use dht_baseline::*;
 }
 
 /// Synthetic BOINC traces (re-export of `synthtrace`).

@@ -2,8 +2,8 @@
 //! simulator answers queries over it, and the DHT baseline shows the load
 //! imbalance the paper contrasts against (Fig. 9b in miniature).
 
-use autosel::dht::{Ring, SwordIndex};
 use autosel::prelude::*;
+use autosel::sim::sword::{Ring, SwordIndex};
 use autosel::sim::LoadHistogram;
 
 #[test]
