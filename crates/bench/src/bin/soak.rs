@@ -3,8 +3,8 @@
 //! ```text
 //! soak run [--family churn|flash|diurnal|outage|composed] [--n N]
 //!          [--vhours H | --horizon-ms MS] [--seed S] [--sample-ms MS]
-//!          [--out FILE] [--min-view-pct P] [--max-age-factor-x10 F]
-//! soak check FILE [--min-view-pct P] [--max-age-factor-x10 F]
+//!          [--out FILE]
+//! soak check FILE
 //! ```
 //!
 //! `run` compiles the named [`ScenarioSpec::family`], drives a
@@ -23,10 +23,9 @@
 //!
 //! Health bounds (both modes): with the first sample (taken at warmup
 //! end, before any adversity) as the baseline, the *final* sample's
-//! per-layer mean view size must stay ≥ `--min-view-pct`% (default 50)
-//! of baseline and its mean descriptor age ≤ `--max-age-factor-x10`/10×
-//! (default 3.0×) baseline — i.e. the overlay must have *recovered* from
-//! whatever the arc did, not merely survived it.
+//! per-layer mean view size must stay ≥ 50% of baseline and its mean
+//! descriptor age ≤ 3.0× baseline — i.e. the overlay must have *recovered*
+//! from whatever the arc did, not merely survived it.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -40,8 +39,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: soak run [--family {}] [--n N] [--vhours H | --horizon-ms MS]\n\
          \x20               [--seed S] [--sample-ms MS] [--out FILE]\n\
-         \x20               [--min-view-pct P] [--max-age-factor-x10 F]\n\
-         \x20      soak check FILE [--min-view-pct P] [--max-age-factor-x10 F]",
+         \x20      soak check FILE",
         FAMILIES.join("|")
     );
     std::process::exit(2)
@@ -71,34 +69,29 @@ const SAMPLE_KEYS: &[&str] = &[
     "reg_duplicates",
 ];
 
-struct Bounds {
-    min_view_pct: u64,
-    max_age_factor_x10: u64,
-}
+/// The final sample's mean view size must stay at least this percentage
+/// of the baseline's, per gossip layer.
+const MIN_VIEW_PCT: u64 = 50;
+/// The final sample's mean descriptor age may be at most this many tenths
+/// of the baseline's, per gossip layer.
+const MAX_AGE_FACTOR_X10: u64 = 30;
 
-impl Bounds {
-    /// Final-vs-baseline recovery check over `(view_x1000, age_x1000)`
-    /// readings of one gossip layer. Returns an error description.
-    fn check_layer(
-        &self,
-        layer: &str,
-        baseline: (u64, u64),
-        fin: (u64, u64),
-    ) -> Result<(), String> {
-        if fin.0 * 100 < baseline.0 * self.min_view_pct {
-            return Err(format!(
-                "{layer} view degraded: final {} < {}% of baseline {}",
-                fin.0, self.min_view_pct, baseline.0
-            ));
-        }
-        if baseline.1 > 0 && fin.1 * 10 > baseline.1 * self.max_age_factor_x10 {
-            return Err(format!(
-                "{layer} age degraded: final {} > {}/10 x baseline {}",
-                fin.1, self.max_age_factor_x10, baseline.1
-            ));
-        }
-        Ok(())
+/// Final-vs-baseline recovery check over `(view_x1000, age_x1000)`
+/// readings of one gossip layer. Returns an error description.
+fn check_layer(layer: &str, baseline: (u64, u64), fin: (u64, u64)) -> Result<(), String> {
+    if fin.0 * 100 < baseline.0 * MIN_VIEW_PCT {
+        return Err(format!(
+            "{layer} view degraded: final {} < {MIN_VIEW_PCT}% of baseline {}",
+            fin.0, baseline.0
+        ));
     }
+    if baseline.1 > 0 && fin.1 * 10 > baseline.1 * MAX_AGE_FACTOR_X10 {
+        return Err(format!(
+            "{layer} age degraded: final {} > {MAX_AGE_FACTOR_X10}/10 x baseline {}",
+            fin.1, baseline.1
+        ));
+    }
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -123,10 +116,6 @@ fn run_cmd(args: &[String]) -> ExitCode {
     let mut seed: u64 = 42;
     let mut sample_ms: u64 = 300_000;
     let mut out: Option<String> = None;
-    let mut bounds = Bounds {
-        min_view_pct: 50,
-        max_age_factor_x10: 30,
-    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -137,8 +126,6 @@ fn run_cmd(args: &[String]) -> ExitCode {
             "--seed" => seed = num(&mut it),
             "--sample-ms" => sample_ms = num(&mut it),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--min-view-pct" => bounds.min_view_pct = num(&mut it),
-            "--max-age-factor-x10" => bounds.max_age_factor_x10 = num(&mut it),
             _ => usage(),
         }
     }
@@ -254,7 +241,7 @@ fn run_cmd(args: &[String]) -> ExitCode {
             (last.sem_view_x1000, last.sem_age_x1000),
         ),
     ] {
-        if let Err(e) = bounds.check_layer(layer, base, fin) {
+        if let Err(e) = check_layer(layer, base, fin) {
             eprintln!("soak run: gossip-health bound breached: {e}");
             return ExitCode::FAILURE;
         }
@@ -270,21 +257,10 @@ fn run_cmd(args: &[String]) -> ExitCode {
 }
 
 fn check_cmd(args: &[String]) -> ExitCode {
-    let mut path: Option<&String> = None;
-    let mut bounds = Bounds {
-        min_view_pct: 50,
-        max_age_factor_x10: 30,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--min-view-pct" => bounds.min_view_pct = num(&mut it),
-            "--max-age-factor-x10" => bounds.max_age_factor_x10 = num(&mut it),
-            _ if path.is_none() && !a.starts_with("--") => path = Some(a),
-            _ => usage(),
-        }
+    let [path] = args else { usage() };
+    if path.starts_with("--") {
+        usage();
     }
-    let Some(path) = path else { usage() };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -292,7 +268,7 @@ fn check_cmd(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match check_timeline(&text, &bounds) {
+    match check_timeline(&text) {
         Ok(n) => {
             println!("soak check: {path}: {n} samples, all invariants hold");
             ExitCode::SUCCESS
@@ -305,7 +281,7 @@ fn check_cmd(args: &[String]) -> ExitCode {
 }
 
 /// Validates one timeline text; returns the sample count.
-fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
+fn check_timeline(text: &str) -> Result<usize, String> {
     let mut samples: Vec<SoakSample> = Vec::new();
     let mut saw_header = false;
     let mut footer: Option<(u64, String, String)> = None;
@@ -457,7 +433,7 @@ fn check_timeline(text: &str, bounds: &Bounds) -> Result<usize, String> {
             (last.sem_view_x1000, last.sem_age_x1000),
         ),
     ] {
-        bounds.check_layer(layer, base, fin)?;
+        check_layer(layer, base, fin)?;
     }
     Ok(samples.len())
 }

@@ -147,11 +147,6 @@ pub struct QueryMsg {
     /// produce the list" — this protocol does both, and counting is exact
     /// because the traversal visits each matching node exactly once.
     pub count_only: bool,
-    /// `C0` members already contacted for this query — carried on leaf
-    /// (`level ≤ 0`) deliveries so the optional `C0` epidemic relay
-    /// (§4.1: "broadcast … through an epidemic protocol") does not re-visit
-    /// nodes. Empty unless the relay is enabled.
-    pub visited_zero: Vec<NodeId>,
     /// Per-forward attempt id, unique among this sender's forwards of this
     /// query (`0` marks the origin's self-delivery, which is never on the
     /// wire). The receiver echoes it verbatim in its REPLY so the sender
@@ -245,7 +240,6 @@ mod tests {
             dims: all_dims(2),
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt: 1,
         });
         let r = Message::Reply(ReplyMsg {

@@ -24,34 +24,12 @@ pub struct ProtocolConfig {
     /// How long to wait for a REPLY from a neighbor before presuming it dead
     /// and continuing the traversal without its subtree (the paper's `T(q)`).
     pub query_timeout_ms: u64,
-    /// Enables the `C0` epidemic relay (§4.1: nodes of a lowest-level cell
-    /// "broadcast a message to each of them, for example through an epidemic
-    /// protocol"): leaf receivers re-forward the query to same-cell mates
-    /// the sender did not know, using the message's `visited_zero` set for
-    /// deduplication. Off by default — with converged views and the paper's
-    /// sparse cells every mate is already known to the fanning-out node.
-    pub c0_relay: bool,
-    /// How many concluded queries keep their final REPLY cached for
-    /// retransmission. A duplicate QUERY arriving *after* this node already
-    /// answered is met with a cached copy of the real reply instead of an
-    /// empty dedup-reply, which makes upstream retries idempotent: the
-    /// retransmitted copy either fresh-merges (the original was lost) or is
-    /// dropped as stale by its attempt id. Evicted FIFO; `0` disables the
-    /// cache (duplicates of concluded queries then answer empty).
-    ///
-    /// An entry costs a few words, not a copy of the reply: it shares the
-    /// sent REPLY's [`MatchList`], which the upstream's own list shares in
-    /// turn, so the cache holds each match of a query once however many
-    /// nodes along its reply path keep the query cached.
-    pub reply_cache: usize,
 }
 
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
             query_timeout_ms: 5_000,
-            c0_relay: false,
-            reply_cache: 32,
         }
     }
 }
@@ -123,11 +101,6 @@ struct PendingQuery {
     /// Peers queried but not yet answered, with their reply deadline and
     /// the attempt id their reply must echo to merge fresh.
     waiting: FastMap<NodeId, (u64, u32)>,
-    /// `C0` neighbors already contacted (never re-sent on re-forwarding).
-    contacted_zero: FastSet<NodeId>,
-    /// `C0` members known (from the message) to have been visited already —
-    /// the deduplication set of the optional epidemic relay.
-    visited_zero: FastSet<NodeId>,
 }
 
 /// How many emptied records one thread keeps for reuse. A thread serves
@@ -138,8 +111,8 @@ const POOLED_RECORDS: usize = 64;
 
 thread_local! {
     /// Emptied [`PendingQuery`] records of the nodes this thread drives.
-    /// A record bundles six containers (constraint and match lists, three
-    /// id sets, the waiting table) that churn once per query per hop;
+    /// A record bundles four containers (constraint and match lists, the
+    /// matched-id set, the waiting table) that churn once per query per hop;
     /// reusing them keeps their capacity warm instead of round-tripping
     /// the allocator, and one pool per thread, not per node, keeps that
     /// capacity off the nodes that are idle. The boxes are the records
@@ -166,8 +139,6 @@ impl PendingQuery {
         self.matching.clear();
         self.matched_ids.clear();
         self.waiting.clear();
-        self.contacted_zero.clear();
-        self.visited_zero.clear();
         RECORDS.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < POOLED_RECORDS {
@@ -189,7 +160,6 @@ impl PendingQuery {
         to: NodeId,
         level: i8,
         dims: u32,
-        visited_zero: Vec<NodeId>,
         deadline: u64,
     ) -> QueryMsg {
         let attempt = self.next_attempt;
@@ -214,7 +184,6 @@ impl PendingQuery {
             dims,
             dynamic: self.dynamic.clone(),
             count_only: self.count_only,
-            visited_zero,
             attempt,
         }
     }
@@ -275,8 +244,21 @@ impl PendingQuery {
     }
 }
 
+/// How many concluded queries keep their final REPLY cached for
+/// retransmission, evicted FIFO. A duplicate QUERY arriving *after* this
+/// node already answered is met with a cached copy of the real reply
+/// instead of an empty one, which makes upstream retries idempotent: the
+/// retransmitted copy either fresh-merges (the original was lost) or is
+/// dropped as stale by its attempt id.
+///
+/// An entry costs a few words, not a copy of the reply: it shares the sent
+/// REPLY's [`MatchList`], which the upstream's own list shares in turn, so
+/// the cache holds each match of a query once however many nodes along its
+/// reply path keep the query cached.
+const REPLY_CACHE: usize = 32;
+
 /// A concluded query's final answer, kept for retransmission to late
-/// duplicate QUERY deliveries (see [`ProtocolConfig::reply_cache`]).
+/// duplicate QUERY deliveries (see [`REPLY_CACHE`]).
 #[derive(Debug)]
 struct CachedReply {
     id: QueryId,
@@ -358,7 +340,7 @@ pub struct SelectionNode {
     /// from [`reply_cache`](Self::reply_cache), or empty on a cache miss.
     seen: SeenSet,
     /// Final replies of recently concluded queries, FIFO-bounded by
-    /// [`ProtocolConfig::reply_cache`]: a ring, sized to what it holds,
+    /// [`REPLY_CACHE`]: a ring, sized to what it holds,
     /// searched linearly — only a duplicate receipt looks anything up.
     reply_cache: Vec<CachedReply>,
     /// The oldest entry of a full [`reply_cache`](Self::reply_cache): the
@@ -568,13 +550,11 @@ impl SelectionNode {
                 h.word(d);
                 h.word(u64::from(a));
             }
-            for set in [&p.matched_ids, &p.contacted_zero, &p.visited_zero] {
-                let mut ids: Vec<NodeId> = set.iter().copied().collect();
-                ids.sort_unstable();
-                h.word(ids.len() as u64);
-                for n in ids {
-                    h.word(n);
-                }
+            let mut ids: Vec<NodeId> = p.matched_ids.iter().copied().collect();
+            ids.sort_unstable();
+            h.word(ids.len() as u64);
+            for n in ids {
+                h.word(n);
             }
         }
 
@@ -673,7 +653,6 @@ impl SelectionNode {
             level: self.space.max_level() as i8,
             dims: all_dims(self.space.dims()),
             dynamic: request.dynamic,
-            visited_zero: Vec::new(),
             attempt: 0,
         };
         let out = self.accept_query(None, msg, now);
@@ -872,7 +851,6 @@ impl SelectionNode {
         p.count = 0;
         p.attempt = msg.attempt;
         p.next_attempt = 1;
-        p.visited_zero.extend(msg.visited_zero);
         if matched {
             p.add_own_match(Match {
                 node: self.id,
@@ -951,17 +929,7 @@ impl SelectionNode {
             attempt: msg.attempt,
         });
         p.merge_reply(msg.count, msg.matching, fresh);
-        if !p.waiting.is_empty() {
-            return Vec::new();
-        }
-        // Unlike `settle`, a reply also concludes at `level < 0`: a node
-        // sits at level -1 after its `C0` fan-out, and with `c0_relay` on
-        // `continue_query` would fan out from there a second time.
-        if p.sigma_met() || p.level < 0 {
-            self.conclude(msg.id, now)
-        } else {
-            self.continue_query(msg.id, now)
-        }
+        self.settle(msg.id, now)
     }
 
     /// The `forward` procedure of Fig. 5: depth-first, one subtree at a time.
@@ -994,7 +962,7 @@ impl SelectionNode {
                 // forwarded scope (prevents backward propagation, Fig.5 l.4).
                 p.dims &= !(1 << dim);
                 if let Some(to) = self.routing.neighbor(level, dim) {
-                    let fwd = p.forward(qid, to, p.level, p.dims, Vec::new(), deadline);
+                    let fwd = p.forward(qid, to, p.level, p.dims, deadline);
                     self.obs.emit(|| Event::QueryForwarded {
                         at: now,
                         query: qref(qid),
@@ -1016,35 +984,18 @@ impl SelectionNode {
             p.dims = all_dims(d);
         }
 
-        let do_zero_fanout = p.level == 0 || (p.level == -1 && self.config.c0_relay);
-        if do_zero_fanout {
-            // Leaf level: hand the query to every matching C0 neighbor not
-            // yet contacted; they answer directly (level -1). With the C0
-            // relay enabled, leaf receivers forward once more to same-cell
-            // mates absent from the message's visited set — the epidemic
-            // broadcast of §4.1 for densely populated cells.
-            let mut targets = Vec::new();
-            for (nid, npoint) in self.routing.zero_neighbors() {
-                if query.matches(npoint)
-                    && !p.matched_ids.contains(&nid)
-                    && !p.contacted_zero.contains(&nid)
-                    && !p.visited_zero.contains(&nid)
-                {
-                    targets.push(nid);
-                }
-            }
-            let mut visited: Vec<NodeId> = p
-                .visited_zero
-                .iter()
-                .copied()
-                .chain(targets.iter().copied())
-                .chain([self.id])
+        if p.level == 0 {
+            // Leaf level: hand the query to every matching C0 neighbor; they
+            // answer directly (level -1). The frontier drops to -1 at once,
+            // so this fan-out happens once per record.
+            let targets: Vec<NodeId> = self
+                .routing
+                .zero_neighbors()
+                .filter(|&(nid, npoint)| query.matches(npoint) && !p.matched_ids.contains(&nid))
+                .map(|(nid, _)| nid)
                 .collect();
-            visited.sort_unstable();
-            visited.dedup();
             for to in targets {
-                let fwd = p.forward(qid, to, -1, 0, visited.clone(), deadline);
-                p.contacted_zero.insert(to);
+                let fwd = p.forward(qid, to, -1, 0, deadline);
                 self.obs.emit(|| Event::QueryForwarded {
                     at: now,
                     query: qref(qid),
@@ -1108,32 +1059,34 @@ impl SelectionNode {
                     count,
                     attempt,
                 });
-                if self.config.reply_cache > 0 {
-                    // Keep the final answer around so duplicate QUERYs
-                    // arriving after this point get the real reply again
-                    // instead of a results-destroying empty one.
-                    let entry = CachedReply {
-                        id: qid,
-                        to: upstream,
-                        matching: matching.clone(),
-                        count,
-                    };
-                    let (held, bound) = (self.reply_cache.len(), self.config.reply_cache);
-                    if held < bound {
-                        if held == self.reply_cache.capacity() {
-                            // Exact growth while small (most nodes of a
-                            // large overlay hold an entry or two), then
-                            // doubling up to the bound.
-                            let grow = if held < 4 { 1 } else { held.min(bound - held) };
-                            self.reply_cache.reserve_exact(grow);
-                        }
-                        self.reply_cache.push(entry);
-                    } else {
-                        // Full: the oldest entry makes way.
-                        let oldest = self.reply_cache_next as usize;
-                        self.reply_cache[oldest] = entry;
-                        self.reply_cache_next = ((oldest + 1) % bound) as u32;
+                // Keep the final answer around so duplicate QUERYs arriving
+                // after this point get the real reply again instead of a
+                // results-destroying empty one.
+                let entry = CachedReply {
+                    id: qid,
+                    to: upstream,
+                    matching: matching.clone(),
+                    count,
+                };
+                let held = self.reply_cache.len();
+                if held < REPLY_CACHE {
+                    if held == self.reply_cache.capacity() {
+                        // Exact growth while small (most nodes of a large
+                        // overlay hold an entry or two), then doubling up
+                        // to the bound.
+                        let grow = if held < 4 {
+                            1
+                        } else {
+                            held.min(REPLY_CACHE - held)
+                        };
+                        self.reply_cache.reserve_exact(grow);
                     }
+                    self.reply_cache.push(entry);
+                } else {
+                    // Full: the oldest entry makes way.
+                    let oldest = self.reply_cache_next as usize;
+                    self.reply_cache[oldest] = entry;
+                    self.reply_cache_next = ((oldest + 1) % REPLY_CACHE) as u32;
                 }
                 vec![Output::Send {
                     to: upstream,
@@ -1411,7 +1364,6 @@ mod tests {
             dims: 0,
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt,
         }
     }
@@ -1466,81 +1418,36 @@ mod tests {
         assert_eq!(a.duplicate_receipts(), 2);
     }
 
-    /// With the cache disabled (`reply_cache: 0`) a post-conclusion
-    /// duplicate falls back to the empty dedup-reply.
-    #[test]
-    fn reply_cache_zero_disables_retransmission() {
-        let s = space();
-        let cfg = ProtocolConfig {
-            reply_cache: 0,
-            ..ProtocolConfig::default()
-        };
-        let mut a = SelectionNode::new(
-            1,
-            &s,
-            s.point(&[5, 5]).expect("coords lie inside the space"),
-            cfg,
-        );
-        let msg = leaf_query(QueryId { origin: 9, seq: 0 }, 1);
-        let _ = a.handle_message(9, Message::Query(msg.clone()), 0);
-        let second = a.handle_message(9, Message::Query(msg), 1);
-        let Output::Send {
-            msg: Message::Reply(r),
-            ..
-        } = &second[0]
-        else {
-            panic!()
-        };
-        assert!(r.matching.is_empty(), "no cache, duplicate answered empty");
-    }
-
-    /// The cache is FIFO-bounded: concluding more upstream queries than
-    /// `reply_cache` evicts the oldest entry, whose duplicates then answer
+    /// The cache is FIFO-bounded: concluding one upstream query more than
+    /// [`REPLY_CACHE`] evicts the oldest entry, whose duplicates then answer
     /// empty again.
     #[test]
     fn reply_cache_evicts_fifo_at_its_bound() {
-        let s = space();
-        let cfg = ProtocolConfig {
-            reply_cache: 2,
-            ..ProtocolConfig::default()
-        };
-        let mut a = SelectionNode::new(
-            1,
-            &s,
-            s.point(&[5, 5]).expect("coords lie inside the space"),
-            cfg,
-        );
-        for seq in 0..3 {
+        let mut a = node(1, [5, 5]);
+        let last = REPLY_CACHE as u32;
+        for seq in 0..=last {
             let msg = leaf_query(QueryId { origin: 9, seq }, 1);
             let _ = a.handle_message(9, Message::Query(msg), u64::from(seq));
         }
-        // seq 0 was evicted (bound 2), seqs 1 and 2 are still cached.
-        let dup0 = a.handle_message(
-            9,
-            Message::Query(leaf_query(QueryId { origin: 9, seq: 0 }, 1)),
-            10,
-        );
-        let Output::Send {
-            msg: Message::Reply(r),
-            ..
-        } = &dup0[0]
-        else {
-            panic!()
+        let dup = |a: &mut SelectionNode, seq: u32| {
+            let out = a.handle_message(
+                9,
+                Message::Query(leaf_query(QueryId { origin: 9, seq }, 1)),
+                100,
+            );
+            let [Output::Send {
+                msg: Message::Reply(r),
+                ..
+            }] = &out[..]
+            else {
+                panic!("{out:?}")
+            };
+            r.matching.len()
         };
-        assert!(r.matching.is_empty(), "evicted entry answers empty");
-        let dup2 = a.handle_message(
-            9,
-            Message::Query(leaf_query(QueryId { origin: 9, seq: 2 }, 1)),
-            11,
-        );
-        let Output::Send {
-            msg: Message::Reply(r),
-            ..
-        } = &dup2[0]
-        else {
-            panic!()
-        };
-        assert_eq!(r.matching.len(), 1, "recent entry still cached");
+        // seq 0 was evicted, seqs 1 to `last` are still cached.
+        assert_eq!(dup(&mut a, 0), 0, "evicted entry answers empty");
+        assert_eq!(dup(&mut a, 1), 1, "oldest kept entry still cached");
+        assert_eq!(dup(&mut a, last), 1, "recent entry still cached");
     }
 
     /// The root of the PR-1 caveat: a duplicate QUERY arriving while the
@@ -1566,7 +1473,6 @@ mod tests {
             dims: all_dims(2),
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt: 7,
         };
         let first = b.handle_message(1, Message::Query(msg.clone()), 0);
@@ -2254,7 +2160,6 @@ mod tests {
                     assert!(r.query.is_none());
                     assert!(r.dynamic.is_empty() && r.matching.is_empty());
                     assert!(r.matched_ids.is_empty() && r.waiting.is_empty());
-                    assert!(r.contacted_zero.is_empty() && r.visited_zero.is_empty());
                 }
             });
         }

@@ -1,6 +1,6 @@
-//! Tests for the paper's extension points: dynamic attributes checked
-//! locally at match time (footnote 1) and the `C0` epidemic relay for
-//! densely populated lowest-level cells (§4.1).
+//! Tests for the paper's extension points and edge rules: dynamic
+//! attributes checked locally at match time (footnote 1), count queries,
+//! the `C0` fan-out (§4.1) and hostile scope fields.
 
 #![allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
 
@@ -130,135 +130,62 @@ fn missing_dynamic_value_never_matches() {
     assert!(matches.is_empty(), "no value set for key 9");
 }
 
-/// Builds a dense single-`C0` population where each node only knows a few
-/// mates (a chain), so plain zero-fanout cannot cover the cell but the
-/// epidemic relay can.
-fn dense_cell_chain(relay: bool) -> Vec<SelectionNode> {
-    let space = Space::uniform(2, 80, 2).unwrap();
-    let cfg = ProtocolConfig {
-        c0_relay: relay,
-        ..ProtocolConfig::default()
-    };
-    let n = 12;
-    let mut nodes: Vec<SelectionNode> = (0..n)
+/// The one `C0` rule (§4.1, Fig. 5's zero-level loop): once the levels
+/// above are exhausted, a node hands the query to every matching `C0` mate
+/// it knows, and each answers directly. Mates it does not know are not
+/// reached, and σ does not cut the loop short.
+#[test]
+fn c0_fanout_contacts_exactly_the_known_matching_mates() {
+    // A single-`C0` ring where each node knows only its successor: the
+    // origin reaches its one known mate, once, and nobody else.
+    let s = Space::uniform(1, 80, 1).unwrap();
+    let mut ring: Vec<SelectionNode> = (0..4)
+        .map(|id| SelectionNode::new(id, &s, s.point(&[id + 1]).unwrap(), Default::default()))
+        .collect();
+    for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
+        let p = ring[b].point().clone();
+        ring[a].routing_mut().observe(b as NodeId, p);
+    }
+    let query = Query::builder(&s).range("a0", 0, 39).build().unwrap();
+    let run = common::run(&mut ring, 0, query.into(), 0);
+    let mut got: Vec<NodeId> = run.matches.iter().map(|m| m.node).collect();
+    got.sort_unstable();
+    assert_eq!(got, vec![0, 1]);
+    assert_eq!(run.receipts, vec![0, 1, 0, 0], "one receipt per known mate");
+
+    // A denser cell whose origin knows every mate: a σ-bounded query still
+    // contacts each matching one (the documented overshoot), and no other.
+    let s = Space::uniform(2, 80, 2).unwrap();
+    let mut cell: Vec<SelectionNode> = (0..12)
         .map(|i| {
-            // All in the same C0 bucket (values 0..19 → bucket 0 at L=2).
             SelectionNode::new(
                 i,
-                &space,
-                space.point(&[5 + i % 10, 7]).unwrap(),
-                cfg.clone(),
+                &s,
+                s.point(&[5 + i % 10, 7]).unwrap(),
+                Default::default(),
             )
         })
         .collect();
-    // Chain knowledge: node i knows only i-1 and i+1.
-    let points: Vec<_> = nodes.iter().map(|x| x.point().clone()).collect();
-    for i in 0..n as usize {
-        if i > 0 {
-            nodes[i]
-                .routing_mut()
-                .observe((i - 1) as NodeId, points[i - 1].clone());
-        }
-        if i + 1 < n as usize {
-            nodes[i]
-                .routing_mut()
-                .observe((i + 1) as NodeId, points[i + 1].clone());
-        }
+    for i in 1..12 {
+        let p = cell[i].point().clone();
+        cell[0].routing_mut().observe(i as NodeId, p);
     }
-    nodes
-}
-
-#[test]
-fn c0_relay_covers_mates_beyond_direct_knowledge() {
-    let space = Space::uniform(2, 80, 2).unwrap();
-    let query = Query::builder(&space).max("a0", 79).build().unwrap();
-
-    // Without the relay: origin 0 only reaches its direct mate(s).
-    let mut plain = dense_cell_chain(false);
-    let matches = common::run(&mut plain, 0, query.clone().into(), 0).matches;
-    assert!(
-        matches.len() <= 2,
-        "plain fanout is bounded by direct knowledge, got {}",
-        matches.len()
-    );
-
-    // With the relay: the query spreads down the chain epidemic-style.
-    let mut relayed = dense_cell_chain(true);
-    let run = common::run(&mut relayed, 0, query.clone().into(), 0);
-    assert_eq!(run.matches.len(), 12, "relay reaches the whole cell");
-    // The visited_zero set keeps the epidemic nearly duplicate-free in a
-    // chain topology: every node receives the query exactly once.
+    let query = Query::builder(&s).max("a0", 9).build().unwrap();
+    let matching: Vec<NodeId> = (0..12).filter(|&i| 5 + i % 10 <= 9).collect();
+    let run = common::run(&mut cell, 0, QueryRequest::matches(query, Some(4)), 0);
+    let mut got: Vec<NodeId> = run.matches.iter().map(|m| m.node).collect();
+    got.sort_unstable();
+    assert_eq!(got, matching, "every known matching mate, past σ = 4");
     for (i, &r) in run.receipts.iter().enumerate().skip(1) {
-        assert_eq!(r, 1, "node {i} receipts");
+        let want = u32::from(matching.contains(&(i as NodeId)));
+        assert_eq!(r, want, "node {i} receipts");
     }
-}
+    assert_eq!(run.receipts[0], 0, "nothing re-delivered to the origin");
 
-#[test]
-fn c0_relay_with_sigma_overshoots_but_terminates() {
-    // Fig. 5's zero-level loop contacts matching mates without consulting σ
-    // (σ prunes only the level > 0 exploration), so a relayed chain returns
-    // the whole cell — a documented overshoot, never an under-delivery or a
-    // hang.
-    let space = Space::uniform(2, 80, 2).unwrap();
-    let query = Query::builder(&space).max("a0", 79).build().unwrap();
-    let mut relayed = dense_cell_chain(true);
-    let matches = common::run(&mut relayed, 0, QueryRequest::matches(query, Some(4)), 0).matches;
-    assert!(matches.len() >= 4, "σ satisfied via relay");
-    assert_eq!(matches.len(), 12);
-    for n in relayed.iter() {
-        assert_eq!(n.pending_len(), 0, "no dangling state after the epidemic");
+    for n in ring.iter().chain(&cell) {
+        assert_eq!(n.pending_len(), 0, "node {} keeps pending state", n.id());
+        assert_eq!(n.duplicate_receipts(), 0, "node {} saw a duplicate", n.id());
     }
-}
-
-/// The §4.1 epidemic relay: leaf receivers re-forward to same-`C0` mates
-/// the sender did not know. Four nodes share one `C0` cell but each knows
-/// only its ring successor (A→B→C→D→A), so full coverage *requires*
-/// relaying — and D's link back to A is exactly the edge that would
-/// re-deliver the query if the message's `visited_zero` set did not
-/// suppress it.
-#[test]
-fn c0_relay_covers_the_cell_without_duplicate_deliveries() {
-    let s = Space::uniform(1, 80, 1).unwrap();
-    let query = Query::builder(&s).range("a0", 0, 39).build().unwrap();
-    let run = |c0_relay: bool| -> (Vec<NodeId>, Vec<u32>, u64) {
-        let cfg = ProtocolConfig {
-            c0_relay,
-            ..ProtocolConfig::default()
-        };
-        let mut nodes: Vec<SelectionNode> = (0..4)
-            .map(|id| SelectionNode::new(id, &s, s.point(&[id + 1]).unwrap(), cfg.clone()))
-            .collect();
-        for (a, b) in [(0, 1), (1, 2), (2, 3), (3, 0)] {
-            let p = nodes[b].point().clone();
-            nodes[a].routing_mut().observe(b as NodeId, p);
-        }
-        let run = common::run(&mut nodes, 0, query.clone().into(), 0);
-        let mut got: Vec<NodeId> = run.matches.iter().map(|m| m.node).collect();
-        got.sort_unstable();
-        let dups = nodes.iter().map(|n| n.duplicate_receipts()).sum();
-        for n in &nodes {
-            assert_eq!(n.pending_len(), 0, "no residual state");
-        }
-        (got, run.receipts, dups)
-    };
-
-    // Without the relay, A's leaf fan-out stops at its only known mate.
-    let (reached_off, _, _) = run(false);
-    assert_eq!(reached_off, vec![0, 1]);
-
-    // With it, the query percolates the whole cell…
-    let (reached_on, receipts, dups) = run(true);
-    assert_eq!(reached_on, vec![0, 1, 2, 3]);
-    // …and `visited_zero` suppresses the ring-closing edge D→A: every
-    // node received the query exactly once, none twice.
-    for (node, &count) in receipts.iter().enumerate().skip(1) {
-        assert_eq!(count, 1, "node {node} received {count} deliveries");
-    }
-    assert_eq!(receipts[0], 0, "nothing re-delivered to the origin");
-    assert_eq!(
-        dups, 0,
-        "the dedup set left nothing for the seen-set to catch"
-    );
 }
 
 #[test]
@@ -284,7 +211,6 @@ fn hostile_scope_fields_cannot_panic_a_node() {
             dims,
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt: 1,
         };
         let outs = nodes[0].handle_message(999, Message::Query(msg), 0);

@@ -532,7 +532,6 @@ mod tests {
                 },
                 protocol: autosel_core::ProtocolConfig {
                     query_timeout_ms: 60_000,
-                    ..Default::default()
                 },
                 ..NetConfig::default()
             }

@@ -32,7 +32,6 @@ impl Default for NetConfig {
             },
             protocol: ProtocolConfig {
                 query_timeout_ms: 5_000,
-                ..ProtocolConfig::default()
             },
             injected_latency_ms: Some((1, 5)),
             inbox_capacity: 4_096,

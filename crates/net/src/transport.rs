@@ -586,7 +586,7 @@ fn read_frames(
 mod tests {
     use super::*;
     use attrspace::Query;
-    use autosel_core::{Message, QueryId, QueryMsg};
+    use autosel_core::{Match, Message, QueryId, QueryMsg, ReplyMsg};
     use proptest::prelude::*;
     use std::io::{Cursor, Read};
     use std::sync::atomic::Ordering::Relaxed;
@@ -604,21 +604,31 @@ mod tests {
             dims: 0b11,
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt: 1,
         }))
     }
 
-    /// A query message whose frame *length prefix* is as close under
-    /// `target_len` as the 8-byte granularity of `visited_zero` allows.
-    fn msg_with_frame_len_near(space: &Space, target_len: usize) -> NetMessage {
-        let base = sample_msg(space);
-        let extra = (target_len - frame(1, 2, &base).len()) / 8;
-        let NetMessage::Protocol(Message::Query(mut q)) = base else {
-            unreachable!()
+    /// A REPLY whose frame *length prefix* is as close under `target_len`
+    /// as the width of one encoded match allows, and that width.
+    fn msg_with_frame_len_near(space: &Space, target_len: usize) -> (NetMessage, usize) {
+        let values = space.point(&[1, 2]).unwrap();
+        let reply = |n: u64| {
+            let matching: Vec<Match> = (0..n)
+                .map(|node| Match {
+                    node,
+                    values: values.clone(),
+                })
+                .collect();
+            NetMessage::Protocol(Message::Reply(ReplyMsg {
+                id: QueryId { origin: 1, seq: 2 },
+                matching: matching.into(),
+                count: n,
+                attempt: 1,
+            }))
         };
-        q.visited_zero = (0..extra as u64).collect();
-        NetMessage::Protocol(Message::Query(q))
+        let base = frame(1, 2, &reply(0)).len();
+        let width = frame(1, 2, &reply(1)).len() - base;
+        (reply(((target_len - base) / width) as u64), width)
     }
 
     fn frame(from: NodeId, to: NodeId, msg: &NetMessage) -> Frame {
@@ -838,16 +848,16 @@ mod tests {
         let space = space();
         let (_fabric, inboxes, _listeners, outs, transport) = plane(2, 1);
 
-        // Largest legal: len within 8 bytes under the cap (entry granularity).
-        let legal = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1);
-        assert!((MAX_FRAME_LEN - 8..MAX_FRAME_LEN).contains(&frame(0, 1, &legal).len()));
+        // Largest legal: len within one match's width under the cap.
+        let (legal, width) = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1);
+        assert!((MAX_FRAME_LEN - width..MAX_FRAME_LEN).contains(&frame(0, 1, &legal).len()));
         outs[0].send(0, 0, 1, &legal).unwrap();
         let (_, event) = next(&inboxes[0]);
         let round_tripped = matches!(event, PeerEvent::Deliver(0, ref m) if *m == legal);
         assert!(round_tripped, "boundary frame round-trips");
 
-        // One entry more crosses the cap: dropped at send, counted.
-        let oversize = msg_with_frame_len_near(&space, MAX_FRAME_LEN + 7);
+        // One match more crosses the cap: dropped at send, counted.
+        let (oversize, _) = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1 + width);
         assert!(frame(0, 1, &oversize).len() >= MAX_FRAME_LEN);
         outs[0].send(0, 0, 1, &oversize).unwrap();
         assert_eq!(transport.tcp_stats().unwrap().tx_oversize_drops, 1);

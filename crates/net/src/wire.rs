@@ -94,10 +94,6 @@ pub fn encode(msg: &NetMessage) -> Bytes {
                 buf.put_u64_le(c.range.lo);
                 buf.put_u64_le(c.range.hi);
             }
-            buf.put_u32_le(q.visited_zero.len() as u32);
-            for &v in &q.visited_zero {
-                buf.put_u64_le(v);
-            }
             buf.put_u8(u8::from(q.count_only));
         }
         NetMessage::Protocol(Message::Reply(r)) => {
@@ -168,11 +164,6 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
                     },
                 });
             }
-            let nv = take_u32(&mut buf)? as usize;
-            let mut visited_zero = Vec::with_capacity(capacity_for(nv, &buf, 8));
-            for _ in 0..nv {
-                visited_zero.push(take_u64(&mut buf)?);
-            }
             let count_only = take_u8(&mut buf)? != 0;
             NetMessage::Protocol(Message::Query(QueryMsg {
                 id,
@@ -182,7 +173,6 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
                 dims,
                 dynamic,
                 count_only,
-                visited_zero,
                 attempt,
             }))
         }
@@ -374,7 +364,6 @@ mod tests {
                 range: Range { lo: 5, hi: 10 },
             }],
             count_only: true,
-            visited_zero: vec![3, 8],
             attempt: 6,
         };
         let msg = NetMessage::Protocol(Message::Query(q.clone()));
@@ -445,13 +434,24 @@ mod tests {
             dims: 0b11,
             dynamic: Vec::new(),
             count_only: false,
-            visited_zero: Vec::new(),
             attempt: 1,
         }));
         assert!(matches!(
             decode(&s, encode(&msg)).unwrap_err(),
             WireError::BadSpace(_)
         ));
+        // A QUERY in the older layout, with a `u32` count of node ids and
+        // the ids ahead of the `count_only` byte, is refused, not misread.
+        let frame = encode(&msg);
+        let (head, flag) = frame[..].split_at(frame.len() - 1);
+        let mut old = BytesMut::from(head);
+        old.put_u32_le(1);
+        old.put_u64_le(42);
+        old.extend_from_slice(flag);
+        assert_eq!(
+            decode(&two, old.freeze()).unwrap_err(),
+            WireError::Trailing(12)
+        );
         // Trailing garbage.
         let good = encode(&NetMessage::Gossip(GossipMessage::Response {
             layer: Layer::Random,

@@ -79,7 +79,6 @@ fn fast_config() -> NetConfig {
         // subtrees and silently loses matches.
         protocol: autosel_core::ProtocolConfig {
             query_timeout_ms: 10_000,
-            ..Default::default()
         },
         injected_latency_ms: Some((1, 3)),
         ..NetConfig::default()

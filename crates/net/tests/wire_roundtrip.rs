@@ -94,10 +94,9 @@ fn arb_query_msg(space: Space) -> impl Strategy<Value = QueryMsg> {
         any::<u32>(),
         prop::collection::vec(arb_range(), d),
         prop::collection::vec((any::<u32>(), arb_range()), 0..4),
-        prop::collection::vec(any::<u64>(), 0..8),
     )
         .prop_map(
-            move |(origin, seq, sigma, level, dims, ranges, dynamic, visited)| QueryMsg {
+            move |(origin, seq, sigma, level, dims, ranges, dynamic)| QueryMsg {
                 id: QueryId { origin, seq },
                 query: Query::from_ranges(&space, ranges)
                     .expect("lo<=hi by construction")
@@ -110,7 +109,6 @@ fn arb_query_msg(space: Space) -> impl Strategy<Value = QueryMsg> {
                     .map(|(key, range)| DynamicConstraint { key, range })
                     .collect(),
                 count_only: origin % 2 == 0,
-                visited_zero: visited,
                 attempt: seq ^ dims,
             },
         )
@@ -289,8 +287,8 @@ fn query_with_ranges(b: &mut BytesMut, d: usize) {
 /// Every length field the decoder reads, forged to its maximum over a
 /// frame of a few dozen bytes: the decoder must report `Truncated` and
 /// never hold more heap than a small multiple of the frame it was given.
-/// (Before bounded preallocation a forged `visited_zero` count reserved
-/// 32 KiB and a forged REPLY count 24 KiB for a 40-byte frame.)
+/// (Before bounded preallocation a forged REPLY count reserved 24 KiB for
+/// a 40-byte frame.)
 #[test]
 fn forged_lengths_allocate_no_more_than_the_frame_holds() {
     let space = Space::uniform(2, 80, 3).unwrap();
@@ -325,15 +323,6 @@ fn forged_lengths_allocate_no_more_than_the_frame_holds() {
                 query_with_ranges(b, d);
                 b.put_u16_le(u16::MAX);
                 b.put_u32_le(5);
-            }),
-        ),
-        (
-            "visited_zero",
-            frame(|b| {
-                query_with_ranges(b, d);
-                b.put_u16_le(0);
-                b.put_u32_le(u32::MAX);
-                b.put_u64_le(3);
             }),
         ),
         (

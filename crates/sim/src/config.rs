@@ -43,7 +43,6 @@ impl SimConfig {
             gossip: GossipConfig::default(),
             protocol: ProtocolConfig {
                 query_timeout_ms: 60_000,
-                ..ProtocolConfig::default()
             },
             latency: LatencyModel::Constant { ms: 1 },
             gossip_enabled: false,

@@ -15,7 +15,6 @@ fn lossy_config(loss: f64) -> SimConfig {
         },
         protocol: autosel_core::ProtocolConfig {
             query_timeout_ms: 2_000,
-            ..Default::default()
         },
         gossip_enabled: false,
         ..SimConfig::default()

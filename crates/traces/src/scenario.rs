@@ -809,22 +809,13 @@ impl SoakRunner {
     }
 
     /// Runs the whole arc — warmup, events, drain — sampling every
-    /// `sample_every_ms`. See [`run_with`](Self::run_with).
+    /// `sample_every_ms`, with a harvest hook: `on_harvest` sees every
+    /// probe's final [`QueryStats`] (aggregation, CSV rows, `stats-json`).
     ///
     /// # Errors
     ///
     /// The first [`InvariantViolation`], with the cluster left at the
     /// violating instant.
-    pub fn run(&mut self, sample_every_ms: u64) -> Result<Vec<SoakSample>, InvariantViolation> {
-        self.run_with(sample_every_ms, |_| {})
-    }
-
-    /// [`run`](Self::run) with a harvest hook: `on_harvest` sees every
-    /// probe's final [`QueryStats`] (aggregation, CSV rows, `stats-json`).
-    ///
-    /// # Errors
-    ///
-    /// The first [`InvariantViolation`] found.
     pub fn run_with(
         &mut self,
         sample_every_ms: u64,
@@ -861,7 +852,6 @@ impl SoakRunner {
         let sample_every = sample_every_ms.max(1_000);
         let end = self.compiled.warmup_ms + self.compiled.horizon_ms;
         let mut samples = Vec::new();
-        let mut last_harvest_count = 0u64;
         let mut last_delivery_bucket: (u64, u64) = (0, 0); // (sum_x1000, n)
         let mut next_sample = self.compiled.warmup_ms;
 
@@ -883,10 +873,9 @@ impl SoakRunner {
             last_delivery_bucket.0 += bucket.0;
             last_delivery_bucket.1 += bucket.1;
             if t >= next_sample {
-                let s = self.sample(t, last_harvest_count, last_delivery_bucket);
+                let s = self.sample(t, last_delivery_bucket);
                 on_sample(&s);
                 samples.push(s);
-                last_harvest_count = self.harvested;
                 last_delivery_bucket = (0, 0);
                 next_sample = t + sample_every;
             }
@@ -904,7 +893,7 @@ impl SoakRunner {
             last_delivery_bucket.0 += bucket.0;
             last_delivery_bucket.1 += bucket.1;
         }
-        let s = self.sample(t, last_harvest_count, last_delivery_bucket);
+        let s = self.sample(t, last_delivery_bucket);
         on_sample(&s);
         samples.push(s);
         self.checker.check_quiescent(&self.sim)?;
@@ -959,7 +948,7 @@ impl SoakRunner {
         bucket
     }
 
-    fn sample(&self, t: u64, _prev_harvested: u64, bucket: (u64, u64)) -> SoakSample {
+    fn sample(&self, t: u64, bucket: (u64, u64)) -> SoakSample {
         let (random, semantic) = self.sim.gossip_health();
         SoakSample {
             t_ms: t,
@@ -1083,7 +1072,7 @@ mod tests {
             .warmup_ms(60_000)
             .diurnal(120, 80, 120_000);
         let mut runner = SoakRunner::new(&spec, 42);
-        let samples = runner.run(60_000).expect("strict soak clean");
+        let samples = runner.run_with(60_000, |_| {}).expect("strict soak clean");
         assert!(samples.len() >= 3);
         let last = samples.last().unwrap();
         assert_eq!(last.pending, 0, "drained");
