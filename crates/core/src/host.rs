@@ -39,7 +39,12 @@ pub enum Effect {
 /// place that knows how the two machines meet:
 ///
 /// * a gossip message or round is followed by
-///   [`sync_from_view`](SelectionNode::sync_from_view);
+///   [`sync_from_view`](SelectionNode::sync_from_view), unless neither the
+///   semantic view nor the routing table changed since the last one (by
+///   their stamps, [`View::stamp`](epigossip::View::stamp) and
+///   [`routing_stamp`](SelectionNode::routing_stamp)): a rebuild from the
+///   view of the last rebuild into the table it left draws nothing and
+///   changes nothing;
 /// * a neighbor that timed out and a peer the transport reports
 ///   [`unreachable`](Self::unreachable) both leave the gossip layers;
 /// * sends and completions are appended, in order, to the caller's buffer.
@@ -49,13 +54,29 @@ pub enum Effect {
 pub struct Host {
     selection: SelectionNode,
     /// Boxed: a node of a static overlay never gossips and pays one word.
-    gossip: Option<Box<GossipStack<NodeProfile>>>,
+    gossip: Option<Box<Gossip>>,
+}
+
+/// A gossiping node's stack and what its routing table was last rebuilt
+/// from.
+#[derive(Debug)]
+struct Gossip {
+    stack: GossipStack<NodeProfile>,
+    /// The semantic view's stamp and the routing table's right after the
+    /// last rebuild; `None` before the first.
+    synced: Option<(u64, u32)>,
 }
 
 impl Host {
     /// A node from its selection machine and, if it gossips, a stack
     /// advertising the same profile.
-    pub fn new(selection: SelectionNode, gossip: Option<Box<GossipStack<NodeProfile>>>) -> Self {
+    pub fn new(selection: SelectionNode, gossip: Option<GossipStack<NodeProfile>>) -> Self {
+        let gossip = gossip.map(|stack| {
+            Box::new(Gossip {
+                stack,
+                synced: None,
+            })
+        });
         Host { selection, gossip }
     }
 
@@ -65,20 +86,23 @@ impl Host {
     }
 
     /// The selection state machine, for set-up (oracle wiring, dynamic
-    /// attributes) and test harnesses.
+    /// attributes) and test harnesses. Every write to the routing table
+    /// through it moves the table's
+    /// [`routing_stamp`](SelectionNode::routing_stamp), so the next gossip
+    /// event re-syncs the table.
     pub fn selection_mut(&mut self) -> &mut SelectionNode {
         &mut self.selection
     }
 
     /// The gossip stack, if this node gossips.
     pub fn gossip(&self) -> Option<&GossipStack<NodeProfile>> {
-        self.gossip.as_deref()
+        self.gossip.as_deref().map(|g| &g.stack)
     }
 
     /// Installs an observability sink on both machines.
     pub fn set_observer(&mut self, obs: ObsHandle) {
         if let Some(g) = self.gossip.as_mut() {
-            g.set_observer(obs.clone());
+            g.stack.set_observer(obs.clone());
         }
         self.selection.set_observer(obs);
     }
@@ -86,7 +110,7 @@ impl Host {
     /// Bootstrap: seeds both gossip layers with a known peer.
     pub fn introduce(&mut self, id: NodeId, profile: NodeProfile) {
         if let Some(g) = self.gossip.as_mut() {
-            g.introduce(id, profile);
+            g.stack.introduce(id, profile);
         }
     }
 
@@ -114,8 +138,8 @@ impl Host {
             }
             NetMessage::Gossip(m) => {
                 if let Some(g) = self.gossip.as_mut() {
-                    let replies = g.handle(from, m, rng);
-                    self.selection.sync_from_view(g.semantic_view(), now, rng);
+                    let replies = g.stack.handle(from, m, rng);
+                    g.sync(&mut self.selection, now, rng);
                     out.extend(gossip(replies));
                 }
             }
@@ -125,8 +149,8 @@ impl Host {
     /// One gossip round (empty before the stack's first scheduled time).
     pub fn gossip_tick<R: Rng + ?Sized>(&mut self, now: u64, rng: &mut R, out: &mut Vec<Effect>) {
         if let Some(g) = self.gossip.as_mut() {
-            let msgs = g.tick(now, rng);
-            self.selection.sync_from_view(g.semantic_view(), now, rng);
+            let msgs = g.stack.tick(now, rng);
+            g.sync(&mut self.selection, now, rng);
             out.extend(gossip(msgs));
         }
     }
@@ -147,7 +171,7 @@ impl Host {
 
     fn evict(&mut self, peer: NodeId) {
         if let Some(g) = self.gossip.as_mut() {
-            g.evict(peer);
+            g.stack.evict(peer);
         }
     }
 
@@ -164,6 +188,19 @@ impl Host {
     }
 }
 
+impl Gossip {
+    /// Rebuilds `selection`'s routing table from the semantic view, unless
+    /// neither changed since the last rebuild.
+    fn sync<R: Rng + ?Sized>(&mut self, selection: &mut SelectionNode, now: u64, rng: &mut R) {
+        let view = self.stack.semantic_view();
+        if self.synced == Some((view.stamp(), selection.routing_stamp())) {
+            return;
+        }
+        selection.sync_from_view(view, now, rng);
+        self.synced = Some((view.stamp(), selection.routing_stamp()));
+    }
+}
+
 fn gossip(msgs: Vec<(NodeId, GossipMessage<NodeProfile>)>) -> impl Iterator<Item = Effect> {
     msgs.into_iter()
         .map(|(to, m)| Effect::Send(to, NetMessage::Gossip(m)))
@@ -176,7 +213,7 @@ mod tests {
     use attrspace::{Query, Space};
     use epigossip::{Descriptor, GossipConfig, Layer};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     use super::*;
     use crate::{ProtocolConfig, SlotSelector};
@@ -200,7 +237,7 @@ mod tests {
         }
         let selector = Arc::new(SlotSelector::default());
         let stack = GossipStack::with_selector(1, own, GossipConfig::default(), selector);
-        Host::new(sel, gossips.then(|| Box::new(stack)))
+        Host::new(sel, gossips.then_some(stack))
     }
 
     fn gossip(layer: Layer, batch: Vec<Descriptor<NodeProfile>>) -> NetMessage {
@@ -308,5 +345,162 @@ mod tests {
             "{out:?}"
         );
         assert_eq!(host.selection().routing().link_count(), 0);
+    }
+
+    /// One step of [`skipping_no_op_syncs_equals_always_rebuilding`].
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// A gossip round, one period on.
+        Tick,
+        /// A gossip message from a peer: `kind` picks request or response
+        /// and the layer, the batch holds `(id, age)` descriptors.
+        Gossip(u8, NodeId, Vec<(NodeId, u32)>),
+        /// The transport reports a peer unreachable.
+        Unreachable(NodeId),
+        /// A test hook drops a peer from the routing table.
+        Forget(NodeId),
+        /// A count query, whose waits a later poll expires.
+        Query,
+        /// Every wait expires.
+        Expire,
+    }
+
+    fn step() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        let peer = || 2..24u64;
+        prop_oneof![
+            Just(Step::Tick),
+            Just(Step::Tick),
+            (
+                0u8..4,
+                peer(),
+                prop::collection::vec((peer(), 0u32..4), 0..8)
+            )
+                .prop_map(|(kind, from, batch)| Step::Gossip(kind, from, batch)),
+            (
+                0u8..4,
+                peer(),
+                prop::collection::vec((peer(), 0u32..4), 0..8)
+            )
+                .prop_map(|(kind, from, batch)| Step::Gossip(kind, from, batch)),
+            peer().prop_map(Step::Unreachable),
+            peer().prop_map(Step::Forget),
+            Just(Step::Query),
+            Just(Step::Expire),
+        ]
+    }
+
+    /// Peer `id`'s profile: spread over the space, a few in node 1's cell.
+    fn peer(id: NodeId) -> NodeProfile {
+        match id % 5 {
+            0 => profile([id % 10, 9 - id % 10]),
+            _ => profile([(id * 37) % 80, (id * 53) % 80]),
+        }
+    }
+
+    /// Runs `steps` through a host that skips no-op syncs and one that
+    /// rebuilds after every gossip event; panics where they part. Returns
+    /// `(syncs skipped, gossip events)`.
+    fn skipping_against_rebuilding(seed: u64, steps: &[Step]) -> (usize, usize) {
+        let mut hosts = [host(true, &[]), host(true, &[])];
+        let mut rngs = [StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed)];
+        for h in &mut hosts {
+            for id in [2, 7, 11, 15] {
+                h.introduce(id, peer(id));
+            }
+        }
+        let (mut skipped, mut events, mut now) = (0, 0, 0);
+        for step in steps {
+            let mut outs = [Vec::new(), Vec::new()];
+            if matches!(step, Step::Tick) {
+                now += GossipConfig::default().period_ms;
+            }
+            let stamp = hosts[0].selection().routing_stamp();
+            for (i, (h, rng)) in hosts.iter_mut().zip(&mut rngs).enumerate() {
+                if i == 1 {
+                    h.gossip.as_mut().expect("gossips").synced = None;
+                }
+                let out = &mut outs[i];
+                match step {
+                    Step::Tick => h.gossip_tick(now, rng, out),
+                    Step::Gossip(kind, from, batch) => {
+                        let layer = [Layer::Random, Layer::Semantic][usize::from(kind % 2)];
+                        let batch = batch
+                            .iter()
+                            .map(|&(id, age)| Descriptor {
+                                id,
+                                profile: peer(id),
+                                age,
+                            })
+                            .collect();
+                        let msg = match kind / 2 {
+                            0 => GossipMessage::Request {
+                                layer,
+                                from_profile: peer(*from),
+                                batch,
+                            },
+                            _ => GossipMessage::Response { layer, batch },
+                        };
+                        h.deliver(*from, NetMessage::Gossip(msg), now, rng, out);
+                    }
+                    Step::Unreachable(id) => h.unreachable(*id, now, out),
+                    Step::Forget(id) => h.selection_mut().routing_mut().remove(*id),
+                    Step::Query => {
+                        h.begin(QueryRequest::count(query(h, 0)), now, out);
+                    }
+                    Step::Expire => h.poll_timeouts(u64::MAX, out),
+                }
+            }
+            if matches!(step, Step::Tick | Step::Gossip(..)) {
+                events += 1;
+                skipped += usize::from(hosts[0].selection().routing_stamp() == stamp);
+            }
+            let [skipping, rebuilding] = &hosts;
+            let table = |h: &Host| {
+                let r = h.selection().routing();
+                let zero: Vec<NodeId> = r.zero_neighbors().map(|(id, _)| id).collect();
+                (r.filled_slots().collect::<Vec<_>>(), zero)
+            };
+            assert_eq!(table(skipping), table(rebuilding), "after {step:?}");
+            assert_eq!(outs[0], outs[1], "after {step:?}");
+            let [a, b] = &mut rngs;
+            assert_eq!(a.next_u64(), b.next_u64(), "RNG after {step:?}");
+        }
+        (skipped, events)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random gossip rounds and messages, transport failures, table
+        /// writes through the test hook, queries and their expiry: a host
+        /// that skips the re-syncs its stamps call no-ops keeps the same
+        /// routing table, sends the same messages and leaves the RNG at the
+        /// same point as a host that rebuilds after every gossip event.
+        #[test]
+        fn skipping_no_op_syncs_equals_always_rebuilding(
+            seed in 0u64..1000,
+            steps in proptest::prelude::prop::collection::vec(step(), 1..60),
+        ) {
+            skipping_against_rebuilding(seed, &steps);
+        }
+    }
+
+    /// The steps reach both ends: skipped and performed re-syncs.
+    #[test]
+    fn no_op_syncs_are_skipped_and_others_are_not() {
+        use proptest::strategy::Strategy;
+        let mut runner = proptest::test_runner::TestRunner::deterministic();
+        let (mut skipped, mut events) = (0, 0);
+        for seed in 0..50 {
+            let steps: Vec<Step> = (0..60).map(|_| step().generate(runner.rng_mut())).collect();
+            let (s, e) = skipping_against_rebuilding(seed, &steps);
+            skipped += s;
+            events += e;
+        }
+        assert!(
+            skipped * 20 > events && skipped * 10 < events * 9,
+            "{skipped} of {events} skipped"
+        );
     }
 }

@@ -82,5 +82,5 @@ pub use messages::{
 };
 pub use node::{Output, ProtocolConfig, SelectionNode};
 pub use profile::NodeProfile;
-pub use routing::{NeighborEntry, RoutingTable};
+pub use routing::{slot_class, NeighborEntry, RoutingTable};
 pub use selector::SlotSelector;

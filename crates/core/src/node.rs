@@ -327,6 +327,9 @@ pub struct SelectionNode {
     point: Point,
     coord: CellCoord,
     routing: RoutingTable,
+    /// Moves whenever the routing table may have been written; see
+    /// [`routing_stamp`](Self::routing_stamp).
+    routing_stamp: u32,
     /// Current values of this node's dynamic attributes (footnote 1).
     dynamic: FastMap<u32, attrspace::RawValue>,
     /// Records of the queries in flight here. Boxed, so an idle node's
@@ -382,6 +385,7 @@ impl SelectionNode {
             id,
             space: space.clone(),
             routing: RoutingTable::new(space.clone(), coord.clone()),
+            routing_stamp: 0,
             point,
             coord,
             dynamic: FastMap::default(),
@@ -454,8 +458,24 @@ impl SelectionNode {
     }
 
     /// Mutable access to the routing table (bootstrap / maintenance).
+    /// Moves the [`routing_stamp`](Self::routing_stamp).
     pub fn routing_mut(&mut self) -> &mut RoutingTable {
+        self.routing_written();
         &mut self.routing
+    }
+
+    /// The routing table's change stamp: it moves on every call that can
+    /// write the table — [`routing_mut`](Self::routing_mut),
+    /// [`sync_from_view`](Self::sync_from_view), an expiry in
+    /// [`poll_timeouts`](Self::poll_timeouts) and
+    /// [`peer_unreachable`](Self::peer_unreachable) — so equal readings
+    /// mean the table was not written in between.
+    pub fn routing_stamp(&self) -> u32 {
+        self.routing_stamp
+    }
+
+    fn routing_written(&mut self) {
+        self.routing_stamp = self.routing_stamp.wrapping_add(1);
     }
 
     /// Number of duplicate query receipts observed (§6 claims this is always
@@ -607,22 +627,22 @@ impl SelectionNode {
                 .all(|c| c.satisfied_by(self.dynamic.get(&c.key).copied()))
     }
 
-    /// Rebuilds the routing table from a gossip semantic view. `now` is
-    /// only used to timestamp the [`Event::ViewChange`] emission; the
+    /// Rebuilds the routing table from a gossip semantic view: the view of
+    /// a stack advertising this node's profile and ranking with
+    /// [`SlotSelector`](crate::SlotSelector), whose classes are the
+    /// entries' [`slot_class`](crate::slot_class)es from this node. `now`
+    /// is only used to timestamp the [`Event::ViewChange`] emission; the
     /// rebuild itself is time-independent.
     pub fn sync_from_view<R: Rng + ?Sized>(
         &mut self,
-        view: &View<NodeProfile>,
+        view: &View<NodeProfile, u64>,
         now: u64,
         rng: &mut R,
     ) {
-        // Peers are classified from their profiles' inline cell codes.
-        let (own, code) = (&self.coord, self.coord.code());
+        self.routing_written();
+        let entries = view.as_slice().iter().zip(view.classes());
         let changed = self.routing.rebuild(
-            view.iter().map(|d| {
-                let class = own.classify_coded(code, d.profile.coord(), d.profile.code());
-                (d.id, d.profile.point(), class)
-            }),
+            entries.map(|(d, &class)| (d.id, d.profile.point(), class)),
             rng,
         );
         self.obs.emit(|| Event::ViewChange {
@@ -705,6 +725,7 @@ impl SelectionNode {
             if expired.is_empty() {
                 continue;
             }
+            self.routing_stamp = self.routing_stamp.wrapping_add(1);
             for peer in expired {
                 p.waiting.remove(&peer);
                 self.timeouts_fired += 1;
@@ -729,6 +750,7 @@ impl SelectionNode {
     /// simply skipped, which is the paper's §6.6 "message is dropped"
     /// behaviour on a real transport (a dead TCP endpoint fails fast).
     pub fn peer_unreachable(&mut self, peer: NodeId, now: u64) -> Vec<Output> {
+        self.routing_written();
         self.routing.remove(peer);
         let mut out = Vec::new();
         let qids: Vec<QueryId> = self

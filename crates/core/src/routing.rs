@@ -31,6 +31,18 @@ pub struct NeighborEntry {
 /// never reach it.
 const EMPTY: NodeId = NodeId::MAX;
 
+/// The class of a peer at `n` from a node of a `dims`-dimensional space:
+/// `0` for a `C0` mate, else 1 + the routing slot `(level − 1) · dims +
+/// dim` it can fill. What [`SlotSelector`](crate::SlotSelector) ranks by
+/// and the semantic view keeps beside each entry, so
+/// [`RoutingTable::rebuild`] takes it as it is.
+pub fn slot_class(n: Neighborhood, dims: usize) -> u64 {
+    match n {
+        Neighborhood::Zero => 0,
+        Neighborhood::Cell { level, dim } => 1 + ((level as usize - 1) * dims + dim) as u64,
+    }
+}
+
 /// The per-node routing state of §4.1: one selected neighbor `n(l,k)` per
 /// neighboring subcell `N(l,k)` (empty slots mean no known node in that
 /// subcell) plus the `neighborsZero` set of all known same-`C0` nodes.
@@ -281,47 +293,45 @@ impl RoutingTable {
     /// the randomness that spreads query load across dense cells (§6.4).
     ///
     /// Candidates are borrowed `(id, point, class)` triples, the class being
-    /// where the candidate sits relative to this table's own coordinate (the
-    /// caller has it from the inline cell codes, see
-    /// [`NodeProfile::classify`](crate::NodeProfile::classify)); nothing is
-    /// cloned but the points of `C0` mates, which the table keeps. Slots are
-    /// visited in index order and draw one `gen_range(0..n)` only where the
-    /// holder is gone, picking among the slot's `n` candidates in the order
-    /// they were offered.
+    /// the candidate's [`slot_class`] from this table's own coordinate (the
+    /// semantic view keeps it beside each entry); nothing is cloned but the
+    /// points of `C0` mates, which the table keeps. Slots are visited in
+    /// index order and draw one `gen_range(0..n)` only where the holder is
+    /// gone, picking among the slot's `n` candidates in the order they were
+    /// offered (a second pass over the candidates, so they are `Clone`). So a rebuild from the candidates of the last rebuild, with
+    /// the table untouched since, draws nothing and changes nothing.
     ///
     /// Returns the number of `(l,k)` slots whose occupant changed (filled,
     /// emptied, or replaced) — the table-churn signal the observability
     /// layer tracks alongside gossip view turnover.
-    pub fn rebuild<'a, R: Rng + ?Sized>(
-        &mut self,
-        candidates: impl IntoIterator<Item = (NodeId, &'a Point, Neighborhood)>,
-        rng: &mut R,
-    ) -> usize {
-        // `(slot, id)` of every candidate outside `C0` in offer order, and
-        // per slot how many were offered and whether its holder was.
-        // Call-local on purpose: a per-table buffer would be paid by every
-        // node of a static 100 k-node overlay that never gossips.
-        let mut offered: Scratch<(u32, NodeId), 32> = Scratch::new();
+    pub fn rebuild<'a, R, C>(&mut self, candidates: C, rng: &mut R) -> usize
+    where
+        R: Rng + ?Sized,
+        C: IntoIterator<Item = (NodeId, &'a Point, u64)> + Clone,
+    {
+        // Per slot, how many candidates were offered and whether its holder
+        // was. Call-local on purpose: a per-table buffer would be paid by
+        // every node of a static 100 k-node overlay that never gossips.
         let mut count: Scratch<u32, 16> = Scratch::filled(self.slots.len(), 0);
         let mut held: Scratch<bool, 16> = Scratch::filled(self.slots.len(), false);
+        let (count, held) = (count.as_mut_slice(), held.as_mut_slice());
         self.clear_zero();
-        for (id, point, class) in candidates {
+        for (id, point, class) in candidates.clone() {
             debug_assert_eq!(
                 class,
-                self.own.classify(&self.space.cell_coord(point)),
+                slot_class(
+                    self.own.classify(&self.space.cell_coord(point)),
+                    self.space.dims()
+                ),
                 "class of {id}"
             );
-            match class {
-                Neighborhood::Zero => self.zero_mut().upsert(id, point.clone()),
-                Neighborhood::Cell { level, dim } => {
-                    let slot = self.slot_index(level, dim);
-                    count.as_mut_slice()[slot] += 1;
-                    held.as_mut_slice()[slot] |= self.slots[slot] == id;
-                    offered.push((slot as u32, id));
-                }
-            }
+            let Some(slot) = (class as usize).checked_sub(1) else {
+                self.zero_mut().upsert(id, point.clone());
+                continue;
+            };
+            count[slot] += 1;
+            held[slot] |= self.slots[slot] == id;
         }
-        let (count, held) = (count.as_slice(), held.as_slice());
         let mut changed = 0;
         for (slot, holder) in self.slots.iter_mut().enumerate() {
             if count[slot] == 0 {
@@ -335,8 +345,9 @@ impl RoutingTable {
                 continue;
             }
             let pick = rng.gen_range(0..count[slot] as usize);
-            let mut offers = offered.as_slice().iter().filter(|o| o.0 as usize == slot);
-            *holder = offers.nth(pick).expect("counted").1;
+            let class = slot as u64 + 1;
+            let mut offers = candidates.clone().into_iter().filter(|o| o.2 == class);
+            *holder = offers.nth(pick).expect("counted").0;
             changed += 1;
         }
         changed
@@ -461,18 +472,16 @@ mod tests {
     }
 
     /// `(id, point, class)` offers for `table`, classes from the cell codes
-    /// as `SelectionNode::sync_from_view` computes them.
-    fn offer(
-        table: &RoutingTable,
-        entries: &[(NodeId, Vec<u64>)],
-    ) -> Vec<(NodeId, Point, Neighborhood)> {
+    /// as the semantic view keeps them.
+    fn offer(table: &RoutingTable, entries: &[(NodeId, Vec<u64>)]) -> Vec<(NodeId, Point, u64)> {
         let (s, own) = (table.space(), table.own_coord());
         entries
             .iter()
             .map(|(id, vals)| {
                 let p = s.point(vals).expect("coords lie inside the space");
                 let c = s.cell_coord(&p);
-                (*id, p, own.classify_coded(own.code(), &c, c.code()))
+                let n = own.classify_coded(own.code(), &c, c.code());
+                (*id, p, slot_class(n, s.dims()))
             })
             .collect()
     }

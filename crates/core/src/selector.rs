@@ -1,7 +1,6 @@
-use attrspace::Neighborhood;
-use epigossip::{sort_smallest, Descriptor, NodeId, Ranking, Scratch, Selector};
+use epigossip::{sort_smallest, NodeId, RankKey, Ranking, Scratch, Selector};
 
-use crate::NodeProfile;
+use crate::{slot_class, NodeProfile};
 
 /// The [`Selector`] policy that drives the semantic gossip layer for
 /// resource selection (§5): instead of a scalar proximity metric, peers are
@@ -34,66 +33,82 @@ impl Default for SlotSelector {
 
 /// Inline sizes of the per-call scratch, at the paper's defaults (`d = 5`,
 /// `max(l) = 3`, a pool of one view plus one CYCLON view): rows for
-/// `zero_cap + 15 · per_slot` = 38 candidates, 16 classes, ≤ 48 pooled,
-/// and the leftovers that reach the partial sort.
+/// `zero_cap + 15 · per_slot` = 38 candidates, 16 classes, and the
+/// leftovers no row keeps.
 const ROWS: usize = 40;
 const CLASSES: usize = 16;
-const POOL: usize = 48;
 const LEFTOVERS: usize = 32;
 
+impl SlotSelector {
+    /// How many candidates of `class` a ranking keeps in its row.
+    fn row_cap(&self, class: usize) -> usize {
+        match class {
+            0 => self.zero_cap,
+            _ => self.per_slot,
+        }
+    }
+}
+
+/// Where ranking emits the member of `class`'s row at `rank`: the `C0` row
+/// first, then rank 0 of every slot in (level, dim) order, then rank 1, …
+/// — ordered as tuples.
+fn cell(class: usize, rank: usize) -> (bool, usize, usize) {
+    (class > 0, rank, class)
+}
+
 impl Selector<NodeProfile> for SlotSelector {
-    /// One pass over the pool: each candidate's class (`0` for `C0`,
-    /// `1 + slot index` otherwise) comes from the inline cell codes, and
-    /// each class keeps its best `per_slot` (`zero_cap` for `C0`)
-    /// candidates by `(age, id)` — youngest first, fresher descriptors are
-    /// likelier alive, the earlier one winning a tie — in a small sorted
-    /// row. Out come the `C0` row, then round-robin across slots — rank 0
-    /// of every slot in (level, dim) order, then rank 1, … — so coverage is
-    /// broad before it is deep; only if the rows leave capacity unfilled
-    /// are the rest partially sorted by `(age, id, class, position)`.
-    fn rank(
-        &self,
-        own: &NodeProfile,
-        pool: &[&Descriptor<NodeProfile>],
-        capacity: usize,
-    ) -> Ranking {
-        let dims = own.coord().dims();
-        let slots = dims * own.coord().max_level() as usize;
-        let class_of = |d: &Descriptor<NodeProfile>| match own.classify(&d.profile) {
-            Neighborhood::Zero => 0,
-            Neighborhood::Cell { level, dim } => 1 + (level as usize - 1) * dims + dim,
-        };
+    /// [`slot_class`]: `0` for a `C0` mate, else 1 + the routing slot the
+    /// peer can fill, from the inline cell codes.
+    fn class(&self, own: &NodeProfile, other: &NodeProfile) -> u64 {
+        slot_class(own.classify(other), own.coord().dims())
+    }
+
+    /// One pass over the pool: each class keeps its best `per_slot`
+    /// (`zero_cap` for `C0`) candidates by `(age, id)` — youngest first,
+    /// fresher descriptors are likelier alive, the earlier one winning a
+    /// tie — in a small sorted row. Out come the `C0` row, then round-robin
+    /// across slots — rank 0 of every slot in (level, dim) order, then rank
+    /// 1, … — so coverage is broad before it is deep; only if the rows
+    /// leave capacity unfilled are the rest partially sorted by `(age, id,
+    /// class, position)`.
+    fn rank(&self, own: &NodeProfile, pool: &[RankKey], capacity: usize) -> Ranking {
+        let slots = own.coord().dims() * own.coord().max_level() as usize;
         let row_start = |class: usize| match class {
             0 => 0,
             _ => self.zero_cap + (class - 1) * self.per_slot,
-        };
-        let row_cap = |class: usize| {
-            if class == 0 {
-                self.zero_cap
-            } else {
-                self.per_slot
-            }
         };
         let key = |at: u32| (pool[at as usize].age, pool[at as usize].id);
 
         let mut rows: Scratch<u32, ROWS> = Scratch::filled(row_start(1 + slots), 0);
         let mut lens: Scratch<u32, CLASSES> = Scratch::filled(1 + slots, 0);
-        for (at, d) in pool.iter().enumerate() {
-            let class = class_of(d);
-            let (start, cap) = (row_start(class), row_cap(class));
-            let row = &mut rows.as_mut_slice()[start..start + cap];
-            let len = lens.as_slice()[class] as usize;
+        // The candidates no row keeps: rows only get better, so one that
+        // misses its row or falls off it never returns.
+        let mut rest: Scratch<u32, LEFTOVERS> = Scratch::new();
+        let (rows_mut, lens_mut) = (rows.as_mut_slice(), lens.as_mut_slice());
+        for (at, k) in pool.iter().enumerate() {
+            let class = k.class as usize;
+            let (start, cap) = (row_start(class), self.row_cap(class));
+            let row = &mut rows_mut[start..start + cap];
+            let len = lens_mut[class] as usize;
             let mut i = len;
-            while i > 0 && (d.age, d.id) < key(row[i - 1]) {
+            while i > 0 && (k.age, k.id) < key(row[i - 1]) {
                 i -= 1;
             }
             if i == cap {
+                rest.push(at as u32);
                 continue;
             }
+            if len == cap {
+                rest.push(row[cap - 1]);
+            }
+            // Shift the worse members down a place, the last falling off a
+            // full row; rows are a few long, so by hand.
             let len = (len + 1).min(cap);
-            row.copy_within(i..len - 1, i + 1);
+            for j in (i + 1..len).rev() {
+                row[j] = row[j - 1];
+            }
             row[i] = at as u32;
-            lens.as_mut_slice()[class] = len as u32;
+            lens_mut[class] = len as u32;
         }
         let (rows, lens) = (rows.as_slice(), lens.as_slice());
         let row = |class: usize| &rows[row_start(class)..row_start(class) + lens[class] as usize];
@@ -116,29 +131,76 @@ impl Selector<NodeProfile> for SlotSelector {
             return kept;
         }
 
-        let mut in_row: Scratch<bool, POOL> = Scratch::filled(pool.len(), false);
-        for class in 0..=slots {
-            for &at in row(class) {
-                in_row.as_mut_slice()[at as usize] = true;
-            }
-        }
-        let mut rest: Scratch<(u32, NodeId, u32, u32), LEFTOVERS> = Scratch::new();
-        for (at, d) in pool.iter().enumerate() {
-            if !in_row.as_slice()[at] {
-                rest.push((d.age, d.id, class_of(d) as u32, at as u32));
-            }
-        }
+        let mut rest: Scratch<(u32, NodeId, u32, u32), LEFTOVERS> = rest
+            .as_slice()
+            .iter()
+            .map(|&at| {
+                let k = &pool[at as usize];
+                (k.age, k.id, k.class as u32, at)
+            })
+            .collect();
         for leftover in sort_smallest(rest.as_mut_slice(), capacity - kept.len()).iter() {
             kept.push(leftover.3);
         }
         kept
+    }
+
+    /// When `view` is what ranking it emits, every entry a row member (so
+    /// its rows fill the capacity and no leftover is ranked), and no fresh
+    /// candidate takes a row place that ranking emits: a candidate that
+    /// would join its class's row at rank `r` changes the view only if
+    /// cell `(class, r)` comes no later than the view's last entry's cell.
+    /// So a class whose row has a free place before that cut admits every
+    /// candidate, and a class whose row is cut full admits only candidates
+    /// younger (by `(age, id)`) than its last member.
+    fn keeps(&self, own: &NodeProfile, view: &[RankKey], fresh: &[RankKey]) -> bool {
+        let slots = own.coord().dims() * own.coord().max_level() as usize;
+        // Per class: how many entries, and the last one's `(age, id)`.
+        let mut lens: Scratch<u32, CLASSES> = Scratch::filled(1 + slots, 0);
+        let mut last: Scratch<(u32, NodeId), CLASSES> = Scratch::filled(1 + slots, (0, 0));
+        let (lens, last) = (lens.as_mut_slice(), last.as_mut_slice());
+        // The cell of the view's last entry so far.
+        let mut end = None;
+        for k in view {
+            let class = k.class as usize;
+            if class > slots {
+                return false;
+            }
+            let rank = lens[class] as usize;
+            let at = Some(cell(class, rank));
+            let in_order = rank == 0 || last[class] < (k.age, k.id);
+            if rank == self.row_cap(class) || !in_order || at <= end {
+                return false;
+            }
+            end = at;
+            lens[class] += 1;
+            last[class] = (k.age, k.id);
+        }
+        let Some((in_slots, end_rank, end_class)) = end else {
+            return true;
+        };
+        fresh.iter().all(|k| {
+            let class = k.class as usize;
+            if class > slots {
+                return false;
+            }
+            // The row places of `class` that ranking emits up to the cut.
+            let open = match (class, in_slots) {
+                (0, true) => self.zero_cap,
+                (0, false) => end_rank + 1,
+                (_, false) => 0,
+                _ => end_rank + usize::from(class <= end_class),
+            };
+            open == 0 || lens[class] as usize == open && (k.age, k.id) > last[class]
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attrspace::Space;
+    use attrspace::{Neighborhood, Space};
+    use epigossip::Descriptor;
 
     fn profile(space: &Space, vals: &[u64]) -> NodeProfile {
         NodeProfile::new(
@@ -155,6 +217,17 @@ mod tests {
         }
     }
 
+    /// `pool`'s rank keys from `own`'s vantage point.
+    fn keys(
+        sel: &SlotSelector,
+        own: &NodeProfile,
+        pool: &[Descriptor<NodeProfile>],
+    ) -> Vec<RankKey> {
+        pool.iter()
+            .map(|d| RankKey::new(sel.class(own, &d.profile), d))
+            .collect()
+    }
+
     /// What the gossip layer keeps of `pool`: the ranked descriptors, best
     /// first.
     fn select(
@@ -163,8 +236,7 @@ mod tests {
         pool: &[Descriptor<NodeProfile>],
         capacity: usize,
     ) -> Vec<Descriptor<NodeProfile>> {
-        let refs: Vec<&Descriptor<NodeProfile>> = pool.iter().collect();
-        let ranking = sel.rank(own, &refs, capacity);
+        let ranking = sel.rank(own, &keys(sel, own, pool), capacity);
         ranking
             .as_slice()
             .iter()
@@ -354,6 +426,306 @@ mod tests {
                 let expected = select_reference(&sel, &own, pool.clone(), capacity);
                 prop_assert_eq!(select(&sel, &own, &pool, capacity), expected);
             }
+
+            /// Whenever `keeps` answers yes, ranking the view followed by
+            /// the fresh candidates gives the view back, position for
+            /// position — for views ranking made (cut anywhere in the
+            /// round-robin, aged alike since), views it did not make, and
+            /// candidates keyed just before or after an entry.
+            #[test]
+            fn keeps_only_views_ranking_keeps(
+                d in 1usize..=4,
+                max_level in 1u8..4,
+                own_vals in prop::collection::vec(0u64..80, 4),
+                pool in prop::collection::vec((0u64..40, prop::collection::vec(0u64..80, 4), 0u32..4), 0..40),
+                zero_cap in 0usize..6,
+                per_slot in 0usize..4,
+                capacity in 1usize..24,
+                aged in 0u32..3,
+                scrambled in 0u8..4,
+                fresh in prop::collection::vec((0usize..64, 0u8..6, 0u32..5), 0..8),
+            ) {
+                keeps_case(d, max_level, &own_vals, &pool, SlotSelector { zero_cap, per_slot }, capacity, aged, scrambled, &fresh);
+            }
+
+            /// Absorbs through a `SlotSelector` that may end early leave the
+            /// semantic view — entries, order, classes — and its turnover
+            /// as absorbs that always rank do.
+            #[test]
+            fn gated_absorb_equals_ungated(
+                d in 1usize..=3,
+                capacity in 4usize..21,
+                seed in any::<u64>(),
+            ) {
+                gated_absorbs(d, capacity, seed);
+            }
+        }
+
+        /// One case of [`keeps_only_views_ranking_keeps`]; whether `keeps`
+        /// answered yes.
+        #[allow(clippy::too_many_arguments)]
+        fn keeps_case(
+            d: usize,
+            max_level: u8,
+            own_vals: &[u64],
+            pool: &[(u64, Vec<u64>, u32)],
+            sel: SlotSelector,
+            capacity: usize,
+            aged: u32,
+            scrambled: u8,
+            fresh: &[(usize, u8, u32)],
+        ) -> bool {
+            let s = Space::uniform(d, 80, max_level).expect("valid space geometry");
+            let own = profile(&s, &own_vals[..d]);
+            // Distinct ids; one attribute in two takes the node's value.
+            let mut seen = std::collections::BTreeSet::new();
+            let pool: Vec<_> = pool
+                .iter()
+                .filter(|(id, ..)| seen.insert(*id))
+                .map(|(id, v, age)| {
+                    let vals: Vec<u64> = v[..d]
+                        .iter()
+                        .zip(own_vals)
+                        .map(|(&x, &o)| if x % 2 == 0 { o } else { x })
+                        .collect();
+                    desc(*id, &s, &vals, *age)
+                })
+                .collect();
+            let all = keys(&sel, &own, &pool);
+            let mut view: Vec<RankKey> = sel
+                .rank(&own, &all, capacity)
+                .as_slice()
+                .iter()
+                .map(|&at| RankKey {
+                    age: all[at as usize].age + aged,
+                    ..all[at as usize]
+                })
+                .collect();
+            if scrambled == 0 && view.len() > 1 {
+                view.swap(0, 1);
+            }
+            // Fresh keys: a pool key or a view entry's, its id moved past
+            // the view's and its age nudged; or a key of any class.
+            let classes = 1 + d * max_level as usize;
+            let fresh: Vec<RankKey> = fresh
+                .iter()
+                .map(|&(pick, how, age)| {
+                    let base = match how {
+                        0 if !view.is_empty() => view[pick % view.len()],
+                        1 if !all.is_empty() => all[pick % all.len()],
+                        _ => RankKey {
+                            class: (pick % classes) as u64,
+                            age,
+                            id: 0,
+                        },
+                    };
+                    let age = match how {
+                        2 => base.age + 1,
+                        3 => base.age.saturating_sub(1),
+                        _ => base.age,
+                    };
+                    RankKey {
+                        age,
+                        id: 100 + base.id * 4 + u64::from(how),
+                        ..base
+                    }
+                })
+                .collect();
+            let keeps = sel.keeps(&own, &view, &fresh);
+            if keeps {
+                // Pool the view and then one copy of each fresh id: the
+                // first, then the last.
+                for copies in [fresh.clone(), fresh.iter().rev().copied().collect()] {
+                    let mut pooled = view.clone();
+                    for k in copies {
+                        if !pooled.iter().any(|p| p.id == k.id) {
+                            pooled.push(k);
+                        }
+                    }
+                    let ranked = sel.rank(&own, &pooled, view.len());
+                    let expected: Vec<u32> = (0..view.len() as u32).collect();
+                    prop_assert_eq!(
+                        ranked.as_slice(),
+                        &expected[..],
+                        "view {:?} fresh {:?}",
+                        view,
+                        fresh
+                    );
+                }
+            }
+            keeps
+        }
+
+        /// A `SlotSelector` with its early-return proof on or off, counting
+        /// the rankings it is asked for.
+        struct Gate {
+            inner: SlotSelector,
+            on: bool,
+            ranks: std::sync::atomic::AtomicUsize,
+        }
+
+        impl Selector<NodeProfile> for Gate {
+            fn class(&self, own: &NodeProfile, other: &NodeProfile) -> u64 {
+                self.inner.class(own, other)
+            }
+
+            fn rank(&self, own: &NodeProfile, pool: &[RankKey], capacity: usize) -> Ranking {
+                self.ranks
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.inner.rank(own, pool, capacity)
+            }
+
+            fn keeps(&self, own: &NodeProfile, view: &[RankKey], fresh: &[RankKey]) -> bool {
+                self.on && self.inner.keeps(own, view, fresh)
+            }
+        }
+
+        /// One case of [`gated_absorb_equals_ungated`]: `(absorbs that
+        /// ended early, absorbs into a full view)`.
+        fn gated_absorbs(d: usize, capacity: usize, seed: u64) -> (usize, usize) {
+            use epigossip::Vicinity;
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            use std::sync::atomic::{AtomicUsize, Ordering};
+            use std::sync::Arc;
+
+            const SELF: NodeId = 0;
+            let s = Space::uniform(d, 80, 3).expect("valid space geometry");
+            let mut draw = StdRng::seed_from_u64(seed);
+            let point = |draw: &mut StdRng| -> Vec<u64> {
+                (0..d).map(|_| draw.gen_range(0..80u64)).collect()
+            };
+            let own = profile(&s, &point(&mut draw));
+            let population: Vec<NodeProfile> =
+                (0..60).map(|_| profile(&s, &point(&mut draw))).collect();
+            let gate = |on| {
+                Arc::new(Gate {
+                    inner: SlotSelector::default(),
+                    on,
+                    ranks: AtomicUsize::new(0),
+                })
+            };
+            let (gated, ungated) = (gate(true), gate(false));
+            let mut fast = Vicinity::new(SELF, own.clone(), capacity, 5, gated.clone());
+            let mut slow = Vicinity::new(SELF, own.clone(), capacity, 5, ungated);
+            let (mut rng, mut slow_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let (mut early, mut full) = (0, 0);
+            for _ in 0..40 {
+                if draw.gen_range(0..3u32) == 0 {
+                    let sent = fast.initiate(&mut rng);
+                    prop_assert_eq!(sent, slow.initiate(&mut slow_rng));
+                    continue;
+                }
+                let view = fast.view().as_slice().to_vec();
+                let batch: Vec<Descriptor<NodeProfile>> = (0..draw.gen_range(1..4usize))
+                    .map(|_| match (draw.gen_range(0..6u32), view.is_empty()) {
+                        // A copy of an entry as fresh as it, staler, or
+                        // fresher.
+                        (0..=2, false) => {
+                            let entry = &view[draw.gen_range(0..view.len())];
+                            let aged = view.iter().rfind(|e| e.age > 0).unwrap_or(entry);
+                            let (entry, age) = match draw.gen_range(0..3u32) {
+                                0 => (entry, entry.age),
+                                1 => (entry, entry.age + 1),
+                                _ => (aged, aged.age.saturating_sub(1)),
+                            };
+                            Descriptor {
+                                age,
+                                ..entry.clone()
+                            }
+                        }
+                        (3, _) => Descriptor::new(SELF, own.clone()),
+                        _ => {
+                            let id = draw.gen_range(1..60u64);
+                            Descriptor {
+                                id,
+                                profile: population[id as usize].clone(),
+                                age: draw.gen_range(0..6u32),
+                            }
+                        }
+                    })
+                    .collect();
+                let ranks = gated.ranks.load(Ordering::Relaxed);
+                let was_full = fast.view().len() == capacity;
+                fast.absorb(&batch);
+                slow.absorb(batch);
+                let state = |v: &Vicinity<NodeProfile>| {
+                    let view = v.view();
+                    (
+                        view.as_slice().to_vec(),
+                        view.classes().to_vec(),
+                        view.turnover(),
+                    )
+                };
+                prop_assert_eq!(state(&fast), state(&slow));
+                if was_full {
+                    full += 1;
+                    early += usize::from(gated.ranks.load(Ordering::Relaxed) == ranks);
+                }
+            }
+            (early, full)
+        }
+
+        /// Both generators reach both answers.
+        #[test]
+        fn the_differentials_take_and_leave_the_early_return() {
+            let (mut early, mut full) = (0, 0);
+            for seed in 0..100u64 {
+                let (e, f) = gated_absorbs(1 + seed as usize % 3, 4 + seed as usize % 17, seed);
+                early += e;
+                full += f;
+            }
+            assert!(
+                early * 10 > full && early * 10 < full * 9,
+                "{early} early returns of {full}"
+            );
+
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut draw = StdRng::seed_from_u64(1);
+            let (mut kept, cases) = (0, 1000);
+            for _ in 0..cases {
+                let vals = |draw: &mut StdRng| -> Vec<u64> {
+                    (0..4).map(|_| draw.gen_range(0..80u64)).collect()
+                };
+                let own_vals = vals(&mut draw);
+                let pool: Vec<(u64, Vec<u64>, u32)> = (0..draw.gen_range(0..40usize))
+                    .map(|_| {
+                        (
+                            draw.gen_range(0..40u64),
+                            vals(&mut draw),
+                            draw.gen_range(0..4u32),
+                        )
+                    })
+                    .collect();
+                let sel = SlotSelector {
+                    zero_cap: draw.gen_range(0..6usize),
+                    per_slot: draw.gen_range(0..4usize),
+                };
+                let fresh: Vec<(usize, u8, u32)> = (0..draw.gen_range(0..8usize))
+                    .map(|_| {
+                        (
+                            draw.gen_range(0..64usize),
+                            draw.gen_range(0..6u8),
+                            draw.gen_range(0..5u32),
+                        )
+                    })
+                    .collect();
+                let (d, max_level, capacity) = (
+                    draw.gen_range(1..=4usize),
+                    draw.gen_range(1..4u8),
+                    draw.gen_range(1..24usize),
+                );
+                let (aged, scrambled) = (draw.gen_range(0..3u32), draw.gen_range(0..4u8));
+                kept += usize::from(keeps_case(
+                    d, max_level, &own_vals, &pool, sel, capacity, aged, scrambled, &fresh,
+                ));
+            }
+            assert!(
+                kept * 10 > cases && kept * 10 < cases * 9,
+                "kept {kept} of {cases}"
+            );
         }
     }
 }

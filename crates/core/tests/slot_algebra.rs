@@ -17,7 +17,7 @@
 #![allow(clippy::disallowed_types)] // std-collections: test code; std sets only compare contents
 
 use attrspace::{CellCoord, Neighborhood, Space};
-use autosel_core::RoutingTable;
+use autosel_core::{slot_class, RoutingTable};
 use epigossip::NodeId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -129,7 +129,7 @@ proptest! {
             set.iter().map(|(id, p)| (*id, p.clone(), space.cell_coord(p))).collect()
         };
         let offered = offer(&to_entries(&first));
-        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, own_coord.classify(c))), &mut rng);
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, slot_class(own_coord.classify(c), d))), &mut rng);
         assert_slot_algebra(&t, &to_entries(&first));
         // Every same-C0 candidate must be in the zero set (no candidate is
         // silently dropped from its own cell) with last-write-wins points.
@@ -146,7 +146,7 @@ proptest! {
         // keeps its slot.
         let held: Vec<(u8, usize, NodeId)> = t.filled_slots().collect();
         let offered = offer(&to_entries(&second));
-        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, own_coord.classify(c))), &mut rng);
+        t.rebuild(offered.iter().map(|(id, p, c)| (*id, p, slot_class(own_coord.classify(c), d))), &mut rng);
         assert_slot_algebra(&t, &to_entries(&second));
         for (l, k, id) in held {
             if second.iter().any(|(sid, _)| *sid as NodeId == id) {

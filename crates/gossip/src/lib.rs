@@ -62,7 +62,7 @@ pub use config::GossipConfig;
 pub use cyclon::Cyclon;
 pub use descriptor::{Descriptor, NodeId};
 pub use scratch::Scratch;
-pub use selector::{sort_smallest, RankSelector, Ranking, Selector};
+pub use selector::{sort_smallest, RankKey, RankSelector, Ranking, Selector};
 pub use stack::{GossipHealth, GossipMessage, GossipStack, Layer};
 pub use vicinity::Vicinity;
 pub use view::View;

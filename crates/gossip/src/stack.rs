@@ -179,20 +179,23 @@ impl<P: Clone> GossipStack<P> {
         self.cyclon.view()
     }
 
-    /// The semantic view.
-    pub fn semantic_view(&self) -> &crate::View<P> {
+    /// The semantic view, each entry beside its class from this node's
+    /// vantage point.
+    pub fn semantic_view(&self) -> &crate::View<P, u64> {
         self.vicinity.view()
     }
 
     /// This node's `(random, semantic)` view health: one node, its view
     /// sizes, mean descriptor ages and turnover counts.
     pub fn health(&self) -> (GossipHealth, GossipHealth) {
-        let of = |view: &crate::View<P>| GossipHealth {
-            nodes: 1,
-            links: view.len() as u64,
-            age_sum_x1000: view.mean_age_x1000(),
-            turnover: view.turnover(),
-        };
+        fn of<P, C>(view: &crate::View<P, C>) -> GossipHealth {
+            GossipHealth {
+                nodes: 1,
+                links: view.len() as u64,
+                age_sum_x1000: view.mean_age_x1000(),
+                turnover: view.turnover(),
+            }
+        }
         (of(self.random_view()), of(self.semantic_view()))
     }
 

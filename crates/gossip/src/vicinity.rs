@@ -3,7 +3,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use crate::view::POOL;
-use crate::{Descriptor, NodeId, Scratch, Selector, View};
+use crate::{Descriptor, NodeId, RankKey, Scratch, Selector, View};
 
 /// The semantic (top) gossip layer: keeps the `Kv` peers a [`Selector`]
 /// deems most useful, exchanging candidates with semantic neighbors and
@@ -15,7 +15,8 @@ use crate::{Descriptor, NodeId, Scratch, Selector, View};
 pub struct Vicinity<P> {
     id: NodeId,
     profile: P,
-    view: View<P>,
+    /// Each entry beside its class from this node's vantage point.
+    view: View<P, u64>,
     shuffle_len: usize,
     selector: Arc<dyn Selector<P>>,
     /// Partner of the in-flight exchange, if any.
@@ -33,7 +34,7 @@ impl<P: std::fmt::Debug> std::fmt::Debug for Vicinity<P> {
 
 impl<P> Vicinity<P> {
     /// Read access to the semantic view.
-    pub fn view(&self) -> &View<P> {
+    pub fn view(&self) -> &View<P, u64> {
         &self.view
     }
 
@@ -74,30 +75,21 @@ impl<P: Clone> Vicinity<P> {
 
     /// Feeds candidate descriptors through the selector (called with fresh
     /// CYCLON samples every round, with bootstrap seeds, and with gossip
-    /// exchanges).
-    ///
-    /// The view's entries and the candidates are ranked borrowed (see
-    /// [`View::reselect`]): kept entries stay in place, and a candidate is
-    /// moved in (owned batches) or cloned (borrowed ones) only if it is kept.
+    /// exchanges): the view re-selects itself from its entries and the
+    /// candidates ([`View::reselect`]), classifying only the candidates it
+    /// pools. A full view the selector proves the candidates cannot change
+    /// ([`Selector::keeps`]) is left as it is, unranked; otherwise kept
+    /// entries stay in place, and a candidate is moved in (owned batches)
+    /// or cloned (borrowed ones) only if it is kept.
     pub fn absorb<C>(&mut self, candidates: C)
     where
         C: AsRef<[Descriptor<P>]> + IntoIterator,
         C::Item: Into<Descriptor<P>>,
     {
         if !candidates.as_ref().is_empty() {
-            self.absorb_from(candidates);
+            self.view
+                .reselect(candidates, self.id, &self.profile, &*self.selector);
         }
-    }
-
-    fn absorb_from<C>(&mut self, candidates: C)
-    where
-        C: AsRef<[Descriptor<P>]> + IntoIterator,
-        C::Item: Into<Descriptor<P>>,
-    {
-        let (selector, own, capacity) = (&self.selector, &self.profile, self.view.capacity());
-        self.view.reselect(candidates, self.id, |pool| {
-            selector.rank(own, pool, capacity)
-        });
     }
 
     /// Starts one semantic gossip: ages entries, picks the oldest semantic
@@ -149,32 +141,40 @@ impl<P: Clone> Vicinity<P> {
         // although a selector's ranking ignores pool order.
         let order = self.view.shuffled_positions(Some(partner.id), rng);
         let entries = self.view.as_slice();
-        let own = Descriptor::new(self.id, self.profile.clone());
+        let class = |p: &P| self.selector.class(&partner.profile, p);
         let own_at = order.len() as u32;
         let ranking = {
-            let mut pool: Scratch<&Descriptor<P>, POOL> = Scratch::with_fill(&own);
+            let mut pool: Scratch<RankKey, POOL> = Scratch::new();
             for &at in order.as_slice() {
-                pool.push(&entries[at as usize]);
+                let d = &entries[at as usize];
+                pool.push(RankKey::new(class(&d.profile), d));
             }
-            pool.push(&own);
+            pool.push(RankKey {
+                class: class(&self.profile),
+                age: 0,
+                id: self.id,
+            });
             self.selector
                 .rank(&partner.profile, pool.as_slice(), self.shuffle_len)
         };
-        let mut own = Some(own);
+        let own = || Descriptor::new(self.id, self.profile.clone());
+        let mut own_sent = false;
         // One spare slot: a request's receiver appends the sender's
         // descriptor before absorbing the batch.
         let mut batch = Vec::with_capacity(ranking.len() + 1);
         for &at in ranking.as_slice() {
-            match own.take_if(|_| at == own_at) {
-                Some(own) => batch.push(own),
-                None => batch.push(entries[order.as_slice()[at as usize] as usize].clone()),
+            if at == own_at {
+                own_sent = true;
+                batch.push(own());
+            } else {
+                batch.push(entries[order.as_slice()[at as usize] as usize].clone());
             }
         }
         // Always advertise ourselves even if the selector ranked us out:
         // self-propagation is what lets new nodes take their place.
-        if let Some(own) = own {
+        if !own_sent {
             batch.pop();
-            batch.push(own);
+            batch.push(own());
         }
         batch
     }

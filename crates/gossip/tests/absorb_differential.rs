@@ -10,9 +10,10 @@
 #![allow(clippy::disallowed_types)] // std-collections: test code; the reference keeps the old pool
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use epigossip::{Descriptor, NodeId, RankSelector, Vicinity};
+use epigossip::{Descriptor, NodeId, RankKey, RankSelector, Ranking, Selector, Vicinity};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -240,4 +241,159 @@ proptest! {
             prop_assert_eq!(rng.next_u64(), reference_rng.next_u64(), "draw pattern diverged");
         }
     }
+
+    /// Absorbs built to end early, or nearly: into full views, batches of
+    /// the entries' copies — as fresh, staler and fresher — the owner's
+    /// own id, and new ids whose keys sit just before or just after the
+    /// view's last entry, between exchanges that age the view. The view,
+    /// its order and its turnover equal the reference's, which re-ranks
+    /// every time.
+    #[test]
+    fn early_return_equals_full_reselect(
+        own in 0u64..50,
+        capacity in 1usize..9,
+        seed in any::<u64>(),
+    ) {
+        near_full_absorbs(own, capacity, seed);
+    }
+}
+
+/// [`RankSelector`] by distance, counting the rankings it is asked for: an
+/// absorb that ended early ranked nothing.
+struct Counting {
+    inner: RankSelector<u64, fn(&u64, &u64) -> u64>,
+    ranks: AtomicUsize,
+}
+
+impl Selector<u64> for Counting {
+    fn class(&self, own: &u64, other: &u64) -> u64 {
+        self.inner.class(own, other)
+    }
+
+    fn rank(&self, own: &u64, pool: &[RankKey], capacity: usize) -> Ranking {
+        self.ranks.fetch_add(1, Ordering::Relaxed);
+        self.inner.rank(own, pool, capacity)
+    }
+
+    fn keeps(&self, own: &u64, view: &[RankKey], fresh: &[RankKey]) -> bool {
+        self.inner.keeps(own, view, fresh)
+    }
+}
+
+/// One run of [`early_return_equals_full_reselect`]: `(absorbs that ended
+/// early, absorbs into a full view)`.
+fn near_full_absorbs(own: u64, capacity: usize, seed: u64) -> (usize, usize) {
+    const SELF: NodeId = 3;
+    let selector = Arc::new(Counting {
+        inner: RankSelector::new(distance as fn(&u64, &u64) -> u64),
+        ranks: AtomicUsize::new(0),
+    });
+    let mut v = Vicinity::new(SELF, own, capacity, 2, selector.clone());
+    let mut reference = ReferenceVicinity {
+        id: SELF,
+        profile: own,
+        entries: Vec::new(),
+        capacity,
+        shuffle_len: 2,
+        turnover: 0,
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut reference_rng = StdRng::seed_from_u64(seed);
+    let mut draw = StdRng::seed_from_u64(seed ^ 0x5eed);
+    // Fill the view: more distinct candidates than it holds.
+    let fill: Vec<Descriptor<u64>> = (0..2 * capacity as u64 + 2)
+        .map(|i| Descriptor {
+            id: 10 + i,
+            profile: draw.gen_range(0..50u64),
+            age: draw.gen_range(0..3u32),
+        })
+        .collect();
+    v.absorb(&fill);
+    reference.absorb(fill);
+    assert_same_view(&v, &reference);
+    let (mut early, mut full) = (0, 0);
+    let mut next_id = 100;
+    for _ in 0..12 {
+        if draw.gen_range(0..3u32) == 0 {
+            // Age the view.
+            let sent = v.initiate(&mut rng);
+            assert_eq!(sent, reference.initiate(&mut reference_rng));
+            continue;
+        }
+        let entries = reference.entries.clone();
+        let last = entries.last().expect("filled").clone();
+        let mut batch = Vec::new();
+        for _ in 0..draw.gen_range(1..4usize) {
+            let entry = &entries[draw.gen_range(0..entries.len())];
+            let aged = entries.iter().rfind(|e| e.age > 0).unwrap_or(entry);
+            let mut new_id = || {
+                next_id += 1;
+                next_id
+            };
+            let d = match draw.gen_range(0..7u32) {
+                // A copy of an entry as fresh as it, staler (under a
+                // conflicting profile), or fresher.
+                0 => entry.clone(),
+                1 => Descriptor {
+                    age: entry.age + 1,
+                    profile: entry.profile + 1,
+                    ..entry.clone()
+                },
+                2 => Descriptor {
+                    age: aged.age.saturating_sub(1),
+                    ..aged.clone()
+                },
+                3 => Descriptor::new(SELF, own),
+                // A new id at the last entry's distance, aged just past it
+                // or just before it.
+                4 | 5 => {
+                    let behind = draw.gen_range(0..2u32);
+                    let age = match draw.gen_range(0..2u32) {
+                        0 => last.age + behind,
+                        _ => (last.age + behind).saturating_sub(1),
+                    };
+                    let far_side = own.checked_sub(distance(&own, &last.profile));
+                    let profile = match draw.gen_range(0..2u32) {
+                        0 => far_side.unwrap_or(last.profile),
+                        _ => last.profile,
+                    };
+                    Descriptor {
+                        id: new_id(),
+                        profile,
+                        age,
+                    }
+                }
+                _ => Descriptor {
+                    id: new_id(),
+                    profile: draw.gen_range(0..50u64),
+                    age: draw.gen_range(0..4u32),
+                },
+            };
+            batch.push(d);
+        }
+        let ranks = selector.ranks.load(Ordering::Relaxed);
+        let was_full = v.view().len() == capacity;
+        v.absorb(batch.clone());
+        reference.absorb(batch);
+        assert_same_view(&v, &reference);
+        if was_full {
+            full += 1;
+            early += usize::from(selector.ranks.load(Ordering::Relaxed) == ranks);
+        }
+    }
+    (early, full)
+}
+
+/// The generator reaches both ends: absorbs that end early and absorbs
+/// into a full view that rank.
+#[test]
+fn near_full_absorbs_take_and_leave_the_early_return() {
+    let (mut early, mut full) = (0, 0);
+    for seed in 0..200 {
+        let (e, f) = near_full_absorbs(seed % 50, 1 + seed as usize % 8, seed);
+        early += e;
+        full += f;
+    }
+    assert!(early * 10 > full, "{early} early returns of {full}");
+    assert!(early * 10 < full * 9, "{early} early returns of {full}");
 }

@@ -129,7 +129,7 @@ impl PeerTask {
             config.gossip.clone(),
             Arc::clone(selector),
         );
-        let mut host = Host::new(selection, Some(Box::new(gossip)));
+        let mut host = Host::new(selection, Some(gossip));
         host.set_observer(obs);
         PeerTask {
             host,

@@ -218,12 +218,12 @@ impl SimCluster {
     fn insert_node(&mut self, id: NodeId, point: Point) {
         let selection = SelectionNode::new(id, &self.space, point, self.config.protocol.clone());
         let gossip = if self.config.gossip_enabled {
-            let mut stack = Box::new(GossipStack::with_selector(
+            let mut stack = GossipStack::with_selector(
                 id,
                 selection.profile(),
                 self.config.gossip.clone(),
                 Arc::clone(&self.selector),
-            ));
+            );
             let existing = &self.sorted_ids;
             for _ in 0..3.min(existing.len()) {
                 let seed = existing[self.rng.gen_range(0..existing.len())];
@@ -742,7 +742,7 @@ impl SimCluster {
     /// One alive node's semantic gossip view, in view order (`None` for a
     /// dead node or with gossip disabled). Read-only window for overlay
     /// fingerprints and health checks.
-    pub fn semantic_view_of(&self, id: NodeId) -> Option<&epigossip::View<NodeProfile>> {
+    pub fn semantic_view_of(&self, id: NodeId) -> Option<&epigossip::View<NodeProfile, u64>> {
         self.nodes
             .get(&id)?
             .host
