@@ -6,7 +6,7 @@ use autosel_obs::ObsHandle;
 use epigossip::{GossipMessage, GossipStack, NodeId};
 use rand::Rng;
 
-use crate::{Match, Message, NodeProfile, Output, QueryId, QueryRequest, SelectionNode};
+use crate::{Message, NodeProfile, Output, QueryId, QueryRequest, SelectionNode};
 
 /// A message between two nodes: the selection protocol or overlay gossip.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,22 +15,6 @@ pub enum NetMessage {
     Protocol(Message),
     /// Membership gossip.
     Gossip(GossipMessage<NodeProfile>),
-}
-
-/// What a [`Host`] call asks of its runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Effect {
-    /// Transmit the message to the node.
-    Send(NodeId, NetMessage),
-    /// A query this node issued finished (see [`Output::Completed`]).
-    Completed {
-        /// The query.
-        id: QueryId,
-        /// The matches collected; empty in count-only mode.
-        matches: Vec<Match>,
-        /// Total matches found.
-        count: u64,
-    },
 }
 
 /// One node as a runtime drives it: its [`SelectionNode`] and, if it
@@ -46,10 +30,14 @@ pub enum Effect {
 ///   view of the last rebuild into the table it left draws nothing and
 ///   changes nothing;
 /// * a neighbor that timed out and a peer the transport reports
-///   [`unreachable`](Self::unreachable) both leave the gossip layers;
-/// * sends and completions are appended, in order, to the caller's buffer.
+///   [`unreachable`](Self::unreachable) both leave the gossip layers, the
+///   former the moment the node's expiry step drops it;
+/// * every call appends its [`Output`]s — protocol and gossip sends, and
+///   completions — in order, to the runtime's buffer, which the runtime
+///   drains after the call.
 ///
-/// Evictions draw nothing from the RNG.
+/// Evictions draw nothing from the RNG and touch only the gossip layers, so
+/// evicting in the middle of the node's expiry step changes no output.
 #[derive(Debug)]
 pub struct Host {
     selection: SelectionNode,
@@ -115,10 +103,8 @@ impl Host {
     }
 
     /// Issues `request` from this node.
-    pub fn begin(&mut self, request: QueryRequest, now: u64, out: &mut Vec<Effect>) -> QueryId {
-        let (id, outputs) = self.selection.begin(request, now);
-        self.apply(outputs, out);
-        id
+    pub fn begin(&mut self, request: QueryRequest, now: u64, out: &mut Vec<Output>) -> QueryId {
+        self.selection.begin(request, now, out)
     }
 
     /// Hands this node a message from `from`. A node without a gossip
@@ -129,62 +115,47 @@ impl Host {
         msg: NetMessage,
         now: u64,
         rng: &mut R,
-        out: &mut Vec<Effect>,
+        out: &mut Vec<Output>,
     ) {
         match msg {
-            NetMessage::Protocol(m) => {
-                let outputs = self.selection.handle_message(from, m, now);
-                self.apply(outputs, out);
-            }
+            NetMessage::Protocol(m) => self.selection.receive(from, m, now, out),
             NetMessage::Gossip(m) => {
                 if let Some(g) = self.gossip.as_mut() {
-                    let replies = g.stack.handle(from, m, rng);
+                    let msgs = g.stack.handle(from, m, rng);
                     g.sync(&mut self.selection, now, rng);
-                    out.extend(gossip(replies));
+                    out.extend(msgs.into_iter().map(|(to, msg)| Output::Gossip { to, msg }));
                 }
             }
         }
     }
 
     /// One gossip round (empty before the stack's first scheduled time).
-    pub fn gossip_tick<R: Rng + ?Sized>(&mut self, now: u64, rng: &mut R, out: &mut Vec<Effect>) {
+    pub fn gossip_tick<R: Rng + ?Sized>(&mut self, now: u64, rng: &mut R, out: &mut Vec<Output>) {
         if let Some(g) = self.gossip.as_mut() {
             let msgs = g.stack.tick(now, rng);
             g.sync(&mut self.selection, now, rng);
-            out.extend(gossip(msgs));
+            out.extend(msgs.into_iter().map(|(to, msg)| Output::Gossip { to, msg }));
         }
     }
 
-    /// Expires overdue neighbors (the paper's `T(q)`).
-    pub fn poll_timeouts(&mut self, now: u64, out: &mut Vec<Effect>) {
-        let outputs = self.selection.poll_timeouts(now);
-        self.apply(outputs, out);
+    /// Expires overdue neighbors (the paper's `T(q)`); each leaves the
+    /// gossip layers as the node drops it.
+    pub fn poll_timeouts(&mut self, now: u64, out: &mut Vec<Output>) {
+        let gossip = &mut self.gossip;
+        self.selection.expire(now, out, |peer| {
+            if let Some(g) = gossip.as_mut() {
+                g.stack.evict(peer);
+            }
+        });
     }
 
     /// Transport feedback: `peer` is unreachable. Queries waiting on it
     /// continue without its subtree.
-    pub fn unreachable(&mut self, peer: NodeId, now: u64, out: &mut Vec<Effect>) {
-        self.evict(peer);
-        let outputs = self.selection.peer_unreachable(peer, now);
-        self.apply(outputs, out);
-    }
-
-    fn evict(&mut self, peer: NodeId) {
+    pub fn unreachable(&mut self, peer: NodeId, now: u64, out: &mut Vec<Output>) {
         if let Some(g) = self.gossip.as_mut() {
             g.stack.evict(peer);
         }
-    }
-
-    fn apply(&mut self, outputs: Vec<Output>, out: &mut Vec<Effect>) {
-        for o in outputs {
-            match o {
-                Output::Send { to, msg } => out.push(Effect::Send(to, NetMessage::Protocol(msg))),
-                Output::Completed { id, matches, count } => {
-                    out.push(Effect::Completed { id, matches, count });
-                }
-                Output::NeighborFailed(peer) => self.evict(peer),
-            }
-        }
+        self.selection.peer_unreachable(peer, now, out);
     }
 }
 
@@ -199,11 +170,6 @@ impl Gossip {
         selection.sync_from_view(view, now, rng);
         self.synced = Some((view.stamp(), selection.routing_stamp()));
     }
-}
-
-fn gossip(msgs: Vec<(NodeId, GossipMessage<NodeProfile>)>) -> impl Iterator<Item = Effect> {
-    msgs.into_iter()
-        .map(|(to, m)| Effect::Send(to, NetMessage::Gossip(m)))
 }
 
 #[cfg(test)]
@@ -274,7 +240,7 @@ mod tests {
         host.introduce(3, profile([5, 70]));
         let mut out = Vec::new();
         host.begin(query(&host, 60).into(), 0, &mut out);
-        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        assert!(matches!(out[..], [Output::Send { to: 2, .. }]), "{out:?}");
         // Whether `id` is in the random view, the semantic view, the table.
         let known = |h: &Host, id: NodeId| {
             let (g, r) = (h.gossip().expect("gossips"), h.selection().routing());
@@ -296,7 +262,7 @@ mod tests {
         host.poll_timeouts(u64::MAX, &mut out);
         assert_eq!(known(&host, 2), [false; 3]);
         assert!(
-            matches!(out[..], [Effect::Completed { count: 0, .. }]),
+            matches!(out[..], [Output::Completed { count: 0, .. }]),
             "{out:?}"
         );
     }
@@ -311,7 +277,7 @@ mod tests {
             .map(|(id, vals)| Descriptor::new(id, profile(vals)));
         let msg = gossip(Layer::Semantic, batch.to_vec());
         host.deliver(2, msg, 10, &mut rng, &mut out);
-        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        assert!(matches!(out[..], [Output::Gossip { to: 2, .. }]), "{out:?}");
         assert!(routing_follows_view(&host));
 
         // Knock the table out of step with the view: a round re-syncs it.
@@ -334,14 +300,14 @@ mod tests {
 
         // One neighbor the transport reports gone, one that times out.
         host.begin(QueryRequest::count(query(&host, 0)), 0, &mut out);
-        assert!(matches!(out[..], [Effect::Send(3, _)]), "{out:?}");
+        assert!(matches!(out[..], [Output::Send { to: 3, .. }]), "{out:?}");
         out.clear();
         host.unreachable(3, 1, &mut out);
-        assert!(matches!(out[..], [Effect::Send(2, _)]), "{out:?}");
+        assert!(matches!(out[..], [Output::Send { to: 2, .. }]), "{out:?}");
         out.clear();
         host.poll_timeouts(u64::MAX, &mut out);
         assert!(
-            matches!(out[..], [Effect::Completed { count: 1, .. }]),
+            matches!(out[..], [Output::Completed { count: 1, .. }]),
             "{out:?}"
         );
         assert_eq!(host.selection().routing().link_count(), 0);

@@ -19,15 +19,15 @@
 //!   [`SlotSelector`] is the [`epigossip::Selector`] policy that makes the
 //!   semantic gossip layer retain exactly the peers the routing table needs.
 //!
-//! Everything is **sans-IO**: [`SelectionNode::handle_message`] takes the
-//! sender, a message and a timestamp and returns [`Output`]s (messages to
-//! transmit, completions, failure suspicions). A [`Host`] is one node as a
-//! runtime drives it — its `SelectionNode` plus its
-//! [`epigossip::GossipStack`] — and the one place that wires the two
-//! together (gossip re-syncs routing, failures evict, sends and completions
-//! go to one buffer). The discrete-event simulator (`overlay-sim`) and the
-//! deployment runtime (`autosel-net`) both drive nodes through it, each with
-//! its own clock and RNG, exchanging [`NetMessage`]s.
+//! Everything is **sans-IO**. A [`Host`] is one node as a runtime drives
+//! it — its `SelectionNode` plus its [`epigossip::GossipStack`] — and the
+//! one place that wires the two together (gossip re-syncs routing, failed
+//! peers leave the gossip layers). Each call pushes [`Output`]s, in order,
+//! into the runtime's buffer: protocol and gossip sends, and completions.
+//! The simulator (`overlay-sim`) and the deployment runtime (`autosel-net`)
+//! both drive nodes through it, each with its own clock and RNG, exchanging
+//! [`NetMessage`]s. The `Vec`-returning forms the example uses are kept for
+//! the benchmark's protocol probes and for tests.
 //!
 //! ## Example: three nodes, oracle-wired, one query
 //!
@@ -75,7 +75,7 @@ mod profile;
 mod routing;
 mod selector;
 
-pub use host::{Effect, Host, NetMessage};
+pub use host::{Host, NetMessage};
 pub use match_list::{MatchIter, MatchList};
 pub use messages::{
     Answer, DynamicConstraint, Match, Message, QueryId, QueryMsg, QueryRequest, ReplyMsg,

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use attrspace::{CellCoord, Level, Point, Query, Space};
 use autosel_obs::{Event, ObsHandle, QueryRef};
-use epigossip::{NodeId, View};
+use epigossip::{GossipMessage, NodeId, View};
 use rand::Rng;
 
 use crate::match_list::Segment;
@@ -34,16 +34,25 @@ impl Default for ProtocolConfig {
     }
 }
 
-/// An effect produced by the protocol state machine. The driver (simulator
-/// or network runtime) interprets these.
+/// What a node asks of its runtime. [`SelectionNode`] and [`Host`](crate::Host)
+/// push these, in order, into the caller's buffer; the runtime sends and
+/// reports them in that order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Output {
-    /// Transmit `msg` to `to`.
+    /// Transmit the protocol message `msg` to `to`.
     Send {
         /// Destination node.
         to: NodeId,
         /// The message to deliver.
         msg: Message,
+    },
+    /// Transmit the gossip message `msg` to `to` (written by a gossiping
+    /// [`Host`](crate::Host)).
+    Gossip {
+        /// Destination node.
+        to: NodeId,
+        /// The message to deliver.
+        msg: GossipMessage<NodeProfile>,
     },
     /// A query issued *by this node* finished with these matches.
     Completed {
@@ -55,12 +64,6 @@ pub enum Output {
         /// Total matches found (the whole answer in count-only mode).
         count: u64,
     },
-    /// A neighbor failed to answer within the timeout; the driver should
-    /// also evict it from the gossip layers.
-    NeighborFailed(
-        /// The unresponsive peer.
-        NodeId,
-    ),
 }
 
 /// Per-query in-flight state: the paper's `pending`, `matching` and
@@ -318,8 +321,9 @@ impl SeenSet {
 /// A resource-selection node: one compute resource representing itself in
 /// the overlay (§4.3, Fig. 5).
 ///
-/// Sans-IO: all methods take the current time and return [`Output`]s; the
-/// caller delivers messages and schedules [`poll_timeouts`](Self::poll_timeouts).
+/// Sans-IO: every step takes the current time and pushes [`Output`]s into
+/// its caller's buffer; the caller delivers messages and schedules expiries
+/// by [`next_timeout`](Self::next_timeout).
 #[derive(Debug)]
 pub struct SelectionNode {
     id: NodeId,
@@ -466,10 +470,9 @@ impl SelectionNode {
 
     /// The routing table's change stamp: it moves on every call that can
     /// write the table — [`routing_mut`](Self::routing_mut),
-    /// [`sync_from_view`](Self::sync_from_view), an expiry in
-    /// [`poll_timeouts`](Self::poll_timeouts) and
-    /// [`peer_unreachable`](Self::peer_unreachable) — so equal readings
-    /// mean the table was not written in between.
+    /// [`sync_from_view`](Self::sync_from_view), an expiry and a peer
+    /// reported unreachable — so equal readings mean the table was not
+    /// written in between.
     pub fn routing_stamp(&self) -> u32 {
         self.routing_stamp
     }
@@ -657,9 +660,10 @@ impl SelectionNode {
     /// Issues a new query from this node (the paper's `create_QUERY`): the
     /// user contacts *any* node and passes the request to it.
     ///
-    /// Returns the query id and the initial outputs (forwarded messages, or
-    /// an immediate [`Output::Completed`] if this node alone satisfies it).
-    pub fn begin(&mut self, request: QueryRequest, now: u64) -> (QueryId, Vec<Output>) {
+    /// Returns the query id and pushes the initial outputs onto `out`
+    /// (forwarded messages, or an immediate [`Output::Completed`] if this
+    /// node alone satisfies it).
+    pub fn begin(&mut self, request: QueryRequest, now: u64, out: &mut Vec<Output>) -> QueryId {
         let id = QueryId {
             origin: self.id,
             seq: self.seq,
@@ -675,26 +679,39 @@ impl SelectionNode {
             dynamic: request.dynamic,
             attempt: 0,
         };
-        let out = self.accept_query(None, msg, now);
-        (id, out)
+        self.accept_query(None, msg, now, out);
+        id
     }
 
     /// [`begin`](Self::begin) enumerating the matches of `query`,
-    /// σ-bounded if `sigma` is given.
+    /// σ-bounded if `sigma` is given, into a fresh `Vec`. This and the other
+    /// two `Vec` forms, [`handle_message`](Self::handle_message) and
+    /// [`poll_timeouts`](Self::poll_timeouts), are kept for the benchmark's
+    /// protocol probes and for tests; runtimes drive a node through
+    /// [`Host`](crate::Host), which writes into their buffer.
     pub fn begin_query(
         &mut self,
         query: Query,
         sigma: Option<u32>,
         now: u64,
     ) -> (QueryId, Vec<Output>) {
-        self.begin(QueryRequest::matches(query, sigma), now)
+        let mut out = Vec::new();
+        let id = self.begin(QueryRequest::matches(query, sigma), now, &mut out);
+        (id, out)
+    }
+
+    /// Processes an incoming protocol message into a fresh `Vec`.
+    pub fn handle_message(&mut self, from: NodeId, msg: Message, now: u64) -> Vec<Output> {
+        let mut out = Vec::new();
+        self.receive(from, msg, now, &mut out);
+        out
     }
 
     /// Processes an incoming protocol message.
-    pub fn handle_message(&mut self, from: NodeId, msg: Message, now: u64) -> Vec<Output> {
+    pub(crate) fn receive(&mut self, from: NodeId, msg: Message, now: u64, out: &mut Vec<Output>) {
         match msg {
-            Message::Query(q) => self.accept_query(Some(from), q, now),
-            Message::Reply(r) => self.accept_reply(from, r, now),
+            Message::Query(q) => self.accept_query(Some(from), q, now, out),
+            Message::Reply(r) => self.accept_reply(from, r, now, out),
         }
     }
 
@@ -706,11 +723,18 @@ impl SelectionNode {
             .min()
     }
 
-    /// Expires overdue neighbors (the paper's `T(q)`): each is reported as
-    /// [`Output::NeighborFailed`], dropped from the routing table, and the
-    /// affected queries are re-forwarded or concluded.
+    /// Expires overdue neighbors (the paper's `T(q)`) into a fresh `Vec`,
+    /// reporting them to no one.
     pub fn poll_timeouts(&mut self, now: u64) -> Vec<Output> {
         let mut out = Vec::new();
+        self.expire(now, &mut out, |_| {});
+        out
+    }
+
+    /// Expires overdue neighbors (the paper's `T(q)`): each is dropped from
+    /// the routing table and reported to `gone`, and the affected queries
+    /// are re-forwarded or concluded.
+    pub(crate) fn expire(&mut self, now: u64, out: &mut Vec<Output>, mut gone: impl FnMut(NodeId)) {
         let qids: Vec<QueryId> = self.pending.keys().copied().collect();
         for qid in qids {
             let Some(p) = self.pending.get_mut(&qid) else {
@@ -736,11 +760,10 @@ impl SelectionNode {
                     node: self.id,
                     peer,
                 });
-                out.push(Output::NeighborFailed(peer));
+                gone(peer);
             }
-            out.extend(self.settle(qid, now));
+            self.settle(qid, now, out);
         }
-        out
     }
 
     /// Transport-level failure feedback: the driver discovered that `peer`
@@ -749,10 +772,9 @@ impl SelectionNode {
     /// its remaining dimensions — the subtree behind the broken link is
     /// simply skipped, which is the paper's §6.6 "message is dropped"
     /// behaviour on a real transport (a dead TCP endpoint fails fast).
-    pub fn peer_unreachable(&mut self, peer: NodeId, now: u64) -> Vec<Output> {
+    pub(crate) fn peer_unreachable(&mut self, peer: NodeId, now: u64, out: &mut Vec<Output>) {
         self.routing_written();
         self.routing.remove(peer);
-        let mut out = Vec::new();
         let qids: Vec<QueryId> = self
             .pending
             .iter()
@@ -770,27 +792,33 @@ impl SelectionNode {
                 node: self.id,
                 peer,
             });
-            out.extend(self.settle(qid, now));
+            self.settle(qid, now, out);
         }
-        out
     }
 
     /// The query stopped waiting on someone. Once it waits on no one, it
     /// concludes if σ is met and otherwise continues with its remaining
     /// scope — the subtree it gave up on is skipped.
-    fn settle(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
+    fn settle(&mut self, qid: QueryId, now: u64, out: &mut Vec<Output>) {
         let p = self.pending.get(&qid).expect("a settling query is pending");
         if !p.waiting.is_empty() {
-            Vec::new()
-        } else if p.sigma_met() {
-            self.conclude(qid, now)
+            return;
+        }
+        if p.sigma_met() {
+            self.conclude(qid, now, out);
         } else {
-            self.continue_query(qid, now)
+            self.continue_query(qid, now, out);
         }
     }
 
     /// The `receive_query` procedure of Fig. 5.
-    fn accept_query(&mut self, from: Option<NodeId>, msg: QueryMsg, now: u64) -> Vec<Output> {
+    fn accept_query(
+        &mut self,
+        from: Option<NodeId>,
+        msg: QueryMsg,
+        now: u64,
+        out: &mut Vec<Output>,
+    ) {
         if self.seen.contains(msg.id) {
             // Duplicate delivery (a fault-duplicated copy or an upstream
             // retry): never re-process. How to answer depends on where the
@@ -810,7 +838,7 @@ impl SelectionNode {
                     duplicate: true,
                 });
             }
-            let Some(from) = from else { return Vec::new() };
+            let Some(from) = from else { return };
             // Answer `from` with the cached final reply, if it has one,
             // or empty.
             let cached = if self.buggy_empty_dedup_reply && self.pending.contains_key(&msg.id) {
@@ -824,7 +852,7 @@ impl SelectionNode {
                     // the real REPLY will answer it. Track the newest
                     // attempt so a genuine retry still correlates.
                     p.attempt = msg.attempt;
-                    return Vec::new();
+                    return;
                 }
                 // In flight, but the duplicate came over a different edge
                 // (stale-view cross-path): that sender's subtree gets
@@ -846,10 +874,11 @@ impl SelectionNode {
                 count,
                 attempt: msg.attempt,
             };
-            return vec![Output::Send {
+            out.push(Output::Send {
                 to: from,
                 msg: Message::Reply(reply),
-            }];
+            });
+            return;
         }
         self.seen.insert(msg.id);
 
@@ -901,11 +930,11 @@ impl SelectionNode {
                 duplicate: false,
             },
         });
-        self.settle(qid, now)
+        self.settle(qid, now, out);
     }
 
     /// The `receive_reply` procedure of Fig. 5.
-    fn accept_reply(&mut self, from: NodeId, msg: ReplyMsg, now: u64) -> Vec<Output> {
+    fn accept_reply(&mut self, from: NodeId, msg: ReplyMsg, now: u64, out: &mut Vec<Output>) {
         let Some(p) = self.pending.get_mut(&msg.id) else {
             // Late reply for a concluded query: results already reported
             // upstream without it; nothing to do.
@@ -918,7 +947,7 @@ impl SelectionNode {
                 fresh: false,
                 attempt: msg.attempt,
             });
-            return Vec::new();
+            return;
         };
         // Fresh iff we still wait on `from` *for this exact attempt*. A
         // reply echoing a superseded attempt must not clear the waiting
@@ -951,7 +980,7 @@ impl SelectionNode {
             attempt: msg.attempt,
         });
         p.merge_reply(msg.count, msg.matching, fresh);
-        self.settle(msg.id, now)
+        self.settle(msg.id, now, out);
     }
 
     /// The `forward` procedure of Fig. 5: depth-first, one subtree at a time.
@@ -963,12 +992,11 @@ impl SelectionNode {
     /// subtrees explored by the receiver are disjoint from everything this
     /// node will explore later (exactly-once delivery; see
     /// `tests/routing_properties.rs`).
-    fn continue_query(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
+    fn continue_query(&mut self, qid: QueryId, now: u64, out: &mut Vec<Output>) {
         let deadline = now.saturating_add(self.config.query_timeout_ms);
         let d = self.space.dims();
         let p: &mut PendingQuery = self.pending.get_mut(&qid).expect("pending query");
         let query = p.query.as_ref().expect("a pending record holds its query");
-        let mut out = Vec::new();
 
         while p.level > 0 {
             let level = p.level as Level;
@@ -997,7 +1025,7 @@ impl SelectionNode {
                         to,
                         msg: Message::Query(fwd),
                     });
-                    return out;
+                    return;
                 }
                 // No known node in that subcell: treat as empty and keep
                 // scanning (delivery may suffer only if the view is stale).
@@ -1010,6 +1038,7 @@ impl SelectionNode {
             // Leaf level: hand the query to every matching C0 neighbor; they
             // answer directly (level -1). The frontier drops to -1 at once,
             // so this fan-out happens once per record.
+            let sent = out.len();
             let targets: Vec<NodeId> = self
                 .routing
                 .zero_neighbors()
@@ -1032,20 +1061,19 @@ impl SelectionNode {
                 });
             }
             p.level = -1;
-            if !out.is_empty() {
-                return out;
+            if out.len() > sent {
+                return;
             }
         }
 
         if p.waiting.is_empty() {
-            out.extend(self.conclude(qid, now));
+            self.conclude(qid, now, out);
         }
-        out
     }
 
     /// Finishes a query at this node: answer upstream, or report completion
     /// when this node originated it.
-    fn conclude(&mut self, qid: QueryId, now: u64) -> Vec<Output> {
+    fn conclude(&mut self, qid: QueryId, now: u64, out: &mut Vec<Output>) {
         let mut p = self.pending.remove(&qid).expect("pending query");
         debug_assert!(
             p.waiting.is_empty(),
@@ -1110,7 +1138,7 @@ impl SelectionNode {
                     self.reply_cache[oldest] = entry;
                     self.reply_cache_next = ((oldest + 1) % REPLY_CACHE) as u32;
                 }
-                vec![Output::Send {
+                out.push(Output::Send {
                     to: upstream,
                     msg: Message::Reply(ReplyMsg {
                         id: qid,
@@ -1118,7 +1146,7 @@ impl SelectionNode {
                         count,
                         attempt,
                     }),
-                }]
+                });
             }
             None => {
                 self.obs.emit(|| Event::QueryCompleted {
@@ -1127,11 +1155,11 @@ impl SelectionNode {
                     node: self.id,
                     count,
                 });
-                vec![Output::Completed {
+                out.push(Output::Completed {
                     id: qid,
                     matches: matching.to_vec(),
                     count,
-                }]
+                });
             }
         }
     }
@@ -1161,10 +1189,35 @@ mod tests {
         for o in out {
             if let Output::Send { to: dst, msg } = o {
                 assert_eq!(*dst, to.id());
-                produced.extend(to.handle_message(from, msg.clone(), now));
+                to.receive(from, msg.clone(), now, &mut produced);
             }
         }
         produced
+    }
+
+    /// Where `out`'s first output goes, and what it sends.
+    fn first_send(out: &[Output]) -> (NodeId, &Message) {
+        match out.first() {
+            Some(Output::Send { to, msg }) => (*to, msg),
+            _ => panic!("expected a send first: {out:?}"),
+        }
+    }
+
+    /// The REPLY that `out` starts with, and where it goes.
+    fn first_reply(out: &[Output]) -> (NodeId, &ReplyMsg) {
+        match first_send(out) {
+            (to, Message::Reply(r)) => (to, r),
+            _ => panic!("expected a REPLY first: {out:?}"),
+        }
+    }
+
+    /// The first completion in `out`: its id, matches and count.
+    fn completion(out: &[Output]) -> (QueryId, &[Match], u64) {
+        let done = out.iter().find_map(|o| match o {
+            Output::Completed { id, matches, count } => Some((*id, &matches[..], *count)),
+            _ => None,
+        });
+        done.unwrap_or_else(|| panic!("no completion: {out:?}"))
     }
 
     mod seen_set {
@@ -1253,13 +1306,8 @@ mod tests {
             .expect("well-formed query");
         let (id, out) = a.begin_query(q, Some(1), 0);
         assert_eq!(out.len(), 1);
-        let Output::Completed {
-            id: got, matches, ..
-        } = &out[0]
-        else {
-            panic!("expected completion, got {out:?}")
-        };
-        assert_eq!(*got, id);
+        let (got, matches, _) = completion(&out);
+        assert_eq!(got, id);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 1);
         assert_eq!(a.pending_len(), 0);
@@ -1273,10 +1321,8 @@ mod tests {
             .build()
             .expect("well-formed query");
         let (_, out) = a.begin_query(q, None, 0);
-        let Output::Completed { matches, .. } = &out[0] else {
-            panic!("{out:?}")
-        };
-        assert!(matches.is_empty());
+        assert_eq!(out.len(), 1);
+        assert!(completion(&out).1.is_empty());
     }
 
     #[test]
@@ -1291,28 +1337,16 @@ mod tests {
             .expect("well-formed query");
         let (qid, out) = a.begin_query(q, None, 0);
         // A forwards to B (the only link toward the query region).
-        assert!(matches!(
-            &out[0],
-            Output::Send {
-                to: 2,
-                msg: Message::Query(_)
-            }
-        ));
+        assert!(matches!(first_send(&out), (2, Message::Query(_))));
         let replies = deliver(&mut b, 1, &out, 1);
         // B matches, has no further links, replies.
-        let Output::Send {
-            to: 1,
-            msg: Message::Reply(r),
-        } = &replies[0]
-        else {
-            panic!("{replies:?}")
-        };
+        let (to, r) = first_reply(&replies);
+        assert_eq!(to, 1);
         assert_eq!(r.matching.len(), 1);
         let done = deliver(&mut a, 2, &replies, 2);
-        let Output::Completed { id, matches, .. } = &done[0] else {
-            panic!("{done:?}")
-        };
-        assert_eq!(*id, qid);
+        assert_eq!(done.len(), 1);
+        let (id, matches, _) = completion(&done);
+        assert_eq!(id, qid);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 2);
         assert_eq!(a.pending_len(), 0);
@@ -1362,13 +1396,8 @@ mod tests {
                 .collect::<Vec<_>>(),
             1,
         );
-        let Output::Send {
-            to: 1,
-            msg: Message::Reply(r),
-        } = &leaf_out[0]
-        else {
-            panic!("{leaf_out:?}")
-        };
+        let (to, r) = first_reply(&leaf_out);
+        assert_eq!(to, 1);
         assert_eq!(r.matching.to_vec()[0].node, 2);
         assert_eq!(r.matching.len(), 1);
         assert_eq!(b.pending_len(), 0, "leaf keeps no state");
@@ -1399,24 +1428,14 @@ mod tests {
         let mut a = node(1, [5, 5]);
         let msg = leaf_query(QueryId { origin: 9, seq: 0 }, 3);
         let first = a.handle_message(9, Message::Query(msg.clone()), 0);
-        let Output::Send {
-            to: 9,
-            msg: Message::Reply(r),
-        } = &first[0]
-        else {
-            panic!("{first:?}")
-        };
+        let (to, r) = first_reply(&first);
+        assert_eq!(to, 9);
         assert_eq!(r.matching.len(), 1);
         assert_eq!(r.attempt, 3, "reply echoes the query's attempt id");
 
         let second = a.handle_message(9, Message::Query(msg.clone()), 1);
-        let Output::Send {
-            to: 9,
-            msg: Message::Reply(r),
-        } = &second[0]
-        else {
-            panic!("{second:?}")
-        };
+        let (to, r) = first_reply(&second);
+        assert_eq!(to, 9);
         assert_eq!(
             r.matching.len(),
             1,
@@ -1429,13 +1448,8 @@ mod tests {
         // A copy arriving over a *different* edge is a cross-path delivery:
         // that sender gets nothing from this subtree — empty, not cached.
         let third = a.handle_message(8, Message::Query(msg), 2);
-        let Output::Send {
-            to: 8,
-            msg: Message::Reply(r),
-        } = &third[0]
-        else {
-            panic!("{third:?}")
-        };
+        let (to, r) = first_reply(&third);
+        assert_eq!(to, 8);
         assert!(r.matching.is_empty(), "cross-path duplicate answered empty");
         assert_eq!(a.duplicate_receipts(), 2);
     }
@@ -1457,14 +1471,8 @@ mod tests {
                 Message::Query(leaf_query(QueryId { origin: 9, seq }, 1)),
                 100,
             );
-            let [Output::Send {
-                msg: Message::Reply(r),
-                ..
-            }] = &out[..]
-            else {
-                panic!("{out:?}")
-            };
-            r.matching.len()
+            assert_eq!(out.len(), 1, "{out:?}");
+            first_reply(&out).1.matching.len()
         };
         // seq 0 was evicted, seqs 1 to `last` are still cached.
         assert_eq!(dup(&mut a, 0), 0, "evicted entry answers empty");
@@ -1498,16 +1506,8 @@ mod tests {
             attempt: 7,
         };
         let first = b.handle_message(1, Message::Query(msg.clone()), 0);
-        assert!(
-            matches!(
-                &first[0],
-                Output::Send {
-                    to: 3,
-                    msg: Message::Query(_)
-                }
-            ),
-            "query forwarded into its subtree: {first:?}"
-        );
+        let forwarded = matches!(first_send(&first), (3, Message::Query(_)));
+        assert!(forwarded, "query forwarded into its subtree: {first:?}");
         assert_eq!(b.pending_len(), 1);
         let second = b.handle_message(1, Message::Query(msg), 1);
         assert!(
@@ -1555,8 +1555,13 @@ mod tests {
             a.next_timeout(),
             Some(ProtocolConfig::default().query_timeout_ms)
         );
-        let out = a.poll_timeouts(ProtocolConfig::default().query_timeout_ms);
-        assert!(out.contains(&Output::NeighborFailed(2)));
+        let (mut out, mut failed) = (Vec::new(), Vec::new());
+        a.expire(
+            ProtocolConfig::default().query_timeout_ms,
+            &mut out,
+            |peer| failed.push(peer),
+        );
+        assert_eq!(failed, [2], "the expiry reports the silent neighbor");
         let Some(Output::Completed { id, matches, .. }) = out.last() else {
             panic!("{out:?}")
         };
@@ -1606,9 +1611,7 @@ mod tests {
         let q = Query::builder(&space()).build().expect("well-formed query");
         let (_, out) = a.begin_query(q, Some(0), 0);
         assert_eq!(out.len(), 1, "no forwarding under met σ");
-        let Output::Completed { matches, .. } = &out[0] else {
-            panic!("{out:?}")
-        };
+        let (_, matches, _) = completion(&out);
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].node, 1);
     }
@@ -1628,15 +1631,13 @@ mod tests {
             .expect("well-formed query");
         let (qid, out1) = a.begin_query(q, None, 0);
         // First subtree: B replies claiming both B and (spuriously) B again.
-        let Output::Send { to: first, .. } = &out1[0] else {
-            panic!()
-        };
+        let (first, _) = first_send(&out1);
         let dup = Match {
             node: 2,
             values: b_point.clone(),
         };
-        let out2 = a.handle_message(
-            *first,
+        let mut out = a.handle_message(
+            first,
             Message::Reply(ReplyMsg {
                 id: qid,
                 matching: vec![dup.clone(), dup].into(),
@@ -1646,24 +1647,11 @@ mod tests {
             1,
         );
         // Traversal continues or concludes; once concluded, count node 2 once.
-        let finished: Vec<&Output> = out2
-            .iter()
-            .chain(
-                [].iter(), // placeholder to keep types simple
-            )
-            .collect();
-        let mut all = finished;
-        let extra;
         if a.pending_len() > 0 {
             // Another branch outstanding: time it out to conclude.
-            extra = a.poll_timeouts(u64::MAX);
-            all.extend(extra.iter());
+            out.extend(a.poll_timeouts(u64::MAX));
         }
-        let completed = all.iter().find_map(|o| match o {
-            Output::Completed { matches, .. } => Some(matches),
-            _ => None,
-        });
-        let matches = completed.expect("query concluded");
+        let (_, matches, _) = completion(&out);
         assert_eq!(matches.iter().filter(|m| m.node == 2).count(), 1);
     }
 
@@ -1685,10 +1673,9 @@ mod tests {
             .min("a1", 60)
             .build()
             .expect("well-formed query");
-        let (qid, out) = a.begin(QueryRequest::count(q), 0);
-        let Output::Send { to: first, .. } = &out[0] else {
-            panic!("{out:?}")
-        };
+        let mut out = Vec::new();
+        let qid = a.begin(QueryRequest::count(q), 0, &mut out);
+        let (first, _) = first_send(&out);
 
         let reply = Message::Reply(ReplyMsg {
             id: qid,
@@ -1696,17 +1683,14 @@ mod tests {
             count: 5,
             attempt: 1,
         });
-        let mut outs = a.handle_message(*first, reply.clone(), 1);
+        let mut outs = a.handle_message(first, reply.clone(), 1);
         assert_eq!(a.pending_len(), 1, "second subcell still outstanding");
         // The same reply delivered again (a duplication fault).
-        outs.extend(a.handle_message(*first, reply, 2));
+        outs.extend(a.handle_message(first, reply, 2));
         // Time out the remaining branch so the query concludes.
         outs.extend(a.poll_timeouts(u64::MAX));
-        let total = outs.iter().find_map(|o| match o {
-            Output::Completed { count, .. } => Some(*count),
-            _ => None,
-        });
-        assert_eq!(total, Some(5), "duplicated reply merged more than once");
+        let (_, _, total) = completion(&outs);
+        assert_eq!(total, 5, "duplicated reply merged more than once");
     }
 
     /// Count-mode end to end under QUERY duplication: the downstream node
@@ -1726,12 +1710,9 @@ mod tests {
             .min("a1", 60)
             .build()
             .expect("well-formed query");
-        let (qid, out) = a.begin(QueryRequest::count(q), 0);
-        let Output::Send {
-            to: first,
-            msg: Message::Query(fwd),
-        } = &out[0]
-        else {
+        let mut out = Vec::new();
+        let qid = a.begin(QueryRequest::count(q), 0, &mut out);
+        let (first, Message::Query(fwd)) = first_send(&out) else {
             panic!("{out:?}")
         };
 
@@ -1739,55 +1720,26 @@ mod tests {
         // copy of the same forward: the second answer is the cached
         // retransmission of the first, byte-identical.
         let mut b = SelectionNode::new(
-            *first,
+            first,
             &s,
             s.point(&[70, 70]).expect("coords lie inside the space"),
             ProtocolConfig::default(),
         );
         let r1 = b.handle_message(1, Message::Query(fwd.clone()), 1);
         let r2 = b.handle_message(1, Message::Query(fwd.clone()), 2);
-        let Output::Send {
-            msg: Message::Reply(reply1),
-            ..
-        } = &r1[0]
-        else {
-            panic!("{r1:?}")
-        };
-        let Output::Send {
-            msg: Message::Reply(reply2),
-            ..
-        } = &r2[0]
-        else {
-            panic!("{r2:?}")
-        };
+        let (_, reply1) = first_reply(&r1);
+        let (_, reply2) = first_reply(&r2);
         assert_eq!(reply1, reply2, "retransmission replays the real reply");
         assert_eq!(reply1.count, 1, "B matched itself");
 
         // Both copies reach A while it still waits on the second subtree.
-        let mut outs = a.handle_message(*first, Message::Reply(reply1.clone()), 3);
-        outs.extend(a.handle_message(*first, Message::Reply(reply2.clone()), 4));
+        let mut outs = a.handle_message(first, Message::Reply(reply1.clone()), 3);
+        outs.extend(a.handle_message(first, Message::Reply(reply2.clone()), 4));
         assert_eq!(a.pending_len(), 1, "second subcell still outstanding");
         outs.extend(a.poll_timeouts(u64::MAX));
-        let total = outs.iter().find_map(|o| match o {
-            Output::Completed { count, .. } => Some(*count),
-            _ => None,
-        });
-        assert_eq!(
-            *outs
-                .iter()
-                .filter_map(|o| match o {
-                    Output::Completed { id, .. } => Some(id),
-                    _ => None,
-                })
-                .next()
-                .expect("concluded"),
-            qid
-        );
-        assert_eq!(
-            total,
-            Some(1),
-            "retransmitted count added more than once per attempt"
-        );
+        let (id, _, total) = completion(&outs);
+        assert_eq!(id, qid);
+        assert_eq!(total, 1, "retransmitted count added more than once");
     }
 
     /// An upstream's REPLY holds its child's list itself, not a copy, and
@@ -1805,22 +1757,12 @@ mod tests {
         assert!(matches!(&fwd[..], [Output::Send { to: 2, .. }]), "{fwd:?}");
 
         let leaf = deliver(&mut c, 1, &fwd, 1);
-        let Output::Send {
-            to: 1,
-            msg: Message::Reply(r),
-        } = &leaf[0]
-        else {
-            panic!("{leaf:?}")
-        };
+        let (to, r) = first_reply(&leaf);
+        assert_eq!(to, 1);
         let child = r.matching.clone();
         let up = deliver(&mut u, 2, &leaf, 2);
-        let Output::Send {
-            to: 9,
-            msg: Message::Reply(up),
-        } = &up[0]
-        else {
-            panic!("{up:?}")
-        };
+        let (to, up) = first_reply(&up);
+        assert_eq!(to, 9);
 
         let ids: Vec<NodeId> = up.matching.iter().map(|m| m.node).collect();
         assert_eq!(ids, vec![1, 2]);
@@ -1860,22 +1802,10 @@ mod tests {
         };
         let fwd = relay.handle_message(9, Message::Query(msg), 3);
         let leaf = deliver(&mut c, 3, &fwd, 4);
-        let Output::Send {
-            msg: Message::Reply(r),
-            ..
-        } = &leaf[0]
-        else {
-            panic!("{leaf:?}")
-        };
+        let (_, r) = first_reply(&leaf);
         let child = r.matching.clone();
         let up = deliver(&mut relay, 2, &leaf, 5);
-        let Output::Send {
-            msg: Message::Reply(up),
-            ..
-        } = &up[0]
-        else {
-            panic!("{up:?}")
-        };
+        let (_, up) = first_reply(&up);
         assert!(
             up.matching.ptr_eq(&child),
             "a lone child's list was wrapped or copied"
@@ -2075,7 +2005,7 @@ mod tests {
                             ids.sort_unstable();
                             self.completed.push((id, ids, count));
                         }
-                        Output::NeighborFailed(_) => {}
+                        Output::Gossip { .. } => unreachable!("a bare node never gossips"),
                     }
                 }
             }
@@ -2119,25 +2049,23 @@ mod tests {
                     .min("a0", rng.gen_range(0..40u64))
                     .build()
                     .expect("well-formed query");
-                let node = &mut nodes[origin as usize];
-                let (_, outs) = match i % 4 {
-                    0 => node.begin_query(q, Some(4), i),
-                    1 => node.begin_query(q, None, i),
-                    2 => node.begin(QueryRequest::count(q), i),
+                let request = match i % 4 {
+                    0 => QueryRequest::matches(q, Some(4)),
+                    1 => QueryRequest::matches(q, None),
+                    2 => QueryRequest::count(q),
                     _ => {
                         let c = DynamicConstraint {
                             key: 0,
                             range: Range { lo: 1, hi: 2 },
                         };
-                        node.begin(
-                            QueryRequest {
-                                dynamic: vec![c],
-                                ..q.into()
-                            },
-                            i,
-                        )
+                        QueryRequest {
+                            dynamic: vec![c],
+                            ..q.into()
+                        }
                     }
                 };
+                let mut outs = Vec::new();
+                nodes[origin as usize].begin(request, i, &mut outs);
                 run.absorb(origin, outs);
             }
             let mut now = 16;

@@ -30,7 +30,8 @@ pub fn run(nodes: &mut [SelectionNode], origin: usize, request: QueryRequest, no
         receipts: vec![0; nodes.len()],
         ..Run::default()
     };
-    let (qid, outs) = nodes[origin].begin(request, now);
+    let mut outs = Vec::new();
+    let qid = nodes[origin].begin(request, now, &mut outs);
     let (mut inbox, mut completed) = (VecDeque::new(), false);
     let mut push = |from: NodeId, outs: Vec<Output>, inbox: &mut VecDeque<_>, run: &mut Run| {
         for o in outs {
@@ -40,7 +41,7 @@ pub fn run(nodes: &mut [SelectionNode], origin: usize, request: QueryRequest, no
                     assert_eq!(id, qid);
                     (run.matches, run.count, completed) = (matches, count, true);
                 }
-                Output::NeighborFailed(_) => panic!("no failures in static run"),
+                Output::Gossip { .. } => panic!("a bare node never gossips"),
             }
         }
     };

@@ -49,7 +49,7 @@ fn absorb(
                 msg: Message::Reply(r),
             } => pending_rep.push((from, r)),
             Output::Completed { matches, count, .. } => *completed = Some((matches, count)),
-            Output::NeighborFailed(_) => {}
+            Output::Gossip { .. } => panic!("a bare node never gossips"),
         }
     }
 }
@@ -84,7 +84,8 @@ proptest! {
         } else {
             query.into()
         };
-        let (qid, outs) = a.begin(request, 0);
+        let mut outs = Vec::new();
+        let qid = a.begin(request, 0, &mut outs);
 
         let mut pending_fwd: Vec<(NodeId, QueryMsg)> = Vec::new();
         let mut pending_rep: Vec<(NodeId, ReplyMsg)> = Vec::new();

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use attrspace::{Point, Space};
 use autosel_core::fasthash::FastMap;
 use autosel_core::{
-    Effect, Host, Match, NetMessage, NodeProfile, QueryId, QueryRequest, SelectionNode,
+    Host, Match, NetMessage, NodeProfile, Output, QueryId, QueryRequest, SelectionNode,
 };
 use autosel_obs::ObsHandle;
 use epigossip::{GossipHealth, GossipStack, NodeId, Selector};
@@ -151,7 +151,7 @@ impl PeerTask {
     }
 
     /// One gossip round, then the gauges the cluster handle reads.
-    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<Effect>) {
+    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<Output>) {
         self.host.gossip_tick(now, &mut self.rng, out);
         self.publish_links(slot);
         if let Some(g) = self.host.gossip() {
@@ -159,7 +159,7 @@ impl PeerTask {
         }
     }
 
-    fn handle(&mut self, event: PeerEvent, now: u64, slot: &PeerSlot, out: &mut Vec<Effect>) {
+    fn handle(&mut self, event: PeerEvent, now: u64, slot: &PeerSlot, out: &mut Vec<Output>) {
         match event {
             PeerEvent::Deliver(from, msg) => {
                 slot.received.fetch_add(1, Ordering::Relaxed);
@@ -232,7 +232,7 @@ pub(crate) struct Shard {
     gossip_period: Duration,
     wire: Wire,
     /// What the event being handled produced, routed right after it.
-    out: Vec<Effect>,
+    out: Vec<Output>,
     started: Instant,
 }
 
@@ -415,10 +415,11 @@ impl Shard {
     /// the shard, completions go to `from`'s waiting callers.
     fn flush(&mut self, from: NodeId) {
         let mut out = std::mem::take(&mut self.out);
-        for effect in out.drain(..) {
-            match effect {
-                Effect::Send(to, msg) => self.send(from, to, msg),
-                Effect::Completed { id, matches, count } => {
+        for output in out.drain(..) {
+            match output {
+                Output::Send { to, msg } => self.send(from, to, NetMessage::Protocol(msg)),
+                Output::Gossip { to, msg } => self.send(from, to, NetMessage::Gossip(msg)),
+                Output::Completed { id, matches, count } => {
                     let peer = self.peers.get_mut(&from);
                     if let Some(reply) = peer.and_then(|p| p.pending.remove(&id)) {
                         let _ = reply.send((matches, count));

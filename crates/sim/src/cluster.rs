@@ -6,7 +6,7 @@ use attrspace::{Point, Query, Space};
 use autosel_core::bootstrap::OracleWiring;
 use autosel_core::NeighborEntry;
 use autosel_core::{
-    Effect, Host, Match, Message, NetMessage, NodeProfile, QueryId, QueryRequest, SelectionNode,
+    Host, Match, Message, NetMessage, NodeProfile, Output, QueryId, QueryRequest, SelectionNode,
     SlotSelector,
 };
 use autosel_obs::{Event, ObsHandle};
@@ -74,7 +74,7 @@ pub struct SimCluster {
     /// the send path once warm).
     delivery_scratch: Vec<u64>,
     /// Reused buffer for what one host call produced, routed right after it.
-    effects: Vec<Effect>,
+    outputs: Vec<Output>,
     /// Observability sink, propagated into every node (null by default).
     /// Events carry virtual-time timestamps.
     obs: ObsHandle,
@@ -113,7 +113,7 @@ impl SimCluster {
             faults: FaultPlan::new(),
             crashed: FastMap::default(),
             delivery_scratch: Vec::new(),
-            effects: Vec::new(),
+            outputs: Vec::new(),
             obs: ObsHandle::null(),
             selector: Arc::new(SlotSelector::default()),
         }
@@ -130,19 +130,6 @@ impl SimCluster {
             n.host.set_observer(obs.clone());
         }
         self.obs = obs;
-    }
-
-    /// Installs several observability sinks at once — sugar over
-    /// [`set_observer`](Self::set_observer) with an
-    /// [`autosel_obs::Fanout`], for the common "registry + flight
-    /// recorder" production pairing. Replaces any previously installed
-    /// observer.
-    pub fn add_observers(&mut self, sinks: Vec<std::sync::Arc<dyn autosel_obs::Observer>>) {
-        let mut fan = autosel_obs::Fanout::new();
-        for s in sinks {
-            fan.push(s);
-        }
-        self.set_observer(ObsHandle::of(fan));
     }
 
     /// Installs a [`FaultPlan`]: per-message faults apply to every message
@@ -338,9 +325,8 @@ impl SimCluster {
         let query = request.query.clone();
         let mut stats = QueryStats::new(now, self.truth_index.count(&query));
         stats.sigma = request.sigma();
-        let mut out = std::mem::take(&mut self.effects);
         let host = &mut self.nodes.get_mut(&origin).expect("origin alive").host;
-        let qid = host.begin(request, now, &mut out);
+        let qid = host.begin(request, now, &mut self.outputs);
         // The origin counts as reached if it matches (it "received" the
         // query by creating it).
         stats.receivers.insert(origin);
@@ -349,7 +335,7 @@ impl SimCluster {
         }
         self.queries.insert(qid, stats);
         self.truth.insert(qid, query);
-        self.route(origin, out);
+        self.route(origin);
         self.schedule_timeout_poll(origin);
         qid
     }
@@ -827,23 +813,27 @@ impl SimCluster {
         self.delivery_scratch = deliveries;
     }
 
-    /// Routes what one host call of `from` produced, in order: sends go on
-    /// the network, completions into the query's stats.
-    fn route(&mut self, from: NodeId, mut effects: Vec<Effect>) {
-        for effect in effects.drain(..) {
-            match effect {
-                Effect::Send(to, msg) => self.send(from, to, Arc::new(msg)),
-                Effect::Completed { id, matches, count } => {
+    /// Routes what one host call of `from` left in `outputs`, in order:
+    /// sends go on the network, completions into the query's stats.
+    fn route(&mut self, from: NodeId) {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        for output in outputs.drain(..) {
+            let (to, msg) = match output {
+                Output::Send { to, msg } => (to, NetMessage::Protocol(msg)),
+                Output::Gossip { to, msg } => (to, NetMessage::Gossip(msg)),
+                Output::Completed { id, matches, count } => {
                     if let Some(stats) = self.queries.get_mut(&id) {
                         stats.completed = true;
                         stats.completed_at = Some(self.now);
                         stats.reported = count as u32;
                     }
                     self.completed.insert(id, matches);
+                    continue;
                 }
-            }
+            };
+            self.send(from, to, Arc::new(msg));
         }
-        self.effects = effects;
+        self.outputs = outputs;
     }
 
     /// Runs one call on `node`'s host, if it is alive, and routes what it
@@ -851,14 +841,13 @@ impl SimCluster {
     fn drive(
         &mut self,
         node: NodeId,
-        call: impl FnOnce(&mut Host, u64, &mut StdRng, &mut Vec<Effect>),
+        call: impl FnOnce(&mut Host, u64, &mut StdRng, &mut Vec<Output>),
     ) {
         let Some(n) = self.nodes.get_mut(&node) else {
             return;
         };
-        let mut effects = std::mem::take(&mut self.effects);
-        call(&mut n.host, self.now, &mut self.rng, &mut effects);
-        self.route(node, effects);
+        call(&mut n.host, self.now, &mut self.rng, &mut self.outputs);
+        self.route(node);
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -896,11 +885,10 @@ impl SimCluster {
                     return;
                 };
                 n.next_poll = u64::MAX;
-                let mut effects = std::mem::take(&mut self.effects);
-                n.host.poll_timeouts(self.now, &mut effects);
+                n.host.poll_timeouts(self.now, &mut self.outputs);
                 // The next poll is queued before this one's sends.
                 self.schedule_timeout_poll(node);
-                self.route(node, effects);
+                self.route(node);
             }
             EventKind::SendFailed { node, peer } => {
                 self.drive(node, |h, now, _, out| h.unreachable(peer, now, out));

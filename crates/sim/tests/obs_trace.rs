@@ -192,7 +192,7 @@ fn registry_snapshots_are_virtual_time_deterministic() {
 
 /// The flight-recorder post-mortem path: a duplication fault trips the
 /// strict invariant checker, and the recorder — installed alongside the
-/// registry via `add_observers` — holds the last K events leading up to
+/// registry in one `Fanout` — holds the last K events leading up to
 /// the violation, dumpable as JSONL that the closed-schema trace parser
 /// accepts. Bounded memory: the ring kept at most K of the many more
 /// events the run emitted, and exactly the most recent ones, in order.
@@ -208,7 +208,10 @@ fn invariant_violation_dumps_a_parseable_flight_recording() {
     sim.wire_oracle();
     let flight = Arc::new(FlightRecorder::new(K));
     let reg = Arc::new(Registry::new());
-    sim.add_observers(vec![flight.clone(), reg.clone()]);
+    let mut fan = autosel_obs::Fanout::new();
+    fan.push(flight.clone());
+    fan.push(reg.clone());
+    sim.set_observer(ObsHandle::of(fan));
 
     // Fill the ring with healthy traffic first — the recorder is always-on,
     // not armed by the fault — so the dump shows the lead-up, not just the
