@@ -121,9 +121,9 @@ impl Host {
             NetMessage::Protocol(m) => self.selection.receive(from, m, now, out),
             NetMessage::Gossip(m) => {
                 if let Some(g) = self.gossip.as_mut() {
-                    let msgs = g.stack.handle(from, m, rng);
+                    let reply = g.stack.handle(from, m, rng);
                     g.sync(&mut self.selection, now, rng);
-                    out.extend(msgs.into_iter().map(|(to, msg)| Output::Gossip { to, msg }));
+                    out.extend(reply.map(|(to, msg)| Output::Gossip { to, msg }));
                 }
             }
         }

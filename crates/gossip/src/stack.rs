@@ -304,14 +304,15 @@ impl<P: Clone> GossipStack<P> {
         out
     }
 
-    /// Processes an incoming gossip message, returning any replies to send.
+    /// Processes an incoming gossip message, returning the reply to send,
+    /// if any: a request is answered once, a response not at all.
     pub fn handle<R: Rng + ?Sized>(
         &mut self,
         from: NodeId,
         msg: GossipMessage<P>,
         rng: &mut R,
-    ) -> Vec<(NodeId, GossipMessage<P>)> {
-        match msg {
+    ) -> std::option::IntoIter<(NodeId, GossipMessage<P>)> {
+        let reply = match msg {
             GossipMessage::Request {
                 layer: Layer::Random,
                 from_profile,
@@ -326,13 +327,13 @@ impl<P: Clone> GossipStack<P> {
                 let reply = self.cyclon.handle_request(from, &batch, rng);
                 batch.push(Descriptor::new(from, from_profile));
                 self.vicinity.absorb(batch);
-                vec![(
+                Some((
                     from,
                     GossipMessage::Response {
                         layer: Layer::Random,
                         batch: reply,
                     },
-                )]
+                ))
             }
             GossipMessage::Request {
                 layer: Layer::Semantic,
@@ -341,13 +342,13 @@ impl<P: Clone> GossipStack<P> {
             } => {
                 let from_desc = Descriptor::new(from, from_profile);
                 let reply = self.vicinity.handle_request(&from_desc, batch, rng);
-                vec![(
+                Some((
                     from,
                     GossipMessage::Response {
                         layer: Layer::Semantic,
                         batch: reply,
                     },
-                )]
+                ))
             }
             GossipMessage::Response {
                 layer: Layer::Random,
@@ -355,16 +356,17 @@ impl<P: Clone> GossipStack<P> {
             } => {
                 self.cyclon.handle_response(from, &batch);
                 self.vicinity.absorb(batch);
-                Vec::new()
+                None
             }
             GossipMessage::Response {
                 layer: Layer::Semantic,
                 batch,
             } => {
                 self.vicinity.handle_response(from, batch);
-                Vec::new()
+                None
             }
-        }
+        };
+        reply.into_iter()
     }
 }
 
@@ -503,7 +505,7 @@ mod tests {
             };
             requests += 1;
             let (mut r1, mut r2) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
-            let replies = once.handle(1, request.clone(), &mut r1);
+            let replies: Vec<_> = once.handle(1, request.clone(), &mut r1).collect();
             let reply = handle_random_twice(&mut twice, 1, request, &mut r2);
             assert_eq!(semantic(&once), semantic(&twice), "seed {seed}");
             let [(1, GossipMessage::Response { batch, .. })] = &replies[..] else {

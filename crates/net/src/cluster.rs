@@ -105,7 +105,8 @@ pub struct InboxStats {
 /// and each shard is one thread owning its peers' protocol state outright,
 /// driving their timers and messages from one loop. On TCP every message
 /// still crosses a loopback socket, same-shard ones included: each shard
-/// listens on one port and keeps one persistent link to every shard. The
+/// listens on one port and keeps one persistent link to every shard, which
+/// it writes itself. The
 /// cluster handle can issue queries at any node, kill nodes ungracefully,
 /// and read per-node traffic counters. Dropping the cluster shuts it down.
 pub struct NetCluster {
@@ -590,8 +591,24 @@ mod tests {
 
         #[test]
         fn every_query_completes_once_with_the_ground_truth() {
+            every_query_completes_once_with_the_ground_truth_over(|| Transport::mem(None));
+        }
+
+        /// The same arc over TCP, where every message, same-shard ones
+        /// included, is written by its shard onto a link and read back by
+        /// the destination shard's reader.
+        #[test]
+        fn every_tcp_query_completes_once_with_the_ground_truth() {
+            every_query_completes_once_with_the_ground_truth_over(|| Transport::tcp(space()));
+        }
+
+        /// 200 queries from random origins of a converged cluster at each K:
+        /// each completes exactly once, with exactly the matching nodes.
+        fn every_query_completes_once_with_the_ground_truth_over(
+            transport: impl Fn() -> Transport,
+        ) {
             for k in KS {
-                let mut cluster = spawn(30, k, Transport::mem(None), ObsHandle::null());
+                let mut cluster = spawn(30, k, transport(), ObsHandle::null());
                 converge(&mut cluster);
                 let mut rng = StdRng::seed_from_u64(k as u64);
                 let tickets: Vec<(QueryTicket, Vec<NodeId>)> = (0..200)

@@ -195,9 +195,9 @@ pub(crate) enum Wire {
         delayed: BTreeMap<(Instant, u64), (NodeId, NodeId, NetMessage)>,
         seq: u64,
     },
-    /// Every send is framed onto this shard's link to the destination's
-    /// shard — its own included — and comes back through that shard's
-    /// listener.
+    /// Every send is framed into this shard's link to the destination's
+    /// shard — its own included —, written by the shard after the event
+    /// or pass that sent it, and comes back through that shard's listener.
     Tcp(TcpOut),
 }
 
@@ -212,8 +212,9 @@ const POLL_PERIOD: Duration = Duration::from_millis(20);
 /// pass: due gossip and poll timers, due latency-injected sends, then up to
 /// [`PASS`] events from its inbox (other shards, the TCP readers, the
 /// cluster handle) and up to [`PASS`] from its local queue (same-shard
-/// sends). With nothing to do it blocks on the inbox until the next
-/// deadline. It stops when its last peer is killed.
+/// sends); on TCP it then writes its links. With nothing to do it blocks on
+/// the inbox until the next deadline. It stops when its last peer is
+/// killed.
 pub(crate) struct Shard {
     index: usize,
     peers: FastMap<NodeId, PeerTask>,
@@ -279,18 +280,36 @@ impl Shard {
         self.started.elapsed().as_millis() as u64
     }
 
-    /// Runs until the last peer is killed.
+    /// Runs until the last peer is killed. What a pass or a woken event
+    /// sent over TCP is written before the shard looks for more work, so
+    /// nothing waits on a link while the shard blocks; a write that failed
+    /// queued its bounces locally, which keeps the shard from blocking.
     pub(crate) fn run(mut self) {
         while !self.peers.is_empty() {
             let now = Instant::now();
-            if !self.pass(now) {
+            let busy = self.pass(now);
+            self.flush_links();
+            if !busy && self.local.is_empty() {
                 let wait = self
                     .next_deadline(now)
                     .saturating_duration_since(Instant::now());
                 if let Ok((to, event)) = self.inbox.recv_timeout(wait) {
                     self.dispatch(to, event);
+                    self.flush_links();
                 }
             }
+        }
+    }
+
+    /// Writes every TCP link's pending frames, one `write_all` per link;
+    /// each frame that could not be written bounces `Failed` to its sender,
+    /// as a dead destination would.
+    fn flush_links(&mut self) {
+        let Wire::Tcp(links) = &mut self.wire else {
+            return;
+        };
+        for (from, to) in links.flush(Instant::now()) {
+            self.enqueue(from, PeerEvent::Failed(to));
         }
     }
 
@@ -332,11 +351,11 @@ impl Shard {
         taken + handled > 0
     }
 
-    /// The earliest timer or latency deadline.
+    /// The earliest timer, latency or link-retry deadline.
     fn next_deadline(&self, now: Instant) -> Instant {
         let delayed = match &self.wire {
             Wire::Mem { delayed, .. } => delayed.first_key_value().map(|(&(due, _), _)| due),
-            Wire::Tcp(_) => None,
+            Wire::Tcp(links) => links.next_retry(),
         };
         [
             self.gossip_due.front().map(|d| d.0),
@@ -449,9 +468,9 @@ impl Shard {
                 delayed.insert((due, *seq), (from, to, msg));
             }
             Wire::Tcp(links) => {
-                let sent = self.fabric.live(to).is_some()
-                    && links.send(self.fabric.shard_of(to), from, to, &msg).is_ok();
-                if !sent {
+                if self.fabric.live(to).is_some() {
+                    links.send(self.fabric.shard_of(to), from, to, &msg);
+                } else {
                     self.enqueue(from, PeerEvent::Failed(to));
                 }
             }
@@ -587,6 +606,27 @@ mod tests {
             s.local.pop_front(),
             Some((1, PeerEvent::Deliver(0, _)))
         ));
+    }
+
+    /// A TCP link that cannot write bounces `Failed` to the sender of each
+    /// frame it held, through the shard's own queue.
+    #[test]
+    fn a_link_that_cannot_write_fails_each_frame_back_to_its_sender() {
+        let mut s = shard(3, 8, None);
+        let space = Space::uniform(2, 80, 3).unwrap();
+        let (mut wires, listeners) = crate::Transport::tcp(space).start(&s.fabric).unwrap();
+        drop(listeners);
+        s.wire = wires.pop().unwrap();
+        s.send(0, 1, reply());
+        s.send(2, 1, reply());
+        assert!(s.local.is_empty(), "frames wait for the flush");
+        s.flush_links();
+        let events: Vec<_> = s.local.drain(..).collect();
+        let bounced = matches!(
+            events[..],
+            [(0, PeerEvent::Failed(1)), (2, PeerEvent::Failed(1))]
+        );
+        assert!(bounced, "expected both frames bounced, got {events:?}");
     }
 
     /// A shard that dies with peers (a panic) must not leave the cluster

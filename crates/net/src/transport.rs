@@ -4,11 +4,10 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use attrspace::Space;
 use autosel_core::NetMessage;
-use bytes::Bytes;
 use epigossip::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -26,16 +25,24 @@ pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 /// after itself.
 const HEADER_LEN: usize = 20;
 
-/// Bound on each TCP link's outbound frame queue. Frames beyond it are
-/// dropped (and counted in `tx_queue_full_drops`), like network loss — the
-/// same load-survival discipline as the bounded peer inboxes.
+/// Bound on the frames waiting on each TCP link for its next flush.
+/// Frames beyond it are dropped (and counted in `tx_queue_full_drops`),
+/// like network loss — the same load-survival discipline as the bounded
+/// peer inboxes.
 const LINK_QUEUE_CAP: usize = 1_024;
 
-/// First reconnect delay after a failed connect.
+/// First reconnect delay after a failed flush.
 const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Reconnect delays double per consecutive failure up to this cap.
 const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(320);
+
+/// How long a link waits for a connect before failing its batch.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long one write on a link may block before the connection counts as
+/// broken.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One event addressed to a peer, on its way to the peer's shard.
 pub(crate) type Envelope = (NodeId, PeerEvent);
@@ -152,12 +159,13 @@ pub struct TcpStatsSnapshot {
     pub conn_established: u64,
     /// Failed outbound connects (dead or unreachable endpoints).
     pub conn_failed: u64,
-    /// Writer wakeups that flushed at least one frame — one coalesced
-    /// `write_all` + flush each.
+    /// Link flushes that wrote at least one frame — one coalesced
+    /// `write_all` each.
     pub tx_batches: u64,
-    /// Frames flushed; `tx_frames / tx_batches` is the mean batch size.
+    /// Frames written; `tx_frames / tx_batches` is the mean batch size.
     pub tx_frames: u64,
-    /// Frames dropped because a link's bounded outbound queue was full.
+    /// Frames dropped because a link already held its bound of frames
+    /// waiting for the next flush.
     pub tx_queue_full_drops: u64,
     /// Messages rejected at send time for exceeding the frame-size cap.
     pub tx_oversize_drops: u64,
@@ -233,8 +241,8 @@ impl Transport {
     }
 
     /// The TCP transport decoding against `space`: every shard keeps one
-    /// link to every shard's listener, and each link owns one writer
-    /// thread, a bounded outbound queue and a capped reconnect backoff.
+    /// link to every shard's listener, which it writes itself, with a
+    /// bounded batch of pending frames and a capped reconnect backoff.
     pub fn tcp(space: Space) -> Self {
         Transport {
             inner: Inner::Tcp {
@@ -258,7 +266,7 @@ impl Transport {
     ///
     /// # Errors
     ///
-    /// I/O errors from binding a listener or starting a thread.
+    /// I/O errors from binding a listener or starting its thread.
     pub(crate) fn start(&self, fabric: &Arc<Fabric>) -> io::Result<(Vec<Wire>, Vec<Listener>)> {
         let shards = fabric.inboxes.len();
         let (space, stats) = match &self.inner {
@@ -277,190 +285,169 @@ impl Transport {
             .map(|j| Listener::bind(j, space.clone(), Arc::clone(fabric), Arc::clone(stats)))
             .collect::<io::Result<Vec<_>>>()?;
         let wires = (0..shards)
-            .map(|k| TcpOut::connect(k, &listeners, stats, fabric).map(Wire::Tcp))
-            .collect::<io::Result<Vec<_>>>()?;
+            .map(|_| Wire::Tcp(TcpOut::new(listeners.iter().map(|l| l.addr), stats)))
+            .collect();
         Ok((wires, listeners))
     }
 }
 
-/// One outbound frame: its ends and the encoded message.
-struct Frame {
-    from: NodeId,
-    to: NodeId,
-    payload: Bytes,
-}
-
-impl Frame {
-    /// The length prefix: `from` + `to` + payload.
-    fn len(&self) -> usize {
-        16 + self.payload.len()
-    }
-
-    /// Appends the frame's bytes, header first, to `buf`.
-    fn put(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&(self.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.from.to_le_bytes());
-        buf.extend_from_slice(&self.to.to_le_bytes());
-        buf.extend_from_slice(&self.payload);
-    }
-}
-
 /// One shard's outbound TCP links, one per destination shard (its own
-/// included). Each is a bounded frame queue drained by one writer thread
-/// that coalesces every queued frame into one `write_all` on a persistent
-/// connection.
+/// included), written by the shard itself: [`send`](Self::send) frames a
+/// message into its link's batch buffer, and [`flush`](Self::flush) writes
+/// every link's batch with one `write_all` on its persistent connection.
 #[derive(Debug)]
 pub(crate) struct TcpOut {
-    links: Vec<mpsc::SyncSender<Frame>>,
-    writers: Vec<JoinHandle<()>>,
+    links: Vec<Link>,
     stats: Arc<TcpCounters>,
+}
+
+/// One link: a persistent connection to one shard's listener, opened on
+/// demand, and the frames waiting for the next flush.
+///
+/// A flush blocks the shard only while the kernel's socket buffer is full,
+/// and between the cluster's own shards it always drains: the reader on the
+/// other end never blocks on a shard, because
+/// [`Fabric::try_deliver`] drops an event that meets a full inbox. The
+/// connect and write timeouts bound the wait on an endpoint that does not
+/// drain.
+#[derive(Debug)]
+struct Link {
+    addr: SocketAddr,
+    stream: Option<TcpStream>,
+    /// The pending frames' bytes, header then body each, back to back.
+    batch: Vec<u8>,
+    /// `(from, to)` of each pending frame, in batch order.
+    pending: Vec<(NodeId, NodeId)>,
+    /// The next reconnect delay after a failed flush.
+    backoff: Duration,
+    /// No connect before this instant: a failed flush backs off.
+    retry_at: Option<Instant>,
 }
 
 impl TcpOut {
-    fn connect(
-        shard: usize,
-        listeners: &[Listener],
-        stats: &Arc<TcpCounters>,
-        fabric: &Arc<Fabric>,
-    ) -> io::Result<Self> {
-        let mut out = TcpOut {
-            links: Vec::new(),
-            writers: Vec::new(),
+    /// Links to `addrs`, one per destination shard; none connects before
+    /// its first flush.
+    fn new(addrs: impl IntoIterator<Item = SocketAddr>, stats: &Arc<TcpCounters>) -> Self {
+        let link = |addr| Link {
+            addr,
+            stream: None,
+            batch: Vec::new(),
+            pending: Vec::new(),
+            backoff: CONNECT_BACKOFF,
+            retry_at: None,
+        };
+        TcpOut {
+            links: addrs.into_iter().map(link).collect(),
             stats: Arc::clone(stats),
-        };
-        for (j, listener) in listeners.iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel(LINK_QUEUE_CAP);
-            let writer = Writer {
-                addr: listener.addr,
-                stats: Arc::clone(stats),
-                fabric: Arc::clone(fabric),
-            };
-            out.writers.push(
-                std::thread::Builder::new()
-                    .name(format!("autosel-net-writer-{shard}-{j}"))
-                    .spawn(move || writer.run(&rx))?,
-            );
-            out.links.push(tx);
-        }
-        Ok(out)
-    }
-
-    /// Frames `msg` onto the link to `shard`. A message over the frame cap
-    /// is dropped and counted, as is a frame meeting a full queue: senders
-    /// are never blocked by a slow link. `Err` means the link's writer is
-    /// gone.
-    pub(crate) fn send(
-        &self,
-        shard: usize,
-        from: NodeId,
-        to: NodeId,
-        msg: &NetMessage,
-    ) -> Result<(), ()> {
-        let frame = Frame {
-            from,
-            to,
-            payload: crate::wire::encode(msg),
-        };
-        if frame.len() >= MAX_FRAME_LEN {
-            TcpCounters::bump(&self.stats.tx_oversize_drops, 1);
-            return Ok(());
-        }
-        match self.links[shard].try_send(frame) {
-            Ok(()) => Ok(()),
-            Err(mpsc::TrySendError::Full(_)) => {
-                TcpCounters::bump(&self.stats.tx_queue_full_drops, 1);
-                Ok(())
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => Err(()),
         }
     }
-}
 
-impl Drop for TcpOut {
-    /// Closes the queues, so each writer flushes what is queued and exits
-    /// with its connection.
-    fn drop(&mut self) {
-        self.links.clear();
-        for w in self.writers.drain(..) {
-            let _ = w.join();
+    /// Frames `msg` into the batch of the link to `shard`. A message over
+    /// the frame cap is dropped and counted, as is a frame meeting a link
+    /// that already holds [`LINK_QUEUE_CAP`] pending frames: a slow or
+    /// backing-off link never grows without bound.
+    pub(crate) fn send(&mut self, shard: usize, from: NodeId, to: NodeId, msg: &NetMessage) {
+        let link = &mut self.links[shard];
+        if link.pending.len() >= LINK_QUEUE_CAP {
+            return TcpCounters::bump(&self.stats.tx_queue_full_drops, 1);
         }
+        let mark = link.batch.len();
+        if put_frame(&mut link.batch, from, to, msg) >= MAX_FRAME_LEN {
+            link.batch.truncate(mark);
+            return TcpCounters::bump(&self.stats.tx_oversize_drops, 1);
+        }
+        link.pending.push((from, to));
     }
-}
 
-/// The writer end of one link.
-struct Writer {
-    addr: SocketAddr,
-    stats: Arc<TcpCounters>,
-    fabric: Arc<Fabric>,
-}
-
-impl Writer {
-    /// Per wakeup: take every queued frame, coalesce them into one buffer
-    /// and flush it with a single `write_all` — (re)connecting on demand
-    /// with a capped exponential backoff between failed attempts. Returns
-    /// when the owning shard closes the queue.
+    /// Writes every link's pending frames as one batch, (re)connecting on
+    /// demand; a link still backing off at `now` keeps its frames for a
+    /// later flush. Returns `(from, to)` of every frame that could not be
+    /// written, for the shard to bounce `Failed(to)` to its sender.
     ///
-    /// A batch that cannot be flushed (connect refused, or a write error
-    /// that survives one immediate reconnect) delivers `Failed(to)` to the
-    /// sender of every frame in it. A mid-batch connection loss retries the
-    /// whole batch on a fresh connection, so frames already received before
-    /// the break may arrive twice — the protocol's exactly-once accounting
-    /// (attempt-tagged replies) absorbs duplicates by design.
-    fn run(&self, queue: &mpsc::Receiver<Frame>) {
-        let mut stream: Option<TcpStream> = None;
-        let mut backoff = CONNECT_BACKOFF;
-        let mut batch: Vec<Frame> = Vec::new();
-        let mut buf: Vec<u8> = Vec::new();
-        while let Ok(first) = queue.recv() {
-            batch.push(first);
-            batch.extend(queue.try_iter().take(LINK_QUEUE_CAP));
-            buf.clear();
-            for f in &batch {
-                f.put(&mut buf);
+    /// A batch fails when the connect is refused or times out, or when a
+    /// write error (a timeout included) survives one reconnect. The failed
+    /// link backs off, doubling from [`CONNECT_BACKOFF`] to
+    /// [`CONNECT_BACKOFF_CAP`]. A write that breaks mid-batch resends the
+    /// whole batch on the fresh connection, so frames received before the
+    /// break may arrive twice; the protocol's attempt-tagged replies absorb
+    /// duplicates by design.
+    pub(crate) fn flush(&mut self, now: Instant) -> Vec<(NodeId, NodeId)> {
+        let mut failed = Vec::new();
+        for link in &mut self.links {
+            if link.pending.is_empty() || link.retry_at.is_some_and(|at| now < at) {
+                continue;
             }
-            let mut wrote = false;
-            for _attempt in 0..2 {
-                if stream.is_none() {
-                    match TcpStream::connect(self.addr) {
-                        Ok(s) => {
-                            // Batching already coalesces; Nagle on top of it
-                            // only adds latency.
-                            let _ = s.set_nodelay(true);
-                            TcpCounters::bump(&self.stats.conn_established, 1);
-                            backoff = CONNECT_BACKOFF;
-                            stream = Some(s);
-                        }
-                        Err(_) => {
-                            TcpCounters::bump(&self.stats.conn_failed, 1);
-                            break;
-                        }
-                    }
-                }
-                let s = stream.as_mut().expect("connected in this iteration");
-                if s.write_all(&buf).and_then(|()| s.flush()).is_ok() {
-                    wrote = true;
-                    break;
-                }
-                // Connection died mid-batch: drop it and retry once on a
-                // fresh connection before declaring the endpoint down.
-                stream = None;
-            }
-            if wrote {
+            if link.write(&self.stats) {
                 TcpCounters::bump(&self.stats.tx_batches, 1);
-                TcpCounters::bump(&self.stats.tx_frames, batch.len() as u64);
+                TcpCounters::bump(&self.stats.tx_frames, link.pending.len() as u64);
+                link.pending.clear();
             } else {
-                for f in &batch {
-                    let _ = self.fabric.try_deliver(f.from, PeerEvent::Failed(f.to));
-                }
-                // Capped backoff before the next connect attempt; frames
-                // queued meanwhile wait (or drop on a full queue).
-                #[allow(clippy::disallowed_methods)] // thread-sleep: connect backoff, not a test
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(CONNECT_BACKOFF_CAP);
+                failed.append(&mut link.pending);
+                link.retry_at = Some(now + link.backoff);
+                link.backoff = (link.backoff * 2).min(CONNECT_BACKOFF_CAP);
             }
-            batch.clear();
+            link.batch.clear();
         }
+        failed
     }
+
+    /// The instant a backing-off link with pending frames may retry, if
+    /// any: the shard wakes for it.
+    pub(crate) fn next_retry(&self) -> Option<Instant> {
+        self.links
+            .iter()
+            .filter(|l| !l.pending.is_empty())
+            .filter_map(|l| l.retry_at)
+            .min()
+    }
+}
+
+impl Link {
+    /// Writes the batch on the link's connection, trying one fresh
+    /// connection if the first write fails; false if it could not.
+    fn write(&mut self, stats: &TcpCounters) -> bool {
+        for _attempt in 0..2 {
+            if self.stream.is_none() {
+                let Ok(s) = connect(self.addr) else {
+                    TcpCounters::bump(&stats.conn_failed, 1);
+                    return false;
+                };
+                TcpCounters::bump(&stats.conn_established, 1);
+                self.backoff = CONNECT_BACKOFF;
+                self.retry_at = None;
+                self.stream = Some(s);
+            }
+            let s = self.stream.as_mut().expect("connected above");
+            if s.write_all(&self.batch).is_ok() {
+                return true;
+            }
+            self.stream = None;
+        }
+        false
+    }
+}
+
+/// A connection to `addr` for a link: bounded connect, bounded writes, and
+/// no Nagle delay (the batch already coalesces).
+fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let s = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    s.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    s.set_nodelay(true)?;
+    Ok(s)
+}
+
+/// Appends one frame, header then `msg`'s encoding, to `buf`, and returns
+/// its length prefix (`from` + `to` + payload), which a caller must check
+/// against [`MAX_FRAME_LEN`].
+fn put_frame(buf: &mut Vec<u8>, from: NodeId, to: NodeId, msg: &NetMessage) -> usize {
+    let mark = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    buf.extend_from_slice(&from.to_le_bytes());
+    buf.extend_from_slice(&to.to_le_bytes());
+    crate::wire::encode_into(msg, buf);
+    let len = buf.len() - mark - 4;
+    buf[mark..mark + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    len
 }
 
 /// One shard's listener: an accept thread that starts a reader per inbound
@@ -545,6 +532,10 @@ impl Drop for Listener {
 /// Reads frames off one connection until it ends, handing every decodable
 /// frame addressed to a peer `serves` accepts to `deliver(from, to, msg)`.
 ///
+/// A frame whose body is already buffered is decoded where it lies; one
+/// that straddles the end of the buffer is read into a buffer of its own,
+/// freed with the frame.
+///
 /// Input is untrusted. Every frame not delivered counts in `dropped`: an
 /// undecodable payload or an unknown destination (the stream stays in
 /// step and reading goes on), and a length prefix outside
@@ -571,11 +562,22 @@ fn read_frames(
         if !(16..MAX_FRAME_LEN).contains(&len) {
             return TcpCounters::bump(dropped, 1);
         }
-        let mut body = vec![0u8; len - 16];
-        if r.read_exact(&mut body).is_err() {
-            return TcpCounters::bump(dropped, 1);
-        }
-        match crate::wire::decode(space, Bytes::from(body)) {
+        let body = len - 16;
+        let decoded = match r.fill_buf() {
+            Ok(buffered) if buffered.len() >= body => {
+                let msg = crate::wire::decode_slice(space, &buffered[..body]);
+                r.consume(body);
+                msg
+            }
+            _ => {
+                let mut own = vec![0u8; body];
+                if r.read_exact(&mut own).is_err() {
+                    return TcpCounters::bump(dropped, 1);
+                }
+                crate::wire::decode_slice(space, &own)
+            }
+        };
+        match decoded {
             Ok(msg) if serves(to) => deliver(from, to, msg),
             _ => TcpCounters::bump(dropped, 1),
         }
@@ -626,23 +628,26 @@ mod tests {
                 attempt: 1,
             }))
         };
-        let base = frame(1, 2, &reply(0)).len();
-        let width = frame(1, 2, &reply(1)).len() - base;
+        let base = frame_len(&reply(0));
+        let width = frame_len(&reply(1)) - base;
         (reply(((target_len - base) / width) as u64), width)
     }
 
-    fn frame(from: NodeId, to: NodeId, msg: &NetMessage) -> Frame {
-        Frame {
-            from,
-            to,
-            payload: crate::wire::encode(msg),
-        }
+    /// The length prefix of a frame carrying `msg`.
+    fn frame_len(msg: &NetMessage) -> usize {
+        16 + crate::wire::encode(msg).len()
     }
 
     fn frame_bytes(from: NodeId, to: NodeId, msg: &NetMessage) -> Vec<u8> {
         let mut buf = Vec::new();
-        frame(from, to, msg).put(&mut buf);
+        put_frame(&mut buf, from, to, msg);
         buf
+    }
+
+    /// Flushes `out` now, expecting every pending frame to be written.
+    fn flush(out: &mut TcpOut) {
+        let failed = out.flush(Instant::now());
+        assert!(failed.is_empty(), "frames failed: {failed:?}");
     }
 
     /// The next event queued for a shard: `(to, event)`.
@@ -713,15 +718,15 @@ mod tests {
     fn tcp_frames_cross_one_persistent_link_per_shard_pair() {
         const N: usize = 50;
         let space = space();
-        let (fabric, inboxes, _listeners, outs, transport) = plane(4, 2);
-        for _ in 0..N {
-            outs[0]
-                .send(fabric.shard_of(1), 0, 1, &sample_msg(&space))
-                .unwrap();
+        let (fabric, inboxes, _listeners, mut outs, transport) = plane(4, 2);
+        for i in 0..N {
+            outs[0].send(fabric.shard_of(1), 0, 1, &sample_msg(&space));
+            if i % 10 == 9 {
+                flush(&mut outs[0]);
+            }
         }
-        outs[1]
-            .send(fabric.shard_of(3), 3, 3, &sample_msg(&space))
-            .unwrap();
+        outs[1].send(fabric.shard_of(3), 3, 3, &sample_msg(&space));
+        flush(&mut outs[1]);
         for _ in 0..=N {
             let (to, event) = next(&inboxes[1]);
             let PeerEvent::Deliver(from, msg) = event else {
@@ -736,76 +741,107 @@ mod tests {
             "one connection per used link: {stats:?}"
         );
         assert_eq!(stats.tx_frames, N as u64 + 1);
-        assert!(stats.tx_batches >= 2 && stats.tx_batches <= N as u64 + 1);
+        assert_eq!(stats.tx_batches, N as u64 / 10 + 1, "one batch per flush");
         assert_eq!((stats.tx_queue_full_drops, stats.rx_dropped), (0, 0));
     }
 
-    /// One writer wakeup flushes the whole queue as one batch, and a full
-    /// queue drops and counts instead of blocking the shard.
+    /// One flush writes every pending frame as one batch, and a link
+    /// holding its bound of frames drops and counts instead of growing.
     #[test]
     fn link_batches_whole_queue_and_bounds_it() {
         let space = space();
-        let (fabric, _inboxes) = Fabric::new(2, 1, 8);
-        let stats = Arc::new(TcpCounters::default());
-        let (tx, rx) = mpsc::sync_channel(8);
-        let out = TcpOut {
-            links: vec![tx],
-            writers: Vec::new(),
-            stats: Arc::clone(&stats),
-        };
-        for _ in 0..11 {
-            out.send(0, 0, 1, &sample_msg(&space)).unwrap();
-        }
-        assert_eq!(stats.tx_queue_full_drops.load(Relaxed), 3);
-        drop(out);
         let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let addr = sink.local_addr().unwrap();
-        let writer = Writer {
-            addr,
-            stats: Arc::clone(&stats),
-            fabric,
-        };
-        writer.run(&rx);
-        assert_eq!(
-            stats.tx_batches.load(Relaxed),
-            1,
-            "one wakeup took the whole queue"
-        );
-        assert_eq!(stats.tx_frames.load(Relaxed), 8);
-        let (conn, _) = sink.accept().unwrap();
-        let mut got = 0;
-        read_frames(
-            BufReader::new(conn),
-            &space,
-            |_| true,
-            |_, _, _| got += 1,
-            &stats.rx_dropped,
-        );
-        assert_eq!((got, stats.rx_dropped.load(Relaxed)), (8, 0));
+        let stats = Arc::new(TcpCounters::default());
+        let mut out = TcpOut::new([sink.local_addr().unwrap()], &stats);
+        for _ in 0..=LINK_QUEUE_CAP {
+            out.send(0, 0, 1, &sample_msg(&space));
+        }
+        assert_eq!(stats.tx_queue_full_drops.load(Relaxed), 1);
+        let got = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                let (conn, _) = sink.accept().unwrap();
+                let mut got = 0;
+                let count = |_, _, _| got += 1;
+                read_frames(
+                    BufReader::new(conn),
+                    &space,
+                    |_| true,
+                    count,
+                    &stats.rx_dropped,
+                );
+                got
+            });
+            flush(&mut out);
+            assert_eq!(stats.tx_batches.load(Relaxed), 1, "one write took them all");
+            assert_eq!(stats.tx_frames.load(Relaxed), LINK_QUEUE_CAP as u64);
+            drop(out);
+            reader.join().unwrap()
+        });
+        assert_eq!((got, stats.rx_dropped.load(Relaxed)), (LINK_QUEUE_CAP, 0));
     }
 
-    /// A link whose listener is gone fails every frame of the batch back to
-    /// its sender and counts the refused connect.
+    /// What a link writes for a frame is its header, then exactly the
+    /// public codec's encoding of the message.
     #[test]
-    fn link_writer_fails_fast_on_dead_endpoint() {
-        let (fabric, inboxes) = Fabric::new(2, 1, 8);
+    fn a_link_writes_each_frame_as_its_header_then_its_encoding() {
+        let space = space();
+        let sink = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let stats = Arc::new(TcpCounters::default());
+        let mut out = TcpOut::new([sink.local_addr().unwrap()], &stats);
+        let (reply, _) = msg_with_frame_len_near(&space, 200);
+        let frames: [(NodeId, NodeId, NetMessage); 2] =
+            [(3, 9, sample_msg(&space)), (u64::MAX, 0, reply)];
+        let mut want = Vec::new();
+        for (from, to, msg) in &frames {
+            let body = crate::wire::encode(msg);
+            want.extend_from_slice(&(16 + body.len() as u32).to_le_bytes());
+            want.extend_from_slice(&from.to_le_bytes());
+            want.extend_from_slice(&to.to_le_bytes());
+            want.extend_from_slice(&body);
+            out.send(0, *from, *to, msg);
+        }
+        flush(&mut out);
+        drop(out);
+        let (mut conn, _) = sink.accept().unwrap();
+        let mut wrote = Vec::new();
+        conn.read_to_end(&mut wrote).unwrap();
+        assert_eq!(wrote, want);
+    }
+
+    /// A flush to a port nobody listens on fails every pending frame back
+    /// to the shard at once and counts the refused connect. The link then
+    /// backs off: frames sent meanwhile wait for the retry.
+    #[test]
+    fn link_flush_fails_fast_on_dead_endpoint() {
         // Bind-then-drop: a loopback port with nothing listening.
         let addr = TcpListener::bind(("127.0.0.1", 0))
             .unwrap()
             .local_addr()
             .unwrap();
-        let gone = Listener {
-            addr,
-            stop: Arc::default(),
-            accept: None,
-        };
         let stats = Arc::new(TcpCounters::default());
-        let out = TcpOut::connect(0, &[gone], &stats, &fabric).unwrap();
-        out.send(0, 0, 1, &sample_msg(&space())).unwrap();
-        let (to, event) = next(&inboxes[0]);
-        assert!(matches!((to, event), (0, PeerEvent::Failed(1))));
-        assert!(stats.conn_failed.load(Relaxed) >= 1);
+        let mut out = TcpOut::new([addr], &stats);
+        let msg = sample_msg(&space());
+        for to in 1..=3 {
+            out.send(0, 0, to, &msg);
+        }
+        let at = Instant::now();
+        assert_eq!(out.flush(at), vec![(0, 1), (0, 2), (0, 3)]);
+        assert!(
+            at.elapsed() < CONNECT_TIMEOUT,
+            "waited out the connect bound"
+        );
+        assert_eq!(stats.conn_failed.load(Relaxed), 1);
         assert_eq!(stats.tx_frames.load(Relaxed), 0);
+
+        out.send(0, 0, 4, &msg);
+        assert!(out.flush(at).is_empty(), "backing off: the frame waits");
+        assert_eq!(stats.conn_failed.load(Relaxed), 1);
+        assert_eq!(out.next_retry(), Some(at + CONNECT_BACKOFF));
+        let retry = at + CONNECT_BACKOFF;
+        assert_eq!(out.flush(retry), vec![(0, 4)]);
+        assert_eq!(stats.conn_failed.load(Relaxed), 2);
+        out.send(0, 0, 5, &msg);
+        assert_eq!(out.next_retry(), Some(retry + 2 * CONNECT_BACKOFF));
     }
 
     /// A peer's death leaves its shard's listener serving the others: an
@@ -815,12 +851,14 @@ mod tests {
     #[test]
     fn tcp_kill_keeps_the_shard_listener_and_shutdown_closes_it() {
         let space = space();
-        let (fabric, inboxes, listeners, outs, transport) = plane(3, 1);
+        let (fabric, inboxes, listeners, mut outs, transport) = plane(3, 1);
         fabric.peer(2).dead.store(true, Relaxed);
-        outs[0].send(0, 0, 2, &sample_msg(&space)).unwrap();
+        outs[0].send(0, 0, 2, &sample_msg(&space));
+        flush(&mut outs[0]);
         let (to, event) = next(&inboxes[0]);
         assert!(matches!((to, event), (0, PeerEvent::Failed(2))));
-        outs[0].send(0, 0, 1, &sample_msg(&space)).unwrap();
+        outs[0].send(0, 0, 1, &sample_msg(&space));
+        flush(&mut outs[0]);
         let (to, event) = next(&inboxes[0]);
         assert!(matches!((to, event), (1, PeerEvent::Deliver(0, _))));
         assert_eq!(transport.tcp_stats().unwrap().rx_dropped, 0);
@@ -831,7 +869,7 @@ mod tests {
         assert_eq!(
             Arc::strong_count(&fabric),
             1,
-            "a writer, reader or accept thread is left"
+            "a reader or accept thread is left"
         );
         assert!(
             TcpStream::connect(addr).is_err(),
@@ -846,24 +884,31 @@ mod tests {
     #[test]
     fn oversize_frames_rejected_at_send_boundary() {
         let space = space();
-        let (_fabric, inboxes, _listeners, outs, transport) = plane(2, 1);
+        let (_fabric, inboxes, _listeners, mut outs, transport) = plane(2, 1);
 
         // Largest legal: len within one match's width under the cap.
         let (legal, width) = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1);
-        assert!((MAX_FRAME_LEN - width..MAX_FRAME_LEN).contains(&frame(0, 1, &legal).len()));
-        outs[0].send(0, 0, 1, &legal).unwrap();
+        assert!((MAX_FRAME_LEN - width..MAX_FRAME_LEN).contains(&frame_len(&legal)));
+        outs[0].send(0, 0, 1, &legal);
+        flush(&mut outs[0]);
         let (_, event) = next(&inboxes[0]);
         let round_tripped = matches!(event, PeerEvent::Deliver(0, ref m) if *m == legal);
         assert!(round_tripped, "boundary frame round-trips");
 
-        // One match more crosses the cap: dropped at send, counted.
+        // One match more crosses the cap: dropped at send, counted, and
+        // cut back out of the link's batch.
         let (oversize, _) = msg_with_frame_len_near(&space, MAX_FRAME_LEN - 1 + width);
-        assert!(frame(0, 1, &oversize).len() >= MAX_FRAME_LEN);
-        outs[0].send(0, 0, 1, &oversize).unwrap();
+        assert!(frame_len(&oversize) >= MAX_FRAME_LEN);
+        outs[0].send(0, 0, 1, &sample_msg(&space));
+        outs[0].send(0, 0, 1, &oversize);
         assert_eq!(transport.tcp_stats().unwrap().tx_oversize_drops, 1);
-        // The link is still healthy: a small follow-up frame arrives, and
-        // nothing else ever does (the oversize frame was not sent).
-        outs[0].send(0, 0, 1, &sample_msg(&space)).unwrap();
+        assert_eq!(
+            outs[0].links[0].batch,
+            frame_bytes(0, 1, &sample_msg(&space))
+        );
+        // The link is still healthy: the small frame arrives, and nothing
+        // else ever does (the oversize frame was not sent).
+        flush(&mut outs[0]);
         let (_, event) = next(&inboxes[0]);
         assert!(matches!(event, PeerEvent::Deliver(0, ref m) if *m == sample_msg(&space)));
         assert!(inboxes[0].try_recv().is_err());
@@ -1029,5 +1074,46 @@ mod tests {
                 prop_assert!(dropped as usize >= clean.len() - valid.len());
             }
         }
+
+        /// However the socket splits the stream, the reader sees the same
+        /// frames: reads of 1…k bytes (most bodies straddle the buffer's
+        /// end and take their own buffer, some lie whole in it) deliver
+        /// the same messages and drop the same frames as a stream that is
+        /// buffered whole (every body decoded in place).
+        #[test]
+        fn frames_split_across_reads_decode_as_whole_ones(
+            pieces in prop::collection::vec(piece(), 1..12),
+            k in 1usize..200,
+        ) {
+            let msg = sample_msg(&space());
+            let stream: Vec<u8> = pieces.iter().flat_map(|p| p.bytes(&msg)).collect();
+            let trickle = Trickle { bytes: &stream, k, reads: 0 };
+            let split = read_messages(BufReader::with_capacity(64 * 1024, trickle));
+            prop_assert_eq!(split, read_messages(&stream[..]));
+        }
+    }
+
+    /// A source that returns 1, 2, …, k, 1, 2, … bytes per `read`.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        k: usize,
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (self.reads % self.k + 1).min(buf.len());
+            self.reads += 1;
+            self.bytes.read(&mut buf[..n])
+        }
+    }
+
+    /// The messages [`read_frames`] delivered from `conn`, with their ends,
+    /// and the count of frames it dropped.
+    fn read_messages(conn: impl BufRead) -> (Vec<(NodeId, NodeId, NetMessage)>, u64) {
+        let (mut delivered, dropped) = (Vec::new(), AtomicU64::new(0));
+        let deliver = |from, to, msg| delivered.push((from, to, msg));
+        read_frames(conn, &space(), |to| to < 4, deliver, &dropped);
+        (delivered, dropped.into_inner())
     }
 }

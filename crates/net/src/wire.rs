@@ -1,8 +1,10 @@
 //! Length-prefixed binary codec for protocol and gossip messages.
 //!
-//! Hand-rolled on [`bytes`]: the message shapes are small and fixed given
-//! the attribute space, so a serde format dependency would buy nothing
-//! (DESIGN.md §5). All integers are little-endian.
+//! Hand-rolled over byte slices: the message shapes are small and fixed
+//! given the attribute space, so a serde format dependency would buy
+//! nothing (DESIGN.md §5). All integers are little-endian. Only the public
+//! [`encode`] and [`decode`] speak [`Bytes`]; the TCP links encode into
+//! their batch buffers and the readers decode from theirs.
 //!
 //! Decoding is hostile-input safe: no byte sequence panics it, and no
 //! length field reserves more elements than the rest of the frame could
@@ -15,7 +17,7 @@ use attrspace::{Query, Range, Space, SpaceError};
 use autosel_core::{
     DynamicConstraint, Match, Message, NetMessage, NodeProfile, QueryId, QueryMsg, ReplyMsg,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use epigossip::{Descriptor, GossipMessage, Layer};
 
 /// Codec failures.
@@ -68,43 +70,48 @@ const TAG_GOSSIP_RESP: u8 = 3;
 
 /// Serializes a message.
 pub fn encode(msg: &NetMessage) -> Bytes {
-    let mut buf = BytesMut::with_capacity(128);
+    let mut buf = Vec::with_capacity(128);
+    encode_into(msg, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Appends the encoding of `msg` to `buf`: what a TCP link writes after a
+/// frame's header, straight into the link's batch buffer.
+pub(crate) fn encode_into(msg: &NetMessage, buf: &mut Vec<u8>) {
     match msg {
         NetMessage::Protocol(Message::Query(q)) => {
-            buf.put_u8(TAG_QUERY);
-            put_query_id(&mut buf, q.id);
-            buf.put_u32_le(q.attempt);
+            buf.push(TAG_QUERY);
+            put_query_id(buf, q.id);
+            buf.extend_from_slice(&q.attempt.to_le_bytes());
             match q.sigma {
                 Some(s) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(s);
+                    buf.push(1);
+                    buf.extend_from_slice(&s.to_le_bytes());
                 }
-                None => buf.put_u8(0),
+                None => buf.push(0),
             }
-            buf.put_i8(q.level);
-            buf.put_u32_le(q.dims);
-            buf.put_u16_le(q.query.ranges().len() as u16);
+            buf.extend_from_slice(&q.level.to_le_bytes());
+            buf.extend_from_slice(&q.dims.to_le_bytes());
+            buf.extend_from_slice(&(q.query.ranges().len() as u16).to_le_bytes());
             for r in q.query.ranges() {
-                buf.put_u64_le(r.lo);
-                buf.put_u64_le(r.hi);
+                put_range(buf, r);
             }
-            buf.put_u16_le(q.dynamic.len() as u16);
+            buf.extend_from_slice(&(q.dynamic.len() as u16).to_le_bytes());
             for c in &q.dynamic {
-                buf.put_u32_le(c.key);
-                buf.put_u64_le(c.range.lo);
-                buf.put_u64_le(c.range.hi);
+                buf.extend_from_slice(&c.key.to_le_bytes());
+                put_range(buf, &c.range);
             }
-            buf.put_u8(u8::from(q.count_only));
+            buf.push(u8::from(q.count_only));
         }
         NetMessage::Protocol(Message::Reply(r)) => {
-            buf.put_u8(TAG_REPLY);
-            put_query_id(&mut buf, r.id);
-            buf.put_u32_le(r.attempt);
-            buf.put_u64_le(r.count);
-            buf.put_u32_le(r.matching.len() as u32);
+            buf.push(TAG_REPLY);
+            put_query_id(buf, r.id);
+            buf.extend_from_slice(&r.attempt.to_le_bytes());
+            buf.extend_from_slice(&r.count.to_le_bytes());
+            buf.extend_from_slice(&(r.matching.len() as u32).to_le_bytes());
             for m in r.matching.iter() {
-                buf.put_u64_le(m.node);
-                put_values(&mut buf, m.values.values());
+                buf.extend_from_slice(&m.node.to_le_bytes());
+                put_values(buf, m.values.values());
             }
         }
         NetMessage::Gossip(GossipMessage::Request {
@@ -112,18 +119,17 @@ pub fn encode(msg: &NetMessage) -> Bytes {
             from_profile,
             batch,
         }) => {
-            buf.put_u8(TAG_GOSSIP_REQ);
-            buf.put_u8(layer_tag(*layer));
-            put_values(&mut buf, from_profile.point().values());
-            put_batch(&mut buf, batch);
+            buf.push(TAG_GOSSIP_REQ);
+            buf.push(layer_tag(*layer));
+            put_values(buf, from_profile.point().values());
+            put_batch(buf, batch);
         }
         NetMessage::Gossip(GossipMessage::Response { layer, batch }) => {
-            buf.put_u8(TAG_GOSSIP_RESP);
-            buf.put_u8(layer_tag(*layer));
-            put_batch(&mut buf, batch);
+            buf.push(TAG_GOSSIP_RESP);
+            buf.push(layer_tag(*layer));
+            put_batch(buf, batch);
         }
     }
-    buf.freeze()
 }
 
 /// Deserializes a message; `space` supplies dimensionality and bucketing.
@@ -132,39 +138,40 @@ pub fn encode(msg: &NetMessage) -> Bytes {
 ///
 /// Any [`WireError`] on malformed input. Inputs are untrusted: no panic on
 /// arbitrary bytes (fuzzed in `tests/wire_roundtrip.rs`).
-pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
-    let tag = take_u8(&mut buf)?;
+pub fn decode(space: &Space, buf: Bytes) -> Result<NetMessage, WireError> {
+    decode_slice(space, &buf)
+}
+
+/// [`decode`] over borrowed bytes: a TCP reader decodes a frame's body
+/// where it lies in the reader's buffer.
+pub(crate) fn decode_slice(space: &Space, mut buf: &[u8]) -> Result<NetMessage, WireError> {
+    let buf = &mut buf;
+    let tag = take_u8(buf)?;
     let msg = match tag {
         TAG_QUERY => {
-            let id = take_query_id(&mut buf)?;
-            let attempt = take_u32(&mut buf)?;
-            let sigma = match take_u8(&mut buf)? {
+            let id = take_query_id(buf)?;
+            let attempt = take_u32(buf)?;
+            let sigma = match take_u8(buf)? {
                 0 => None,
-                _ => Some(take_u32(&mut buf)?),
+                _ => Some(take_u32(buf)?),
             };
-            let level = take_u8(&mut buf)? as i8;
-            let dims = take_u32(&mut buf)?;
-            let n = take_u16(&mut buf)? as usize;
-            let mut ranges = Vec::with_capacity(capacity_for(n, &buf, RANGE_BYTES));
+            let level = take_u8(buf)? as i8;
+            let dims = take_u32(buf)?;
+            let n = take_u16(buf)? as usize;
+            let mut ranges = Vec::with_capacity(capacity_for(n, buf, RANGE_BYTES));
             for _ in 0..n {
-                ranges.push(Range {
-                    lo: take_u64(&mut buf)?,
-                    hi: take_u64(&mut buf)?,
-                });
+                ranges.push(take_range(buf)?);
             }
             let query = Query::from_ranges(space, ranges).map_err(WireError::BadSpace)?;
-            let nd = take_u16(&mut buf)? as usize;
-            let mut dynamic = Vec::with_capacity(capacity_for(nd, &buf, CONSTRAINT_BYTES));
+            let nd = take_u16(buf)? as usize;
+            let mut dynamic = Vec::with_capacity(capacity_for(nd, buf, CONSTRAINT_BYTES));
             for _ in 0..nd {
                 dynamic.push(DynamicConstraint {
-                    key: take_u32(&mut buf)?,
-                    range: Range {
-                        lo: take_u64(&mut buf)?,
-                        hi: take_u64(&mut buf)?,
-                    },
+                    key: take_u32(buf)?,
+                    range: take_range(buf)?,
                 });
             }
-            let count_only = take_u8(&mut buf)? != 0;
+            let count_only = take_u8(buf)? != 0;
             NetMessage::Protocol(Message::Query(QueryMsg {
                 id,
                 query: query.into(),
@@ -177,14 +184,14 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             }))
         }
         TAG_REPLY => {
-            let id = take_query_id(&mut buf)?;
-            let attempt = take_u32(&mut buf)?;
-            let count = take_u64(&mut buf)?;
-            let n = take_u32(&mut buf)? as usize;
-            let mut matching = Vec::with_capacity(capacity_for(n, &buf, 8 + point_bytes(space)));
+            let id = take_query_id(buf)?;
+            let attempt = take_u32(buf)?;
+            let count = take_u64(buf)?;
+            let n = take_u32(buf)? as usize;
+            let mut matching = Vec::with_capacity(capacity_for(n, buf, 8 + point_bytes(space)));
             for _ in 0..n {
-                let node = take_u64(&mut buf)?;
-                let values = take_point(space, &mut buf)?;
+                let node = take_u64(buf)?;
+                let values = take_point(space, buf)?;
                 matching.push(Match { node, values });
             }
             NetMessage::Protocol(Message::Reply(ReplyMsg {
@@ -195,10 +202,10 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             }))
         }
         TAG_GOSSIP_REQ => {
-            let layer = take_layer(&mut buf)?;
-            let point = take_point(space, &mut buf)?;
+            let layer = take_layer(buf)?;
+            let point = take_point(space, buf)?;
             let from_profile = NodeProfile::new(space, point);
-            let batch = take_batch(space, &mut buf)?;
+            let batch = take_batch(space, buf)?;
             NetMessage::Gossip(GossipMessage::Request {
                 layer,
                 from_profile,
@@ -206,14 +213,14 @@ pub fn decode(space: &Space, mut buf: Bytes) -> Result<NetMessage, WireError> {
             })
         }
         TAG_GOSSIP_RESP => {
-            let layer = take_layer(&mut buf)?;
-            let batch = take_batch(space, &mut buf)?;
+            let layer = take_layer(buf)?;
+            let batch = take_batch(space, buf)?;
             NetMessage::Gossip(GossipMessage::Response { layer, batch })
         }
         t => return Err(WireError::BadTag(t)),
     };
-    if buf.has_remaining() {
-        return Err(WireError::Trailing(buf.remaining()));
+    if !buf.is_empty() {
+        return Err(WireError::Trailing(buf.len()));
     }
     Ok(msg)
 }
@@ -231,8 +238,8 @@ fn point_bytes(space: &Space) -> usize {
 
 /// How many elements of at least `min_bytes` encoded bytes each to reserve
 /// for a count of `n`: no more than the rest of the frame can hold.
-fn capacity_for(n: usize, buf: &Bytes, min_bytes: usize) -> usize {
-    n.min(buf.remaining() / min_bytes)
+fn capacity_for(n: usize, rest: &[u8], min_bytes: usize) -> usize {
+    n.min(rest.len() / min_bytes)
 }
 
 fn layer_tag(layer: Layer) -> u8 {
@@ -242,63 +249,70 @@ fn layer_tag(layer: Layer) -> u8 {
     }
 }
 
-fn put_query_id(buf: &mut BytesMut, id: QueryId) {
-    buf.put_u64_le(id.origin);
-    buf.put_u32_le(id.seq);
+fn put_query_id(buf: &mut Vec<u8>, id: QueryId) {
+    buf.extend_from_slice(&id.origin.to_le_bytes());
+    buf.extend_from_slice(&id.seq.to_le_bytes());
 }
 
-fn put_values(buf: &mut BytesMut, values: &[u64]) {
-    buf.put_u16_le(values.len() as u16);
+fn put_range(buf: &mut Vec<u8>, r: &Range) {
+    buf.extend_from_slice(&r.lo.to_le_bytes());
+    buf.extend_from_slice(&r.hi.to_le_bytes());
+}
+
+fn put_values(buf: &mut Vec<u8>, values: &[u64]) {
+    buf.extend_from_slice(&(values.len() as u16).to_le_bytes());
     for &v in values {
-        buf.put_u64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
 }
 
-fn put_batch(buf: &mut BytesMut, batch: &[Descriptor<NodeProfile>]) {
-    buf.put_u16_le(batch.len() as u16);
+fn put_batch(buf: &mut Vec<u8>, batch: &[Descriptor<NodeProfile>]) {
+    buf.extend_from_slice(&(batch.len() as u16).to_le_bytes());
     for d in batch {
-        buf.put_u64_le(d.id);
-        buf.put_u32_le(d.age);
+        buf.extend_from_slice(&d.id.to_le_bytes());
+        buf.extend_from_slice(&d.age.to_le_bytes());
         put_values(buf, d.profile.point().values());
     }
 }
 
-fn take_u8(buf: &mut Bytes) -> Result<u8, WireError> {
-    if buf.remaining() < 1 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+/// The next `N` bytes of `buf`, which then starts after them.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
+    let (head, rest) = buf.split_first_chunk().ok_or(WireError::Truncated)?;
+    *buf = rest;
+    Ok(*head)
 }
 
-fn take_u16(buf: &mut Bytes) -> Result<u16, WireError> {
-    if buf.remaining() < 2 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u16_le())
+fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+    take(buf).map(|[b]| b)
 }
 
-fn take_u32(buf: &mut Bytes) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+fn take_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
+    take(buf).map(u16::from_le_bytes)
 }
 
-fn take_u64(buf: &mut Bytes) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64_le())
+fn take_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
+    take(buf).map(u32::from_le_bytes)
 }
 
-fn take_query_id(buf: &mut Bytes) -> Result<QueryId, WireError> {
+fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
+    take(buf).map(u64::from_le_bytes)
+}
+
+fn take_range(buf: &mut &[u8]) -> Result<Range, WireError> {
+    Ok(Range {
+        lo: take_u64(buf)?,
+        hi: take_u64(buf)?,
+    })
+}
+
+fn take_query_id(buf: &mut &[u8]) -> Result<QueryId, WireError> {
     Ok(QueryId {
         origin: take_u64(buf)?,
         seq: take_u32(buf)?,
     })
 }
 
-fn take_layer(buf: &mut Bytes) -> Result<Layer, WireError> {
+fn take_layer(buf: &mut &[u8]) -> Result<Layer, WireError> {
     match take_u8(buf)? {
         0 => Ok(Layer::Random),
         1 => Ok(Layer::Semantic),
@@ -306,7 +320,7 @@ fn take_layer(buf: &mut Bytes) -> Result<Layer, WireError> {
     }
 }
 
-fn take_point(space: &Space, buf: &mut Bytes) -> Result<attrspace::Point, WireError> {
+fn take_point(space: &Space, buf: &mut &[u8]) -> Result<attrspace::Point, WireError> {
     let n = take_u16(buf)? as usize;
     if n != space.dims() {
         return Err(WireError::BadSpace(SpaceError::WrongArity {
@@ -321,7 +335,7 @@ fn take_point(space: &Space, buf: &mut Bytes) -> Result<attrspace::Point, WireEr
     space.point(&values).map_err(WireError::BadSpace)
 }
 
-fn take_batch(space: &Space, buf: &mut Bytes) -> Result<Vec<Descriptor<NodeProfile>>, WireError> {
+fn take_batch(space: &Space, buf: &mut &[u8]) -> Result<Vec<Descriptor<NodeProfile>>, WireError> {
     let n = take_u16(buf)? as usize;
     let mut batch = Vec::with_capacity(capacity_for(n, buf, 8 + 4 + point_bytes(space)));
     for _ in 0..n {
@@ -444,12 +458,9 @@ mod tests {
         // the ids ahead of the `count_only` byte, is refused, not misread.
         let frame = encode(&msg);
         let (head, flag) = frame[..].split_at(frame.len() - 1);
-        let mut old = BytesMut::from(head);
-        old.put_u32_le(1);
-        old.put_u64_le(42);
-        old.extend_from_slice(flag);
+        let old = [head, &1u32.to_le_bytes(), &42u64.to_le_bytes(), flag].concat();
         assert_eq!(
-            decode(&two, old.freeze()).unwrap_err(),
+            decode_slice(&two, &old).unwrap_err(),
             WireError::Trailing(12)
         );
         // Trailing garbage.
@@ -457,11 +468,7 @@ mod tests {
             layer: Layer::Random,
             batch: vec![],
         }));
-        let mut bad = BytesMut::from(&good[..]);
-        bad.put_u8(0);
-        assert_eq!(
-            decode(&s, bad.freeze()).unwrap_err(),
-            WireError::Trailing(1)
-        );
+        let bad = [&good[..], &[0]].concat();
+        assert_eq!(decode_slice(&s, &bad).unwrap_err(), WireError::Trailing(1));
     }
 }
