@@ -89,9 +89,9 @@ impl QueryTicket {
 /// shard's queues: the gauge counts only events addressed to that peer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InboxStats {
-    /// Events queued for the peer right now — at most
-    /// [`NetConfig::inbox_capacity`] (a sender racing for the last place
-    /// can show in one reading as one more).
+    /// Events queued for the peer right now — at most `INBOX_CAPACITY`,
+    /// 4 096 (a sender racing for the last place can show in one reading
+    /// as one more).
     pub depth: u64,
     /// Deliveries dropped because the peer's inbox was full.
     pub dropped: u64,
@@ -137,6 +137,12 @@ impl std::fmt::Debug for NetCluster {
 
 /// How many random other peers each new peer is introduced to.
 const BOOTSTRAP_DEGREE: usize = 3;
+
+/// Bound on each peer's event inbox, counted per peer however many peers
+/// share a shard's queues. Peer traffic beyond it is dropped (and counted),
+/// like network loss — the load-survival invariant that keeps a saturated
+/// node's memory flat instead of queueing unboundedly.
+const INBOX_CAPACITY: usize = 4_096;
 
 /// How many shards a cluster of `n` peers runs on — the one place this is
 /// decided. One per core but one, which is left to the caller (the load
@@ -211,7 +217,7 @@ impl NetCluster {
         assert!((1..=points.len()).contains(&shards), "need 1..=n shards");
         let started = Instant::now();
         let n = points.len();
-        let (fabric, inboxes) = Fabric::new(n, shards, config.inbox_capacity);
+        let (fabric, inboxes) = Fabric::new(n, shards, INBOX_CAPACITY);
         let mut owned: Vec<FastMap<NodeId, PeerTask>> =
             (0..shards).map(|_| FastMap::default()).collect();
         // One semantic-layer policy for the whole cluster, as in the simulator.

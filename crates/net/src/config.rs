@@ -12,11 +12,6 @@ pub struct NetConfig {
     /// Artificial latency range injected by the in-memory transport
     /// (`None` = deliver immediately). TCP runs rely on real socket latency.
     pub injected_latency_ms: Option<(u64, u64)>,
-    /// Bound on each peer's event inbox, counted per peer however many
-    /// peers share a shard's queues. Peer traffic beyond it is dropped (and
-    /// counted), like network loss — the load-survival invariant that keeps
-    /// a saturated node's memory flat instead of queueing unboundedly.
-    pub inbox_capacity: usize,
 }
 
 impl Default for NetConfig {
@@ -34,7 +29,6 @@ impl Default for NetConfig {
                 query_timeout_ms: 5_000,
             },
             injected_latency_ms: Some((1, 5)),
-            inbox_capacity: 4_096,
         }
     }
 }
@@ -44,14 +38,13 @@ impl NetConfig {
     ///
     /// # Panics
     ///
-    /// Panics on an invalid gossip configuration, inverted latency bounds
-    /// or a zero inbox capacity.
+    /// Panics on an invalid gossip configuration or inverted latency
+    /// bounds.
     pub fn validate(&self) {
         self.gossip.validate();
         if let Some((lo, hi)) = self.injected_latency_ms {
             assert!(lo <= hi, "latency bounds inverted");
         }
-        assert!(self.inbox_capacity > 0, "inbox capacity must be positive");
     }
 }
 

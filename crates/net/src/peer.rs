@@ -532,10 +532,7 @@ mod tests {
     /// cluster whose inboxes hold `capacity` events each.
     fn shard(n: usize, capacity: usize, latency_ms: Option<(u64, u64)>) -> Shard {
         let space = Space::uniform(2, 80, 3).unwrap();
-        let config = NetConfig {
-            inbox_capacity: capacity,
-            ..NetConfig::default()
-        };
+        let config = NetConfig::default();
         let (fabric, mut inboxes) = Fabric::new(n, 1, capacity);
         let selector: Arc<dyn Selector<NodeProfile>> = Arc::new(SlotSelector::default());
         let peers = (0..n as NodeId)

@@ -81,7 +81,6 @@ fn fast_config() -> NetConfig {
             query_timeout_ms: 10_000,
         },
         injected_latency_ms: Some((1, 3)),
-        ..NetConfig::default()
     }
 }
 

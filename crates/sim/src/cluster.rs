@@ -16,7 +16,6 @@ use rand::{Rng, SeedableRng};
 
 use autosel_core::fasthash::Fnv64;
 
-use crate::calendar::CalendarQueue;
 use crate::event::{EventKey, EventKind, QueuedEvent, ScheduledEvent};
 use crate::faults::{FaultPlan, NodeEventKind};
 use crate::invariants::{InvariantChecker, InvariantViolation};
@@ -35,6 +34,15 @@ struct SimNode {
     /// enough — it reschedules itself off `next_timeout()` — so deliveries
     /// skip pushing redundant poll events (previously one per message).
     next_poll: u64,
+}
+
+/// One issued query's bookkeeping.
+struct Tracked {
+    stats: QueryStats,
+    /// The query itself, matched against each receiver.
+    query: Query,
+    /// The matches reported to the originator, once completed.
+    result: Option<Vec<Match>>,
 }
 
 /// A simulated population of resource-selection nodes under virtual time.
@@ -56,15 +64,16 @@ pub struct SimCluster {
     /// "how many nodes match" for every issued query without walking the
     /// population.
     truth_index: TruthIndex,
-    queue: CalendarQueue,
+    /// Pops in ascending `(at, seq)` order (`ScheduledEvent`'s reversed
+    /// `Ord`); `seq` is unique, so that order is total.
+    #[allow(clippy::disallowed_types)] // binary-heap: keys are unique, so pop order is total
+    queue: std::collections::BinaryHeap<ScheduledEvent>,
     now: u64,
     seq: u64,
     next_id: NodeId,
     rng: StdRng,
-    queries: FastMap<QueryId, QueryStats>,
-    completed: FastMap<QueryId, Vec<Match>>,
-    /// Queries whose stats should be tracked (issue-time match snapshot).
-    truth: FastMap<QueryId, Query>,
+    /// Every issued query until [`forget_query`](Self::forget_query).
+    queries: FastMap<QueryId, Tracked>,
     /// Installed fault plan; quiet by default.
     faults: FaultPlan,
     /// Crashed nodes remembered (id → attribute values) so a timed restart
@@ -102,14 +111,12 @@ impl SimCluster {
             config,
             nodes: NodeStore::default(),
             sorted_ids: Vec::new(),
-            queue: CalendarQueue::new(),
+            queue: Default::default(),
             now: 0,
             seq: 0,
             next_id: 0,
             rng: StdRng::seed_from_u64(seed),
             queries: FastMap::default(),
-            completed: FastMap::default(),
-            truth: FastMap::default(),
             faults: FaultPlan::new(),
             crashed: FastMap::default(),
             delivery_scratch: Vec::new(),
@@ -333,8 +340,12 @@ impl SimCluster {
         if query.matches(host.selection().point()) {
             stats.matched_reached.insert(origin);
         }
-        self.queries.insert(qid, stats);
-        self.truth.insert(qid, query);
+        let tracked = Tracked {
+            stats,
+            query,
+            result: None,
+        };
+        self.queries.insert(qid, tracked);
         self.route(origin);
         self.schedule_timeout_poll(origin);
         qid
@@ -352,20 +363,18 @@ impl SimCluster {
 
     /// The recorded statistics for a query.
     pub fn query_stats(&self, id: QueryId) -> Option<&QueryStats> {
-        self.queries.get(&id)
+        self.queries.get(&id).map(|t| &t.stats)
     }
 
     /// The matches reported to the originator, once completed.
     pub fn query_result(&self, id: QueryId) -> Option<&[Match]> {
-        self.completed.get(&id).map(|v| v.as_slice())
+        self.queries.get(&id)?.result.as_deref()
     }
 
     /// Drops per-query bookkeeping (long experiments call this after
     /// sampling a query's stats).
     pub fn forget_query(&mut self, id: QueryId) {
         self.queries.remove(&id);
-        self.completed.remove(&id);
-        self.truth.remove(&id);
     }
 
     /// Kills `id` abruptly (no goodbye messages — the paper's ungraceful
@@ -473,7 +482,7 @@ impl SimCluster {
     /// Total duplicate query receipts across all nodes and queries (the §6
     /// correctness claim is that this is always zero without churn).
     pub fn total_duplicates(&self) -> u64 {
-        self.queries.values().map(|q| q.duplicates).sum()
+        self.queries.values().map(|t| t.stats.duplicates).sum()
     }
 
     /// In-flight query records summed over all alive nodes — zero once
@@ -500,7 +509,7 @@ impl SimCluster {
 
     /// Iterates tracked query stats (internal: invariant checking).
     pub(crate) fn queries_iter(&self) -> impl Iterator<Item = (&QueryId, &QueryStats)> {
-        self.queries.iter()
+        self.queries.iter().map(|(id, t)| (id, &t.stats))
     }
 
     /// Iterates alive nodes' protocol state (internal: invariant checking).
@@ -577,7 +586,8 @@ impl SimCluster {
     /// The one event loop: dispatches every event firing at or before `t`,
     /// in `(at, seq)` order, and calls `step` after each.
     fn run<E>(&mut self, t: u64, mut step: impl FnMut(&Self) -> Result<(), E>) -> Result<(), E> {
-        while let Some(ev) = self.queue.pop_due(t) {
+        while self.queue.peek().is_some_and(|ev| ev.at <= t) {
+            let ev = self.queue.pop().expect("peeked");
             self.now = self.now.max(ev.at);
             self.dispatch(ev.kind);
             step(self)?;
@@ -592,7 +602,7 @@ impl SimCluster {
     // clock with `now = now.max(ev.at)`, so dispatching a later-scheduled
     // event first simply models an adversarially slow network for the
     // others. These hooks expose that freedom to the `explore` model
-    // checker without touching the default calendar-queue hot path (whose
+    // checker without touching the default `(at, seq)` pop order (whose
     // digests are pinned).
     // ------------------------------------------------------------------
 
@@ -617,7 +627,13 @@ impl SimCluster {
     /// Removes the event with handle `seq` from the queue (O(queue) — the
     /// exploration scenarios this serves are a handful of nodes).
     fn take_queued(&mut self, seq: u64) -> Option<ScheduledEvent> {
-        self.queue.remove_seq(seq)
+        let mut events = std::mem::take(&mut self.queue).into_vec();
+        let taken = events
+            .iter()
+            .position(|e| e.seq == seq)
+            .map(|i| events.swap_remove(i));
+        self.queue = events.into();
+        taken
     }
 
     /// Dispatches the queued event with handle `seq` *now*, regardless of
@@ -646,7 +662,7 @@ impl SimCluster {
     /// [`EventKey`].
     pub(crate) fn duplicate_queued(&mut self, seq: u64) -> Option<u64> {
         let (at, kind) = {
-            let ev = self.queue.find_seq(seq)?;
+            let ev = self.queue.iter().find(|e| e.seq == seq)?;
             (ev.at, ev.kind.clone())
         };
         self.seq += 1;
@@ -701,7 +717,7 @@ impl SimCluster {
         qids.sort_unstable();
         h.word(qids.len() as u64);
         for qid in qids {
-            let st = &self.queries[&qid];
+            let st = &self.queries[&qid].stats;
             h.word(qid.origin);
             h.word(u64::from(qid.seq));
             h.word(st.issued_at);
@@ -765,13 +781,11 @@ impl SimCluster {
             n.sent += 1;
         }
         if let NetMessage::Protocol(msg) = payload.as_ref() {
-            if let Some(stats) = self.queries.get_mut(&msg.query_id()) {
-                stats.messages += 1;
+            if let Some(t) = self.queries.get_mut(&msg.query_id()) {
+                t.stats.messages += 1;
             }
         }
-        let Some(base) = self.config.latency.sample_link(from, to, &mut self.rng) else {
-            return; // lost by the latency model
-        };
+        let base = self.config.latency.sample_link(from, to, &mut self.rng);
         let protocol = matches!(*payload, NetMessage::Protocol(_));
         // The single fault-injection boundary: the plan turns one send into
         // zero (dropped / partitioned), one, or several (duplicated)
@@ -822,12 +836,13 @@ impl SimCluster {
                 Output::Send { to, msg } => (to, NetMessage::Protocol(msg)),
                 Output::Gossip { to, msg } => (to, NetMessage::Gossip(msg)),
                 Output::Completed { id, matches, count } => {
-                    if let Some(stats) = self.queries.get_mut(&id) {
-                        stats.completed = true;
-                        stats.completed_at = Some(self.now);
-                        stats.reported = count as u32;
+                    // A forgotten query's late completion is not recorded.
+                    if let Some(t) = self.queries.get_mut(&id) {
+                        t.stats.completed = true;
+                        t.stats.completed_at = Some(self.now);
+                        t.stats.reported = count as u32;
+                        t.result = Some(matches);
                     }
-                    self.completed.insert(id, matches);
                     continue;
                 }
             };
@@ -934,10 +949,7 @@ impl SimCluster {
         let NetMessage::Protocol(Message::Query(q)) = msg else {
             return;
         };
-        let Some(stats) = self.queries.get_mut(&q.id) else {
-            return;
-        };
-        let Some(query) = self.truth.get(&q.id) else {
+        let Some(Tracked { stats, query, .. }) = self.queries.get_mut(&q.id) else {
             return;
         };
         if !stats.receivers.insert(to) {
@@ -1155,6 +1167,25 @@ mod tests {
             "no match lists"
         );
         assert_eq!(st.duplicates, 0);
+    }
+
+    #[test]
+    fn a_forgotten_query_leaves_no_record_when_it_completes() {
+        let s = space();
+        let mut sim = SimCluster::new(s.clone(), SimConfig::fast_static(), 10);
+        sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 200);
+        sim.wire_oracle();
+        let q = Query::builder(&s).min("a0", 40).build().unwrap();
+        let origin = sim.random_node();
+        let qid = sim.issue_query(origin, q, None);
+        sim.forget_query(qid);
+        sim.run_to_quiescence();
+        assert!(
+            sim.query_result(qid).is_none(),
+            "late completion re-entered the result map"
+        );
+        assert!(sim.query_stats(qid).is_none());
+        assert!(sim.queries.is_empty());
     }
 
     /// A 3-node oracle-wired line with one in-flight query, for the

@@ -12,7 +12,7 @@ pub struct SimConfig {
     pub gossip: GossipConfig,
     /// Protocol timeouts.
     pub protocol: ProtocolConfig,
-    /// Message latency and loss.
+    /// Message latency (loss is the fault plan's).
     pub latency: LatencyModel,
     /// Whether nodes run the gossip stack. Static experiments (Figs. 6–10)
     /// use oracle-wired routing tables with gossip off; dynamic experiments

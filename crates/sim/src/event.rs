@@ -187,7 +187,7 @@ pub struct QueuedEvent {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types)] // binary-heap: test code; checks the heap order the calendar replaced
+#[allow(clippy::disallowed_types)] // binary-heap: test code; checks the event queue's pop order
 mod tests {
     use super::*;
     use std::collections::BinaryHeap;

@@ -6,7 +6,7 @@
 //! * [`SimCluster`] — a population of [`autosel_core::Host`]s (a
 //!   [`autosel_core::SelectionNode`], optionally paired with a two-layer
 //!   [`epigossip::GossipStack`]) driven by a virtual-time event queue;
-//! * [`LatencyModel`] — per-message delays and loss;
+//! * [`LatencyModel`] — per-message delays;
 //! * [`Placement`] — how node attribute values are drawn (uniform, normal
 //!   hotspot, or externally supplied trace vectors);
 //! * [`workload`] — the paper's query generators: selectivity-targeted
@@ -60,7 +60,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod ablation;
-mod calendar;
 mod cluster;
 mod config;
 mod event;

@@ -1,7 +1,8 @@
 use epigossip::NodeId;
 use rand::Rng;
 
-/// Per-message network behaviour.
+/// Per-message network delay. Loss is the [`FaultPlan`](crate::FaultPlan)'s
+/// job: it is the one place a message can be dropped.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly `ms` milliseconds.
@@ -15,16 +16,6 @@ pub enum LatencyModel {
         lo_ms: u64,
         /// Maximum delay (inclusive).
         hi_ms: u64,
-    },
-    /// Uniform delay plus i.i.d. message loss — for stress tests beyond the
-    /// paper's drop-on-broken-link model.
-    Lossy {
-        /// Minimum delay.
-        lo_ms: u64,
-        /// Maximum delay (inclusive).
-        hi_ms: u64,
-        /// Probability in `[0,1]` that a message is silently dropped.
-        loss: f64,
     },
     /// Heterogeneous per-region latency: node → region by `id % regions`,
     /// delay uniform in the `(lo, hi)` range at `matrix[from_region *
@@ -41,22 +32,12 @@ pub enum LatencyModel {
 }
 
 impl LatencyModel {
-    /// Samples a delivery delay, or `None` if the message is lost.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Option<u64> {
+    /// Samples a delivery delay.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match *self {
-            LatencyModel::Constant { ms } => Some(ms),
-            LatencyModel::Uniform { lo_ms, hi_ms } => Some(rng.gen_range(lo_ms..=hi_ms)),
-            LatencyModel::Lossy { lo_ms, hi_ms, loss } => {
-                if rng.gen_bool(loss.clamp(0.0, 1.0)) {
-                    None
-                } else {
-                    Some(rng.gen_range(lo_ms..=hi_ms))
-                }
-            }
-            LatencyModel::Regions { ref matrix, .. } => {
-                let (lo, hi) = matrix[0];
-                Some(if lo == hi { lo } else { rng.gen_range(lo..=hi) })
-            }
+            LatencyModel::Constant { ms } => ms,
+            LatencyModel::Uniform { lo_ms, hi_ms } => rng.gen_range(lo_ms..=hi_ms),
+            LatencyModel::Regions { .. } => self.sample_link(0, 0, rng),
         }
     }
 
@@ -64,12 +45,7 @@ impl LatencyModel {
     /// this is *exactly* [`Self::sample`] — same RNG draws, so installing
     /// the link-aware delivery path changed no pinned digest. Only
     /// [`LatencyModel::Regions`] reads the endpoints.
-    pub fn sample_link<R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        rng: &mut R,
-    ) -> Option<u64> {
+    pub fn sample_link<R: Rng + ?Sized>(&self, from: NodeId, to: NodeId, rng: &mut R) -> u64 {
         match *self {
             LatencyModel::Regions {
                 regions,
@@ -78,7 +54,11 @@ impl LatencyModel {
                 let r = regions.max(1);
                 let cell = ((from % r) * r + (to % r)) as usize;
                 let (lo, hi) = matrix.get(cell).copied().unwrap_or((0, 0));
-                Some(if lo == hi { lo } else { rng.gen_range(lo..=hi) })
+                if lo == hi {
+                    lo
+                } else {
+                    rng.gen_range(lo..=hi)
+                }
             }
             _ => self.sample(rng),
         }
@@ -108,21 +88,9 @@ mod tests {
         let m = LatencyModel::Uniform { lo_ms: 5, hi_ms: 9 };
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..200 {
-            let d = m.sample(&mut rng).unwrap();
+            let d = m.sample(&mut rng);
             assert!((5..=9).contains(&d));
         }
-    }
-
-    #[test]
-    fn lossy_drops_roughly_at_rate() {
-        let m = LatencyModel::Lossy {
-            lo_ms: 1,
-            hi_ms: 1,
-            loss: 0.5,
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        let lost = (0..2000).filter(|_| m.sample(&mut rng).is_none()).count();
-        assert!((800..1200).contains(&lost), "lost {lost}/2000");
     }
 
     #[test]
@@ -139,11 +107,6 @@ mod tests {
             LatencyModel::Uniform {
                 lo_ms: 2,
                 hi_ms: 40,
-            },
-            LatencyModel::Lossy {
-                lo_ms: 2,
-                hi_ms: 40,
-                loss: 0.3,
             },
         ] {
             let mut a = StdRng::seed_from_u64(9);
@@ -162,13 +125,13 @@ mod tests {
             matrix: vec![(1, 1), (80, 120), (80, 120), (2, 2)],
         };
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(m.sample_link(0, 2, &mut rng), Some(1), "region 0 → 0");
-        assert_eq!(m.sample_link(1, 3, &mut rng), Some(2), "region 1 → 1");
+        assert_eq!(m.sample_link(0, 2, &mut rng), 1, "region 0 → 0");
+        assert_eq!(m.sample_link(1, 3, &mut rng), 2, "region 1 → 1");
         for _ in 0..100 {
-            let d = m.sample_link(0, 1, &mut rng).unwrap();
+            let d = m.sample_link(0, 1, &mut rng);
             assert!((80..=120).contains(&d), "inter-region delay {d}");
         }
         // Link-blind fallback uses the (0,0) cell.
-        assert_eq!(m.sample(&mut rng), Some(1));
+        assert_eq!(m.sample(&mut rng), 1);
     }
 }

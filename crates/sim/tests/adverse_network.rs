@@ -4,21 +4,22 @@
 //! relaxed.
 
 use attrspace::{Query, Space};
-use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
+use overlay_sim::{FaultPlan, LatencyModel, Placement, SimCluster, SimConfig};
 
-fn lossy_config(loss: f64) -> SimConfig {
-    SimConfig {
-        latency: LatencyModel::Lossy {
-            lo_ms: 1,
-            hi_ms: 5,
-            loss,
-        },
+/// A static cluster on 1–5 ms links whose fault plan loses each message
+/// with probability `loss`.
+fn lossy_sim(space: &Space, loss: f64, seed: u64) -> SimCluster {
+    let config = SimConfig {
+        latency: LatencyModel::Uniform { lo_ms: 1, hi_ms: 5 },
         protocol: autosel_core::ProtocolConfig {
             query_timeout_ms: 2_000,
         },
         gossip_enabled: false,
         ..SimConfig::default()
-    }
+    };
+    let mut sim = SimCluster::new(space.clone(), config, seed);
+    sim.set_fault_plan(FaultPlan::new().drop_all(loss));
+    sim
 }
 
 /// One lost QUERY abandons its subtree, but `T(q)` unfreezes the waiting
@@ -26,7 +27,7 @@ fn lossy_config(loss: f64) -> SimConfig {
 #[test]
 fn queries_terminate_under_message_loss() {
     let space = Space::uniform(3, 80, 3).unwrap();
-    let mut sim = SimCluster::new(space.clone(), lossy_config(0.02), 18);
+    let mut sim = lossy_sim(&space, 0.02, 18);
     sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 500);
     sim.wire_oracle();
 
@@ -56,7 +57,7 @@ fn heavy_loss_degrades_gracefully() {
     let space = Space::uniform(3, 80, 3).unwrap();
     let mut deliveries = Vec::new();
     for &loss in &[0.0, 0.05, 0.25] {
-        let mut sim = SimCluster::new(space.clone(), lossy_config(loss), 23);
+        let mut sim = lossy_sim(&space, loss, 23);
         sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 300);
         sim.wire_oracle();
         let q = Query::builder(&space).min("a0", 30).build().unwrap();
@@ -80,7 +81,7 @@ fn heavy_loss_degrades_gracefully() {
 #[test]
 fn sigma_queries_usually_fill_under_loss() {
     let space = Space::uniform(5, 80, 3).unwrap();
-    let mut sim = SimCluster::new(space.clone(), lossy_config(0.05), 29);
+    let mut sim = lossy_sim(&space, 0.05, 29);
     sim.populate(&Placement::Uniform { lo: 0, hi: 80 }, 1_000);
     sim.wire_oracle();
     let mut filled = 0;
