@@ -69,7 +69,7 @@ use attrspace::{Query, Space};
 use autosel_net::{NetCluster, NetConfig, QueryTicket, Transport};
 use autosel_obs::{Fanout, FlightRecorder, ObsHandle, Registry};
 use bench::artifact::{self, NetPhase, NetRun};
-use bench::experiments::uniform_points;
+use overlay_sim::Placement;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -282,10 +282,14 @@ fn main() {
     } else {
         Transport::mem(cfg.injected_latency_ms)
     };
+    let placement = Placement::Uniform { lo: 0, hi: 80 };
+    let mut rng = StdRng::seed_from_u64(seed);
     let t0 = Instant::now();
     let mut cluster = NetCluster::spawn_observed(
         space.clone(),
-        uniform_points(&space, nodes, seed),
+        (0..nodes)
+            .map(|i| placement.draw(&space, i, &mut rng))
+            .collect(),
         cfg.clone(),
         transport.clone(),
         seed,

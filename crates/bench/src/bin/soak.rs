@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use autosel_obs::json::{parse_object, ObjectWriter};
 use autosel_obs::{ObsHandle, Registry};
-use synthtrace::scenario::{timeline_digest, ScenarioSpec, SoakRunner, SoakSample, FAMILIES};
+use overlay_sim::scenario::{timeline_digest, ScenarioSpec, SoakRunner, SoakSample, FAMILIES};
 
 fn usage() -> ! {
     eprintln!(

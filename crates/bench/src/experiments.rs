@@ -17,13 +17,15 @@ use crate::sweep::{run_parallel, threads};
 use crate::table::Table;
 use crate::RunContext;
 use overlay_sim::ablation::{flood_search, greedy_coordinate_search};
+use overlay_sim::scenario::{
+    ScenarioSpec, SoakRunner, HARVEST_AFTER_MS, PROBE_EVERY_MS, WARMUP_MS,
+};
 use overlay_sim::sword::{Ring, SwordIndex};
+use overlay_sim::traces::{fit_space, HostGenerator};
 use overlay_sim::workload::{best_case_query, random_query, worst_case_query};
-use overlay_sim::{LatencyModel, Placement, SimCluster, SimConfig};
+use overlay_sim::{Placement, SimCluster, SimConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use synthtrace::scenario::{ScenarioSpec, SoakRunner};
-use synthtrace::{fit_space, HostGenerator};
+use rand::SeedableRng;
 
 /// Which `reproduce` invocations run a figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -432,17 +434,6 @@ fn run_fig13(_: &RunContext) -> Outcome {
     }
 }
 
-/// Uniformly placed points in `[0, 80)^d` — the live experiments' population.
-pub fn uniform_points(space: &Space, n: usize, seed: u64) -> Vec<Point> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let vals: Vec<u64> = (0..space.dims()).map(|_| rng.gen_range(0..80)).collect();
-            space.point(&vals).expect("valid point")
-        })
-        .collect()
-}
-
 /// **Figure 13, live** — `n` live peers gossiping every 50 ms; five
 /// probes (σ = ∞), 10% of the peers killed before each but the first, 2 s of
 /// gossip (~40 rounds) between a kill and its probe. The in-memory transport
@@ -462,9 +453,12 @@ fn fig13_live(name: &'static str, n: usize, tcp: bool) -> Outcome {
     } else {
         Transport::mem(cfg.injected_latency_ms)
     };
+    let mut rng = StdRng::seed_from_u64(3);
     let mut cluster = NetCluster::spawn(
         space.clone(),
-        uniform_points(&space, n, 3),
+        (0..n)
+            .map(|i| uniform().draw(&space, i, &mut rng))
+            .collect(),
         cfg,
         transport,
         13,
@@ -920,24 +914,6 @@ pub fn fig10b(n: usize, seed: u64) -> (Vec<String>, Vec<f64>, Vec<f64>) {
     (labels, uni, nor)
 }
 
-/// Dynamic-experiment configuration shared by Figs. 11–13.
-fn dynamic_config() -> SimConfig {
-    let mut cfg = SimConfig {
-        latency: LatencyModel::Constant { ms: 5 },
-        ..SimConfig::default()
-    };
-    cfg.gossip.period_ms = 10_000;
-    // §6.6: "if a query cannot be propagated due to a broken link, the
-    // message is dropped". On a real transport a dead endpoint fails fast,
-    // so the sender *skips* the broken branch and continues (the simulator
-    // bounces a send to a dead node back as a failed link, DESIGN.md §6);
-    // the lost subtree is never retried.
-    // T(q) stays as a long backstop for the rare peer that dies *after*
-    // accepting the query.
-    cfg.protocol.query_timeout_ms = 30_000;
-    cfg
-}
-
 /// Delivery over `horizon_s` on a gossip-built overlay of `n` nodes: 25
 /// warm-up rounds, then every 10 s `disturb(sim, t_ms)` runs, every 30 s a
 /// probe query (σ = ∞) is issued, and each probe is measured 120 s after
@@ -949,9 +925,9 @@ fn delivery_probes(
     mut disturb: impl FnMut(&mut SimCluster, u64),
 ) -> Vec<(u64, f64)> {
     let space = Space::uniform(5, 80, 3).expect("space");
-    let mut sim = SimCluster::new(space.clone(), dynamic_config(), seed);
+    let mut sim = SimCluster::new(space.clone(), SimConfig::dynamic(), seed);
     sim.populate(&uniform(), n);
-    sim.run_until(250_000);
+    sim.run_until(WARMUP_MS);
     let t0 = sim.now();
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -966,13 +942,13 @@ fn delivery_probes(
     let mut t = 0u64;
     while t < horizon_s * 1000 {
         disturb(&mut sim, t);
-        if t.is_multiple_of(30_000) {
+        if t.is_multiple_of(PROBE_EVERY_MS) {
             let q = best_case_query(&space, DEFAULT_F, &mut rng);
             let origin = sim.random_node();
             open.push((t, sim.issue_query(origin, q, None)));
         }
         open.retain(|&(issued, qid)| {
-            let due = t >= issued + 120_000;
+            let due = t >= issued + HARVEST_AFTER_MS;
             if due {
                 measure(&mut sim, issued, qid);
             }

@@ -1,5 +1,5 @@
 //! Exhaustive small-instance exploration, one test per scenario family of
-//! the `synthtrace::scenario` DSL. The soak harness runs each family at
+//! the `overlay_sim::scenario` DSL. The soak harness runs each family at
 //! population scale with sampled schedules; these tests shrink each family
 //! to its protocol kernel (≤ 4 nodes) and enumerate *every* inequivalent
 //! schedule, so the family's invariant-strictness contract is verified

@@ -7,7 +7,7 @@
 
 use autosel::prelude::*;
 use autosel::protocol::DynamicConstraint;
-use autosel::traces::ATTRIBUTE_NAMES;
+use autosel::sim::traces::ATTRIBUTE_NAMES;
 
 struct JobProfile {
     name: &'static str,

@@ -15,8 +15,7 @@
 //! | [`space`] | `attrspace` | attribute space, nested cells `N(l,k)`, queries |
 //! | [`gossip`] | `epigossip` | CYCLON + semantic two-layer overlay maintenance |
 //! | [`protocol`] | `autosel-core` | the QUERY/REPLY routing state machine |
-//! | [`sim`] | `overlay-sim` | discrete-event simulator (PeerSim role), the SWORD baseline, the interleaving explorer |
-//! | [`traces`] | `synthtrace` | synthetic BOINC host attribute traces |
+//! | [`sim`] | `overlay-sim` | discrete-event simulator (PeerSim role), synthetic BOINC host traces ([`sim::traces`]), the scenario DSL and soak runner ([`sim::scenario`]), the SWORD baseline, the interleaving explorer |
 //! | [`net`] | `autosel-net` | sharded network runtime (DAS / PlanetLab role) |
 //! | [`obs`] | `autosel-obs` | zero-dependency tracing & metrics (observers, trace trees) |
 //!
@@ -75,11 +74,6 @@ pub mod sim {
     pub use overlay_sim::*;
 }
 
-/// Synthetic BOINC traces (re-export of `synthtrace`).
-pub mod traces {
-    pub use synthtrace::*;
-}
-
 /// Sharded deployment runtime (re-export of `autosel-net`).
 pub mod net {
     pub use autosel_net::*;
@@ -101,7 +95,7 @@ pub mod prelude {
         Fanout, FlightRecorder, JsonlSink, ObsHandle, Observer, Registry, TraceTree,
     };
     pub use epigossip::{GossipConfig, GossipStack, NodeId};
+    pub use overlay_sim::scenario::{ScenarioSpec, SoakRunner};
+    pub use overlay_sim::traces::{fit_space, HostGenerator};
     pub use overlay_sim::{LatencyModel, Placement, QueryStats, SimCluster, SimConfig};
-    pub use synthtrace::scenario::{ScenarioSpec, SoakRunner};
-    pub use synthtrace::{fit_space, HostGenerator};
 }

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use autosel::prelude::*;
-use autosel::traces::sessions::{Schedule, SessionEvent};
+use autosel::sim::traces::sessions::{Schedule, SessionEvent};
 
 #[test]
 fn overlay_survives_trace_driven_sessions() {
