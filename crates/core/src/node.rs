@@ -733,7 +733,9 @@ impl SelectionNode {
 
     /// Expires overdue neighbors (the paper's `T(q)`): each is dropped from
     /// the routing table and reported to `gone`, and the affected queries
-    /// are re-forwarded or concluded.
+    /// settle without that neighbor's subtree. Nothing is re-forwarded:
+    /// `continue_query` cleared the subcell's dimension before it sent, so
+    /// the traversal moves on past it (or concludes).
     pub(crate) fn expire(&mut self, now: u64, out: &mut Vec<Output>, mut gone: impl FnMut(NodeId)) {
         let qids: Vec<QueryId> = self.pending.keys().copied().collect();
         for qid in qids {

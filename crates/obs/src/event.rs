@@ -187,7 +187,8 @@ pub enum Event {
         attempt: u32,
     },
     /// The query timeout `T(q)` fired: `node` stopped waiting on `peer`
-    /// and re-fired the subtree elsewhere (or gave up on it).
+    /// and gave up on its subtree. The subtree is not re-sent to another
+    /// occupant of that subcell; the traversal continues past it.
     TimeoutFired {
         /// Timestamp in milliseconds.
         at: u64,
