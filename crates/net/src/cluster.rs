@@ -203,6 +203,7 @@ impl NetCluster {
     }
 
     /// [`spawn_observed`](Self::spawn_observed) on exactly `shards` shards.
+    #[allow(clippy::disallowed_methods)] // wall-clock: the cluster's start, every shard clock's zero
     pub(crate) fn spawn_sharded(
         space: Space,
         points: Vec<Point>,
@@ -251,10 +252,10 @@ impl NetCluster {
         let (wires, listeners) = cluster.transport.start(&fabric)?;
         cluster.listeners = listeners;
         for (k, ((peers, inbox), wire)) in owned.into_iter().zip(inboxes).zip(wires).enumerate() {
-            let shard = Shard::new(k, peers, Arc::clone(&fabric), inbox, wire, &config, started);
+            let shard = Shard::new(k, peers, Arc::clone(&fabric), inbox, wire, &config);
             let handle = std::thread::Builder::new()
                 .name(format!("autosel-net-shard-{k}"))
-                .spawn(move || shard.run())?;
+                .spawn(move || shard.run(started))?;
             cluster.shards.push(handle);
         }
         Ok(cluster)
@@ -342,6 +343,7 @@ impl NetCluster {
 
     /// Kills `id` ungracefully: its shard drops it, no goodbye is gossiped,
     /// and sends to it fail fast from now on.
+    #[allow(clippy::disallowed_methods)] // wall-clock: stamps `NodeCrashed` in the shards' time
     pub fn kill(&mut self, id: NodeId) {
         if self.remove(id) {
             self.obs.emit(|| Event::NodeCrashed {
@@ -551,6 +553,7 @@ mod tests {
 
         /// Polls `pred` every 20 ms until it holds or 60 s pass (debug
         /// builds on a loaded box converge slowly).
+        #[allow(clippy::disallowed_methods)] // wall-clock: a test's deadline loop
         fn wait_until(mut pred: impl FnMut() -> bool) -> bool {
             let start = Instant::now();
             while start.elapsed() < Duration::from_secs(60) {

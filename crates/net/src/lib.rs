@@ -13,6 +13,12 @@
 //!   and each shard is one thread owning its nodes outright: one loop runs
 //!   their gossip and timeout timers and hands them their messages, so
 //!   protocol state is never shared and never locked;
+//! * a shard keeps one clock, milliseconds since the cluster started, and
+//!   reads the wall clock only at the top of its loop and after a blocking
+//!   wait. Protocol steps, timers, injected latency and TCP backoff all run
+//!   on it, and each node's [`epigossip::GossipStack`] alone decides when
+//!   the node gossips: the shard re-arms a node's gossip timer at the
+//!   stack's next round, as the simulator does;
 //! * two transports: [`Transport::mem`] (in-process queues with optional
 //!   injected latency — the DAS emulation) and [`Transport::tcp`] (real
 //!   sockets over loopback with a length-prefixed binary codec — the

@@ -151,12 +151,13 @@ impl PeerTask {
     }
 
     /// One gossip round, then the gauges the cluster handle reads.
-    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<Output>) {
+    /// Returns when the stack will gossip next; `None` if it has no stack.
+    fn gossip(&mut self, now: u64, slot: &PeerSlot, out: &mut Vec<Output>) -> Option<u64> {
         self.host.gossip_tick(now, &mut self.rng, out);
         self.publish_links(slot);
-        if let Some(g) = self.host.gossip() {
-            slot.publish_health(g.health());
-        }
+        let g = self.host.gossip()?;
+        slot.publish_health(g.health());
+        Some(g.next_gossip_at())
     }
 
     fn handle(&mut self, event: PeerEvent, now: u64, slot: &PeerSlot, out: &mut Vec<Output>) {
@@ -187,12 +188,13 @@ pub(crate) enum Wire {
     /// In-process. A send to a peer of the same shard goes to the shard's
     /// local queue, any other to the owning shard's inbox at once. With
     /// injected latency every send, same-shard ones included, first waits
-    /// its drawn delay in `delayed` (keyed by due time, then send order).
+    /// its drawn delay in `delayed` (keyed by due time on the shard clock,
+    /// in ms, then send order).
     Mem {
         latency_ms: Option<(u64, u64)>,
         /// Latency draws, seeded per shard.
         rng: SmallRng,
-        delayed: BTreeMap<(Instant, u64), (NodeId, NodeId, NetMessage)>,
+        delayed: BTreeMap<(u64, u64), (NodeId, NodeId, NetMessage)>,
         seq: u64,
     },
     /// Every send is framed into this shard's link to the destination's
@@ -205,8 +207,8 @@ pub(crate) enum Wire {
 /// before it looks at the timers again.
 const PASS: usize = 64;
 
-/// How often each peer polls its protocol timeouts (real time).
-const POLL_PERIOD: Duration = Duration::from_millis(20);
+/// How often each peer polls its protocol timeouts, in ms.
+const POLL_PERIOD: u64 = 20;
 
 /// A worker owning a fixed set of peers outright. Its one loop runs, per
 /// pass: due gossip and poll timers, due latency-injected sends, then up to
@@ -215,6 +217,13 @@ const POLL_PERIOD: Duration = Duration::from_millis(20);
 /// sends); on TCP it then writes its links. With nothing to do it blocks on
 /// the inbox until the next deadline. It stops when its last peer is
 /// killed.
+///
+/// The shard keeps one clock, `now`: milliseconds since the cluster
+/// started, set by [`run`](Self::run) — the one place that reads the wall
+/// clock — before each pass and after each blocking wait. Timers, injected
+/// latency, link backoff and every protocol step read `now`, so a driver
+/// that calls [`pass`](Self::pass) with times of its own runs the shard in
+/// virtual time.
 pub(crate) struct Shard {
     index: usize,
     peers: FastMap<NodeId, PeerTask>,
@@ -226,15 +235,17 @@ pub(crate) struct Shard {
     /// counted against its origins' inbox bounds, instead of pushing busy
     /// peers' inboxes past theirs.
     fresh: VecDeque<Envelope>,
-    /// Next gossip round per peer. Every re-arm lands one period after a
-    /// deadline no later than all queued ones, so a FIFO stays sorted.
-    gossip_due: VecDeque<(Instant, NodeId)>,
-    poll_due: VecDeque<(Instant, NodeId)>,
-    gossip_period: Duration,
+    /// Next gossip round per peer: after its staggered first slot, the
+    /// `next_gossip_at` its stack set in the round just run, which is
+    /// `now` plus one period and so no earlier than any queued deadline:
+    /// the FIFO stays sorted.
+    gossip_due: VecDeque<(u64, NodeId)>,
+    poll_due: VecDeque<(u64, NodeId)>,
     wire: Wire,
     /// What the event being handled produced, routed right after it.
     out: Vec<Output>,
-    started: Instant,
+    /// The shard clock, in ms since the cluster started.
+    now: u64,
 }
 
 impl Shard {
@@ -248,52 +259,47 @@ impl Shard {
         inbox: mpsc::Receiver<Envelope>,
         wire: Wire,
         config: &NetConfig,
-        started: Instant,
     ) -> Self {
-        let gossip_period = Duration::from_millis(config.gossip.period_ms);
         let mut ids: Vec<NodeId> = peers.keys().copied().collect();
         ids.sort_unstable();
-        let staggered = |period: Duration| -> VecDeque<(Instant, NodeId)> {
-            let step = period / ids.len().max(1) as u32;
+        let n = ids.len().max(1) as u64;
+        let staggered = |period: u64| -> VecDeque<(u64, NodeId)> {
             (1..)
                 .zip(&ids)
-                .map(|(i, &id)| (started + step * i, id))
+                .map(|(i, &id)| (period * i / n, id))
                 .collect()
         };
         Shard {
             index,
-            gossip_due: staggered(gossip_period),
+            gossip_due: staggered(config.gossip.period_ms),
             poll_due: staggered(POLL_PERIOD),
             peers,
             fabric,
             inbox,
             local: VecDeque::new(),
             fresh: VecDeque::new(),
-            gossip_period,
             wire,
             out: Vec::new(),
-            started,
+            now: 0,
         }
     }
 
-    fn now_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    /// Runs until the last peer is killed. What a pass or a woken event
-    /// sent over TCP is written before the shard looks for more work, so
-    /// nothing waits on a link while the shard blocks; a write that failed
-    /// queued its bounces locally, which keeps the shard from blocking.
-    pub(crate) fn run(mut self) {
+    /// Runs until the last peer is killed, with the shard clock counting
+    /// from `started`. What a pass or a woken event sent over TCP is
+    /// written before the shard looks for more work, so nothing waits on a
+    /// link while the shard blocks; a write that failed queued its bounces
+    /// locally, which keeps the shard from blocking.
+    #[allow(clippy::disallowed_methods)] // wall-clock: the shard clock's one reader
+    pub(crate) fn run(mut self, started: Instant) {
+        let clock = || started.elapsed().as_millis() as u64;
         while !self.peers.is_empty() {
-            let now = Instant::now();
-            let busy = self.pass(now);
+            let busy = self.pass(clock());
             self.flush_links();
             if !busy && self.local.is_empty() {
-                let wait = self
-                    .next_deadline(now)
-                    .saturating_duration_since(Instant::now());
+                let deadline = started + Duration::from_millis(self.next_deadline());
+                let wait = deadline.saturating_duration_since(Instant::now());
                 if let Ok((to, event)) = self.inbox.recv_timeout(wait) {
+                    self.now = clock();
                     self.dispatch(to, event);
                     self.flush_links();
                 }
@@ -308,15 +314,17 @@ impl Shard {
         let Wire::Tcp(links) = &mut self.wire else {
             return;
         };
-        for (from, to) in links.flush(Instant::now()) {
+        for (from, to) in links.flush(self.now) {
             self.enqueue(from, PeerEvent::Failed(to));
         }
     }
 
-    /// One pass of the loop at `now`; false if it found no event to handle.
-    fn pass(&mut self, now: Instant) -> bool {
-        self.fire_timers(now);
-        self.release_delayed(now);
+    /// One pass of the loop with the clock set to `now`; false if it found
+    /// no event to handle.
+    fn pass(&mut self, now: u64) -> bool {
+        self.now = now;
+        self.fire_timers();
+        self.release_delayed();
         let mut taken = 0;
         while taken < PASS {
             let Ok((to, event)) = self.inbox.try_recv() else {
@@ -352,7 +360,7 @@ impl Shard {
     }
 
     /// The earliest timer, latency or link-retry deadline.
-    fn next_deadline(&self, now: Instant) -> Instant {
+    fn next_deadline(&self) -> u64 {
         let delayed = match &self.wire {
             Wire::Mem { delayed, .. } => delayed.first_key_value().map(|(&(due, _), _)| due),
             Wire::Tcp(links) => links.next_retry(),
@@ -365,30 +373,32 @@ impl Shard {
         .into_iter()
         .flatten()
         .min()
-        .unwrap_or(now + POLL_PERIOD)
+        .unwrap_or(self.now + POLL_PERIOD)
     }
 
-    /// Runs every gossip round and timeout poll due by `now`. A late timer
-    /// skips the ticks it missed rather than bursting them.
-    fn fire_timers(&mut self, now: Instant) {
-        while let Some(&(due, id)) = self.gossip_due.front().filter(|d| d.0 <= now) {
+    /// Runs every gossip round and timeout poll due by `now`. A gossip
+    /// timer re-arms at the stack's next round, so each one that fires
+    /// starts a round; a late poll skips the ticks it missed rather than
+    /// bursting them.
+    fn fire_timers(&mut self) {
+        let now = self.now;
+        while let Some(&(_, id)) = self.gossip_due.front().filter(|d| d.0 <= now) {
             self.gossip_due.pop_front();
-            let ms = self.now_ms();
             let Some(peer) = self.peers.get_mut(&id) else {
                 continue;
             };
-            peer.gossip(ms, self.fabric.peer(id), &mut self.out);
+            let next = peer.gossip(now, self.fabric.peer(id), &mut self.out);
             self.flush(id);
-            self.gossip_due
-                .push_back((rearm(due, self.gossip_period, now), id));
+            if let Some(next) = next {
+                self.gossip_due.push_back((next, id));
+            }
         }
         while let Some(&(due, id)) = self.poll_due.front().filter(|d| d.0 <= now) {
             self.poll_due.pop_front();
-            let ms = self.now_ms();
             let Some(peer) = self.peers.get_mut(&id) else {
                 continue;
             };
-            peer.host.poll_timeouts(ms, &mut self.out);
+            peer.host.poll_timeouts(now, &mut self.out);
             self.flush(id);
             self.poll_due.push_back((rearm(due, POLL_PERIOD, now), id));
         }
@@ -396,12 +406,12 @@ impl Shard {
 
     /// Moves latency-injected sends whose delay has passed to their
     /// destination's queue.
-    fn release_delayed(&mut self, now: Instant) {
+    fn release_delayed(&mut self) {
         loop {
             let Wire::Mem { delayed, .. } = &mut self.wire else {
                 return;
             };
-            let Some(entry) = delayed.first_entry().filter(|e| e.key().0 <= now) else {
+            let Some(entry) = delayed.first_entry().filter(|e| e.key().0 <= self.now) else {
                 return;
             };
             let (from, to, msg) = entry.remove();
@@ -419,14 +429,13 @@ impl Shard {
             self.peers.remove(&to);
             return;
         }
-        let now = self.now_ms();
         let Some(peer) = self.peers.get_mut(&to) else {
             if let PeerEvent::Deliver(from, _) = event {
                 self.enqueue(from, PeerEvent::Failed(to));
             }
             return;
         };
-        peer.handle(event, now, slot, &mut self.out);
+        peer.handle(event, self.now, slot, &mut self.out);
         self.flush(to);
     }
 
@@ -463,7 +472,7 @@ impl Shard {
                 delayed,
                 seq,
             } => {
-                let due = Instant::now() + Duration::from_millis(rng.gen_range(*lo..=*hi));
+                let due = self.now + rng.gen_range(*lo..=*hi);
                 *seq += 1;
                 delayed.insert((due, *seq), (from, to, msg));
             }
@@ -513,7 +522,7 @@ impl Drop for Shard {
 }
 
 /// The deadline after `due`, skipping the ticks missed if the shard fell behind.
-fn rearm(due: Instant, period: Duration, now: Instant) -> Instant {
+fn rearm(due: u64, period: u64, now: u64) -> u64 {
     let next = due + period;
     if next > now {
         next
@@ -546,7 +555,7 @@ mod tests {
             .collect();
         let (mut wires, _) = crate::Transport::mem(latency_ms).start(&fabric).unwrap();
         let (inbox, wire) = (inboxes.pop().unwrap(), wires.pop().unwrap());
-        Shard::new(0, peers, fabric, inbox, wire, &config, Instant::now())
+        Shard::new(0, peers, fabric, inbox, wire, &config)
     }
 
     fn reply() -> NetMessage {
@@ -594,15 +603,56 @@ mod tests {
     #[test]
     fn same_shard_sends_wait_their_injected_latency() {
         let mut s = shard(2, 8, Some((30, 30)));
-        let sent = Instant::now();
         s.send(0, 1, reply());
-        s.release_delayed(sent);
+        s.now = 29;
+        s.release_delayed();
         assert!(s.local.is_empty(), "delivered before its latency");
-        s.release_delayed(sent + Duration::from_millis(31));
+        s.now = 30;
+        s.release_delayed();
         assert!(matches!(
             s.local.pop_front(),
             Some((1, PeerEvent::Deliver(0, _)))
         ));
+    }
+
+    /// The stack owns the gossip schedule: every gossip timer that fires
+    /// starts a round, passes that run a millisecond late included, and
+    /// the timer FIFO stays sorted.
+    #[test]
+    fn every_fired_gossip_timer_starts_a_round() {
+        let mut s = shard(5, 1_000, None);
+        let period = NetConfig::default().gossip.period_ms;
+        let next_round = |s: &Shard, id: NodeId| {
+            let stack = s.peers[&id].host.gossip().expect("every peer gossips");
+            stack.next_gossip_at()
+        };
+        let (mut rounds, mut gossip_passes) = (0, 0);
+        loop {
+            let mut now = s.next_deadline();
+            if s.gossip_due.front().is_some_and(|d| d.0 <= now) {
+                // Every third pass due to gossip runs a millisecond late.
+                gossip_passes += 1;
+                now += u64::from(gossip_passes % 3 == 0);
+            }
+            if now > 10 * period {
+                break;
+            }
+            let due: Vec<(NodeId, u64)> = s
+                .gossip_due
+                .iter()
+                .take_while(|d| d.0 <= now)
+                .map(|&(_, id)| (id, next_round(&s, id)))
+                .collect();
+            s.pass(now);
+            for (id, before) in due {
+                let after = next_round(&s, id);
+                assert!(after > before, "peer {id}'s timer fired at {now}, no round");
+                rounds += 1;
+            }
+            let sorted = s.gossip_due.iter().is_sorted_by_key(|d| d.0);
+            assert!(sorted, "timers out of order at {now}: {:?}", s.gossip_due);
+        }
+        assert!(rounds >= 5 * 9, "only {rounds} rounds in ten periods");
     }
 
     /// A TCP link that cannot write bounces `Failed` to the sender of each
@@ -662,8 +712,8 @@ mod tests {
         for _ in 0..2 * PASS {
             s.send(0, 1, reply());
         }
-        // No timer is due at the shard's start instant.
-        let at = s.started;
+        // No timer is due at the shard's start.
+        let at = 0;
         assert!(s.pass(at) && s.fresh.len() == 1 && rx.try_recv().is_err());
         assert!(s.pass(at) && s.fresh.len() == 1 && rx.try_recv().is_err());
         // The local queue has drained: the query starts (and, with no

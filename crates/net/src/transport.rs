@@ -4,7 +4,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use attrspace::Space;
 use autosel_core::NetMessage;
@@ -31,11 +31,11 @@ const HEADER_LEN: usize = 20;
 /// peer inboxes.
 const LINK_QUEUE_CAP: usize = 1_024;
 
-/// First reconnect delay after a failed flush.
-const CONNECT_BACKOFF: Duration = Duration::from_millis(10);
+/// First reconnect delay after a failed flush, in ms of the shard clock.
+const CONNECT_BACKOFF: u64 = 10;
 
-/// Reconnect delays double per consecutive failure up to this cap.
-const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(320);
+/// Reconnect delays double per consecutive failure up to this cap (ms).
+const CONNECT_BACKOFF_CAP: u64 = 320;
 
 /// How long a link waits for a connect before failing its batch.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
@@ -295,6 +295,8 @@ impl Transport {
 /// included), written by the shard itself: [`send`](Self::send) frames a
 /// message into its link's batch buffer, and [`flush`](Self::flush) writes
 /// every link's batch with one `write_all` on its persistent connection.
+/// A failed link backs off on the shard's own millisecond clock, which
+/// `flush` takes as `now`; the links never read the wall clock.
 #[derive(Debug)]
 pub(crate) struct TcpOut {
     links: Vec<Link>,
@@ -318,10 +320,11 @@ struct Link {
     batch: Vec<u8>,
     /// `(from, to)` of each pending frame, in batch order.
     pending: Vec<(NodeId, NodeId)>,
-    /// The next reconnect delay after a failed flush.
-    backoff: Duration,
-    /// No connect before this instant: a failed flush backs off.
-    retry_at: Option<Instant>,
+    /// The next reconnect delay after a failed flush, in ms.
+    backoff: u64,
+    /// No connect before this time on the shard clock (ms): a failed
+    /// flush backs off.
+    retry_at: Option<u64>,
 }
 
 impl TcpOut {
@@ -371,7 +374,7 @@ impl TcpOut {
     /// whole batch on the fresh connection, so frames received before the
     /// break may arrive twice; the protocol's attempt-tagged replies absorb
     /// duplicates by design.
-    pub(crate) fn flush(&mut self, now: Instant) -> Vec<(NodeId, NodeId)> {
+    pub(crate) fn flush(&mut self, now: u64) -> Vec<(NodeId, NodeId)> {
         let mut failed = Vec::new();
         for link in &mut self.links {
             if link.pending.is_empty() || link.retry_at.is_some_and(|at| now < at) {
@@ -391,9 +394,9 @@ impl TcpOut {
         failed
     }
 
-    /// The instant a backing-off link with pending frames may retry, if
-    /// any: the shard wakes for it.
-    pub(crate) fn next_retry(&self) -> Option<Instant> {
+    /// When a backing-off link with pending frames may retry (shard clock,
+    /// ms), if any: the shard wakes for it.
+    pub(crate) fn next_retry(&self) -> Option<u64> {
         self.links
             .iter()
             .filter(|l| !l.pending.is_empty())
@@ -644,9 +647,9 @@ mod tests {
         buf
     }
 
-    /// Flushes `out` now, expecting every pending frame to be written.
+    /// Flushes `out`, expecting every pending frame to be written.
     fn flush(out: &mut TcpOut) {
-        let failed = out.flush(Instant::now());
+        let failed = out.flush(0);
         assert!(failed.is_empty(), "frames failed: {failed:?}");
     }
 
@@ -810,8 +813,10 @@ mod tests {
 
     /// A flush to a port nobody listens on fails every pending frame back
     /// to the shard at once and counts the refused connect. The link then
-    /// backs off: frames sent meanwhile wait for the retry.
+    /// backs off on the shard clock: frames sent meanwhile wait for the
+    /// retry at 10 ms, and a second failure doubles the wait to 30 ms.
     #[test]
+    #[allow(clippy::disallowed_methods)] // wall-clock: bounds the refused connect's real wait
     fn link_flush_fails_fast_on_dead_endpoint() {
         // Bind-then-drop: a loopback port with nothing listening.
         let addr = TcpListener::bind(("127.0.0.1", 0))
@@ -824,24 +829,23 @@ mod tests {
         for to in 1..=3 {
             out.send(0, 0, to, &msg);
         }
-        let at = Instant::now();
-        assert_eq!(out.flush(at), vec![(0, 1), (0, 2), (0, 3)]);
+        let started = std::time::Instant::now();
+        assert_eq!(out.flush(0), vec![(0, 1), (0, 2), (0, 3)]);
         assert!(
-            at.elapsed() < CONNECT_TIMEOUT,
+            started.elapsed() < CONNECT_TIMEOUT,
             "waited out the connect bound"
         );
         assert_eq!(stats.conn_failed.load(Relaxed), 1);
         assert_eq!(stats.tx_frames.load(Relaxed), 0);
 
         out.send(0, 0, 4, &msg);
-        assert!(out.flush(at).is_empty(), "backing off: the frame waits");
+        assert!(out.flush(9).is_empty(), "backing off: the frame waits");
         assert_eq!(stats.conn_failed.load(Relaxed), 1);
-        assert_eq!(out.next_retry(), Some(at + CONNECT_BACKOFF));
-        let retry = at + CONNECT_BACKOFF;
-        assert_eq!(out.flush(retry), vec![(0, 4)]);
+        assert_eq!(out.next_retry(), Some(10));
+        assert_eq!(out.flush(10), vec![(0, 4)]);
         assert_eq!(stats.conn_failed.load(Relaxed), 2);
         out.send(0, 0, 5, &msg);
-        assert_eq!(out.next_retry(), Some(retry + 2 * CONNECT_BACKOFF));
+        assert_eq!(out.next_retry(), Some(30));
     }
 
     /// A peer's death leaves its shard's listener serving the others: an

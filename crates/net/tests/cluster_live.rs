@@ -16,6 +16,7 @@ use rand::{Rng, SeedableRng};
 /// whether it ever held. Replaces the fixed warm-up sleeps that guessed at
 /// convergence speed and flaked on loaded single-CPU boxes: the condition is
 /// on observable cluster state, the deadline only bounds a hang.
+#[allow(clippy::disallowed_methods)] // wall-clock: a test's deadline loop
 fn wait_until(mut pred: impl FnMut() -> bool, deadline: Duration) -> bool {
     let start = std::time::Instant::now();
     loop {

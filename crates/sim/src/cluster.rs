@@ -892,8 +892,11 @@ impl SimCluster {
                     return;
                 }
                 self.drive(node, |h, now, rng, out| h.gossip_tick(now, rng, out));
-                let period = self.config.gossip.period_ms;
-                self.schedule(self.now + period, EventKind::GossipTick { node });
+                // The next tick lands when the stack will gossip next.
+                let stack = self.nodes.get(&node).and_then(|n| n.host.gossip());
+                if let Some(at) = stack.map(|g| g.next_gossip_at()) {
+                    self.schedule(at, EventKind::GossipTick { node });
+                }
             }
             EventKind::PollTimeouts { node } => {
                 let Some(n) = self.nodes.get_mut(&node) else {

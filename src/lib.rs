@@ -84,6 +84,20 @@ pub mod obs {
     pub use autosel_obs::*;
 }
 
+/// The Rust blocks of the README and the docs, compiled as doctests so
+/// that an API change cannot leave them stale.
+#[cfg(doctest)]
+mod docs {
+    #[doc = include_str!("../README.md")]
+    struct Readme;
+    #[doc = include_str!("../docs/OBSERVABILITY.md")]
+    struct Observability;
+    #[doc = include_str!("../docs/TESTING.md")]
+    struct Testing;
+    #[doc = include_str!("../docs/ANALYSIS.md")]
+    struct Analysis;
+}
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use attrspace::{Dimension, Point, Query, Range, Space};
